@@ -13,7 +13,8 @@
 //! one place in this crate allowed to read real time); library callers
 //! pass `|| 0.0` and get a fully deterministic snapshot.
 
-use crate::shard::{bench_sweep_stats, chaos_sweep};
+use crate::pool::run_sweep;
+use crate::shard::{bench_sweep_stats, chaos_sweep, heal_sweep, scrub_sweep, SweepOutcome};
 use std::fmt::Write as _;
 use ys_check::{run_standard, STANDARD_MODELS};
 
@@ -28,6 +29,12 @@ const CHECK_MAX_STATES: usize = 2_000_000;
 const CHAOS_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
 /// Workload steps per chaos campaign.
 const CHAOS_STEPS: u64 = 32;
+/// Seeds for the heal- and scrub-campaign scenarios (CLI-default sizes).
+const CAMPAIGN_SEEDS: [u64; 4] = [0, 1, 2, 3];
+/// `ys-scrub`'s default `--errors`.
+const SCRUB_ERRORS: usize = 64;
+/// `ys-heal`'s default `--writes`.
+const HEAL_WRITES: usize = 48;
 /// Seeds for the benchmark confidence-sweep scenario.
 const BENCH_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
@@ -40,6 +47,24 @@ pub struct Scenario {
     pub sim: Vec<(String, f64)>,
     /// Host seconds the stage took (excluded from the drift gate).
     pub host_wall_s: f64,
+}
+
+/// 32-bit FNV-1a of a rendered report. `report_bytes` alone pins only the
+/// length of a transcript; the digest pins its content, and 32 bits fit an
+/// `f64` (and the snapshot's fixed-decimal rendering) exactly.
+fn digest(text: &str) -> f64 {
+    let h = text.bytes().fold(0x811c_9dc5u32, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193));
+    f64::from(h)
+}
+
+/// The `sim` block of a merged campaign sweep.
+fn sweep_sim(unit: &str, shards: usize, sweep: &SweepOutcome) -> Vec<(String, f64)> {
+    vec![
+        (unit.into(), shards as f64),
+        ("all_passed".into(), sweep.ok as u64 as f64),
+        ("report_bytes".into(), sweep.report.len() as f64),
+        ("report_digest".into(), digest(&sweep.report)),
+    ]
 }
 
 /// Run every snapshot scenario with `jobs` workers. `clock` returns
@@ -66,16 +91,34 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
 
     let t0 = clock();
     let chaos = chaos_sweep(&CHAOS_SEEDS, CHAOS_STEPS, false, jobs);
-    out.push(Scenario {
-        name: "chaos_sweep".into(),
-        sim: vec![
-            ("campaigns".into(), CHAOS_SEEDS.len() as f64),
-            ("steps_per_campaign".into(), CHAOS_STEPS as f64),
-            ("all_passed".into(), chaos.ok as u64 as f64),
-            ("report_bytes".into(), chaos.report.len() as f64),
-        ],
-        host_wall_s: clock() - t0,
+    let mut sim = sweep_sim("campaigns", CHAOS_SEEDS.len(), &chaos);
+    sim.push(("steps_per_campaign".into(), CHAOS_STEPS as f64));
+    out.push(Scenario { name: "chaos_sweep".into(), sim, host_wall_s: clock() - t0 });
+
+    let t0 = clock();
+    let heal = heal_sweep(&CAMPAIGN_SEEDS, HEAL_WRITES, jobs);
+    let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &heal);
+    out.push(Scenario { name: "heal_sweep".into(), sim, host_wall_s: clock() - t0 });
+
+    let t0 = clock();
+    let scrub = scrub_sweep(&CAMPAIGN_SEEDS, SCRUB_ERRORS, jobs);
+    let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &scrub);
+    out.push(Scenario { name: "scrub_sweep".into(), sim, host_wall_s: clock() - t0 });
+
+    // Every ys-report scenario in its default rendering, concatenated in
+    // catalogue order.
+    let t0 = clock();
+    let names: Vec<&str> = ys_obs::scenarios::SCENARIOS.iter().map(|&(name, _)| name).collect();
+    let reports = run_sweep(names.clone(), jobs, |name| {
+        let r = ys_obs::scenarios::run(name).expect("scenario catalogue is self-consistent");
+        (r.render(), r.all_pass())
     });
+    let suite = SweepOutcome {
+        report: reports.iter().map(|(text, _)| text.as_str()).collect(),
+        ok: reports.iter().all(|&(_, pass)| pass),
+    };
+    let sim = sweep_sim("scenarios", names.len(), &suite);
+    out.push(Scenario { name: "report_suite".into(), sim, host_wall_s: clock() - t0 });
 
     let t0 = clock();
     let (mean, min, max) = bench_sweep_stats(&BENCH_SEEDS, jobs);
@@ -203,6 +246,12 @@ mod tests {
     }
 
     #[test]
+    fn digest_is_fnv1a_32() {
+        assert_eq!(digest(""), f64::from(0x811c_9dc5u32));
+        assert_eq!(digest("a"), f64::from(0xe40c_292cu32));
+    }
+
+    #[test]
     fn host_lines_are_excluded_from_drift() {
         let base = render(&sample());
         let mut hot = sample();
@@ -223,6 +272,10 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"check_failover\""));
         assert!(a.contains("\"chaos_sweep\""));
+        for section in ["heal_sweep", "scrub_sweep", "report_suite"] {
+            assert!(a.contains(&format!("\"{section}\"")), "{section} missing");
+        }
+        assert!(a.contains("\"report_digest\""));
         assert!(a.contains("\"all_passed\": 1.0000"));
     }
 }
