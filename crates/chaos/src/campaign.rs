@@ -1145,7 +1145,7 @@ impl Campaign {
         let tenant = if self.cfg.enable_qos { Some(3) } else { None };
         for site in 0..self.sites() {
             let mut scrubber = Scrubber::new(
-                ScrubConfig { tenant, ..ScrubConfig::default() },
+                ScrubConfig { tenant },
                 &self.ns.clusters[site],
             );
             let run = {

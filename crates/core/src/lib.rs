@@ -7,6 +7,8 @@
 //!   coherent cache, N-way write-back replication, DMSD virtualization,
 //!   RAID destage, load balancing, blade/disk failures (§2, §3, §6),
 //!   plus per-tenant QoS admission via `ys-qos` (`read_as`/`write_as`);
+//! * [`governed`] — the one admit → shed → back off → forced-trickle →
+//!   complete driver every Scavenger-class maintenance pass runs under;
 //! * [`fastpath`] — the Figure 1 high-speed striped stream engine (§2.3, §8);
 //! * [`rebuild`] — distributed, fault-tolerant RAID rebuild (§2.4, §6.3);
 //! * [`services`] — load-balanced PIT-copy/backup services (§2.4);
@@ -20,6 +22,7 @@ pub mod cluster;
 pub mod config;
 pub mod fastpath;
 pub mod frontend;
+pub mod governed;
 pub mod legacy;
 pub mod netstorage;
 pub mod rebuild;

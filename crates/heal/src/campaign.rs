@@ -167,7 +167,7 @@ fn heal_pass(
     r: &mut CampaignReport,
     label: &str,
 ) -> Result<(), ClusterError> {
-    let mut h = Healer::new(HealConfig { tenant: Some(TENANT_HEALER), ..HealConfig::default() });
+    let mut h = Healer::new(HealConfig { tenant: Some(TENANT_HEALER) });
     *t = h.run(c, *t)?;
     r.replicas_healed += h.report().replicas_placed;
     r.lines.push(format!("{label}: {}", h.report()));

@@ -3,62 +3,32 @@
 //! After a blade failure promotes replicas (or a drain drops them), pages
 //! sit *below their fault-tolerance target*: one more failure could lose
 //! an acknowledged write. The [`Healer`] scans the directory for that
-//! deficit and re-establishes N-way replicas over the blade fabric, in a
-//! loop with three disciplines borrowed from the rest of the machine:
+//! deficit and re-establishes N-way replicas over the blade fabric.
 //!
-//! * **Scavenger-class admission** (same as `ys-scrub`): each batch passes
-//!   QoS admission as a configured tenant before copying pages, so
-//!   foreground I/O is never starved by repair traffic — but after
-//!   `max_consecutive_sheds` one batch is forced through, so redundancy
-//!   repair degrades to a trickle, never to zero.
-//! * **Exponential backoff in virtual time**: a shed or stalled batch
-//!   (every candidate peer saturated with dirty data) doubles the wait
-//!   before retrying, up to a cap. Backing off is productive here: pending
-//!   destages land while virtual time passes, freeing peer space and
-//!   shrinking the deficit.
-//! * **Bounded work per tick**: at most `pages_per_tick` copies in flight
-//!   per admitted batch.
+//! How the pass shares the machine with foreground I/O — Scavenger-class
+//! admission per batch, exponential backoff in virtual time after a shed
+//! or stalled batch (backing off is productive here: pending destages land
+//! meanwhile, freeing peer space and shrinking the deficit), a forced
+//! trickle under sustained load, a declared stall when no batch can make
+//! progress — is [`ys_core::governed`]'s policy, shared with `ys-scrub`.
+//! This module is only the unit of work: the worst-deficit pages, one
+//! `heal_page` each.
 //!
 //! On convergence (no page under target) the healer promotes every
 //! `Rejoining` blade to full `Up` membership.
 
 use ys_cache::PageKey;
+use ys_core::governed::{self, GovernedWork, Governor, MAX_BACKOFF, PAGES_PER_BATCH};
 use ys_core::{BladeCluster, ClusterError};
-use ys_simcore::time::{SimDuration, SimTime};
+use ys_simcore::time::SimTime;
 
 /// Healer policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct HealConfig {
     /// QoS tenant the heal batches are admitted as (Scavenger-class in the
     /// shipped configurations). `None` runs administratively, without
     /// admission control — the mode fault campaigns use to converge.
     pub tenant: Option<u32>,
-    /// Replica copies attempted per admitted batch (the in-flight budget).
-    pub pages_per_tick: u64,
-    /// Initial virtual-time backoff after a shed or stalled batch.
-    pub base_backoff: SimDuration,
-    /// Backoff cap: doubling stops here.
-    pub max_backoff: SimDuration,
-    /// After this many consecutive sheds one batch runs without admission,
-    /// so redundancy repair always makes progress under sustained load.
-    pub max_consecutive_sheds: u64,
-    /// Give up after this many consecutive zero-progress batches (every
-    /// remaining page has no eligible peer at all); the leftover deficit
-    /// is reported as `stalled_pages`, loudly, never dropped.
-    pub max_stalled_ticks: u64,
-}
-
-impl Default for HealConfig {
-    fn default() -> HealConfig {
-        HealConfig {
-            tenant: None,
-            pages_per_tick: 8,
-            base_backoff: SimDuration::from_millis(10),
-            max_backoff: SimDuration::from_millis(640),
-            max_consecutive_sheds: 64,
-            max_stalled_ticks: 8,
-        }
-    }
 }
 
 /// What one heal pass did.
@@ -68,7 +38,7 @@ pub struct HealReport {
     pub ticks: u64,
     /// Batches refused by QoS admission (retried after backoff).
     pub shed_ticks: u64,
-    /// Batches forced through after `max_consecutive_sheds`.
+    /// Batches forced through after `MAX_CONSECUTIVE_SHEDS`.
     pub forced_ticks: u64,
     /// Virtual-time backoff waits taken (shed or stalled).
     pub backoff_events: u64,
@@ -104,58 +74,36 @@ impl std::fmt::Display for HealReport {
 /// A heal pass in progress over one cluster.
 #[derive(Debug)]
 pub struct Healer {
-    cfg: HealConfig,
-    consecutive_sheds: u64,
-    backoff: SimDuration,
+    governor: Governor,
+    /// The planned batch (buffer reused across batches).
+    batch: Vec<PageKey>,
     report: HealReport,
 }
 
-impl Healer {
-    /// New pass with the given policy.
-    pub fn new(cfg: HealConfig) -> Healer {
-        let backoff = cfg.base_backoff;
-        Healer { cfg, consecutive_sheds: 0, backoff, report: HealReport::default() }
+impl GovernedWork<BladeCluster> for Healer {
+    fn governor(&mut self) -> &mut Governor {
+        &mut self.governor
     }
 
-    /// The accumulated report (final once [`Healer::run`] returns).
-    pub fn report(&self) -> &HealReport {
-        &self.report
+    fn cluster(cluster: &mut BladeCluster) -> &mut BladeCluster {
+        cluster
     }
 
-    /// Run one batch: admit it under the configured tenant, then attempt up
-    /// to `pages_per_tick` replica placements for the worst-deficit pages.
-    /// Returns the batch completion time (== `now` when shed or when there
-    /// is no work).
-    pub fn tick(&mut self, cluster: &mut BladeCluster, now: SimTime) -> Result<SimTime, ClusterError> {
+    fn remaining(&self, cluster: &BladeCluster) -> usize {
+        cluster.under_target_pages().len()
+    }
+
+    /// The worst-deficit pages first.
+    fn plan(&mut self, cluster: &BladeCluster) -> u64 {
         let work = cluster.under_target_pages();
-        if work.is_empty() {
-            return Ok(now);
-        }
-        let batch: Vec<PageKey> =
-            work.iter().take(self.cfg.pages_per_tick as usize).map(|&(k, _)| k).collect();
-        let bytes = batch.len() as u64 * cluster.config().page_bytes;
-        let mut forced = false;
-        let start = match self.cfg.tenant {
-            Some(t) if self.consecutive_sheds < self.cfg.max_consecutive_sheds => {
-                match cluster.qos_admit_as(now, t, bytes) {
-                    Ok(s) => s,
-                    Err(ClusterError::QosShed { .. }) => {
-                        self.report.ticks += 1;
-                        self.report.shed_ticks += 1;
-                        self.consecutive_sheds += 1;
-                        return Ok(now);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Some(_) => {
-                forced = true;
-                now
-            }
-            None => now,
-        };
+        self.batch.clear();
+        self.batch.extend(work.iter().take(PAGES_PER_BATCH as usize).map(|&(k, _)| k));
+        self.batch.len() as u64
+    }
+
+    fn execute(&mut self, cluster: &mut BladeCluster, start: SimTime) -> Result<SimTime, ClusterError> {
         let mut done = start;
-        for key in batch {
+        for &key in &self.batch {
             match cluster.heal_page(done, key) {
                 Ok((_, d)) => {
                     done = done.max(d);
@@ -168,63 +116,63 @@ impl Healer {
                 Err(e) => return Err(e),
             }
         }
-        if let Some(t) = self.cfg.tenant {
-            if !forced {
-                cluster.qos_complete_as(t, now, done, bytes);
-            }
-        }
-        self.report.ticks += 1;
-        self.report.forced_ticks += u64::from(forced);
-        self.consecutive_sheds = 0;
         Ok(done)
+    }
+}
+
+impl Healer {
+    /// New pass with the given policy.
+    pub fn new(cfg: HealConfig) -> Healer {
+        Healer {
+            governor: Governor::new(cfg.tenant, MAX_BACKOFF),
+            batch: Vec::new(),
+            report: HealReport::default(),
+        }
+    }
+
+    /// The accumulated report (final once [`Healer::run`] returns).
+    pub fn report(&self) -> &HealReport {
+        &self.report
+    }
+
+    /// Run one batch: admit it under the configured tenant, then attempt up
+    /// to `PAGES_PER_BATCH` replica placements for the worst-deficit pages.
+    /// Returns the batch completion time (== `now` when shed or when there
+    /// is no work).
+    pub fn tick(&mut self, cluster: &mut BladeCluster, now: SimTime) -> Result<SimTime, ClusterError> {
+        let done = governed::tick(self, cluster, now);
+        self.count();
+        done
     }
 
     /// Drive the pass to convergence (or a declared stall), backing off
     /// exponentially in virtual time after shed or zero-progress batches.
     /// On convergence, promote every `Rejoining` blade to `Up`. Returns
     /// the completion time.
-    pub fn run(&mut self, cluster: &mut BladeCluster, mut now: SimTime) -> Result<SimTime, ClusterError> {
-        let mut stalled = 0u64;
-        loop {
-            let before = cluster.under_target_pages().len();
-            if before == 0 {
-                break;
-            }
-            let sheds = self.report.shed_ticks;
-            now = self.tick(cluster, now)?;
-            if self.report.shed_ticks > sheds {
-                now += self.wait();
-                continue;
-            }
-            let after = cluster.under_target_pages().len();
-            if after >= before {
-                stalled += 1;
-                if stalled >= self.cfg.max_stalled_ticks {
-                    self.report.stalled_pages = after as u64;
-                    break;
-                }
-                // Backing off lets pending destages land and free space.
-                now += self.wait();
-            } else {
-                stalled = 0;
-                self.backoff = self.cfg.base_backoff;
-            }
-        }
-        if cluster.under_target_pages().is_empty() {
+    pub fn run(&mut self, cluster: &mut BladeCluster, now: SimTime) -> Result<SimTime, ClusterError> {
+        let done = governed::run(self, cluster, now);
+        self.count();
+        let done = done?;
+        // Every remaining page has no eligible peer at all: reported,
+        // loudly, never dropped.
+        self.report.stalled_pages = cluster.under_target_pages().len() as u64;
+        if self.report.stalled_pages == 0 {
             self.report.converged = true;
             for b in 0..cluster.cache.blade_count() {
                 cluster.finish_rejoin(b);
             }
         }
-        Ok(now)
+        Ok(done)
     }
 
-    /// Take one backoff wait and double it (capped).
-    fn wait(&mut self) -> SimDuration {
-        self.report.backoff_events += 1;
-        let w = self.backoff;
-        self.backoff = (self.backoff * 2).min(self.cfg.max_backoff);
-        w
+    /// Mirror the governor's counters into the report; heal counts a shed
+    /// batch as a tick.
+    fn count(&mut self) {
+        let c = self.governor.counters();
+        self.report.ticks = c.ticks + c.shed_ticks;
+        self.report.shed_ticks = c.shed_ticks;
+        self.report.forced_ticks = c.forced_ticks;
+        self.report.backoff_events = c.backoff_events;
     }
 }
 
@@ -289,7 +237,7 @@ mod tests {
             t = c.write(t, 0, vol, i * 65536, 65536, 2, Retention::Normal).unwrap().done;
         }
         c.fail_blade(t, 1);
-        let mut h = Healer::new(HealConfig { tenant: Some(9), ..HealConfig::default() });
+        let mut h = Healer::new(HealConfig { tenant: Some(9) });
         h.run(&mut c, t).unwrap();
         assert!(h.report().converged, "{}", h.report());
         assert!(c.under_target_pages().is_empty());

@@ -651,7 +651,7 @@ fn rolling_restart() -> RunReport {
                 t = t.max(done);
                 c.revive_blade(blade).expect("revive");
                 let mut h =
-                    Healer::new(HealConfig { tenant: Some(HEALER), ..HealConfig::default() });
+                    Healer::new(HealConfig { tenant: Some(HEALER) });
                 t = t.max(h.run(&mut c, t).expect("heal pass"));
                 phases.push(PhaseRow {
                     blade,
@@ -832,7 +832,7 @@ fn bitrot_scrub() -> RunReport {
             t = c.read(t, 0, victim, i * IO, IO).expect("warm").done;
         }
         let mut scrubber = Scrubber::new(
-            ScrubConfig { tenant: Some(SCRUB), ..ScrubConfig::default() },
+            ScrubConfig { tenant: Some(SCRUB) },
             &c,
         );
         let mut latencies = Vec::new();
@@ -841,12 +841,8 @@ fn bitrot_scrub() -> RunReport {
         for i in 0..VICTIM_OPS {
             let at = t + victim_gap * i;
             if with_scrub && !scrubber.is_done() {
-                let sheds = scrubber.report().shed_ticks;
                 let mut target = ScrubTarget::Cluster(&mut c);
-                scrub_now = scrubber.tick(&mut target, scrub_now.max(at)).expect("scrub tick");
-                if scrubber.report().shed_ticks > sheds {
-                    scrub_now += ScrubConfig::default().shed_backoff;
-                }
+                scrub_now = scrubber.step(&mut target, scrub_now.max(at)).expect("scrub step");
             }
             let off = (i % SET_PAGES) * IO;
             match c.read_as(at, VICTIM, 0, victim, off, IO) {

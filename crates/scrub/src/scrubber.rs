@@ -1,17 +1,20 @@
 //! The background scrubber: a deterministic volume walk that detects
 //! latent media errors and repairs them from the best available source.
 //!
-//! A scrub pass is Scavenger-class work: each batch passes QoS admission
-//! as a configured tenant before touching the disks, so foreground
-//! tenants are never stalled by integrity maintenance. Repair tries
-//! sources in a fixed order — RAID redundancy, then a cached replica,
+//! A scrub pass is Scavenger-class work: each batch runs under
+//! [`ys_core::governed`] — the admission, fixed-wait backoff and forced
+//! trickle policy shared with `ys-heal` — so foreground tenants are never
+//! stalled by integrity maintenance and a pass always finishes. This
+//! module is only the unit of work: the walk order and the repair chain,
+//! which tries sources in a fixed order — RAID redundancy, then a cached replica,
 //! then a geographic remote copy — and a page no source can fix becomes
 //! an explicit [`ScrubLoss`], mirroring the cache's `DataLost` tombstone
 //! discipline: loss is always declared, never silent.
 
+use ys_core::governed::{self, GovernedWork, Governor, BASE_BACKOFF, PAGES_PER_BATCH};
 use ys_core::{BladeCluster, ClusterError, NetStorage};
 use ys_geo::SiteId;
-use ys_simcore::time::{SimDuration, SimTime};
+use ys_simcore::time::SimTime;
 use ys_virt::VolumeId;
 
 /// What the scrubber operates on.
@@ -57,31 +60,12 @@ impl ScrubTarget<'_> {
 }
 
 /// Scrub pass policy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScrubConfig {
     /// QoS tenant the scrub's batches are admitted as (Scavenger-class in
     /// the shipped configurations). `None` runs administratively, without
     /// admission control — the mode fault campaigns use to converge.
     pub tenant: Option<u32>,
-    /// Pages verified per admitted batch.
-    pub pages_per_tick: u64,
-    /// Virtual-time backoff after a shed batch, before retrying.
-    pub shed_backoff: SimDuration,
-    /// After this many consecutive sheds one batch runs without admission,
-    /// so a scrub pass always finishes even under sustained pressure
-    /// (integrity maintenance degrades to a trickle, never to zero).
-    pub max_consecutive_sheds: u64,
-}
-
-impl Default for ScrubConfig {
-    fn default() -> ScrubConfig {
-        ScrubConfig {
-            tenant: None,
-            pages_per_tick: 8,
-            shed_backoff: SimDuration::from_millis(10),
-            max_consecutive_sheds: 64,
-        }
-    }
 }
 
 /// A page the scrubber could not repair from any source: the explicit
@@ -117,7 +101,7 @@ pub struct ScrubReport {
     pub ticks: u64,
     /// Batches shed by QoS admission (retried later).
     pub shed_ticks: u64,
-    /// Batches forced through after `max_consecutive_sheds`.
+    /// Batches forced through after `MAX_CONSECUTIVE_SHEDS`.
     pub forced_ticks: u64,
 }
 
@@ -165,12 +149,42 @@ impl std::fmt::Display for ScrubReport {
 /// page of every volume, plus the accumulated [`ScrubReport`].
 #[derive(Debug)]
 pub struct Scrubber {
-    cfg: ScrubConfig,
+    governor: Governor,
     /// (volume, page) work list in (group, volume id, page) order.
     work: Vec<(VolumeId, u64)>,
     cursor: usize,
-    consecutive_sheds: u64,
+    /// Pages in the planned batch.
+    batch: usize,
     report: ScrubReport,
+}
+
+impl<'a> GovernedWork<ScrubTarget<'a>> for Scrubber {
+    fn governor(&mut self) -> &mut Governor {
+        &mut self.governor
+    }
+
+    fn cluster<'t>(target: &'t mut ScrubTarget<'a>) -> &'t mut BladeCluster {
+        target.cluster()
+    }
+
+    fn remaining(&self, _: &ScrubTarget<'a>) -> usize {
+        self.work.len() - self.cursor
+    }
+
+    fn plan(&mut self, _: &ScrubTarget<'a>) -> u64 {
+        self.batch = (self.work.len() - self.cursor).min(PAGES_PER_BATCH as usize);
+        self.batch as u64
+    }
+
+    fn execute(&mut self, target: &mut ScrubTarget<'a>, start: SimTime) -> Result<SimTime, ClusterError> {
+        let mut done = start;
+        for _ in 0..self.batch {
+            let (vol, page) = self.work[self.cursor];
+            self.cursor += 1;
+            done = done.max(self.scrub_one(target, done, vol, page)?);
+        }
+        Ok(done)
+    }
 }
 
 impl Scrubber {
@@ -188,7 +202,9 @@ impl Scrubber {
                 }
             }
         }
-        Scrubber { cfg, work, cursor: 0, consecutive_sheds: 0, report: ScrubReport::default() }
+        // Cap == base: a scrub pass waits a fixed interval after each shed.
+        let governor = Governor::new(cfg.tenant, BASE_BACKOFF);
+        Scrubber { governor, work, cursor: 0, batch: 0, report: ScrubReport::default() }
     }
 
     /// Whether the pass has covered its whole work list.
@@ -207,62 +223,38 @@ impl Scrubber {
     }
 
     /// Run one batch: admit it under the configured QoS tenant, verify up
-    /// to `pages_per_tick` pages, repair or declare what fails. Returns
+    /// to `PAGES_PER_BATCH` pages, repair or declare what fails. Returns
     /// the batch completion time (== `now` when shed or already done).
     pub fn tick(&mut self, target: &mut ScrubTarget<'_>, now: SimTime) -> Result<SimTime, ClusterError> {
-        if self.is_done() {
-            return Ok(now);
-        }
-        let pb = target.cluster_ref().config().page_bytes;
-        let batch = (self.work.len() - self.cursor).min(self.cfg.pages_per_tick as usize);
-        let bytes = batch as u64 * pb;
-        let mut forced = false;
-        let start = match self.cfg.tenant {
-            Some(t) if self.consecutive_sheds < self.cfg.max_consecutive_sheds => {
-                match target.cluster().qos_admit_as(now, t, bytes) {
-                    Ok(s) => s,
-                    Err(ClusterError::QosShed { .. }) => {
-                        self.report.shed_ticks += 1;
-                        self.consecutive_sheds += 1;
-                        return Ok(now);
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            Some(_) => {
-                forced = true;
-                now
-            }
-            None => now,
-        };
-        let mut done = start;
-        for _ in 0..batch {
-            let (vol, page) = self.work[self.cursor];
-            self.cursor += 1;
-            done = done.max(self.scrub_one(target, done, vol, page)?);
-        }
-        if let Some(t) = self.cfg.tenant {
-            if !forced {
-                target.cluster().qos_complete_as(t, now, done, bytes);
-            }
-        }
-        self.report.ticks += 1;
-        self.report.forced_ticks += u64::from(forced);
-        self.consecutive_sheds = 0;
-        Ok(done)
+        let done = governed::tick(self, target, now);
+        self.count();
+        done
+    }
+
+    /// [`Scrubber::tick`], returning when the pass should next wake: the
+    /// batch completion time, or `now` plus the backoff wait when the batch
+    /// was shed. For callers that interleave the pass with foreground work.
+    pub fn step(&mut self, target: &mut ScrubTarget<'_>, now: SimTime) -> Result<SimTime, ClusterError> {
+        let wake = governed::step(self, target, now);
+        self.count();
+        wake
     }
 
     /// Drive the pass to completion, backing off in virtual time after
     /// each shed batch. Returns the completion time.
-    pub fn run(&mut self, target: &mut ScrubTarget<'_>, mut now: SimTime) -> Result<SimTime, ClusterError> {
-        while !self.is_done() {
-            let sheds = self.report.shed_ticks;
-            now = self.tick(target, now)?;
-            if self.report.shed_ticks > sheds {
-                now += self.cfg.shed_backoff;
-            }
-        }
-        Ok(now)
+    pub fn run(&mut self, target: &mut ScrubTarget<'_>, now: SimTime) -> Result<SimTime, ClusterError> {
+        let done = governed::run(self, target, now);
+        self.count();
+        done
+    }
+
+    /// Mirror the governor's counters into the report; scrub counts only
+    /// executed batches as ticks.
+    fn count(&mut self) {
+        let c = self.governor.counters();
+        self.report.ticks = c.ticks;
+        self.report.shed_ticks = c.shed_ticks;
+        self.report.forced_ticks = c.forced_ticks;
     }
 
     /// Verify one page; on mismatch, walk the repair-source chain and
