@@ -16,7 +16,8 @@
 //! distinguish by any future operation — deduplicate, keeping the bounded
 //! space finite.
 
-use crate::explore::Model;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
 use ys_cache::{CacheCluster, PageKey, ReadOutcome, Retention};
@@ -321,6 +322,21 @@ thread_local! {
     /// there.
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+impl StandardModel for CacheModel {
+    fn in_scope(cli: Scope) -> CacheModel {
+        CacheModel::new(cli)
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        let s = self.scope;
+        format!("cache model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<Op>) -> String {
+        render_trace(&cx.trace, self.scope, &cx.violations)
+    }
 }
 
 /// Render a counterexample trace as a ready-to-paste regression test body.

@@ -16,7 +16,9 @@
 //! * **loss-within-budget** — as in the cache model: a page acked with N
 //!   dirty copies must survive any N−1 failures.
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
 use ys_cache::{CacheCluster, CacheError, PageKey, Retention};
@@ -277,6 +279,26 @@ thread_local! {
     /// Reused scratch for [`FailoverModel::canonical_hash`].
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+impl StandardModel for FailoverModel {
+    fn in_scope(cli: Scope) -> FailoverModel {
+        FailoverModel::new(FailoverScope {
+            blades: cli.blades,
+            pages: cli.pages.min(2),
+            n_way: cli.n_way,
+            capacity_pages: cli.capacity_pages,
+        })
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        let s = self.scope;
+        format!("failover model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<FailoverOp>) -> String {
+        render_failover_trace(&cx.trace, self.scope, &cx.violations)
+    }
 }
 
 /// Render a failover counterexample as a ready-to-paste regression test.

@@ -16,7 +16,9 @@
 //! * **drain implies zero loss** — a planned drain never mints a
 //!   `DataLost` tombstone, no matter what the other ops left in flight.
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
 use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, Retention};
@@ -295,6 +297,26 @@ thread_local! {
     /// Reused scratch for [`HealModel::canonical_hash`].
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+impl StandardModel for HealModel {
+    fn in_scope(cli: Scope) -> HealModel {
+        HealModel::new(HealScope {
+            blades: cli.blades,
+            pages: cli.pages.min(2),
+            n_way: cli.n_way,
+            capacity_pages: cli.capacity_pages,
+        })
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        let s = self.scope;
+        format!("heal model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<HealOp>) -> String {
+        render_heal_trace(&cx.trace, self.scope, &cx.violations)
+    }
 }
 
 /// Render a heal counterexample as a ready-to-paste regression test.

@@ -17,7 +17,9 @@
 //! * the disk's checksum plane and the shadow agree on exactly which pages
 //!   are rotten, and the observed-mismatch counter is monotone.
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use ys_simcore::time::SimTime;
 use ys_simdisk::{DiskFarm, DiskId, DiskOp, DiskSpec, CHECKSUM_PAGE_BYTES};
@@ -261,6 +263,20 @@ impl Model for IntegrityModel {
             h.boundary();
         }
         h.finish()
+    }
+}
+
+impl StandardModel for IntegrityModel {
+    fn in_scope(_: Scope) -> IntegrityModel {
+        IntegrityModel::new(IntegrityScope::small())
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        format!("integrity model, {} pages × 3 repair sources, depth {depth}", self.scope.pages)
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<IntegrityOp>) -> String {
+        render_integrity_trace(&cx.trace, self.scope, &cx.violations)
     }
 }
 

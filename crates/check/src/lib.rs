@@ -53,5 +53,8 @@ pub use heal_model::{render_heal_trace, HealModel, HealOp, HealScope};
 pub use integrity_model::{render_integrity_trace, IntegrityModel, IntegrityOp, IntegrityScope};
 pub use qos_model::{render_qos_trace, QosModel, QosOp, QosScope};
 pub use security_model::{render_security_trace, SecurityModel, SecurityOp, SecurityScope};
-pub use summary::{render_summary, run_standard, StandardRun, STANDARD_MODELS};
+pub use summary::{
+    parse_args, render_summary, run, run_named, run_standard, Invocation, StandardModel, StandardRun,
+    STANDARD_MODELS,
+};
 pub use virt_model::{render_virt_trace, VirtModel, VirtOp, VirtScope};

@@ -12,56 +12,7 @@
 //! body), and 2 on usage errors.
 
 use std::process::ExitCode;
-use ys_check::{
-    explore_timed, render_failover_trace, render_heal_trace, render_integrity_trace,
-    render_qos_trace, render_security_trace, render_trace, render_virt_trace, CacheModel,
-    Exploration, FailoverModel, FailoverScope, HealModel, HealScope, IntegrityModel,
-    IntegrityScope, Limits, QosModel, QosScope, Scope, SearchOrder, SecurityModel, SecurityScope,
-    VirtModel, VirtScope,
-};
-
-/// Wall-clock reader injected into [`explore_timed`]. The library stays
-/// clock-free; this binary is the one place allowed to touch real time.
-fn wall_timer() -> impl Fn() -> f64 {
-    let started = std::time::Instant::now();
-    move || started.elapsed().as_secs_f64()
-}
-
-struct Args {
-    blades: usize,
-    pages: u64,
-    n_way: usize,
-    capacity: usize,
-    depth: usize,
-    max_states: usize,
-    order: SearchOrder,
-    virt: bool,
-    qos: bool,
-    failover: bool,
-    integrity: bool,
-    security: bool,
-    heal: bool,
-}
-
-impl Default for Args {
-    fn default() -> Args {
-        Args {
-            blades: 3,
-            pages: 4,
-            n_way: 2,
-            capacity: 8,
-            depth: 5,
-            max_states: 2_000_000,
-            order: SearchOrder::Bfs,
-            virt: false,
-            qos: false,
-            failover: false,
-            integrity: false,
-            security: false,
-            heal: false,
-        }
-    }
-}
+use ys_check::{parse_args, run_named};
 
 const USAGE: &str = "\
 ys-check: bounded model checker for the cache cluster and DMSD catalog
@@ -85,182 +36,24 @@ OPTIONS:
   -h, --help       print this help
 ";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
-        };
-        match flag.as_str() {
-            "--blades" => args.blades = num("--blades")? as usize,
-            "--pages" => args.pages = num("--pages")?,
-            "--nway" => args.n_way = num("--nway")? as usize,
-            "--capacity" => args.capacity = num("--capacity")? as usize,
-            "--depth" => args.depth = num("--depth")? as usize,
-            "--max-states" => args.max_states = num("--max-states")? as usize,
-            "--dfs" => args.order = SearchOrder::Dfs,
-            "--virt" => args.virt = true,
-            "--qos" => args.qos = true,
-            "--failover" => args.failover = true,
-            "--integrity" => args.integrity = true,
-            "--security" => args.security = true,
-            "--heal" => args.heal = true,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    Ok(args)
-}
-
-fn report<Op: std::fmt::Debug>(what: &str, r: &Exploration<Op>) {
-    println!("ys-check: {what}");
-    println!("  states visited   {}", r.states_visited);
-    println!("  transitions      {}", r.transitions);
-    println!("  deduplicated     {}", r.deduplicated);
-    println!("  deepest path     {}", r.deepest);
-    println!("  truncated        {}", r.truncated);
-    println!("  elapsed          {:.2}s", r.elapsed_secs);
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let inv = match parse_args(std::env::args().skip(1)) {
+        Ok(inv) => inv,
+        Err(e) if e.is_empty() => {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(e) => {
             eprintln!("ys-check: {e}\n\n{USAGE}");
             return ExitCode::from(2);
         }
     };
-    let limits = Limits { max_depth: args.depth, max_states: args.max_states };
-
-    if args.heal {
-        let scope = HealScope {
-            blades: args.blades,
-            pages: args.pages.min(2),
-            n_way: args.n_way,
-            capacity_pages: args.capacity,
-        };
-        let result = explore_timed(HealModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "heal model, {} blades × {} pages, {}-way writes, depth {}",
-                scope.blades, scope.pages, scope.n_way, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_heal_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else if args.security {
-        let scope = SecurityScope::small();
-        let result = explore_timed(SecurityModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "security model, {} initiators × {} volumes × {} ports, depth {}",
-                scope.initiators, scope.volumes, scope.ports, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_security_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else if args.integrity {
-        let scope = IntegrityScope::small();
-        let result = explore_timed(IntegrityModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "integrity model, {} pages × 3 repair sources, depth {}",
-                scope.pages, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_integrity_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else if args.failover {
-        let scope = FailoverScope {
-            blades: args.blades,
-            pages: args.pages.min(2),
-            n_way: args.n_way,
-            capacity_pages: args.capacity,
-        };
-        let result = explore_timed(FailoverModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "failover model, {} blades × {} pages, {}-way writes, depth {}",
-                scope.blades, scope.pages, scope.n_way, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_failover_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else if args.qos {
-        let scope = QosScope::small();
-        let result = explore_timed(QosModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "QoS admission model, 2 tenants, quantum {} us, depth {}",
-                scope.quantum_ns / 1000,
-                args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_qos_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else if args.virt {
-        let scope = VirtScope::small();
-        let result = explore_timed(VirtModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "DMSD model, {} volumes × {} extents over a {}-extent pool, depth {}",
-                scope.volumes, scope.volume_extents, scope.pool_extents, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_virt_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    } else {
-        let scope = Scope {
-            blades: args.blades,
-            pages: args.pages,
-            n_way: args.n_way,
-            capacity_pages: args.capacity,
-        };
-        let result = explore_timed(CacheModel::new(scope), limits, args.order, wall_timer());
-        report(
-            &format!(
-                "cache model, {} blades × {} pages, {}-way writes, depth {}",
-                scope.blades, scope.pages, scope.n_way, args.depth
-            ),
-            &result,
-        );
-        if let Some(cx) = &result.counterexample {
-            println!("\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
-            println!("{}", render_trace(&cx.trace, scope, &cx.violations));
-            return ExitCode::from(1);
-        }
-    }
-    println!("  no violations in the explored space");
-    ExitCode::SUCCESS
+    // The library stays clock-free; this binary is the one place allowed
+    // to touch real time.
+    let started = std::time::Instant::now();
+    let elapsed = move || started.elapsed().as_secs_f64();
+    let run = run_named(inv.model, inv.scope, inv.limits, inv.order, elapsed)
+        .expect("parse_args only selects standard models");
+    print!("{}", run.rendered);
+    ExitCode::from(u8::from(run.found_counterexample))
 }

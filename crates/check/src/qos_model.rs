@@ -13,7 +13,9 @@
 //! * all ledger counters are monotone — a shed is never un-shed;
 //! * an admitted request never starts in the caller's past.
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::VecDeque;
 use ys_qos::{AdmissionController, Decision, Pressure, QosClass, QosConfig, TenantQosStats, TenantSpec};
@@ -203,6 +205,20 @@ impl Model for QosModel {
             h.boundary();
         }
         h.finish()
+    }
+}
+
+impl StandardModel for QosModel {
+    fn in_scope(_: Scope) -> QosModel {
+        QosModel::new(QosScope::small())
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        format!("QoS admission model, 2 tenants, quantum {} us, depth {depth}", self.scope.quantum_ns / 1000)
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<QosOp>) -> String {
+        render_qos_trace(&cx.trace, self.scope, &cx.violations)
     }
 }
 

@@ -15,7 +15,9 @@
 //!   on arrival (the §5.1 in-transit guarantee, with the fixed
 //!   nonce-in-key-derivation keystream).
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use ys_security::{ctr_xor, AuditEvent, AuditLog, InitiatorId, Key, LunMask, PortZone};
 use ys_simcore::time::SimTime;
@@ -276,6 +278,24 @@ impl Model for SecurityModel {
             });
         }
         h.finish()
+    }
+}
+
+impl StandardModel for SecurityModel {
+    fn in_scope(_: Scope) -> SecurityModel {
+        SecurityModel::new(SecurityScope::small())
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        let s = self.scope;
+        format!(
+            "security model, {} initiators × {} volumes × {} ports, depth {depth}",
+            s.initiators, s.volumes, s.ports
+        )
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<SecurityOp>) -> String {
+        render_security_trace(&cx.trace, self.scope, &cx.violations)
     }
 }
 

@@ -8,7 +8,9 @@
 //! snapshot delete, and rollback all move references around; a leak or a
 //! double-free shows up here immediately.
 
-use crate::explore::Model;
+use crate::cache_model::Scope;
+use crate::explore::{Counterexample, Model};
+use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
 use ys_virt::{PhysicalPool, SnapshotId, VolumeId, VolumeKind, VolumeManager};
@@ -216,6 +218,24 @@ impl Model for VirtModel {
             h.boundary();
         }
         h.finish()
+    }
+}
+
+impl StandardModel for VirtModel {
+    fn in_scope(_: Scope) -> VirtModel {
+        VirtModel::new(VirtScope::small())
+    }
+
+    fn describe(&self, depth: usize) -> String {
+        let s = self.scope;
+        format!(
+            "DMSD model, {} volumes × {} extents over a {}-extent pool, depth {depth}",
+            s.volumes, s.volume_extents, s.pool_extents
+        )
+    }
+
+    fn render_counterexample(&self, cx: &Counterexample<VirtOp>) -> String {
+        render_virt_trace(&cx.trace, self.scope, &cx.violations)
     }
 }
 
