@@ -3,12 +3,12 @@
 //! Exit codes: `0` the campaign proved its promises (or, with `--fatal`,
 //! found and shrank the expected loss), `1` the proof failed, `2` usage.
 //!
-//! The campaign body lives in [`ys_chaos::run`], shared with the
-//! `ys-sweep` parallel harness; this binary only parses arguments and
-//! prints.
+//! The campaign body and its flags live in [`ys_chaos::run`], shared with
+//! the `ys-sweep` parallel harness; argument parsing, `--double-run` and
+//! the exit codes are [`ys_core::harness`]'s.
 
 use std::process::ExitCode;
-use ys_chaos::{run_rendered, RunOptions};
+use ys_chaos::RunOptions;
 
 const USAGE: &str = "\
 ys-chaos: deterministic fault-campaign harness
@@ -36,101 +36,6 @@ OPTIONS:
 A failing campaign prints a minimal reproducing schedule and the exact
 command line that replays it.";
 
-struct Args {
-    opts: RunOptions,
-    quiet: bool,
-    double_run: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        opts: RunOptions::new(4, 64),
-        quiet: false,
-        double_run: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.opts.seed = v.parse().map_err(|_| format!("bad --seed {v}"))?;
-            }
-            "--steps" => {
-                let v = it.next().ok_or("--steps needs a value")?;
-                args.opts.steps = v.parse().map_err(|_| format!("bad --steps {v}"))?;
-            }
-            "--fatal" => args.opts.fatal = true,
-            "--keep" => {
-                let v = it.next().ok_or("--keep needs a list like 0,3,7")?;
-                let mut keep = Vec::new();
-                for part in v.split(',').filter(|p| !p.is_empty()) {
-                    keep.push(part.parse().map_err(|_| format!("bad --keep index {part}"))?);
-                }
-                args.opts.keep = Some(keep);
-            }
-            "--quiet" => args.quiet = true,
-            "--double-run" => args.double_run = true,
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) if e.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("ys-chaos: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let run = run_rendered(&args.opts);
-    if args.quiet {
-        print!("{}", run.reproducer);
-    } else {
-        print!("{}", run.transcript);
-    }
-
-    let mut deterministic = true;
-    if args.double_run {
-        let second = run_rendered(&args.opts);
-        deterministic = second.transcript == run.transcript;
-        if deterministic {
-            println!(
-                "ys-chaos: double-run transcripts byte-identical ({} bytes)",
-                run.transcript.len()
-            );
-        } else {
-            let byte = run
-                .transcript
-                .bytes()
-                .zip(second.transcript.bytes())
-                .position(|(a, b)| a != b)
-                .unwrap_or(run.transcript.len().min(second.transcript.len()));
-            println!(
-                "ys-chaos: DOUBLE-RUN MISMATCH: transcripts diverge at byte {byte} \
-                 ({} vs {} bytes) — replay determinism is broken",
-                run.transcript.len(),
-                second.transcript.len()
-            );
-        }
-    }
-
-    let ok = run.ok && deterministic;
-    println!(
-        "ys-chaos: seed {} {}",
-        args.opts.seed,
-        if ok { "PASS" } else { "FAIL" }
-    );
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ys_core::harness::main(USAGE, RunOptions::new(4, 64))
 }

@@ -13,6 +13,8 @@ use crate::campaign::{run_with_schedule, CampaignConfig};
 use crate::schedule::CampaignSchedule;
 use crate::shrink::minimize;
 use std::fmt::Write as _;
+pub use ys_core::harness::CampaignRun;
+use ys_core::harness::{number, Campaign};
 
 /// Everything that determines one rendered campaign run.
 #[derive(Clone, Debug)]
@@ -37,16 +39,36 @@ impl RunOptions {
     }
 }
 
-/// What one full campaign printed and decided.
-#[derive(Clone, Debug)]
-pub struct CampaignRun {
-    /// Everything a non-quiet run prints before the verdict line.
-    pub transcript: String,
-    /// The shrunk-reproducer portion alone (empty when the run passed) —
-    /// quiet mode still prints this.
-    pub reproducer: String,
-    /// Did the campaign meet its promise?
-    pub ok: bool,
+impl Campaign for RunOptions {
+    const BIN: &'static str = "ys-chaos";
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
+        match flag {
+            "--steps" => self.steps = number("--steps", value)?,
+            "--fatal" => self.fatal = true,
+            "--keep" => {
+                let list = value()?;
+                let keep = list.split(',').filter(|p| !p.is_empty()).map(|part| {
+                    part.parse().map_err(|_| format!("bad --keep index {part}"))
+                });
+                self.keep = Some(keep.collect::<Result<_, _>>()?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    fn run(&self) -> CampaignRun {
+        run_rendered(self)
+    }
 }
 
 /// The exact replay command line for a (possibly shrunk) schedule.

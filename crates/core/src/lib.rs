@@ -9,6 +9,8 @@
 //!   plus per-tenant QoS admission via `ys-qos` (`read_as`/`write_as`);
 //! * [`governed`] — the one admit → shed → back off → forced-trickle →
 //!   complete driver every Scavenger-class maintenance pass runs under;
+//! * [`harness`] — the seeded-campaign CLI kit behind `ys-chaos`,
+//!   `ys-scrub` and `ys-heal` (`--seed/--quiet/--double-run`, exit codes);
 //! * [`fastpath`] — the Figure 1 high-speed striped stream engine (§2.3, §8);
 //! * [`rebuild`] — distributed, fault-tolerant RAID rebuild (§2.4, §6.3);
 //! * [`services`] — load-balanced PIT-copy/backup services (§2.4);
@@ -23,6 +25,7 @@ pub mod config;
 pub mod fastpath;
 pub mod frontend;
 pub mod governed;
+pub mod harness;
 pub mod legacy;
 pub mod netstorage;
 pub mod rebuild;

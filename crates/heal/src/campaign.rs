@@ -24,6 +24,7 @@ use std::collections::BTreeSet;
 
 use crate::healer::{HealConfig, Healer};
 use ys_cache::{Health, Retention};
+use ys_core::harness::{number, Campaign, CampaignRun};
 use ys_core::{BladeCluster, ClusterConfig, ClusterError};
 use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::time::{SimDuration, SimTime};
@@ -49,6 +50,31 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig { seed: 0, writes: 48 }
+    }
+}
+
+impl Campaign for CampaignConfig {
+    const BIN: &'static str = "ys-heal";
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
+        if flag != "--writes" {
+            return Ok(false);
+        }
+        self.writes = number("--writes", value)?;
+        Ok(true)
+    }
+
+    fn run(&self) -> CampaignRun {
+        let report = run_campaign(self);
+        CampaignRun { transcript: report.to_string(), reproducer: String::new(), ok: report.ok }
     }
 }
 

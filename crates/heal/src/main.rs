@@ -4,7 +4,7 @@
 //! audit failed, `2` usage.
 
 use std::process::ExitCode;
-use ys_heal::{run_campaign, CampaignConfig};
+use ys_heal::CampaignConfig;
 
 const USAGE: &str = "\
 ys-heal: blade-lifecycle and re-replication campaign
@@ -27,68 +27,6 @@ test that healing restored the margin), rolling-drains and rejoins every
 blade under foreground load, reads back every acknowledged write, and
 demands the degraded-mode governor refuse writes at ReadOnly health.";
 
-struct Args {
-    cfg: CampaignConfig,
-    quiet: bool,
-    double_run: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args { cfg: CampaignConfig::default(), quiet: false, double_run: false };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--seed" => {
-                let v = it.next().ok_or("--seed needs a value")?;
-                args.cfg.seed = v.parse().map_err(|_| format!("bad --seed {v}"))?;
-            }
-            "--writes" => {
-                let v = it.next().ok_or("--writes needs a value")?;
-                args.cfg.writes = v.parse().map_err(|_| format!("bad --writes {v}"))?;
-            }
-            "--quiet" => args.quiet = true,
-            "--double-run" => args.double_run = true,
-            "-h" | "--help" => return Err(String::new()),
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) if e.is_empty() => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("ys-heal: {e}\n\n{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let report = run_campaign(&args.cfg);
-    if !args.quiet {
-        print!("{report}");
-    }
-
-    let mut deterministic = true;
-    if args.double_run {
-        let second = run_campaign(&args.cfg);
-        deterministic = second.lines == report.lines;
-        if deterministic {
-            println!("ys-heal: double-run transcripts byte-identical");
-        } else {
-            println!("ys-heal: DOUBLE-RUN MISMATCH — campaign replay determinism is broken");
-        }
-    }
-
-    let ok = report.ok && deterministic;
-    println!("ys-heal: seed {} {}", args.cfg.seed, if ok { "PASS" } else { "FAIL" });
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ys_core::harness::main(USAGE, CampaignConfig::default())
 }

@@ -10,6 +10,7 @@
 
 use crate::scrubber::{ScrubConfig, ScrubReport, ScrubTarget, Scrubber};
 use ys_cache::PageKey;
+use ys_core::harness::{number, Campaign, CampaignRun};
 use ys_core::{ClusterConfig, ClusterError, NetError, NetStorage, NetStorageConfig};
 use ys_geo::SiteId;
 use ys_pfs::{FilePolicy, GeoPolicy};
@@ -65,6 +66,31 @@ pub struct CampaignConfig {
 impl Default for CampaignConfig {
     fn default() -> CampaignConfig {
         CampaignConfig { seed: 0, errors: 64 }
+    }
+}
+
+impl Campaign for CampaignConfig {
+    const BIN: &'static str = "ys-scrub";
+
+    fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
+        if flag != "--errors" {
+            return Ok(false);
+        }
+        self.errors = number("--errors", value)?;
+        Ok(true)
+    }
+
+    fn run(&self) -> CampaignRun {
+        let report = run_campaign(self);
+        CampaignRun { transcript: report.to_string(), reproducer: String::new(), ok: report.ok }
     }
 }
 

@@ -10,7 +10,7 @@
 //! `ys-sweep --jobs 16` and `--jobs 1` print the same bytes, and
 //! `scripts/check.sh` compares them on every run.
 //!
-//! Threads live only here (and the channel/mutex shims they use); the
+//! Threads live only here; the
 //! simulation crates remain thread-free and clock-free, which keeps the
 //! `ys-lint` ambient-entropy rule meaningful.
 //!
@@ -25,5 +25,5 @@ pub mod shard;
 pub mod snapshot;
 
 pub use pool::{default_threads, run_sweep};
-pub use shard::{bench_sweep, chaos_sweep, check_sweep, heal_sweep, scrub_sweep, SweepOutcome};
+pub use shard::{bench_sweep, campaign_sweep, check_sweep, SweepOutcome};
 pub use snapshot::{collect, diff, render, strip_host_lines, Scenario, SCHEMA};

@@ -9,10 +9,7 @@
 //! timers into the snapshot collector; the library stays clock-free.
 
 use std::process::ExitCode;
-use ys_sweep::{
-    bench_sweep, chaos_sweep, check_sweep, default_threads, heal_sweep, scrub_sweep, snapshot,
-    SweepOutcome,
-};
+use ys_sweep::{bench_sweep, campaign_sweep, check_sweep, default_threads, snapshot, SweepOutcome};
 
 const USAGE: &str = "\
 ys-sweep: parallel deterministic multi-seed runner
@@ -184,47 +181,33 @@ fn main() -> ExitCode {
         }
     };
 
-    let ok = match args.mode.as_str() {
-        "chaos" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = chaos_sweep(&seeds, args.steps, args.fatal, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "scrub" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = scrub_sweep(&seeds, args.errors, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "heal" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..5).collect());
-            let SweepOutcome { report, ok } = heal_sweep(&seeds, args.writes, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "check" => {
-            let SweepOutcome { report, ok } =
-                check_sweep(&args.models, args.depth, args.max_states, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "bench" => {
-            let seeds = args.seeds.clone().unwrap_or_else(|| (1..9).collect());
-            let SweepOutcome { report, ok } = bench_sweep(&seeds, args.jobs);
-            print!("{report}");
-            ok
-        }
-        "snapshot" => match run_snapshot(&args) {
-            Ok(ok) => ok,
-            Err(e) => {
+    let campaign_seeds = || args.seeds.clone().unwrap_or_else(|| (1..5).collect());
+    let sweep = match args.mode.as_str() {
+        "chaos" => campaign_sweep(&campaign_seeds(), args.jobs, |seed| ys_chaos::RunOptions {
+            fatal: args.fatal,
+            ..ys_chaos::RunOptions::new(seed, args.steps)
+        }),
+        "scrub" => campaign_sweep(&campaign_seeds(), args.jobs, |seed| ys_scrub::CampaignConfig {
+            seed,
+            errors: args.errors,
+        }),
+        "heal" => campaign_sweep(&campaign_seeds(), args.jobs, |seed| ys_heal::CampaignConfig {
+            seed,
+            writes: args.writes,
+        }),
+        "check" => check_sweep(&args.models, args.depth, args.max_states, args.jobs),
+        "bench" => bench_sweep(&args.seeds.clone().unwrap_or_else(|| (1..9).collect()), args.jobs),
+        "snapshot" => {
+            let ok = run_snapshot(&args).unwrap_or_else(|e| {
                 eprintln!("ys-sweep: {e}");
                 false
-            }
-        },
+            });
+            SweepOutcome { report: String::new(), ok }
+        }
         _ => unreachable!("parse_args validated the mode"),
     };
-    if ok {
+    print!("{}", sweep.report);
+    if sweep.ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

@@ -8,8 +8,8 @@
 
 use crate::pool::run_sweep;
 use std::fmt::Write as _;
-use ys_chaos::{run_rendered, RunOptions};
 use ys_check::run_standard;
+use ys_core::harness::Campaign;
 
 /// A merged sweep: the full rendered report plus the aggregate verdict.
 #[derive(Clone, Debug)]
@@ -20,85 +20,25 @@ pub struct SweepOutcome {
     pub ok: bool,
 }
 
-/// Fan one fault campaign per seed across `jobs` workers.
+/// Fan one seeded campaign per seed across `jobs` workers; `campaign`
+/// builds the configuration a shard runs from its seed.
 ///
-/// Each shard regenerates its schedule from its seed and renders exactly
-/// what a serial `ys-chaos --seed N` prints (transcript, verdict, and — on
-/// failure — the shrunk reproducer).
-pub fn chaos_sweep(seeds: &[u64], steps: u64, fatal: bool, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        let opts = RunOptions { seed, steps, fatal, keep: None };
-        run_rendered(&opts)
-    });
+/// Each shard renders exactly what the campaign's own binary prints for
+/// that seed (transcript — on a chaos failure including the shrunk
+/// reproducer — and verdict), so the merged report is byte-identical for
+/// every `--jobs` value.
+pub fn campaign_sweep<C: Campaign>(seeds: &[u64], jobs: usize, campaign: impl Fn(u64) -> C + Sync) -> SweepOutcome {
+    let bin = C::BIN;
+    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| campaign(seed).run());
     let mut report = String::new();
-    let mut ok = true;
     for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-chaos seed {seed} ===");
+        let _ = writeln!(report, "=== {bin} seed {seed} ===");
         report.push_str(&run.transcript);
-        let _ = writeln!(report, "ys-chaos: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
+        let _ = writeln!(report, "{bin}: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
     }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
-}
-
-/// Fan one end-to-end integrity campaign per seed across `jobs` workers.
-///
-/// Each shard runs `ys_scrub::run_campaign` for its seed and renders
-/// exactly what a serial `ys-scrub --seed N` prints (transcript and
-/// verdict), so the merged report is byte-identical for every `--jobs`
-/// value.
-pub fn scrub_sweep(seeds: &[u64], errors: usize, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        ys_scrub::run_campaign(&ys_scrub::CampaignConfig { seed, errors })
-    });
-    let mut report = String::new();
-    let mut ok = true;
-    for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-scrub seed {seed} ===");
-        let _ = write!(report, "{run}");
-        let _ = writeln!(report, "ys-scrub: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
-    }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
-}
-
-/// Fan one blade-lifecycle campaign per seed across `jobs` workers.
-///
-/// Each shard runs `ys_heal::run_campaign` for its seed and renders
-/// exactly what a serial `ys-heal --seed N` prints (transcript and
-/// verdict), so the merged report is byte-identical for every `--jobs`
-/// value.
-pub fn heal_sweep(seeds: &[u64], writes: usize, jobs: usize) -> SweepOutcome {
-    let runs = run_sweep(seeds.to_vec(), jobs, |&seed| {
-        ys_heal::run_campaign(&ys_heal::CampaignConfig { seed, writes })
-    });
-    let mut report = String::new();
-    let mut ok = true;
-    for (seed, run) in seeds.iter().zip(&runs) {
-        let _ = writeln!(report, "=== ys-heal seed {seed} ===");
-        let _ = write!(report, "{run}");
-        let _ = writeln!(report, "ys-heal: seed {seed} {}", if run.ok { "PASS" } else { "FAIL" });
-        ok &= run.ok;
-    }
-    let _ = writeln!(
-        report,
-        "ys-sweep: {} campaigns, {} failed",
-        seeds.len(),
-        runs.iter().filter(|r| !r.ok).count()
-    );
-    SweepOutcome { report, ok }
+    let failed = runs.iter().filter(|r| !r.ok).count();
+    let _ = writeln!(report, "ys-sweep: {} campaigns, {failed} failed", seeds.len());
+    SweepOutcome { report, ok: failed == 0 }
 }
 
 /// Fan the named standard model checks across `jobs` workers.
@@ -165,8 +105,9 @@ mod tests {
     #[test]
     fn chaos_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3, 4];
-        let serial = chaos_sweep(&seeds, 16, false, 1);
-        let parallel = chaos_sweep(&seeds, 16, false, 4);
+        let chaos = |seed| ys_chaos::RunOptions::new(seed, 16);
+        let serial = campaign_sweep(&seeds, 1, chaos);
+        let parallel = campaign_sweep(&seeds, 4, chaos);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok);
     }
@@ -174,8 +115,9 @@ mod tests {
     #[test]
     fn scrub_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3];
-        let serial = scrub_sweep(&seeds, 56, 1);
-        let parallel = scrub_sweep(&seeds, 56, 3);
+        let scrub = |seed| ys_scrub::CampaignConfig { seed, errors: 56 };
+        let serial = campaign_sweep(&seeds, 1, scrub);
+        let parallel = campaign_sweep(&seeds, 3, scrub);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok, "{}", serial.report);
         assert!(serial.report.contains("=== ys-scrub seed 2 ==="));
@@ -184,8 +126,9 @@ mod tests {
     #[test]
     fn heal_sweep_parallel_is_byte_identical_to_serial() {
         let seeds = [1u64, 2, 3];
-        let serial = heal_sweep(&seeds, 32, 1);
-        let parallel = heal_sweep(&seeds, 32, 3);
+        let heal = |seed| ys_heal::CampaignConfig { seed, writes: 32 };
+        let serial = campaign_sweep(&seeds, 1, heal);
+        let parallel = campaign_sweep(&seeds, 3, heal);
         assert_eq!(serial.report, parallel.report, "jobs count changed the merged report");
         assert!(serial.ok, "{}", serial.report);
         assert!(serial.report.contains("=== ys-heal seed 2 ==="));
@@ -207,6 +150,23 @@ mod tests {
         let parallel = bench_sweep(&seeds, 8);
         assert_eq!(serial.report, parallel.report, "thread count changed results");
         assert!(serial.ok);
+    }
+
+    #[test]
+    fn every_standard_model_renders_the_same_bytes_by_name_by_flag_and_by_sweep() {
+        for &model in ys_check::STANDARD_MODELS {
+            let by_name = run_standard(model, 3, 200_000).expect("registry knows its own names").rendered;
+            // `cache` is the CLI's default and has no flag of its own.
+            let flag = if model == "cache" { "--dfs".to_string() } else { format!("--{model}") };
+            let args = [flag.as_str(), "--depth", "3", "--max-states", "200000"];
+            let inv = ys_check::parse_args(args.map(String::from)).expect("valid invocation");
+            assert_eq!(inv.model, model);
+            let by_flag = ys_check::run_named(inv.model, inv.scope, inv.limits, ys_check::SearchOrder::Bfs, || 0.0);
+            assert_eq!(by_flag.expect("parsed model runs").rendered, by_name, "{model}: CLI flag");
+            let by_sweep = check_sweep(&[model.to_string()], 3, 200_000, 2);
+            let framed = format!("=== ys-check {model} ===\n{by_name}ys-sweep: 1 models, 0 violations\n");
+            assert_eq!(by_sweep.report, framed, "{model}: ys-sweep check");
+        }
     }
 
     #[test]

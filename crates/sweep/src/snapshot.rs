@@ -14,7 +14,7 @@
 //! pass `|| 0.0` and get a fully deterministic snapshot.
 
 use crate::pool::run_sweep;
-use crate::shard::{bench_sweep_stats, chaos_sweep, heal_sweep, scrub_sweep, SweepOutcome};
+use crate::shard::{bench_sweep_stats, campaign_sweep, SweepOutcome};
 use std::fmt::Write as _;
 use ys_check::{run_standard, STANDARD_MODELS};
 
@@ -29,12 +29,9 @@ const CHECK_MAX_STATES: usize = 2_000_000;
 const CHAOS_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
 /// Workload steps per chaos campaign.
 const CHAOS_STEPS: u64 = 32;
-/// Seeds for the heal- and scrub-campaign scenarios (CLI-default sizes).
+/// Seeds for the heal- and scrub-campaign scenarios (at the CLIs' default
+/// sizes).
 const CAMPAIGN_SEEDS: [u64; 4] = [0, 1, 2, 3];
-/// `ys-scrub`'s default `--errors`.
-const SCRUB_ERRORS: usize = 64;
-/// `ys-heal`'s default `--writes`.
-const HEAL_WRITES: usize = 48;
 /// Seeds for the benchmark confidence-sweep scenario.
 const BENCH_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
@@ -90,18 +87,18 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
     }
 
     let t0 = clock();
-    let chaos = chaos_sweep(&CHAOS_SEEDS, CHAOS_STEPS, false, jobs);
+    let chaos = campaign_sweep(&CHAOS_SEEDS, jobs, |seed| ys_chaos::RunOptions::new(seed, CHAOS_STEPS));
     let mut sim = sweep_sim("campaigns", CHAOS_SEEDS.len(), &chaos);
     sim.push(("steps_per_campaign".into(), CHAOS_STEPS as f64));
     out.push(Scenario { name: "chaos_sweep".into(), sim, host_wall_s: clock() - t0 });
 
     let t0 = clock();
-    let heal = heal_sweep(&CAMPAIGN_SEEDS, HEAL_WRITES, jobs);
+    let heal = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_heal::CampaignConfig { seed, ..Default::default() });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &heal);
     out.push(Scenario { name: "heal_sweep".into(), sim, host_wall_s: clock() - t0 });
 
     let t0 = clock();
-    let scrub = scrub_sweep(&CAMPAIGN_SEEDS, SCRUB_ERRORS, jobs);
+    let scrub = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_scrub::CampaignConfig { seed, ..Default::default() });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &scrub);
     out.push(Scenario { name: "scrub_sweep".into(), sim, host_wall_s: clock() - t0 });
 
