@@ -4,9 +4,10 @@
 //! * [`driver`] — the closed-loop multi-client workload driver;
 //! * [`experiments`] — E1–E12, each returning the printed series;
 //! * `src/bin/report.rs` — runs the suite and prints the tables recorded
-//!   in EXPERIMENTS.md;
-//! * `benches/experiments.rs` — Criterion wall-time benches over the same
-//!   experiment bodies.
+//!   in EXPERIMENTS.md.
+//!
+//! Host-time measurement of the same kernels and experiment bodies lives
+//! in the out-of-workspace `benchmark/` package (`-- ledger`).
 
 pub mod ablations;
 pub mod driver;

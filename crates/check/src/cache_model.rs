@@ -16,7 +16,7 @@
 //! distinguish by any future operation — deduplicate, keeping the bounded
 //! space finite.
 
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
@@ -325,10 +325,6 @@ thread_local! {
 }
 
 impl StandardModel for CacheModel {
-    fn in_scope(cli: Scope) -> CacheModel {
-        CacheModel::new(cli)
-    }
-
     fn describe(&self, depth: usize) -> String {
         let s = self.scope;
         format!("cache model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
@@ -341,11 +337,7 @@ impl StandardModel for CacheModel {
 
 /// Render a counterexample trace as a ready-to-paste regression test body.
 pub fn render_trace(trace: &[Op], scope: Scope, violations: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut c = CacheCluster::new({}, {});\n",
         scope.blades, scope.capacity_pages

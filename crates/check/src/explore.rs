@@ -65,6 +65,16 @@ pub struct Counterexample<Op> {
     pub violations: Vec<String>,
 }
 
+/// How every rendered counterexample opens: what broke, as comments above
+/// the replayable trace.
+pub(crate) fn violations_header(violations: &[String]) -> String {
+    let mut out = String::from("// Violations:\n");
+    for v in violations {
+        out.push_str(&format!("//   {v}\n"));
+    }
+    out
+}
+
 /// Aggregate result of one bounded exploration.
 #[derive(Clone, Debug)]
 pub struct Exploration<Op> {

@@ -17,7 +17,7 @@
 //!   dirty copies must survive any N−1 failures.
 
 use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
@@ -281,16 +281,15 @@ thread_local! {
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-impl StandardModel for FailoverModel {
-    fn in_scope(cli: Scope) -> FailoverModel {
-        FailoverModel::new(FailoverScope {
-            blades: cli.blades,
-            pages: cli.pages.min(2),
-            n_way: cli.n_way,
-            capacity_pages: cli.capacity_pages,
-        })
+/// The CLI's `--blades/--pages/--nway/--capacity`, with pages clamped to
+/// the two this model needs.
+impl From<Scope> for FailoverScope {
+    fn from(cli: Scope) -> FailoverScope {
+        FailoverScope { blades: cli.blades, pages: cli.pages.min(2), n_way: cli.n_way, capacity_pages: cli.capacity_pages }
     }
+}
 
+impl StandardModel for FailoverModel {
     fn describe(&self, depth: usize) -> String {
         let s = self.scope;
         format!("failover model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
@@ -307,11 +306,7 @@ pub fn render_failover_trace(
     scope: FailoverScope,
     violations: &[String],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut c = CacheCluster::new({}, {});\n",
         scope.blades, scope.capacity_pages

@@ -17,7 +17,7 @@
 //!   `DataLost` tombstone, no matter what the other ops left in flight.
 
 use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
@@ -299,16 +299,15 @@ thread_local! {
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
 
-impl StandardModel for HealModel {
-    fn in_scope(cli: Scope) -> HealModel {
-        HealModel::new(HealScope {
-            blades: cli.blades,
-            pages: cli.pages.min(2),
-            n_way: cli.n_way,
-            capacity_pages: cli.capacity_pages,
-        })
+/// The CLI's `--blades/--pages/--nway/--capacity`, with pages clamped to
+/// the two this model needs.
+impl From<Scope> for HealScope {
+    fn from(cli: Scope) -> HealScope {
+        HealScope { blades: cli.blades, pages: cli.pages.min(2), n_way: cli.n_way, capacity_pages: cli.capacity_pages }
     }
+}
 
+impl StandardModel for HealModel {
     fn describe(&self, depth: usize) -> String {
         let s = self.scope;
         format!("heal model, {} blades × {} pages, {}-way writes, depth {depth}", s.blades, s.pages, s.n_way)
@@ -321,11 +320,7 @@ impl StandardModel for HealModel {
 
 /// Render a heal counterexample as a ready-to-paste regression test.
 pub fn render_heal_trace(trace: &[HealOp], scope: HealScope, violations: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut c = CacheCluster::new({}, {});\n",
         scope.blades, scope.capacity_pages

@@ -17,8 +17,7 @@
 //! * the disk's checksum plane and the shadow agree on exactly which pages
 //!   are rotten, and the observed-mismatch counter is monotone.
 
-use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use ys_simcore::time::SimTime;
@@ -267,10 +266,6 @@ impl Model for IntegrityModel {
 }
 
 impl StandardModel for IntegrityModel {
-    fn in_scope(_: Scope) -> IntegrityModel {
-        IntegrityModel::new(IntegrityScope::small())
-    }
-
     fn describe(&self, depth: usize) -> String {
         format!("integrity model, {} pages × 3 repair sources, depth {depth}", self.scope.pages)
     }
@@ -287,11 +282,7 @@ pub fn render_integrity_trace(
     scope: IntegrityScope,
     violations: &[String],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = IntegrityModel::new(IntegrityScope {{ pages: {} }});\n",
         scope.pages

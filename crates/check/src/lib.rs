@@ -54,7 +54,6 @@ pub use integrity_model::{render_integrity_trace, IntegrityModel, IntegrityOp, I
 pub use qos_model::{render_qos_trace, QosModel, QosOp, QosScope};
 pub use security_model::{render_security_trace, SecurityModel, SecurityOp, SecurityScope};
 pub use summary::{
-    parse_args, render_summary, run, run_named, run_standard, Invocation, StandardModel, StandardRun,
-    STANDARD_MODELS,
+    parse_args, run, run_named, run_standard, Invocation, StandardModel, StandardRun, STANDARD_MODELS,
 };
 pub use virt_model::{render_virt_trace, VirtModel, VirtOp, VirtScope};

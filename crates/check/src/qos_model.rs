@@ -13,8 +13,7 @@
 //! * all ledger counters are monotone — a shed is never un-shed;
 //! * an admitted request never starts in the caller's past.
 
-use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::VecDeque;
@@ -209,10 +208,6 @@ impl Model for QosModel {
 }
 
 impl StandardModel for QosModel {
-    fn in_scope(_: Scope) -> QosModel {
-        QosModel::new(QosScope::small())
-    }
-
     fn describe(&self, depth: usize) -> String {
         format!("QoS admission model, 2 tenants, quantum {} us, depth {depth}", self.scope.quantum_ns / 1000)
     }
@@ -224,11 +219,7 @@ impl StandardModel for QosModel {
 
 /// Render a QoS counterexample trace as a ready-to-paste regression test.
 pub fn render_qos_trace(trace: &[QosOp], scope: QosScope, violations: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = QosModel::new(QosScope {{ quantum_ns: {}, service_ns: {}, req_bytes: {} }});\n",
         scope.quantum_ns, scope.service_ns, scope.req_bytes

@@ -15,8 +15,7 @@
 //!   on arrival (the §5.1 in-transit guarantee, with the fixed
 //!   nonce-in-key-derivation keystream).
 
-use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use ys_security::{ctr_xor, AuditEvent, AuditLog, InitiatorId, Key, LunMask, PortZone};
@@ -282,10 +281,6 @@ impl Model for SecurityModel {
 }
 
 impl StandardModel for SecurityModel {
-    fn in_scope(_: Scope) -> SecurityModel {
-        SecurityModel::new(SecurityScope::small())
-    }
-
     fn describe(&self, depth: usize) -> String {
         let s = self.scope;
         format!(
@@ -306,11 +301,7 @@ pub fn render_security_trace(
     scope: SecurityScope,
     violations: &[String],
 ) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = SecurityModel::new(SecurityScope {{ initiators: {}, volumes: {}, ports: {} }});\n",
         scope.initiators, scope.volumes, scope.ports

@@ -9,13 +9,13 @@
 //! reads no clock); only the CLI injects a wall timer.
 
 use crate::cache_model::{CacheModel, Scope};
-use crate::explore::{explore_timed, Counterexample, Exploration, Limits, Model, SearchOrder};
+use crate::explore::{explore_timed, Counterexample, Limits, Model, SearchOrder};
 use crate::failover_model::FailoverModel;
 use crate::heal_model::HealModel;
-use crate::integrity_model::IntegrityModel;
-use crate::qos_model::QosModel;
-use crate::security_model::SecurityModel;
-use crate::virt_model::VirtModel;
+use crate::integrity_model::{IntegrityModel, IntegrityScope};
+use crate::qos_model::{QosModel, QosScope};
+use crate::security_model::{SecurityModel, SecurityScope};
+use crate::virt_model::{VirtModel, VirtScope};
 use std::fmt::Write as _;
 
 /// The seven standard model names, in canonical report order. The first is
@@ -25,30 +25,11 @@ pub const STANDARD_MODELS: &[&str] =
 
 /// What a [`Model`] adds to be one of the [`STANDARD_MODELS`].
 pub trait StandardModel: Model {
-    /// The model in its acceptance scope, resized by the CLI's
-    /// `--blades/--pages/--nway/--capacity` where the model has those
-    /// dimensions. The flags' defaults are [`Scope::small`], which maps to
-    /// every model's own `small()` scope.
-    fn in_scope(cli: Scope) -> Self;
-
     /// The summary headline: model, scope and depth.
     fn describe(&self, depth: usize) -> String;
 
     /// The counterexample as a ready-to-paste regression test.
     fn render_counterexample(&self, cx: &Counterexample<Self::Op>) -> String;
-}
-
-/// Format one exploration result as the CLI's summary block.
-pub fn render_summary<Op: std::fmt::Debug>(what: &str, r: &Exploration<Op>) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "ys-check: {what}");
-    let _ = writeln!(out, "  states visited   {}", r.states_visited);
-    let _ = writeln!(out, "  transitions      {}", r.transitions);
-    let _ = writeln!(out, "  deduplicated     {}", r.deduplicated);
-    let _ = writeln!(out, "  deepest path     {}", r.deepest);
-    let _ = writeln!(out, "  truncated        {}", r.truncated);
-    let _ = writeln!(out, "  elapsed          {:.2}s", r.elapsed_secs);
-    out
 }
 
 /// One completed standard exploration: the rendered block plus the
@@ -67,15 +48,21 @@ pub struct StandardRun {
 /// Explore one standard model and render exactly what `ys-check` prints
 /// for it. `elapsed` is sampled once, when the exploration ends.
 pub fn run<M: StandardModel>(
-    scope: Scope,
+    model: M,
     limits: Limits,
     order: SearchOrder,
     elapsed: impl Fn() -> f64,
 ) -> StandardRun {
-    let model = M::in_scope(scope);
     let what = model.describe(limits.max_depth);
     let r = explore_timed(model.clone(), limits, order, elapsed);
-    let mut rendered = render_summary(&what, &r);
+    let mut rendered = String::new();
+    let _ = writeln!(rendered, "ys-check: {what}");
+    let _ = writeln!(rendered, "  states visited   {}", r.states_visited);
+    let _ = writeln!(rendered, "  transitions      {}", r.transitions);
+    let _ = writeln!(rendered, "  deduplicated     {}", r.deduplicated);
+    let _ = writeln!(rendered, "  deepest path     {}", r.deepest);
+    let _ = writeln!(rendered, "  truncated        {}", r.truncated);
+    let _ = writeln!(rendered, "  elapsed          {:.2}s", r.elapsed_secs);
     match &r.counterexample {
         Some(cx) => {
             let _ = writeln!(rendered, "\nCOUNTEREXAMPLE ({} ops):", cx.trace.len());
@@ -94,7 +81,9 @@ pub fn run<M: StandardModel>(
 }
 
 /// [`run`] the model called `model`: the one dispatch over
-/// [`STANDARD_MODELS`].
+/// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--nway/
+/// --capacity` and resizes the models that have those dimensions; its
+/// default, [`Scope::small`], maps to every model's own `small()` scope.
 pub fn run_named(
     model: &str,
     scope: Scope,
@@ -103,13 +92,13 @@ pub fn run_named(
     elapsed: impl Fn() -> f64,
 ) -> Result<StandardRun, String> {
     Ok(match model {
-        "cache" => run::<CacheModel>(scope, limits, order, elapsed),
-        "virt" => run::<VirtModel>(scope, limits, order, elapsed),
-        "qos" => run::<QosModel>(scope, limits, order, elapsed),
-        "failover" => run::<FailoverModel>(scope, limits, order, elapsed),
-        "integrity" => run::<IntegrityModel>(scope, limits, order, elapsed),
-        "security" => run::<SecurityModel>(scope, limits, order, elapsed),
-        "heal" => run::<HealModel>(scope, limits, order, elapsed),
+        "cache" => run(CacheModel::new(scope), limits, order, elapsed),
+        "virt" => run(VirtModel::new(VirtScope::small()), limits, order, elapsed),
+        "qos" => run(QosModel::new(QosScope::small()), limits, order, elapsed),
+        "failover" => run(FailoverModel::new(scope.into()), limits, order, elapsed),
+        "integrity" => run(IntegrityModel::new(IntegrityScope::small()), limits, order, elapsed),
+        "security" => run(SecurityModel::new(SecurityScope::small()), limits, order, elapsed),
+        "heal" => run(HealModel::new(scope.into()), limits, order, elapsed),
         other => return Err(format!("unknown standard model `{other}` (try {STANDARD_MODELS:?})")),
     })
 }
@@ -183,10 +172,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Result<Invocation, String> {
-        parse_args(list.iter().map(|s| s.to_string()))
-    }
-
     #[test]
     fn all_standard_models_run_clean_at_small_depth() {
         for model in STANDARD_MODELS {
@@ -207,27 +192,5 @@ mod tests {
         let a = run_standard("cache", 3, 500_000).expect("cache");
         let b = run_standard("cache", 3, 500_000).expect("cache");
         assert_eq!(a.rendered, b.rendered);
-    }
-
-    #[test]
-    fn the_model_is_a_single_selection() {
-        assert_eq!(args(&[]).unwrap().model, "cache");
-        assert_eq!(args(&["--virt", "--depth", "6", "--virt"]).unwrap().model, "virt");
-        let clash = args(&["--virt", "--qos"]).unwrap_err();
-        assert!(clash.contains("--virt") && clash.contains("--qos"), "{clash}");
-        // The default model has no flag of its own.
-        assert_eq!(args(&["--cache"]).unwrap_err(), "unknown flag --cache");
-        assert_eq!(args(&["--help"]).unwrap_err(), "");
-        assert_eq!(args(&["--depth"]).unwrap_err(), "--depth needs a value");
-    }
-
-    #[test]
-    fn scope_flags_resize_only_the_models_that_have_those_dimensions() {
-        let inv = args(&["--heal", "--blades", "4", "--pages", "3", "--depth", "2"]).unwrap();
-        let run = run_named(inv.model, inv.scope, inv.limits, inv.order, || 0.0).unwrap();
-        assert!(run.rendered.starts_with("ys-check: heal model, 4 blades × 2 pages, 2-way writes, depth 2\n"));
-        let inv = args(&["--virt", "--blades", "4", "--depth", "2"]).unwrap();
-        let run = run_named(inv.model, inv.scope, inv.limits, inv.order, || 0.0).unwrap();
-        assert_eq!(run.rendered, run_standard("virt", 2, 2_000_000).unwrap().rendered);
     }
 }

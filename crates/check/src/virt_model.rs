@@ -8,8 +8,7 @@
 //! snapshot delete, and rollback all move references around; a leak or a
 //! double-free shows up here immediately.
 
-use crate::cache_model::Scope;
-use crate::explore::{Counterexample, Model};
+use crate::explore::{violations_header, Counterexample, Model};
 use crate::summary::StandardModel;
 use crate::hash::StateHasher;
 use std::collections::HashMap;
@@ -222,10 +221,6 @@ impl Model for VirtModel {
 }
 
 impl StandardModel for VirtModel {
-    fn in_scope(_: Scope) -> VirtModel {
-        VirtModel::new(VirtScope::small())
-    }
-
     fn describe(&self, depth: usize) -> String {
         let s = self.scope;
         format!(
@@ -241,11 +236,7 @@ impl StandardModel for VirtModel {
 
 /// Render a DMSD counterexample trace as a ready-to-paste regression test.
 pub fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) -> String {
-    let mut out = String::new();
-    out.push_str("// Violations:\n");
-    for v in violations {
-        out.push_str(&format!("//   {v}\n"));
-    }
+    let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = VolumeManager::new(PhysicalPool::new({}, 1 << 20));\n",
         scope.pool_extents

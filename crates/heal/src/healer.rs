@@ -75,7 +75,7 @@ impl std::fmt::Display for HealReport {
 #[derive(Debug)]
 pub struct Healer {
     governor: Governor,
-    /// The planned batch (buffer reused across batches).
+    /// The head of the planned work list (buffer reused across batches).
     batch: Vec<PageKey>,
     report: HealReport,
 }
@@ -89,21 +89,17 @@ impl GovernedWork<BladeCluster> for Healer {
         cluster
     }
 
-    fn remaining(&self, cluster: &BladeCluster) -> usize {
-        cluster.under_target_pages().len()
-    }
-
-    /// The worst-deficit pages first.
-    fn plan(&mut self, cluster: &BladeCluster) -> u64 {
+    /// Every page under target, worst deficit first.
+    fn plan(&mut self, cluster: &BladeCluster) -> usize {
         let work = cluster.under_target_pages();
         self.batch.clear();
-        self.batch.extend(work.iter().take(PAGES_PER_BATCH as usize).map(|&(k, _)| k));
-        self.batch.len() as u64
+        self.batch.extend(work.iter().take(PAGES_PER_BATCH).map(|&(k, _)| k));
+        work.len()
     }
 
-    fn execute(&mut self, cluster: &mut BladeCluster, start: SimTime) -> Result<SimTime, ClusterError> {
+    fn execute(&mut self, cluster: &mut BladeCluster, pages: usize, start: SimTime) -> Result<SimTime, ClusterError> {
         let mut done = start;
-        for &key in &self.batch {
+        for &key in &self.batch[..pages] {
             match cluster.heal_page(done, key) {
                 Ok((_, d)) => {
                     done = done.max(d);

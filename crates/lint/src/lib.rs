@@ -44,7 +44,7 @@ impl Report {
 
 /// Directories whose files are test or fixture code, exempt from all rules
 /// (unit-test *modules* inside library files are handled token-wise).
-const SKIP_DIRS: &[&str] = &["tests", "benches", "examples", "fixtures", "target"];
+const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
 
 /// Lint every `.rs` file under `<root>/crates`. The walk is sorted so the
 /// report (and its JSON) is deterministic regardless of directory order.

@@ -72,12 +72,8 @@ impl Default for CampaignConfig {
 impl Campaign for CampaignConfig {
     const BIN: &'static str = "ys-scrub";
 
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    fn set_seed(&mut self, seed: u64) {
-        self.seed = seed;
+    fn seed(&mut self) -> &mut u64 {
+        &mut self.seed
     }
 
     fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {

@@ -11,7 +11,7 @@
 //! an explicit [`ScrubLoss`], mirroring the cache's `DataLost` tombstone
 //! discipline: loss is always declared, never silent.
 
-use ys_core::governed::{self, GovernedWork, Governor, BASE_BACKOFF, PAGES_PER_BATCH};
+use ys_core::governed::{self, GovernedWork, Governor, BASE_BACKOFF};
 use ys_core::{BladeCluster, ClusterError, NetStorage};
 use ys_geo::SiteId;
 use ys_simcore::time::SimTime;
@@ -40,14 +40,6 @@ impl ScrubTarget<'_> {
         match self {
             ScrubTarget::Cluster(c) => c,
             ScrubTarget::Site(ns, s) => &mut ns.clusters[s.0],
-        }
-    }
-
-    /// Read-only view of the target's cluster.
-    pub fn cluster_ref(&self) -> &BladeCluster {
-        match self {
-            ScrubTarget::Cluster(c) => c,
-            ScrubTarget::Site(ns, s) => &ns.clusters[s.0],
         }
     }
 
@@ -153,8 +145,6 @@ pub struct Scrubber {
     /// (volume, page) work list in (group, volume id, page) order.
     work: Vec<(VolumeId, u64)>,
     cursor: usize,
-    /// Pages in the planned batch.
-    batch: usize,
     report: ScrubReport,
 }
 
@@ -167,18 +157,13 @@ impl<'a> GovernedWork<ScrubTarget<'a>> for Scrubber {
         target.cluster()
     }
 
-    fn remaining(&self, _: &ScrubTarget<'a>) -> usize {
+    fn plan(&mut self, _: &ScrubTarget<'a>) -> usize {
         self.work.len() - self.cursor
     }
 
-    fn plan(&mut self, _: &ScrubTarget<'a>) -> u64 {
-        self.batch = (self.work.len() - self.cursor).min(PAGES_PER_BATCH as usize);
-        self.batch as u64
-    }
-
-    fn execute(&mut self, target: &mut ScrubTarget<'a>, start: SimTime) -> Result<SimTime, ClusterError> {
+    fn execute(&mut self, target: &mut ScrubTarget<'a>, pages: usize, start: SimTime) -> Result<SimTime, ClusterError> {
         let mut done = start;
-        for _ in 0..self.batch {
+        for _ in 0..pages {
             let (vol, page) = self.work[self.cursor];
             self.cursor += 1;
             done = done.max(self.scrub_one(target, done, vol, page)?);
@@ -204,7 +189,7 @@ impl Scrubber {
         }
         // Cap == base: a scrub pass waits a fixed interval after each shed.
         let governor = Governor::new(cfg.tenant, BASE_BACKOFF);
-        Scrubber { governor, work, cursor: 0, batch: 0, report: ScrubReport::default() }
+        Scrubber { governor, work, cursor: 0, report: ScrubReport::default() }
     }
 
     /// Whether the pass has covered its whole work list.
@@ -267,7 +252,7 @@ impl Scrubber {
         vol: VolumeId,
         page: u64,
     ) -> Result<SimTime, ClusterError> {
-        let Some(blade) = target.cluster_ref().any_up_blade() else {
+        let Some(blade) = target.cluster().any_up_blade() else {
             self.report.unreadable += 1;
             return Ok(now);
         };

@@ -9,6 +9,7 @@
 //! timers into the snapshot collector; the library stays clock-free.
 
 use std::process::ExitCode;
+use ys_core::harness::number;
 use ys_sweep::{bench_sweep, campaign_sweep, check_sweep, default_threads, snapshot, SweepOutcome};
 
 const USAGE: &str = "\
@@ -102,38 +103,22 @@ fn parse_args() -> Result<Args, String> {
         jobs: default_threads(),
     };
     while let Some(a) = it.next() {
-        let mut val = |name: &str| it.next().ok_or_else(|| format!("{name} needs a value"));
+        let mut val = || it.next().ok_or_else(|| format!("{a} needs a value"));
         match a.as_str() {
-            "--seeds" => args.seeds = Some(parse_seeds(&val("--seeds")?)?),
-            "--steps" => {
-                let v = val("--steps")?;
-                args.steps = v.parse().map_err(|_| format!("bad --steps {v}"))?;
-            }
+            "--seeds" => args.seeds = Some(parse_seeds(&val()?)?),
+            "--steps" => args.steps = number("--steps", &mut val)?,
             "--fatal" => args.fatal = true,
-            "--errors" => {
-                let v = val("--errors")?;
-                args.errors = v.parse().map_err(|_| format!("bad --errors {v}"))?;
-            }
-            "--writes" => {
-                let v = val("--writes")?;
-                args.writes = v.parse().map_err(|_| format!("bad --writes {v}"))?;
-            }
+            "--errors" => args.errors = number("--errors", &mut val)?,
+            "--writes" => args.writes = number("--writes", &mut val)?,
             "--models" => {
-                args.models = val("--models")?.split(',').filter(|m| !m.is_empty()).map(String::from).collect();
+                args.models = val()?.split(',').filter(|m| !m.is_empty()).map(String::from).collect();
             }
-            "--depth" => {
-                let v = val("--depth")?;
-                args.depth = v.parse().map_err(|_| format!("bad --depth {v}"))?;
-            }
-            "--max-states" => {
-                let v = val("--max-states")?;
-                args.max_states = v.parse().map_err(|_| format!("bad --max-states {v}"))?;
-            }
-            "--out" => args.out = val("--out")?,
+            "--depth" => args.depth = number("--depth", &mut val)?,
+            "--max-states" => args.max_states = number("--max-states", &mut val)?,
+            "--out" => args.out = val()?,
             "--check" => args.check_drift = true,
             "--jobs" => {
-                let v = val("--jobs")?;
-                args.jobs = v.parse().map_err(|_| format!("bad --jobs {v}"))?;
+                args.jobs = number("--jobs", &mut val)?;
                 if args.jobs == 0 {
                     return Err("--jobs must be at least 1".into());
                 }

@@ -2,14 +2,14 @@
 //! in input order.
 //!
 //! Each job is a single-threaded, deterministic simulation; only
-//! *independent* runs parallelize. Inputs are fed through a crossbeam
-//! channel to a scoped thread pool and outputs land in their input index,
-//! so the result vector — and anything rendered from it — is byte-identical
-//! to a serial loop over the same inputs. Threads live only in this harness
-//! crate; the simulation crates stay thread-free and clock-free.
+//! *independent* runs parallelize. Scoped workers claim input indices from
+//! a shared counter and outputs land in their input index, so the result
+//! vector — and anything rendered from it — is byte-identical to a serial
+//! loop over the same inputs. Threads live only in this harness crate; the
+//! simulation crates stay thread-free and clock-free.
 
-use crossbeam::channel;
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Run `f` over every item of `inputs`, in parallel across up to `threads`
 /// workers, returning outputs in input order.
@@ -18,47 +18,36 @@ use parking_lot::Mutex;
 /// the parallelism here never reorders or perturbs individual runs.
 pub fn run_sweep<I, O, F>(inputs: Vec<I>, threads: usize, f: F) -> Vec<O>
 where
-    I: Send,
+    I: Sync,
     O: Send,
     F: Fn(&I) -> O + Sync,
 {
-    let n = inputs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(n);
-    if threads == 1 {
+    let threads = threads.max(1).min(inputs.len());
+    if threads <= 1 {
         return inputs.iter().map(&f).collect();
     }
 
-    let (tx, rx) = channel::unbounded::<(usize, I)>();
-    for pair in inputs.into_iter().enumerate() {
-        // Infallible: `rx` is alive in this scope, so the channel cannot be
-        // disconnected; a panic here would mean the invariant broke.
-        tx.send(pair).expect("send to open channel");
-    }
-    drop(tx);
-
-    let results: Mutex<Vec<Option<O>>> = Mutex::new((0..n).map(|_| None).collect());
+    // Relaxed: the counter only hands out indices; results are published
+    // by the mutex and the scope's join.
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<O>>> = Mutex::new(inputs.iter().map(|_| None).collect());
     // Worker threads are a throughput detail: results land in index order
     // regardless of completion order, so parallelism never reaches replay.
     std::thread::scope(|scope| {
         for _ in 0..threads {
-            let rx = rx.clone();
-            let results = &results;
-            let f = &f;
-            scope.spawn(move || {
-                while let Ok((idx, input)) = rx.recv() {
-                    let out = f(&input);
-                    results.lock()[idx] = Some(out);
-                }
+            scope.spawn(|| loop {
+                let idx = next.fetch_add(1, Ordering::Relaxed);
+                let Some(input) = inputs.get(idx) else { break };
+                let out = f(input);
+                results.lock().expect("no worker panics holding the lock")[idx] = Some(out);
             });
         }
     });
     results
         .into_inner()
+        .expect("no worker panics holding the lock")
         .into_iter()
-        // Infallible: every index 0..n was queued exactly once and a worker
+        // Infallible: every index was claimed exactly once and a worker
         // panic would already have propagated out of `thread::scope`.
         .map(|o| o.expect("worker produced every slot"))
         .collect()

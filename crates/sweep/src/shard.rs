@@ -153,23 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn every_standard_model_renders_the_same_bytes_by_name_by_flag_and_by_sweep() {
-        for &model in ys_check::STANDARD_MODELS {
-            let by_name = run_standard(model, 3, 200_000).expect("registry knows its own names").rendered;
-            // `cache` is the CLI's default and has no flag of its own.
-            let flag = if model == "cache" { "--dfs".to_string() } else { format!("--{model}") };
-            let args = [flag.as_str(), "--depth", "3", "--max-states", "200000"];
-            let inv = ys_check::parse_args(args.map(String::from)).expect("valid invocation");
-            assert_eq!(inv.model, model);
-            let by_flag = ys_check::run_named(inv.model, inv.scope, inv.limits, ys_check::SearchOrder::Bfs, || 0.0);
-            assert_eq!(by_flag.expect("parsed model runs").rendered, by_name, "{model}: CLI flag");
-            let by_sweep = check_sweep(&[model.to_string()], 3, 200_000, 2);
-            let framed = format!("=== ys-check {model} ===\n{by_name}ys-sweep: 1 models, 0 violations\n");
-            assert_eq!(by_sweep.report, framed, "{model}: ys-sweep check");
-        }
-    }
-
-    #[test]
     fn unknown_check_model_fails_the_sweep() {
         let out = check_sweep(&["nope".to_string()], 2, 1_000, 2);
         assert!(!out.ok);
