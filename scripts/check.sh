@@ -20,6 +20,12 @@ else
     echo "==> clippy unavailable in this toolchain; skipping (xtask lint still ran)"
 fi
 
+# The out-of-workspace benchmark builds against the crates' public surface
+# and pins their dependency edges in its own lockfile: a refactor that
+# drifts either must fail here, not in the benchmark pipeline.
+echo "==> cargo check benchmark/ (--locked --offline: public surface + dependency edges)"
+cargo check --locked --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> ys-chaos fault-campaign smoke + in-process double-run (seed 4, 64 steps)"
 cargo run -q -p ys-chaos -- --seed 4 --steps 64 --double-run --quiet
 
