@@ -1527,15 +1527,16 @@ impl BladeCluster {
         poisoned
     }
 
-    /// Run admission control for a background scrub batch as `tenant`
-    /// (Scavenger-class in the shipped configs). Pair with
-    /// [`BladeCluster::qos_complete_as`] when the batch finishes.
+    /// Run admission control for a background maintenance batch as `tenant`
+    /// (Scavenger-class in the shipped configs). Called by the
+    /// [`crate::governed`] driver, which pairs every admission with
+    /// [`BladeCluster::qos_complete_as`].
     pub fn qos_admit_as(&mut self, now: SimTime, tenant: u32, bytes: u64) -> Result<SimTime, ClusterError> {
         self.qos_admit(now, tenant, bytes)
     }
 
-    /// Report a scrub batch admitted via [`BladeCluster::qos_admit_as`]
-    /// complete, feeding the tenant's SLO ledger.
+    /// Report a batch admitted via [`BladeCluster::qos_admit_as`] complete,
+    /// releasing its in-flight slot and feeding the tenant's SLO ledger.
     pub fn qos_complete_as(&mut self, tenant: u32, issued: SimTime, done: SimTime, bytes: u64) {
         self.qos.complete(tenant, issued, done, bytes);
     }

@@ -58,7 +58,7 @@ pub struct GovernedCounters {
 #[derive(Clone, Debug)]
 pub struct Governor {
     tenant: Option<u32>,
-    max_backoff: SimDuration,
+    backoff_cap: SimDuration,
     backoff: SimDuration,
     consecutive_sheds: u64,
     counters: GovernedCounters,
@@ -66,12 +66,12 @@ pub struct Governor {
 
 impl Governor {
     /// Governor for a pass admitted as `tenant` (`None` = administrative),
-    /// whose waits double from [`BASE_BACKOFF`] up to `max_backoff`. A cap
+    /// whose waits double from [`BASE_BACKOFF`] up to `backoff_cap`. A cap
     /// equal to the base is a fixed wait.
-    pub fn new(tenant: Option<u32>, max_backoff: SimDuration) -> Governor {
+    pub fn new(tenant: Option<u32>, backoff_cap: SimDuration) -> Governor {
         Governor {
             tenant,
-            max_backoff,
+            backoff_cap,
             backoff: BASE_BACKOFF,
             consecutive_sheds: 0,
             counters: GovernedCounters::default(),
@@ -87,7 +87,7 @@ impl Governor {
     fn wait(&mut self) -> SimDuration {
         self.counters.backoff_events += 1;
         let w = self.backoff;
-        self.backoff = (w * 2).min(self.max_backoff);
+        self.backoff = (w * 2).min(self.backoff_cap);
         w
     }
 }

@@ -99,7 +99,7 @@ impl GovernedWork<BladeCluster> for Healer {
 
     fn execute(&mut self, cluster: &mut BladeCluster, pages: usize, start: SimTime) -> Result<SimTime, ClusterError> {
         let mut done = start;
-        for &key in &self.batch[..pages] {
+        for &key in self.batch.iter().take(pages) {
             match cluster.heal_page(done, key) {
                 Ok((_, d)) => {
                     done = done.max(d);
