@@ -117,6 +117,16 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
     let sim = sweep_sim("scenarios", names.len(), &suite);
     out.push(Scenario { name: "report_suite".into(), sim, host_wall_s: clock() - t0 });
 
+    // The ys-bench experiment suite (E1–E12, A1–A3) plus the `--obs`
+    // breakdown: A3 is the only caller of the peer-supply-off read arm and
+    // E12 the only non-test caller of the services' plan charging.
+    let t0 = clock();
+    let mut text = Vec::new();
+    ys_bench::report::run_report(&mut text, &["--obs".to_string()], || 0.0);
+    let suite = SweepOutcome { report: String::from_utf8_lossy(&text).into_owned(), ok: true };
+    let sim = sweep_sim("suites", 1, &suite);
+    out.push(Scenario { name: "experiment_report".into(), sim, host_wall_s: clock() - t0 });
+
     let t0 = clock();
     let (mean, min, max) = bench_sweep_stats(&BENCH_SEEDS, jobs);
     out.push(Scenario {
@@ -269,7 +279,7 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"check_failover\""));
         assert!(a.contains("\"chaos_sweep\""));
-        for section in ["heal_sweep", "scrub_sweep", "report_suite"] {
+        for section in ["heal_sweep", "scrub_sweep", "report_suite", "experiment_report"] {
             assert!(a.contains(&format!("\"{section}\"")), "{section} missing");
         }
         assert!(a.contains("\"report_digest\""));
