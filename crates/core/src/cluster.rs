@@ -21,14 +21,6 @@ use ys_qos::{AdmissionController, Decision, Pressure, ShedReason};
 use ys_simnet::{catalog, Fabric, Link, LinkSpec};
 use ys_virt::{PhysicalPool, Segment, VirtError, VolumeId, VolumeKind, VolumeManager};
 
-/// Where a page read was served from (for experiment reporting).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ServedFrom {
-    LocalCache,
-    RemoteCache,
-    Disk,
-}
-
 /// Completion info for one request.
 #[derive(Clone, Copy, Debug)]
 pub struct Completion {
@@ -52,6 +44,16 @@ pub struct PageVerify {
     pub done: SimTime,
     /// Reads that hit rotten media (empty = page verified clean).
     pub mismatches: Vec<ReadMismatch>,
+}
+
+/// One volume page's trip between a blade and the media (see
+/// `BladeCluster::read_page_media` / `write_page_media`).
+struct PageIo {
+    /// When the last member I/O completed.
+    done: SimTime,
+    /// The page's first mapped piece `(group, RAID-logical byte, len)` —
+    /// what locates its media tag; `None` for a hole.
+    first: Option<(usize, u64, u64)>,
 }
 
 /// Cluster-level error.
@@ -112,6 +114,15 @@ impl From<ys_raid::DataLoss> for ClusterError {
 impl From<ys_simdisk::DiskError> for ClusterError {
     fn from(e: ys_simdisk::DiskError) -> Self {
         ClusterError::Disk(e)
+    }
+}
+
+/// Rot never propagates: the first mismatch becomes an explicit
+/// [`ClusterError::Integrity`].
+fn refuse_rot(mismatches: &[ReadMismatch]) -> Result<(), ClusterError> {
+    match mismatches.first() {
+        Some(m) => Err(ClusterError::Integrity { disk: m.disk, offset: m.offset }),
+        None => Ok(()),
     }
 }
 
@@ -337,30 +348,24 @@ impl BladeCluster {
         let mut done = now;
         for &(old_phys, new_phys, len) in &copies {
             let read = ys_raid::read_plan(&geo, old_phys * eb, len * eb, &failed)?;
-            let t = self.charge_plan(gi, blade, now, &read)?;
+            let t = self.charge(gi, blade, now, &read, None)?;
             let write = ys_raid::write_plan(&geo, new_phys * eb, len * eb, &failed)?;
-            done = done.max(self.charge_plan(gi, blade, t, &write)?);
+            done = done.max(self.charge(gi, blade, t, &write, None)?);
         }
         // Data plane: the media bytes travel with the copy, page by page,
         // before the vacated extents are trimmed below. The cipher nonce is
         // the *logical* page index, so relocated ciphertext stays valid.
-        let disk_base = self.groups[gi].disk_base;
         let pb = self.cfg.page_bytes;
-        let none_failed = vec![false; geo.members];
         for &(old_phys, new_phys, len) in &copies {
             let mut off = 0;
             while off < len * eb {
                 let span = pb.min(len * eb - off);
-                if let (Ok(from), Ok(to)) = (
-                    ys_raid::read_plan(&geo, old_phys * eb + off, span, &none_failed),
-                    ys_raid::read_plan(&geo, new_phys * eb + off, span, &none_failed),
+                if let (Some((src, src_off)), Some((dst, dst_off))) = (
+                    self.tag_slot(gi, old_phys * eb + off, span),
+                    self.tag_slot(gi, new_phys * eb + off, span),
                 ) {
-                    if let (Some(src), Some(dst)) = (from.reads.first(), to.reads.first()) {
-                        if let Some(tag) =
-                            self.farm.read_page_tag(DiskId(disk_base + src.member), src.offset)
-                        {
-                            self.farm.write_page_tag(DiskId(disk_base + dst.member), dst.offset, tag);
-                        }
+                    if let Some(tag) = self.farm.read_page_tag(src, src_off) {
+                        self.farm.write_page_tag(dst, dst_off, tag);
                     }
                 }
                 off += pb;
@@ -592,10 +597,10 @@ impl BladeCluster {
     }
 
     /// Stamp the media bytes for `vol`'s page onto its backing disk — the
-    /// data-plane half of a destage or scrub rewrite. Timing is charged by
-    /// the caller; unmapped pages are a no-op.
-    fn stamp_page_tag(&mut self, vol: VolumeId, page: u64) {
-        if let Some((disk, offset)) = self.locate_volume_page(vol, page) {
+    /// data-plane half of the destage or scrub rewrite whose timing `at`
+    /// charged; unmapped pages are a no-op.
+    fn stamp_page_tag(&mut self, vol: VolumeId, page: u64, at: &PageIo) {
+        if let Some((disk, offset)) = self.page_tag_slot(at) {
             let tag = self.media_page_tag(vol, page);
             if self.farm.write_page_tag(disk, offset, tag) && self.cfg.encryption.at_rest {
                 self.stats.pages_ciphered += 1;
@@ -611,11 +616,12 @@ impl BladeCluster {
         self.farm.read_page_tag(disk, offset)
     }
 
-    /// Pull the media bytes for `vol`'s page back through the cipher and
-    /// check them against the expected plaintext. `Ok(())` when the page
-    /// has no data-plane bytes yet (never destaged, or rebuilt media).
-    fn check_page_tag(&mut self, vol: VolumeId, page: u64) -> Result<(), ClusterError> {
-        let Some((disk, offset)) = self.locate_volume_page(vol, page) else {
+    /// Pull the media bytes for `vol`'s page (just read by `at`) back
+    /// through the cipher and check them against the expected plaintext.
+    /// `Ok(())` when the page has no data-plane bytes yet (never destaged,
+    /// or rebuilt media).
+    fn check_page_tag(&mut self, vol: VolumeId, page: u64, at: &PageIo) -> Result<(), ClusterError> {
+        let Some((disk, offset)) = self.page_tag_slot(at) else {
             return Ok(());
         };
         let Some(mut tag) = self.farm.read_page_tag(disk, offset) else {
@@ -636,29 +642,39 @@ impl BladeCluster {
     /// list; without this trim a recycled extent resurfaces its previous
     /// life's bytes — a stale-tag integrity false positive at best, and a
     /// §5 disclosure hole (the next tenant reads the previous owner's
-    /// media) at worst. Each page's tag lives where [`Self::stamp_page_tag`]
-    /// put it: the first data span of the page's read plan.
+    /// media) at worst.
     fn scrub_reclaimed_extents(&mut self, gi: usize) {
         let freed = self.groups[gi].volumes.take_reclaimed();
         if freed.is_empty() {
             return;
         }
-        let geo = self.groups[gi].geo;
-        let disk_base = self.groups[gi].disk_base;
         let eb = self.cfg.extent_bytes;
         let pb = self.cfg.page_bytes;
-        let none_failed = vec![false; geo.members];
         for e in freed {
             let mut off = 0;
             while off < eb {
-                if let Ok(plan) = ys_raid::read_plan(&geo, e * eb + off, pb.min(eb - off), &none_failed) {
-                    if let Some(io) = plan.reads.first() {
-                        self.farm.clear_page_tag(DiskId(disk_base + io.member), io.offset);
-                    }
+                if let Some((disk, offset)) = self.tag_slot(gi, e * eb + off, pb.min(eb - off)) {
+                    self.farm.clear_page_tag(disk, offset);
                 }
                 off += pb;
             }
         }
+    }
+
+    /// Where the media tag of the page whose first mapped piece is
+    /// `[phys, phys + len)` (RAID-logical bytes of `group`) lives: the
+    /// first data span of the *healthy* read plan, so the slot does not
+    /// move while a member is failed.
+    fn tag_slot(&self, group: usize, phys: u64, len: u64) -> Option<(DiskId, u64)> {
+        let g = &self.groups[group];
+        let plan = ys_raid::read_plan(&g.geo, phys, len, &vec![false; g.geo.members]).ok()?;
+        let io = plan.reads.first()?;
+        Some((DiskId(g.disk_base + io.member), io.offset))
+    }
+
+    /// [`Self::tag_slot`] of the page `at` just moved.
+    fn page_tag_slot(&self, at: &PageIo) -> Option<(DiskId, u64)> {
+        at.first.and_then(|(group, phys, len)| self.tag_slot(group, phys, len))
     }
 
     /// Apply every destage whose disk write has completed by `now`, and
@@ -708,11 +724,36 @@ impl BladeCluster {
     /// `group`) starting at `start`, via blade `blade`'s disk-side link.
     /// Reads: disk first, then FC back to blade. Writes: FC to the shelf,
     /// then disk service.
-    fn charge_plan(&mut self, group: usize, blade: usize, start: SimTime, plan: &IoPlan) -> Result<SimTime, ClusterError> {
+    ///
+    /// With `mismatches`, every read is checksum-verified: timing is
+    /// identical (verification is metadata, not I/O) and each read that
+    /// hit rotten media is appended, for the caller to surface or repair —
+    /// never to ignore. Without it, reads are not verified at all.
+    pub(crate) fn charge(
+        &mut self,
+        group: usize,
+        blade: usize,
+        start: SimTime,
+        plan: &IoPlan,
+        mut mismatches: Option<&mut Vec<ReadMismatch>>,
+    ) -> Result<SimTime, ClusterError> {
         let base = self.groups[group].disk_base;
         let mut done = start;
+        let mut rotten = 0u64;
         for io in &plan.reads {
-            let disk_done = self.farm.submit(DiskId(base + io.member), start, DiskOp::Read { offset: io.offset, bytes: io.bytes })?;
+            let id = DiskId(base + io.member);
+            let op = DiskOp::Read { offset: io.offset, bytes: io.bytes };
+            let disk_done = match mismatches.as_deref_mut() {
+                None => self.farm.submit(id, start, op)?,
+                Some(found) => {
+                    let (disk_done, verdict) = self.farm.submit_verified(id, start, op)?;
+                    if verdict == Verification::ChecksumMismatch {
+                        found.push(ReadMismatch { disk: id, offset: io.offset, bytes: io.bytes });
+                        rotten += 1;
+                    }
+                    disk_done
+                }
+            };
             let arrival = self.disk_links[blade].transfer(disk_done, io.bytes).arrival;
             done = done.max(arrival);
         }
@@ -723,59 +764,7 @@ impl BladeCluster {
             let disk_done = self.farm.submit(DiskId(base + io.member), arrival, DiskOp::Write { offset: io.offset, bytes: io.bytes })?;
             done = done.max(disk_done);
         }
-        Ok(done)
-    }
-
-    /// [`BladeCluster::charge_plan`] with checksum verification on every
-    /// read. Timing is identical (verification is metadata, not I/O); the
-    /// returned list carries any reads that hit rotten media, for the
-    /// caller to surface or repair — never to ignore.
-    fn charge_plan_verified(
-        &mut self,
-        group: usize,
-        blade: usize,
-        start: SimTime,
-        plan: &IoPlan,
-    ) -> Result<(SimTime, Vec<ReadMismatch>), ClusterError> {
-        let base = self.groups[group].disk_base;
-        let mut done = start;
-        let mut mismatches = Vec::new();
-        for io in &plan.reads {
-            let id = DiskId(base + io.member);
-            let (disk_done, verdict) =
-                self.farm.submit_verified(id, start, DiskOp::Read { offset: io.offset, bytes: io.bytes })?;
-            if verdict == Verification::ChecksumMismatch {
-                mismatches.push(ReadMismatch { disk: id, offset: io.offset, bytes: io.bytes });
-            }
-            let arrival = self.disk_links[blade].transfer(disk_done, io.bytes).arrival;
-            done = done.max(arrival);
-        }
-        let write_start = done;
-        for io in &plan.writes {
-            let arrival = self.disk_links[blade].transfer(write_start, io.bytes).arrival;
-            let disk_done = self.farm.submit(DiskId(base + io.member), arrival, DiskOp::Write { offset: io.offset, bytes: io.bytes })?;
-            done = done.max(disk_done);
-        }
-        if !mismatches.is_empty() {
-            self.stats.integrity_errors += mismatches.len() as u64;
-        }
-        Ok((done, mismatches))
-    }
-
-    /// Verified charge that refuses to propagate rot: the first mismatch
-    /// becomes an explicit [`ClusterError::Integrity`]. Used by the
-    /// foreground fill paths.
-    fn charge_plan_strict(
-        &mut self,
-        group: usize,
-        blade: usize,
-        start: SimTime,
-        plan: &IoPlan,
-    ) -> Result<SimTime, ClusterError> {
-        let (done, mismatches) = self.charge_plan_verified(group, blade, start, plan)?;
-        if let Some(m) = mismatches.first() {
-            return Err(ClusterError::Integrity { disk: m.disk, offset: m.offset });
-        }
+        self.stats.integrity_errors += rotten;
         Ok(done)
     }
 
@@ -860,19 +849,8 @@ impl BladeCluster {
                     } else {
                         // Ablation: partitioned controllers — the peer's
                         // copy is invisible, pay the full disk path.
-                        self.stats.reads_from_disk += 1;
-                        let (gi, _) = Self::decode_vol(vol);
-                        let failed = self.group_failed(gi);
-                        let geo = self.groups[gi].geo;
-                        let pieces = self.map_segments(vol, page_off, pb, false)?;
-                        let mut disk_done = t0;
-                        for (phys, plen) in pieces {
-                            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-                            disk_done = disk_done.max(self.charge_plan_strict(gi, blade, t0, &plan)?);
-                        }
-                        self.check_page_tag(vol, page)?;
-                        let dec = self.crypt_time(pb, self.cfg.encryption.at_rest);
-                        self.cpus[blade].transfer(disk_done + dec, piece).arrival
+                        let ready = self.fetch_page(t0, blade, vol, page)?;
+                        self.cpus[blade].transfer(ready, piece).arrival
                     }
                 }
                 ReadOutcome::Miss => {
@@ -886,23 +864,8 @@ impl BladeCluster {
                         self.fill_with_backpressure(blade, key, Retention::Normal, filled)?;
                         filled
                     } else {
-                        self.stats.reads_from_disk += 1;
-                        // Fetch the whole page from disk through RAID.
-                        let (gi, _) = Self::decode_vol(vol);
-                        let failed = self.group_failed(gi);
-                        let geo = self.groups[gi].geo;
-                        let pieces = self.map_segments(vol, page_off, pb, false)?;
-                        let mut disk_done = t0;
-                        for (phys, plen) in pieces {
-                            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-                            disk_done = disk_done.max(self.charge_plan_strict(gi, blade, t0, &plan)?);
-                        }
-                        // Real data plane: the media bytes must decipher
-                        // back to the expected plaintext.
-                        self.check_page_tag(vol, page)?;
-                        // At-rest decryption on the way up.
-                        let dec = self.crypt_time(pb, self.cfg.encryption.at_rest);
-                        let filled = self.cpus[blade].transfer(disk_done + dec, piece).arrival;
+                        let ready = self.fetch_page(t0, blade, vol, page)?;
+                        let filled = self.cpus[blade].transfer(ready, piece).arrival;
                         self.fill_with_backpressure(blade, key, Retention::Normal, filled)?;
                         filled
                     }
@@ -930,14 +893,69 @@ impl BladeCluster {
         Ok(Completion { done: arrival, latency })
     }
 
-    /// Issue background disk reads for the next `prefetch_pages` pages of
-    /// `vol` starting at `from_page`; they land in the cache at their disk
-    /// arrival time (see [`BladeCluster::advance`]).
-    fn issue_readahead(&mut self, blade: usize, vol: VolumeId, from_page: u64, at: SimTime) -> Result<(), ClusterError> {
+    /// Foreground fetch of one whole page from the disks through RAID (the
+    /// miss fill, and the partitioned-controller ablation's remote arm).
+    /// Rot never propagates: a checksum mismatch, or media bytes that do
+    /// not decipher back to the expected plaintext, is an explicit
+    /// [`ClusterError::Integrity`]. Returns when the page, deciphered on
+    /// the way up, is in blade memory.
+    fn fetch_page(&mut self, t0: SimTime, blade: usize, vol: VolumeId, page: u64) -> Result<SimTime, ClusterError> {
+        self.stats.reads_from_disk += 1;
+        let mut mismatches = Vec::new();
+        let io = self.read_page_media(t0, blade, vol, page, &mut mismatches)?;
+        refuse_rot(&mismatches)?;
+        self.check_page_tag(vol, page, &io)?;
+        Ok(io.done + self.crypt_time(self.cfg.page_bytes, self.cfg.encryption.at_rest))
+    }
+
+    /// The one way a volume page comes up from the media: map it, plan a
+    /// (possibly degraded) RAID read of each mapped piece, and charge the
+    /// member reads checksum-verified from `start` via `blade`. Reads that
+    /// hit rotten media are appended to `mismatches` — surfacing them is
+    /// the caller's policy. The cache is untouched; a hole costs nothing.
+    fn read_page_media(
+        &mut self,
+        start: SimTime,
+        blade: usize,
+        vol: VolumeId,
+        page: u64,
+        mismatches: &mut Vec<ReadMismatch>,
+    ) -> Result<PageIo, ClusterError> {
         let pb = self.cfg.page_bytes;
         let (gi, _) = Self::decode_vol(vol);
         let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
+        let pieces = self.map_segments(vol, page * pb, pb, false)?;
+        let mut done = start;
+        for &(phys, plen) in &pieces {
+            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
+            done = done.max(self.charge(gi, blade, start, &plan, Some(mismatches))?);
+        }
+        Ok(PageIo { done, first: pieces.first().map(|&(phys, plen)| (gi, phys, plen)) })
+    }
+
+    /// The one way a volume page goes down to the media: map it, plan the
+    /// RAID write (parity RMW included) of each mapped piece, and charge it
+    /// from `start` via `blade`. Stamping the page's media tag and queueing
+    /// the destage are the caller's.
+    fn write_page_media(&mut self, start: SimTime, blade: usize, vol: VolumeId, page: u64) -> Result<PageIo, ClusterError> {
+        let pb = self.cfg.page_bytes;
+        let (gi, _) = Self::decode_vol(vol);
+        let failed = self.group_failed(gi);
+        let geo = self.groups[gi].geo;
+        let pieces = self.map_segments(vol, page * pb, pb, false)?;
+        let mut done = start;
+        for &(phys, plen) in &pieces {
+            let plan = ys_raid::write_plan(&geo, phys, plen, &failed)?;
+            done = done.max(self.charge(gi, blade, start, &plan, None)?);
+        }
+        Ok(PageIo { done, first: pieces.first().map(|&(phys, plen)| (gi, phys, plen)) })
+    }
+
+    /// Issue background disk reads for the next `prefetch_pages` pages of
+    /// `vol` starting at `from_page`; they land in the cache at their disk
+    /// arrival time (see [`BladeCluster::advance`]).
+    fn issue_readahead(&mut self, blade: usize, vol: VolumeId, from_page: u64, at: SimTime) -> Result<(), ClusterError> {
         for page in from_page..from_page + self.cfg.prefetch_pages as u64 {
             let key = PageKey::new(vol.0, page);
             if self.inflight_fills.contains_key(&(key.volume, key.page)) {
@@ -946,35 +964,17 @@ impl BladeCluster {
             if self.cache.directory().get(&key).map(|e| e.is_cached_anywhere()).unwrap_or(false) {
                 continue;
             }
-            // Only prefetch mapped data.
-            let pieces = match self.map_segments(vol, page * pb, pb, false) {
-                Ok(p) if !p.is_empty() => p,
-                _ => continue,
-            };
-            let mut arrival = at;
-            let mut ok = true;
-            for (phys, plen) in pieces {
-                match ys_raid::read_plan(&geo, phys, plen, &failed) {
-                    // Verified: a prefetched page that fails its checksum
-                    // must never land in cache as if it were good data —
-                    // the fill is dropped and the later foreground miss
-                    // surfaces the mismatch explicitly.
-                    Ok(plan) => match self.charge_plan_verified(gi, blade, at, &plan) {
-                        Ok((d, mismatches)) if mismatches.is_empty() => arrival = arrival.max(d),
-                        _ => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
+            // Only mapped data, and only verified: a prefetched page that
+            // fails its checksum must never land in cache as if it were
+            // good data — the fill is dropped and the later foreground
+            // miss surfaces the mismatch explicitly.
+            let mut mismatches = Vec::new();
+            match self.read_page_media(at, blade, vol, page, &mut mismatches) {
+                Ok(io) if io.first.is_some() && mismatches.is_empty() => {
+                    self.inflight_fills.insert((key.volume, key.page), (io.done.nanos(), blade));
+                    self.stats.prefetches_issued += 1;
                 }
-            }
-            if ok {
-                self.inflight_fills.insert((key.volume, key.page), (arrival.nanos(), blade));
-                self.stats.prefetches_issued += 1;
+                _ => {}
             }
         }
         Ok(())
@@ -1071,19 +1071,11 @@ impl BladeCluster {
             // Background destage: RAID write of the page at ack time, with
             // at-rest encryption charged on the way down.
             let enc = self.crypt_time(pb, self.cfg.encryption.at_rest);
-            let (gi, _) = Self::decode_vol(vol);
-            let failed = self.group_failed(gi);
-            let geo = self.groups[gi].geo;
-            let pieces = self.map_segments(vol, page * pb, pb, false)?;
-            let mut destage_done = ack + enc;
-            for (phys, plen) in pieces {
-                let plan = ys_raid::write_plan(&geo, phys, plen, &failed)?;
-                destage_done = destage_done.max(self.charge_plan(gi, blade, ack + enc, &plan)?);
-            }
+            let destage = self.write_page_media(ack + enc, blade, vol, page)?;
             // Data plane: what lands on the media is the (possibly
             // ciphered) page bytes, not the plaintext.
-            self.stamp_page_tag(vol, page);
-            self.pending.push(Reverse((destage_done.nanos(), key.volume, key.page, outcome.version)));
+            self.stamp_page_tag(vol, page, &destage);
+            self.pending.push(Reverse((destage.done.nanos(), key.volume, key.page, outcome.version)));
         }
         let latency = ack.since(now);
         self.stats.write_latency.record(latency);
@@ -1112,27 +1104,15 @@ impl BladeCluster {
         self.stats.dirty_pages_promoted += report.promoted.len() as u64;
         // Promoted pages get a fresh destage from their new owner.
         for &key in &report.promoted {
-            if let Some(e) = self.cache.directory().get(&key) {
-                let version = e.version;
-                let owner = e.owner;
-                if let Some(owner) = owner {
-                    let pb = self.cfg.page_bytes;
-                    let (gi, _) = Self::decode_vol(VolumeId(key.volume));
-                    let failed = self.group_failed(gi);
-                    let geo = self.groups[gi].geo;
-                    if let Ok(pieces) = self.map_segments(VolumeId(key.volume), key.page * pb, pb, false) {
-                        let mut done = now;
-                        for (phys, plen) in pieces {
-                            if let Ok(plan) = ys_raid::write_plan(&geo, phys, plen, &failed) {
-                                if let Ok(d) = self.charge_plan(gi, owner, now, &plan) {
-                                    done = done.max(d);
-                                }
-                            }
-                        }
-                        self.pending.push(Reverse((done.nanos(), key.volume, key.page, version)));
-                    }
-                }
-            }
+            let Some((version, Some(owner))) = self.cache.directory().get(&key).map(|e| (e.version, e.owner)) else {
+                continue;
+            };
+            let done = match self.write_page_media(now, owner, VolumeId(key.volume), key.page) {
+                Ok(destage) => destage.done,
+                Err(ClusterError::Virt(_)) => continue,
+                Err(_) => now,
+            };
+            self.pending.push(Reverse((done.nanos(), key.volume, key.page, version)));
         }
         report
     }
@@ -1294,30 +1274,6 @@ impl BladeCluster {
         (events, dropped)
     }
 
-    /// Charge a plan against the primary group (rebuild driver, services).
-    pub fn charge_io_plan(&mut self, blade: usize, start: SimTime, plan: &IoPlan) -> Result<SimTime, ClusterError> {
-        self.charge_plan(0, blade, start, plan)
-    }
-
-    /// Charge a plan against a specific group.
-    pub fn charge_io_plan_in(&mut self, group: usize, blade: usize, start: SimTime, plan: &IoPlan) -> Result<SimTime, ClusterError> {
-        self.charge_plan(group, blade, start, plan)
-    }
-
-    /// Checksum-verified [`BladeCluster::charge_io_plan_in`]: identical
-    /// timing, plus any reads that hit rotten media. The rebuild driver
-    /// uses this so a latent error on a survivor can never be silently
-    /// baked into a reconstructed disk.
-    pub fn charge_io_plan_verified_in(
-        &mut self,
-        group: usize,
-        blade: usize,
-        start: SimTime,
-        plan: &IoPlan,
-    ) -> Result<(SimTime, Vec<ReadMismatch>), ClusterError> {
-        self.charge_plan_verified(group, blade, start, plan)
-    }
-
     /// Inject a latent media error on the page of `disk` containing
     /// `offset` (the ys-chaos `CorruptPage` fault). Silent until a
     /// verified read or a scrub covers it. Returns false for out-of-range
@@ -1335,13 +1291,9 @@ impl BladeCluster {
     pub fn locate_volume_page(&mut self, vol: VolumeId, page: u64) -> Option<(DiskId, u64)> {
         let pb = self.cfg.page_bytes;
         let (gi, _) = Self::decode_vol(vol);
-        let geo = self.groups[gi].geo;
-        let healthy = vec![false; geo.members];
         let pieces = self.map_segments(vol, page * pb, pb, false).ok()?;
         let (phys, plen) = *pieces.first()?;
-        let plan = ys_raid::read_plan(&geo, phys, plen, &healthy).ok()?;
-        let io = plan.reads.first()?;
-        Some((DiskId(self.groups[gi].disk_base + io.member), io.offset))
+        self.tag_slot(gi, phys, plen)
     }
 
     /// Inject a latent error on the physical data span backing `vol`'s
@@ -1409,20 +1361,9 @@ impl BladeCluster {
         vol: VolumeId,
         page: u64,
     ) -> Result<PageVerify, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
-        let mut done = now;
         let mut mismatches = Vec::new();
-        for (phys, plen) in pieces {
-            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-            let (d, mut m) = self.charge_plan_verified(gi, blade, now, &plan)?;
-            done = done.max(d);
-            mismatches.append(&mut m);
-        }
-        Ok(PageVerify { done, mismatches })
+        let io = self.read_page_media(now, blade, vol, page, &mut mismatches)?;
+        Ok(PageVerify { done: io.done, mismatches })
     }
 
     /// Scrub repair, source 1: reconstruct the rotten span on `disk` from
@@ -1442,10 +1383,9 @@ impl BladeCluster {
         let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
         let plan = ys_raid::repair_plan(&geo, member, offset, bytes, &failed)?;
-        let (done, mismatches) = self.charge_plan_verified(gi, blade, now, &plan)?;
-        if let Some(m) = mismatches.first() {
-            return Err(ClusterError::Integrity { disk: m.disk, offset: m.offset });
-        }
+        let mut mismatches = Vec::new();
+        let done = self.charge(gi, blade, now, &plan, Some(&mut mismatches))?;
+        refuse_rot(&mismatches)?;
         Ok(done)
     }
 
@@ -1487,21 +1427,12 @@ impl BladeCluster {
         vol: VolumeId,
         page: u64,
     ) -> Result<SimTime, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
-        let mut done = now;
-        for (phys, plen) in pieces {
-            let plan = ys_raid::write_plan(&geo, phys, plen, &failed)?;
-            done = done.max(self.charge_plan(gi, blade, now, &plan)?);
-        }
+        let io = self.write_page_media(now, blade, vol, page)?;
         // A repair install rewrites the page's media bytes too, so a
         // scrubbed page reads back byte-identical (still ciphertext when
         // at-rest encryption is on).
-        self.stamp_page_tag(vol, page);
-        Ok(done)
+        self.stamp_page_tag(vol, page, &io);
+        Ok(io.done)
     }
 
     /// Copy rot markers from mismatched rebuild source reads onto the

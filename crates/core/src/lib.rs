@@ -35,7 +35,6 @@ pub mod services;
 pub use admin::{AdminError, AdminOp, AdminOutcome, ManagementPlane};
 pub use cluster::{
     BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch,
-    ServedFrom,
 };
 pub use config::{ClusterConfig, CostModel, EncryptionConfig, LoadBalance};
 pub use fastpath::{

@@ -117,8 +117,9 @@ impl Rebuilder {
         // silently into the replacement. The batch still completes (coverage
         // must finish), but the affected replacement spans are poisoned so
         // they stay detectable until a scrub repairs them.
-        let t = match cluster.charge_io_plan_verified_in(self.group, blade, avail, &plan) {
-            Ok((t, mismatches)) => {
+        let mut mismatches = Vec::new();
+        let t = match cluster.charge(self.group, blade, avail, &plan, Some(&mut mismatches)) {
+            Ok(t) => {
                 if !mismatches.is_empty() {
                     cluster.poison_rebuilt_spans(self.disk, &mismatches);
                 }

@@ -48,11 +48,11 @@ pub fn run_service(
         let blade = blades[w];
         // Read the source chunk…
         let read = ys_raid::read_plan(&geo, job.src_offset + pos, take, &failed)?;
-        let mut t = cluster.charge_io_plan(blade, worker_time[w], &read)?;
+        let mut t = cluster.charge(0, blade, worker_time[w], &read, None)?;
         // …and write the destination (if copying, not just backing up).
         if let Some(dst) = job.dst_offset {
             let write = ys_raid::write_plan(&geo, dst + pos, take, &failed)?;
-            t = cluster.charge_io_plan(blade, t, &write)?;
+            t = cluster.charge(0, blade, t, &write, None)?;
         } else {
             // Backup stream: ship the chunk out of the blade (charged as a
             // pure read; the network egress shares the host fabric, which
