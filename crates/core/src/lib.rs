@@ -6,7 +6,13 @@
 //! * [`cluster`] — [`BladeCluster`]: the single-site data path — pooled
 //!   coherent cache, N-way write-back replication, DMSD virtualization,
 //!   RAID destage, load balancing, blade/disk failures (§2, §3, §6),
-//!   plus per-tenant QoS admission via `ys-qos` (`read_as`/`write_as`);
+//!   plus per-tenant QoS admission via `ys-qos` (`read_as`/`write_as`).
+//!   One type, split on its seams: `cluster/mod.rs` (types, constructor,
+//!   tracing), `datapath` (read / write / advance / destage / readahead
+//!   and the one page → media path), `lifecycle` (blade and disk fail /
+//!   drain / revive / heal), `integrity` (media tags, verify, repair,
+//!   corruption injection), `volumes` (volume admin, charge-back, QoS
+//!   glue);
 //! * [`governed`] — the one admit → shed → back off → forced-trickle →
 //!   complete driver every Scavenger-class maintenance pass runs under;
 //! * [`harness`] — the seeded-campaign CLI kit behind `ys-chaos`,
