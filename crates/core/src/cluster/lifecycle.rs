@@ -23,12 +23,17 @@ impl BladeCluster {
             let Some((version, Some(owner))) = self.cache.directory().get(&key).map(|e| (e.version, e.owner)) else {
                 continue;
             };
-            let done = match self.write_page_media(now, owner, VolumeId(key.volume), key.page) {
-                Ok(destage) => destage.done,
-                Err(ClusterError::Virt(_)) => continue,
-                Err(_) => now,
+            let Ok(destage) = self.write_page_media(now, owner, VolumeId(key.volume), key.page) else {
+                // The re-destage cannot be planned or charged (the RAID
+                // group is past tolerance, a member died under the write),
+                // and the dead blade's own in-flight destage died with it:
+                // nothing may mark the page clean. It stays dirty at its
+                // new owner, exactly as a foreground write whose destage
+                // plan fails leaves it — never released as if on disk.
+                self.pending.retain(|&Reverse((_, vol, page, _))| (vol, page) != (key.volume, key.page));
+                continue;
             };
-            self.pending.push(Reverse((done.nanos(), key.volume, key.page, version)));
+            self.pending.push(Reverse((destage.done.nanos(), key.volume, key.page, version)));
         }
         report
     }
