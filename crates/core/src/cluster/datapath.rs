@@ -32,17 +32,15 @@ impl BladeCluster {
         if up.is_empty() {
             return Err(ClusterError::NoBladesUp);
         }
-        Ok(match self.cfg.load_balance {
+        let slot = match self.cfg.load_balance {
             LoadBalance::RoundRobin => {
                 self.rr_next = (self.rr_next + 1) % up.len();
-                up[self.rr_next]
+                self.rr_next
             }
-            LoadBalance::PageAffinity => {
-                let key = PageKey::new(vol.0, page);
-                up[key.home(up.len())]
-            }
-            LoadBalance::PinnedByVolume => up[vol.0 as usize % up.len()],
-        })
+            LoadBalance::PageAffinity => PageKey::new(vol.0, page).home(up.len()),
+            LoadBalance::PinnedByVolume => vol.0 as usize % up.len(),
+        };
+        up.get(slot).copied().ok_or(ClusterError::NoBladesUp)
     }
 
     /// Encryption time for `bytes` (zero when disabled).

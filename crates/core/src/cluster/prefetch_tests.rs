@@ -1,3 +1,5 @@
+#![cfg(test)]
+
 use super::*;
 use ys_cache::Retention;
 use ys_virt::VolumeId;

@@ -1,3 +1,5 @@
+#![cfg(test)]
+
 use super::*;
 use crate::config::EncryptionConfig;
 use ys_cache::{Health, Retention};

@@ -163,17 +163,19 @@ impl LegacyArray {
         }
     }
 
-    fn charge_disk_read(&mut self, _c: usize, t: SimTime, phys: u64, len: u64) -> SimTime {
-        let plan = ys_raid::read_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]).expect("healthy");
+    /// `None` when a member disk cannot serve the read (failed through the
+    /// public `farm`, or the range lies past its end).
+    fn charge_disk_read(&mut self, _c: usize, t: SimTime, phys: u64, len: u64) -> Option<SimTime> {
+        let plan = ys_raid::read_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]).ok()?;
         let mut done = t;
         for io in &plan.reads {
             let d = self
                 .farm
                 .submit(DiskId(io.member), t, DiskOp::Read { offset: io.offset, bytes: io.bytes })
-                .expect("healthy disk");
+                .ok()?;
             done = done.max(d);
         }
-        done
+        Some(done)
     }
 
     fn charge_disk_write(&mut self, c: usize, t: SimTime, phys: u64, len: u64) {
@@ -191,7 +193,8 @@ impl LegacyArray {
         }
     }
 
-    /// Read through the owning controller's private cache.
+    /// Read through the owning controller's private cache. `None` when no
+    /// controller is up or the disks cannot serve a missed page.
     pub fn read(&mut self, now: SimTime, vol: u32, offset: u64, len: u64) -> Option<SimDuration> {
         let c = self.owner(vol)?;
         let pb = self.cfg.page_bytes;
@@ -206,7 +209,7 @@ impl LegacyArray {
                 self.cpus[c].transfer(t0, pb.min(len)).arrival
             } else {
                 self.stats.misses += 1;
-                let disk_done = self.charge_disk_read(c, t0, page * pb, pb);
+                let disk_done = self.charge_disk_read(c, t0, page * pb, pb)?;
                 self.evict_for(c);
                 self.controllers[c].pages.insert(key, (false, self.version));
                 self.controllers[c].lru.insert(key, Retention::Normal);

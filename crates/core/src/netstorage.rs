@@ -135,6 +135,7 @@ impl NetStorage {
             let mut c = BladeCluster::new(cfg.site_cluster.clone());
             // Volume 0 at every site backs the global namespace; identical
             // layouts keep file extents addressable at any replica site.
+            // lint: allow(panic-path) — a demand-mapped create reserves no extents: it cannot fail
             let v = c.create_volume("fs", 0, 1 << 40).expect("fs volume");
             debug_assert_eq!(v, VolumeId(0));
             // One backing volume per additional RAID group, so §4's
@@ -142,7 +143,7 @@ impl NetStorage {
             for (gi, _spec) in specs.iter().enumerate().skip(1) {
                 let cv = c
                     .create_volume_in(gi, &format!("fs-class{gi}"), 0, 1 << 40)
-                    .expect("class volume");
+                    .expect("class volume"); // lint: allow(panic-path) — demand-mapped, as above
                 if site == 0 {
                     class_volumes.push(cv);
                 }

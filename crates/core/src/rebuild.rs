@@ -92,17 +92,15 @@ impl Rebuilder {
     /// `Ok(false)` when no work remains (rebuild finished or finishing).
     pub fn step(&mut self, cluster: &mut BladeCluster) -> Result<bool, ClusterError> {
         // Earliest available live worker.
-        let Some(widx) = self
+        let Some((widx, blade, avail)) = self
             .workers
             .iter()
             .enumerate()
-            .filter_map(|(i, w)| w.map(|(_, t)| (i, t)))
-            .min_by_key(|&(_, t)| t)
-            .map(|(i, _)| i)
+            .filter_map(|(i, w)| w.map(|(blade, t)| (i, blade, t)))
+            .min_by_key(|&(_, _, t)| t)
         else {
             return Ok(false);
         };
-        let (blade, avail) = self.workers[widx].expect("picked live worker");
         self.coord.trace_mut().set_now(avail);
         let Some(batch) = self.coord.claim(blade) else {
             if self.coord.is_done() && self.finished_at.is_none() {

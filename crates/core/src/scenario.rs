@@ -54,11 +54,7 @@ pub fn run_scenario(
     let mut t = SimTime::ZERO;
     for i in 0..ops {
         // Apply every fault scheduled at or before the current time.
-        while let Some(f) = faults.peek() {
-            if f.at > t {
-                break;
-            }
-            let f = faults.next().expect("peeked");
+        while let Some(f) = faults.next_if(|f| f.at <= t) {
             match (f.target, f.kind) {
                 (FaultTarget::Blade(b), FaultKind::Fail) => {
                     cluster.fail_blade(t, b);

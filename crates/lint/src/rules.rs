@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code must fail with typed errors, never panics.
 pub const PANIC_CRATES: &[&str] =
-    &["cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal"];
+    &["cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "core"];
 
 /// Crates whose state feeds seeded replay: iterating a hashed container
 /// there lets the process-random hasher seed reorder events between runs.
@@ -146,9 +146,10 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
 }
 
 /// Mark tokens belonging to `#[cfg(test)]` / `#[test]` items (the attribute
-/// through the end of the item it gates). By workspace convention unit
-/// tests live in such modules; integration-test *files* are excluded at the
-/// walker level instead.
+/// through the end of the item it gates; an inner `#![cfg(test)]` gates the
+/// rest of its enclosing block — the whole file of an out-of-line
+/// `mod tests;`). By workspace convention unit tests live in such modules;
+/// integration-test *files* are excluded at the walker level instead.
 fn test_regions(toks: &[Tok]) -> Vec<bool> {
     let mut skip = vec![false; toks.len()];
     let mut i = 0;
@@ -158,16 +159,12 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
             continue;
         }
         // `#[` or `#![`.
-        let open = if toks.get(i + 1).is_some_and(|t| t.is_punct('[')) {
-            i + 1
-        } else if toks.get(i + 1).is_some_and(|t| t.is_punct('!'))
-            && toks.get(i + 2).is_some_and(|t| t.is_punct('['))
-        {
-            i + 2
-        } else {
+        let inner = toks.get(i + 1).is_some_and(|t| t.is_punct('!'));
+        let open = i + 1 + usize::from(inner);
+        if !toks.get(open).is_some_and(|t| t.is_punct('[')) {
             i += 1;
             continue;
-        };
+        }
         // Find the matching `]`.
         let mut depth = 0i32;
         let mut close = open;
@@ -209,12 +206,12 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
                     ")" | "]" => depth -= 1,
                     "}" => {
                         depth -= 1;
-                        if depth == 0 {
+                        if depth == 0 && !inner || depth < 0 {
                             end = j;
                             break;
                         }
                     }
-                    ";" if depth == 0 => {
+                    ";" if depth == 0 && !inner => {
                         end = j;
                         break;
                     }

@@ -44,6 +44,18 @@ fn panic_path_fires_and_respects_markers() {
 }
 
 #[test]
+fn inner_cfg_test_exempts_the_rest_of_its_block() {
+    // The file of an out-of-line `mod tests;` opens with `#![cfg(test)]`:
+    // all of it is test code, non-`#[test]` helpers included.
+    let file = "#![cfg(test)]\nuse super::*;\nfn helper() -> u32 { Some(1).unwrap() }\n";
+    assert!(analyze_source("crates/virt/src/tests.rs", file).is_empty());
+    // Inside a block it reaches that block's end and no further.
+    let nested = "mod t {\n    #![cfg(test)]\n    fn a() { Some(1).unwrap(); }\n}\nfn b() { Some(1).unwrap(); }\n";
+    let f = analyze_source("crates/virt/src/x.rs", nested);
+    assert_eq!(lines_for(&f, "panic-path"), vec![5], "findings: {f:#?}");
+}
+
+#[test]
 fn panic_path_is_scoped_to_typed_error_crates() {
     let f = analyze_source("crates/simnet/src/fixture.rs", PANIC);
     assert!(f.is_empty(), "simnet is not a panic-scoped crate: {f:#?}");
