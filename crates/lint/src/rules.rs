@@ -37,7 +37,7 @@ pub const ENTROPY_EXEMPT_CRATES: &[&str] = &["bench", "check", "lint", "sweep", 
 /// The only places allowed to read the wall clock: binary entry points that
 /// inject elapsed-time closures into otherwise clock-free libraries.
 pub const WALL_CLOCK_EXEMPT: &[&str] =
-    &["crates/bench/src/bin/", "crates/check/src/main.rs", "crates/sweep/src/main.rs"];
+    &["crates/bench/src/bin/", "crates/check/src/main.rs"];
 
 /// All suppressible rule names, in catalog order.
 pub const RULES: &[&str] =

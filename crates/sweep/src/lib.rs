@@ -15,8 +15,8 @@
 //! `ys-lint` ambient-entropy rule meaningful.
 //!
 //! The [`snapshot`] module emits `BENCH_baseline.json` — the
-//! perf-trajectory baseline separating machine-independent simulation
-//! metrics from host wall-clock stage costs.
+//! machine-independent simulation metrics and transcript digests the
+//! drift gate compares exactly.
 
 #![warn(missing_docs)]
 
@@ -26,4 +26,4 @@ pub mod snapshot;
 
 pub use pool::{default_threads, run_sweep};
 pub use shard::{bench_sweep, campaign_sweep, check_sweep, SweepOutcome};
-pub use snapshot::{collect, diff, render, strip_host_lines, Scenario, SCHEMA};
+pub use snapshot::{collect, diff, render, Scenario, SCHEMA};

@@ -4,9 +4,6 @@
 //! Exit codes: `0` every shard met its promise (or, for `snapshot
 //! --check`, no drift), `1` a shard failed or the snapshot drifted, `2`
 //! usage errors.
-//!
-//! This binary is the crate's one wall-clock reader: it injects elapsed
-//! timers into the snapshot collector; the library stays clock-free.
 
 use std::process::ExitCode;
 use ys_core::harness::number;
@@ -36,19 +33,11 @@ OPTIONS:
     --max-states N  State cap for check shards (default 2000000).
     --out PATH      Snapshot path (default BENCH_baseline.json).
     --check         Compare a fresh snapshot against --out instead of
-                    writing it; host wall-clock lines are ignored.
+                    writing it.
     --jobs N        Worker threads (default: available parallelism, max 16).
 
 Shards are merged in input order, so output is byte-identical for every
 --jobs value — parallelism is a throughput knob, not a behaviour knob.";
-
-/// Wall-clock reader injected into the snapshot collector. The library
-/// stays clock-free; this binary is the one place allowed to touch real
-/// time.
-fn wall_clock() -> impl Fn() -> f64 {
-    let started = std::time::Instant::now();
-    move || started.elapsed().as_secs_f64()
-}
 
 fn parse_seeds(spec: &str) -> Result<Vec<u64>, String> {
     if let Some((a, b)) = spec.split_once("..") {
@@ -131,13 +120,13 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn run_snapshot(args: &Args) -> Result<bool, String> {
-    let snap = snapshot::render(&snapshot::collect(args.jobs, &wall_clock()));
+    let snap = snapshot::render(&snapshot::collect(args.jobs));
     if args.check_drift {
         let baseline = std::fs::read_to_string(&args.out)
             .map_err(|e| format!("cannot read baseline {}: {e}", args.out))?;
         match snapshot::diff(&baseline, &snap) {
             None => {
-                println!("ys-sweep: snapshot matches {} (host wall-clock ignored)", args.out);
+                println!("ys-sweep: snapshot matches {}", args.out);
                 Ok(true)
             }
             Some(report) => {

@@ -1,17 +1,12 @@
 //! The perf-trajectory baseline: `BENCH_baseline.json`.
 //!
 //! A snapshot records, per scenario, the *simulation* metrics (states
-//! explored, campaigns run, simulated MB/s — identical on every machine
-//! and every run) and the *host* wall-clock seconds the stage took (noisy,
-//! machine-specific). The JSON is hand-rendered with sorted keys and fixed
-//! four-decimal formatting so two snapshots of the same tree differ only
-//! where the code's behaviour differs; every host number sits alone on a
-//! line containing `"host_wall_s"`, so the drift gate can compare
-//! snapshots line-filtered without a JSON parser.
-//!
-//! The wall clock itself is injected by the caller (`src/main.rs` is the
-//! one place in this crate allowed to read real time); library callers
-//! pass `|| 0.0` and get a fully deterministic snapshot.
+//! explored, campaigns run, simulated MB/s, transcript digests) —
+//! identical on every machine and every run. The JSON is hand-rendered
+//! with sorted keys and fixed four-decimal formatting, so two snapshots
+//! differ exactly where the code's behaviour differs and the drift gate is
+//! a plain string compare. Host cost is not recorded here: `benchmark/`
+//! measures it.
 
 use crate::pool::run_sweep;
 use crate::shard::{bench_sweep_stats, campaign_sweep, SweepOutcome};
@@ -35,15 +30,13 @@ const CAMPAIGN_SEEDS: [u64; 4] = [0, 1, 2, 3];
 /// Seeds for the benchmark confidence-sweep scenario.
 const BENCH_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 
-/// One named stage: its simulation metrics and its host wall-clock cost.
+/// One named stage and its simulation metrics.
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Stage name, e.g. `check_cache` or `bench_seed_sweep`.
     pub name: String,
     /// `(metric, value)` pairs; sorted by metric name at render time.
     pub sim: Vec<(String, f64)>,
-    /// Host seconds the stage took (excluded from the drift gate).
-    pub host_wall_s: f64,
 }
 
 /// 32-bit FNV-1a of a rendered report. `report_bytes` alone pins only the
@@ -64,13 +57,11 @@ fn sweep_sim(unit: &str, shards: usize, sweep: &SweepOutcome) -> Vec<(String, f6
     ]
 }
 
-/// Run every snapshot scenario with `jobs` workers. `clock` returns
-/// absolute host seconds (monotonic); pass `|| 0.0` for a clock-free run.
-pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
+/// Run every snapshot scenario with `jobs` workers.
+pub fn collect(jobs: usize) -> Vec<Scenario> {
     let mut out = Vec::new();
 
     for model in STANDARD_MODELS {
-        let t0 = clock();
         let run = run_standard(model, CHECK_DEPTH, CHECK_MAX_STATES)
             .expect("standard model list is self-consistent");
         out.push(Scenario {
@@ -82,29 +73,24 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
                 ("deepest".into(), run.deepest as f64),
                 ("violations".into(), run.found_counterexample as u64 as f64),
             ],
-            host_wall_s: clock() - t0,
         });
     }
 
-    let t0 = clock();
     let chaos = campaign_sweep(&CHAOS_SEEDS, jobs, |seed| ys_chaos::RunOptions::new(seed, CHAOS_STEPS));
     let mut sim = sweep_sim("campaigns", CHAOS_SEEDS.len(), &chaos);
     sim.push(("steps_per_campaign".into(), CHAOS_STEPS as f64));
-    out.push(Scenario { name: "chaos_sweep".into(), sim, host_wall_s: clock() - t0 });
+    out.push(Scenario { name: "chaos_sweep".into(), sim });
 
-    let t0 = clock();
     let heal = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_heal::CampaignConfig { seed, ..Default::default() });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &heal);
-    out.push(Scenario { name: "heal_sweep".into(), sim, host_wall_s: clock() - t0 });
+    out.push(Scenario { name: "heal_sweep".into(), sim });
 
-    let t0 = clock();
     let scrub = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_scrub::CampaignConfig { seed, ..Default::default() });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &scrub);
-    out.push(Scenario { name: "scrub_sweep".into(), sim, host_wall_s: clock() - t0 });
+    out.push(Scenario { name: "scrub_sweep".into(), sim });
 
     // Every ys-report scenario in its default rendering, concatenated in
     // catalogue order.
-    let t0 = clock();
     let names: Vec<&str> = ys_obs::scenarios::SCENARIOS.iter().map(|&(name, _)| name).collect();
     let reports = run_sweep(names.clone(), jobs, |name| {
         let r = ys_obs::scenarios::run(name).expect("scenario catalogue is self-consistent");
@@ -115,19 +101,17 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
         ok: reports.iter().all(|&(_, pass)| pass),
     };
     let sim = sweep_sim("scenarios", names.len(), &suite);
-    out.push(Scenario { name: "report_suite".into(), sim, host_wall_s: clock() - t0 });
+    out.push(Scenario { name: "report_suite".into(), sim });
 
     // The ys-bench experiment suite (E1–E12, A1–A3) plus the `--obs`
     // breakdown: A3 is the only caller of the peer-supply-off read arm and
     // E12 the only non-test caller of the services' plan charging.
-    let t0 = clock();
     let mut text = Vec::new();
     ys_bench::report::run_report(&mut text, &["--obs".to_string()], || 0.0);
     let suite = SweepOutcome { report: String::from_utf8_lossy(&text).into_owned(), ok: true };
     let sim = sweep_sim("suites", 1, &suite);
-    out.push(Scenario { name: "experiment_report".into(), sim, host_wall_s: clock() - t0 });
+    out.push(Scenario { name: "experiment_report".into(), sim });
 
-    let t0 = clock();
     let (mean, min, max) = bench_sweep_stats(&BENCH_SEEDS, jobs);
     out.push(Scenario {
         name: "bench_seed_sweep".into(),
@@ -137,7 +121,6 @@ pub fn collect(jobs: usize, clock: &dyn Fn() -> f64) -> Vec<Scenario> {
             ("min_mb_s".into(), min),
             ("max_mb_s".into(), max),
         ],
-        host_wall_s: clock() - t0,
     });
 
     out
@@ -161,10 +144,7 @@ pub fn render(scenarios: &[Scenario]) -> String {
             let comma = if j + 1 < sim.len() { "," } else { "" };
             let _ = writeln!(out, "        \"{k}\": {v:.4}{comma}");
         }
-        out.push_str("      },\n");
-        // Keep the host number alone on its line (and last in the object)
-        // so the drift gate can drop it with a line filter.
-        let _ = writeln!(out, "      \"host_wall_s\": {:.4}", sc.host_wall_s);
+        out.push_str("      }\n");
         let comma = if i + 1 < scenarios.len() { "," } else { "" };
         let _ = writeln!(out, "    }}{comma}");
     }
@@ -172,28 +152,16 @@ pub fn render(scenarios: &[Scenario]) -> String {
     out
 }
 
-/// Drop every line carrying a host wall-clock number. The remainder is the
-/// machine-independent portion two snapshots are compared on.
-pub fn strip_host_lines(snapshot: &str) -> String {
-    snapshot
-        .lines()
-        .filter(|l| !l.contains("\"host_wall_s\""))
-        .map(|l| format!("{l}\n"))
-        .collect()
-}
-
-/// Compare two snapshots ignoring host wall-clock lines. `None` means no
-/// drift; `Some(report)` describes the first divergence.
+/// Compare two snapshots exactly. `None` means no drift; `Some(report)`
+/// describes the first divergence.
 pub fn diff(baseline: &str, current: &str) -> Option<String> {
-    let a = strip_host_lines(baseline);
-    let b = strip_host_lines(current);
-    if a == b {
+    if baseline == current {
         return None;
     }
     let mut msg = String::from("benchmark snapshot drifted from BENCH_baseline.json:\n");
-    for (n, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
+    for (n, (la, lb)) in baseline.lines().zip(current.lines()).enumerate() {
         if la != lb {
-            let _ = writeln!(msg, "  first divergence (filtered line {}):", n + 1);
+            let _ = writeln!(msg, "  first divergence (line {}):", n + 1);
             let _ = writeln!(msg, "    baseline: {la}");
             let _ = writeln!(msg, "    current:  {lb}");
             return Some(msg);
@@ -202,8 +170,8 @@ pub fn diff(baseline: &str, current: &str) -> Option<String> {
     let _ = writeln!(
         msg,
         "  line counts differ: baseline {} vs current {}",
-        a.lines().count(),
-        b.lines().count()
+        baseline.lines().count(),
+        current.lines().count()
     );
     Some(msg)
 }
@@ -217,12 +185,10 @@ mod tests {
             Scenario {
                 name: "check_cache".into(),
                 sim: vec![("transitions".into(), 10.0), ("states_visited".into(), 4.0)],
-                host_wall_s: 1.25,
             },
             Scenario {
                 name: "bench_seed_sweep".into(),
                 sim: vec![("mean_mb_s".into(), 123.456789)],
-                host_wall_s: 0.5,
             },
         ]
     }
@@ -239,14 +205,12 @@ mod tests {
                     \x20     \"sim\": {\n\
                     \x20       \"states_visited\": 4.0000,\n\
                     \x20       \"transitions\": 10.0000\n\
-                    \x20     },\n\
-                    \x20     \"host_wall_s\": 1.2500\n\
+                    \x20     }\n\
                     \x20   },\n\
                     \x20   \"bench_seed_sweep\": {\n\
                     \x20     \"sim\": {\n\
                     \x20       \"mean_mb_s\": 123.4568\n\
-                    \x20     },\n\
-                    \x20     \"host_wall_s\": 0.5000\n\
+                    \x20     }\n\
                     \x20   }\n\
                     \x20 }\n}\n";
         assert_eq!(got, want);
@@ -259,23 +223,21 @@ mod tests {
     }
 
     #[test]
-    fn host_lines_are_excluded_from_drift() {
+    fn any_changed_metric_is_drift() {
         let base = render(&sample());
-        let mut hot = sample();
-        hot[0].host_wall_s = 99.0; // a slower machine is not drift
-        assert_eq!(diff(&base, &render(&hot)), None);
+        assert_eq!(diff(&base, &render(&sample())), None);
 
-        hot[0].sim[0].1 = 11.0; // a changed sim metric is
-        let d = diff(&base, &render(&hot)).expect("sim drift must be flagged");
+        let mut moved = sample();
+        moved[0].sim[0].1 = 11.0;
+        let d = diff(&base, &render(&moved)).expect("sim drift must be flagged");
         assert!(d.contains("transitions"), "{d}");
     }
 
     #[test]
     fn collected_snapshot_is_deterministic_across_jobs() {
-        // The real collector with a null clock: all host numbers are 0 and
-        // the sim portion must not depend on worker count.
-        let a = render(&collect(1, &|| 0.0));
-        let b = render(&collect(4, &|| 0.0));
+        // The snapshot must not depend on worker count.
+        let a = render(&collect(1));
+        let b = render(&collect(4));
         assert_eq!(a, b);
         assert!(a.contains("\"check_failover\""));
         assert!(a.contains("\"chaos_sweep\""));

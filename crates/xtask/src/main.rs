@@ -14,8 +14,8 @@
 //!   rotting silently.
 //! * `bench-snapshot` — regenerate `BENCH_baseline.json` via a release
 //!   build of `ys-sweep snapshot` (pass `--check` to compare instead of
-//!   write; host wall-clock lines are excluded from the comparison). See
-//!   `docs/performance.md` for the snapshot schema and workflow.
+//!   write). See `docs/performance.md` for the snapshot schema and
+//!   workflow.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -65,10 +65,9 @@ fn doc() -> ExitCode {
     }
 }
 
-/// Regenerate (or, with `check`, verify) the perf-trajectory baseline.
-///
-/// Runs `ys-sweep snapshot` in release mode so the host wall-clock
-/// numbers reflect the optimized build the benchmarks document.
+/// Regenerate (or, with `check`, verify) the simulation-metric baseline,
+/// via a release build of `ys-sweep snapshot` (the scenarios are the slow
+/// part, not the compile).
 fn bench_snapshot(check: bool) -> ExitCode {
     let root = repo_root();
     let baseline = root.join("BENCH_baseline.json");

@@ -92,8 +92,8 @@ cargo run -q -p ys-check --release -- --security --depth 7
 echo "==> ys-check --heal --depth 7 (exhaustive blade-lifecycle model)"
 cargo run -q -p ys-check --release -- --heal --depth 7
 
-# Perf-trajectory drift gate: regenerating the benchmark snapshot must
-# reproduce BENCH_baseline.json exactly, ignoring host wall-clock lines.
+# Behaviour drift gate: regenerating the snapshot (simulation metrics and
+# transcript digests only) must reproduce BENCH_baseline.json exactly.
 echo "==> cargo xtask bench-snapshot --check (sim metrics vs BENCH_baseline.json)"
 cargo xtask bench-snapshot --check
 
