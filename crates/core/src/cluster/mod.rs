@@ -9,15 +9,9 @@
 //! and contention emerges from the queues.
 //!
 //! This file holds the types, the constructor and the observability
-//! surface; [`BladeCluster`]'s behaviour is split along its seams:
-//!
-//! * `datapath` — read / write / advance / destage / readahead, and the
-//!   one path from a volume page to the media (`read_page_media`,
-//!   `write_page_media`, `charge`);
-//! * `lifecycle` — blade and disk fail / drain / revive / heal;
-//! * `integrity` — media tags, corruption injection, scrub verify and
-//!   repair;
-//! * `volumes` — volume administration, charge-back and the QoS glue.
+//! surface; [`BladeCluster`]'s behaviour is split on its seams into the
+//! `datapath`, `lifecycle`, `integrity` and `volumes` submodules (module
+//! map in `docs/architecture.md`).
 
 mod datapath;
 mod integrity;

@@ -197,6 +197,9 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
         // at depth zero (e.g. `#[cfg(test)] mod tests;`) or to the `}` that
         // closes the item's top-level brace block. Intervening attributes'
         // brackets balance out on their own.
+        // An inner attribute instead gates through the `}` that closes its
+        // enclosing block, or to the end of the file.
+        let closing_depth = if inner { -1 } else { 0 };
         let mut depth = 0i32;
         let mut end = toks.len() - 1;
         for (j, t) in toks.iter().enumerate().skip(close + 1) {
@@ -206,7 +209,7 @@ fn test_regions(toks: &[Tok]) -> Vec<bool> {
                     ")" | "]" => depth -= 1,
                     "}" => {
                         depth -= 1;
-                        if depth == 0 && !inner || depth < 0 {
+                        if depth == closing_depth {
                             end = j;
                             break;
                         }
