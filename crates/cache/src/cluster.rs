@@ -85,6 +85,14 @@ pub(crate) enum Residency {
     Replica,
 }
 
+impl Residency {
+    /// Un-destaged state (a dirty owner copy or a replica): it must survive
+    /// until destage, so its key is held out of the blade's eviction bands.
+    pub(crate) fn held(self) -> bool {
+        !matches!(self, Residency::Cached { dirty: false, .. })
+    }
+}
+
 #[derive(Clone, Debug)]
 pub(crate) struct PageMeta {
     pub(crate) residency: Residency,
@@ -95,6 +103,8 @@ pub(crate) struct PageMeta {
 #[derive(Clone, Debug)]
 pub(crate) struct BladeSlot {
     pub(crate) capacity_pages: usize,
+    /// Recency of the clean pages by retention band, plus the held list:
+    /// exactly the pages whose residency is [`Residency::held`].
     pub(crate) lru: LruList<PageKey>,
     /// Ordered so that blade-failure sweeps (and the FailureReport they
     /// build) visit pages in key order, independent of any hasher seed.
@@ -293,6 +303,15 @@ pub struct CacheCluster {
     /// acknowledged or the page is rewritten, so a total loss can never
     /// degrade into a silent miss that refetches stale disk data.
     pub(crate) lost: std::collections::BTreeMap<PageKey, u64>,
+    /// The heal queue: every page with an owner and fewer replicas than its
+    /// protection target, with the missing count. Maintained by
+    /// [`CacheCluster::note_margin`] in each transition that changes a
+    /// page's owner, replicas or target; [`crate::invariants`] holds it
+    /// equal to the directory scan it replaces.
+    pub(crate) deficit: BTreeMap<PageKey, usize>,
+    /// Sabotage hook: transitions skip their margin note.
+    #[cfg(test)]
+    pub(crate) skip_margin_notes: bool,
     stats: CacheStats,
     trace: SpanRecorder,
 }
@@ -311,6 +330,9 @@ impl CacheCluster {
                 .collect(),
             directory: Directory::new(blade_count),
             lost: std::collections::BTreeMap::new(),
+            deficit: BTreeMap::new(),
+            #[cfg(test)]
+            skip_margin_notes: false,
             stats: CacheStats {
                 per_blade: vec![BladeCacheStats::default(); blade_count],
                 ..CacheStats::default()
@@ -371,8 +393,8 @@ impl CacheCluster {
         }
     }
 
-    /// Make room for one page on `blade`. Dirty and replica pages are
-    /// veto'd — they must survive until destage.
+    /// Make room for one page on `blade`. Dirty and replica pages are held
+    /// out of the eviction bands — they must survive until destage.
     fn make_room(&mut self, blade: usize) -> Result<Vec<PageKey>, CacheError> {
         let mut evicted = Vec::new();
         loop {
@@ -380,14 +402,7 @@ impl CacheCluster {
             if slot.occupancy() < slot.capacity_pages {
                 break;
             }
-            let victim = {
-                let pages = &slot.pages;
-                slot.lru.evict_where(|k| match pages.get(k) {
-                    Some(m) => !matches!(m.residency, Residency::Cached { dirty: false, .. }),
-                    None => true,
-                })
-            };
-            match victim {
+            match slot.lru.evict() {
                 Some(key) => {
                     self.blades[blade].pages.remove(&key);
                     self.detach_holder(key, blade);
@@ -412,6 +427,26 @@ impl CacheCluster {
         }
         if !e.is_cached_anywhere() && e.replicas.is_empty() {
             self.directory.remove(&key);
+        }
+        self.note_margin(key);
+    }
+
+    /// Re-derive `key`'s entry in the deficit index from its directory
+    /// entry. Every transition that changes a page's owner, replica set or
+    /// protection target ends with this.
+    fn note_margin(&mut self, key: PageKey) {
+        #[cfg(test)]
+        if self.skip_margin_notes {
+            return;
+        }
+        let missing = match self.directory.get(&key) {
+            Some(e) if e.owner.is_some() => e.protect.saturating_sub(1 + e.replicas.len()),
+            _ => 0,
+        };
+        if missing > 0 {
+            self.deficit.insert(key, missing);
+        } else {
+            self.deficit.remove(&key);
         }
     }
 
@@ -441,13 +476,9 @@ impl CacheCluster {
             }
         }
         // Find a remote holder.
-        let holder = {
-            let up: Vec<bool> = self.blades.iter().map(|b| b.serving()).collect();
-            match self.directory.get(&key) {
-                Some(e) => e.holders().into_iter().find(|&h| up[h] && h != blade),
-                None => None,
-            }
-        };
+        let holder = self.directory.get(&key).and_then(|e| {
+            e.sharers.iter().copied().chain(e.owner).find(|&h| h != blade && self.blades[h].serving())
+        });
         match holder {
             Some(from) => {
                 self.install_shared(blade, key, Retention::Normal)?;
@@ -559,7 +590,7 @@ impl CacheCluster {
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Modified, dirty: true }, retention, version },
         );
-        self.blades[blade].lru.insert(key, retention);
+        self.blades[blade].lru.hold(key);
         self.trace.instant("cache", "modify", blade as u32, key.page, version);
 
         // Place N−1 pinned replicas on peer blades, chosen deterministically
@@ -585,7 +616,7 @@ impl CacheCluster {
                     key,
                     PageMeta { residency: Residency::Replica, retention, version },
                 );
-                self.blades[target].lru.insert(key, Retention::Pinned);
+                self.blades[target].lru.hold(key);
                 replicas.push(target);
                 self.stats.replica_placements += 1;
                 self.stats.per_blade[target].replicas_hosted += 1;
@@ -593,6 +624,7 @@ impl CacheCluster {
             }
         }
         self.directory.entry(key).replicas = replicas.clone();
+        self.note_margin(key);
         Ok(WriteOutcome { invalidated: holders, replicas, version })
     }
 
@@ -610,6 +642,7 @@ impl CacheCluster {
         if let Some(meta) = self.blades[owner].pages.get_mut(&key) {
             meta.residency = Residency::Cached { state: PageState::Shared, dirty: false };
             let retention = meta.retention;
+            // Released from the held list to the front of its band.
             self.blades[owner].lru.insert(key, retention);
         }
         let e = self.directory.entry(key);
@@ -619,6 +652,7 @@ impl CacheCluster {
         if !e.sharers.contains(&owner) {
             e.sharers.push(owner);
         }
+        self.note_margin(key);
         self.stats.destages += 1;
         self.trace.instant("cache", "destage", owner as u32, key.page, key.volume as u64);
         Ok(())
@@ -643,9 +677,9 @@ impl CacheCluster {
             self.blades[b].lru.remove(&key);
         }
         self.directory.remove(&key);
+        self.note_margin(key);
     }
 
-    /// Pages currently dirty at `blade` (owner copies awaiting destage).
     /// Fraction of the pooled cache holding un-destaged state: dirty
     /// owner pages plus their protection replicas, over the pooled
     /// capacity of up blades. This is the backpressure signal the QoS
@@ -657,25 +691,12 @@ impl CacheCluster {
         if capacity == 0 {
             return 0.0;
         }
-        let undestaged: usize = self
-            .blades
-            .iter()
-            .filter(|b| b.serving())
-            .map(|b| {
-                b.pages
-                    .values()
-                    .filter(|m| {
-                        matches!(
-                            m.residency,
-                            Residency::Cached { dirty: true, .. } | Residency::Replica
-                        )
-                    })
-                    .count()
-            })
-            .sum();
+        let undestaged: usize =
+            self.blades.iter().filter(|b| b.serving()).map(|b| b.lru.held_len()).sum();
         undestaged as f64 / capacity as f64
     }
 
+    /// Pages currently dirty at `blade` (owner copies awaiting destage).
     pub fn dirty_pages(&self, blade: usize) -> Vec<PageKey> {
         self.blades[blade]
             .pages
@@ -719,7 +740,7 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[survivor].lru.insert(key, retention);
+                        // The replica's key is already held at the survivor.
                         self.trace.instant("cache", "promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -743,6 +764,7 @@ impl CacheCluster {
                     }
                 }
             }
+            self.note_margin(key);
         }
         report
     }
@@ -842,7 +864,7 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[survivor].lru.insert(key, retention);
+                        // The replica's key is already held at the survivor.
                         self.trace.instant("cache", "drain_promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -893,12 +915,13 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[target].lru.insert(key, retention);
+                        self.blades[target].lru.hold(key);
                         self.trace.instant("cache", "drain_move", target as u32, key.page, blade as u64);
                         report.moved.push(key);
                     }
                     self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
+                    self.note_margin(key);
                 }
                 Residency::Cached { dirty: false, .. } => {
                     self.blades[blade].pages.remove(&key);
@@ -910,6 +933,7 @@ impl CacheCluster {
                     self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
                     self.directory.entry(key).replicas.retain(|&r| r != blade);
+                    self.note_margin(key);
                     // Re-place elsewhere when possible; otherwise the owner
                     // still holds the dirty data and the healer catches up.
                     match self.add_replica(key) {
@@ -930,11 +954,13 @@ impl CacheCluster {
     /// Dirty pages below their fault-tolerance target, with the deficit
     /// (missing replica count) — the healer's work queue. Sorted by key.
     pub fn under_target_pages(&self) -> Vec<(PageKey, usize)> {
-        self.directory
-            .iter()
-            .filter(|(_, e)| e.owner.is_some() && e.protect > 1 + e.replicas.len())
-            .map(|(k, e)| (*k, e.protect - 1 - e.replicas.len()))
-            .collect()
+        self.under_target_iter().collect()
+    }
+
+    /// Allocation-free variant of [`CacheCluster::under_target_pages`]: the
+    /// queue's length and its head, in page-key order.
+    pub fn under_target_iter(&self) -> impl ExactSizeIterator<Item = (PageKey, usize)> + '_ {
+        self.deficit.iter().map(|(&key, &missing)| (key, missing))
     }
 
     /// Re-establish one pinned dirty replica for `key` on an accepting peer
@@ -974,8 +1000,9 @@ impl CacheCluster {
                 key,
                 PageMeta { residency: Residency::Replica, retention, version },
             );
-            self.blades[target].lru.insert(key, Retention::Pinned);
+            self.blades[target].lru.hold(key);
             self.directory.entry(key).replicas.push(target);
+            self.note_margin(key);
             self.stats.replica_placements += 1;
             self.stats.heal_placements += 1;
             self.stats.per_blade[target].replicas_hosted += 1;
@@ -988,29 +1015,28 @@ impl CacheCluster {
     /// Cluster health from surviving replica margins — the degraded-mode
     /// governor's input (severity-ordered; see [`Health`]).
     pub fn health(&self) -> Health {
-        let accepting = self.blades.iter().filter(|b| b.accepting()).count();
-        if accepting < 2 {
+        if self.read_only() {
             return Health::ReadOnly;
         }
-        let mut degraded = self
-            .blades
-            .iter()
-            .any(|b| matches!(b.state, BladeState::Draining | BladeState::Rejoining));
-        for (_, e) in self.directory.iter() {
-            if e.owner.is_some() && e.protect > 1 + e.replicas.len() {
-                if e.replicas.is_empty() && e.protect >= 2 {
-                    // An acked protected write with zero surviving replicas:
-                    // the next owner failure loses it.
-                    return Health::Critical;
-                }
-                degraded = true;
-            }
-        }
-        if degraded {
+        // An acked protected write with zero surviving replicas: the next
+        // owner failure loses it.
+        let exhausted = |key| self.directory.get(key).is_some_and(|e| e.replicas.is_empty());
+        if self.deficit.keys().any(exhausted) {
+            Health::Critical
+        } else if !self.deficit.is_empty()
+            || self.blades.iter().any(|b| matches!(b.state, BladeState::Draining | BladeState::Rejoining))
+        {
             Health::Degraded
         } else {
             Health::Healthy
         }
+    }
+
+    /// Fewer than two blades accept data, so no write can be
+    /// replica-protected: the [`Health::ReadOnly`] condition on its own,
+    /// for the write gate that needs no severity.
+    pub fn read_only(&self) -> bool {
+        self.blades.iter().filter(|b| b.accepting()).count() < 2
     }
 
     /// Write under the degraded-mode governor: refused with an explicit
@@ -1024,7 +1050,7 @@ impl CacheCluster {
         n_way: usize,
         retention: Retention,
     ) -> Result<WriteOutcome, CacheError> {
-        if self.health() == Health::ReadOnly {
+        if self.read_only() {
             self.trace.instant("cache", "write_refused", blade as u32, key.page, key.volume as u64);
             return Err(CacheError::ReadOnly);
         }
@@ -1079,6 +1105,8 @@ impl CacheCluster {
 
     /// Recency order (most- to least-recent) of one retention band at
     /// `blade` — the part of blade state that decides future evictions.
+    /// Bands list clean pages only: dirty and replica pages are held out of
+    /// them until destage.
     pub fn lru_order(&self, blade: usize, band: Retention) -> Vec<PageKey> {
         self.blades[blade].lru.band_keys(band)
     }

@@ -30,6 +30,14 @@ pub enum Invariant {
     ResidencyBacklink,
     /// A blade's recency list tracks exactly its resident pages.
     LruAgreement,
+    /// A blade's held list (outside the eviction bands, and what
+    /// `dirty_ratio` counts) is exactly its dirty owner copies and replicas:
+    /// index ≡ the residency scan it replaced.
+    HeldAgreement,
+    /// The heal queue is exactly the pages with an owner and fewer replicas
+    /// than their protection target, with the missing count: index ≡ the
+    /// directory scan it replaced.
+    DeficitIndex,
     /// No blade holds more pages than its configured capacity.
     Capacity,
     /// A failed blade holds nothing, and the directory never points at a
@@ -52,6 +60,8 @@ impl fmt::Display for Invariant {
             Invariant::ReplicaIntegrity => "replica-integrity",
             Invariant::ResidencyBacklink => "residency-backlink",
             Invariant::LruAgreement => "lru-agreement",
+            Invariant::HeldAgreement => "held-agreement",
+            Invariant::DeficitIndex => "deficit-index",
             Invariant::Capacity => "capacity",
             Invariant::DownBladeConsistency => "down-blade-consistency",
             Invariant::DataLoss => "data-loss",
@@ -95,6 +105,8 @@ impl fmt::Display for Violation {
 }
 
 /// Audit every invariant and return all violations found (empty = healthy).
+/// Runs once per explored model-checker state, so a healthy cluster costs
+/// no allocation: the indices are compared in place, not materialised.
 pub fn audit(cluster: &CacheCluster) -> Vec<Violation> {
     let mut out = Vec::new();
     audit_directory(cluster, &mut out);
@@ -120,8 +132,35 @@ fn audit_losses(cluster: &CacheCluster, out: &mut Vec<Violation>) {
 
 /// Directory-side rules: each entry's holder sets against blade contents.
 fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
+    // Both maps are key-ordered: the heal queue is checked by walking it
+    // alongside the directory.
+    let mut queue = cluster.deficit.iter().peekable();
+    let stale = |key: PageKey, missing: usize| Violation {
+        invariant: Invariant::DeficitIndex,
+        key: Some(key),
+        blade: None,
+        detail: format!("heal queue lists {missing} missing replica(s) for a page the directory does not hold"),
+    };
     for (key, e) in cluster.directory.iter() {
         let key = *key;
+        while let Some((&k, &missing)) = queue.next_if(|(&k, _)| k < key) {
+            out.push(stale(k, missing));
+        }
+        let queued = queue.next_if(|(&k, _)| k == key).map_or(0, |(_, &missing)| missing);
+        // The specification: the scan `under_target_pages` used to be.
+        let missing = if e.owner.is_some() && e.protect > 1 + e.replicas.len() {
+            e.protect - 1 - e.replicas.len()
+        } else {
+            0
+        };
+        if queued != missing {
+            out.push(Violation {
+                invariant: Invariant::DeficitIndex,
+                key: Some(key),
+                blade: None,
+                detail: format!("heal queue says {queued} replica(s) missing, directory says {missing}"),
+            });
+        }
         if let Some(o) = e.owner {
             if e.sharers.contains(&o) {
                 out.push(Violation::page(
@@ -251,6 +290,7 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
             }
         }
     }
+    out.extend(queue.map(|(&k, &missing)| stale(k, missing)));
 }
 
 /// Blade-side rules: every resident page maps back to the directory role
@@ -287,15 +327,33 @@ fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
                 format!("lru tracks {} keys but {} pages resident", slot.lru.len(), slot.pages.len()),
             ));
         }
-        for key in slot.pages.keys() {
-            if !slot.lru.contains(key) {
-                out.push(Violation::page(
+        let mut held = 0;
+        for (key, meta) in &slot.pages {
+            // The specification: the filter `dirty_ratio` used to count by.
+            let expect = meta.residency.held();
+            held += usize::from(expect);
+            match slot.lru.is_held(key) {
+                None => out.push(Violation::page(
                     Invariant::LruAgreement,
                     *key,
                     b,
                     "resident page missing from recency list".into(),
-                ));
+                )),
+                Some(is) if is != expect => out.push(Violation::page(
+                    Invariant::HeldAgreement,
+                    *key,
+                    b,
+                    format!("resident as {:?} but {}", meta.residency, if is { "held" } else { "evictable" }),
+                )),
+                Some(_) => {}
             }
+        }
+        if slot.lru.held_len() != held {
+            out.push(Violation::blade(
+                Invariant::HeldAgreement,
+                b,
+                format!("held list counts {} keys but {held} pages are dirty or replicas", slot.lru.held_len()),
+            ));
         }
         if slot.pages.len() > slot.capacity_pages {
             out.push(Violation::blade(
@@ -353,6 +411,44 @@ mod tests {
         c.blades[replica].pages.get_mut(&key(5)).unwrap().version = 0;
         let violations = audit(&c);
         assert!(violations.iter().any(|v| v.invariant == Invariant::ReplicaIntegrity));
+    }
+
+    #[test]
+    fn a_transition_that_skips_its_margin_note_is_reported() {
+        let mut c = CacheCluster::new(4, 16);
+        let w = c.write(0, key(5), 2, Retention::Normal).unwrap();
+        c.skip_margin_notes = true;
+        // The replica's blade fails: the page is one replica short, and the
+        // sabotaged transition does not queue it for the healer.
+        c.fail_blade(w.replicas[0]);
+        assert!(c.under_target_pages().is_empty());
+        let violations = audit(&c);
+        assert!(
+            violations.iter().any(|v| v.invariant == Invariant::DeficitIndex && v.key == Some(key(5))),
+            "{violations:?}"
+        );
+        // The other direction: a queue entry that outlives its page.
+        c.destage(key(5)).unwrap();
+        c.skip_margin_notes = false;
+        c.deficit.insert(key(6), 1);
+        let violations = audit(&c);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].to_string().starts_with("[deficit-index]"), "{}", violations[0]);
+    }
+
+    #[test]
+    fn a_held_list_out_of_step_with_residency_is_reported() {
+        let mut c = CacheCluster::new(2, 4);
+        c.write(0, key(1), 1, Retention::Normal).unwrap();
+        c.fill(0, key(2), Retention::Normal).unwrap();
+        assert_eq!(audit(&c), vec![]);
+        // A dirty page back in an eviction band, a clean one held.
+        c.blades[0].lru.insert(key(1), Retention::Normal);
+        c.blades[0].lru.hold(key(2));
+        let violations = audit(&c);
+        let held: Vec<_> = violations.iter().filter(|v| v.invariant == Invariant::HeldAgreement).collect();
+        assert_eq!(held.len(), 2, "{violations:?}");
+        assert_eq!(violations.len(), 2, "the count still agrees: {violations:?}");
     }
 
     #[test]

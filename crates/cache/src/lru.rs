@@ -3,6 +3,10 @@
 //! The paper's file system can "override cache retention priorities" per
 //! file (§4), so the recency list is split into bands: eviction always
 //! drains the lowest band's tail before touching higher bands.
+//!
+//! Keys that must not be evicted for a reason other than their retention
+//! (a cache's dirty and replica pages) are *held*: they sit in one more,
+//! counted list outside the bands, so eviction never walks past them.
 
 use std::collections::HashMap; // lint: allow(unordered-iteration) — see `index` field
 use std::hash::Hash;
@@ -18,6 +22,8 @@ pub enum Retention {
 }
 
 const BANDS: usize = 4;
+/// Index of the held list in `LruList::bands`, after the retention bands.
+const HELD: usize = BANDS;
 
 #[derive(Clone, Debug)]
 struct Node<K> {
@@ -43,7 +49,8 @@ pub struct LruList<K: Eq + Hash + Clone> {
     /// Lookup-only: recency order lives in the slab links, and nothing ever
     /// iterates this map, so the hasher seed cannot leak into replay.
     index: HashMap<K, usize>, // lint: allow(unordered-iteration)
-    bands: [BandList; BANDS],
+    /// The retention bands, then the held list.
+    bands: [BandList; BANDS + 1],
 }
 
 impl<K: Eq + Hash + Clone> Default for LruList<K> {
@@ -58,7 +65,7 @@ impl<K: Eq + Hash + Clone> LruList<K> {
             slab: Vec::new(),
             free: Vec::new(),
             index: HashMap::new(), // lint: allow(unordered-iteration) — lookup-only, never iterated
-            bands: [BandList::default(); BANDS],
+            bands: [BandList::default(); BANDS + 1],
         }
     }
 
@@ -108,9 +115,29 @@ impl<K: Eq + Hash + Clone> LruList<K> {
         self.bands[band].len += 1;
     }
 
-    /// Insert (or touch) `key` at the front of `retention`'s band.
+    /// Insert (or touch) `key` at the front of `retention`'s band. A held
+    /// key is released into the band.
     pub fn insert(&mut self, key: K, retention: Retention) {
-        let band = retention as usize;
+        self.link(key, retention as usize);
+    }
+
+    /// Hold `key` (inserting it if absent): it leaves the recency bands and
+    /// is never auto-evicted until [`LruList::insert`] releases it.
+    pub(crate) fn hold(&mut self, key: K) {
+        self.link(key, HELD);
+    }
+
+    /// Number of held keys.
+    pub(crate) fn held_len(&self) -> usize {
+        self.bands[HELD].len
+    }
+
+    /// Whether `key` is held; `None` when it is not in the list at all.
+    pub(crate) fn is_held(&self, key: &K) -> Option<bool> {
+        self.index.get(key).map(|&idx| self.slab[idx].band == HELD)
+    }
+
+    fn link(&mut self, key: K, band: usize) {
         if let Some(&idx) = self.index.get(&key) {
             self.unlink(idx);
             self.link_front(idx, band);
@@ -130,7 +157,7 @@ impl<K: Eq + Hash + Clone> LruList<K> {
         self.link_front(idx, band);
     }
 
-    /// Touch an existing key (move to front of its current band).
+    /// Touch an existing key (move to front of its current list).
     pub fn touch(&mut self, key: &K) -> bool {
         match self.index.get(key).copied() {
             Some(idx) => {
@@ -156,10 +183,17 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     }
 
     /// Evict the least-recently-used key from the lowest non-empty,
-    /// non-pinned band, skipping keys `veto` rejects (e.g. dirty pages).
+    /// non-pinned band: O(1), since nothing un-evictable sits in a band.
+    pub(crate) fn evict(&mut self) -> Option<K> {
+        self.evict_where(|_| false)
+    }
+
+    /// Evict the least-recently-used key from the lowest non-empty,
+    /// non-pinned band, skipping keys `veto` rejects — for callers that
+    /// keep un-evictable keys in the bands, at one step per key skipped.
     pub fn evict_where<F: Fn(&K) -> bool>(&mut self, veto: F) -> Option<K> {
         for band in 0..BANDS - 1 {
-            // never auto-evict Pinned
+            // never auto-evict Pinned or held
             let mut cursor = self.bands[band].tail;
             while let Some(idx) = cursor {
                 if veto(&self.slab[idx].key) {
@@ -246,6 +280,28 @@ mod tests {
         // veto the LRU entry (1); eviction takes 2's... no wait: veto(1) → take 2.
         assert_eq!(l.evict_where(|&k| k == 1), Some(2));
         assert!(l.contains(&1));
+    }
+
+    #[test]
+    fn held_keys_leave_the_bands_and_return_at_the_front() {
+        let mut l: LruList<u32> = LruList::new();
+        l.insert(1, Retention::Normal);
+        l.insert(2, Retention::Normal);
+        l.insert(3, Retention::Normal);
+        l.hold(1);
+        l.hold(9);
+        assert_eq!((l.held_len(), l.len()), (2, 4));
+        assert_eq!((l.is_held(&1), l.is_held(&9), l.is_held(&2), l.is_held(&7)), (Some(true), Some(true), Some(false), None));
+        assert_eq!(l.band_keys(Retention::Normal), vec![3, 2], "held keys are in no band");
+        assert_eq!(l.evict(), Some(2));
+        // Released, the key is the most recent of its band.
+        l.insert(1, Retention::Normal);
+        assert_eq!((l.held_len(), l.band_keys(Retention::Normal)), (1, vec![1, 3]));
+        assert_eq!(l.evict(), Some(3));
+        assert_eq!(l.evict(), Some(1));
+        assert_eq!(l.evict(), None, "only the held key is left");
+        assert!(l.remove(&9));
+        assert_eq!(l.held_len(), 0);
     }
 
     #[test]

@@ -177,15 +177,14 @@ pub fn audit_redundancy(
     cluster: &BladeCluster,
     out: &mut Vec<OracleViolation>,
 ) {
-    let deficit = cluster.under_target_pages();
-    if !deficit.is_empty() {
+    let deficit = cluster.cache.under_target_iter().len();
+    if deficit > 0 {
         out.push(OracleViolation {
             rule: "redundancy-not-restored",
             step,
             site,
             detail: format!(
-                "{} page(s) under fault-tolerance target after convergence",
-                deficit.len()
+                "{deficit} page(s) under fault-tolerance target after convergence"
             ),
         });
     }

@@ -262,6 +262,11 @@ impl Model for CacheModel {
                 if include_lru {
                     // Recency order decides future evictions, so it is part
                     // of behavioral state whenever eviction is reachable.
+                    // The bands list the clean pages only. The held list
+                    // (dirty and replica pages) is not hashed: membership
+                    // is the `dirty`/`replica` bits above, and its order
+                    // cannot reach any future transition — a page leaves
+                    // it by removal or to the front of its band.
                     for band in
                         [Retention::Low, Retention::Normal, Retention::High, Retention::Pinned]
                     {

@@ -6,7 +6,7 @@
 use super::{refuse_rot, BladeCluster, ClusterError, Completion, PageIo, ReadMismatch};
 use crate::config::LoadBalance;
 use std::cmp::Reverse;
-use ys_cache::{CacheError, Health, PageKey, ReadOutcome, Retention};
+use ys_cache::{CacheError, PageKey, ReadOutcome, Retention};
 use ys_raid::IoPlan;
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simdisk::{DiskId, DiskOp, Verification};
@@ -229,7 +229,7 @@ impl BladeCluster {
         // Degraded-mode governor: refuse writes outright when no replica
         // protection is possible, instead of accepting data one more
         // failure would silently lose.
-        if self.cfg.health_governor && self.cache.health() == Health::ReadOnly {
+        if self.cfg.health_governor && self.cache.read_only() {
             self.stats.writes_refused_readonly += 1;
             self.cache.trace_mut().instant("heal", "write_refused", blade as u32, offset / pb, vol.0 as u64);
             return Err(ClusterError::ReadOnly);

@@ -2,8 +2,9 @@
 //!
 //! After a blade failure promotes replicas (or a drain drops them), pages
 //! sit *below their fault-tolerance target*: one more failure could lose
-//! an acknowledged write. The [`Healer`] scans the directory for that
-//! deficit and re-establishes N-way replicas over the blade fabric.
+//! an acknowledged write. The [`Healer`] reads that deficit from the
+//! cache's heal queue and re-establishes N-way replicas over the blade
+//! fabric.
 //!
 //! How the pass shares the machine with foreground I/O — Scavenger-class
 //! admission per batch, exponential backoff in virtual time after a shed
@@ -11,8 +12,8 @@
 //! meanwhile, freeing peer space and shrinking the deficit), a forced
 //! trickle under sustained load, a declared stall when no batch can make
 //! progress — is [`ys_core::governed`]'s policy, shared with `ys-scrub`.
-//! This module is only the unit of work: the worst-deficit pages, one
-//! `heal_page` each.
+//! This module is only the unit of work: the head of the queue (page-key
+//! order), one `heal_page` each.
 //!
 //! On convergence (no page under target) the healer promotes every
 //! `Rejoining` blade to full `Up` membership.
@@ -89,12 +90,13 @@ impl GovernedWork<BladeCluster> for Healer {
         cluster
     }
 
-    /// Every page under target, worst deficit first.
+    /// Every page under target, in page-key order.
     fn plan(&mut self, cluster: &BladeCluster) -> usize {
-        let work = cluster.under_target_pages();
+        let queue = cluster.cache.under_target_iter();
+        let remaining = queue.len();
         self.batch.clear();
-        self.batch.extend(work.iter().take(PAGES_PER_BATCH).map(|&(k, _)| k));
-        work.len()
+        self.batch.extend(queue.take(PAGES_PER_BATCH).map(|(key, _)| key));
+        remaining
     }
 
     fn execute(&mut self, cluster: &mut BladeCluster, pages: usize, start: SimTime) -> Result<SimTime, ClusterError> {
@@ -106,8 +108,8 @@ impl GovernedWork<BladeCluster> for Healer {
                     self.report.replicas_placed += 1;
                 }
                 // Transient: every candidate peer is down, draining, or
-                // saturated — or the page destaged/changed since the scan.
-                // The next scan re-derives the work list.
+                // saturated — or the page destaged/changed since the plan.
+                // The next plan reads the queue afresh.
                 Err(ClusterError::Cache(_)) => self.report.retries += 1,
                 Err(e) => return Err(e),
             }
@@ -132,7 +134,8 @@ impl Healer {
     }
 
     /// Run one batch: admit it under the configured tenant, then attempt up
-    /// to `PAGES_PER_BATCH` replica placements for the worst-deficit pages.
+    /// to `PAGES_PER_BATCH` replica placements for the pages at the head of
+    /// the queue.
     /// Returns the batch completion time (== `now` when shed or when there
     /// is no work).
     pub fn tick(&mut self, cluster: &mut BladeCluster, now: SimTime) -> Result<SimTime, ClusterError> {
@@ -151,7 +154,7 @@ impl Healer {
         let done = done?;
         // Every remaining page has no eligible peer at all: reported,
         // loudly, never dropped.
-        self.report.stalled_pages = cluster.under_target_pages().len() as u64;
+        self.report.stalled_pages = cluster.cache.under_target_iter().len() as u64;
         if self.report.stalled_pages == 0 {
             self.report.converged = true;
             for b in 0..cluster.cache.blade_count() {

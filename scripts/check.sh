@@ -92,6 +92,12 @@ cargo run -q -p ys-check --release -- --security --depth 7
 echo "==> ys-check --heal --depth 7 (exhaustive blade-lifecycle model)"
 cargo run -q -p ys-check --release -- --heal --depth 7
 
+# Capacity below the page count puts eviction in scope: a page is held
+# while dirty, released by destage and evicted, in every interleaving, with
+# the held list and the heal queue audited against their scans per state.
+echo "==> ys-check --blades 2 --pages 4 --capacity 2 --depth 5 (cache model with eviction reachable)"
+cargo run -q -p ys-check --release -- --blades 2 --pages 4 --capacity 2 --depth 5
+
 # Behaviour drift gate: regenerating the snapshot (simulation metrics and
 # transcript digests only) must reproduce BENCH_baseline.json exactly.
 echo "==> cargo xtask bench-snapshot --check (sim metrics vs BENCH_baseline.json)"
