@@ -225,6 +225,12 @@ pub struct CacheStats {
     pub replica_placements: u64,
     /// Replicas re-established by the healer ([`CacheCluster::add_replica`]).
     pub heal_placements: u64,
+    /// [`CacheCluster::audit_checkpoint`] calls answered by the full scan.
+    pub audits_full: u64,
+    /// Checkpoint calls answered from the change journal alone.
+    pub audits_incremental: u64,
+    /// Distinct journal pages those incremental checkpoints re-audited.
+    pub audit_keys_checked: u64,
     /// Indexed by blade id; sized by [`CacheCluster::new`].
     pub per_blade: Vec<BladeCacheStats>,
 }
@@ -305,16 +311,29 @@ pub struct CacheCluster {
     pub(crate) lost: std::collections::BTreeMap<PageKey, u64>,
     /// The heal queue: every page with an owner and fewer replicas than its
     /// protection target, with the missing count. Maintained by
-    /// [`CacheCluster::note_margin`] in each transition that changes a
+    /// [`CacheCluster::note_change`] in each transition that changes a
     /// page's owner, replicas or target; [`crate::invariants`] holds it
     /// equal to the directory scan it replaces.
     pub(crate) deficit: BTreeMap<PageKey, usize>,
-    /// Sabotage hook: transitions skip their margin note.
+    /// The change journal: every page [`CacheCluster::note_change`] saw
+    /// since the last clean [`CacheCluster::audit_checkpoint`], which is the
+    /// only thing that opens it. `None` is *closed* — the next checkpoint
+    /// audits everything: nobody has checkpointed yet, the last checkpoint
+    /// found a violation, a blade changed lifecycle state (every page's
+    /// verdict can move at once), or more than [`JOURNAL_CAPACITY`] notes
+    /// arrived. Bookkeeping, not behaviour: no transition reads it.
+    pub(crate) journal: Option<Vec<PageKey>>,
+    /// Sabotage hook: transitions skip their change note.
     #[cfg(test)]
-    pub(crate) skip_margin_notes: bool,
+    pub(crate) skip_change_notes: bool,
     stats: CacheStats,
     trace: SpanRecorder,
 }
+
+/// Notes the change journal takes before it closes (a checkpoint after that
+/// many changes is a full scan's worth of work anyway). Fixed, so an open
+/// journal never grows a `CacheCluster` clone past this many keys.
+const JOURNAL_CAPACITY: usize = 256;
 
 impl CacheCluster {
     pub fn new(blade_count: usize, capacity_pages_per_blade: usize) -> CacheCluster {
@@ -331,8 +350,9 @@ impl CacheCluster {
             directory: Directory::new(blade_count),
             lost: std::collections::BTreeMap::new(),
             deficit: BTreeMap::new(),
+            journal: None,
             #[cfg(test)]
-            skip_margin_notes: false,
+            skip_change_notes: false,
             stats: CacheStats {
                 per_blade: vec![BladeCacheStats::default(); blade_count],
                 ..CacheStats::default()
@@ -428,16 +448,24 @@ impl CacheCluster {
         if !e.is_cached_anywhere() && e.replicas.is_empty() {
             self.directory.remove(&key);
         }
-        self.note_margin(key);
+        self.note_change(key);
     }
 
-    /// Re-derive `key`'s entry in the deficit index from its directory
-    /// entry. Every transition that changes a page's owner, replica set or
-    /// protection target ends with this.
-    fn note_margin(&mut self, key: PageKey) {
+    /// Every transition that changes a page's directory entry or where it
+    /// is resident ends with this: the page goes in the change journal (if
+    /// one is open), and its heal-queue entry is re-derived from its
+    /// directory entry.
+    fn note_change(&mut self, key: PageKey) {
         #[cfg(test)]
-        if self.skip_margin_notes {
+        if self.skip_change_notes {
             return;
+        }
+        if let Some(journal) = &mut self.journal {
+            if journal.len() < JOURNAL_CAPACITY {
+                journal.push(key);
+            } else {
+                self.journal = None;
+            }
         }
         let missing = match self.directory.get(&key) {
             Some(e) if e.owner.is_some() => e.protect.saturating_sub(1 + e.replicas.len()),
@@ -448,6 +476,14 @@ impl CacheCluster {
         } else {
             self.deficit.remove(&key);
         }
+    }
+
+    /// Close the change journal: the next checkpoint audits everything.
+    /// Every blade lifecycle transition does, because a blade's state is an
+    /// input to every page's verdict (who may hold a copy, which references
+    /// dangle) and no per-page note can stand for that.
+    fn close_journal(&mut self) {
+        self.journal = None;
     }
 
     /// Probe for a read at `blade`. Does not fill on miss — the caller
@@ -530,6 +566,7 @@ impl CacheCluster {
         if e.owner != Some(blade) && !e.sharers.contains(&blade) {
             e.sharers.push(blade);
         }
+        self.note_change(key);
         Ok(evicted)
     }
 
@@ -624,7 +661,7 @@ impl CacheCluster {
             }
         }
         self.directory.entry(key).replicas = replicas.clone();
-        self.note_margin(key);
+        self.note_change(key);
         Ok(WriteOutcome { invalidated: holders, replicas, version })
     }
 
@@ -652,7 +689,7 @@ impl CacheCluster {
         if !e.sharers.contains(&owner) {
             e.sharers.push(owner);
         }
-        self.note_margin(key);
+        self.note_change(key);
         self.stats.destages += 1;
         self.trace.instant("cache", "destage", owner as u32, key.page, key.volume as u64);
         Ok(())
@@ -677,7 +714,7 @@ impl CacheCluster {
             self.blades[b].lru.remove(&key);
         }
         self.directory.remove(&key);
-        self.note_margin(key);
+        self.note_change(key);
     }
 
     /// Fraction of the pooled cache holding un-destaged state: dirty
@@ -713,6 +750,7 @@ impl CacheCluster {
         if self.blades[blade].state == BladeState::Down {
             return report;
         }
+        self.close_journal();
         self.blades[blade].state = BladeState::Down;
         let held: Vec<(PageKey, PageMeta)> =
             std::mem::take(&mut self.blades[blade].pages).into_iter().collect();
@@ -764,13 +802,14 @@ impl CacheCluster {
                     }
                 }
             }
-            self.note_margin(key);
+            self.note_change(key);
         }
         report
     }
 
     /// Bring a failed blade back, empty.
     pub fn repair_blade(&mut self, blade: usize) {
+        self.close_journal();
         self.blades[blade].state = BladeState::Up;
     }
 
@@ -782,6 +821,7 @@ impl CacheCluster {
         match self.blades.get_mut(blade) {
             Some(slot) if slot.state == BladeState::Down => {
                 slot.state = BladeState::Rejoining;
+                self.close_journal();
                 self.trace.instant("cache", "revive", blade as u32, 0, 0);
                 Ok(())
             }
@@ -797,6 +837,7 @@ impl CacheCluster {
         match self.blades.get_mut(blade) {
             Some(slot) if slot.state == BladeState::Rejoining => {
                 slot.state = BladeState::Up;
+                self.close_journal();
                 self.trace.instant("cache", "rejoin_done", blade as u32, 0, 0);
                 true
             }
@@ -809,6 +850,7 @@ impl CacheCluster {
     /// placement, and starts taking fills and replicas immediately.
     /// Returns the new blade's id.
     pub fn add_blade(&mut self, capacity_pages: usize) -> usize {
+        self.close_journal();
         self.blades.push(BladeSlot {
             capacity_pages,
             lru: LruList::new(),
@@ -835,6 +877,7 @@ impl CacheCluster {
         if self.blades[blade].state == BladeState::Down {
             return Err(CacheError::BladeDown(blade));
         }
+        self.close_journal();
         self.blades[blade].state = BladeState::Draining;
         let mut report = DrainReport::default();
         let keys: Vec<PageKey> = self.blades[blade].pages.keys().copied().collect();
@@ -921,7 +964,7 @@ impl CacheCluster {
                     }
                     self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
-                    self.note_margin(key);
+                    self.note_change(key);
                 }
                 Residency::Cached { dirty: false, .. } => {
                     self.blades[blade].pages.remove(&key);
@@ -933,7 +976,7 @@ impl CacheCluster {
                     self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
                     self.directory.entry(key).replicas.retain(|&r| r != blade);
-                    self.note_margin(key);
+                    self.note_change(key);
                     // Re-place elsewhere when possible; otherwise the owner
                     // still holds the dirty data and the healer catches up.
                     match self.add_replica(key) {
@@ -1002,7 +1045,7 @@ impl CacheCluster {
             );
             self.blades[target].lru.hold(key);
             self.directory.entry(key).replicas.push(target);
-            self.note_margin(key);
+            self.note_change(key);
             self.stats.replica_placements += 1;
             self.stats.heal_placements += 1;
             self.stats.per_blade[target].replicas_hosted += 1;
@@ -1074,6 +1117,7 @@ impl CacheCluster {
     /// Clears the tombstone so the page becomes cacheable again; returns
     /// the lost version if one was outstanding.
     pub fn acknowledge_loss(&mut self, key: PageKey) -> Option<u64> {
+        self.close_journal();
         self.lost.remove(&key)
     }
 
@@ -1120,6 +1164,39 @@ impl CacheCluster {
     /// [`crate::invariants`] for the rule catalogue.
     pub fn audit_invariants(&self) -> Vec<crate::invariants::Violation> {
         crate::invariants::audit(self)
+    }
+
+    /// [`CacheCluster::audit_invariants`] for a caller that asks after every
+    /// step: the same verdict, and the same violations in the same order,
+    /// for the price of what changed since the last clean answer.
+    ///
+    /// A clean answer opens the change journal. While it is open the next
+    /// call re-audits only the journalled pages and the per-blade totals
+    /// (see [`crate::invariants::audit_touched`]); if that is clean, so is
+    /// the full scan, and the journal restarts empty. A closed journal or
+    /// any finding at all falls back to the full scan, which stays the
+    /// specification and the only reporter; a violation leaves the journal
+    /// closed. Debug builds assert "incremental clean ⇒ full clean" on
+    /// every call.
+    pub fn audit_checkpoint(&mut self) -> Vec<crate::invariants::Violation> {
+        if let Some(mut journal) = self.journal.take() {
+            journal.sort_unstable();
+            journal.dedup();
+            if crate::invariants::audit_touched(self, &journal).is_empty() {
+                debug_assert_eq!(self.audit_invariants(), vec![], "checkpoint audit of {journal:?} missed these");
+                self.stats.audits_incremental += 1;
+                self.stats.audit_keys_checked += journal.len() as u64;
+                journal.clear();
+                self.journal = Some(journal);
+                return Vec::new();
+            }
+        }
+        self.stats.audits_full += 1;
+        let violations = self.audit_invariants();
+        if violations.is_empty() {
+            self.journal = Some(Vec::with_capacity(JOURNAL_CAPACITY));
+        }
+        violations
     }
 
     /// Verify the coherence invariants; returns a description of the first

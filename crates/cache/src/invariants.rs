@@ -5,9 +5,18 @@
 //! report *which* protocol obligation broke and *where*. The rules encode
 //! the paper's claims: a single coherent pooled cache (§2.2), and dirty
 //! data that survives any N−1 blade failures when written N-way (§6.1).
+//!
+//! Each rule has one body, reached two ways. [`audit`] — the full scan —
+//! walks every directory entry, every resident page and every blade; it is
+//! the specification and the only reporter. [`audit_touched`] runs the same
+//! bodies over just the pages a cluster's change journal names, plus the
+//! O(blades) structural rules: what [`CacheCluster::audit_checkpoint`] asks
+//! first, so a caller that audits after every step pays for what changed.
+//! Anything it finds — or a journal that is closed — sends the checkpoint
+//! back to the full scan, whose answer is returned verbatim.
 
-use crate::cluster::{BladeState, CacheCluster, Residency};
-use crate::directory::PageKey;
+use crate::cluster::{BladeSlot, BladeState, CacheCluster, PageMeta, Residency};
+use crate::directory::{DirEntry, PageKey};
 use std::fmt;
 
 /// The individual protocol obligations audited by [`audit`].
@@ -130,167 +139,177 @@ fn audit_losses(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     }
 }
 
+/// A heal-queue entry for a page the directory does not hold.
+fn stale_queue_entry(key: PageKey, missing: usize) -> Violation {
+    Violation {
+        invariant: Invariant::DeficitIndex,
+        key: Some(key),
+        blade: None,
+        detail: format!("heal queue lists {missing} missing replica(s) for a page the directory does not hold"),
+    }
+}
+
 /// Directory-side rules: each entry's holder sets against blade contents.
 fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     // Both maps are key-ordered: the heal queue is checked by walking it
     // alongside the directory.
     let mut queue = cluster.deficit.iter().peekable();
-    let stale = |key: PageKey, missing: usize| Violation {
-        invariant: Invariant::DeficitIndex,
-        key: Some(key),
-        blade: None,
-        detail: format!("heal queue lists {missing} missing replica(s) for a page the directory does not hold"),
-    };
     for (key, e) in cluster.directory.iter() {
         let key = *key;
         while let Some((&k, &missing)) = queue.next_if(|(&k, _)| k < key) {
-            out.push(stale(k, missing));
+            out.push(stale_queue_entry(k, missing));
         }
         let queued = queue.next_if(|(&k, _)| k == key).map_or(0, |(_, &missing)| missing);
-        // The specification: the scan `under_target_pages` used to be.
-        let missing = if e.owner.is_some() && e.protect > 1 + e.replicas.len() {
-            e.protect - 1 - e.replicas.len()
-        } else {
-            0
-        };
-        if queued != missing {
-            out.push(Violation {
-                invariant: Invariant::DeficitIndex,
-                key: Some(key),
-                blade: None,
-                detail: format!("heal queue says {queued} replica(s) missing, directory says {missing}"),
-            });
-        }
-        if let Some(o) = e.owner {
-            if e.sharers.contains(&o) {
-                out.push(Violation::page(
-                    Invariant::HolderSetsDisjoint,
-                    key,
-                    o,
-                    "owner also listed as sharer".into(),
-                ));
-            }
-            if e.replicas.contains(&o) {
-                out.push(Violation::page(
-                    Invariant::HolderSetsDisjoint,
-                    key,
-                    o,
-                    "owner also listed as replica".into(),
-                ));
-            }
-        }
-        for &s in &e.sharers {
-            if e.replicas.contains(&s) {
-                out.push(Violation::page(
-                    Invariant::HolderSetsDisjoint,
-                    key,
-                    s,
-                    "sharer also listed as replica".into(),
-                ));
-            }
-        }
+        audit_entry(cluster, key, e, queued, out);
+    }
+    out.extend(queue.map(|(&k, &missing)| stale_queue_entry(k, missing)));
+}
 
-        if let Some(o) = e.owner {
-            match cluster.blades.get(o).and_then(|b| b.pages.get(&key)) {
-                Some(m) if matches!(m.residency, Residency::Cached { dirty: true, .. }) => {
-                    if m.version != e.version {
-                        out.push(Violation::page(
-                            Invariant::OwnerDirtyCopy,
-                            key,
-                            o,
-                            format!("owner copy at v{} but directory at v{}", m.version, e.version),
-                        ));
-                    }
-                }
-                Some(_) => out.push(Violation::page(
-                    Invariant::OwnerDirtyCopy,
-                    key,
-                    o,
-                    "owner's resident copy is not dirty".into(),
-                )),
-                None => out.push(Violation::page(
-                    Invariant::OwnerDirtyCopy,
-                    key,
-                    o,
-                    "directory owner holds no copy".into(),
-                )),
-            }
+/// One directory entry: its heal-queue count (`queued`, 0 when absent)
+/// against its margin, and its holder sets against the blades' contents.
+fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize, out: &mut Vec<Violation>) {
+    // The specification: the scan `under_target_pages` used to be.
+    let missing = if e.owner.is_some() && e.protect > 1 + e.replicas.len() {
+        e.protect - 1 - e.replicas.len()
+    } else {
+        0
+    };
+    if queued != missing {
+        out.push(Violation {
+            invariant: Invariant::DeficitIndex,
+            key: Some(key),
+            blade: None,
+            detail: format!("heal queue says {queued} replica(s) missing, directory says {missing}"),
+        });
+    }
+    if let Some(o) = e.owner {
+        if e.sharers.contains(&o) {
+            out.push(Violation::page(
+                Invariant::HolderSetsDisjoint,
+                key,
+                o,
+                "owner also listed as sharer".into(),
+            ));
         }
-
-        for &s in &e.sharers {
-            match cluster.blades.get(s).and_then(|b| b.pages.get(&key)) {
-                Some(m) if matches!(m.residency, Residency::Cached { dirty: false, .. }) => {
-                    if m.version != e.version {
-                        out.push(Violation::page(
-                            Invariant::SharerCleanCopy,
-                            key,
-                            s,
-                            format!("sharer copy at v{} but directory at v{}", m.version, e.version),
-                        ));
-                    }
-                }
-                Some(_) => out.push(Violation::page(
-                    Invariant::SharerCleanCopy,
-                    key,
-                    s,
-                    "sharer's resident copy is not clean".into(),
-                )),
-                None => out.push(Violation::page(
-                    Invariant::SharerCleanCopy,
-                    key,
-                    s,
-                    "directory sharer holds no copy".into(),
-                )),
-            }
-        }
-
-        if !e.replicas.is_empty() && e.owner.is_none() {
-            out.push(Violation {
-                invariant: Invariant::ReplicaIntegrity,
-                key: Some(key),
-                blade: None,
-                detail: "pinned replicas exist with no owner to protect".into(),
-            });
-        }
-        for &r in &e.replicas {
-            match cluster.blades.get(r).and_then(|b| b.pages.get(&key)) {
-                Some(m) if matches!(m.residency, Residency::Replica) => {
-                    if m.version != e.version {
-                        out.push(Violation::page(
-                            Invariant::ReplicaIntegrity,
-                            key,
-                            r,
-                            format!("replica at v{} but directory at v{}", m.version, e.version),
-                        ));
-                    }
-                }
-                Some(_) => out.push(Violation::page(
-                    Invariant::ReplicaIntegrity,
-                    key,
-                    r,
-                    "replica blade's copy is not a pinned replica".into(),
-                )),
-                None => out.push(Violation::page(
-                    Invariant::ReplicaIntegrity,
-                    key,
-                    r,
-                    "directory replica blade holds no copy".into(),
-                )),
-            }
-        }
-
-        for &b in e.owner.iter().chain(&e.sharers).chain(&e.replicas) {
-            if !cluster.blade_up(b) {
-                out.push(Violation::page(
-                    Invariant::DownBladeConsistency,
-                    key,
-                    b,
-                    "directory references a down blade".into(),
-                ));
-            }
+        if e.replicas.contains(&o) {
+            out.push(Violation::page(
+                Invariant::HolderSetsDisjoint,
+                key,
+                o,
+                "owner also listed as replica".into(),
+            ));
         }
     }
-    out.extend(queue.map(|(&k, &missing)| stale(k, missing)));
+    for &s in &e.sharers {
+        if e.replicas.contains(&s) {
+            out.push(Violation::page(
+                Invariant::HolderSetsDisjoint,
+                key,
+                s,
+                "sharer also listed as replica".into(),
+            ));
+        }
+    }
+
+    if let Some(o) = e.owner {
+        match cluster.blades.get(o).and_then(|b| b.pages.get(&key)) {
+            Some(m) if matches!(m.residency, Residency::Cached { dirty: true, .. }) => {
+                if m.version != e.version {
+                    out.push(Violation::page(
+                        Invariant::OwnerDirtyCopy,
+                        key,
+                        o,
+                        format!("owner copy at v{} but directory at v{}", m.version, e.version),
+                    ));
+                }
+            }
+            Some(_) => out.push(Violation::page(
+                Invariant::OwnerDirtyCopy,
+                key,
+                o,
+                "owner's resident copy is not dirty".into(),
+            )),
+            None => out.push(Violation::page(
+                Invariant::OwnerDirtyCopy,
+                key,
+                o,
+                "directory owner holds no copy".into(),
+            )),
+        }
+    }
+
+    for &s in &e.sharers {
+        match cluster.blades.get(s).and_then(|b| b.pages.get(&key)) {
+            Some(m) if matches!(m.residency, Residency::Cached { dirty: false, .. }) => {
+                if m.version != e.version {
+                    out.push(Violation::page(
+                        Invariant::SharerCleanCopy,
+                        key,
+                        s,
+                        format!("sharer copy at v{} but directory at v{}", m.version, e.version),
+                    ));
+                }
+            }
+            Some(_) => out.push(Violation::page(
+                Invariant::SharerCleanCopy,
+                key,
+                s,
+                "sharer's resident copy is not clean".into(),
+            )),
+            None => out.push(Violation::page(
+                Invariant::SharerCleanCopy,
+                key,
+                s,
+                "directory sharer holds no copy".into(),
+            )),
+        }
+    }
+
+    if !e.replicas.is_empty() && e.owner.is_none() {
+        out.push(Violation {
+            invariant: Invariant::ReplicaIntegrity,
+            key: Some(key),
+            blade: None,
+            detail: "pinned replicas exist with no owner to protect".into(),
+        });
+    }
+    for &r in &e.replicas {
+        match cluster.blades.get(r).and_then(|b| b.pages.get(&key)) {
+            Some(m) if matches!(m.residency, Residency::Replica) => {
+                if m.version != e.version {
+                    out.push(Violation::page(
+                        Invariant::ReplicaIntegrity,
+                        key,
+                        r,
+                        format!("replica at v{} but directory at v{}", m.version, e.version),
+                    ));
+                }
+            }
+            Some(_) => out.push(Violation::page(
+                Invariant::ReplicaIntegrity,
+                key,
+                r,
+                "replica blade's copy is not a pinned replica".into(),
+            )),
+            None => out.push(Violation::page(
+                Invariant::ReplicaIntegrity,
+                key,
+                r,
+                "directory replica blade holds no copy".into(),
+            )),
+        }
+    }
+
+    for &b in e.owner.iter().chain(&e.sharers).chain(&e.replicas) {
+        if !cluster.blade_up(b) {
+            out.push(Violation::page(
+                Invariant::DownBladeConsistency,
+                key,
+                b,
+                "directory references a down blade".into(),
+            ));
+        }
+    }
 }
 
 /// Blade-side rules: every resident page maps back to the directory role
@@ -298,78 +317,134 @@ fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
 fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
         for (key, meta) in &slot.pages {
-            let entry = cluster.directory.get(key);
-            let role_ok = match (meta.residency, entry) {
-                (Residency::Cached { dirty: true, .. }, Some(e)) => e.owner == Some(b),
-                (Residency::Cached { dirty: false, .. }, Some(e)) => e.sharers.contains(&b),
-                (Residency::Replica, Some(e)) => e.replicas.contains(&b),
-                (_, None) => false,
-            };
-            if !role_ok {
-                out.push(Violation::page(
-                    Invariant::ResidencyBacklink,
-                    *key,
-                    b,
-                    format!("resident as {:?} but directory disagrees", meta.residency),
-                ));
-            }
+            audit_resident(cluster, b, *key, meta, out);
         }
+    }
+}
+
+/// One resident page against the directory role that justifies it.
+fn audit_resident(cluster: &CacheCluster, b: usize, key: PageKey, meta: &PageMeta, out: &mut Vec<Violation>) {
+    let role_ok = match (meta.residency, cluster.directory.get(&key)) {
+        (Residency::Cached { dirty: true, .. }, Some(e)) => e.owner == Some(b),
+        (Residency::Cached { dirty: false, .. }, Some(e)) => e.sharers.contains(&b),
+        (Residency::Replica, Some(e)) => e.replicas.contains(&b),
+        (_, None) => false,
+    };
+    if !role_ok {
+        out.push(Violation::page(
+            Invariant::ResidencyBacklink,
+            key,
+            b,
+            format!("resident as {:?} but directory disagrees", meta.residency),
+        ));
     }
 }
 
 /// Per-blade structural rules: LRU bookkeeping, capacity, down-blade state.
 fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        if slot.lru.len() != slot.pages.len() {
-            out.push(Violation::blade(
-                Invariant::LruAgreement,
-                b,
-                format!("lru tracks {} keys but {} pages resident", slot.lru.len(), slot.pages.len()),
-            ));
-        }
+        audit_recency_len(slot, b, out);
         let mut held = 0;
         for (key, meta) in &slot.pages {
-            // The specification: the filter `dirty_ratio` used to count by.
-            let expect = meta.residency.held();
-            held += usize::from(expect);
-            match slot.lru.is_held(key) {
-                None => out.push(Violation::page(
-                    Invariant::LruAgreement,
-                    *key,
-                    b,
-                    "resident page missing from recency list".into(),
-                )),
-                Some(is) if is != expect => out.push(Violation::page(
-                    Invariant::HeldAgreement,
-                    *key,
-                    b,
-                    format!("resident as {:?} but {}", meta.residency, if is { "held" } else { "evictable" }),
-                )),
-                Some(_) => {}
+            held += usize::from(audit_recency(slot, b, *key, meta, out));
+        }
+        audit_blade_totals(slot, b, held, out);
+    }
+}
+
+/// A blade's recency list tracks as many keys as it has resident pages.
+fn audit_recency_len(slot: &BladeSlot, b: usize, out: &mut Vec<Violation>) {
+    if slot.lru.len() != slot.pages.len() {
+        out.push(Violation::blade(
+            Invariant::LruAgreement,
+            b,
+            format!("lru tracks {} keys but {} pages resident", slot.lru.len(), slot.pages.len()),
+        ));
+    }
+}
+
+/// One resident page against the blade's recency list: tracked, and held
+/// exactly when its residency says so. Returns whether it should be held.
+fn audit_recency(slot: &BladeSlot, b: usize, key: PageKey, meta: &PageMeta, out: &mut Vec<Violation>) -> bool {
+    // The specification: the filter `dirty_ratio` used to count by.
+    let expect = meta.residency.held();
+    match slot.lru.is_held(&key) {
+        None => out.push(Violation::page(
+            Invariant::LruAgreement,
+            key,
+            b,
+            "resident page missing from recency list".into(),
+        )),
+        Some(is) if is != expect => out.push(Violation::page(
+            Invariant::HeldAgreement,
+            key,
+            b,
+            format!("resident as {:?} but {}", meta.residency, if is { "held" } else { "evictable" }),
+        )),
+        Some(_) => {}
+    }
+    expect
+}
+
+/// A blade's totals: `held` (its dirty and replica pages, however counted)
+/// against the held list's length, occupancy against capacity, and nothing
+/// resident on a down blade.
+fn audit_blade_totals(slot: &BladeSlot, b: usize, held: usize, out: &mut Vec<Violation>) {
+    if slot.lru.held_len() != held {
+        out.push(Violation::blade(
+            Invariant::HeldAgreement,
+            b,
+            format!("held list counts {} keys but {held} pages are dirty or replicas", slot.lru.held_len()),
+        ));
+    }
+    if slot.pages.len() > slot.capacity_pages {
+        out.push(Violation::blade(
+            Invariant::Capacity,
+            b,
+            format!("{} pages resident, capacity {}", slot.pages.len(), slot.capacity_pages),
+        ));
+    }
+    if slot.state == BladeState::Down && !slot.pages.is_empty() {
+        out.push(Violation::blade(
+            Invariant::DownBladeConsistency,
+            b,
+            format!("down blade still holds {} pages", slot.pages.len()),
+        ));
+    }
+}
+
+/// The checkpoint's first pass: every rule [`audit`] applies, restricted to
+/// the pages in `touched` (sorted, de-duplicated) and the per-blade totals.
+/// Clean here means clean under [`audit`] *provided* `touched` names every
+/// page whose directory entry, heal-queue entry, residency or recency
+/// membership changed since a state [`audit`] found clean, and no blade
+/// changed lifecycle state since — the change journal's contract. The
+/// violations themselves are not for reporting: order and multiplicity
+/// differ from the full scan's, which is why the checkpoint falls back to it.
+pub(crate) fn audit_touched(cluster: &CacheCluster, touched: &[PageKey]) -> Vec<Violation> {
+    let mut out = Vec::new();
+    for &key in touched {
+        let queued = cluster.deficit.get(&key).copied();
+        match cluster.directory.get(&key) {
+            Some(e) => audit_entry(cluster, key, e, queued.unwrap_or(0), &mut out),
+            None => out.extend(queued.map(|missing| stale_queue_entry(key, missing))),
+        }
+        for (b, slot) in cluster.blades.iter().enumerate() {
+            if let Some(meta) = slot.pages.get(&key) {
+                audit_resident(cluster, b, key, meta, &mut out);
+                audit_recency(slot, b, key, meta, &mut out);
             }
         }
-        if slot.lru.held_len() != held {
-            out.push(Violation::blade(
-                Invariant::HeldAgreement,
-                b,
-                format!("held list counts {} keys but {held} pages are dirty or replicas", slot.lru.held_len()),
-            ));
-        }
-        if slot.pages.len() > slot.capacity_pages {
-            out.push(Violation::blade(
-                Invariant::Capacity,
-                b,
-                format!("{} pages resident, capacity {}", slot.pages.len(), slot.capacity_pages),
-            ));
-        }
-        if slot.state == BladeState::Down && !slot.pages.is_empty() {
-            out.push(Violation::blade(
-                Invariant::DownBladeConsistency,
-                b,
-                format!("down blade still holds {} pages", slot.pages.len()),
-            ));
-        }
     }
+    for (b, slot) in cluster.blades.iter().enumerate() {
+        audit_recency_len(slot, b, &mut out);
+        // Counted from the list's side: a held key that is not a resident
+        // dirty or replica page leaves the count short, touched or not.
+        let held = slot.lru.held_iter().filter(|&key| slot.pages.get(key).is_some_and(|m| m.residency.held())).count();
+        audit_blade_totals(slot, b, held, &mut out);
+    }
+    audit_losses(cluster, &mut out);
+    out
 }
 
 #[cfg(test)]
@@ -417,7 +492,7 @@ mod tests {
     fn a_transition_that_skips_its_margin_note_is_reported() {
         let mut c = CacheCluster::new(4, 16);
         let w = c.write(0, key(5), 2, Retention::Normal).unwrap();
-        c.skip_margin_notes = true;
+        c.skip_change_notes = true;
         // The replica's blade fails: the page is one replica short, and the
         // sabotaged transition does not queue it for the healer.
         c.fail_blade(w.replicas[0]);
@@ -429,11 +504,89 @@ mod tests {
         );
         // The other direction: a queue entry that outlives its page.
         c.destage(key(5)).unwrap();
-        c.skip_margin_notes = false;
+        c.skip_change_notes = false;
         c.deficit.insert(key(6), 1);
         let violations = audit(&c);
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].to_string().starts_with("[deficit-index]"), "{}", violations[0]);
+    }
+
+    /// The differential's teeth: the checkpoint sees a page only through
+    /// its change note. Without the sabotage the checkpoint reports a later
+    /// bug on the page exactly as the full scan does; with `install_shared`'s
+    /// note skipped the same bug escapes the incremental pass — which is
+    /// what `tests/indices.rs` catches, by name, as an unjournalled change.
+    #[test]
+    fn a_transition_that_skips_its_change_note_hides_the_page_from_the_checkpoint() {
+        for skip in [false, true] {
+            let mut c = CacheCluster::new(4, 16);
+            assert_eq!(c.audit_checkpoint(), vec![]);
+            c.skip_change_notes = skip;
+            c.fill(1, key(3), Retention::Normal).unwrap();
+            c.skip_change_notes = false;
+            let journal = c.journal.clone().expect("a clean checkpoint opens the journal");
+            assert_eq!(journal.contains(&key(3)), !skip);
+            // A protocol bug on that page, later.
+            c.blades[1].pages.get_mut(&key(3)).unwrap().version = 9;
+            let full = audit(&c);
+            assert!(full.iter().any(|v| v.invariant == Invariant::SharerCleanCopy), "{full:?}");
+            assert_eq!(audit_touched(&c, &journal).is_empty(), skip, "skip = {skip}");
+            if !skip {
+                assert_eq!(c.audit_checkpoint(), full);
+                assert_eq!(c.journal, None, "a violation leaves the journal closed");
+            }
+        }
+    }
+
+    /// The same escape seen from outside: debug builds run the differential
+    /// inside every checkpoint.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "checkpoint audit of [] missed these")]
+    fn debug_checkpoints_assert_incremental_clean_implies_full_clean() {
+        let mut c = CacheCluster::new(2, 16);
+        c.write(0, key(5), 3, Retention::Normal).unwrap();
+        assert_eq!(c.under_target_pages(), vec![(key(5), 1)]);
+        assert_eq!(c.audit_checkpoint(), vec![]);
+        c.skip_change_notes = true;
+        // Neither journalled nor dequeued: the heal queue keeps a clean page.
+        c.destage(key(5)).unwrap();
+        c.audit_checkpoint();
+    }
+
+    #[test]
+    fn checkpoints_fall_back_to_the_full_scan_and_report_it_verbatim() {
+        let mut c = CacheCluster::new(4, 16);
+        let count = |c: &CacheCluster| (c.stats().audits_full, c.stats().audits_incremental, c.stats().audit_keys_checked);
+        // Nobody has checkpointed: closed, so the first answer is a full scan.
+        c.write(0, key(1), 2, Retention::Normal).unwrap();
+        assert_eq!(c.journal, None);
+        assert_eq!(c.audit_checkpoint(), vec![]);
+        assert_eq!(count(&c), (1, 0, 0));
+        // Open: two transitions on one page are one page to re-audit.
+        c.write(0, key(1), 2, Retention::Normal).unwrap();
+        c.destage(key(1)).unwrap();
+        c.fill(2, key(7), Retention::Normal).unwrap();
+        assert_eq!(c.audit_checkpoint(), vec![]);
+        assert_eq!(count(&c), (1, 1, 2));
+        // A lifecycle transition closes it; so does acknowledging a loss.
+        c.write(0, key(2), 1, Retention::Normal).unwrap();
+        c.fail_blade(0);
+        assert_eq!(c.journal, None);
+        let reported = c.audit_checkpoint();
+        assert_eq!(reported, audit(&c));
+        assert!(reported.iter().any(|v| v.invariant == Invariant::DataLoss), "{reported:?}");
+        assert_eq!(c.journal, None, "the previous checkpoint was not clean");
+        c.acknowledge_loss(key(2));
+        assert_eq!(c.audit_checkpoint(), vec![]);
+        assert_eq!(count(&c), (3, 1, 2));
+        // More notes than the journal holds: closed, not grown.
+        for p in 0..300 {
+            c.write(1, key(100 + p % 8), 1, Retention::Normal).unwrap();
+        }
+        assert_eq!(c.journal, None);
+        assert_eq!(c.audit_checkpoint(), vec![]);
+        assert_eq!(count(&c), (4, 1, 2));
     }
 
     #[test]
@@ -449,6 +602,9 @@ mod tests {
         let held: Vec<_> = violations.iter().filter(|v| v.invariant == Invariant::HeldAgreement).collect();
         assert_eq!(held.len(), 2, "{violations:?}");
         assert_eq!(violations.len(), 2, "the count still agrees: {violations:?}");
+        // The checkpoint's held-list walk finds the clean page without a note.
+        let walked = audit_touched(&c, &[]);
+        assert!(walked.iter().any(|v| v.invariant == Invariant::HeldAgreement && v.blade == Some(0)), "{walked:?}");
     }
 
     #[test]

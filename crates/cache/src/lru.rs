@@ -220,10 +220,17 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     /// checker's canonical hash) walk recency order once per explored
     /// transition and must not pay a `Vec` per walk.
     pub fn band_iter(&self, retention: Retention) -> impl Iterator<Item = &K> + '_ {
-        std::iter::successors(self.bands[retention as usize].head, move |&idx| {
-            self.slab[idx].next
-        })
-        .map(move |idx| &self.slab[idx].key)
+        self.list_iter(retention as usize)
+    }
+
+    /// The held keys, most recently held first.
+    pub(crate) fn held_iter(&self) -> impl Iterator<Item = &K> + '_ {
+        self.list_iter(HELD)
+    }
+
+    fn list_iter(&self, band: usize) -> impl Iterator<Item = &K> + '_ {
+        std::iter::successors(self.bands[band].head, move |&idx| self.slab[idx].next)
+            .map(move |idx| &self.slab[idx].key)
     }
 }
 
@@ -291,6 +298,7 @@ mod tests {
         l.hold(1);
         l.hold(9);
         assert_eq!((l.held_len(), l.len()), (2, 4));
+        assert_eq!(l.held_iter().collect::<Vec<_>>(), vec![&9, &1]);
         assert_eq!((l.is_held(&1), l.is_held(&9), l.is_held(&2), l.is_held(&7)), (Some(true), Some(true), Some(false), None));
         assert_eq!(l.band_keys(Retention::Normal), vec![3, 2], "held keys are in no band");
         assert_eq!(l.evict(), Some(2));

@@ -6,10 +6,15 @@
 //! public views alone — and every eviction must take the page the scan
 //! would have taken: the least-recent clean page of the lowest non-empty
 //! band.
+//!
+//! The checkpoint audit is held to the same standard from both ends: every
+//! page an operation changed, by any public view, must be in the change
+//! journal (or the journal closed), and `audit_checkpoint` must answer
+//! exactly as the full `audit_invariants` does.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
-use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, ReadOutcome, Retention};
+use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, ReadOutcome, ResidentPage, Retention};
 use ys_simcore::Rng;
 
 const CAP: usize = 4;
@@ -141,6 +146,63 @@ fn check_indices(c: &CacheCluster) -> Result<(), String> {
     Ok(())
 }
 
+/// Everything the public views show about one page: its directory entry
+/// (sharers, owner, replicas, version, target), its heal-queue count, and
+/// per blade its resident copy and the retention band listing it.
+type Fingerprint =
+    (Option<(Vec<usize>, Option<usize>, Vec<usize>, u64, usize)>, Option<usize>, Vec<(Option<ResidentPage>, Option<Retention>)>);
+
+fn fingerprint(c: &CacheCluster, key: PageKey) -> Fingerprint {
+    let entry = c.directory().get(&key).map(|e| (e.sharers.clone(), e.owner, e.replicas.clone(), e.version, e.protect));
+    let queued = c.under_target_iter().find(|&(k, _)| k == key).map(|(_, missing)| missing);
+    let blades = (0..c.blade_count())
+        .map(|b| {
+            let resident = c.resident_pages_iter(b).find(|p| p.key == key);
+            let band = RETENTIONS.iter().copied().find(|&r| c.lru_order_iter(b, r).any(|&k| k == key));
+            (resident, band)
+        })
+        .collect();
+    (entry, queued, blades)
+}
+
+fn fingerprints(c: &CacheCluster) -> Vec<Fingerprint> {
+    (0..PAGES).map(|p| fingerprint(c, PageKey::new(0, p))).collect()
+}
+
+/// The change journal (`None` = closed), read off the cluster's `Debug`
+/// view: it is bookkeeping with no accessor, and this test is its only
+/// reader outside the crate.
+fn journal(c: &CacheCluster) -> Option<BTreeSet<PageKey>> {
+    let view = format!("{c:?}");
+    let (_, rest) = view.split_once("journal: ").expect("the Debug view names the journal");
+    let (list, _) = rest.strip_prefix("Some([")?.split_once(']').expect("a list of keys");
+    let number = |key: &str, field: &str| -> u64 {
+        let (_, value) = key.split_once(field).expect("a PageKey's Debug view");
+        value.split(|ch: char| !ch.is_ascii_digit()).next().and_then(|d| d.parse().ok()).expect("a number")
+    };
+    Some(list.split("PageKey").skip(1).map(|k| PageKey::new(number(k, "volume: ") as u32, number(k, "page: "))).collect())
+}
+
+/// The checkpoint differential, after an operation that began from a clean
+/// checkpoint with the pages looking like `before`: (a) no page changed
+/// behind the journal's back, (b) checkpoint verdict ≡ full verdict.
+fn check_checkpoint(c: &mut CacheCluster, before: &[Fingerprint]) -> Result<(), String> {
+    if let Some(journal) = journal(c) {
+        for (page, (was, now)) in before.iter().zip(fingerprints(c)).enumerate() {
+            let key = PageKey::new(0, page as u64);
+            if *was != now && !journal.contains(&key) {
+                return Err(format!("unjournalled change to {key:?}: {was:?} became {now:?}; journal {journal:?}"));
+            }
+        }
+    }
+    let full = c.audit_invariants();
+    let checkpoint = c.audit_checkpoint();
+    if checkpoint != full {
+        return Err(format!("checkpoint audit says {checkpoint:?}, the full audit says {full:?}"));
+    }
+    Ok(())
+}
+
 /// What the public views showed before an operation.
 struct Before {
     resident: Vec<BTreeSet<PageKey>>,
@@ -214,6 +276,11 @@ fn check_stall<T>(
 }
 
 fn apply(c: &mut CacheCluster, op: Op) -> Result<(), String> {
+    let unclean = c.audit_checkpoint();
+    if !unclean.is_empty() {
+        return Err(format!("checkpoint before the operation: {unclean:?}"));
+    }
+    let pages_before = fingerprints(c);
     let before = snapshot(c);
     let (key, emptied) = match op {
         Op::Read { blade, key, retention } => {
@@ -271,6 +338,7 @@ fn apply(c: &mut CacheCluster, op: Op) -> Result<(), String> {
         }
     };
     check_evictions(c, &before, key, emptied)?;
+    check_checkpoint(c, &pages_before)?;
     check_indices(c)
 }
 

@@ -95,6 +95,12 @@ impl CacheModel {
         &self.cluster
     }
 
+    /// For harnesses that audit the cluster through its `&mut` checkpoint
+    /// (`tests/checkpoint_audit.rs`); the model itself never does.
+    pub fn cluster_mut(&mut self) -> &mut CacheCluster {
+        &mut self.cluster
+    }
+
     /// Apply `op` to the inner cluster and update the shadow, returning
     /// shadow-detected violations (structural audit happens separately).
     fn step(&mut self, op: Op) -> Vec<String> {

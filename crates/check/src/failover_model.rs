@@ -85,6 +85,12 @@ impl FailoverModel {
         &self.cluster
     }
 
+    /// For harnesses that audit the cluster through its `&mut` checkpoint
+    /// (`tests/checkpoint_audit.rs`); the model itself never does.
+    pub fn cluster_mut(&mut self) -> &mut CacheCluster {
+        &mut self.cluster
+    }
+
     fn step(&mut self, op: FailoverOp) -> Vec<String> {
         let mut violations = Vec::new();
         match op {
