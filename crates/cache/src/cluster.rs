@@ -330,10 +330,10 @@ pub struct CacheCluster {
     trace: SpanRecorder,
 }
 
-/// Notes the change journal takes before it closes (a checkpoint after that
-/// many changes is a full scan's worth of work anyway). Fixed, so an open
-/// journal never grows a `CacheCluster` clone past this many keys.
-const JOURNAL_CAPACITY: usize = 256;
+/// Notes the change journal takes before it closes. Fixed, so an open
+/// journal costs a `CacheCluster` (and every clone of it) 1 KiB at most;
+/// the chaos campaigns, which checkpoint every step, peak at 11 notes.
+const JOURNAL_CAPACITY: usize = 64;
 
 impl CacheCluster {
     pub fn new(blade_count: usize, capacity_pages_per_blade: usize) -> CacheCluster {

@@ -111,6 +111,15 @@ pub struct CampaignReport {
     pub scrub_scanned: u64,
     /// Pages the converge scrub found rotten.
     pub scrub_mismatches: u64,
+    /// Oracle cache audits answered by the full invariant scan, over every
+    /// site (see `ys_cache::CacheCluster::audit_checkpoint`). With the two
+    /// counts below: where the oracle's time goes, as deterministic counts.
+    /// Attribution, not behaviour — [`CampaignReport::render`] omits them.
+    pub audits_full: u64,
+    /// Oracle cache audits answered from the change journal alone.
+    pub audits_incremental: u64,
+    /// Pages those incremental audits re-checked.
+    pub audit_keys_checked: u64,
     pub final_time: SimTime,
 }
 
@@ -571,7 +580,7 @@ impl Campaign {
             }
         }
         self.shadows[site].refresh(&self.ns.clusters[site]);
-        oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+        oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
     }
 
     /// Rejoin a drained (or crashed) blade empty, then run the healer to
@@ -614,7 +623,7 @@ impl Campaign {
             });
         }
         self.shadows[site].refresh(&self.ns.clusters[site]);
-        oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+        oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
     }
 
     fn corrupt_page(&mut self, site: usize, page: u64) {
@@ -680,7 +689,7 @@ impl Campaign {
                 rs.r.fail_worker(blade);
             }
         }
-        oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+        oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
     }
 
     fn repair_blade(&mut self, site: usize, blade: usize) {
@@ -724,7 +733,7 @@ impl Campaign {
             self.recovery.push(("blade-crash", self.t.since(t0)));
         }
         self.shadows[site].refresh(&self.ns.clusters[site]);
-        oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+        oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
     }
 
     fn flap_port(&mut self, site: usize, disk: usize) {
@@ -775,21 +784,23 @@ impl Campaign {
             self.injections_skipped += 1;
             return;
         }
-        self.injections_fired += 1;
-        self.ns.clusters[site].fail_disk(DiskId(disk));
+        // A disk failed with nobody to rebuild it would stay failed: skip
+        // before touching it.
         let workers: Vec<usize> =
             (0..self.cfg.blades_per_site).filter(|&b| !self.down[site][b]).collect();
         if workers.is_empty() {
             self.injections_skipped += 1;
             return;
         }
+        self.injections_fired += 1;
+        self.ns.clusters[site].fail_disk(DiskId(disk));
         // A small region keeps campaign rebuilds bounded while still giving
         // the claim/complete/requeue machinery dozens of batches.
         let r = Rebuilder::new(
             &mut self.ns.clusters[site],
             self.t,
             DiskId(disk),
-            8 << 20,
+            REBUILD_REGION,
             &workers,
             8,
         );
@@ -817,16 +828,13 @@ impl Campaign {
         // The adversary: pick the smallest fully-replicated dirty page and
         // crash every holder, owner first, before any destage can rescue
         // it. Each crash goes through the full judged path.
-        let victim = {
-            let dir = self.ns.clusters[site].cache.directory();
-            let mut keys: Vec<_> = dir
-                .iter()
-                .filter(|(_, e)| e.owner.is_some() && !e.replicas.is_empty())
-                .map(|(k, _)| *k)
-                .collect();
-            keys.sort();
-            keys.first().copied()
-        };
+        // (The directory iterates in key order.)
+        let victim = self.ns.clusters[site]
+            .cache
+            .directory()
+            .iter()
+            .find(|(_, e)| e.owner.is_some() && !e.replicas.is_empty())
+            .map(|(k, _)| *k);
         let Some(key) = victim else {
             self.injections_skipped += 1;
             return;
@@ -893,8 +901,8 @@ impl Campaign {
 
     fn qos_probes(&mut self) {
         for site in 0..self.sites() {
-            let probes = self.probes[site].clone();
-            for (tenant, vol) in probes {
+            for probe in 0..self.probes[site].len() {
+                let (tenant, vol) = self.probes[site][probe];
                 let off = self.rng.next_below(16) * PAGE;
                 // Errors here are sheds and throttles — the QoS layer doing
                 // its job; the oracle checks *who* absorbed them at the end.
@@ -992,7 +1000,7 @@ impl Campaign {
             }
             for site in 0..self.sites() {
                 self.shadows[site].refresh(&self.ns.clusters[site]);
-                oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+                oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
             }
             self.step += 1;
         }
@@ -1105,7 +1113,7 @@ impl Campaign {
         for site in 0..self.sites() {
             self.ns.clusters[site].drain();
             self.shadows[site].refresh(&self.ns.clusters[site]);
-            oracle::audit_site(site, self.step, &self.ns.clusters[site], &mut self.violations);
+            oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.violations);
             oracle::audit_qos(site, self.step, &self.ns.clusters[site], &mut self.violations);
             oracle::audit_redundancy(site, self.step, &self.ns.clusters[site], &mut self.violations);
         }
@@ -1222,7 +1230,13 @@ impl Campaign {
         self.violations.sort_by(|a, b| {
             (a.step, a.site, a.rule, &a.detail).cmp(&(b.step, b.site, b.rule, &b.detail))
         });
+        let audits = |count: fn(&ys_cache::CacheStats) -> u64| -> u64 {
+            self.ns.clusters.iter().map(|c| count(c.cache.stats())).sum()
+        };
         CampaignReport {
+            audits_full: audits(|s| s.audits_full),
+            audits_incremental: audits(|s| s.audits_incremental),
+            audit_keys_checked: audits(|s| s.audit_keys_checked),
             seed: self.cfg.seed,
             steps: self.cfg.steps,
             schedule: self.schedule,
@@ -1317,6 +1331,26 @@ mod tests {
             }
         }
         panic!("no seed in 0..8 fired a latent error");
+    }
+
+    #[test]
+    fn the_oracle_audits_what_changed() {
+        let cfg =
+            CampaignConfig { seed: 4, steps: 128, max_injections: 6, ..CampaignConfig::default() };
+        let r = run_campaign(&cfg);
+        assert!(r.passed(), "{}", r.render());
+        let audits = r.audits_full + r.audits_incremental;
+        // Every step audits every site, and injections add their own.
+        assert!(audits >= cfg.steps * cfg.sites as u64, "{audits} audits");
+        assert!(
+            r.audits_incremental * 100 >= audits * 95,
+            "{} of {audits} audits were full scans",
+            r.audits_full
+        );
+        // What the journal saves: a full scan walks every directory entry,
+        // an incremental audit a handful of pages.
+        assert!(r.audit_keys_checked < 64 * r.audits_incremental, "{} keys", r.audit_keys_checked);
+        assert!(!r.render().contains("audit"), "attribution stays out of the transcript");
     }
 
     #[test]

@@ -156,9 +156,12 @@ impl SiteShadow {
 
 /// Structural audit of one site: invariants, unacknowledged tombstones.
 /// (Tombstones for judged losses are acknowledged at the injection site,
-/// so anything left here is a promise broken silently.)
-pub fn audit_site(site: usize, step: u64, cluster: &BladeCluster, out: &mut Vec<OracleViolation>) {
-    for v in cluster.cache.audit_invariants() {
+/// so anything left here is a promise broken silently.) Asked after every
+/// step, so it goes through the cache's checkpoint: the pages that changed
+/// since the last clean answer are re-audited, and anything else — a blade
+/// came or went, a finding — is the full scan, reported verbatim.
+pub fn audit_site(site: usize, step: u64, cluster: &mut BladeCluster, out: &mut Vec<OracleViolation>) {
+    for v in cluster.cache.audit_checkpoint() {
         out.push(OracleViolation {
             rule: "cache-invariant",
             step,
