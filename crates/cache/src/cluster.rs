@@ -481,7 +481,8 @@ impl CacheCluster {
     /// Close the change journal: the next checkpoint audits everything.
     /// Every blade lifecycle transition does, because a blade's state is an
     /// input to every page's verdict (who may hold a copy, which references
-    /// dangle) and no per-page note can stand for that.
+    /// dangle) and no per-page note can stand for that; so does
+    /// `acknowledge_loss`, the tombstones being audited as a set.
     fn close_journal(&mut self) {
         self.journal = None;
     }

@@ -1230,13 +1230,17 @@ impl Campaign {
         self.violations.sort_by(|a, b| {
             (a.step, a.site, a.rule, &a.detail).cmp(&(b.step, b.site, b.rule, &b.detail))
         });
-        let audits = |count: fn(&ys_cache::CacheStats) -> u64| -> u64 {
-            self.ns.clusters.iter().map(|c| count(c.cache.stats())).sum()
-        };
+        let (mut audits_full, mut audits_incremental, mut audit_keys_checked) = (0, 0, 0);
+        for cluster in &self.ns.clusters {
+            let stats = cluster.cache.stats();
+            audits_full += stats.audits_full;
+            audits_incremental += stats.audits_incremental;
+            audit_keys_checked += stats.audit_keys_checked;
+        }
         CampaignReport {
-            audits_full: audits(|s| s.audits_full),
-            audits_incremental: audits(|s| s.audits_incremental),
-            audit_keys_checked: audits(|s| s.audit_keys_checked),
+            audits_full,
+            audits_incremental,
+            audit_keys_checked,
             seed: self.cfg.seed,
             steps: self.cfg.steps,
             schedule: self.schedule,
@@ -1347,9 +1351,9 @@ mod tests {
             "{} of {audits} audits were full scans",
             r.audits_full
         );
-        // What the journal saves: a full scan walks every directory entry,
-        // an incremental audit a handful of pages.
-        assert!(r.audit_keys_checked < 64 * r.audits_incremental, "{} keys", r.audit_keys_checked);
+        // What the journal saves: a full scan walks every directory entry
+        // (≈1,180 a site), an incremental audit a page or two.
+        assert!(r.audit_keys_checked < 4 * r.audits_incremental, "{} keys", r.audit_keys_checked);
         assert!(!r.render().contains("audit"), "attribution stays out of the transcript");
     }
 

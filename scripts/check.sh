@@ -71,6 +71,32 @@ if ! cmp -s "$tmpdir/sweep1.txt" "$tmpdir/sweep4.txt"; then
 fi
 echo "    sweep reports byte-identical across --jobs 1/4"
 
+# The concurrent-failure gate: 256 seeded 128-step campaigns at the CLI's
+# default 12 injections, every promise held. (The five known failing seeds
+# — 580, 728, 1076, 1421, 1611, ROADMAP item 6 — lie outside this range;
+# the next gate pins the first of them.) Affordable on every run since the
+# oracle's per-step cache audit became a checkpoint of what changed.
+echo "==> ys-sweep chaos --seeds 0..256 --steps 128 (256 fault campaigns, all promises held)"
+cargo run --release -q -p ys-sweep -- chaos --seeds 0..256 --steps 128 > "$tmpdir/sweep256.txt" || {
+    echo "FAIL: a campaign in seeds 0..256 broke a promise" >&2
+    grep -E "FAIL|^ys-sweep:" "$tmpdir/sweep256.txt" >&2 || true
+    exit 1
+}
+tail -n 1 "$tmpdir/sweep256.txt" | sed 's/^/    /'
+
+# Seed 580 fails today, and must keep failing the same way until item 6
+# fixes it: its [acked-write-lost] verdict, its shrunk three-entry schedule
+# and its neighbours' passing transcripts are pinned byte for byte, so a
+# change to the oracle's audit path cannot quietly alter what it reports.
+echo "==> ys-sweep chaos --seeds 576..584 --steps 128 vs scripts/chaos_sweep_576_584.expected"
+cargo run --release -q -p ys-sweep -- chaos --seeds 576..584 --steps 128 > "$tmpdir/sweep580.txt" || true
+if ! cmp -s "$tmpdir/sweep580.txt" scripts/chaos_sweep_576_584.expected; then
+    echo "FAIL: seeds 576..584 no longer report what scripts/chaos_sweep_576_584.expected pins" >&2
+    diff scripts/chaos_sweep_576_584.expected "$tmpdir/sweep580.txt" >&2 || true
+    exit 1
+fi
+echo "    seed 580's failure report unchanged"
+
 # Security pillar: the §5 enforcement stack must hold end to end. The two
 # checkpointed scenarios fail loudly (non-zero exit) if any cross-tenant
 # frame succeeds, a denial goes unaudited, media bytes are plaintext, or
