@@ -315,7 +315,7 @@ pub struct CacheCluster {
     /// page's owner, replicas or target; [`crate::invariants`] holds it
     /// equal to the directory scan it replaces.
     pub(crate) deficit: BTreeMap<PageKey, usize>,
-    /// The change journal: every page [`CacheCluster::note_change`] saw
+    /// The change journal: every page [`CacheCluster::note_touch`] saw
     /// since the last clean [`CacheCluster::audit_checkpoint`], which is the
     /// only thing that opens it. `None` is *closed* — the next checkpoint
     /// audits everything: nobody has checkpointed yet, the last checkpoint
@@ -451,11 +451,10 @@ impl CacheCluster {
         self.note_change(key);
     }
 
-    /// Every transition that changes a page's directory entry or where it
-    /// is resident ends with this: the page goes in the change journal (if
-    /// one is open), and its heal-queue entry is re-derived from its
-    /// directory entry.
-    fn note_change(&mut self, key: PageKey) {
+    /// Put `key` in the change journal, if one is open. On its own this ends
+    /// the one transition that cannot move a page's replica margin — a
+    /// clean install, on the read path — at the price of this branch.
+    fn note_touch(&mut self, key: PageKey) {
         #[cfg(test)]
         if self.skip_change_notes {
             return;
@@ -467,6 +466,18 @@ impl CacheCluster {
                 self.journal = None;
             }
         }
+    }
+
+    /// Every transition that changes a page's owner, replica set or
+    /// protection target ends with this: the page goes in the change
+    /// journal, and its heal-queue entry is re-derived from its directory
+    /// entry.
+    fn note_change(&mut self, key: PageKey) {
+        #[cfg(test)]
+        if self.skip_change_notes {
+            return;
+        }
+        self.note_touch(key);
         let missing = match self.directory.get(&key) {
             Some(e) if e.owner.is_some() => e.protect.saturating_sub(1 + e.replicas.len()),
             _ => 0,
@@ -567,7 +578,7 @@ impl CacheCluster {
         if e.owner != Some(blade) && !e.sharers.contains(&blade) {
             e.sharers.push(blade);
         }
-        self.note_change(key);
+        self.note_touch(key);
         Ok(evicted)
     }
 
