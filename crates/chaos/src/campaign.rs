@@ -825,10 +825,10 @@ impl Campaign {
             }
         }
         self.shadows[site].refresh(&self.ns.clusters[site]);
-        // The adversary: pick the smallest fully-replicated dirty page and
-        // crash every holder, owner first, before any destage can rescue
-        // it. Each crash goes through the full judged path.
-        // (The directory iterates in key order.)
+        // The adversary: pick the smallest fully-replicated dirty page (the
+        // directory iterates in key order) and crash every holder, owner
+        // first, before any destage can rescue it. Each crash goes through
+        // the full judged path.
         let victim = self.ns.clusters[site]
             .cache
             .directory()
@@ -1238,9 +1238,6 @@ impl Campaign {
             audit_keys_checked += stats.audit_keys_checked;
         }
         CampaignReport {
-            audits_full,
-            audits_incremental,
-            audit_keys_checked,
             seed: self.cfg.seed,
             steps: self.cfg.steps,
             schedule: self.schedule,
@@ -1262,6 +1259,9 @@ impl Campaign {
             corruptions_declared: self.corruptions_declared,
             scrub_scanned: self.scrub_scanned,
             scrub_mismatches: self.scrub_mismatches,
+            audits_full,
+            audits_incremental,
+            audit_keys_checked,
             final_time: self.t,
         }
     }
