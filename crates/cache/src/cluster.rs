@@ -1184,7 +1184,7 @@ impl CacheCluster {
     ///
     /// A clean answer opens the change journal. While it is open the next
     /// call re-audits only the journalled pages and the per-blade totals
-    /// (see [`crate::invariants::audit_touched`]); if that is clean, so is
+    /// (`invariants::audit_touched`, the same rule bodies); if that is clean, so is
     /// the full scan, and the journal restarts empty. A closed journal or
     /// any finding at all falls back to the full scan, which stays the
     /// specification and the only reporter; a violation leaves the journal

@@ -8,7 +8,7 @@
 //!
 //! Each rule has one body, reached two ways. [`audit`] — the full scan —
 //! walks every directory entry, every resident page and every blade; it is
-//! the specification and the only reporter. [`audit_touched`] runs the same
+//! the specification and the only reporter. `audit_touched` runs the same
 //! bodies over just the pages a cluster's change journal names, plus the
 //! O(blades) structural rules: what [`CacheCluster::audit_checkpoint`] asks
 //! first, so a caller that audits after every step pays for what changed.
