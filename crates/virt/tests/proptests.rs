@@ -166,3 +166,126 @@ proptest! {
         }
     }
 }
+
+/// The eager pool — a refcount and a free-list entry for every extent the
+/// pool could ever hand out, free list seeded in reverse — kept as the
+/// specification `PhysicalPool` is held to: same runs, same counts, same
+/// reclaim order, whatever the pool does inside to avoid materialising
+/// extents nobody has touched.
+struct EagerPool {
+    refs: Vec<u32>,
+    free: Vec<u64>,
+    used: u64,
+    reclaimed: Vec<u64>,
+}
+
+impl EagerPool {
+    fn new(total: u64) -> EagerPool {
+        EagerPool { refs: vec![0; total as usize], free: (0..total).rev().collect(), used: 0, reclaimed: Vec::new() }
+    }
+
+    fn allocate(&mut self, count: u64) -> Result<Vec<(u64, u64)>, ys_virt::OutOfSpace> {
+        let available = self.free.len() as u64;
+        if count > available {
+            return Err(ys_virt::OutOfSpace { requested: count, available });
+        }
+        let mut picked = self.free.split_off((available - count) as usize);
+        picked.sort_unstable();
+        let mut runs: Vec<(u64, u64)> = Vec::new();
+        for e in picked {
+            self.refs[e as usize] = 1;
+            match runs.last_mut() {
+                Some((start, len)) if *start + *len == e => *len += 1,
+                _ => runs.push((e, 1)),
+            }
+        }
+        self.used += count;
+        Ok(runs)
+    }
+
+    fn add_ref(&mut self, start: u64, len: u64) {
+        for e in start..start + len {
+            assert!(self.refs[e as usize] > 0);
+            self.refs[e as usize] += 1;
+        }
+    }
+
+    fn release(&mut self, start: u64, len: u64) -> u64 {
+        let before = self.used;
+        for e in start..start + len {
+            assert!(self.refs[e as usize] > 0);
+            self.refs[e as usize] -= 1;
+            if self.refs[e as usize] == 0 {
+                self.free.push(e);
+                self.reclaimed.push(e);
+                self.used -= 1;
+            }
+        }
+        before - self.used
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// `PhysicalPool` ≡ the eager pool under random allocate / add_ref /
+    /// release / take_reclaimed, including exhaustion, release-then-
+    /// reallocate and partial releases of shared runs. `held` is the
+    /// test's own ledger of references it may still drop, so every
+    /// `add_ref` / `release` it issues is legal.
+    #[test]
+    fn pool_matches_the_eager_reference(
+        total in 1u64..65,
+        ops in proptest::collection::vec((0u8..8, any::<u64>(), any::<u64>()), 1..80),
+    ) {
+        let mut pool = PhysicalPool::new(total, 1 << 20);
+        let mut model = EagerPool::new(total);
+        let mut held: Vec<(u64, u64)> = Vec::new();
+        for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+            // A sub-range of one held reference: (index, start, len).
+            let pick = |held: &[(u64, u64)]| {
+                let i = (a % held.len() as u64) as usize;
+                let (start, len) = held[i];
+                let off = b % len;
+                (i, start + off, 1 + (b >> 8) % (len - off))
+            };
+            match kind {
+                // Up to two past the pool, so exhaustion is hit from both
+                // a fresh and a recycled pool.
+                0..=2 => {
+                    let got = pool.allocate(a % (total + 3));
+                    prop_assert_eq!(&got, &model.allocate(a % (total + 3)), "step {}: allocate", step);
+                    held.extend(got.unwrap_or_default());
+                }
+                3 if !held.is_empty() => {
+                    let (_, start, len) = pick(&held);
+                    pool.add_ref(start, len);
+                    model.add_ref(start, len);
+                    held.push((start, len));
+                }
+                4..=6 if !held.is_empty() => {
+                    let (i, start, len) = pick(&held);
+                    prop_assert_eq!(pool.release(start, len), model.release(start, len), "step {}: release", step);
+                    let (h_start, h_len) = held.swap_remove(i);
+                    if start > h_start {
+                        held.push((h_start, start - h_start));
+                    }
+                    if start + len < h_start + h_len {
+                        held.push((start + len, h_start + h_len - (start + len)));
+                    }
+                }
+                _ => {
+                    prop_assert_eq!(pool.take_reclaimed(), std::mem::take(&mut model.reclaimed), "step {}: reclaimed", step);
+                }
+            }
+            prop_assert_eq!(pool.total_extents(), total);
+            prop_assert_eq!(pool.free_extents(), model.free.len() as u64, "step {}: free", step);
+            prop_assert_eq!(pool.used_extents(), model.used, "step {}: used", step);
+            for e in 0..total {
+                prop_assert_eq!(pool.refcount(e), model.refs[e as usize], "step {}: refcount({})", step, e);
+            }
+            pool.check().map_err(TestCaseError::fail)?;
+        }
+        prop_assert_eq!(pool.take_reclaimed(), model.reclaimed);
+    }
+}
