@@ -10,6 +10,7 @@
 
 use crate::oracle::{self, OracleViolation, SiteShadow};
 use crate::schedule::{CampaignSchedule, CrashEvent, Injection, ScheduledFault, Trigger};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use ys_core::{NetStorage, NetStorageConfig, Rebuilder};
@@ -30,12 +31,12 @@ const PAGE: u64 = 64 * 1024;
 const REBUILD_REGION: u64 = 8 << 20;
 
 /// Volume pages the schedule may rot. The per-site integrity volume is
-/// written through `integ_target_pages(cfg).end * PAGE` bytes at setup;
+/// written through `integ_target_pages(disks).end * PAGE` bytes at setup;
 /// the final 128 pages land beyond [`REBUILD_REGION`] on every member, so
 /// latent errors and rebuild survivor reads never meet — the scrubber,
 /// not the rebuilder, owns rot repair.
-pub(crate) fn integ_target_pages(cfg: &CampaignConfig) -> Range<u64> {
-    let data_members = cfg.disks_per_site.saturating_sub(1).max(1) as u64;
+pub(crate) fn integ_target_pages(disks_per_site: usize) -> Range<u64> {
+    let data_members = disks_per_site.saturating_sub(1).max(1) as u64;
     let total = (REBUILD_REGION * data_members + (16 << 20)) / PAGE;
     total - 128..total
 }
@@ -114,6 +115,8 @@ pub struct CampaignReport {
     /// Oracle cache audits answered by the full invariant scan, over every
     /// site (see `ys_cache::CacheCluster::audit_checkpoint`). With the two
     /// counts below: where the oracle's time goes, as deterministic counts.
+    /// The campaign's own audits only — the one full scan per site its
+    /// fixture was given when built is not among them.
     /// Attribution, not behaviour — [`CampaignReport::render`] omits them.
     pub audits_full: u64,
     /// Oracle cache audits answered from the change journal alone.
@@ -199,7 +202,184 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 /// Run an explicit (possibly shrunk) schedule under `cfg`'s cluster and
 /// workload. This is the entry the shrinker bisects through.
 pub fn run_with_schedule(cfg: &CampaignConfig, schedule: CampaignSchedule) -> CampaignReport {
-    Campaign::new(cfg, schedule).run_to_end()
+    let fixture = Fixture::for_shape(FixtureShape::of(cfg));
+    Campaign::from_fixture(cfg, schedule, fixture).run_to_end()
+}
+
+/// The [`CampaignConfig`] fields that reach cluster construction. Two
+/// campaigns of one shape start from identical clusters whatever their
+/// seed, length or schedule — [`Fixture::build`] takes the shape and
+/// nothing else, so it *cannot* read the rest of the config, and the key
+/// the built fixture is reused under is complete by construction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct FixtureShape {
+    sites: usize,
+    blades_per_site: usize,
+    disks_per_site: usize,
+    write_back_copies: usize,
+    enable_qos: bool,
+}
+
+impl FixtureShape {
+    fn of(cfg: &CampaignConfig) -> FixtureShape {
+        FixtureShape {
+            sites: cfg.sites,
+            blades_per_site: cfg.blades_per_site,
+            disks_per_site: cfg.disks_per_site,
+            write_back_copies: cfg.write_back_copies,
+            enable_qos: cfg.enable_qos,
+        }
+    }
+}
+
+/// What every campaign of one shape starts from: the multi-site cluster
+/// with its workload files, probe volumes and integrity volumes written,
+/// destaged and audited. Plain owned data all the way down, so a clone
+/// shares nothing with its original.
+#[derive(Clone)]
+struct Fixture {
+    ns: NetStorage,
+    /// (ino, home site) for workload files.
+    files: Vec<(Ino, usize)>,
+    /// Per-site QoS probe volume per tenant id (1..=3); empty if QoS off.
+    probes: Vec<Vec<(u32, VolumeId)>>,
+    /// Per-site integrity volume — the latent-error target.
+    integ_vols: Vec<VolumeId>,
+}
+
+thread_local! {
+    /// The fixture this thread built last, and the shape it was built for.
+    /// One slot: the callers that matter — a sweep worker, the shrinker,
+    /// the benchmark — replay a single shape hundreds of times.
+    static LAST_FIXTURE: RefCell<Option<(FixtureShape, Fixture)>> = const { RefCell::new(None) };
+}
+
+impl Fixture {
+    /// A fixture of `shape` for one campaign to consume: a clone of the
+    /// one this thread built last if that had the same shape, else built
+    /// now and kept for the next caller.
+    fn for_shape(shape: FixtureShape) -> Fixture {
+        LAST_FIXTURE.with(|slot| match &mut *slot.borrow_mut() {
+            Some((built, fixture)) if *built == shape => fixture.clone(),
+            stale => {
+                let fixture = Fixture::build(&shape);
+                *stale = Some((shape, fixture.clone()));
+                fixture
+            }
+        })
+    }
+
+    /// Build the clusters and everything a campaign expects to find on
+    /// them before its first step.
+    fn build(shape: &FixtureShape) -> Fixture {
+        let mut site_cluster = ys_core::ClusterConfig::default()
+            .with_blades(shape.blades_per_site)
+            .with_disks(shape.disks_per_site)
+            .with_write_copies(shape.write_back_copies);
+        if shape.enable_qos {
+            site_cluster = site_cluster.with_qos(
+                QosConfig::new()
+                    .with_tenant(TenantSpec::new(1, "premium", QosClass::Premium))
+                    .with_tenant(TenantSpec::new(2, "standard", QosClass::Standard))
+                    .with_tenant(TenantSpec::new(3, "scavenger", QosClass::Scavenger)),
+            );
+        }
+        let mut ns = NetStorage::new(NetStorageConfig {
+            site_cluster,
+            ..NetStorageConfig::default()
+        });
+        let sites = ns.topology.len().min(shape.sites.max(1));
+
+        // Workload files: two per site; site-0 files replicate async so the
+        // geo path is always in play.
+        if let Err(e) = ns.fs.mkdir("/camp", None) {
+            panic!("campaign setup: mkdir /camp: {e}"); // lint: allow(panic-path) — harness setup, not simulated fault path
+        }
+        let mut files = Vec::new();
+        for site in 0..sites {
+            for f in 0..2usize {
+                let geo = if site == 0 { GeoPolicy::async_(2) } else { GeoPolicy::none() };
+                let policy = FilePolicy {
+                    geo,
+                    write_back_copies: shape.write_back_copies,
+                    ..FilePolicy::default()
+                };
+                let path = format!("/camp/s{site}f{f}.dat");
+                match ns.create_file(&path, policy, SiteId(site)) {
+                    Ok(ino) => files.push((ino, site)),
+                    Err(e) => panic!("campaign setup: create {path}: {e}"), // lint: allow(panic-path) — harness setup
+                }
+            }
+        }
+
+        // QoS probe volumes, pre-populated then destaged so probes read
+        // clean pages and measure admission, not cold misses.
+        let mut probes = Vec::new();
+        for site in 0..sites {
+            let mut row = Vec::new();
+            if shape.enable_qos {
+                for tenant in 1..=3u32 {
+                    let c = &mut ns.clusters[site];
+                    match c.create_volume(&format!("probe-t{tenant}"), tenant, 64 << 20) {
+                        Ok(vol) => {
+                            if let Err(e) = c.write(
+                                SimTime::ZERO,
+                                0,
+                                vol,
+                                0,
+                                1 << 20,
+                                1,
+                                ys_cache::Retention::Normal,
+                            ) {
+                                panic!("campaign setup: probe fill: {e}"); // lint: allow(panic-path) — harness setup
+                            }
+                            row.push((tenant, vol));
+                        }
+                        Err(e) => panic!("campaign setup: probe volume: {e}"), // lint: allow(panic-path) — harness setup
+                    }
+                }
+                ns.clusters[site].drain();
+            }
+            probes.push(row);
+        }
+
+        // Integrity volumes: pre-written cold data for the schedule's
+        // latent errors to rot. Sized so the corruptible tail sits past
+        // the rebuild region on every member (see `integ_target_pages`);
+        // written with one cache copy so the scrubber's replica source
+        // stays plausible, then destaged so the data is at rest.
+        let mut integ_vols = Vec::new();
+        let integ_bytes = integ_target_pages(shape.disks_per_site).end * PAGE;
+        for site in 0..sites {
+            let c = &mut ns.clusters[site];
+            match c.create_volume("integrity", 0, integ_bytes) {
+                Ok(vol) => {
+                    let mut off = 0;
+                    while off < integ_bytes {
+                        if let Err(e) =
+                            c.write(SimTime::ZERO, 0, vol, off, 1 << 20, 1, ys_cache::Retention::Normal)
+                        {
+                            panic!("campaign setup: integrity fill: {e}"); // lint: allow(panic-path) — harness setup
+                        }
+                        off += 1 << 20;
+                    }
+                    c.drain();
+                    integ_vols.push(vol);
+                }
+                Err(e) => panic!("campaign setup: integrity volume: {e}"), // lint: allow(panic-path) — harness setup
+            }
+        }
+
+        // One full audit per site here instead of one per campaign: a clean
+        // answer opens the cache's change journal, clones inherit it open,
+        // and each campaign's first per-step audit is a checkpoint of what
+        // its first step touched. A violation leaves the journal closed,
+        // so every campaign's own first audit still finds and reports it.
+        for cluster in &mut ns.clusters {
+            cluster.cache.audit_checkpoint();
+        }
+        Fixture { ns, files, probes, integ_vols }
+    }
 }
 
 /// An in-flight distributed rebuild and when it started.
@@ -212,16 +392,14 @@ struct RebuildState {
 
 struct Campaign {
     cfg: CampaignConfig,
-    ns: NetStorage,
     schedule: CampaignSchedule,
+    // The consumed [`Fixture`], field by field.
+    ns: NetStorage,
+    files: Vec<(Ino, usize)>,
+    probes: Vec<Vec<(u32, VolumeId)>>,
+    integ_vols: Vec<VolumeId>,
     rng: Rng,
     shadows: Vec<SiteShadow>,
-    /// (ino, home site) for workload files.
-    files: Vec<(Ino, usize)>,
-    /// Per-site QoS probe volume per tenant id (1..=3); empty if QoS off.
-    probes: Vec<Vec<(u32, VolumeId)>>,
-    /// Per-site integrity volume — the latent-error target.
-    integ_vols: Vec<VolumeId>,
     /// Stripe rows already rotten, keyed (site, member offset / chunk):
     /// parity repair is single-failure arithmetic, one error per row.
     rotten_rows: BTreeSet<(usize, u64)>,
@@ -260,108 +438,28 @@ struct Campaign {
     corruptions_declared: u64,
     scrub_scanned: u64,
     scrub_mismatches: u64,
+    /// [`audit_counts`] of the fixture as received: what
+    /// [`Fixture::build`]'s own audit cost, not the oracle's doing.
+    audits_at_start: [u64; 3],
+}
+
+/// `[full, incremental, keys checked]` of the cache checkpoint audits,
+/// summed over every site.
+fn audit_counts(ns: &NetStorage) -> [u64; 3] {
+    let mut counts = [0; 3];
+    for cluster in &ns.clusters {
+        let stats = cluster.cache.stats();
+        counts[0] += stats.audits_full;
+        counts[1] += stats.audits_incremental;
+        counts[2] += stats.audit_keys_checked;
+    }
+    counts
 }
 
 impl Campaign {
-    fn new(cfg: &CampaignConfig, schedule: CampaignSchedule) -> Campaign {
-        let mut site_cluster = ys_core::ClusterConfig::default()
-            .with_blades(cfg.blades_per_site)
-            .with_disks(cfg.disks_per_site)
-            .with_write_copies(cfg.write_back_copies);
-        if cfg.enable_qos {
-            site_cluster = site_cluster.with_qos(
-                QosConfig::new()
-                    .with_tenant(TenantSpec::new(1, "premium", QosClass::Premium))
-                    .with_tenant(TenantSpec::new(2, "standard", QosClass::Standard))
-                    .with_tenant(TenantSpec::new(3, "scavenger", QosClass::Scavenger)),
-            );
-        }
-        let mut ns = NetStorage::new(NetStorageConfig {
-            site_cluster,
-            ..NetStorageConfig::default()
-        });
-        let sites = ns.topology.len().min(cfg.sites.max(1));
-
-        // Workload files: two per site; site-0 files replicate async so the
-        // geo path is always in play.
-        if let Err(e) = ns.fs.mkdir("/camp", None) {
-            panic!("campaign setup: mkdir /camp: {e}"); // lint: allow(panic-path) — harness setup, not simulated fault path
-        }
-        let mut files = Vec::new();
-        for site in 0..sites {
-            for f in 0..2usize {
-                let geo = if site == 0 { GeoPolicy::async_(2) } else { GeoPolicy::none() };
-                let policy = FilePolicy {
-                    geo,
-                    write_back_copies: cfg.write_back_copies,
-                    ..FilePolicy::default()
-                };
-                let path = format!("/camp/s{site}f{f}.dat");
-                match ns.create_file(&path, policy, SiteId(site)) {
-                    Ok(ino) => files.push((ino, site)),
-                    Err(e) => panic!("campaign setup: create {path}: {e}"), // lint: allow(panic-path) — harness setup
-                }
-            }
-        }
-
-        // QoS probe volumes, pre-populated then destaged so probes read
-        // clean pages and measure admission, not cold misses.
-        let mut probes = Vec::new();
-        for site in 0..sites {
-            let mut row = Vec::new();
-            if cfg.enable_qos {
-                for tenant in 1..=3u32 {
-                    let c = &mut ns.clusters[site];
-                    match c.create_volume(&format!("probe-t{tenant}"), tenant, 64 << 20) {
-                        Ok(vol) => {
-                            if let Err(e) = c.write(
-                                SimTime::ZERO,
-                                0,
-                                vol,
-                                0,
-                                1 << 20,
-                                1,
-                                ys_cache::Retention::Normal,
-                            ) {
-                                panic!("campaign setup: probe fill: {e}"); // lint: allow(panic-path) — harness setup
-                            }
-                            row.push((tenant, vol));
-                        }
-                        Err(e) => panic!("campaign setup: probe volume: {e}"), // lint: allow(panic-path) — harness setup
-                    }
-                }
-                ns.clusters[site].drain();
-            }
-            probes.push(row);
-        }
-
-        // Integrity volumes: pre-written cold data for the schedule's
-        // latent errors to rot. Sized so the corruptible tail sits past
-        // the rebuild region on every member (see `integ_target_pages`);
-        // written with one cache copy so the scrubber's replica source
-        // stays plausible, then destaged so the data is at rest.
-        let mut integ_vols = Vec::new();
-        let integ_bytes = integ_target_pages(cfg).end * PAGE;
-        for site in 0..sites {
-            let c = &mut ns.clusters[site];
-            match c.create_volume("integrity", 0, integ_bytes) {
-                Ok(vol) => {
-                    let mut off = 0;
-                    while off < integ_bytes {
-                        if let Err(e) =
-                            c.write(SimTime::ZERO, 0, vol, off, 1 << 20, 1, ys_cache::Retention::Normal)
-                        {
-                            panic!("campaign setup: integrity fill: {e}"); // lint: allow(panic-path) — harness setup
-                        }
-                        off += 1 << 20;
-                    }
-                    c.drain();
-                    integ_vols.push(vol);
-                }
-                Err(e) => panic!("campaign setup: integrity volume: {e}"), // lint: allow(panic-path) — harness setup
-            }
-        }
-
+    fn from_fixture(cfg: &CampaignConfig, schedule: CampaignSchedule, fixture: Fixture) -> Campaign {
+        let Fixture { ns, files, probes, integ_vols } = fixture;
+        let sites = integ_vols.len();
         Campaign {
             rng: Rng::new(cfg.seed ^ 0x0c4a_0517),
             shadows: vec![SiteShadow::default(); sites],
@@ -397,6 +495,7 @@ impl Campaign {
             corruptions_declared: 0,
             scrub_scanned: 0,
             scrub_mismatches: 0,
+            audits_at_start: audit_counts(&ns),
             ns,
             schedule,
             cfg: cfg.clone(),
@@ -1230,13 +1329,10 @@ impl Campaign {
         self.violations.sort_by(|a, b| {
             (a.step, a.site, a.rule, &a.detail).cmp(&(b.step, b.site, b.rule, &b.detail))
         });
-        let (mut audits_full, mut audits_incremental, mut audit_keys_checked) = (0, 0, 0);
-        for cluster in &self.ns.clusters {
-            let stats = cluster.cache.stats();
-            audits_full += stats.audits_full;
-            audits_incremental += stats.audits_incremental;
-            audit_keys_checked += stats.audit_keys_checked;
-        }
+        let [audits_full, audits_incremental, audit_keys_checked] = {
+            let (now, start) = (audit_counts(&self.ns), self.audits_at_start);
+            [now[0] - start[0], now[1] - start[1], now[2] - start[2]]
+        };
         CampaignReport {
             seed: self.cfg.seed,
             steps: self.cfg.steps,
@@ -1355,6 +1451,67 @@ mod tests {
         // (≈1,180 a site), an incremental audit a page or two.
         assert!(r.audit_keys_checked < 4 * r.audits_incremental, "{} keys", r.audit_keys_checked);
         assert!(!r.render().contains("audit"), "attribution stays out of the transcript");
+        // The full scans left are the ones after a blade comes or goes: the
+        // fixture was audited when built and arrives with its journal open,
+        // so a campaign that injects nothing never scans in full at all —
+        // 128 steps and two converge audits, per site, all incremental.
+        let quiet = run_with_schedule(&cfg, CampaignSchedule { seed: cfg.seed, entries: Vec::new() });
+        assert_eq!((quiet.audits_full, quiet.audits_incremental), (0, (128 + 2) * 3));
+    }
+
+    /// The same campaign from a fixture built for it alone — never
+    /// through the slot.
+    fn run_fresh(cfg: &CampaignConfig) -> CampaignReport {
+        let fixture = Fixture::build(&FixtureShape::of(cfg));
+        Campaign::from_fixture(cfg, CampaignSchedule::generate(cfg), fixture).run_to_end()
+    }
+
+    fn assert_slot_matches_fresh(cfg: &CampaignConfig) {
+        let (slot, fresh) = (run_campaign(cfg), run_fresh(cfg));
+        assert_eq!(slot.render(), fresh.render(), "{cfg:?}");
+        assert_eq!(format!("{slot:?}"), format!("{fresh:?}"), "{cfg:?}");
+    }
+
+    #[test]
+    fn a_cloned_fixture_runs_the_campaign_a_fresh_build_does() {
+        let base = CampaignConfig { steps: 64, ..CampaignConfig::default() };
+        // `fatal` shares the default shape and must be served from its
+        // slot; each of the others differs in one shape field and must not.
+        let others = [
+            CampaignConfig { fatal: true, ..base.clone() },
+            CampaignConfig { enable_qos: false, ..base.clone() },
+            CampaignConfig { blades_per_site: 5, ..base.clone() },
+            CampaignConfig { disks_per_site: 6, ..base.clone() },
+            CampaignConfig { write_back_copies: 3, ..base.clone() },
+            CampaignConfig { sites: 2, ..base.clone() },
+        ];
+        for seed in 0..32 {
+            assert_slot_matches_fresh(&CampaignConfig { seed, ..base.clone() });
+            // A-B-A: re-key the slot, and let the next seed re-key it back.
+            if seed % 4 == 1 {
+                assert_slot_matches_fresh(&others[seed as usize / 4 % others.len()]);
+            }
+        }
+        // Seeds 30 and 31 ran off the stored fixture; had either (or any
+        // campaign before them) written through its clone into it, this
+        // one starts from the damage and a fresh build does not.
+        assert_slot_matches_fresh(&base);
+    }
+
+    #[test]
+    fn a_clone_shares_nothing_with_its_fixture() {
+        let original = Fixture::build(&FixtureShape::of(&CampaignConfig::default()));
+        let books = |f: &Fixture| {
+            let cache = &f.ns.clusters[0].cache;
+            (format!("{:?}", cache.stats()), cache.directory().len(), f.ns.clusters[0].pool_used_extents())
+        };
+        let before = books(&original);
+        let mut clone = original.clone();
+        assert_eq!(books(&clone), before);
+        let vol = clone.ns.clusters[0].create_volume("scribble", 0, 1 << 30).unwrap();
+        clone.ns.clusters[0].write(SimTime::ZERO, 0, vol, 0, 4 * PAGE, 2, ys_cache::Retention::Normal).unwrap();
+        assert_ne!(books(&clone), before, "the write must have moved the clone's books");
+        assert_eq!(books(&original), before);
     }
 
     #[test]

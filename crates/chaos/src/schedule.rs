@@ -252,7 +252,7 @@ impl CampaignSchedule {
         let reserve = usize::from(cfg.fatal);
         let wanted = 2 + rng.next_below(3) as usize;
         let room = cfg.max_injections.saturating_sub(entries.len() + reserve);
-        let targets = crate::campaign::integ_target_pages(cfg);
+        let targets = crate::campaign::integ_target_pages(cfg.disks_per_site);
         for _ in 0..wanted.min(room) {
             let site = rng.next_below(sites as u64) as usize;
             let page = targets.start + rng.next_below(targets.end - targets.start);

@@ -187,6 +187,7 @@ pub struct ClusterStats {
 
 /// One RAID group inside the cluster: a geometry over a contiguous range
 /// of farm disks, with its own thin-provisioning pool and volume catalog.
+#[derive(Clone)]
 pub struct RaidGroup {
     pub geo: Geometry,
     /// First farm disk of this group; member `m` is `DiskId(disk_base + m)`.
@@ -208,6 +209,7 @@ pub struct RaidGroup {
 /// assert!(r.latency < w.latency * 4); // cache-warm read
 /// assert_eq!(cluster.pool_used_extents(), 1); // demand-mapped
 /// ```
+#[derive(Clone)]
 pub struct BladeCluster {
     cfg: ClusterConfig,
     pub cache: CacheCluster,

@@ -110,6 +110,7 @@ pub struct DisasterReport {
 }
 
 /// The geographically distributed storage system.
+#[derive(Clone)]
 pub struct NetStorage {
     pub clusters: Vec<BladeCluster>,
     pub topology: SiteTopology,
