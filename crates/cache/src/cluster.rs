@@ -745,14 +745,22 @@ impl CacheCluster {
         undestaged as f64 / capacity as f64
     }
 
-    /// Pages currently dirty at `blade` (owner copies awaiting destage).
+    /// Pages currently dirty at `blade` (owner copies awaiting destage), in
+    /// key order. Read off the blade's held list — dirty owner copies and
+    /// replicas, nothing else — so the cost follows what is dirty, not what
+    /// is resident.
     pub fn dirty_pages(&self, blade: usize) -> Vec<PageKey> {
-        self.blades[blade]
-            .pages
-            .iter()
-            .filter(|(_, m)| matches!(m.residency, Residency::Cached { dirty: true, .. }))
-            .map(|(k, _)| *k)
-            .collect()
+        let slot = &self.blades[blade];
+        let mut dirty: Vec<PageKey> = slot
+            .lru
+            .held_iter()
+            .filter(|&key| {
+                slot.pages.get(key).is_some_and(|m| matches!(m.residency, Residency::Cached { dirty: true, .. }))
+            })
+            .copied()
+            .collect();
+        dirty.sort_unstable();
+        dirty
     }
 
     /// Fail a blade: every copy it held vanishes. Dirty pages survive iff a

@@ -122,6 +122,12 @@ fn check_indices(c: &CacheCluster) -> Result<(), String> {
         if banded.len() != banded_set.len() || banded_set != clean {
             return Err(format!("blade {b}: bands list {banded:?}, clean pages are {clean:?}"));
         }
+        // `dirty_pages` reads the held list; its definition is the
+        // page-table scan: same keys, same (key) order.
+        let dirty: Vec<PageKey> = c.resident_pages_iter(b).filter(|p| p.dirty).map(|p| p.key).collect();
+        if c.dirty_pages(b) != dirty {
+            return Err(format!("blade {b}: dirty_pages {:?}, the page-table scan says {dirty:?}", c.dirty_pages(b)));
+        }
         if c.blade_up(b) {
             undestaged += held.len();
             capacity += c.capacity_pages(b);

@@ -63,19 +63,33 @@ impl SiteShadow {
     /// budget; destaged/evicted/invalidated pages drop theirs. Failures
     /// survive a refresh (promotion keeps the version, and the promise
     /// keeps counting).
+    ///
+    /// The pages with an owner are read off each blade's held list
+    /// (`dirty_pages`) rather than filtered out of the whole directory,
+    /// which is nearly all cold pages; the budgets are an ordered map, so
+    /// the order they are visited in cannot reach a verdict.
     pub fn refresh(&mut self, cluster: &BladeCluster) {
-        let dir = cluster.cache.directory();
+        let cache = &cluster.cache;
+        let dir = cache.directory();
         self.budgets.retain(|key, _| dir.get(key).map(|e| e.owner.is_some()).unwrap_or(false));
-        for (key, e) in dir.iter() {
-            if e.owner.is_none() {
-                continue;
-            }
+        let owned = || (0..cache.blade_count()).flat_map(|b| cache.dirty_pages(b));
+        debug_assert_eq!(
+            {
+                let mut held: Vec<PageKey> = owned().collect();
+                held.sort_unstable();
+                held
+            },
+            dir.iter().filter(|(_, e)| e.owner.is_some()).map(|(k, _)| *k).collect::<Vec<_>>(),
+            "the held lists name exactly the pages the directory gives an owner"
+        );
+        for key in owned() {
+            let Some(e) = dir.get(&key) else { continue };
             let fresh = Budget { version: e.version, copies: 1 + e.replicas.len(), failures: 0 };
-            match self.budgets.get_mut(key) {
+            match self.budgets.get_mut(&key) {
                 Some(b) if b.version == e.version => {}
                 Some(b) => *b = fresh,
                 None => {
-                    self.budgets.insert(*key, fresh);
+                    self.budgets.insert(key, fresh);
                 }
             }
         }
