@@ -206,6 +206,69 @@ pub fn run_with_schedule(cfg: &CampaignConfig, schedule: CampaignSchedule) -> Ca
     Campaign::from_fixture(cfg, schedule, fixture).run_to_end()
 }
 
+/// An in-flight distributed rebuild and when it started.
+struct RebuildState {
+    site: usize,
+    target: usize,
+    r: Rebuilder,
+    started: SimTime,
+}
+
+struct Campaign {
+    cfg: CampaignConfig,
+    ns: NetStorage,
+    schedule: CampaignSchedule,
+    rng: Rng,
+    shadows: Vec<SiteShadow>,
+    /// (ino, home site) for workload files.
+    files: Vec<(Ino, usize)>,
+    /// Per-site QoS probe volume per tenant id (1..=3); empty if QoS off.
+    probes: Vec<Vec<(u32, VolumeId)>>,
+    /// Per-site integrity volume — the latent-error target.
+    integ_vols: Vec<VolumeId>,
+    /// Stripe rows already rotten, keyed (site, member offset / chunk):
+    /// parity repair is single-failure arithmetic, one error per row.
+    rotten_rows: BTreeSet<(usize, u64)>,
+    /// Fired latent errors: (site, disk, member offset, volume page).
+    corruptions: Vec<(usize, DiskId, u64, u64)>,
+    /// Writes the system acknowledged: (ino, offset) -> len.
+    acked: BTreeMap<(u64, u64), u64>,
+    down: Vec<Vec<bool>>,
+    /// Per site: when the first un-stabilized crash happened.
+    crash_since: Vec<Option<SimTime>>,
+    /// (site, disk, heal-at-step) transient FC-port flaps.
+    flaps: Vec<(usize, usize, u64)>,
+    partitions: Vec<(usize, usize)>,
+    rebuild: Option<RebuildState>,
+    /// Cursor into `schedule.entries`; entries fire strictly in order.
+    next_entry: usize,
+    /// Whether the head OnEvent entry's tripwire is currently armed.
+    armed: bool,
+    t: SimTime,
+    step: u64,
+    // Report accumulators.
+    violations: Vec<OracleViolation>,
+    injections_fired: u64,
+    injections_skipped: u64,
+    expected_losses: u64,
+    benign_losses: u64,
+    ops_failed: u64,
+    recovery: Vec<(&'static str, SimDuration)>,
+    acked_writes: u64,
+    acked_verified: u64,
+    degraded_ops: u64,
+    degraded_time: SimDuration,
+    healthy_ops: u64,
+    healthy_time: SimDuration,
+    corruptions_repaired: u64,
+    corruptions_declared: u64,
+    scrub_scanned: u64,
+    scrub_mismatches: u64,
+    /// [`audit_counts`] of the fixture as received: what
+    /// [`Fixture::build`]'s own audit cost, not the oracle's doing.
+    audits_at_start: [u64; 3],
+}
+
 /// The [`CampaignConfig`] fields that reach cluster construction. Two
 /// campaigns of one shape start from identical clusters whatever their
 /// seed, length or schedule — [`Fixture::build`] takes the shape and
@@ -238,12 +301,10 @@ impl FixtureShape {
 /// shares nothing with its original.
 #[derive(Clone)]
 struct Fixture {
+    // Each becomes the [`Campaign`] field of the same name.
     ns: NetStorage,
-    /// (ino, home site) for workload files.
     files: Vec<(Ino, usize)>,
-    /// Per-site QoS probe volume per tenant id (1..=3); empty if QoS off.
     probes: Vec<Vec<(u32, VolumeId)>>,
-    /// Per-site integrity volume — the latent-error target.
     integ_vols: Vec<VolumeId>,
 }
 
@@ -380,67 +441,6 @@ impl Fixture {
         }
         Fixture { ns, files, probes, integ_vols }
     }
-}
-
-/// An in-flight distributed rebuild and when it started.
-struct RebuildState {
-    site: usize,
-    target: usize,
-    r: Rebuilder,
-    started: SimTime,
-}
-
-struct Campaign {
-    cfg: CampaignConfig,
-    schedule: CampaignSchedule,
-    // The consumed [`Fixture`], field by field.
-    ns: NetStorage,
-    files: Vec<(Ino, usize)>,
-    probes: Vec<Vec<(u32, VolumeId)>>,
-    integ_vols: Vec<VolumeId>,
-    rng: Rng,
-    shadows: Vec<SiteShadow>,
-    /// Stripe rows already rotten, keyed (site, member offset / chunk):
-    /// parity repair is single-failure arithmetic, one error per row.
-    rotten_rows: BTreeSet<(usize, u64)>,
-    /// Fired latent errors: (site, disk, member offset, volume page).
-    corruptions: Vec<(usize, DiskId, u64, u64)>,
-    /// Writes the system acknowledged: (ino, offset) -> len.
-    acked: BTreeMap<(u64, u64), u64>,
-    down: Vec<Vec<bool>>,
-    /// Per site: when the first un-stabilized crash happened.
-    crash_since: Vec<Option<SimTime>>,
-    /// (site, disk, heal-at-step) transient FC-port flaps.
-    flaps: Vec<(usize, usize, u64)>,
-    partitions: Vec<(usize, usize)>,
-    rebuild: Option<RebuildState>,
-    /// Cursor into `schedule.entries`; entries fire strictly in order.
-    next_entry: usize,
-    /// Whether the head OnEvent entry's tripwire is currently armed.
-    armed: bool,
-    t: SimTime,
-    step: u64,
-    // Report accumulators.
-    violations: Vec<OracleViolation>,
-    injections_fired: u64,
-    injections_skipped: u64,
-    expected_losses: u64,
-    benign_losses: u64,
-    ops_failed: u64,
-    recovery: Vec<(&'static str, SimDuration)>,
-    acked_writes: u64,
-    acked_verified: u64,
-    degraded_ops: u64,
-    degraded_time: SimDuration,
-    healthy_ops: u64,
-    healthy_time: SimDuration,
-    corruptions_repaired: u64,
-    corruptions_declared: u64,
-    scrub_scanned: u64,
-    scrub_mismatches: u64,
-    /// [`audit_counts`] of the fixture as received: what
-    /// [`Fixture::build`]'s own audit cost, not the oracle's doing.
-    audits_at_start: [u64; 3],
 }
 
 /// `[full, incremental, keys checked]` of the cache checkpoint audits,
@@ -1329,10 +1329,8 @@ impl Campaign {
         self.violations.sort_by(|a, b| {
             (a.step, a.site, a.rule, &a.detail).cmp(&(b.step, b.site, b.rule, &b.detail))
         });
-        let [audits_full, audits_incremental, audit_keys_checked] = {
-            let (now, start) = (audit_counts(&self.ns), self.audits_at_start);
-            [now[0] - start[0], now[1] - start[1], now[2] - start[2]]
-        };
+        let (now, start) = (audit_counts(&self.ns), self.audits_at_start);
+        let [audits_full, audits_incremental, audit_keys_checked] = std::array::from_fn(|i| now[i] - start[i]);
         CampaignReport {
             seed: self.cfg.seed,
             steps: self.cfg.steps,

@@ -71,18 +71,20 @@ if ! cmp -s "$tmpdir/sweep1.txt" "$tmpdir/sweep4.txt"; then
 fi
 echo "    sweep reports byte-identical across --jobs 1/4"
 
-# The concurrent-failure gate: 256 seeded 128-step campaigns at the CLI's
-# default 12 injections, every promise held. (The five known failing seeds
-# — 580, 728, 1076, 1421, 1611, ROADMAP item 6 — lie outside this range;
-# the next gate pins the first of them.) Affordable on every run since the
-# oracle's per-step cache audit became a checkpoint of what changed.
-echo "==> ys-sweep chaos --seeds 0..256 --steps 128 (256 fault campaigns, all promises held)"
-cargo run --release -q -p ys-sweep -- chaos --seeds 0..256 --steps 128 > "$tmpdir/sweep256.txt" || {
-    echo "FAIL: a campaign in seeds 0..256 broke a promise" >&2
-    grep -E "FAIL|^ys-sweep:" "$tmpdir/sweep256.txt" >&2 || true
+# The concurrent-failure gate: 576 seeded 128-step campaigns at the CLI's
+# default 12 injections, every promise held — every seed below the pinned
+# 576..584 file of the next gate. (The five known failing seeds — 580,
+# 728, 1076, 1421, 1611, ROADMAP item 6 — lie outside this range; the next
+# gate pins the first of them.) Affordable on every run: the oracle's
+# per-step cache audit is a checkpoint of what changed, and a sweep worker
+# builds its campaign fixture once, not once per seed.
+echo "==> ys-sweep chaos --seeds 0..576 --steps 128 (576 fault campaigns, all promises held)"
+cargo run --release -q -p ys-sweep -- chaos --seeds 0..576 --steps 128 > "$tmpdir/sweep576.txt" || {
+    echo "FAIL: a campaign in seeds 0..576 broke a promise" >&2
+    grep -E "FAIL|^ys-sweep:" "$tmpdir/sweep576.txt" >&2 || true
     exit 1
 }
-tail -n 1 "$tmpdir/sweep256.txt" | sed 's/^/    /'
+tail -n 1 "$tmpdir/sweep576.txt" | sed 's/^/    /'
 
 # Seed 580 fails today, and must keep failing the same way until item 6
 # fixes it: its [acked-write-lost] verdict, its shrunk three-entry schedule
