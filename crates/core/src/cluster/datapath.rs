@@ -7,7 +7,7 @@ use super::{refuse_rot, BladeCluster, ClusterError, Completion, PageIo, ReadMism
 use crate::config::LoadBalance;
 use std::cmp::Reverse;
 use ys_cache::{CacheError, PageKey, ReadOutcome, Retention};
-use ys_raid::IoPlan;
+use ys_raid::{DataLoss, Geometry, IoPlan};
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simdisk::{DiskId, DiskOp, Verification};
 use ys_virt::{Segment, VolumeId};
@@ -22,25 +22,23 @@ impl BladeCluster {
         self.cfg.clients + blade
     }
 
-    fn up_blades(&self) -> Vec<usize> {
-        (0..self.cfg.blades).filter(|&b| self.cache.blade_up(b)).collect()
-    }
-
     /// Pick the serving blade per the configured policy.
     fn pick_blade(&mut self, vol: VolumeId, page: u64) -> Result<usize, ClusterError> {
-        let up = self.up_blades();
-        if up.is_empty() {
+        let (cache, blades) = (&self.cache, self.cfg.blades);
+        let up = || (0..blades).filter(|&b| cache.blade_up(b));
+        let n = up().count();
+        if n == 0 {
             return Err(ClusterError::NoBladesUp);
         }
         let slot = match self.cfg.load_balance {
             LoadBalance::RoundRobin => {
-                self.rr_next = (self.rr_next + 1) % up.len();
+                self.rr_next = (self.rr_next + 1) % n;
                 self.rr_next
             }
-            LoadBalance::PageAffinity => PageKey::new(vol.0, page).home(up.len()),
-            LoadBalance::PinnedByVolume => vol.0 as usize % up.len(),
+            LoadBalance::PageAffinity => PageKey::new(vol.0, page).home(n),
+            LoadBalance::PinnedByVolume => vol.0 as usize % n,
         };
-        up.get(slot).copied().ok_or(ClusterError::NoBladesUp)
+        up().nth(slot).ok_or(ClusterError::NoBladesUp)
     }
 
     /// Encryption time for `bytes` (zero when disabled).
@@ -176,7 +174,7 @@ impl BladeCluster {
             // miss surfaces the mismatch explicitly.
             let mut mismatches = Vec::new();
             match self.read_page_media(at, blade, vol, page, &mut mismatches) {
-                Ok(io) if io.first.is_some() && mismatches.is_empty() => {
+                Ok(io) if io.tag_slot.is_some() && mismatches.is_empty() => {
                     self.inflight_fills.insert((key.volume, key.page), (io.done.nanos(), blade));
                     self.stats.prefetches_issued += 1;
                 }
@@ -242,7 +240,7 @@ impl BladeCluster {
             .arrival;
         t += self.crypt_time(len, self.cfg.encryption.in_transit);
         // Ensure DMSD backing exists (allocation is metadata work on the CPU).
-        self.map_segments(vol, offset, len, true)?;
+        self.allocate_backing(vol, offset, len)?;
 
         let first_page = offset / pb;
         let last_page = (offset + len - 1) / pb;
@@ -344,41 +342,47 @@ impl BladeCluster {
     }
 
     /// This group's slice of the global failed-disk mask.
-    pub(super) fn group_failed(&self, group: usize) -> Vec<bool> {
+    pub(super) fn group_failed(&self, group: usize) -> &[bool] {
         let g = &self.groups[group];
-        self.failed_disks[g.disk_base..g.disk_base + g.geo.members].to_vec()
+        &self.failed_disks[g.disk_base..g.disk_base + g.geo.members]
     }
 
-    /// Translate a volume byte range into (group, RAID-logical byte) pieces
-    /// (allocating DMSD extents for writes).
-    pub(super) fn map_segments(&mut self, vol: VolumeId, offset: u64, len: u64, allocate: bool) -> Result<Vec<(u64, u64)>, ClusterError> {
-        let (gi, local) = Self::decode_vol(vol);
+    /// The extents a volume byte range touches: (first, how many).
+    fn extent_span(&self, offset: u64, len: u64) -> (u64, u64) {
         let eb = self.cfg.extent_bytes;
         let first_ext = offset / eb;
-        let last_ext = (offset + len - 1) / eb;
-        if allocate {
-            self.groups[gi].volumes.write(local, first_ext, last_ext - first_ext + 1)?;
-            // A COW redirect may have released extents; trim anything that
-            // reached refcount zero (backstop: also drains frees from any
-            // path above) before a stale tag can be stamped over or read.
-            self.scrub_reclaimed_extents(gi);
-        }
-        let segs = self.groups[gi].volumes.read(local, first_ext, last_ext - first_ext + 1)?;
-        let mut out = Vec::new();
-        for seg in segs {
-            if let Segment::Mapped { vstart, pstart, len: elen } = seg {
-                // Overlap of [offset, offset+len) with this extent run.
-                let seg_vbytes = vstart * eb;
-                let seg_end = (vstart + elen) * eb;
-                let lo = offset.max(seg_vbytes);
-                let hi = (offset + len).min(seg_end);
-                if lo < hi {
-                    let phys = pstart * eb + (lo - seg_vbytes);
-                    out.push((phys, hi - lo));
-                }
-            }
-        }
-        Ok(out)
+        (first_ext, (offset + len - 1) / eb - first_ext + 1)
+    }
+
+    /// Back a volume byte range about to be written with DMSD extents.
+    fn allocate_backing(&mut self, vol: VolumeId, offset: u64, len: u64) -> Result<(), ClusterError> {
+        let (gi, local) = Self::decode_vol(vol);
+        let (first_ext, extents) = self.extent_span(offset, len);
+        self.groups[gi].volumes.write(local, first_ext, extents)?;
+        // A COW redirect may have released extents; trim anything that
+        // reached refcount zero (backstop: also drains frees from any
+        // path above) before a stale tag can be stamped over or read.
+        self.scrub_reclaimed_extents(gi);
+        Ok(())
+    }
+
+    /// Translate a volume byte range into the (RAID-logical byte, len)
+    /// pieces of its group that back it; holes contribute nothing.
+    pub(super) fn mapped_pieces(&self, vol: VolumeId, offset: u64, len: u64) -> Result<impl Iterator<Item = (u64, u64)> + '_, ClusterError> {
+        let (gi, local) = Self::decode_vol(vol);
+        let eb = self.cfg.extent_bytes;
+        let (first_ext, extents) = self.extent_span(offset, len);
+        let segs = self.groups[gi].volumes.read_iter(local, first_ext, extents)?;
+        Ok(segs.filter_map(move |seg| {
+            let Segment::Mapped { vstart, pstart, len: elen } = seg else {
+                return None;
+            };
+            // Overlap of [offset, offset+len) with this extent run.
+            let seg_vbytes = vstart * eb;
+            let lo = offset.max(seg_vbytes);
+            let hi = (offset + len).min((vstart + elen) * eb);
+            (lo < hi).then(|| (pstart * eb + (lo - seg_vbytes), hi - lo))
+        }))
     }
 
     /// The one way a volume page comes up from the media: map it, plan a
@@ -394,17 +398,7 @@ impl BladeCluster {
         page: u64,
         mismatches: &mut Vec<ReadMismatch>,
     ) -> Result<PageIo, ClusterError> {
-        let pb = self.cfg.page_bytes;
-        let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
-        let mut done = start;
-        for &(phys, plen) in &pieces {
-            let plan = ys_raid::read_plan(&geo, phys, plen, &failed)?;
-            done = done.max(self.charge(gi, blade, start, &plan, Some(mismatches))?);
-        }
-        Ok(PageIo { done, first: pieces.first().map(|&(phys, plen)| (gi, phys, plen)) })
+        self.page_media(start, blade, vol, page, ys_raid::read_plan_into, Some(mismatches))
     }
 
     /// The one way a volume page goes down to the media: map it, plan the
@@ -412,17 +406,40 @@ impl BladeCluster {
     /// from `start` via `blade`. Stamping the page's media tag and queueing
     /// the destage are the caller's.
     pub(super) fn write_page_media(&mut self, start: SimTime, blade: usize, vol: VolumeId, page: u64) -> Result<PageIo, ClusterError> {
+        self.page_media(start, blade, vol, page, ys_raid::write_plan_into, None)
+    }
+
+    /// Both directions' body: each mapped piece is planned by `plan_into`
+    /// into the cluster's one reused plan and charged before the next is
+    /// planned.
+    fn page_media(
+        &mut self,
+        start: SimTime,
+        blade: usize,
+        vol: VolumeId,
+        page: u64,
+        plan_into: impl Fn(&Geometry, u64, u64, &[bool], &mut IoPlan) -> Result<(), DataLoss>,
+        mut mismatches: Option<&mut Vec<ReadMismatch>>,
+    ) -> Result<PageIo, ClusterError> {
         let pb = self.cfg.page_bytes;
         let (gi, _) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
-        let pieces = self.map_segments(vol, page * pb, pb, false)?;
-        let mut done = start;
-        for &(phys, plen) in &pieces {
-            let plan = ys_raid::write_plan(&geo, phys, plen, &failed)?;
-            done = done.max(self.charge(gi, blade, start, &plan, None)?);
-        }
-        Ok(PageIo { done, first: pieces.first().map(|&(phys, plen)| (gi, phys, plen)) })
+        // `charge` borrows the whole cluster, so the buffers step outside
+        // it for the trip and go back whatever the outcome.
+        let mut scratch = std::mem::take(&mut self.media_scratch);
+        let io = (|| {
+            scratch.pieces.clear();
+            scratch.pieces.extend(self.mapped_pieces(vol, page * pb, pb)?);
+            let mut done = start;
+            for &(phys, plen) in &scratch.pieces {
+                plan_into(&geo, phys, plen, self.group_failed(gi), &mut scratch.plan)?;
+                done = done.max(self.charge(gi, blade, start, &scratch.plan, mismatches.as_deref_mut())?);
+            }
+            let tag_slot = scratch.pieces.first().map(|&(phys, _)| self.tag_slot(gi, phys));
+            Ok(PageIo { done, tag_slot })
+        })();
+        self.media_scratch = scratch;
+        io
     }
 
     /// Charge the RAID member I/O for `plan` (member indices relative to

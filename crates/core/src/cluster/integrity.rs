@@ -18,6 +18,19 @@ impl BladeCluster {
         ys_security::Key::from_seed(ys_security::keyed_hash(&master, &vol.0.to_be_bytes()))
     }
 
+    /// [`Self::volume_key`] for the page cipher, derived on a volume's
+    /// first ciphered page and kept: it is a function of the volume id and
+    /// the master seed alone, and the seed is fixed when the cluster is
+    /// built, so an entry cannot go stale.
+    fn page_cipher_key(&mut self, vol: VolumeId) -> ys_security::Key {
+        if let Some(&key) = self.volume_keys.get(&vol.0) {
+            return key;
+        }
+        let key = self.volume_key(vol);
+        self.volume_keys.insert(vol.0, key);
+        key
+    }
+
     /// The deterministic plaintext the data plane expects for `vol`'s page
     /// `page` — the representative bytes a host "wrote" there.
     pub fn plaintext_page_tag(vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
@@ -33,10 +46,10 @@ impl BladeCluster {
     /// encryption is on. The page index is the CTR nonce — the
     /// per-(key, nonce) subkey derivation keeps every page's keystream
     /// disjoint under one volume key.
-    fn media_page_tag(&self, vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
+    fn media_page_tag(&mut self, vol: VolumeId, page: u64) -> [u8; PAGE_TAG_BYTES] {
         let mut tag = Self::plaintext_page_tag(vol, page);
         if self.cfg.encryption.at_rest {
-            ys_security::ctr_xor(&self.volume_key(vol), page, 0, &mut tag);
+            ys_security::ctr_xor(&self.page_cipher_key(vol), page, 0, &mut tag);
         }
         tag
     }
@@ -45,7 +58,7 @@ impl BladeCluster {
     /// data-plane half of the destage or scrub rewrite whose timing `at`
     /// charged; unmapped pages are a no-op.
     pub(super) fn stamp_page_tag(&mut self, vol: VolumeId, page: u64, at: &PageIo) {
-        if let Some((disk, offset)) = self.page_tag_slot(at) {
+        if let Some((disk, offset)) = at.tag_slot {
             let tag = self.media_page_tag(vol, page);
             if self.farm.write_page_tag(disk, offset, tag) && self.cfg.encryption.at_rest {
                 self.stats.pages_ciphered += 1;
@@ -66,14 +79,14 @@ impl BladeCluster {
     /// `Ok(())` when the page has no data-plane bytes yet (never destaged,
     /// or rebuilt media).
     pub(super) fn check_page_tag(&mut self, vol: VolumeId, page: u64, at: &PageIo) -> Result<(), ClusterError> {
-        let Some((disk, offset)) = self.page_tag_slot(at) else {
+        let Some((disk, offset)) = at.tag_slot else {
             return Ok(());
         };
         let Some(mut tag) = self.farm.read_page_tag(disk, offset) else {
             return Ok(());
         };
         if self.cfg.encryption.at_rest {
-            ys_security::ctr_xor(&self.volume_key(vol), page, 0, &mut tag);
+            ys_security::ctr_xor(&self.page_cipher_key(vol), page, 0, &mut tag);
             self.stats.pages_deciphered += 1;
         }
         if tag != Self::plaintext_page_tag(vol, page) {
@@ -98,28 +111,21 @@ impl BladeCluster {
         for e in freed {
             let mut off = 0;
             while off < eb {
-                if let Some((disk, offset)) = self.tag_slot(gi, e * eb + off, pb.min(eb - off)) {
-                    self.farm.clear_page_tag(disk, offset);
-                }
+                let (disk, offset) = self.tag_slot(gi, e * eb + off);
+                self.farm.clear_page_tag(disk, offset);
                 off += pb;
             }
         }
     }
 
-    /// Where the media tag of the page whose first mapped piece is
-    /// `[phys, phys + len)` (RAID-logical bytes of `group`) lives: the
-    /// first data span of the *healthy* read plan, so the slot does not
-    /// move while a member is failed.
-    pub(super) fn tag_slot(&self, group: usize, phys: u64, len: u64) -> Option<(DiskId, u64)> {
+    /// Where the media tag of a page whose first mapped byte is
+    /// RAID-logical byte `phys` of `group` lives: the member span holding
+    /// that byte — by definition the first read of the *healthy* plan, so
+    /// the slot does not move while a member is failed.
+    pub(super) fn tag_slot(&self, group: usize, phys: u64) -> (DiskId, u64) {
         let g = &self.groups[group];
-        let plan = ys_raid::read_plan(&g.geo, phys, len, &vec![false; g.geo.members]).ok()?;
-        let io = plan.reads.first()?;
-        Some((DiskId(g.disk_base + io.member), io.offset))
-    }
-
-    /// [`Self::tag_slot`] of the page `at` just moved.
-    fn page_tag_slot(&self, at: &PageIo) -> Option<(DiskId, u64)> {
-        at.first.and_then(|(group, phys, len)| self.tag_slot(group, phys, len))
+        let at = g.geo.locate(phys);
+        (DiskId(g.disk_base + at.member), at.offset)
     }
 
     /// Where the first physical data span backing `vol`'s page `page`
@@ -128,9 +134,8 @@ impl BladeCluster {
     pub fn locate_volume_page(&mut self, vol: VolumeId, page: u64) -> Option<(DiskId, u64)> {
         let pb = self.cfg.page_bytes;
         let (gi, _) = Self::decode_vol(vol);
-        let pieces = self.map_segments(vol, page * pb, pb, false).ok()?;
-        let (phys, plen) = *pieces.first()?;
-        self.tag_slot(gi, phys, plen)
+        let (phys, _) = self.mapped_pieces(vol, page * pb, pb).ok()?.next()?;
+        Some(self.tag_slot(gi, phys))
     }
 
     /// Inject a latent media error on the page of `disk` containing
@@ -196,9 +201,7 @@ impl BladeCluster {
         bytes: u64,
     ) -> Result<SimTime, ClusterError> {
         let (gi, member) = self.group_of_disk(disk);
-        let failed = self.group_failed(gi);
-        let geo = self.groups[gi].geo;
-        let plan = ys_raid::repair_plan(&geo, member, offset, bytes, &failed)?;
+        let plan = ys_raid::repair_plan(&self.groups[gi].geo, member, offset, bytes, self.group_failed(gi))?;
         let mut mismatches = Vec::new();
         let done = self.charge(gi, blade, now, &plan, Some(&mut mismatches))?;
         refuse_rot(&mismatches)?;

@@ -65,9 +65,20 @@ pub struct PageVerify {
 struct PageIo {
     /// When the last member I/O completed.
     done: SimTime,
-    /// The page's first mapped piece `(group, RAID-logical byte, len)` —
-    /// what locates its media tag; `None` for a hole.
-    first: Option<(usize, u64, u64)>,
+    /// Where the page's media tag lives (`BladeCluster::tag_slot` of its
+    /// first mapped byte); `None` for a hole.
+    tag_slot: Option<(DiskId, u64)>,
+}
+
+/// The buffers every page trip plans into, kept so that a warm cluster
+/// moves a page without touching the heap. Their contents mean nothing
+/// between trips.
+#[derive(Clone, Default)]
+struct MediaScratch {
+    /// The page's mapped pieces `(RAID-logical byte, len)`.
+    pieces: Vec<(u64, u64)>,
+    /// The member I/O of the piece being charged.
+    plan: ys_raid::IoPlan,
 }
 
 /// Cluster-level error.
@@ -232,6 +243,10 @@ pub struct BladeCluster {
     /// Last sequential position per (client, volume), for readahead.
     seq_cursor: std::collections::BTreeMap<(usize, u32), u64>,
     failed_disks: Vec<bool>,
+    media_scratch: MediaScratch,
+    /// `volume_key` of every volume that has moved a ciphered page, by
+    /// global volume id (see `BladeCluster::page_cipher_key`).
+    volume_keys: std::collections::BTreeMap<u32, ys_security::Key>,
     /// Multi-tenant admission control + SLO tracking (`ys-qos`).
     qos: AdmissionController,
     pub stats: ClusterStats,
@@ -272,6 +287,8 @@ impl BladeCluster {
             inflight_fills: std::collections::BTreeMap::new(),
             seq_cursor: std::collections::BTreeMap::new(),
             failed_disks: vec![false; total_disks],
+            media_scratch: MediaScratch::default(),
+            volume_keys: std::collections::BTreeMap::new(),
             qos: AdmissionController::new(cfg.qos.clone()),
             stats: ClusterStats::default(),
             cfg,

@@ -232,6 +232,67 @@ fn volume_keys_are_separated_by_the_master_hierarchy() {
     assert_ne!(c.volume_key(v1), other.volume_key(v1));
 }
 
+/// Write and destage pages 0..4 of `vol`, then decipher what landed on
+/// the media under the *published* `volume_key`: wherever the cluster
+/// keeps the key its page cipher uses, it is that derivation.
+fn stamp_and_decipher(c: &mut BladeCluster, now: SimTime, vol: VolumeId) -> SimTime {
+    let w = c.write(now, 0, vol, 0, 4 * 64 * 1024, 1, Retention::Normal).unwrap();
+    let t = c.drain().max(w.done);
+    for page in 0..4 {
+        let mut tag = c.media_tag(vol, page).expect("destaged page has media bytes");
+        assert_ne!(tag, BladeCluster::plaintext_page_tag(vol, page), "{vol:?} page {page} is ciphertext");
+        ys_security::ctr_xor(&c.volume_key(vol), page, 0, &mut tag);
+        assert_eq!(tag, BladeCluster::plaintext_page_tag(vol, page), "{vol:?} page {page} under volume_key");
+    }
+    t
+}
+
+#[test]
+fn the_page_cipher_key_is_the_published_volume_key() {
+    let cluster = |seed: u64| {
+        BladeCluster::new(
+            ClusterConfig::default()
+                .with_blades(4)
+                .with_disks(8)
+                .with_clients(4)
+                .with_extra_group(ys_raid::RaidLevel::Raid1 { copies: 2 }, 4, 64 * 1024)
+                .with_encryption(EncryptionConfig::full_hw())
+                .with_master_seed(seed),
+        )
+    };
+    // Volumes in two groups.
+    let mut c = cluster(ClusterConfig::default().master_key_seed);
+    let v0 = c.create_volume_in(0, "a", 0, 1 << 30).unwrap();
+    let v1 = c.create_volume_in(1, "b", 1, 1 << 30).unwrap();
+    let mut t = stamp_and_decipher(&mut c, SimTime::ZERO, v0);
+    t = stamp_and_decipher(&mut c, t, v1);
+    // Pinned at the parent of the change that stopped re-deriving the key
+    // for every page: the ciphertext itself did not move.
+    let golden = [0x63, 0x62, 0x58, 0xa7, 0x16, 0x29, 0x2e, 0x5f, 0xe5, 0x02, 0x3c, 0x7a, 0x63, 0x9a, 0x8c, 0x42];
+    assert_eq!(c.media_tag(v1, 3), Some(golden));
+    // Delete and recreate: the successor's id is new (ids are never
+    // reissued) and so is its key; the survivor keeps its own.
+    c.delete_volume(v0).unwrap();
+    let v2 = c.create_volume_in(0, "a", 0, 1 << 30).unwrap();
+    assert_ne!(v2, v0);
+    t = stamp_and_decipher(&mut c, t, v2);
+    t = stamp_and_decipher(&mut c, t, v1);
+    // A clone carries on with the same keys, and the original too.
+    let mut twin = c.clone();
+    stamp_and_decipher(&mut twin, t, v1);
+    stamp_and_decipher(&mut twin, t, v2);
+    stamp_and_decipher(&mut c, t, v2);
+    assert_eq!(twin.media_tag(v2, 1), c.media_tag(v2, 1));
+    // The same history under another master seed: same ids, other keys.
+    let mut other = cluster(777);
+    let o0 = other.create_volume_in(0, "a", 0, 1 << 30).unwrap();
+    let o1 = other.create_volume_in(1, "b", 1, 1 << 30).unwrap();
+    assert_eq!((o0, o1), (v0, v1));
+    let t = stamp_and_decipher(&mut other, SimTime::ZERO, o0);
+    stamp_and_decipher(&mut other, t, o1);
+    assert_ne!(other.media_tag(o1, 3), Some(golden), "another master seed, another ciphertext");
+}
+
 #[test]
 fn scrub_repair_restores_ciphertext_byte_identical() {
     let cfg = ClusterConfig::default()

@@ -88,15 +88,14 @@ impl BladeCluster {
         extents: u64,
     ) -> Result<(u64, SimTime), ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
-        let failed = self.group_failed(gi);
         let geo = self.groups[gi].geo;
         let eb = self.cfg.extent_bytes;
         let (moved, copies) = self.groups[gi].volumes.relocate(local, extent_off, extents)?;
         let mut done = now;
         for &(old_phys, new_phys, len) in &copies {
-            let read = ys_raid::read_plan(&geo, old_phys * eb, len * eb, &failed)?;
+            let read = ys_raid::read_plan(&geo, old_phys * eb, len * eb, self.group_failed(gi))?;
             let t = self.charge(gi, blade, now, &read, None)?;
-            let write = ys_raid::write_plan(&geo, new_phys * eb, len * eb, &failed)?;
+            let write = ys_raid::write_plan(&geo, new_phys * eb, len * eb, self.group_failed(gi))?;
             done = done.max(self.charge(gi, blade, t, &write, None)?);
         }
         // Data plane: the media bytes travel with the copy, page by page,
@@ -106,14 +105,10 @@ impl BladeCluster {
         for &(old_phys, new_phys, len) in &copies {
             let mut off = 0;
             while off < len * eb {
-                let span = pb.min(len * eb - off);
-                if let (Some((src, src_off)), Some((dst, dst_off))) = (
-                    self.tag_slot(gi, old_phys * eb + off, span),
-                    self.tag_slot(gi, new_phys * eb + off, span),
-                ) {
-                    if let Some(tag) = self.farm.read_page_tag(src, src_off) {
-                        self.farm.write_page_tag(dst, dst_off, tag);
-                    }
+                let (src, src_off) = self.tag_slot(gi, old_phys * eb + off);
+                let (dst, dst_off) = self.tag_slot(gi, new_phys * eb + off);
+                if let Some(tag) = self.farm.read_page_tag(src, src_off) {
+                    self.farm.write_page_tag(dst, dst_off, tag);
                 }
                 off += pb;
             }

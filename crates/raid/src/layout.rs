@@ -109,19 +109,16 @@ impl Geometry {
     /// Members holding parity for stripe row `stripe` (left-symmetric
     /// rotation: parity walks backwards one member per row).
     pub fn parity_members(&self, stripe: u64) -> Vec<usize> {
+        let (pq, n) = self.parity_pq(stripe);
+        pq[..n].to_vec()
+    }
+
+    /// [`Self::parity_members`] without the allocation: `[P, Q]` and how
+    /// many of them the level has (Q follows P, wrapping to member 0).
+    pub(crate) fn parity_pq(&self, stripe: u64) -> ([usize; 2], usize) {
         let m = self.members as u64;
-        match self.level {
-            RaidLevel::Raid0 | RaidLevel::Raid1 { .. } => vec![],
-            RaidLevel::Raid5 => {
-                let p = (m - 1 - (stripe % m)) as usize;
-                vec![p]
-            }
-            RaidLevel::Raid6 => {
-                let p = (m - 1 - (stripe % m)) as usize;
-                let q = (p + 1) % self.members;
-                vec![p, q]
-            }
-        }
+        let p = (m - 1 - (stripe % m)) as usize;
+        ([p, (p + 1) % self.members], self.parity_chunks())
     }
 
     /// Member index that holds data-chunk `chunk` of stripe row `stripe`,
@@ -136,17 +133,17 @@ impl Geometry {
                 ((stripe as usize) % sets) * copies
             }
             RaidLevel::Raid5 | RaidLevel::Raid6 => {
-                let parity = self.parity_members(stripe);
-                let mut member = 0usize;
-                let mut data_seen = 0usize;
-                loop {
-                    if !parity.contains(&member) {
-                        if data_seen == chunk {
-                            return member;
-                        }
-                        data_seen += 1;
-                    }
-                    member += 1;
+                // The row's parity is one block of `n` members starting at
+                // P: data below it keeps its index, data above it is pushed
+                // up by `n`. Only RAID6 with P on the last member wraps (Q
+                // on member 0), leaving the data on 1..members-1.
+                let ([p, _], n) = self.parity_pq(stripe);
+                if p + n > self.members {
+                    chunk + 1
+                } else if chunk < p {
+                    chunk
+                } else {
+                    chunk + n
                 }
             }
         }
@@ -154,13 +151,11 @@ impl Geometry {
 
     /// All members holding a copy of data-chunk `chunk` in row `stripe`
     /// (meaningful for RAID1; singleton otherwise).
-    pub fn replica_members(&self, stripe: u64, chunk: usize) -> Vec<usize> {
+    pub fn replica_members(&self, stripe: u64, chunk: usize) -> std::ops::Range<usize> {
+        let primary = self.data_member(stripe, chunk);
         match self.level {
-            RaidLevel::Raid1 { copies } => {
-                let primary = self.data_member(stripe, chunk);
-                (0..copies).map(|i| primary + i).collect()
-            }
-            _ => vec![self.data_member(stripe, chunk)],
+            RaidLevel::Raid1 { copies } => primary..primary + copies,
+            _ => primary..primary + 1,
         }
     }
 
@@ -189,18 +184,19 @@ impl Geometry {
     }
 
     /// Split a logical `[offset, offset+len)` range into per-chunk pieces
-    /// that never cross a chunk boundary.
-    pub fn split_range(&self, offset: u64, len: u64) -> Vec<(u64, u64)> {
-        let mut pieces = Vec::new();
-        let mut pos = offset;
+    /// `(offset, len)` that never cross a chunk boundary.
+    pub fn split_range(&self, offset: u64, len: u64) -> impl Iterator<Item = (u64, u64)> + Clone {
+        let chunk_size = self.chunk_size;
         let end = offset + len;
-        while pos < end {
-            let in_chunk = pos % self.chunk_size;
-            let take = (self.chunk_size - in_chunk).min(end - pos);
-            pieces.push((pos, take));
-            pos += take;
-        }
-        pieces
+        let mut pos = offset;
+        std::iter::from_fn(move || {
+            (pos < end).then(|| {
+                let take = (chunk_size - pos % chunk_size).min(end - pos);
+                let piece = (pos, take);
+                pos += take;
+                piece
+            })
+        })
     }
 }
 
@@ -295,7 +291,7 @@ mod tests {
     fn raid1_replicas_are_distinct_members() {
         let g = Geometry::new(RaidLevel::Raid1 { copies: 2 }, 4, 4096);
         for stripe in 0..8 {
-            let reps = g.replica_members(stripe, 0);
+            let reps: Vec<usize> = g.replica_members(stripe, 0).collect();
             assert_eq!(reps.len(), 2);
             assert_ne!(reps[0], reps[1]);
             assert!(reps.iter().all(|&m| m < 4));
@@ -307,7 +303,7 @@ mod tests {
     #[test]
     fn split_range_respects_chunk_boundaries() {
         let g = Geometry::new(RaidLevel::Raid0, 2, 4096);
-        let pieces = g.split_range(1000, 8000);
+        let pieces: Vec<(u64, u64)> = g.split_range(1000, 8000).collect();
         let total: u64 = pieces.iter().map(|&(_, l)| l).sum();
         assert_eq!(total, 8000);
         for &(off, len) in &pieces {

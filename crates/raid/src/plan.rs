@@ -37,9 +37,10 @@ impl IoPlan {
         self.reads.iter().chain(&self.writes).any(|io| io.member == m)
     }
 
-    fn merge(&mut self, other: IoPlan) {
-        self.reads.extend(other.reads);
-        self.writes.extend(other.writes);
+    /// Empty both lists, keeping their capacity.
+    fn clear(&mut self) {
+        self.reads.clear();
+        self.writes.clear();
     }
 }
 
@@ -70,24 +71,28 @@ fn check_tolerance(geo: &Geometry, failed: &[bool]) -> Result<(), DataLoss> {
 
 /// Plan a logical read of `[offset, offset+len)`.
 pub fn read_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> Result<IoPlan, DataLoss> {
-    assert_eq!(failed.len(), geo.members);
-    check_tolerance(geo, failed)?;
     let mut plan = IoPlan::default();
+    read_plan_into(geo, offset, len, failed, &mut plan)?;
+    Ok(plan)
+}
+
+/// [`read_plan`] into a caller-owned plan, for a caller that plans page
+/// after page: whatever `plan` held is discarded, its capacity is kept.
+/// On `Err` its contents are unspecified.
+pub fn read_plan_into(geo: &Geometry, offset: u64, len: u64, failed: &[bool], plan: &mut IoPlan) -> Result<(), DataLoss> {
+    assert_eq!(failed.len(), geo.members);
+    plan.clear();
+    check_tolerance(geo, failed)?;
     for (piece_off, piece_len) in geo.split_range(offset, len) {
         let p = geo.locate(piece_off);
         match geo.level {
             RaidLevel::Raid1 { .. } => {
                 // Read any healthy replica; prefer the primary.
-                let reps = geo.replica_members(p.stripe, p.chunk);
-                let healthy = reps.iter().copied().find(|&m| !failed[m]);
-                match healthy {
+                let mut reps = geo.replica_members(p.stripe, p.chunk);
+                let copies = reps.len();
+                match reps.find(|&m| !failed[m]) {
                     Some(m) => plan.reads.push(MemberIo { member: m, offset: p.offset, bytes: piece_len, write: false }),
-                    None => {
-                        return Err(DataLoss {
-                            failed: reps.len(),
-                            tolerated: geo.level.fault_tolerance(),
-                        })
-                    }
+                    None => return Err(DataLoss { failed: copies, tolerated: geo.level.fault_tolerance() }),
                 }
             }
             _ if !failed[p.member] => {
@@ -106,14 +111,21 @@ pub fn read_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> Resu
             }
         }
     }
-    Ok(plan)
+    Ok(())
 }
 
 /// Plan a logical write of `[offset, offset+len)`.
 pub fn write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> Result<IoPlan, DataLoss> {
-    assert_eq!(failed.len(), geo.members);
-    check_tolerance(geo, failed)?;
     let mut plan = IoPlan::default();
+    write_plan_into(geo, offset, len, failed, &mut plan)?;
+    Ok(plan)
+}
+
+/// [`write_plan`] into a caller-owned plan (see [`read_plan_into`]).
+pub fn write_plan_into(geo: &Geometry, offset: u64, len: u64, failed: &[bool], plan: &mut IoPlan) -> Result<(), DataLoss> {
+    assert_eq!(failed.len(), geo.members);
+    plan.clear();
+    check_tolerance(geo, failed)?;
     match geo.level {
         RaidLevel::Raid0 => {
             for (piece_off, piece_len) in geo.split_range(offset, len) {
@@ -128,20 +140,19 @@ pub fn write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> Res
             for (piece_off, piece_len) in geo.split_range(offset, len) {
                 let p = geo.locate(piece_off);
                 let reps = geo.replica_members(p.stripe, p.chunk);
-                let healthy: Vec<usize> = reps.iter().copied().filter(|&m| !failed[m]).collect();
-                if healthy.is_empty() {
-                    return Err(DataLoss { failed: reps.len(), tolerated: reps.len() - 1 });
-                }
-                for m in healthy {
+                let copies = reps.len();
+                let planned = plan.writes.len();
+                for m in reps.filter(|&m| !failed[m]) {
                     plan.writes.push(MemberIo { member: m, offset: p.offset, bytes: piece_len, write: true });
+                }
+                if plan.writes.len() == planned {
+                    return Err(DataLoss { failed: copies, tolerated: copies - 1 });
                 }
             }
         }
-        RaidLevel::Raid5 | RaidLevel::Raid6 => {
-            plan.merge(parity_write_plan(geo, offset, len, failed));
-        }
+        RaidLevel::Raid5 | RaidLevel::Raid6 => parity_write_plan(geo, offset, len, failed, plan),
     }
-    Ok(plan)
+    Ok(())
 }
 
 /// Plan the reconstruction of `[offset, offset+bytes)` *on member disk
@@ -205,10 +216,9 @@ pub fn repair_plan(
     Ok(plan)
 }
 
-/// RAID-5/6 write planning, stripe row by stripe row.
-fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> IoPlan {
+/// RAID-5/6 write planning, stripe row by stripe row, appended to `plan`.
+fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool], plan: &mut IoPlan) {
     let row_bytes = geo.stripe_data_bytes();
-    let mut plan = IoPlan::default();
     let mut pos = offset;
     let end = offset + len;
     while pos < end {
@@ -218,7 +228,8 @@ fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> 
         let seg_start = pos;
         let seg_end = end.min(row_end);
         let full_row = seg_start == row_start && seg_end == row_end;
-        let parity = geo.parity_members(stripe);
+        let (pq, n) = geo.parity_pq(stripe);
+        let parity = &pq[..n];
 
         if full_row {
             // Full-stripe write: compute parity from the new data alone.
@@ -228,7 +239,7 @@ fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> 
                     plan.writes.push(MemberIo { member: m, offset: stripe * geo.chunk_size, bytes: geo.chunk_size, write: true });
                 }
             }
-            for &pm in &parity {
+            for &pm in parity {
                 if !failed[pm] {
                     plan.writes.push(MemberIo { member: pm, offset: stripe * geo.chunk_size, bytes: geo.chunk_size, write: true });
                 }
@@ -241,11 +252,11 @@ fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> 
             let row_chunk_off = stripe * geo.chunk_size;
             let pieces = geo.split_range(seg_start, seg_end - seg_start);
             let row_has_reconstruct =
-                pieces.iter().any(|&(off, _)| failed[geo.locate(off).member]);
+                pieces.clone().any(|(off, _)| failed[geo.locate(off).member]);
             // Parity-update span within the row's chunk (sub-chunk offsets).
             let mut span_lo = u64::MAX;
             let mut span_hi = 0u64;
-            for &(piece_off, piece_len) in &pieces {
+            for (piece_off, piece_len) in pieces {
                 let p = geo.locate(piece_off);
                 let sub = p.offset % geo.chunk_size;
                 span_lo = span_lo.min(sub);
@@ -264,13 +275,13 @@ fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> 
                 for (m, _) in failed.iter().enumerate().filter(|&(m, &f)| !f && !parity.contains(&m)) {
                     plan.reads.push(MemberIo { member: m, offset: row_chunk_off, bytes: geo.chunk_size, write: false });
                 }
-                for &pm in &parity {
+                for &pm in parity {
                     if !failed[pm] {
                         plan.writes.push(MemberIo { member: pm, offset: row_chunk_off, bytes: geo.chunk_size, write: true });
                     }
                 }
             } else {
-                for &pm in &parity {
+                for &pm in parity {
                     if !failed[pm] {
                         plan.reads.push(MemberIo { member: pm, offset: row_chunk_off + span_lo, bytes: span_hi - span_lo, write: false });
                         plan.writes.push(MemberIo { member: pm, offset: row_chunk_off + span_lo, bytes: span_hi - span_lo, write: true });
@@ -280,7 +291,6 @@ fn parity_write_plan(geo: &Geometry, offset: u64, len: u64, failed: &[bool]) -> 
         }
         pos = seg_end;
     }
-    plan
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! invariants under arbitrary configurations.
 
 use proptest::prelude::*;
-use ys_raid::{gf256, layout::Geometry, parity, read_plan, write_plan, RaidLevel};
+use ys_raid::{gf256, layout::Geometry, parity, read_plan, read_plan_into, write_plan, write_plan_into, IoPlan, RaidLevel};
 
 fn chunk_data(seed: u64, n: usize, len: usize) -> Vec<Vec<u8>> {
     let mut rng = ys_simcore::Rng::new(seed);
@@ -11,6 +11,28 @@ fn chunk_data(seed: u64, n: usize, len: usize) -> Vec<Vec<u8>> {
 
 fn refs(c: &[Vec<u8>]) -> Vec<&[u8]> {
     c.iter().map(|v| v.as_slice()).collect()
+}
+
+const LEVELS: [RaidLevel; 4] = [RaidLevel::Raid0, RaidLevel::Raid1 { copies: 2 }, RaidLevel::Raid5, RaidLevel::Raid6];
+
+/// Closed-form `data_member` against its definition: walk the members,
+/// skip the row's parity, stop at the `chunk`-th data member.
+#[test]
+fn data_member_matches_the_skip_the_parity_walk() {
+    // RAID1's data member is its mirror set's primary, not a parity skip.
+    for level in [RaidLevel::Raid0, RaidLevel::Raid5, RaidLevel::Raid6] {
+        for members in level.min_members().max(3)..=16 {
+            let g = Geometry::new(level, members, 4096);
+            for stripe in 0..4 * members as u64 {
+                let parity = g.parity_members(stripe);
+                let walk: Vec<usize> = (0..members).filter(|m| !parity.contains(m)).collect();
+                assert_eq!(walk.len(), g.data_chunks());
+                for (chunk, &member) in walk.iter().enumerate() {
+                    assert_eq!(g.data_member(stripe, chunk), member, "{level:?} × {members}, stripe {stripe}, chunk {chunk}");
+                }
+            }
+        }
+    }
 }
 
 proptest! {
@@ -137,5 +159,80 @@ proptest! {
             pos += l;
         }
         prop_assert_eq!(pos, offset + len);
+    }
+
+    /// The iterator `split_range` yields the pieces the chunk-by-chunk
+    /// loop pushes.
+    #[test]
+    fn split_range_matches_the_loop(chunk_log in 12u32..17, offset in 0u64..1_000_000, len in 0u64..1_000_000) {
+        let g = Geometry::new(RaidLevel::Raid0, 4, 1 << chunk_log);
+        let mut pieces = Vec::new();
+        let mut pos = offset;
+        while pos < offset + len {
+            let take = (g.chunk_size - pos % g.chunk_size).min(offset + len - pos);
+            pieces.push((pos, take));
+            pos += take;
+        }
+        prop_assert_eq!(g.split_range(offset, len).collect::<Vec<_>>(), pieces);
+    }
+
+    /// One `IoPlan` reused, never emptied by the caller, across a sequence
+    /// of reads and writes over changing geometries and failed masks —
+    /// planning failures in between included — holds what a fresh
+    /// `read_plan` / `write_plan` returns, call by call.
+    /// (Hand mutation: drop `plan.clear()` from either `*_plan_into`.)
+    #[test]
+    fn a_reused_plan_is_the_fresh_plan(
+        calls in proptest::collection::vec(
+            ((0usize..4, 4usize..9), (0usize..16, 0usize..16, 0usize..16), (any::<bool>(), 0u64..4_000_000, 1u64..600_000)),
+            1..24,
+        ),
+    ) {
+        let mut reused = IoPlan::default();
+        for ((level, members), picks, (write, offset, len)) in calls {
+            let g = Geometry::new(LEVELS[level], members, 64 * 1024);
+            // Each pick below `members` fails that member: none to three.
+            let mut failed = vec![false; members];
+            for pick in [picks.0, picks.1, picks.2] {
+                if pick < members {
+                    failed[pick] = true;
+                }
+            }
+            let (fresh, into) = if write {
+                (write_plan(&g, offset, len, &failed), write_plan_into(&g, offset, len, &failed, &mut reused))
+            } else {
+                (read_plan(&g, offset, len, &failed), read_plan_into(&g, offset, len, &failed, &mut reused))
+            };
+            match (fresh, into) {
+                (Ok(fresh), Ok(())) => prop_assert_eq!(&fresh, &reused),
+                (Err(fresh), Err(into)) => prop_assert_eq!(fresh, into),
+                (fresh, into) => prop_assert!(false, "fresh {:?} but reused {:?}", fresh, into),
+            }
+        }
+    }
+
+    /// A page's tag slot — `locate` of its first mapped byte — is the
+    /// first read of the *healthy* read plan, at every level, for
+    /// misaligned starts and sub-chunk and multi-chunk lengths; and it is
+    /// not where the plan starts once the slot's own member has failed.
+    /// (Hand mutation: take `first` from the plan against `failed`.)
+    #[test]
+    fn tag_slot_is_the_first_read_of_the_healthy_plan(
+        level in 0usize..4,
+        members in 4usize..9,
+        phys in 0u64..50_000_000,
+        len in 1u64..300_000,
+    ) {
+        let g = Geometry::new(LEVELS[level], members, 64 * 1024);
+        let healthy = vec![false; members];
+        let slot = g.locate(phys);
+        let first = read_plan(&g, phys, len, &healthy).unwrap().reads[0];
+        prop_assert_eq!((slot.member, slot.offset), (first.member, first.offset));
+        if g.level.fault_tolerance() > 0 {
+            let mut failed = healthy;
+            failed[slot.member] = true;
+            let degraded = read_plan(&g, phys, len, &failed).unwrap().reads[0];
+            prop_assert_ne!(degraded.member, slot.member, "a degraded plan opens on a surviving peer");
+        }
     }
 }

@@ -87,15 +87,21 @@ impl ExtentMap {
     /// Decompose `[vstart, vstart+len)` into mapped segments and holes, in
     /// virtual order.
     pub fn segments(&self, vstart: u64, len: u64) -> Vec<Segment> {
-        let mut out = Vec::new();
+        self.segments_iter(vstart, len).collect()
+    }
+
+    /// [`Self::segments`] borrowed from the map, one segment at a time.
+    pub fn segments_iter(&self, vstart: u64, len: u64) -> impl Iterator<Item = Segment> + '_ {
         let mut pos = vstart;
         let end = vstart + len;
-        while pos < end {
-            match self.lookup(pos) {
+        std::iter::from_fn(move || {
+            if pos >= end {
+                return None;
+            }
+            let seg = match self.lookup(pos) {
                 Some(run) => {
                     let take = (run.vend() - pos).min(end - pos);
-                    out.push(Segment::Mapped { vstart: pos, pstart: run.pstart + (pos - run.vstart), len: take });
-                    pos += take;
+                    Segment::Mapped { vstart: pos, pstart: run.pstart + (pos - run.vstart), len: take }
                 }
                 None => {
                     // Hole until the next run or range end.
@@ -106,12 +112,12 @@ impl ExtentMap {
                         .map(|(&v, _)| v)
                         .unwrap_or(end)
                         .min(end);
-                    out.push(Segment::Hole { vstart: pos, len: next_run_start - pos });
-                    pos = next_run_start;
+                    Segment::Hole { vstart: pos, len: next_run_start - pos }
                 }
-            }
-        }
-        out
+            };
+            pos += seg.len();
+            Some(seg)
+        })
     }
 
     /// Map `[vstart, vstart+len)` to physical extents starting at `pstart`.
@@ -119,7 +125,7 @@ impl ExtentMap {
     pub fn map(&mut self, vstart: u64, pstart: u64, len: u64) {
         assert!(len > 0);
         debug_assert!(
-            self.segments(vstart, len).iter().all(|s| !s.is_mapped()),
+            self.segments_iter(vstart, len).all(|s| !s.is_mapped()),
             "mapping over an existing mapping"
         );
         // Try to coalesce with the predecessor run.

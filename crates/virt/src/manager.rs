@@ -211,9 +211,14 @@ impl VolumeManager {
 
     /// Resolve a read: mapped segments (physical runs) and holes (zeroes).
     pub fn read(&self, id: VolumeId, offset: u64, len: u64) -> Result<Vec<Segment>, VirtError> {
+        Ok(self.read_iter(id, offset, len)?.collect())
+    }
+
+    /// [`Self::read`] borrowed from the volume's map, one segment at a time.
+    pub fn read_iter(&self, id: VolumeId, offset: u64, len: u64) -> Result<impl Iterator<Item = Segment> + '_, VirtError> {
         let vol = self.volumes.get(&id).ok_or(VirtError::NoSuchVolume(id))?;
         Self::check_range(vol, offset, len)?;
-        Ok(vol.map.segments(offset, len))
+        Ok(vol.map.segments_iter(offset, len))
     }
 
     /// Apply a write to `[offset, offset+len)` extents: demand-map holes,

@@ -2,7 +2,27 @@
 //! pool accounting under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use ys_virt::{ExtentMap, PhysicalPool, VolumeKind, VolumeManager};
+use ys_virt::{ExtentMap, PhysicalPool, Segment, VolumeKind, VolumeManager};
+
+/// `ExtentMap::segments` as the loop that pushes onto a `Vec`, written
+/// against the map's public lookups — the borrowing form's reference.
+fn segments_by_lookup(m: &ExtentMap, vstart: u64, len: u64) -> Vec<Segment> {
+    let mut out = Vec::new();
+    let mut pos = vstart;
+    let end = vstart + len;
+    while pos < end {
+        let seg = match m.lookup(pos) {
+            Some(run) => Segment::Mapped { vstart: pos, pstart: run.pstart + (pos - run.vstart), len: (run.vend() - pos).min(end - pos) },
+            None => {
+                let next = m.runs().map(|r| r.vstart).find(|&v| v >= pos).unwrap_or(end).min(end);
+                Segment::Hole { vstart: pos, len: next - pos }
+            }
+        };
+        pos += seg.len();
+        out.push(seg);
+    }
+    out
+}
 
 proptest! {
     /// Mapping then unmapping arbitrary disjoint ranges always round-trips:
@@ -35,6 +55,41 @@ proptest! {
         prop_assert_eq!(released, total_mapped);
         prop_assert_eq!(m.mapped_extents(), 0);
         m.check().map_err(TestCaseError::fail)?;
+    }
+
+    /// The borrowing `segments_iter` — whole, and stopped early — and the
+    /// `Vec` form that wraps it both equal the push-onto-a-Vec loop, after
+    /// every step of a random write/unmap history of a volume (recycled
+    /// extents keep its runs from coalescing); and the volume's
+    /// `read_iter` is its `read`, refusals included.
+    /// (Hand mutation: advance `pos` by `seg.len().max(2)` in `segments_iter`.)
+    #[test]
+    fn borrowed_segments_match_the_vec_form(
+        ops in proptest::collection::vec((any::<bool>(), 0u64..240, 1u64..30, 0u64..260, 0u64..60), 1..60),
+    ) {
+        let mut mgr = VolumeManager::new(PhysicalPool::new(4096, 1 << 20));
+        let vol = mgr.create("v", 0, VolumeKind::DemandMapped, 280).unwrap();
+        for (is_unmap, start, len, qstart, qlen) in ops {
+            if is_unmap {
+                mgr.unmap(vol, start, len).unwrap();
+            } else {
+                mgr.write(vol, start, len).unwrap();
+            }
+            let map = &mgr.volume(vol).unwrap().map;
+            let want = segments_by_lookup(map, qstart, qlen);
+            prop_assert_eq!(&map.segments_iter(qstart, qlen).collect::<Vec<_>>(), &want);
+            prop_assert_eq!(&map.segments(qstart, qlen), &want);
+            prop_assert_eq!(map.segments_iter(qstart, qlen).take(2).collect::<Vec<_>>(), want.iter().take(2).copied().collect::<Vec<_>>());
+            // Queries that end past extent 280 are out of the volume's range.
+            match (mgr.read(vol, qstart, qlen), mgr.read_iter(vol, qstart, qlen)) {
+                (Ok(vec), Ok(iter)) => {
+                    prop_assert_eq!(&vec, &want);
+                    prop_assert_eq!(iter.collect::<Vec<_>>(), vec);
+                }
+                (Err(a), Err(b)) => prop_assert_eq!(a, b),
+                (a, b) => prop_assert!(false, "read {:?} but read_iter {:?}", a, b.map(|i| i.collect::<Vec<_>>())),
+            }
+        }
     }
 
     /// translate agrees with segments for every mapped address.

@@ -105,8 +105,8 @@ echo "    seed 580's failure report unchanged"
 # hardware-assist crypt falls more than 5% off wire speed — and the model
 # checker exhausts the mask/zone/cipher state space (saturates at depth 7).
 echo "==> ys-report secure-tenants + wire-speed-crypt (E2/E11 checkpoints)"
-cargo run -q -p ys-obs --bin ys-report -- secure-tenants > "$tmpdir/e2.txt"
-cargo run -q -p ys-obs --bin ys-report -- wire-speed-crypt > "$tmpdir/e11.txt"
+cargo run -q -p ys-obs --bin ys-report -- secure-tenants --trace-out "$tmpdir/e2.trace.json" > "$tmpdir/e2.txt"
+cargo run -q -p ys-obs --bin ys-report -- wire-speed-crypt --trace-out "$tmpdir/e11.trace.json" > "$tmpdir/e11.txt"
 if grep -q "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt"; then
     echo "FAIL: a security scenario checkpoint failed" >&2
     grep "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt" >&2
