@@ -9,6 +9,7 @@
 
 use ys_cache::Retention;
 use ys_core::{BladeCluster, ClusterConfig, Rebuilder};
+use ys_obs::RunReport;
 use ys_simcore::stats::Series;
 use ys_simcore::time::SimTime;
 use ys_simdisk::DiskId;
@@ -17,7 +18,7 @@ const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 
 /// A1 — sequential stream rate vs. prefetch depth.
-pub fn a1_prefetch() -> Vec<Series> {
+pub fn a1_prefetch() -> RunReport {
     let mut rate = Series::new("A1 cold sequential read MB/s vs prefetch depth (pages)");
     for depth in [0usize, 2, 4, 8, 16] {
         let cfg = ClusterConfig::default().with_blades(4).with_disks(8).with_prefetch(depth);
@@ -40,11 +41,11 @@ pub fn a1_prefetch() -> Vec<Series> {
         let mbps = total as f64 / 1e6 / t.since(start).as_secs_f64();
         rate.push(depth as f64, mbps);
     }
-    vec![rate]
+    vec![rate].into()
 }
 
 /// A2 — rebuild time vs. batch size (rows per worker claim).
-pub fn a2_rebuild_batch() -> Vec<Series> {
+pub fn a2_rebuild_batch() -> RunReport {
     let mut time = Series::new("A2 rebuild time (s) vs batch rows (4 workers)");
     for batch in [1u64, 8, 64, 256] {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(8));
@@ -53,11 +54,11 @@ pub fn a2_rebuild_batch() -> Vec<Series> {
         let done = r.run(&mut c).unwrap();
         time.push(batch as f64, done.as_secs_f64());
     }
-    vec![time]
+    vec![time].into()
 }
 
 /// A3 — Zipf read throughput with and without coherent peer supply.
-pub fn a3_remote_supply() -> Vec<Series> {
+pub fn a3_remote_supply() -> RunReport {
     let mut tput = Series::new("A3 Zipf read MB/s: 0=coherent peer supply 1=partitioned (disk on non-local)");
     for (i, coherent) in [true, false].into_iter().enumerate() {
         let mut cfg = ClusterConfig::default().with_blades(8).with_disks(16).with_clients(16);
@@ -82,16 +83,7 @@ pub fn a3_remote_supply() -> Vec<Series> {
         });
         tput.push(i as f64, r.mb_per_sec());
     }
-    vec![tput]
-}
-
-/// All ablations, for the report binary.
-pub fn all() -> Vec<(&'static str, Vec<Series>)> {
-    vec![
-        ("A1 prefetch ablation", a1_prefetch()),
-        ("A2 rebuild batch-size ablation", a2_rebuild_batch()),
-        ("A3 coherent-peer-supply ablation", a3_remote_supply()),
-    ]
+    vec![tput].into()
 }
 
 #[cfg(test)]
@@ -100,7 +92,7 @@ mod tests {
 
     #[test]
     fn prefetch_monotonically_helps_cold_sequential() {
-        let s = &a1_prefetch()[0];
+        let s = &a1_prefetch().series[0];
         let off = s.points[0].1;
         let deep = s.points.last().unwrap().1;
         assert!(deep > off * 1.2, "prefetch 16 ({deep:.0} MB/s) should beat none ({off:.0})");
@@ -110,7 +102,7 @@ mod tests {
     fn rebuild_batch_size_has_a_sweet_spot() {
         // Tiny batches pay per-claim latency; huge batches leave the tail
         // imbalanced across workers. The middle wins.
-        let s = &a2_rebuild_batch()[0];
+        let s = &a2_rebuild_batch().series[0];
         let first = s.points[0].1;
         let last = s.points.last().unwrap().1;
         let best = s.points.iter().map(|&(_, y)| y).fold(f64::INFINITY, f64::min);
@@ -120,7 +112,7 @@ mod tests {
 
     #[test]
     fn coherent_supply_beats_partitioned() {
-        let s = &a3_remote_supply()[0];
+        let s = &a3_remote_supply().series[0];
         assert!(s.points[0].1 > s.points[1].1, "coherence must pay: {:?}", s.points);
     }
 }

@@ -1,6 +1,7 @@
 //! The experiment suite: one function per figure/claim in the paper, each
-//! returning the labelled series the report binary prints and
-//! EXPERIMENTS.md records.
+//! returning the [`RunReport`] both renderers print — `report` (and
+//! EXPERIMENTS.md) and, for claims with a scenario name, `ys-report`.
+//! [`crate::claims`] is the index.
 //!
 //! Every experiment is deterministic: `(config, seed)` fully determines the
 //! output. Sizes are chosen so the whole suite runs in seconds of wall
@@ -9,13 +10,16 @@
 use crate::driver::closed_loop;
 use ys_cache::Retention;
 use ys_core::{
-    deliver_stream, run_service, BladeCluster, ClusterConfig, EncryptionConfig, FastPathConfig, LegacyArray,
-    LegacyConfig, LoadBalance, NetStorage, NetStorageConfig, Rebuilder, ServiceJob,
+    deliver_stream, deliver_stream_traced, run_service, BladeCluster, BlockTarget, ClusterConfig,
+    EncryptionConfig, FastPathConfig, LegacyArray, LegacyConfig, LoadBalance, NetStorage, NetStorageConfig,
+    Rebuilder, ServiceJob,
 };
 use ys_geo::{SiteId, SiteTopology};
+use ys_obs::report::{f2, f3};
+use ys_obs::{collect_cluster, collect_geo, record_trace_drops, Checkpoint, MetricKey, MetricsRegistry, RunReport, Table};
 use ys_pfs::{FilePolicy, GeoMode, GeoPolicy};
-use ys_proto::Workload;
-use ys_security::{InitiatorId, LunMask};
+use ys_proto::{block, BlockCmd, BlockStatus, Workload};
+use ys_security::{InitiatorId, PortZone};
 use ys_simcore::stats::Series;
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simdisk::DiskId;
@@ -26,52 +30,121 @@ const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
 
-/// E1 / Figure 1 — single-stream rate vs striping blade count.
+/// Ring capacity of every traced run (per subsystem ring).
+const TRACE_CAPACITY: usize = 8192;
+
+/// E1 / Figure 1 — single-stream rate vs striping blade count, with the
+/// 4-blade headline run traced per FC port.
 ///
-/// Paper claim: 4 blades × 2 × 2 Gb/s FC feed a ~10 Gb/s stream through a
-/// common PCI-X bus and 10 GbE port.
-pub fn e1_striping() -> Vec<Series> {
-    let mut rate = Series::new("E1 stream rate (Gb/s) vs blades");
-    let mut bus = Series::new("E1 PCI-X bus utilization vs blades");
+/// Paper claim (§2.3, §8): 4 blades × 2 × 2 Gb/s FC feed a ~10 Gb/s stream
+/// through a common PCI-X bus and 10 GbE port.
+pub fn e1_striping() -> RunReport {
+    let mut reg = MetricsRegistry::new();
+    let mut sweep = Table::new(
+        "aggregate stream rate vs blade count (1 GiB object, 2 FC ports/blade)",
+        &["blades", "Gb/s", "bus util", "port util"],
+    );
+    let mut rates = Vec::new();
     for blades in 1..=8usize {
         let cfg = FastPathConfig { blades, ..FastPathConfig::default() };
         let r = deliver_stream(&cfg, GB);
-        rate.push(blades as f64, r.gbit_per_sec);
-        bus.push(blades as f64, r.bus_utilization);
+        sweep.row(vec![blades.to_string(), f2(r.gbit_per_sec), f3(r.bus_utilization), f3(r.port_utilization)]);
+        reg.gauge(MetricKey::aggregate("fastpath", &format!("gbps_{blades}_blades")), r.gbit_per_sec);
+        rates.push(r.gbit_per_sec);
     }
-    vec![rate, bus]
+    // The headline configuration, traced.
+    let (r4, events, dropped) = deliver_stream_traced(&FastPathConfig::default(), GB, TRACE_CAPACITY);
+    reg.gauge(MetricKey::aggregate("fastpath", "bus_util"), r4.bus_utilization);
+    reg.gauge(MetricKey::aggregate("fastpath", "port_util"), r4.port_utilization);
+    record_trace_drops(&mut reg, "fastpath", dropped);
+
+    // Per-blade table straight from the trace: lane 2b+p is blade b port p;
+    // 1000 the PCI-X bus; 1001 the 10 GbE port.
+    let mut per_blade = Table::new(
+        "per-blade FC feed (4 blades x 2 ports, from the trace)",
+        &["stage", "transfers", "MiB", "busy ms", "Gb/s"],
+    );
+    let ports = FastPathConfig::default().fc_ports_per_blade as u32;
+    let mut stage =
+        |label: String, pred: &dyn Fn(u32) -> bool, reg: &mut MetricsRegistry, scope: Option<u32>| {
+            let mut n = 0u64;
+            let mut bytes = 0u64;
+            let mut busy_ns = 0u64;
+            for e in events.iter().filter(|e| pred(e.lane)) {
+                n += 1;
+                bytes += e.a;
+                busy_ns += e.dur.nanos();
+            }
+            let gbps = if busy_ns > 0 { bytes as f64 * 8.0 / busy_ns as f64 } else { 0.0 };
+            per_blade.row(vec![
+                label,
+                n.to_string(),
+                (bytes >> 20).to_string(),
+                f2(busy_ns as f64 / 1e6),
+                f2(gbps),
+            ]);
+            if let Some(b) = scope {
+                *reg.counter(MetricKey::scoped("fastpath", b, "fc_io")) =
+                    ys_simcore::stats::Counter::of(n, bytes);
+            }
+        };
+    for b in 0..4u32 {
+        stage(format!("blade {b}"), &|lane| lane < 1000 && lane / ports == b, &mut reg, Some(b));
+    }
+    stage("PCI-X bus".to_string(), &|lane| lane == 1000, &mut reg, None);
+    stage("10GbE port".to_string(), &|lane| lane == 1001, &mut reg, None);
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.3/§8: four blades over two FC ports each sustain ~10 Gb/s",
+            metric: "fastpath.gbps_4_blades".into(),
+            observed: f2(rates[3]),
+            target: "> 9.0".into(),
+            pass: rates[3] > 9.0,
+        },
+        Checkpoint {
+            claim: "§2.3: striping scales — two blades nearly double one",
+            metric: "fastpath.gbps_2_blades / gbps_1_blades".into(),
+            observed: f2(rates[1] / rates[0]),
+            target: "> 1.8".into(),
+            pass: rates[1] / rates[0] > 1.8,
+        },
+        Checkpoint {
+            claim: "§2.3: the 10 GbE port is the saturated stage at 4 blades",
+            metric: "fastpath.port_util".into(),
+            observed: f3(r4.port_utilization),
+            target: "> 0.9".into(),
+            pass: r4.port_utilization > 0.9,
+        },
+    ];
+    RunReport { tables: vec![sweep, per_blade], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
-/// E2 / Figure 2 — the secure multi-tenant pool: LUN-mask isolation plus
-/// the throughput cost of each optional security layer.
-pub fn e2_secure_pool() -> Vec<Series> {
-    // Isolation: two tenants on one pool; cross-tenant access must fail.
-    let mut mask = LunMask::new();
-    let (alice, bob) = (InitiatorId(1), InitiatorId(2));
-    mask.grant(alice, ys_virt::VolumeId(0));
-    mask.grant(bob, ys_virt::VolumeId(1));
-    let mut isolation = Series::new("E2 cross-tenant accesses denied (of 100 attempts)");
-    let denied = (0..100)
-        .filter(|i| {
-            let initiator = if i % 2 == 0 { alice } else { bob };
-            let target = ys_virt::VolumeId(1 - (i % 2) as u32); // the OTHER tenant's volume
-            mask.check_access(initiator, target).is_err()
-        })
-        .count();
-    isolation.push(100.0, denied as f64);
+/// E2 / Figure 2 — the secure multi-tenant pool (§5): the throughput cost
+/// of each cipher deployment, then two tenants on one ciphered pool. Zoning
+/// plus the LUN mask deny every cross-tenant frame at the target, every
+/// denial lands in the audit log, `ReportLuns` never reveals the other
+/// tenant's volume exists, and what a removed disk would disclose is
+/// ciphertext that only the per-volume key recovers.
+pub fn e2_secure_pool() -> RunReport {
+    const IO_SECTORS: u32 = 128; // 64 KiB per frame
+    const ROUNDS: u64 = 16;
+    let hex = |tag: &[u8]| tag.iter().map(|b| format!("{b:02x}")).collect::<String>();
+    let mut reg = MetricsRegistry::new();
 
-    // Throughput under security layers: multi-tenant 64 KiB mixed I/O.
-    let mut tput = Series::new("E2 throughput (MB/s): 0=off 1=mask+auth 2=at-rest(hw) 3=full(hw) 4=full(sw)");
+    // Throughput: a disk-bound multi-tenant 64 KiB mix. Masking and
+    // authentication are control-path checks with no data-path cost; the
+    // frame arm below enforces them per frame.
+    let mut tput = Table::new("multi-tenant 64 KiB mix (8 clients x 400 ops), by cipher deployment", &["cipher", "MB/s"]);
     let configs = [
-        EncryptionConfig::off(),
-        EncryptionConfig::off(), // mask+auth cost is control-path only
-        EncryptionConfig { at_rest: true, in_transit: false, hardware_assist: true },
-        EncryptionConfig::full_hw(),
-        EncryptionConfig::full_sw(),
+        ("off", EncryptionConfig::off()),
+        ("at_rest_hw", EncryptionConfig { at_rest: true, in_transit: false, hardware_assist: true }),
+        ("full_hw", EncryptionConfig::full_hw()),
+        ("full_sw", EncryptionConfig::full_sw()),
     ];
-    for (i, enc) in configs.iter().enumerate() {
+    for (label, enc) in configs {
         let mut c = BladeCluster::new(
-            ClusterConfig::default().with_blades(4).with_disks(16).with_clients(8).with_encryption(*enc),
+            ClusterConfig::default().with_blades(4).with_disks(16).with_clients(8).with_encryption(enc),
         );
         let v0 = c.create_volume("alice", 1, 4 * GB).unwrap();
         let v1 = c.create_volume("bob", 2, 4 * GB).unwrap();
@@ -86,14 +159,137 @@ pub fn e2_secure_pool() -> Vec<Series> {
             };
             (done, op.len)
         });
-        tput.push(i as f64, r.mb_per_sec());
+        tput.row(vec![label.into(), f2(r.mb_per_sec())]);
+        reg.gauge(MetricKey::aggregate("security", &format!("mb_s_{label}")), r.mb_per_sec());
     }
-    vec![isolation, tput]
+
+    let cfg = ClusterConfig::default()
+        .with_blades(4)
+        .with_disks(8)
+        .with_clients(4)
+        .with_encryption(EncryptionConfig::full_hw());
+    let mut c = BladeCluster::new(cfg);
+    let vol_a = c.create_volume("tenant-a", 1, 1 << 30).expect("volume a");
+    let vol_b = c.create_volume("tenant-b", 2, 1 << 30).expect("volume b");
+
+    // The operator zones one host port per tenant, the disk-side bridge,
+    // and a management port; each tenant is granted only its own LUN.
+    let mut target = BlockTarget::new(2, 8);
+    target.mask.set_zone(0, PortZone::HostSide);
+    target.mask.set_zone(1, PortZone::HostSide);
+    target.mask.set_zone(8, PortZone::DiskSide);
+    target.mask.set_zone(9, PortZone::Management);
+    let tenant_a = InitiatorId(1);
+    let tenant_b = InitiatorId(2);
+    target.mask.grant(tenant_a, vol_a);
+    target.mask.grant(tenant_b, vol_b);
+
+    // Interleaved workload: each tenant streams to its own LUN while
+    // probing the other's — reads, writes, and a frame smuggled onto the
+    // trusted disk-side fabric.
+    let mut t = SimTime::ZERO;
+    let mut own_ok = 0u64;
+    let mut cross_attempts = 0u64;
+    let mut cross_denied = 0u64;
+    for i in 0..ROUNDS {
+        let lba = i * IO_SECTORS as u64;
+        for (who, client, port, own, other) in [
+            (tenant_a, 0usize, 0usize, vol_a, vol_b),
+            (tenant_b, 1, 1, vol_b, vol_a),
+        ] {
+            let w = target.handle(&mut c, who, client, port, t,
+                block::encode(&BlockCmd::Write { lun: own.0, lba, sectors: IO_SECTORS }));
+            if w.status == BlockStatus::Good {
+                own_ok += 1;
+            }
+            t = w.done;
+            let probes = [
+                (port, BlockCmd::Read { lun: other.0, lba, sectors: IO_SECTORS }),
+                (port, BlockCmd::Write { lun: other.0, lba, sectors: IO_SECTORS }),
+                // Even with a mask grant, the disk-side fabric is a breach.
+                (8, BlockCmd::Read { lun: own.0, lba, sectors: IO_SECTORS }),
+            ];
+            for (p, cmd) in probes {
+                cross_attempts += 1;
+                if target.handle(&mut c, who, client, p, t, block::encode(&cmd)).status
+                    == BlockStatus::AccessDenied
+                {
+                    cross_denied += 1;
+                }
+            }
+        }
+    }
+    let luns_a = target.report_luns(tenant_a);
+    let luns_b = target.report_luns(tenant_b);
+    let leak_free = luns_a == vec![vol_a] && luns_b == vec![vol_b];
+    let audited = target.audit.violations().count() as u64;
+
+    // §5.1's warranty-return scenario: destage everything, then look at
+    // the raw media bytes a removed disk would disclose.
+    c.drain();
+    let plain = BladeCluster::plaintext_page_tag(vol_a, 0);
+    let media = c.media_tag(vol_a, 0).expect("destaged page has media bytes");
+    let mut dec = media;
+    ys_security::ctr_xor(&c.volume_key(vol_a), 0, 0, &mut dec);
+    let ciphered_at_rest = media != plain && dec == plain;
+
+    collect_cluster(&mut reg, &c, t);
+    reg.gauge(MetricKey::aggregate("security", "cross_tenant_attempts"), cross_attempts as f64);
+    reg.gauge(MetricKey::aggregate("security", "cross_tenant_denied"), cross_denied as f64);
+    reg.gauge(MetricKey::aggregate("security", "denials_audited"), audited as f64);
+    reg.gauge(MetricKey::aggregate("security", "pages_ciphered"), c.stats.pages_ciphered as f64);
+
+    let mut view = Table::new(
+        "per-tenant view of the shared pool",
+        &["tenant", "host port", "visible LUNs", "own I/O ok", "probes denied"],
+    );
+    let probes = format!("{}/{}", cross_denied / 2, cross_attempts / 2);
+    view.row(vec!["A".into(), "0".into(), format!("{luns_a:?}"), (own_ok / 2).to_string(), probes.clone()]);
+    view.row(vec!["B".into(), "1".into(), format!("{luns_b:?}"), (own_ok / 2).to_string(), probes]);
+    let mut disk = Table::new(
+        "removed-disk disclosure (tenant A, page 0)",
+        &["bytes", "value"],
+    );
+    disk.row(vec!["host plaintext".into(), hex(&plain)]);
+    disk.row(vec!["on the media".into(), hex(&media)]);
+    disk.row(vec!["deciphered (volume key)".into(), hex(&dec)]);
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§5: no cross-tenant frame ever succeeds — mask and zones fail closed",
+            metric: "security.cross_tenant_denied".into(),
+            observed: format!("{cross_denied}/{cross_attempts}"),
+            target: format!("== {cross_attempts}"),
+            pass: cross_denied == cross_attempts && cross_attempts > 0,
+        },
+        Checkpoint {
+            claim: "§5.2: ReportLuns hides the other tenant's volume existence",
+            metric: "report_luns(A), report_luns(B)".into(),
+            observed: format!("{luns_a:?}, {luns_b:?}"),
+            target: "own volume only".into(),
+            pass: leak_free,
+        },
+        Checkpoint {
+            claim: "§5.2: every denial is in the audit trail",
+            metric: "security.denials_audited".into(),
+            observed: audited.to_string(),
+            target: format!("== {}", target.stats.denied),
+            pass: audited == target.stats.denied && audited == cross_denied,
+        },
+        Checkpoint {
+            claim: "§5.1: media bytes are ciphertext; only the volume key recovers them",
+            metric: "media_tag(vol_a, 0)".into(),
+            observed: if ciphered_at_rest { "ciphered, round-trips".into() } else { "PLAINTEXT".to_string() },
+            target: "!= plaintext, deciphers back".into(),
+            pass: ciphered_at_rest,
+        },
+    ];
+    RunReport { tables: vec![tput, view, disk], checkpoints, registry: reg, ..RunReport::default() }
 }
 
 /// E3 / Figure 3 — the three-site national-lab deployment with per-tier
 /// file policies: write latency per tier and async RPO behaviour.
-pub fn e3_geo_deploy() -> Vec<Series> {
+pub fn e3_geo_deploy() -> RunReport {
     let mut ns = NetStorage::new(NetStorageConfig {
         site_cluster: ClusterConfig::default().with_blades(4).with_disks(8).with_clients(4),
         ..NetStorageConfig::default()
@@ -135,12 +331,12 @@ pub fn e3_geo_deploy() -> Vec<Series> {
     ns.ship_async(t, u64::MAX).unwrap();
     let after = ns.async_backlog(home, SiteId(1)).0 + ns.async_backlog(home, SiteId(2)).0;
     backlog.push(1.0, after as f64);
-    vec![lat, backlog]
+    vec![lat, backlog].into()
 }
 
 /// E4 — aggregate throughput vs blade count on a shared, unpartitioned
 /// volume (§2.1), with the dual-controller legacy array as the baseline.
-pub fn e4_scaling() -> Vec<Series> {
+pub fn e4_scaling() -> RunReport {
     let clients = 32usize;
     let working_set = 128 * MB; // hot set: fits even one blade's cache
     let io = 64 * KB;
@@ -182,24 +378,33 @@ pub fn e4_scaling() -> Vec<Series> {
         });
         legacy.push(controllers as f64, r.mb_per_sec());
     }
-    vec![tput, legacy]
+    vec![tput, legacy].into()
 }
 
 /// E5 — hot-spot behaviour under Zipf skew: the pooled coherent cache with
-/// load balancing vs volume-pinned controllers (§2.2, §6.3).
-pub fn e5_hotspot() -> Vec<Series> {
+/// load balancing vs volume-pinned controllers (§2.2, §6.3). The pooled
+/// round-robin run is traced and collected.
+pub fn e5_hotspot() -> RunReport {
     let volumes = 8usize;
     let clients = 16usize;
     let io = 64 * KB;
     let per_vol = 64 * MB;
-    let mut tput = Series::new("E5 MB/s: 0=pooled(RR) 1=pooled(affinity) 2=pinned-by-volume");
-    let mut spread = Series::new("E5 blade utilization max/mean ratio (hot-spot indicator)");
-    let mut p99s = Series::new("E5 read p99 (ms)");
-    let mut dir_series: Option<Series> = None;
-    for (i, lb) in [LoadBalance::RoundRobin, LoadBalance::PageAffinity, LoadBalance::PinnedByVolume]
-        .into_iter()
-        .enumerate()
-    {
+    let mut table = Table::new(
+        "Zipf(1.1) volume popularity, 8 volumes x 64 MiB, 16 clients x 250 reads",
+        &["routing", "MB/s", "util max/mean", "read p99 ms"],
+    );
+    let mut reg = MetricsRegistry::new();
+    let mut per_blade = Table::new(
+        "per-blade activity (pooled round-robin)",
+        &["blade", "local hits", "remote hits", "misses", "cpu util"],
+    );
+    let (mut events, mut dropped) = (Vec::new(), 0);
+    let mut imbalance = Vec::new();
+    for (label, lb) in [
+        ("pooled round-robin", LoadBalance::RoundRobin),
+        ("pooled page-affinity", LoadBalance::PageAffinity),
+        ("pinned-by-volume", LoadBalance::PinnedByVolume),
+    ] {
         let mut c = BladeCluster::new(
             ClusterConfig::default()
                 .with_blades(8)
@@ -216,6 +421,10 @@ pub fn e5_hotspot() -> Vec<Series> {
             }
         }
         let t_warm = c.drain().max(t);
+        let traced = lb == LoadBalance::RoundRobin;
+        if traced {
+            c.enable_tracing(TRACE_CAPACITY);
+        }
         // Zipf volume popularity: volume 0 is scorching.
         let zipf = ys_simcore::Zipf::new(volumes, 1.1);
         let mut rng = ys_simcore::Rng::new(99);
@@ -227,33 +436,68 @@ pub fn e5_hotspot() -> Vec<Series> {
             let done = c.read(shifted, client, v, op.offset, op.len).unwrap().done;
             (SimTime(done.nanos() - t_warm.nanos()), op.len)
         });
-        tput.push(i as f64, r.mb_per_sec());
         let until = SimTime(t_warm.nanos() + r.makespan.nanos());
         let utils = c.blade_utilizations(until);
         let max = utils.iter().cloned().fold(0.0, f64::max);
         let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        spread.push(i as f64, if mean > 0.0 { max / mean } else { 0.0 });
-        p99s.push(i as f64, c.stats.read_latency.p99().as_millis_f64());
-        if i == 0 {
+        let imb = if mean > 0.0 { max / mean } else { 0.0 };
+        imbalance.push(imb);
+        let p99 = c.stats.read_latency.p99().as_millis_f64();
+        table.row(vec![label.into(), f2(r.mb_per_sec()), f2(imb), f2(p99)]);
+        if traced {
+            collect_cluster(&mut reg, &c, until);
+            (events, dropped) = c.take_trace();
+            record_trace_drops(&mut reg, "cluster", dropped);
             // Directory-shard load (§2.2: the coherence directory itself is
             // hash-sharded across blades so metadata work scales too).
             let lookups = c.cache.directory().shard_lookups().to_vec();
             let max = *lookups.iter().max().unwrap_or(&0) as f64;
             let mean = lookups.iter().sum::<u64>() as f64 / lookups.len().max(1) as f64;
-            let mut dir = Series::new("E5 coherence-directory shard load max/mean (pooled RR)");
-            dir.push(0.0, if mean > 0.0 { max / mean } else { 0.0 });
-            dir_series = Some(dir);
+            reg.gauge(MetricKey::aggregate("cache", "directory_shard_imbalance"), if mean > 0.0 { max / mean } else { 0.0 });
+            for b in 0..8u32 {
+                per_blade.row(vec![
+                    b.to_string(),
+                    reg.counter_value(&MetricKey::scoped("cache", b, "local_hits")).to_string(),
+                    reg.counter_value(&MetricKey::scoped("cache", b, "remote_hits")).to_string(),
+                    reg.counter_value(&MetricKey::scoped("cache", b, "misses")).to_string(),
+                    f3(reg.gauge_value(&MetricKey::scoped("core", b, "cpu_util")).unwrap_or(0.0)),
+                ]);
+            }
         }
     }
-    let mut out = vec![tput, spread, p99s];
-    if let Some(d) = dir_series {
-        out.push(d);
-    }
-    out
+    let (pooled_imb, pinned_imb) = (imbalance[0], imbalance[2]);
+    reg.gauge(MetricKey::aggregate("core", "cpu_imbalance_pinned"), pinned_imb);
+    let hit_ratio = reg.gauge_value(&MetricKey::aggregate("cache", "hit_ratio")).unwrap_or(0.0);
+    let dir_imb = reg.gauge_value(&MetricKey::aggregate("cache", "directory_shard_imbalance")).unwrap_or(0.0);
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.2: hot data concentrates in the pooled cache — skewed reads mostly hit",
+            metric: "cache.hit_ratio".into(),
+            observed: f3(hit_ratio),
+            target: "> 0.5".into(),
+            pass: hit_ratio > 0.5,
+        },
+        Checkpoint {
+            claim: "§6.3: load balancing spreads the hot spot the pinned islands concentrate",
+            metric: "core.cpu_imbalance (pooled vs pinned)".into(),
+            observed: format!("{} vs {}", f2(pooled_imb), f2(pinned_imb)),
+            target: "pooled < pinned".into(),
+            pass: pooled_imb < pinned_imb,
+        },
+        Checkpoint {
+            claim: "§2.2: the hash-sharded coherence directory stays flat too",
+            metric: "cache.directory_shard_imbalance".into(),
+            observed: f2(dir_imb),
+            target: "< 1.1".into(),
+            pass: dir_imb < 1.1,
+        },
+    ];
+    RunReport { tables: vec![table, per_blade], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E6 — DMSD thin provisioning vs fixed partitions (§3).
-pub fn e6_dmsd() -> Vec<Series> {
+pub fn e6_dmsd() -> RunReport {
     let extent = MB;
     let pool_extents = 1024 * 1024; // 1 TiB pool
     let volumes = 100usize;
@@ -299,16 +543,24 @@ pub fn e6_dmsd() -> Vec<Series> {
     reclaim.push(0.0, used_before as f64);
     reclaim.push(1.0, m.pool().used_extents() as f64);
     assert_eq!(actual_total, fixed_demand.min(actual_total)); // sanity
-    vec![usage, cb, reclaim]
+    vec![usage, cb, reclaim].into()
 }
 
 /// E7 — N-way write replication: latency cost vs N, and survival of N−1
-/// blade failures (§6.1).
-pub fn e7_nway() -> Vec<Series> {
-    let mut lat = Series::new("E7 mean write latency (ms) vs replication N");
-    let mut survival = Series::new("E7 dirty pages lost after N-1 blade failures (must be 0)");
+/// blade failures (§6.1). The 3-way run is traced and collected.
+pub fn e7_nway() -> RunReport {
+    let mut table = Table::new(
+        "100 x 64 KiB write-back writes, then N-1 blade failures (6 blades)",
+        &["copies", "mean ack ms", "failures", "lost", "promoted"],
+    );
+    let mut reg = MetricsRegistry::new();
+    let (mut events, mut dropped) = (Vec::new(), 0);
+    let (mut lost_within_budget, mut promoted3) = (0usize, 0usize);
     for n in 1..=4usize {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(6).with_disks(12));
+        if n == 3 {
+            c.enable_tracing(TRACE_CAPACITY);
+        }
         let vol = c.create_volume("t", 0, 4 * GB).unwrap();
         let mut t = SimTime::ZERO;
         let mut total = SimDuration::ZERO;
@@ -318,45 +570,93 @@ pub fn e7_nway() -> Vec<Series> {
             total += w.latency;
             t = w.done;
         }
-        lat.push(n as f64, total.as_millis_f64() / ops as f64);
         // Kill N−1 blades while the cache is still dirty.
-        let mut lost = 0usize;
-        for b in 0..n.saturating_sub(1) {
-            lost += c.fail_blade(t, b).lost.len();
+        let (mut lost, mut promoted) = (0usize, 0usize);
+        for b in 0..n - 1 {
+            let report = c.fail_blade(t, b);
+            lost += report.lost.len();
+            promoted += report.promoted.len();
         }
-        survival.push(n as f64, lost as f64);
+        let mean_ms = total.as_millis_f64() / ops as f64;
+        table.row(vec![n.to_string(), f2(mean_ms), (n - 1).to_string(), lost.to_string(), promoted.to_string()]);
+        reg.gauge(MetricKey::aggregate("core", &format!("write_ack_ms_{n}_copies")), mean_ms);
+        lost_within_budget += lost;
+        if n == 3 {
+            promoted3 = promoted;
+            collect_cluster(&mut reg, &c, t);
+            (events, dropped) = c.take_trace();
+            record_trace_drops(&mut reg, "cluster", dropped);
+        }
     }
-    // The contrast: N=1 with one failure loses data.
-    let mut baseline = Series::new("E7 baseline: N=1 pages lost after 1 failure per blade");
+    // The contrast: N=1 with one failure per blade loses data.
     let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(12));
     let vol = c.create_volume("t", 0, GB).unwrap();
     let mut t = SimTime::ZERO;
     for i in 0..40u64 {
         t = c.write(t, 0, vol, i * 64 * KB, 64 * KB, 1, Retention::Normal).unwrap().done;
     }
-    let mut lost = 0;
+    let mut lost1 = 0;
     for b in 0..4 {
-        lost += c.fail_blade(t, b).lost.len();
+        lost1 += c.fail_blade(t, b).lost.len();
     }
-    baseline.push(1.0, lost as f64);
-    vec![lat, survival, baseline]
+    let mut baseline = Table::new("baseline: 40 x 64 KiB 1-way writes, every blade of 4 fails", &["copies", "failures", "lost"]);
+    baseline.row(vec!["1".into(), "4".into(), lost1.to_string()]);
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§6.1: N-way replicated dirty data survives N-1 blade failures, for N = 1..4",
+            metric: "core.dirty_pages_lost (summed over N)".into(),
+            observed: lost_within_budget.to_string(),
+            target: "== 0".into(),
+            pass: lost_within_budget == 0,
+        },
+        Checkpoint {
+            claim: "§6.1: survivors promote replicas to owners",
+            metric: "core.dirty_pages_promoted (3 copies)".into(),
+            observed: promoted3.to_string(),
+            target: "> 0".into(),
+            pass: promoted3 > 0,
+        },
+        Checkpoint {
+            claim: "§6.1 (contrast): unreplicated dirty pages die with their blade",
+            metric: "baseline dirty_pages_lost".into(),
+            observed: lost1.to_string(),
+            target: "> 0".into(),
+            pass: lost1 > 0,
+        },
+    ];
+    RunReport { tables: vec![table, baseline], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E8 — distributed rebuild: time vs participating blades, and the effect
-/// of a controller dying mid-rebuild (§2.4, §6.3).
-pub fn e8_rebuild() -> Vec<Series> {
+/// of a controller dying mid-rebuild (§2.4, §6.3). The 4-worker run is
+/// traced.
+pub fn e8_rebuild() -> RunReport {
     let region = 256 * MB;
-    let mut times = Series::new("E8 rebuild time (s) vs participating blades");
+    let mut table = Table::new("RAID-5 rebuild of a 256 MiB region (8 blades, 8 disks)", &["workers", "finish s"]);
+    let mut reg = MetricsRegistry::new();
+    let mut times = Vec::new();
+    let (mut events, mut dropped) = (Vec::new(), 0);
     for workers in [1usize, 2, 4, 8] {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(8).with_disks(8));
         c.fail_disk(DiskId(3));
         let blades: Vec<usize> = (0..workers).collect();
         let mut r = Rebuilder::new(&mut c, SimTime::ZERO, DiskId(3), region, &blades, 64);
-        let done = r.run(&mut c).unwrap();
-        times.push(workers as f64, done.as_secs_f64());
+        if workers == 4 {
+            r.enable_tracing(TRACE_CAPACITY);
+        }
+        let done = r.run(&mut c).unwrap().as_secs_f64();
+        table.row(vec![workers.to_string(), f2(done)]);
+        reg.gauge(MetricKey::aggregate("raid", &format!("rebuild_s_{workers}_workers")), done);
+        times.push(done);
+        if workers == 4 {
+            (events, dropped) = r.take_trace();
+        }
     }
-    // Worker failure mid-rebuild: completes anyway, slightly later.
-    let mut failover = Series::new("E8 rebuild time (s): 0=4 workers 1=4 workers, one dies midway");
+    record_trace_drops(&mut reg, "raid", dropped);
+    // Worker failure mid-rebuild: completes anyway.
+    let mut failover = Table::new("4 workers, 32-row batches", &["run", "finish s"]);
+    let mut finish = Vec::new();
     for kill_one in [false, true] {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(8).with_disks(8));
         c.fail_disk(DiskId(3));
@@ -368,21 +668,54 @@ pub fn e8_rebuild() -> Vec<Series> {
                 r.fail_worker(0);
             }
         }
-        failover.push(kill_one as u64 as f64, r.finished_at().unwrap().as_secs_f64());
+        let done = r.finished_at().unwrap().as_secs_f64();
+        failover.row(vec![if kill_one { "one worker dies midway" } else { "all healthy" }.into(), f2(done)]);
+        finish.push(done);
     }
-    vec![times, failover]
+    reg.gauge(MetricKey::aggregate("raid", "rebuild_s_worker_failover"), finish[1]);
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§2.4: a second worker blade speeds the rebuild",
+            metric: "raid.rebuild_s_2_workers".into(),
+            observed: f2(times[1]),
+            target: format!("< {}", f2(times[0])),
+            pass: times[1] < times[0],
+        },
+        Checkpoint {
+            claim: "§2.4: beyond the disk bound, more workers never regress",
+            metric: "raid.rebuild_s_{4,8}_workers".into(),
+            observed: format!("{}, {}", f2(times[2]), f2(times[3])),
+            target: format!("<= {}", f2(times[1])),
+            pass: times[2] <= times[1] && times[3] <= times[2],
+        },
+        Checkpoint {
+            claim: "§6.3: a dead worker's batch continues on the others — the rebuild finishes",
+            metric: "raid.rebuild_s_worker_failover".into(),
+            observed: f2(finish[1]),
+            target: format!("<= 1.05 x {} (healthy)", f2(finish[0])),
+            pass: finish[1] <= 1.05 * finish[0],
+        },
+    ];
+    RunReport { tables: vec![table, failover], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E9 — geographic replication modes: write latency vs distance for sync
-/// vs async, and the loss window after a site cut (§6.2, §7.2).
-pub fn e9_georep() -> Vec<Series> {
-    let mut sync_lat = Series::new("E9 sync write latency (ms) vs one-way distance (km)");
-    let mut async_lat = Series::new("E9 async write latency (ms) vs one-way distance (km)");
+/// vs async, the loss window after a site cut, and file-level vs
+/// volume-level WAN cost (§6.2, §7). The async loss-window run is traced.
+pub fn e9_georep() -> RunReport {
+    let site_cluster = || ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2);
+    let mut reg = MetricsRegistry::new();
+    let mut lat = Table::new(
+        "mean 64 KiB write ack vs one-way distance (20 writes per mode, OC-192 trunk)",
+        &["km", "sync ms", "async ms"],
+    );
+    let mut acks = Vec::new();
     for km in [10.0, 100.0, 500.0, 1000.0, 3000.0, 7000.0] {
         let mut topo = SiteTopology::new(&["a", "b"]);
         topo.connect(SiteId(0), SiteId(1), catalog::oc192(), km);
         let mut ns = NetStorage::new(NetStorageConfig {
-            site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
+            site_cluster: site_cluster(),
             topology: topo,
             ..NetStorageConfig::default()
         });
@@ -401,54 +734,60 @@ pub fn e9_georep() -> Vec<Series> {
             atot += w.latency;
             t = w.done;
         }
-        sync_lat.push(km, stot.as_millis_f64() / n as f64);
-        async_lat.push(km, atot.as_millis_f64() / n as f64);
+        let (sync_ms, async_ms) = (stot.as_millis_f64() / n as f64, atot.as_millis_f64() / n as f64);
+        lat.row(vec![format!("{km}"), f3(sync_ms), f3(async_ms)]);
+        reg.gauge(MetricKey::aggregate("geo", &format!("sync_ack_ms_{km}km")), sync_ms);
+        reg.gauge(MetricKey::aggregate("geo", &format!("async_ack_ms_{km}km")), async_ms);
+        acks.push((sync_ms, async_ms));
     }
+    let async_faster = acks.iter().all(|&(sync_ms, async_ms)| async_ms < sync_ms);
 
-    // Loss window: 100 async writes, ship 50, cut the site.
-    let mut loss = Series::new("E9 writes lost at site cut: 0=sync 1=async(half-shipped)");
-    {
-        let mut ns = NetStorage::new(NetStorageConfig {
-            site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
-            ..NetStorageConfig::default()
-        });
-        let sp = FilePolicy { geo: GeoPolicy::sync(2), ..FilePolicy::default() };
-        ns.create_file("/s", sp, SiteId(0)).unwrap();
+    // Loss window: 100 writes, the async journal half shipped, then the
+    // home site is lost.
+    let mut loss = Table::new(
+        "site cut after 100 x 4 KiB writes (async: half the journal shipped)",
+        &["mode", "writes lost", "readable at peer"],
+    );
+    let (mut sync_lost, mut async_lost, mut unshipped, mut sync_readable) = (0, 0, 0, false);
+    let (mut events, mut dropped) = (Vec::new(), 0);
+    for (path, geo) in [("/s", GeoPolicy::sync(2)), ("/a", GeoPolicy::async_(2))] {
+        let is_async = geo.mode == GeoMode::Asynchronous;
+        let mut ns = NetStorage::new(NetStorageConfig { site_cluster: site_cluster(), ..NetStorageConfig::default() });
+        if is_async {
+            ns.enable_tracing(TRACE_CAPACITY);
+        }
+        ns.create_file(path, FilePolicy { geo, ..FilePolicy::default() }, SiteId(0)).unwrap();
         let mut t = SimTime::ZERO;
         for i in 0..100u64 {
-            t = ns.write_file(t, SiteId(0), 0, "/s", i * 4 * KB, 4 * KB).unwrap().done;
+            t = ns.write_file(t, SiteId(0), 0, path, i * 4 * KB, 4 * KB).unwrap().done;
+        }
+        if is_async {
+            // Ship roughly half the journal (each record is 4 KiB; two
+            // async destinations share the budget round).
+            ns.ship_async(t, 50 * 4 * KB).unwrap();
+            unshipped = ns.stats.async_writes_enqueued - ns.stats.async_writes_shipped;
         }
         let rep = ns.fail_site(SiteId(0));
-        loss.push(0.0, rep.async_writes_lost as f64);
-    }
-    {
-        let mut ns = NetStorage::new(NetStorageConfig {
-            site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
-            ..NetStorageConfig::default()
-        });
-        let ap = FilePolicy { geo: GeoPolicy::async_(2), ..FilePolicy::default() };
-        ns.create_file("/a", ap, SiteId(0)).unwrap();
-        let mut t = SimTime::ZERO;
-        for i in 0..100u64 {
-            t = ns.write_file(t, SiteId(0), 0, "/a", i * 4 * KB, 4 * KB).unwrap().done;
+        let readable = ns.read_file(t, SiteId(1), 0, path, 0, 4 * KB).is_ok();
+        loss.row(vec![if is_async { "async" } else { "sync" }.into(), rep.async_writes_lost.to_string(), readable.to_string()]);
+        if is_async {
+            async_lost = rep.async_writes_lost;
+            collect_geo(&mut reg, &ns);
+            (events, dropped) = ns.take_trace();
+            record_trace_drops(&mut reg, "netstorage", dropped);
+        } else {
+            sync_lost = rep.async_writes_lost;
+            sync_readable = readable;
         }
-        // Ship roughly half the journal (each record is 4 KiB; two async
-        // destinations share the budget round).
-        ns.ship_async(t, 50 * 4 * KB).unwrap();
-        let rep = ns.fail_site(SiteId(0));
-        loss.push(1.0, rep.async_writes_lost as f64);
     }
 
     // File-level vs volume-level replication network cost (§7.2: "a key
     // disadvantage of current solutions is that replication is done at a
     // volume level – every byte of data is treated the same"). Ten files,
     // two of which matter; the volume-level baseline ships everything.
-    let mut traffic = Series::new("E9 WAN MB shipped: 0=file-level policies 1=volume-level (everything)");
-    for (i, volume_level) in [false, true].into_iter().enumerate() {
-        let mut ns = NetStorage::new(NetStorageConfig {
-            site_cluster: ClusterConfig::default().with_blades(2).with_disks(6).with_clients(2),
-            ..NetStorageConfig::default()
-        });
+    let mut traffic = Table::new("80 MiB over 10 files, 2 of which need protection", &["replication", "WAN MB"]);
+    for volume_level in [false, true] {
+        let mut ns = NetStorage::new(NetStorageConfig { site_cluster: site_cluster(), ..NetStorageConfig::default() });
         for f in 0..10 {
             let pol = FilePolicy {
                 geo: if volume_level || f < 2 { GeoPolicy::async_(2) } else { GeoPolicy::none() },
@@ -463,15 +802,40 @@ pub fn e9_georep() -> Vec<Series> {
             }
         }
         ns.ship_async(t, u64::MAX).unwrap();
-        traffic.push(i as f64, ns.wan_bytes_total() as f64 / 1e6);
+        let label = if volume_level { "volume-level (everything)" } else { "file-level policies" };
+        traffic.row(vec![label.into(), f2(ns.wan_bytes_total() as f64 / 1e6)]);
     }
-    vec![sync_lat, async_lat, loss, traffic]
+
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§7.2: async acks locally, before the sync mirror's WAN round trip, at every distance",
+            metric: "geo.async_ack_ms_10km < geo.sync_ack_ms_10km".into(),
+            observed: format!("{} < {}", f3(acks[0].1), f3(acks[0].0)),
+            target: "async < sync at all 6 distances".into(),
+            pass: async_faster,
+        },
+        Checkpoint {
+            claim: "§7.2: the async journal's unshipped tail is the loss window; sync loses nothing",
+            metric: "disaster.async_writes_lost (async, sync)".into(),
+            observed: format!("{async_lost}, {sync_lost}"),
+            target: format!("== {unshipped} (unshipped), == 0"),
+            pass: async_lost == unshipped && unshipped > 0 && sync_lost == 0,
+        },
+        Checkpoint {
+            claim: "§7: the synchronous replica serves reads after the home site dies",
+            metric: "read(/s)@peer".into(),
+            observed: sync_readable.to_string(),
+            target: "true".into(),
+            pass: sync_readable,
+        },
+    ];
+    RunReport { tables: vec![lat, loss, traffic], checkpoints, registry: reg, events, dropped, ..RunReport::default() }
 }
 
 /// E10 — distributed data access: first-reference migration penalty, then
 /// local-speed access; automatic replication after write invalidation
 /// (§7.1).
-pub fn e10_remote_access() -> Vec<Series> {
+pub fn e10_remote_access() -> RunReport {
     let mut ns = NetStorage::new(NetStorageConfig {
         site_cluster: ClusterConfig::default().with_blades(4).with_disks(8).with_clients(4),
         heat_half_life_secs: 10_000.0,
@@ -507,13 +871,18 @@ pub fn e10_remote_access() -> Vec<Series> {
     ns.run_auto_replication(t).unwrap();
     let pushed = ns.read_file(t + SimDuration::from_secs(1), remote, 0, "/dataset.h5", 0, 8 * MB).unwrap();
     auto.push(1.0, pushed.latency.as_millis_f64());
-    vec![seq, auto]
+    vec![seq, auto].into()
 }
 
-/// E11 — wire-speed encryption (§5.1, §8.1): streaming throughput with
-/// encryption off / hardware / software.
-pub fn e11_encryption() -> Vec<Series> {
-    let mut tput = Series::new("E11 streaming read MB/s: 0=off 1=at-rest+transit(hw) 2=at-rest+transit(sw)");
+/// E11 — wire-speed encryption (§5.1, §8.1): a cache-resident read stream
+/// with the cipher off, in the hardware engine, and in software. Hardware
+/// assist must hold the stream within 5% of crypt-off while the software
+/// path measurably degrades it.
+pub fn e11_encryption() -> RunReport {
+    let total = 256 * MB;
+    let mut mbps = Vec::new();
+    let mut ciphered = Vec::new();
+    let mut reg = MetricsRegistry::new();
     for (i, enc) in [EncryptionConfig::off(), EncryptionConfig::full_hw(), EncryptionConfig::full_sw()]
         .into_iter()
         .enumerate()
@@ -522,7 +891,6 @@ pub fn e11_encryption() -> Vec<Series> {
             ClusterConfig::default().with_blades(4).with_disks(16).with_clients(4).with_encryption(enc),
         );
         let vol = c.create_volume("media", 0, 4 * GB).unwrap();
-        let total = 256 * MB;
         let mut t = SimTime::ZERO;
         for off in (0..total).step_by(MB as usize) {
             t = c.write(t, 0, vol, off, MB, 1, Retention::Normal).unwrap().done;
@@ -538,9 +906,57 @@ pub fn e11_encryption() -> Vec<Series> {
             let done = c.read(shifted, client, vol, off, chunk).unwrap().done;
             (SimTime(done.nanos() - start.nanos()), chunk)
         });
-        tput.push(i as f64, r.mb_per_sec());
+        mbps.push(r.mb_per_sec());
+        ciphered.push(c.stats.pages_ciphered);
+        if i == 1 {
+            collect_cluster(&mut reg, &c, SimTime(start.nanos() + r.makespan.nanos()));
+        }
     }
-    vec![tput]
+    let (off, hw, sw) = (mbps[0], mbps[1], mbps[2]);
+    let (hw_ratio, sw_ratio) = (hw / off, sw / off);
+    for (name, v) in [("mb_s_off", off), ("mb_s_hw", hw), ("mb_s_sw", sw), ("hw_wire_ratio", hw_ratio), ("sw_wire_ratio", sw_ratio)] {
+        reg.gauge(MetricKey::aggregate("crypt", name), v);
+    }
+    let mut table = Table::new(
+        "256 MiB read stream from the 4-blade pool (4 clients, 1 MiB reads), by cipher deployment",
+        &["cipher", "MB/s", "vs off", "pages ciphered"],
+    );
+    table.row(vec!["off".into(), f2(off), "1.000".into(), ciphered[0].to_string()]);
+    table.row(vec!["hardware engine".into(), f2(hw), f3(hw_ratio), ciphered[1].to_string()]);
+    table.row(vec!["software".into(), f2(sw), f3(sw_ratio), ciphered[2].to_string()]);
+
+    let pages = total / (64 * KB);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§5.1: hardware-assist encryption runs at wire speed — within 5% of crypt-off",
+            metric: "crypt.hw_wire_ratio".into(),
+            observed: f3(hw_ratio),
+            target: ">= 0.95".into(),
+            pass: hw_ratio >= 0.95,
+        },
+        Checkpoint {
+            claim: "§5.1: software crypt measurably degrades the same stream",
+            metric: "crypt.sw_wire_ratio".into(),
+            observed: f3(sw_ratio),
+            target: "< 0.90".into(),
+            pass: sw_ratio < 0.90,
+        },
+        Checkpoint {
+            claim: "§5.1: the cipher costs something real in either deployment",
+            metric: "crypt.mb_s_off > mb_s_hw > mb_s_sw".into(),
+            observed: format!("{} > {} > {}", f2(off), f2(hw), f2(sw)),
+            target: "strictly ordered".into(),
+            pass: off > hw && hw > sw,
+        },
+        Checkpoint {
+            claim: "§5.1: the ciphered runs actually ciphered every destaged page",
+            metric: "cluster.pages_ciphered (hw run)".into(),
+            observed: ciphered[1].to_string(),
+            target: format!(">= {pages}"),
+            pass: ciphered[1] >= pages && ciphered[2] == ciphered[1],
+        },
+    ];
+    RunReport { tables: vec![table], checkpoints, registry: reg, ..RunReport::default() }
 }
 
 /// E12 — storage services: PIT-copy duration pinned to one blade vs
@@ -550,7 +966,7 @@ pub fn e11_encryption() -> Vec<Series> {
 /// The service is sliced and interleaved with foreground read batches in
 /// virtual time, so both contend for the same disk queues. The cache is
 /// deliberately small so foreground reads actually reach the disks.
-pub fn e12_services() -> Vec<Series> {
+pub fn e12_services() -> RunReport {
     let mut svc = Series::new("E12 backup-stream duration (s): 0=pinned-1-blade 1=distributed-8");
     let mut fg = Series::new("E12 foreground read p99 (ms): 0=no-service 1=pinned 2=distributed");
 
@@ -625,42 +1041,7 @@ pub fn e12_services() -> Vec<Series> {
         svc.push(i as f64, svc_t.since(base).as_secs_f64());
         fg.push((i + 1) as f64, c.stats.read_latency.p99().as_millis_f64());
     }
-    vec![svc, fg]
-}
-
-/// An experiment: (id, title, runner).
-pub type Experiment = (&'static str, &'static str, fn() -> Vec<Series>);
-
-/// The experiment registry: id, title, runner.
-pub fn registry() -> Vec<Experiment> {
-    vec![
-        ("E1", "E1 Figure-1 high-speed striping", e1_striping as fn() -> Vec<Series>),
-        ("E2", "E2 Figure-2 secure multi-tenant pool", e2_secure_pool),
-        ("E3", "E3 Figure-3 geographic deployment", e3_geo_deploy),
-        ("E4", "E4 throughput scaling vs blades", e4_scaling),
-        ("E5", "E5 hot-spot: pooled vs pinned", e5_hotspot),
-        ("E6", "E6 DMSD thin provisioning", e6_dmsd),
-        ("E7", "E7 N-way write replication", e7_nway),
-        ("E8", "E8 distributed rebuild", e8_rebuild),
-        ("E9", "E9 geo replication modes", e9_georep),
-        ("E10", "E10 distributed data access", e10_remote_access),
-        ("E11", "E11 wire-speed encryption", e11_encryption),
-        ("E12", "E12 storage services offload", e12_services),
-    ]
-}
-
-/// Run the full suite in experiment order.
-pub fn all() -> Vec<(&'static str, Vec<Series>)> {
-    registry().into_iter().map(|(_, title, f)| (title, f())).collect()
-}
-
-/// Run a subset by experiment id (empty filter = everything).
-pub fn all_filtered(filter: &[String]) -> Vec<(&'static str, Vec<Series>)> {
-    registry()
-        .into_iter()
-        .filter(|(id, _, _)| filter.is_empty() || filter.iter().any(|f| f == id))
-        .map(|(_, title, f)| (title, f()))
-        .collect()
+    vec![svc, fg].into()
 }
 
 /// One cell of the multi-seed confidence sweep: a Zipf read workload on a

@@ -1,7 +1,8 @@
 //! Run reports: aligned tables, paper-claim checkpoints, and the bundle a
-//! scenario hands to the `ys-report` CLI.
+//! claim's run hands to its renderers (`report` and `ys-report`).
 
 use crate::registry::MetricsRegistry;
+use ys_simcore::stats::Series;
 use ys_simcore::SpanEvent;
 
 /// One verifiable claim from the paper, checked against a live metric.
@@ -92,10 +93,11 @@ impl Table {
     }
 }
 
-/// Everything one scenario run produced.
-#[derive(Clone, Debug)]
+/// Everything one claim's run produced.
+#[derive(Clone, Debug, Default)]
 pub struct RunReport {
-    pub scenario: &'static str,
+    /// Labelled (x, y) series, printed before the tables.
+    pub series: Vec<Series>,
     pub tables: Vec<Table>,
     pub checkpoints: Vec<Checkpoint>,
     pub registry: MetricsRegistry,
@@ -105,15 +107,23 @@ pub struct RunReport {
     pub dropped: u64,
 }
 
+impl From<Vec<Series>> for RunReport {
+    fn from(series: Vec<Series>) -> RunReport {
+        RunReport { series, ..RunReport::default() }
+    }
+}
+
 impl RunReport {
     pub fn all_pass(&self) -> bool {
         self.checkpoints.iter().all(|c| c.pass)
     }
 
-    /// Human-readable rendering: tables, then checkpoints, then the trace
-    /// ledger line.
-    pub fn render(&self) -> String {
-        let mut out = format!("=== ys-report: {} ===\n\n", self.scenario);
+    /// Series, then tables, then checkpoints.
+    pub fn body(&self) -> String {
+        let mut out = String::new();
+        for s in &self.series {
+            out.push_str(&s.render("x", "y"));
+        }
         for t in &self.tables {
             out.push_str(&t.render());
             out.push('\n');
@@ -127,12 +137,18 @@ impl RunReport {
             }
             out.push('\n');
         }
-        out.push_str(&format!(
-            "trace: {} events captured, {} dropped to ring overflow\n",
+        out
+    }
+
+    /// The `ys-report` rendering: a title line, the body, then the trace
+    /// ledger line.
+    pub fn render(&self, name: &str) -> String {
+        format!(
+            "=== ys-report: {name} ===\n\n{}trace: {} events captured, {} dropped to ring overflow\n",
+            self.body(),
             self.events.len(),
             self.dropped
-        ));
-        out
+        )
     }
 }
 

@@ -26,7 +26,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{Control, Engine, EventId};
-pub use fault::{Availability, FaultEvent, FaultKind, FaultPlan, FaultTarget};
+pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series, TimeWeighted};
 pub use time::{Bandwidth, SimDuration, SimTime};

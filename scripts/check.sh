@@ -105,8 +105,8 @@ echo "    seed 580's failure report unchanged"
 # hardware-assist crypt falls more than 5% off wire speed — and the model
 # checker exhausts the mask/zone/cipher state space (saturates at depth 7).
 echo "==> ys-report secure-tenants + wire-speed-crypt (E2/E11 checkpoints)"
-cargo run -q -p ys-obs --bin ys-report -- secure-tenants --trace-out "$tmpdir/e2.trace.json" > "$tmpdir/e2.txt"
-cargo run -q -p ys-obs --bin ys-report -- wire-speed-crypt --trace-out "$tmpdir/e11.trace.json" > "$tmpdir/e11.txt"
+cargo run -q -p ys-bench --bin ys-report -- secure-tenants --trace-out "$tmpdir/e2.trace.json" > "$tmpdir/e2.txt"
+cargo run -q -p ys-bench --bin ys-report -- wire-speed-crypt --trace-out "$tmpdir/e11.trace.json" > "$tmpdir/e11.txt"
 if grep -q "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt"; then
     echo "FAIL: a security scenario checkpoint failed" >&2
     grep "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt" >&2
@@ -130,5 +130,10 @@ cargo run -q -p ys-check --release -- --blades 2 --pages 4 --capacity 2 --depth 
 # transcript digests only) must reproduce BENCH_baseline.json exactly.
 echo "==> cargo xtask bench-snapshot --check (sim metrics vs BENCH_baseline.json)"
 cargo xtask bench-snapshot --check
+
+# EXPERIMENTS.md quotes the report's sections; they are generated, so a
+# change that moves a claim's numbers must regenerate the document too.
+echo "==> cargo xtask experiments --check (EXPERIMENTS.md's measured blocks vs report)"
+cargo xtask experiments --check
 
 echo "==> all checks passed"
