@@ -103,18 +103,22 @@ pub(crate) struct PageMeta {
 #[derive(Clone, Debug)]
 pub(crate) struct BladeSlot {
     pub(crate) capacity_pages: usize,
-    /// Recency of the clean pages by retention band, plus the held list:
-    /// exactly the pages whose residency is [`Residency::held`].
-    pub(crate) lru: LruList<PageKey>,
-    /// Ordered so that blade-failure sweeps (and the FailureReport they
-    /// build) visit pages in key order, independent of any hasher seed.
-    pub(crate) pages: BTreeMap<PageKey, PageMeta>,
+    /// The blade's page table: every resident page's [`PageMeta`], the
+    /// clean pages in recency order by retention band, and the held list —
+    /// exactly the pages whose residency is [`Residency::held`]. Sweeps
+    /// whose order reaches a report (blade failure, drain, the audit,
+    /// `resident_pages`) walk it in key order through [`LruList::iter`].
+    pub(crate) lru: LruList<PageKey, PageMeta>,
     pub(crate) state: BladeState,
 }
 
 impl BladeSlot {
+    fn new(capacity_pages: usize, state: BladeState) -> BladeSlot {
+        BladeSlot { capacity_pages, lru: LruList::new(), state }
+    }
+
     fn occupancy(&self) -> usize {
-        self.pages.len()
+        self.lru.len()
     }
 
     /// Can serve the copies it holds (everything but `Down`).
@@ -339,14 +343,7 @@ impl CacheCluster {
     pub fn new(blade_count: usize, capacity_pages_per_blade: usize) -> CacheCluster {
         assert!(blade_count > 0);
         CacheCluster {
-            blades: (0..blade_count)
-                .map(|_| BladeSlot {
-                    capacity_pages: capacity_pages_per_blade,
-                    lru: LruList::new(),
-                    pages: BTreeMap::new(),
-                    state: BladeState::Up,
-                })
-                .collect(),
+            blades: (0..blade_count).map(|_| BladeSlot::new(capacity_pages_per_blade, BladeState::Up)).collect(),
             directory: Directory::new(blade_count),
             lost: std::collections::BTreeMap::new(),
             deficit: BTreeMap::new(),
@@ -413,28 +410,22 @@ impl CacheCluster {
         }
     }
 
-    /// Make room for one page on `blade`. Dirty and replica pages are held
-    /// out of the eviction bands — they must survive until destage.
-    fn make_room(&mut self, blade: usize) -> Result<Vec<PageKey>, CacheError> {
-        let mut evicted = Vec::new();
-        loop {
-            let slot = &mut self.blades[blade];
-            if slot.occupancy() < slot.capacity_pages {
-                break;
-            }
-            match slot.lru.evict() {
-                Some(key) => {
-                    self.blades[blade].pages.remove(&key);
-                    self.detach_holder(key, blade);
-                    self.stats.evictions += 1;
-                    self.stats.per_blade[blade].evictions += 1;
-                    self.trace.instant("cache", "evict", blade as u32, key.page, key.volume as u64);
-                    evicted.push(key);
-                }
-                None => return Err(CacheError::EvictionStall(blade)),
-            }
+    /// Make room for one page on `blade`, returning the page evicted for
+    /// it. Dirty and replica pages are held out of the eviction bands —
+    /// they must survive until destage. One eviction always suffices: a
+    /// blade's capacity is fixed when it is created, and no blade ever
+    /// holds more pages than that (the `Capacity` rule).
+    fn make_room(&mut self, blade: usize) -> Result<Option<PageKey>, CacheError> {
+        let slot = &mut self.blades[blade];
+        if slot.occupancy() < slot.capacity_pages {
+            return Ok(None);
         }
-        Ok(evicted)
+        let key = slot.lru.evict().ok_or(CacheError::EvictionStall(blade))?;
+        self.detach_holder(key, blade);
+        self.stats.evictions += 1;
+        self.stats.per_blade[blade].evictions += 1;
+        self.trace.instant("cache", "evict", blade as u32, key.page, key.volume as u64);
+        Ok(Some(key))
     }
 
     /// Remove `blade` from a page's directory holder sets; drop the entry
@@ -506,22 +497,12 @@ impl CacheCluster {
         if self.lost.contains_key(&key) {
             return Err(CacheError::DataLost(key));
         }
-        if let Some(meta) = self.blades[blade].pages.get(&key) {
-            match meta.residency {
-                Residency::Cached { .. } => {
-                    self.blades[blade].lru.touch(&key);
-                    self.stats.local_hits += 1;
-                    self.stats.per_blade[blade].local_hits += 1;
-                    return Ok(ReadOutcome::LocalHit);
-                }
-                // A pinned dirty replica carries the current version of the
-                // data: serve it locally without disturbing its pin.
-                Residency::Replica => {
-                    self.stats.local_hits += 1;
-                    self.stats.per_blade[blade].local_hits += 1;
-                    return Ok(ReadOutcome::LocalHit);
-                }
-            }
+        // Any resident copy serves, a pinned dirty replica included: it
+        // carries the current version, and the touch keeps it held.
+        if self.blades[blade].lru.touch(&key) {
+            self.stats.local_hits += 1;
+            self.stats.per_blade[blade].local_hits += 1;
+            return Ok(ReadOutcome::LocalHit);
         }
         // Find a remote holder.
         let holder = self.directory.get(&key).and_then(|e| {
@@ -545,35 +526,31 @@ impl CacheCluster {
     }
 
     /// Install a clean Shared copy at `blade` (after a disk fetch or a
-    /// remote supply).
-    pub fn fill(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Vec<PageKey>, CacheError> {
+    /// remote supply), returning the page evicted to make room for it.
+    pub fn fill(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Option<PageKey>, CacheError> {
         self.ensure_up(blade)?;
         if self.lost.contains_key(&key) {
             // A disk fetch can only supply the stale pre-loss version.
             return Err(CacheError::DataLost(key));
         }
+        // A resident copy is only refreshed. Never displace a pinned
+        // replica: it already holds the data and is protecting an
+        // un-destaged write.
+        if self.blades[blade].lru.touch(&key) {
+            return Ok(None);
+        }
         self.install_shared(blade, key, retention)
     }
 
-    fn install_shared(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Vec<PageKey>, CacheError> {
-        if let Some(meta) = self.blades[blade].pages.get(&key) {
-            match meta.residency {
-                Residency::Cached { .. } => {
-                    self.blades[blade].lru.touch(&key);
-                    return Ok(vec![]);
-                }
-                // Never displace a pinned replica: it already holds the data
-                // and is protecting an un-destaged write.
-                Residency::Replica => return Ok(vec![]),
-            }
-        }
+    /// Install a clean Shared copy of a page `blade` does not hold.
+    fn install_shared(&mut self, blade: usize, key: PageKey, retention: Retention) -> Result<Option<PageKey>, CacheError> {
         let evicted = self.make_room(blade)?;
         let version = self.directory.entry(key).version;
-        self.blades[blade].pages.insert(
+        self.blades[blade].lru.put(
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Shared, dirty: false }, retention, version },
+            retention,
         );
-        self.blades[blade].lru.insert(key, retention);
         let e = self.directory.entry(key);
         if e.owner != Some(blade) && !e.sharers.contains(&blade) {
             e.sharers.push(blade);
@@ -600,7 +577,7 @@ impl CacheCluster {
         // Reserve local space FIRST: if the cache is saturated with dirty
         // data we must fail before mutating any remote state, or the
         // directory would point at copies we already dropped.
-        if !self.blades[blade].pages.contains_key(&key) {
+        if !self.blades[blade].lru.contains(&key) {
             self.make_room(blade)?;
         }
 
@@ -610,7 +587,6 @@ impl CacheCluster {
             None => vec![],
         };
         for h in &holders {
-            self.blades[*h].pages.remove(&key);
             self.blades[*h].lru.remove(&key);
             self.stats.invalidations += 1;
             self.stats.per_blade[*h].invalidations += 1;
@@ -620,7 +596,6 @@ impl CacheCluster {
         let old_replicas: Vec<usize> = self.directory.entry(key).replicas.clone();
         for r in old_replicas {
             if r != blade {
-                self.blades[r].pages.remove(&key);
                 self.blades[r].lru.remove(&key);
             }
         }
@@ -635,11 +610,10 @@ impl CacheCluster {
             e.protect = n_way;
             e.version
         };
-        self.blades[blade].pages.insert(
+        self.blades[blade].lru.put_held(
             key,
             PageMeta { residency: Residency::Cached { state: PageState::Modified, dirty: true }, retention, version },
         );
-        self.blades[blade].lru.hold(key);
         self.trace.instant("cache", "modify", blade as u32, key.page, version);
 
         // Place N−1 pinned replicas on peer blades, chosen deterministically
@@ -661,11 +635,7 @@ impl CacheCluster {
                     // Peer saturated with dirty data; skip it rather than stall.
                     continue;
                 }
-                self.blades[target].pages.insert(
-                    key,
-                    PageMeta { residency: Residency::Replica, retention, version },
-                );
-                self.blades[target].lru.hold(key);
+                self.blades[target].lru.put_held(key, PageMeta { residency: Residency::Replica, retention, version });
                 replicas.push(target);
                 self.stats.replica_placements += 1;
                 self.stats.per_blade[target].replicas_hosted += 1;
@@ -685,14 +655,14 @@ impl CacheCluster {
         };
         let owner = owner.ok_or(CacheError::BadState)?;
         for r in replicas {
-            self.blades[r].pages.remove(&key);
             self.blades[r].lru.remove(&key);
         }
-        if let Some(meta) = self.blades[owner].pages.get_mut(&key) {
+        let table = &mut self.blades[owner].lru;
+        if let Some(meta) = table.get_mut(&key) {
             meta.residency = Residency::Cached { state: PageState::Shared, dirty: false };
             let retention = meta.retention;
             // Released from the held list to the front of its band.
-            self.blades[owner].lru.insert(key, retention);
+            table.release(&key, retention);
         }
         let e = self.directory.entry(key);
         e.replicas.clear();
@@ -722,7 +692,6 @@ impl CacheCluster {
             None => return,
         };
         for b in holders {
-            self.blades[b].pages.remove(&key);
             self.blades[b].lru.remove(&key);
         }
         self.directory.remove(&key);
@@ -750,14 +719,11 @@ impl CacheCluster {
     /// replicas, nothing else — so the cost follows what is dirty, not what
     /// is resident.
     pub fn dirty_pages(&self, blade: usize) -> Vec<PageKey> {
-        let slot = &self.blades[blade];
-        let mut dirty: Vec<PageKey> = slot
+        let mut dirty: Vec<PageKey> = self.blades[blade]
             .lru
             .held_iter()
-            .filter(|&key| {
-                slot.pages.get(key).is_some_and(|m| matches!(m.residency, Residency::Cached { dirty: true, .. }))
-            })
-            .copied()
+            .filter(|(_, m)| matches!(m.residency, Residency::Cached { dirty: true, .. }))
+            .map(|(&key, _)| key)
             .collect();
         dirty.sort_unstable();
         dirty
@@ -772,11 +738,8 @@ impl CacheCluster {
         }
         self.close_journal();
         self.blades[blade].state = BladeState::Down;
-        let held: Vec<(PageKey, PageMeta)> =
-            std::mem::take(&mut self.blades[blade].pages).into_iter().collect();
-        self.blades[blade].lru = LruList::new();
-
-        for (key, meta) in held {
+        let resident = std::mem::take(&mut self.blades[blade].lru);
+        for (&key, meta) in resident.iter() {
             let e: &mut DirEntry = self.directory.entry(key);
             e.sharers.retain(|&s| s != blade);
             e.replicas.retain(|&r| r != blade);
@@ -789,16 +752,7 @@ impl CacheCluster {
                         e.owner = Some(survivor);
                         e.replicas.retain(|&r| r != survivor);
                         let version = e.version;
-                        let retention = meta.retention;
-                        self.blades[survivor].pages.insert(
-                            key,
-                            PageMeta {
-                                residency: Residency::Cached { state: PageState::Modified, dirty: true },
-                                retention,
-                                version,
-                            },
-                        );
-                        // The replica's key is already held at the survivor.
+                        self.promote_replica(survivor, key, meta.retention, version);
                         self.trace.instant("cache", "promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -825,6 +779,14 @@ impl CacheCluster {
             self.note_change(key);
         }
         report
+    }
+
+    /// `survivor`'s pinned replica of `key` becomes the dirty owner copy in
+    /// place: its key is already held there.
+    fn promote_replica(&mut self, survivor: usize, key: PageKey, retention: Retention, version: u64) {
+        if let Some(meta) = self.blades[survivor].lru.get_mut(&key) {
+            *meta = PageMeta { residency: Residency::Cached { state: PageState::Modified, dirty: true }, retention, version };
+        }
     }
 
     /// Bring a failed blade back, empty.
@@ -871,12 +833,7 @@ impl CacheCluster {
     /// Returns the new blade's id.
     pub fn add_blade(&mut self, capacity_pages: usize) -> usize {
         self.close_journal();
-        self.blades.push(BladeSlot {
-            capacity_pages,
-            lru: LruList::new(),
-            pages: BTreeMap::new(),
-            state: BladeState::Rejoining,
-        });
+        self.blades.push(BladeSlot::new(capacity_pages, BladeState::Rejoining));
         let id = self.directory.add_blade();
         self.stats.per_blade.push(BladeCacheStats::default());
         self.trace.instant("cache", "add_blade", id as u32, 0, 0);
@@ -900,9 +857,9 @@ impl CacheCluster {
         self.close_journal();
         self.blades[blade].state = BladeState::Draining;
         let mut report = DrainReport::default();
-        let keys: Vec<PageKey> = self.blades[blade].pages.keys().copied().collect();
+        let keys: Vec<PageKey> = self.blades[blade].lru.iter().map(|(&key, _)| key).collect();
         for key in keys {
-            let meta = match self.blades[blade].pages.get(&key) {
+            let meta = match self.blades[blade].lru.get(&key) {
                 Some(m) => m.clone(),
                 None => continue,
             };
@@ -913,21 +870,13 @@ impl CacheCluster {
                     if let Some(survivor) = promote_to {
                         // Free hand-off: an up-to-date replica becomes owner
                         // (same transition as fail_blade's promote path).
-                        let (version, retention) = {
+                        let version = {
                             let e = self.directory.entry(key);
                             e.owner = Some(survivor);
                             e.replicas.retain(|&r| r != survivor);
-                            (e.version, meta.retention)
+                            e.version
                         };
-                        self.blades[survivor].pages.insert(
-                            key,
-                            PageMeta {
-                                residency: Residency::Cached { state: PageState::Modified, dirty: true },
-                                retention,
-                                version,
-                            },
-                        );
-                        // The replica's key is already held at the survivor.
+                        self.promote_replica(survivor, key, meta.retention, version);
                         self.trace.instant("cache", "drain_promote", survivor as u32, key.page, blade as u64);
                         report.promoted.push(key);
                     } else {
@@ -943,7 +892,7 @@ impl CacheCluster {
                             // An existing clean sharer copy upgrades in place
                             // (a replica is impossible here: replicas imply
                             // the promote path above).
-                            if self.blades[target].pages.contains_key(&key) {
+                            if self.blades[target].lru.contains(&key) {
                                 new_owner = Some(target);
                                 break;
                             }
@@ -970,7 +919,7 @@ impl CacheCluster {
                             e.owner = Some(target);
                             (e.version, meta.retention)
                         };
-                        self.blades[target].pages.insert(
+                        self.blades[target].lru.put_held(
                             key,
                             PageMeta {
                                 residency: Residency::Cached { state: PageState::Modified, dirty: true },
@@ -978,22 +927,18 @@ impl CacheCluster {
                                 version,
                             },
                         );
-                        self.blades[target].lru.hold(key);
                         self.trace.instant("cache", "drain_move", target as u32, key.page, blade as u64);
                         report.moved.push(key);
                     }
-                    self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
                     self.note_change(key);
                 }
                 Residency::Cached { dirty: false, .. } => {
-                    self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
                     self.detach_holder(key, blade);
                     report.clean_dropped += 1;
                 }
                 Residency::Replica => {
-                    self.blades[blade].pages.remove(&key);
                     self.blades[blade].lru.remove(&key);
                     self.directory.entry(key).replicas.retain(|&r| r != blade);
                     self.note_change(key);
@@ -1006,7 +951,7 @@ impl CacheCluster {
                 }
             }
         }
-        debug_assert!(self.blades[blade].pages.is_empty());
+        debug_assert!(self.blades[blade].lru.is_empty());
         self.blades[blade].state = BladeState::Down;
         self.blades[blade].lru = LruList::new();
         report.completed = true;
@@ -1040,17 +985,13 @@ impl CacheCluster {
             Some(e) => e.version,
             None => return Err(CacheError::BadState),
         };
-        let retention = self.blades[owner]
-            .pages
-            .get(&key)
-            .map(|m| m.retention)
-            .unwrap_or(Retention::Normal);
+        let retention = self.blades[owner].lru.get(&key).map_or(Retention::Normal, |m| m.retention);
         let n = self.blades.len();
         let start = key.home(n);
         let candidates: Vec<usize> = (0..n)
             .map(|i| (start + i) % n)
             .filter(|&b| {
-                b != owner && self.blades[b].accepting() && !self.blades[b].pages.contains_key(&key)
+                b != owner && self.blades[b].accepting() && !self.blades[b].lru.contains(&key)
             })
             .collect();
         for target in candidates {
@@ -1059,11 +1000,7 @@ impl CacheCluster {
             {
                 continue;
             }
-            self.blades[target].pages.insert(
-                key,
-                PageMeta { residency: Residency::Replica, retention, version },
-            );
-            self.blades[target].lru.hold(key);
+            self.blades[target].lru.put_held(key, PageMeta { residency: Residency::Replica, retention, version });
             self.directory.entry(key).replicas.push(target);
             self.note_change(key);
             self.stats.replica_placements += 1;
@@ -1153,12 +1090,12 @@ impl CacheCluster {
         self.resident_pages_iter(blade).collect()
     }
 
-    /// Allocation-free variant of [`CacheCluster::resident_pages`]: the
-    /// blade page table is ordered, so residency can stream out in key
-    /// order without materializing a `Vec`. The model checker canonicalizes
-    /// state once per explored transition through this.
+    /// [`CacheCluster::resident_pages`] without the `Vec`: residency
+    /// streams out in key order, and a blade of at most 16 pages is walked
+    /// without allocating. The model checker canonicalizes state once per
+    /// explored transition through this.
     pub fn resident_pages_iter(&self, blade: usize) -> impl Iterator<Item = ResidentPage> + '_ {
-        self.blades[blade].pages.iter().map(|(key, m)| ResidentPage {
+        self.blades[blade].lru.iter().map(|(key, m)| ResidentPage {
             key: *key,
             replica: matches!(m.residency, Residency::Replica),
             dirty: matches!(m.residency, Residency::Cached { dirty: true, .. }),

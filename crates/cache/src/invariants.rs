@@ -37,8 +37,6 @@ pub enum Invariant {
     /// Every resident page is reflected in the directory with the matching
     /// role (dirty ⇒ owner, clean ⇒ sharer, replica ⇒ replica set).
     ResidencyBacklink,
-    /// A blade's recency list tracks exactly its resident pages.
-    LruAgreement,
     /// A blade's held list (outside the eviction bands, and what
     /// `dirty_ratio` counts) is exactly its dirty owner copies and replicas:
     /// index ≡ the residency scan it replaced.
@@ -68,7 +66,6 @@ impl fmt::Display for Invariant {
             Invariant::SharerCleanCopy => "sharer-clean-copy",
             Invariant::ReplicaIntegrity => "replica-integrity",
             Invariant::ResidencyBacklink => "residency-backlink",
-            Invariant::LruAgreement => "lru-agreement",
             Invariant::HeldAgreement => "held-agreement",
             Invariant::DeficitIndex => "deficit-index",
             Invariant::Capacity => "capacity",
@@ -212,7 +209,7 @@ fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize
     }
 
     if let Some(o) = e.owner {
-        match cluster.blades.get(o).and_then(|b| b.pages.get(&key)) {
+        match cluster.blades.get(o).and_then(|b| b.lru.get(&key)) {
             Some(m) if matches!(m.residency, Residency::Cached { dirty: true, .. }) => {
                 if m.version != e.version {
                     out.push(Violation::page(
@@ -239,7 +236,7 @@ fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize
     }
 
     for &s in &e.sharers {
-        match cluster.blades.get(s).and_then(|b| b.pages.get(&key)) {
+        match cluster.blades.get(s).and_then(|b| b.lru.get(&key)) {
             Some(m) if matches!(m.residency, Residency::Cached { dirty: false, .. }) => {
                 if m.version != e.version {
                     out.push(Violation::page(
@@ -274,7 +271,7 @@ fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize
         });
     }
     for &r in &e.replicas {
-        match cluster.blades.get(r).and_then(|b| b.pages.get(&key)) {
+        match cluster.blades.get(r).and_then(|b| b.lru.get(&key)) {
             Some(m) if matches!(m.residency, Residency::Replica) => {
                 if m.version != e.version {
                     out.push(Violation::page(
@@ -316,7 +313,7 @@ fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize
 /// that justifies its residency.
 fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        for (key, meta) in &slot.pages {
+        for (key, meta) in slot.lru.iter() {
             audit_resident(cluster, b, *key, meta, out);
         }
     }
@@ -340,48 +337,31 @@ fn audit_resident(cluster: &CacheCluster, b: usize, key: PageKey, meta: &PageMet
     }
 }
 
-/// Per-blade structural rules: LRU bookkeeping, capacity, down-blade state.
+/// Per-blade structural rules: held-list bookkeeping, capacity, down-blade
+/// state.
 fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        audit_recency_len(slot, b, out);
         let mut held = 0;
-        for (key, meta) in &slot.pages {
-            held += usize::from(audit_recency(slot, b, *key, meta, out));
+        for (key, meta) in slot.lru.iter() {
+            held += usize::from(audit_held(slot, b, *key, meta, out));
         }
         audit_blade_totals(slot, b, held, out);
     }
 }
 
-/// A blade's recency list tracks as many keys as it has resident pages.
-fn audit_recency_len(slot: &BladeSlot, b: usize, out: &mut Vec<Violation>) {
-    if slot.lru.len() != slot.pages.len() {
-        out.push(Violation::blade(
-            Invariant::LruAgreement,
-            b,
-            format!("lru tracks {} keys but {} pages resident", slot.lru.len(), slot.pages.len()),
-        ));
-    }
-}
-
-/// One resident page against the blade's recency list: tracked, and held
-/// exactly when its residency says so. Returns whether it should be held.
-fn audit_recency(slot: &BladeSlot, b: usize, key: PageKey, meta: &PageMeta, out: &mut Vec<Violation>) -> bool {
+/// One resident page against the blade's held list: held exactly when its
+/// residency says so. Returns whether it should be held.
+fn audit_held(slot: &BladeSlot, b: usize, key: PageKey, meta: &PageMeta, out: &mut Vec<Violation>) -> bool {
     // The specification: the filter `dirty_ratio` used to count by.
     let expect = meta.residency.held();
-    match slot.lru.is_held(&key) {
-        None => out.push(Violation::page(
-            Invariant::LruAgreement,
-            key,
-            b,
-            "resident page missing from recency list".into(),
-        )),
-        Some(is) if is != expect => out.push(Violation::page(
+    let is = slot.lru.is_held(&key) == Some(true);
+    if is != expect {
+        out.push(Violation::page(
             Invariant::HeldAgreement,
             key,
             b,
             format!("resident as {:?} but {}", meta.residency, if is { "held" } else { "evictable" }),
-        )),
-        Some(_) => {}
+        ));
     }
     expect
 }
@@ -397,18 +377,18 @@ fn audit_blade_totals(slot: &BladeSlot, b: usize, held: usize, out: &mut Vec<Vio
             format!("held list counts {} keys but {held} pages are dirty or replicas", slot.lru.held_len()),
         ));
     }
-    if slot.pages.len() > slot.capacity_pages {
+    if slot.lru.len() > slot.capacity_pages {
         out.push(Violation::blade(
             Invariant::Capacity,
             b,
-            format!("{} pages resident, capacity {}", slot.pages.len(), slot.capacity_pages),
+            format!("{} pages resident, capacity {}", slot.lru.len(), slot.capacity_pages),
         ));
     }
-    if slot.state == BladeState::Down && !slot.pages.is_empty() {
+    if slot.state == BladeState::Down && !slot.lru.is_empty() {
         out.push(Violation::blade(
             Invariant::DownBladeConsistency,
             b,
-            format!("down blade still holds {} pages", slot.pages.len()),
+            format!("down blade still holds {} pages", slot.lru.len()),
         ));
     }
 }
@@ -416,7 +396,7 @@ fn audit_blade_totals(slot: &BladeSlot, b: usize, held: usize, out: &mut Vec<Vio
 /// The checkpoint's first pass: every rule [`audit`] applies, restricted to
 /// the pages in `touched` (sorted, de-duplicated) and the per-blade totals.
 /// Clean here means clean under [`audit`] *provided* `touched` names every
-/// page whose directory entry, heal-queue entry, residency or recency
+/// page whose directory entry, heal-queue entry, residency or held-list
 /// membership changed since a state [`audit`] found clean, and no blade
 /// changed lifecycle state since — the change journal's contract. The
 /// violations themselves are not for reporting: order and multiplicity
@@ -430,17 +410,16 @@ pub(crate) fn audit_touched(cluster: &CacheCluster, touched: &[PageKey]) -> Vec<
             None => out.extend(queued.map(|missing| stale_queue_entry(key, missing))),
         }
         for (b, slot) in cluster.blades.iter().enumerate() {
-            if let Some(meta) = slot.pages.get(&key) {
+            if let Some(meta) = slot.lru.get(&key) {
                 audit_resident(cluster, b, key, meta, &mut out);
-                audit_recency(slot, b, key, meta, &mut out);
+                audit_held(slot, b, key, meta, &mut out);
             }
         }
     }
     for (b, slot) in cluster.blades.iter().enumerate() {
-        audit_recency_len(slot, b, &mut out);
-        // Counted from the list's side: a held key that is not a resident
-        // dirty or replica page leaves the count short, touched or not.
-        let held = slot.lru.held_iter().filter(|&key| slot.pages.get(key).is_some_and(|m| m.residency.held())).count();
+        // Counted from the list's side: a held key that is not a dirty or
+        // replica page leaves the count short, touched or not.
+        let held = slot.lru.held_iter().filter(|(_, m)| m.residency.held()).count();
         audit_blade_totals(slot, b, held, &mut out);
     }
     audit_losses(cluster, &mut out);
@@ -483,7 +462,7 @@ mod tests {
         let mut c = CacheCluster::new(4, 16);
         let w = c.write(0, key(5), 2, Retention::Normal).unwrap();
         let replica = w.replicas[0];
-        c.blades[replica].pages.get_mut(&key(5)).unwrap().version = 0;
+        c.blades[replica].lru.get_mut(&key(5)).unwrap().version = 0;
         let violations = audit(&c);
         assert!(violations.iter().any(|v| v.invariant == Invariant::ReplicaIntegrity));
     }
@@ -527,7 +506,7 @@ mod tests {
             let journal = c.journal.clone().expect("a clean checkpoint opens the journal");
             assert_eq!(journal.contains(&key(3)), !skip);
             // A protocol bug on that page, later.
-            c.blades[1].pages.get_mut(&key(3)).unwrap().version = 9;
+            c.blades[1].lru.get_mut(&key(3)).unwrap().version = 9;
             let full = audit(&c);
             assert!(full.iter().any(|v| v.invariant == Invariant::SharerCleanCopy), "{full:?}");
             assert_eq!(audit_touched(&c, &journal).is_empty(), skip, "skip = {skip}");
@@ -596,8 +575,10 @@ mod tests {
         c.fill(0, key(2), Retention::Normal).unwrap();
         assert_eq!(audit(&c), vec![]);
         // A dirty page back in an eviction band, a clean one held.
-        c.blades[0].lru.insert(key(1), Retention::Normal);
-        c.blades[0].lru.hold(key(2));
+        let table = &mut c.blades[0].lru;
+        table.release(&key(1), Retention::Normal);
+        let clean = table.get(&key(2)).unwrap().clone();
+        table.put_held(key(2), clean);
         let violations = audit(&c);
         let held: Vec<_> = violations.iter().filter(|v| v.invariant == Invariant::HeldAgreement).collect();
         assert_eq!(held.len(), 2, "{violations:?}");

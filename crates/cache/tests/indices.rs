@@ -375,6 +375,6 @@ fn destaged_page_rejoins_its_band_at_the_front() {
     assert_eq!(c.lru_order(0, Retention::Normal), vec![key(3), key(2)], "the dirty page is in no band");
     c.destage(key(1)).unwrap();
     assert_eq!(c.lru_order(0, Retention::Normal), vec![key(1), key(3), key(2)]);
-    assert_eq!(c.fill(0, key(4), Retention::Normal).unwrap(), vec![key(2)]);
+    assert_eq!(c.fill(0, key(4), Retention::Normal).unwrap(), Some(key(2)));
     assert_eq!(c.audit_invariants(), vec![]);
 }

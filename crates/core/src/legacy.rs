@@ -14,7 +14,6 @@
 //! * replication only at whole-volume granularity (§7.2).
 
 use crate::config::CostModel;
-use std::collections::BTreeMap;
 use ys_cache::{LruList, PageKey, Retention};
 use ys_raid::{Geometry, RaidLevel};
 use ys_simcore::stats::{LatencyHisto, RateMeter};
@@ -60,10 +59,8 @@ impl Default for LegacyConfig {
 }
 
 struct ControllerState {
-    lru: LruList<PageKey>,
-    /// page → (dirty, version). Ordered so controller-failure sweeps are
-    /// replay-deterministic.
-    pages: BTreeMap<PageKey, (bool, u64)>,
+    /// The private cache: page → (dirty, version), in recency order.
+    pages: LruList<PageKey, (bool, u64)>,
     up: bool,
 }
 
@@ -99,7 +96,7 @@ impl LegacyArray {
         let cpu_spec = LinkSpec::new(cfg.cost.cache_copy, SimDuration::ZERO, cfg.cost.per_io);
         LegacyArray {
             controllers: (0..cfg.controllers)
-                .map(|_| ControllerState { lru: LruList::new(), pages: BTreeMap::new(), up: true })
+                .map(|_| ControllerState { pages: LruList::new(), up: true })
                 .collect(),
             farm: DiskFarm::new(cfg.disks, cfg.disk_spec),
             raid,
@@ -139,26 +136,14 @@ impl LegacyArray {
     }
 
     fn evict_for(&mut self, c: usize) {
-        while self.controllers[c].pages.len() >= self.cfg.cache_pages_per_controller {
-            let ctrl = &mut self.controllers[c];
-            let victim = {
-                let pages = &ctrl.pages;
-                ctrl.lru.evict_where(|k| pages.get(k).map(|&(d, _)| d).unwrap_or(true))
-            };
-            match victim {
-                Some(k) => {
-                    self.controllers[c].pages.remove(&k);
-                }
+        let pages = &mut self.controllers[c].pages;
+        while pages.len() >= self.cfg.cache_pages_per_controller {
+            // Dirty pages veto their own eviction.
+            if pages.evict_where(|_, &(dirty, _)| dirty).is_none() {
                 // Cache saturated with dirty pages: drop the oldest dirty
                 // one after an (implicit, already-charged) destage.
-                None => {
-                    let k = match self.controllers[c].lru.band_keys(Retention::Normal).last() {
-                        Some(k) => *k,
-                        None => return,
-                    };
-                    self.controllers[c].lru.remove(&k);
-                    self.controllers[c].pages.remove(&k);
-                }
+                let Some(&k) = pages.band_iter(Retention::Normal).last() else { return };
+                pages.remove(&k);
             }
         }
     }
@@ -202,17 +187,14 @@ impl LegacyArray {
         let mut ready = t0;
         for page in offset / pb..=(offset + len - 1) / pb {
             let key = PageKey::new(vol, page);
-            let hit = self.controllers[c].pages.contains_key(&key);
-            let done = if hit {
+            let done = if self.controllers[c].pages.touch(&key) {
                 self.stats.hits += 1;
-                self.controllers[c].lru.touch(&key);
                 self.cpus[c].transfer(t0, pb.min(len)).arrival
             } else {
                 self.stats.misses += 1;
                 let disk_done = self.charge_disk_read(c, t0, page * pb, pb)?;
                 self.evict_for(c);
-                self.controllers[c].pages.insert(key, (false, self.version));
-                self.controllers[c].lru.insert(key, Retention::Normal);
+                self.controllers[c].pages.put(key, (false, self.version), Retention::Normal);
                 self.cpus[c].transfer(disk_done, pb.min(len)).arrival
             };
             ready = ready.max(done);
@@ -234,16 +216,14 @@ impl LegacyArray {
         for page in offset / pb..=(offset + len - 1) / pb {
             let key = PageKey::new(vol, page);
             self.evict_for(c);
-            self.controllers[c].pages.insert(key, (true, self.version));
-            self.controllers[c].lru.insert(key, Retention::Normal);
+            self.controllers[c].pages.put(key, (true, self.version), Retention::Normal);
             let cpu = self.cpus[c].transfer(t0, pb.min(len)).arrival;
             // Mirror dirty data to the partner (the only protection level).
             let mirrored = match self.partner(c) {
                 Some(p) => {
                     let m = self.mirror_link.transfer(t0, pb).arrival;
                     self.evict_for(p);
-                    self.controllers[p].pages.insert(key, (true, self.version));
-                    self.controllers[p].lru.insert(key, Retention::Normal);
+                    self.controllers[p].pages.put(key, (true, self.version), Retention::Normal);
                     m
                 }
                 None => cpu,
@@ -269,14 +249,12 @@ impl LegacyArray {
             return 0;
         }
         self.controllers[c].up = false;
-        let held: Vec<(PageKey, (bool, u64))> =
-            std::mem::take(&mut self.controllers[c].pages).into_iter().collect();
-        self.controllers[c].lru = LruList::new();
+        let held = std::mem::take(&mut self.controllers[c].pages);
         let mut lost = 0;
-        for (key, (dirty, version)) in held {
+        for (key, &(dirty, version)) in held.iter() {
             if dirty {
                 let survives = (0..self.cfg.controllers).any(|o| {
-                    o != c && self.controllers[o].up && self.controllers[o].pages.get(&key).map(|&(d, v)| d && v == version).unwrap_or(false)
+                    o != c && self.controllers[o].up && self.controllers[o].pages.get(key).is_some_and(|&(d, v)| d && v == version)
                 });
                 if !survives {
                     lost += 1;

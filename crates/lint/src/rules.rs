@@ -23,8 +23,10 @@ use crate::lexer::{lex, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code must fail with typed errors, never panics.
-pub const PANIC_CRATES: &[&str] =
-    &["cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "core"];
+pub const PANIC_CRATES: &[&str] = &[
+    "cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "core", "simnet", "simdisk", "proto",
+    "raid",
+];
 
 /// Crates whose state feeds seeded replay: iterating a hashed container
 /// there lets the process-random hasher seed reorder events between runs.

@@ -131,12 +131,14 @@ impl RebuildCoordinator {
         Some(batch)
     }
 
-    /// Worker reports its claimed batch done.
-    pub fn complete(&mut self, worker: usize) {
-        let batch = self.claims.remove(&worker).expect("completing worker holds no batch");
+    /// Worker reports its claimed batch done, and gets it back; `None`
+    /// (and nothing recorded) when the worker holds no batch.
+    pub fn complete(&mut self, worker: usize) -> Option<RowBatch> {
+        let batch = self.claims.remove(&worker)?;
         self.completed_rows += batch.rows();
         self.completed.push(batch);
         self.trace.instant("raid", "complete", worker as u32, batch.start, batch.end);
+        Some(batch)
     }
 
     /// Worker died: its outstanding batch (if any) returns to the queue.
@@ -273,6 +275,11 @@ mod tests {
         let mut c = coord(10);
         c.fail_worker(42);
         assert!(!c.is_done());
+        // Completing without a claim records nothing either.
+        assert_eq!(c.complete(42), None);
+        assert!(c.audit_coverage().is_empty());
+        let b = c.claim(42).unwrap();
+        assert_eq!(c.complete(42), Some(b));
     }
 
     #[test]
