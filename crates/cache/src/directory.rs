@@ -1,9 +1,11 @@
 //! The coherence directory.
 //!
-//! Directory-based MSI over cache pages: each page has a *home* blade
-//! (hash-sharded so directory load scales with the cluster, §2.2), and the
-//! home's directory entry records the set of sharers, the exclusive owner
-//! (if modified), the write version, and where dirty replicas live (§6.1).
+//! Directory-based coherence over cache pages, with MSI's per-copy states
+//! and MOSI's owned sharing (see [`crate::cluster`]): each page has a
+//! *home* blade (hash-sharded so directory load scales with the cluster,
+//! §2.2), and the home's directory entry records the set of sharers, the
+//! dirty owner (if modified), the write version, and where dirty replicas
+//! live (§6.1).
 
 use std::collections::BTreeMap;
 
