@@ -99,6 +99,13 @@ if ! cmp -s "$tmpdir/sweep580.txt" scripts/chaos_sweep_576_584.expected; then
 fi
 echo "    seed 580's failure report unchanged"
 
+# The fatal path: no gate above generates a KillDirtyPage. With --fatal the
+# schedule ends in a deliberate N-failure, and the run exits 0 only when
+# the oracle surfaces it as an explicit acked-write loss (never one within
+# budget) and ddmin shrinks it to a replayable schedule.
+echo "==> ys-chaos --seed 4 --steps 64 --fatal (the N-failure is found and shrunk)"
+cargo run --release -q -p ys-chaos -- --seed 4 --steps 64 --fatal --quiet
+
 # Security pillar: the §5 enforcement stack must hold end to end. The two
 # checkpointed scenarios fail loudly (non-zero exit) if any cross-tenant
 # frame succeeds, a denial goes unaudited, media bytes are plaintext, or
