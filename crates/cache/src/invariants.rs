@@ -458,6 +458,25 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_entry_on_a_crashed_blade_is_reported() {
+        let mut c = CacheCluster::new(4, 16);
+        let w = c.write(0, key(1), 2, Retention::Normal).unwrap();
+        let replica = w.replicas[0];
+        c.fail_blade(replica);
+        assert_eq!(audit(&c), vec![]);
+        // Simulate a protocol bug: the crash left the dead blade in the
+        // surviving page's replica set.
+        c.directory.entry(key(1)).replicas.push(replica);
+        let violations = audit(&c);
+        assert!(
+            violations.iter().any(|v| v.invariant == Invariant::DownBladeConsistency
+                && v.key == Some(key(1))
+                && v.blade == Some(replica)),
+            "{violations:?}"
+        );
+    }
+
+    #[test]
     fn stale_replica_version_is_reported() {
         let mut c = CacheCluster::new(4, 16);
         let w = c.write(0, key(5), 2, Retention::Normal).unwrap();

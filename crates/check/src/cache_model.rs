@@ -8,6 +8,8 @@
 //! * **loss-within-budget** — a page written with N total dirty copies
 //!   survives any N−1 blade failures (§6.1); losing it earlier is a bug,
 //!   losing it at the Nth failure is the accepted limit;
+//! * the §6.1 failover checks on every `Fail` — promotion legality and
+//!   loud loss (`failover_model.rs`);
 //! * plus the full structural audit in [`ys_cache::invariants`] after every
 //!   step.
 //!
@@ -15,10 +17,15 @@
 //! that states differing only in absolute version numbers — unreachable to
 //! distinguish by any future operation — deduplicate, keeping the bounded
 //! space finite.
+//!
+//! The module also holds what every model on a `CacheCluster` shares —
+//! this one and [`crate::heal_model`]: the [`Scope`], the cluster half of
+//! the canonical hash and the counterexample preamble.
 
 use crate::explore::{violations_header, Counterexample, Model};
-use crate::summary::StandardModel;
+use crate::failover_model::{self, Prior};
 use crate::hash::StateHasher;
+use crate::summary::StandardModel;
 use std::collections::HashMap;
 use ys_cache::{CacheCluster, PageKey, ReadOutcome, Retention};
 
@@ -77,7 +84,8 @@ pub struct CacheModel {
     budgets: HashMap<PageKey, Budget>,
 }
 
-fn key_of(page: u64) -> PageKey {
+/// The key of page `page` in the one volume the cluster models use.
+pub(crate) fn key_of(page: u64) -> PageKey {
     PageKey::new(0, page)
 }
 
@@ -144,19 +152,21 @@ impl CacheModel {
                 self.last_written.remove(&key);
             }
             Op::Fail { blade } => {
-                // Which protected pages lose a copy if this blade dies?
-                let mut hit: Vec<PageKey> = Vec::new();
+                // Which protected pages lose a copy if this blade dies, and
+                // who owned and replicated them before it did?
+                let mut prior: Vec<Prior> = Vec::new();
                 for (key, e) in self.cluster.directory().iter() {
                     if e.owner == Some(blade) || e.replicas.contains(&blade) {
-                        hit.push(*key);
+                        prior.push(Prior { key: *key, owner: e.owner, replicas: e.replicas.clone() });
                     }
                 }
                 let report = self.cluster.fail_blade(blade);
-                for key in hit {
-                    if let Some(b) = self.budgets.get_mut(&key) {
+                for p in &prior {
+                    if let Some(b) = self.budgets.get_mut(&p.key) {
                         b.failures += 1;
                     }
                 }
+                failover_model::check_promotions(&self.cluster, blade, &report.promoted, &prior, &mut violations);
                 for key in &report.lost {
                     match self.budgets.get(key) {
                         Some(b) if b.failures < b.copies => {
@@ -168,6 +178,7 @@ impl CacheModel {
                         }
                         _ => {}
                     }
+                    failover_model::check_loss_is_loud(&mut self.cluster, blade, *key, &mut violations);
                     self.budgets.remove(key);
                     self.last_written.remove(key);
                     // The budget shadow above is the judge of whether this
@@ -221,118 +232,126 @@ impl Model for CacheModel {
     }
 
     fn canonical_hash(&self) -> u128 {
-        // Canonical hashing runs once per explored transition — the single
-        // hottest function in a `ys-check` run — so the rank and shadow
-        // buffers are recycled through a per-thread scratch instead of
-        // reallocated each call. Each `ys-sweep` shard thread owns an
-        // independent scratch, keeping shards fully isolated.
-        HASH_SCRATCH.with(|scratch| {
-            let (versions, shadow) = &mut *scratch.borrow_mut();
-            versions.clear();
-            shadow.clear();
-            let mut h = StateHasher::new();
-
-            // Version-rank normalization: collect every version that is
-            // currently observable, then hash each occurrence as its rank.
-            // Absolute counter values can grow without bound, but no
-            // operation can distinguish two states that order their
-            // versions identically.
-            for (_, e) in self.cluster.directory().iter() {
-                versions.push(e.version);
-            }
-            for b in 0..self.scope.blades {
-                for p in self.cluster.resident_pages_iter(b) {
-                    versions.push(p.version);
-                }
-            }
-            for &v in self.last_written.values() {
-                versions.push(v);
-            }
-            versions.sort_unstable();
-            versions.dedup();
-            let rank = |v: u64| versions.binary_search(&v).unwrap_or(usize::MAX) as u64;
-
-            // Blade contents, index order; the blade page table is ordered,
-            // so pages stream out key-sorted without materializing.
-            let include_lru = self.scope.capacity_pages < self.scope.pages as usize;
-            for b in 0..self.scope.blades {
-                h.write_bool(self.cluster.blade_up(b));
-                for p in self.cluster.resident_pages_iter(b) {
-                    h.write_u64(p.key.page);
-                    h.write_bool(p.replica);
-                    h.write_bool(p.dirty);
-                    h.write_u64(p.retention as u64);
-                    h.write_u64(rank(p.version));
-                }
-                h.boundary();
-                if include_lru {
-                    // Recency order decides future evictions, so it is part
-                    // of behavioral state whenever eviction is reachable.
-                    // The bands list the clean pages only. The held list
-                    // (dirty and replica pages) is not hashed: membership
-                    // is the `dirty`/`replica` bits above, and its order
-                    // cannot reach any future transition — a page leaves
-                    // it by removal or to the front of its band.
-                    for band in
-                        [Retention::Low, Retention::Normal, Retention::High, Retention::Pinned]
-                    {
-                        for key in self.cluster.lru_order_iter(b, band) {
-                            h.write_u64(key.page);
-                        }
-                        h.boundary();
-                    }
-                }
-            }
-
-            // Directory: the underlying map is key-ordered, so iteration is
-            // already canonical. Sharer and replica lists keep their stored
-            // order: replica order decides promotion on failure.
-            for (key, e) in self.cluster.directory().iter() {
-                h.write_u64(key.page);
-                match e.owner {
-                    Some(o) => h.write_u64(1 + o as u64),
-                    None => h.write_u64(0),
-                }
-                for &s in &e.sharers {
-                    h.write_usize(s);
-                }
-                h.boundary();
-                for &r in &e.replicas {
-                    h.write_usize(r);
-                }
-                h.boundary();
-                h.write_u64(rank(e.version));
-            }
-            h.boundary();
-
-            // Shadow state distinguishes paths the structural state alone
-            // may not (protection promises judge *future* failures).
+        // Shadow state distinguishes paths the structural state alone may
+        // not (protection promises judge *future* failures).
+        hash_cluster(&self.cluster, self.scope, self.last_written.values().copied(), |_, rank, rows| {
             for (k, b) in &self.budgets {
-                shadow.push((k.page, b.copies as u64, b.failures as u64, u64::MAX));
+                rows.push([k.page, b.copies as u64, b.failures as u64, u64::MAX]);
             }
-            for (k, v) in &self.last_written {
-                shadow.push((k.page, u64::MAX, u64::MAX, rank(*v)));
+            for (k, &v) in &self.last_written {
+                rows.push([k.page, u64::MAX, u64::MAX, rank(v)]);
             }
-            shadow.sort_unstable();
-            for &(page, copies, failures, vrank) in shadow.iter() {
-                h.write_u64(page);
-                h.write_u64(copies);
-                h.write_u64(failures);
-                h.write_u64(vrank);
-            }
-            h.finish()
         })
     }
 }
 
-/// `(version ranks, shadow tuples)` buffers reused across hash calls.
-type HashScratch = (Vec<u64>, Vec<(u64, u64, u64, u64)>);
+/// `(version ranks, shadow rows)` buffers reused across hash calls.
+type HashScratch = (Vec<u64>, Vec<[u64; 4]>);
 
 thread_local! {
-    /// Reused scratch for [`CacheModel::canonical_hash`]; see the comment
-    /// there.
+    /// Scratch for [`hash_cluster`], which runs once per explored
+    /// transition — the single hottest function in a `ys-check` run — so
+    /// its buffers are recycled rather than allocated per call. Each
+    /// `ys-sweep` shard thread owns an independent one.
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+}
+
+/// The canonical hash of a model on a `CacheCluster` in `scope`: the
+/// cluster's behavioral state, then the model's own shadow. `shadow` gets
+/// the hasher, each version's rank and an empty row buffer: it hashes what
+/// it walks in a fixed order and pushes the rest (hash-map entries) as
+/// rows, which are hashed sorted. `shadow_versions` are the versions the
+/// shadow holds; they join the ranks.
+pub(crate) fn hash_cluster(
+    cluster: &CacheCluster,
+    scope: Scope,
+    shadow_versions: impl Iterator<Item = u64>,
+    shadow: impl FnOnce(&mut StateHasher, &dyn Fn(u64) -> u64, &mut Vec<[u64; 4]>),
+) -> u128 {
+    HASH_SCRATCH.with(|scratch| {
+        let (versions, rows) = &mut *scratch.borrow_mut();
+        versions.clear();
+        rows.clear();
+        let mut h = StateHasher::new();
+
+        // Version-rank normalization: collect every version that is
+        // currently observable, then hash each occurrence as its rank.
+        // Absolute counter values can grow without bound, but no operation
+        // can distinguish two states that order their versions identically.
+        for (_, e) in cluster.directory().iter() {
+            versions.push(e.version);
+        }
+        for b in 0..scope.blades {
+            for p in cluster.resident_pages_iter(b) {
+                versions.push(p.version);
+            }
+        }
+        versions.extend(shadow_versions);
+        versions.sort_unstable();
+        versions.dedup();
+        let rank = |v: u64| versions.binary_search(&v).unwrap_or(usize::MAX) as u64;
+
+        // Blade contents, index order; the blade page table is ordered, so
+        // pages stream out key-sorted without materializing.
+        let include_lru = scope.capacity_pages < scope.pages as usize;
+        for b in 0..scope.blades {
+            h.write_u64(cluster.blade_state(b) as u64);
+            for p in cluster.resident_pages_iter(b) {
+                h.write_u64(p.key.page);
+                h.write_bool(p.replica);
+                h.write_bool(p.dirty);
+                h.write_u64(p.retention as u64);
+                h.write_u64(rank(p.version));
+            }
+            h.boundary();
+            if include_lru {
+                // Recency order decides future evictions, so it is part of
+                // behavioral state whenever eviction is reachable. The bands
+                // list the clean pages only. The held list (dirty and
+                // replica pages) is not hashed: membership is the
+                // `dirty`/`replica` bits above, and its order cannot reach
+                // any future transition — a page leaves it by removal or to
+                // the front of its band.
+                for band in [Retention::Low, Retention::Normal, Retention::High, Retention::Pinned] {
+                    for key in cluster.lru_order_iter(b, band) {
+                        h.write_u64(key.page);
+                    }
+                    h.boundary();
+                }
+            }
+        }
+
+        // Directory: the underlying map is key-ordered, so iteration is
+        // already canonical. Sharer and replica lists keep their stored
+        // order: replica order decides promotion on failure.
+        for (key, e) in cluster.directory().iter() {
+            h.write_u64(key.page);
+            match e.owner {
+                Some(o) => h.write_u64(1 + o as u64),
+                None => h.write_u64(0),
+            }
+            for &s in &e.sharers {
+                h.write_usize(s);
+            }
+            h.boundary();
+            for &r in &e.replicas {
+                h.write_usize(r);
+            }
+            h.boundary();
+            h.write_u64(rank(e.version));
+        }
+        h.boundary();
+
+        shadow(&mut h, &rank, rows);
+        rows.sort_unstable();
+        for row in rows.iter() {
+            for &v in row {
+                h.write_u64(v);
+            }
+        }
+        h.finish()
+    })
 }
 
 impl StandardModel for CacheModel {
@@ -348,33 +367,51 @@ impl StandardModel for CacheModel {
 
 /// Render a counterexample trace as a ready-to-paste regression test body.
 pub fn render_trace(trace: &[Op], scope: Scope, violations: &[String]) -> String {
+    render_cluster_trace(trace, scope, violations, |op| match op {
+        Op::Read { blade, page } => format!(
+            "if let Ok(ReadOutcome::Miss) = c.read({blade}, PageKey::new(0, {page})) {{ \
+             let _ = c.fill({blade}, PageKey::new(0, {page}), Retention::Normal); }}"
+        ),
+        Op::Write { blade, page } => format!(
+            "let _ = c.write({blade}, PageKey::new(0, {page}), {}, Retention::Normal);",
+            scope.n_way
+        ),
+        Op::Destage { page } => destage_line(page),
+        Op::Invalidate { page } => format!("c.invalidate_page(PageKey::new(0, {page}));"),
+        Op::Fail { blade } => fail_line(blade),
+        Op::Repair { blade } => format!("c.repair_blade({blade});"),
+    })
+}
+
+/// A counterexample on a `CacheCluster` in `scope` as a regression test:
+/// the violations, the cluster, `line` for each op, and the closing audit.
+pub(crate) fn render_cluster_trace<O: Copy>(
+    trace: &[O],
+    scope: Scope,
+    violations: &[String],
+    line: impl Fn(O) -> String,
+) -> String {
     let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut c = CacheCluster::new({}, {});\n",
         scope.blades, scope.capacity_pages
     ));
-    for op in trace {
-        let line = match *op {
-            Op::Read { blade, page } => format!(
-                "if let Ok(ReadOutcome::Miss) = c.read({blade}, PageKey::new(0, {page})) {{ \
-                 let _ = c.fill({blade}, PageKey::new(0, {page}), Retention::Normal); }}"
-            ),
-            Op::Write { blade, page } => format!(
-                "let _ = c.write({blade}, PageKey::new(0, {page}), {}, Retention::Normal);",
-                scope.n_way
-            ),
-            Op::Destage { page } => format!("let _ = c.destage(PageKey::new(0, {page}));"),
-            Op::Invalidate { page } => format!("c.invalidate_page(PageKey::new(0, {page}));"),
-            Op::Fail { blade } => format!(
-                "for key in c.fail_blade({blade}).lost {{ c.acknowledge_loss(key); }}"
-            ),
-            Op::Repair { blade } => format!("c.repair_blade({blade});"),
-        };
-        out.push_str(&line);
+    for &op in trace {
+        out.push_str(&line(op));
         out.push('\n');
     }
     out.push_str("assert_eq!(c.audit_invariants(), vec![]);\n");
     out
+}
+
+/// The replay line of a destage, in every cluster model's rendering.
+pub(crate) fn destage_line(page: u64) -> String {
+    format!("let _ = c.destage(PageKey::new(0, {page}));")
+}
+
+/// The replay line of a blade crash, in every cluster model's rendering.
+pub(crate) fn fail_line(blade: usize) -> String {
+    format!("for key in c.fail_blade({blade}).lost {{ c.acknowledge_loss(key); }}")
 }
 
 #[cfg(test)]
@@ -414,16 +451,14 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
+        let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
         let result = explore(
-            CacheModel::new(Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 }),
+            CacheModel::new(scope),
             Limits { max_depth: 4, max_states: 50_000 },
             SearchOrder::Bfs,
         );
         if let Some(cx) = &result.counterexample {
-            panic!(
-                "violation:\n{}",
-                render_trace(&cx.trace, Scope::small(), &cx.violations)
-            );
+            panic!("violation:\n{}", render_trace(&cx.trace, scope, &cx.violations));
         }
         assert!(result.states_visited > 100);
     }

@@ -16,10 +16,9 @@
 //! * **drain implies zero loss** — a planned drain never mints a
 //!   `DataLost` tombstone, no matter what the other ops left in flight.
 
-use crate::cache_model::Scope;
-use crate::explore::{violations_header, Counterexample, Model};
+use crate::cache_model::{destage_line, fail_line, hash_cluster, key_of, render_cluster_trace, Scope};
+use crate::explore::{Counterexample, Model};
 use crate::summary::StandardModel;
-use crate::hash::StateHasher;
 use std::collections::HashMap;
 use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, Retention};
 
@@ -41,39 +40,19 @@ pub enum HealOp {
     HealStep,
 }
 
-/// Exploration bounds.
-#[derive(Clone, Copy, Debug)]
-pub struct HealScope {
-    pub blades: usize,
-    pub pages: u64,
-    /// Total dirty copies per write (owner + replicas).
-    pub n_way: usize,
-    pub capacity_pages: usize,
-}
-
-impl HealScope {
-    /// The acceptance scope: 3 blades × 2 pages, 2-way writes — every
-    /// crash/drain/revive/heal interleaving to the exploration depth.
-    pub fn small() -> HealScope {
-        HealScope { blades: 3, pages: 2, n_way: 2, capacity_pages: 8 }
-    }
-}
-
 /// The real cluster plus the protection-target shadow.
 #[derive(Clone)]
 pub struct HealModel {
-    scope: HealScope,
+    scope: Scope,
     cluster: CacheCluster,
     /// Page → protection target, maintained independently from op results.
     shadow: HashMap<PageKey, usize>,
 }
 
-fn key_of(page: u64) -> PageKey {
-    PageKey::new(0, page)
-}
-
 impl HealModel {
-    pub fn new(scope: HealScope) -> HealModel {
+    /// The model over `scope`, with pages clamped to the two it needs.
+    pub fn new(scope: Scope) -> HealModel {
+        let scope = Scope { pages: scope.pages.min(2), ..scope };
         HealModel {
             scope,
             cluster: CacheCluster::new(scope.blades, scope.capacity_pages),
@@ -241,75 +220,17 @@ impl Model for HealModel {
     }
 
     fn canonical_hash(&self) -> u128 {
-        // Same scratch-reuse discipline as the cache/failover models.
-        HASH_SCRATCH.with(|scratch| {
-            let (versions, shadow) = &mut *scratch.borrow_mut();
-            versions.clear();
-            shadow.clear();
-            let mut h = StateHasher::new();
+        hash_cluster(&self.cluster, self.scope, std::iter::empty(), |h, _, rows| {
+            // The directory's protection targets, in the key order the
+            // cluster half already hashed, then the shadow of them.
             for (_, e) in self.cluster.directory().iter() {
-                versions.push(e.version);
-            }
-            for b in 0..self.scope.blades {
-                for p in self.cluster.resident_pages_iter(b) {
-                    versions.push(p.version);
-                }
-            }
-            versions.sort_unstable();
-            versions.dedup();
-            let rank = |v: u64| versions.binary_search(&v).unwrap_or(usize::MAX) as u64;
-
-            for b in 0..self.scope.blades {
-                h.write_u64(self.cluster.blade_state(b) as u64);
-                for p in self.cluster.resident_pages_iter(b) {
-                    h.write_u64(p.key.page);
-                    h.write_bool(p.replica);
-                    h.write_bool(p.dirty);
-                    h.write_u64(rank(p.version));
-                }
-                h.boundary();
-            }
-            for (key, e) in self.cluster.directory().iter() {
-                h.write_u64(key.page);
-                match e.owner {
-                    Some(o) => h.write_u64(1 + o as u64),
-                    None => h.write_u64(0),
-                }
-                for &r in &e.replicas {
-                    h.write_usize(r);
-                }
-                h.boundary();
-                h.write_u64(rank(e.version));
                 h.write_usize(e.protect);
             }
             h.boundary();
-            for (k, &t) in &self.shadow {
-                shadow.push((k.page, t as u64));
+            for (k, &target) in &self.shadow {
+                rows.push([k.page, target as u64, 0, 0]);
             }
-            shadow.sort_unstable();
-            for &(page, target) in shadow.iter() {
-                h.write_u64(page);
-                h.write_u64(target);
-            }
-            h.finish()
         })
-    }
-}
-
-/// `(version ranks, shadow tuples)` buffers reused across hash calls.
-type HashScratch = (Vec<u64>, Vec<(u64, u64)>);
-
-thread_local! {
-    /// Reused scratch for [`HealModel::canonical_hash`].
-    static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
-}
-
-/// The CLI's `--blades/--pages/--nway/--capacity`, with pages clamped to
-/// the two this model needs.
-impl From<Scope> for HealScope {
-    fn from(cli: Scope) -> HealScope {
-        HealScope { blades: cli.blades, pages: cli.pages.min(2), n_way: cli.n_way, capacity_pages: cli.capacity_pages }
     }
 }
 
@@ -325,34 +246,20 @@ impl StandardModel for HealModel {
 }
 
 /// Render a heal counterexample as a ready-to-paste regression test.
-pub fn render_heal_trace(trace: &[HealOp], scope: HealScope, violations: &[String]) -> String {
-    let mut out = violations_header(violations);
-    out.push_str(&format!(
-        "let mut c = CacheCluster::new({}, {});\n",
-        scope.blades, scope.capacity_pages
-    ));
-    for op in trace {
-        let line = match *op {
-            HealOp::Write { blade, page } => format!(
-                "let _ = c.governed_write({blade}, PageKey::new(0, {page}), {}, Retention::Normal);",
-                scope.n_way
-            ),
-            HealOp::Destage { page } => format!("let _ = c.destage(PageKey::new(0, {page}));"),
-            HealOp::Fail { blade } => format!(
-                "for key in c.fail_blade({blade}).lost {{ c.acknowledge_loss(key); }}"
-            ),
-            HealOp::Revive { blade } => format!("let _ = c.revive_blade({blade});"),
-            HealOp::Drain { blade } => format!("let _ = c.drain_blade({blade});"),
-            HealOp::HealStep => {
-                "for (key, _) in c.under_target_pages() { let _ = c.add_replica(key); }"
-                    .to_string()
-            }
-        };
-        out.push_str(&line);
-        out.push('\n');
-    }
-    out.push_str("assert_eq!(c.audit_invariants(), vec![]);\n");
-    out
+pub fn render_heal_trace(trace: &[HealOp], scope: Scope, violations: &[String]) -> String {
+    render_cluster_trace(trace, scope, violations, |op| match op {
+        HealOp::Write { blade, page } => format!(
+            "let _ = c.governed_write({blade}, PageKey::new(0, {page}), {}, Retention::Normal);",
+            scope.n_way
+        ),
+        HealOp::Destage { page } => destage_line(page),
+        HealOp::Fail { blade } => fail_line(blade),
+        HealOp::Revive { blade } => format!("let _ = c.revive_blade({blade});"),
+        HealOp::Drain { blade } => format!("let _ = c.drain_blade({blade});"),
+        HealOp::HealStep => {
+            "for (key, _) in c.under_target_pages() { let _ = c.add_replica(key); }".to_string()
+        }
+    })
 }
 
 #[cfg(test)]
@@ -362,7 +269,7 @@ mod tests {
 
     #[test]
     fn heal_step_restores_target_after_crash() {
-        let mut m = HealModel::new(HealScope::small());
+        let mut m = HealModel::new(Scope::small());
         assert!(m.apply(HealOp::Write { blade: 0, page: 0 }).is_empty());
         let owner = m.cluster().directory().get(&key_of(0)).and_then(|e| e.owner).unwrap();
         assert!(m.apply(HealOp::Fail { blade: owner }).is_empty());
@@ -373,7 +280,7 @@ mod tests {
 
     #[test]
     fn drain_never_loses_and_readonly_refuses() {
-        let mut m = HealModel::new(HealScope::small());
+        let mut m = HealModel::new(Scope::small());
         assert!(m.apply(HealOp::Write { blade: 0, page: 0 }).is_empty());
         assert!(m.apply(HealOp::Write { blade: 1, page: 1 }).is_empty());
         assert!(m.apply(HealOp::Drain { blade: 0 }).is_empty());
@@ -387,7 +294,7 @@ mod tests {
 
     #[test]
     fn revive_then_heal_returns_to_healthy() {
-        let mut m = HealModel::new(HealScope::small());
+        let mut m = HealModel::new(Scope::small());
         assert!(m.apply(HealOp::Write { blade: 0, page: 0 }).is_empty());
         assert!(m.apply(HealOp::Fail { blade: 2 }).is_empty());
         assert!(m.apply(HealOp::Revive { blade: 2 }).is_empty());
@@ -399,7 +306,7 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
-        let scope = HealScope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
+        let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
         let result = explore(
             HealModel::new(scope),
             Limits { max_depth: 5, max_states: 50_000 },
@@ -419,7 +326,7 @@ mod tests {
                 HealOp::Drain { blade: 0 },
                 HealOp::HealStep,
             ],
-            HealScope::small(),
+            Scope::small(),
             &["example".into()],
         );
         assert!(text.contains("c.governed_write(0, PageKey::new(0, 1)"));

@@ -1,13 +1,16 @@
 //! `ys-check` — bounded model checker and protocol-invariant audit.
 //!
-//! Drives the *real* implementation crates (`ys-cache`'s coherent blade
-//! cache, `ys-virt`'s DMSD volume manager) through exhaustive permutations
-//! of operations up to a configurable depth, auditing an invariant suite
-//! after every step:
+//! Drives the *real* implementation crates through exhaustive permutations
+//! of operations up to a configurable depth, one standard model per
+//! subsystem (cache, virt, qos, integrity, security, heal — see
+//! [`STANDARD_MODELS`]), auditing an invariant suite after every step:
 //!
 //! * single-writer exclusion and version monotonicity (§2.2, §6.1);
 //! * replica-set protection — no acknowledged dirty page lost while fewer
-//!   blades failed than copies held (§6.1's N−1 guarantee);
+//!   blades failed than copies held (§6.1's N−1 guarantee), a crash
+//!   promoting only to a replica held before it, and a loss beyond the
+//!   budget read back as `DataLost`, never silently (the cache model's
+//!   `Fail` step);
 //! * directory-vs-LRU residency agreement and per-blade capacity (§2.2);
 //! * DMSD allocated-block conservation across snapshot/rollback (§3);
 //! * QoS admission-ledger balance, token/burst bounds, in-flight caps, and
@@ -36,7 +39,7 @@
 
 pub mod cache_model;
 pub mod explore;
-pub mod failover_model;
+mod failover_model;
 pub mod hash;
 pub mod heal_model;
 pub mod integrity_model;
@@ -47,9 +50,8 @@ pub mod virt_model;
 
 pub use cache_model::{render_trace, CacheModel, Op, Scope};
 pub use explore::{explore, explore_timed, Counterexample, Exploration, Limits, Model, SearchOrder};
-pub use failover_model::{render_failover_trace, FailoverModel, FailoverOp, FailoverScope};
 pub use hash::StateHasher;
-pub use heal_model::{render_heal_trace, HealModel, HealOp, HealScope};
+pub use heal_model::{render_heal_trace, HealModel, HealOp};
 pub use integrity_model::{render_integrity_trace, IntegrityModel, IntegrityOp, IntegrityScope};
 pub use qos_model::{render_qos_trace, QosModel, QosOp, QosScope};
 pub use security_model::{render_security_trace, SecurityModel, SecurityOp, SecurityScope};

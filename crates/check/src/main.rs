@@ -1,5 +1,6 @@
-//! `ys-check` CLI: bounded exploration of the cache-coherence and DMSD
-//! models from the command line.
+//! `ys-check` CLI: bounded exploration of the six standard models — the
+//! cache cluster (with its §6.1 failover checks), DMSD, QoS admission,
+//! integrity, security and heal — from the command line.
 //!
 //! ```text
 //! cargo run -p ys-check --release -- --blades 3 --pages 4 --depth 5
@@ -15,7 +16,8 @@ use std::process::ExitCode;
 use ys_check::{parse_args, run_named};
 
 const USAGE: &str = "\
-ys-check: bounded model checker for the cache cluster and DMSD catalog
+ys-check: bounded model checker for the cache cluster (default; with the
+§6.1 crash/promote/destage failover checks) and five more subsystems
 
 USAGE: ys-check [OPTIONS]
 
@@ -29,7 +31,6 @@ OPTIONS:
   --dfs            depth-first order (default: breadth-first)
   --virt           check the DMSD volume manager instead of the cache
   --qos            check the ys-qos admission controller instead
-  --failover       check the §6.1 crash/promote/destage failover protocol
   --integrity      check the checksum / scrub repair-or-declare protocol
   --security       check LUN masking / zoning / wire-cipher enforcement
   --heal           check the blade lifecycle / re-replication protocol

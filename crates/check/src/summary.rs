@@ -1,4 +1,4 @@
-//! The standard-model registry: the one place that knows the seven model
+//! The standard-model registry: the one place that knows the six model
 //! names, shared by the `ys-check` CLI, [`run_standard`] and the
 //! `ys-sweep` parallel harness.
 //!
@@ -10,7 +10,6 @@
 
 use crate::cache_model::{CacheModel, Scope};
 use crate::explore::{explore_timed, Counterexample, Limits, Model, SearchOrder};
-use crate::failover_model::FailoverModel;
 use crate::heal_model::HealModel;
 use crate::integrity_model::{IntegrityModel, IntegrityScope};
 use crate::qos_model::{QosModel, QosScope};
@@ -18,10 +17,9 @@ use crate::security_model::{SecurityModel, SecurityScope};
 use crate::virt_model::{VirtModel, VirtScope};
 use std::fmt::Write as _;
 
-/// The seven standard model names, in canonical report order. The first is
+/// The six standard model names, in canonical report order. The first is
 /// the CLI's default; every other name is also the CLI flag `--<name>`.
-pub const STANDARD_MODELS: &[&str] =
-    &["cache", "virt", "qos", "failover", "integrity", "security", "heal"];
+pub const STANDARD_MODELS: &[&str] = &["cache", "virt", "qos", "integrity", "security", "heal"];
 
 /// What a [`Model`] adds to be one of the [`STANDARD_MODELS`].
 pub trait StandardModel: Model {
@@ -82,8 +80,9 @@ pub fn run<M: StandardModel>(
 
 /// [`run`] the model called `model`: the one dispatch over
 /// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--nway/
-/// --capacity` and resizes the models that have those dimensions; its
-/// default, [`Scope::small`], maps to every model's own `small()` scope.
+/// --capacity` and resizes the two models on a `CacheCluster`, cache and
+/// heal (which clamps pages to 2); the others keep their own `small()`
+/// scope.
 pub fn run_named(
     model: &str,
     scope: Scope,
@@ -95,10 +94,9 @@ pub fn run_named(
         "cache" => run(CacheModel::new(scope), limits, order, elapsed),
         "virt" => run(VirtModel::new(VirtScope::small()), limits, order, elapsed),
         "qos" => run(QosModel::new(QosScope::small()), limits, order, elapsed),
-        "failover" => run(FailoverModel::new(scope.into()), limits, order, elapsed),
         "integrity" => run(IntegrityModel::new(IntegrityScope::small()), limits, order, elapsed),
         "security" => run(SecurityModel::new(SecurityScope::small()), limits, order, elapsed),
-        "heal" => run(HealModel::new(scope.into()), limits, order, elapsed),
+        "heal" => run(HealModel::new(scope), limits, order, elapsed),
         other => return Err(format!("unknown standard model `{other}` (try {STANDARD_MODELS:?})")),
     })
 }

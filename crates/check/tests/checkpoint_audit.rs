@@ -1,5 +1,6 @@
 //! `CacheCluster::audit_checkpoint` ≡ `audit_invariants`, on every
-//! transition of the three models that drive a `CacheCluster`.
+//! transition of the two models that drive a `CacheCluster` — cache (at its
+//! acceptance, eviction and failover scopes) and heal.
 //!
 //! The models themselves audit every state with the full scan and never
 //! open a change journal — that is what `ys-check` runs and what the depth-5
@@ -12,7 +13,7 @@
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use ys_cache::CacheCluster;
-use ys_check::{CacheModel, FailoverModel, FailoverScope, HealModel, HealScope, Model, Scope};
+use ys_check::{CacheModel, HealModel, Model, Scope};
 
 const DEPTH: usize = 4;
 
@@ -78,14 +79,16 @@ fn cache_model_under_eviction_checkpoints_agree_with_the_full_audit() {
     assert!(evictions > 0, "the scope was chosen to reach eviction");
 }
 
+/// The failover checks' scope: the cache model over two pages.
 #[test]
 fn failover_model_checkpoints_agree_with_the_full_audit() {
-    let (per_kind, _) = differential(FailoverModel::new(FailoverScope::small()), FailoverModel::cluster_mut);
-    assert_every_kind_visited("failover", &per_kind, &["Destage", "Fail", "Repair", "Write"]);
+    let scope = Scope { pages: 2, ..Scope::small() };
+    let (per_kind, _) = differential(CacheModel::new(scope), CacheModel::cluster_mut);
+    assert_every_kind_visited("failover", &per_kind, &["Destage", "Fail", "Invalidate", "Read", "Repair", "Write"]);
 }
 
 #[test]
 fn heal_model_checkpoints_agree_with_the_full_audit() {
-    let (per_kind, _) = differential(HealModel::new(HealScope::small()), HealModel::cluster_mut);
+    let (per_kind, _) = differential(HealModel::new(Scope::small()), HealModel::cluster_mut);
     assert_every_kind_visited("heal", &per_kind, &["Destage", "Drain", "Fail", "HealStep", "Revive", "Write"]);
 }

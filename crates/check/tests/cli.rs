@@ -21,6 +21,8 @@ fn the_model_is_a_single_selection() {
     assert!(clash.contains("--virt") && clash.contains("--qos"), "{clash}");
     // The default model has no flag of its own.
     assert_eq!(args(&["--cache"]).unwrap_err(), "unknown flag --cache");
+    // The failover checks run inside the cache model's `Fail` step.
+    assert_eq!(args(&["--failover"]).unwrap_err(), "unknown flag --failover");
     assert_eq!(args(&["--help"]).unwrap_err(), "");
     assert_eq!(args(&["--depth"]).unwrap_err(), "--depth needs a value");
 }

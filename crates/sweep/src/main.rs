@@ -27,8 +27,8 @@ OPTIONS:
     --fatal         Chaos campaigns expect (and shrink) an acked-write loss.
     --errors N      Latent errors per scrub campaign (default 64).
     --writes N      Foreground writes per heal campaign (default 48).
-    --models a,b    Standard models to check (default all five:
-                    cache,virt,qos,failover,integrity).
+    --models a,b    Standard models to check (default these four:
+                    cache,virt,qos,integrity).
     --depth N       Exploration depth for check shards (default 4).
     --max-states N  State cap for check shards (default 2000000).
     --out PATH      Snapshot path (default BENCH_baseline.json).
@@ -84,7 +84,7 @@ fn parse_args() -> Result<Args, String> {
         fatal: false,
         errors: 64,
         writes: 48,
-        models: ["cache", "virt", "qos", "failover", "integrity"].map(String::from).to_vec(),
+        models: ["cache", "virt", "qos", "integrity"].map(String::from).to_vec(),
         depth: 4,
         max_states: 2_000_000,
         out: "BENCH_baseline.json".into(),

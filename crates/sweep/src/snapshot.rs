@@ -267,7 +267,7 @@ mod tests {
         let a = render(&collect(1));
         let b = render(&collect(4));
         assert_eq!(a, b);
-        assert!(a.contains("\"check_failover\""));
+        assert!(a.contains("\"check_heal\""));
         assert!(a.contains("\"chaos_sweep\""));
         for section in ["heal_sweep", "scrub_sweep", "report_suite", "claims", "experiment_report"] {
             assert!(a.contains(&format!("\"{section}\"")), "{section} missing");

@@ -133,6 +133,12 @@ cargo run -q -p ys-check --release -- --heal --depth 7
 echo "==> ys-check --blades 2 --pages 4 --capacity 2 --depth 5 (cache model with eviction reachable)"
 cargo run -q -p ys-check --release -- --blades 2 --pages 4 --capacity 2 --depth 5
 
+# The failover scope: two pages leave room for depth 7, where every
+# crash/promote/destage interleaving meets the cache model's failover
+# checks (promotion to a prior replica, loud loss). About 0.15 s.
+echo "==> ys-check --pages 2 --depth 7 (cache model over the failover scope)"
+cargo run -q -p ys-check --release -- --pages 2 --depth 7
+
 # Behaviour drift gate: regenerating the snapshot (simulation metrics and
 # transcript digests only) must reproduce BENCH_baseline.json exactly.
 echo "==> cargo xtask bench-snapshot --check (sim metrics vs BENCH_baseline.json)"
