@@ -7,7 +7,7 @@
 //! * **A3 coherent peer supply** — §2.2's remote cache hits vs.
 //!   partitioned-controller timing (every non-local page from disk).
 
-use ys_cache::Retention;
+use crate::driver::{fill, read_loop};
 use ys_core::{BladeCluster, ClusterConfig, Rebuilder};
 use ys_obs::RunReport;
 use ys_simcore::stats::Series;
@@ -25,10 +25,7 @@ pub fn a1_prefetch() -> RunReport {
         let mut c = BladeCluster::new(cfg);
         let vol = c.create_volume("seq", 0, 1 << 30).unwrap();
         let total = 32 * MB;
-        let mut t = SimTime::ZERO;
-        for off in (0..total).step_by(MB as usize) {
-            t = c.write(t, 0, vol, off, MB, 1, Retention::Normal).unwrap().done;
-        }
+        let t = fill(&mut c, vol, total, MB, SimTime::ZERO);
         let start = c.drain().max(t);
         for b in 0..4 {
             c.fail_blade(start, b);
@@ -69,19 +66,10 @@ pub fn a3_remote_supply() -> RunReport {
         let vol = c.create_volume("v", 0, 1 << 30).unwrap();
         let set = 64 * MB;
         let io = 64 * KB;
-        let mut t = SimTime::ZERO;
-        for off in (0..set).step_by(io as usize) {
-            t = c.write(t, 0, vol, off, io, 1, Retention::Normal).unwrap().done;
-        }
+        let t = fill(&mut c, vol, set, io, SimTime::ZERO);
         let base = c.drain().max(t);
         let mut wl = ys_proto::Workload::zipf(set, io, 0.9, 0.0, 7);
-        let r = crate::driver::closed_loop(16, 200, |client, now| {
-            let op = wl.next_op();
-            let shifted = SimTime(base.nanos() + now.nanos());
-            let done = c.read(shifted, client, vol, op.offset, op.len).unwrap().done;
-            (SimTime(done.nanos() - base.nanos()), op.len)
-        });
-        tput.push(i as f64, r.mb_per_sec());
+        tput.push(i as f64, read_loop(&mut c, vol, &mut wl, base, 16, 200).mb_per_sec());
     }
     vec![tput].into()
 }

@@ -6,6 +6,9 @@
 //! ys-report <scenario> [--trace-out PATH] [--metrics] [--trace-stdout]
 //! ys-report --list
 //! ```
+//!
+//! Exit codes: 0 = every checkpoint passed, 1 = a checkpoint failed (or the
+//! trace could not be written), 2 = usage error.
 
 use std::process::ExitCode;
 use ys_bench::claims::{by_name, CLAIMS};
@@ -46,25 +49,25 @@ fn main() -> ExitCode {
                     Some(p) => trace_out = Some(p.clone()),
                     None => {
                         eprintln!("--trace-out needs a path\n{}", usage());
-                        return ExitCode::FAILURE;
+                        return ExitCode::from(2);
                     }
                 }
             }
             name if scenario.is_none() && !name.starts_with('-') => scenario = Some(name.to_string()),
             other => {
                 eprintln!("unknown argument: {other}\n{}", usage());
-                return ExitCode::FAILURE;
+                return ExitCode::from(2);
             }
         }
         i += 1;
     }
     let Some(name) = scenario else {
         eprint!("{}", usage());
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let Some(claim) = by_name(&name) else {
         eprintln!("unknown scenario: {name}\n{}", usage());
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let report = (claim.run)();
 

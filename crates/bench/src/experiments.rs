@@ -7,7 +7,7 @@
 //! output. Sizes are chosen so the whole suite runs in seconds of wall
 //! time while exercising thousands-to-millions of simulated operations.
 
-use crate::driver::closed_loop;
+use crate::driver::{closed_loop, fill, read_loop};
 use ys_cache::Retention;
 use ys_core::{
     deliver_stream, deliver_stream_traced, run_service, BladeCluster, BlockTarget, ClusterConfig,
@@ -149,7 +149,7 @@ pub fn e2_secure_pool() -> RunReport {
         let v0 = c.create_volume("alice", 1, 4 * GB).unwrap();
         let v1 = c.create_volume("bob", 2, 4 * GB).unwrap();
         let mut wl = Workload::random(512 * MB, 64 * KB, 0.5, 42);
-        let r = closed_loop(8, 400, |client, now| {
+        let r = closed_loop(SimTime::ZERO, 8, 400, |client, now| {
             let op = wl.next_op();
             let vol = if client % 2 == 0 { v0 } else { v1 };
             let done = if op.write {
@@ -347,17 +347,10 @@ pub fn e4_scaling() -> RunReport {
         );
         let vol = c.create_volume("shared", 0, 4 * GB).unwrap();
         // Warm the working set.
-        let mut t = SimTime::ZERO;
-        for off in (0..working_set).step_by(io as usize) {
-            t = c.write(t, 0, vol, off, io, 1, Retention::Normal).unwrap().done;
-        }
+        let t = fill(&mut c, vol, working_set, io, SimTime::ZERO);
         let t_warm = c.drain().max(t);
         let mut wl = Workload::random(working_set, io, 0.0, 7);
-        let r = closed_loop(clients, 300, |client, now| {
-            let op = wl.next_op();
-            let done = c.read(t_warm + now.since(SimTime::ZERO), client, vol, op.offset, op.len).unwrap().done;
-            (SimTime(done.nanos() - t_warm.nanos()), op.len)
-        });
+        let r = read_loop(&mut c, vol, &mut wl, t_warm, clients, 300);
         tput.push(blades as f64, r.mb_per_sec());
     }
     // Legacy baseline: the best a traditional array offers is 2 controllers.
@@ -370,11 +363,9 @@ pub fn e4_scaling() -> RunReport {
             t = SimTime(t.nanos() + 1_000_000);
         }
         let mut wl = Workload::random(working_set, io, 0.0, 7);
-        let base = t;
-        let r = closed_loop(clients, 300, |_client, now| {
+        let r = closed_loop(t, clients, 300, |_client, now| {
             let op = wl.next_op();
-            let lat = a.read(base + now.since(SimTime::ZERO), 0, op.offset, op.len).unwrap();
-            (now + lat, op.len)
+            (now + a.read(now, 0, op.offset, op.len).unwrap(), op.len)
         });
         legacy.push(controllers as f64, r.mb_per_sec());
     }
@@ -414,12 +405,7 @@ pub fn e5_hotspot() -> RunReport {
         );
         let vols: Vec<_> = (0..volumes).map(|v| c.create_volume(&format!("v{v}"), 0, GB).unwrap()).collect();
         // Warm all volumes.
-        let mut t = SimTime::ZERO;
-        for &v in &vols {
-            for off in (0..per_vol).step_by(io as usize) {
-                t = c.write(t, 0, v, off, io, 1, Retention::Normal).unwrap().done;
-            }
-        }
+        let t = vols.iter().fold(SimTime::ZERO, |t, &v| fill(&mut c, v, per_vol, io, t));
         let t_warm = c.drain().max(t);
         let traced = lb == LoadBalance::RoundRobin;
         if traced {
@@ -429,14 +415,12 @@ pub fn e5_hotspot() -> RunReport {
         let zipf = ys_simcore::Zipf::new(volumes, 1.1);
         let mut rng = ys_simcore::Rng::new(99);
         let mut off_wl = Workload::random(per_vol, io, 0.0, 5);
-        let r = closed_loop(clients, 250, |client, now| {
+        let r = closed_loop(t_warm, clients, 250, |client, now| {
             let v = vols[zipf.sample(&mut rng)];
             let op = off_wl.next_op();
-            let shifted = SimTime(t_warm.nanos() + now.nanos());
-            let done = c.read(shifted, client, v, op.offset, op.len).unwrap().done;
-            (SimTime(done.nanos() - t_warm.nanos()), op.len)
+            (c.read(now, client, v, op.offset, op.len).unwrap().done, op.len)
         });
-        let until = SimTime(t_warm.nanos() + r.makespan.nanos());
+        let until = t_warm + r.makespan;
         let utils = c.blade_utilizations(until);
         let max = utils.iter().cloned().fold(0.0, f64::max);
         let mean = utils.iter().sum::<f64>() / utils.len() as f64;
@@ -891,25 +875,20 @@ pub fn e11_encryption() -> RunReport {
             ClusterConfig::default().with_blades(4).with_disks(16).with_clients(4).with_encryption(enc),
         );
         let vol = c.create_volume("media", 0, 4 * GB).unwrap();
-        let mut t = SimTime::ZERO;
-        for off in (0..total).step_by(MB as usize) {
-            t = c.write(t, 0, vol, off, MB, 1, Retention::Normal).unwrap().done;
-        }
+        let t = fill(&mut c, vol, total, MB, SimTime::ZERO);
         let start = c.drain().max(t);
         // Stream it back from cache through 4 clients.
         let chunk = MB;
         let chunks = total / chunk;
-        let r = closed_loop(4, (chunks / 4) as usize, |client, now| {
-            let idx = now.nanos() % chunks; // deterministic-ish spread
+        let r = closed_loop(start, 4, (chunks / 4) as usize, |client, now| {
+            let idx = now.since(start).nanos() % chunks; // deterministic-ish spread
             let off = idx * chunk % total;
-            let shifted = SimTime(start.nanos() + now.nanos());
-            let done = c.read(shifted, client, vol, off, chunk).unwrap().done;
-            (SimTime(done.nanos() - start.nanos()), chunk)
+            (c.read(now, client, vol, off, chunk).unwrap().done, chunk)
         });
         mbps.push(r.mb_per_sec());
         ciphered.push(c.stats.pages_ciphered);
         if i == 1 {
-            collect_cluster(&mut reg, &c, SimTime(start.nanos() + r.makespan.nanos()));
+            collect_cluster(&mut reg, &c, start + r.makespan);
         }
     }
     let (off, hw, sw) = (mbps[0], mbps[1], mbps[2]);
@@ -988,30 +967,16 @@ pub fn e12_services() -> RunReport {
     // Cold data set shared by all configs.
     let prepare = |c: &mut BladeCluster| -> (ys_virt::VolumeId, SimTime) {
         let vol = c.create_volume("t", 0, 4 * GB).unwrap();
-        let mut t = SimTime::ZERO;
-        for off in (0..set).step_by(MB as usize) {
-            t = c.write(t, 0, vol, off, MB, 1, Retention::Normal).unwrap().done;
-        }
-        let base = c.drain().max(t);
-        (vol, base)
+        let t = fill(c, vol, set, MB, SimTime::ZERO);
+        (vol, c.drain().max(t))
     };
-    let foreground_batch =
-        |c: &mut BladeCluster, vol: ys_virt::VolumeId, wl: &mut Workload, base: SimTime, ops: usize| -> SimTime {
-            let r = closed_loop(8, ops, |client, now| {
-                let op = wl.next_op();
-                let shifted = SimTime(base.nanos() + now.nanos());
-                let done = c.read(shifted, client, vol, op.offset, op.len).unwrap().done;
-                (SimTime(done.nanos() - base.nanos()), op.len)
-            });
-            base + r.makespan
-        };
 
     // No-service reference.
     {
         let mut c = BladeCluster::new(cfg());
         let (vol, base) = prepare(&mut c);
         let mut wl = Workload::random(set, io, 0.0, 3);
-        foreground_batch(&mut c, vol, &mut wl, base, 100);
+        read_loop(&mut c, vol, &mut wl, base, 8, 100);
         fg.push(0.0, c.stats.read_latency.p99().as_millis_f64());
     }
     for (i, blades) in [vec![0usize], (0..8).collect::<Vec<_>>()].into_iter().enumerate() {
@@ -1035,7 +1000,7 @@ pub fn e12_services() -> RunReport {
             };
             let res = run_service(&mut c, svc_t, job, &blades).unwrap();
             svc_t = res.finished;
-            fg_t = foreground_batch(&mut c, vol, &mut wl, fg_t, 12).max(fg_t);
+            fg_t += read_loop(&mut c, vol, &mut wl, fg_t, 8, 12).makespan;
             pos += job.bytes;
         }
         svc.push(i as f64, svc_t.since(base).as_secs_f64());
@@ -1053,35 +1018,15 @@ pub fn seed_run(seed: u64) -> f64 {
     let vol = c.create_volume("v", 0, GB).unwrap();
     let set = 32 * MB;
     let io = 64 * KB;
-    let mut t = SimTime::ZERO;
-    for off in (0..set).step_by(io as usize) {
-        t = c.write(t, 0, vol, off, io, 1, Retention::Normal).unwrap().done;
-    }
+    let t = fill(&mut c, vol, set, io, SimTime::ZERO);
     let base = c.drain().max(t);
     let mut wl = Workload::zipf(set, io, 0.9, 0.0, seed);
-    let r = closed_loop(8, 150, |client, now| {
-        let op = wl.next_op();
-        let shifted = SimTime(base.nanos() + now.nanos());
-        let done = c.read(shifted, client, vol, op.offset, op.len).unwrap().done;
-        (SimTime(done.nanos() - base.nanos()), op.len)
-    });
-    r.mb_per_sec()
+    read_loop(&mut c, vol, &mut wl, base, 8, 150).mb_per_sec()
 }
 
-/// Multi-seed confidence sweep: per-seed aggregate MB/s for a Zipf read
-/// workload, plus mean/min/max — the error bars for E5-style numbers.
-///
-/// This serial driver maps [`seed_run`] over the seeds in order; the
-/// `ys-sweep` crate provides the thread-parallel version and a test that
-/// its output is byte-identical to this one.
-pub fn seed_sweep(seeds: &[u64]) -> Vec<Series> {
-    let results: Vec<f64> = seeds.iter().map(|&s| seed_run(s)).collect();
-    summarize_seed_sweep(seeds, &results)
-}
-
-/// Fold per-seed results into the sweep's two report series. Split out so
-/// the parallel harness can merge shard outputs through the exact same
-/// aggregation code path as the serial driver.
+/// Fold per-seed [`seed_run`] results into the confidence sweep's two
+/// series: MB/s per seed, then mean/min/max — the error bars for E5-style
+/// numbers. `ys-sweep bench` prints them and the snapshot pins the summary.
 pub fn summarize_seed_sweep(seeds: &[u64], results: &[f64]) -> Vec<Series> {
     let mut per_seed = Series::new("seed sweep: MB/s per seed (parallel harness)");
     for (s, &mbps) in seeds.iter().zip(results) {
@@ -1110,7 +1055,8 @@ mod sweep_tests {
     #[test]
     fn seed_variance_is_modest() {
         let seeds = [10u64, 20, 30, 40];
-        let out = seed_sweep(&seeds);
+        let results: Vec<f64> = seeds.iter().map(|&s| seed_run(s)).collect();
+        let out = summarize_seed_sweep(&seeds, &results);
         let mean = out[1].points[0].1;
         let min = out[1].points[1].1;
         let max = out[1].points[2].1;

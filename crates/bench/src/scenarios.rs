@@ -8,8 +8,101 @@ use ys_core::{run_scenario, BladeCluster, ClusterConfig, LoadBalance};
 use ys_obs::report::f2;
 use ys_obs::{collect_cache, collect_qos, Checkpoint, MetricKey, MetricsRegistry, RunReport, Table};
 use ys_proto::Workload;
+use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::fault::{FaultPlan, FaultTarget};
-use ys_simcore::time::SimTime;
+use ys_simcore::time::{SimDuration, SimTime};
+use ys_virt::VolumeId;
+
+/// The p99 of `lat`, exactly: the sorted sample at index ⌊0.99·n⌋.
+fn exact_p99(lat: &[SimDuration]) -> SimDuration {
+    let mut v = lat.to_vec();
+    v.sort();
+    v[((v.len() * 99) / 100).min(v.len() - 1)]
+}
+
+/// A Premium tenant (weight 4, 2 ms latency budget) beside a Scavenger
+/// tenant held to `mb_per_sec`, a `burst`-byte bucket and `inflight`
+/// requests in flight; nothing waits more than 5 ms for admission.
+fn premium_over_scavenger(
+    premium: (u32, &str),
+    scavenger: (u32, &str),
+    mb_per_sec: u64,
+    burst: u64,
+    inflight: u32,
+) -> QosConfig {
+    QosConfig::new()
+        .with_tenant(
+            TenantSpec::new(premium.0, premium.1, QosClass::Premium)
+                .weight(4)
+                .latency_budget(SimDuration::from_millis(2)),
+        )
+        .with_tenant(
+            TenantSpec::new(scavenger.0, scavenger.1, QosClass::Scavenger)
+                .rate_mb_per_sec(mb_per_sec)
+                .burst_bytes(burst)
+                .inflight_cap(inflight),
+        )
+        .with_max_delay(SimDuration::from_millis(5))
+}
+
+/// The table of each run's p99 against the first run's, the solo envelope.
+/// Returns it with each run's p99 and slowdown.
+fn p99_table<const N: usize>(title: &str, runs: [(&str, &[SimDuration]); N]) -> (Table, [(SimDuration, f64); N]) {
+    let solo = exact_p99(runs[0].1);
+    let mut table = Table::new(title, &["run", "p99 µs", "vs solo"]);
+    let p99s = runs.map(|(label, lat)| {
+        let p99 = exact_p99(lat);
+        let slowdown = p99.nanos() as f64 / solo.nanos() as f64;
+        table.row(vec![label.into(), f2(p99.as_micros_f64()), f2(slowdown)]);
+        (p99, slowdown)
+    });
+    (table, p99s)
+}
+
+/// The Premium tenant noisy-neighbor and bitrot-scrub protect: the first
+/// volume of a 2-blade page-affinity cluster, a cache-resident working set
+/// of 64 pages read open-loop, and what those reads saw.
+struct Victim {
+    vol: VolumeId,
+    latencies: Vec<SimDuration>,
+    shed: u64,
+}
+
+impl Victim {
+    const TENANT: u32 = 1;
+    const IO: u64 = 64 * 1024;
+    const SET_PAGES: u64 = 64;
+
+    /// The victim's cluster under `qos`, its volume created.
+    fn cluster(qos: QosConfig) -> (BladeCluster, Victim) {
+        let cfg = ClusterConfig::default()
+            .with_blades(2)
+            .with_disks(8)
+            .with_load_balance(LoadBalance::PageAffinity)
+            .with_qos(qos);
+        let mut c = BladeCluster::new(cfg);
+        let vol = c.create_volume("victim", 0, 1 << 30).expect("volume");
+        (c, Victim { vol, latencies: Vec::new(), shed: 0 })
+    }
+
+    /// Read the working set into cache, one page after another from `t`;
+    /// returns the last completion.
+    fn warm(&self, c: &mut BladeCluster, mut t: SimTime) -> SimTime {
+        for i in 0..Self::SET_PAGES {
+            t = c.read(t, 0, self.vol, i * Self::IO, Self::IO).expect("warm").done;
+        }
+        t
+    }
+
+    /// The `i`th open-loop read, issued at `at`: its latency, or a shed.
+    fn read(&mut self, c: &mut BladeCluster, at: SimTime, i: u64) {
+        let off = (i % Self::SET_PAGES) * Self::IO;
+        match c.read_as(at, Self::TENANT, 0, self.vol, off, Self::IO) {
+            Ok(done) => self.latencies.push(done.latency),
+            Err(_) => self.shed += 1,
+        }
+    }
+}
 
 /// Multi-tenant isolation: a scavenger-class tenant floods the cluster
 /// open-loop while a premium tenant runs a light cache-resident read
@@ -17,15 +110,9 @@ use ys_simcore::time::SimTime;
 /// `ys-qos` admission control the flood is shed at the door and the
 /// victim stays within its solo envelope.
 pub fn noisy_neighbor() -> RunReport {
-    use ys_qos::{QosClass, QosConfig, TenantSpec};
-    use ys_simcore::time::SimDuration;
-
-    const IO: u64 = 64 * 1024; // victim reads, cache-resident
-    const SET_PAGES: u64 = 64; // 4 MiB victim working set
     const HOG_IO: u64 = 256 * 1024;
     const VICTIM_OPS: u64 = 500;
     const HOG_OPS: u64 = 300;
-    const VICTIM: u32 = 1;
     const HOG: u32 = 2;
     // The victim runs well below saturation (~600 µs service every 2 ms),
     // so its solo latency is a stable envelope; the hog demands 20 GB/s.
@@ -34,20 +121,11 @@ pub fn noisy_neighbor() -> RunReport {
 
     // One contention experiment: warm the victim's working set, then replay
     // both tenants' open-loop schedules merged in issue order. Returns the
-    // cluster, the victim's exact read latencies, and per-tenant shed counts.
-    let drive = |qos: QosConfig, with_hog: bool| -> (BladeCluster, Vec<SimDuration>, u64, u64) {
-        let cfg = ClusterConfig::default()
-            .with_blades(2)
-            .with_disks(8)
-            .with_load_balance(LoadBalance::PageAffinity)
-            .with_qos(qos);
-        let mut c = BladeCluster::new(cfg);
-        let victim = c.create_volume("victim", 0, 1 << 30).expect("volume");
+    // cluster, the victim, and the hog's shed count.
+    let drive = |qos: QosConfig, with_hog: bool| -> (BladeCluster, Victim, u64) {
+        let (mut c, mut victim) = Victim::cluster(qos);
         let hogv = c.create_volume("hog", 0, 1 << 30).expect("volume");
-        let mut t = SimTime::ZERO;
-        for i in 0..SET_PAGES {
-            t = c.read(t, 0, victim, i * IO, IO).expect("warm").done;
-        }
+        let t = victim.warm(&mut c, SimTime::ZERO);
         // Open-loop: issue times are fixed by the schedule, not by
         // completions — exactly how a noisy neighbor keeps pushing.
         let mut ops: Vec<(SimTime, bool, u64)> =
@@ -56,55 +134,30 @@ pub fn noisy_neighbor() -> RunReport {
             ops.extend((0..HOG_OPS).map(|i| (t + hog_gap * i, true, i)));
         }
         ops.sort_by_key(|&(at, is_hog, _)| (at, is_hog));
-        let mut latencies = Vec::new();
-        let mut victim_shed = 0u64;
         let mut hog_shed = 0u64;
         for (at, is_hog, i) in ops {
-            if is_hog {
-                let off = (i % 1024) * HOG_IO;
-                match c.write_as(at, HOG, 1, hogv, off, HOG_IO, 2, Retention::Normal) {
-                    Ok(_) => {}
-                    Err(_) => hog_shed += 1,
-                }
-            } else {
-                let off = (i % SET_PAGES) * IO;
-                match c.read_as(at, VICTIM, 0, victim, off, IO) {
-                    Ok(done) => latencies.push(done.latency),
-                    Err(_) => victim_shed += 1,
-                }
+            if !is_hog {
+                victim.read(&mut c, at, i);
+            } else if c.write_as(at, HOG, 1, hogv, (i % 1024) * HOG_IO, HOG_IO, 2, Retention::Normal).is_err() {
+                hog_shed += 1;
             }
         }
-        (c, latencies, victim_shed, hog_shed)
-    };
-    let exact_p99 = |lat: &[SimDuration]| -> SimDuration {
-        let mut v: Vec<SimDuration> = lat.to_vec();
-        v.sort();
-        v[((v.len() * 99) / 100).min(v.len() - 1)]
+        (c, victim, hog_shed)
     };
 
-    let policy = QosConfig::new()
-        .with_tenant(
-            TenantSpec::new(VICTIM, "victim", QosClass::Premium)
-                .weight(4)
-                .latency_budget(SimDuration::from_millis(2)),
-        )
-        .with_tenant(
-            TenantSpec::new(HOG, "hog", QosClass::Scavenger)
-                .rate_mb_per_sec(5)
-                .burst_bytes(256 * 1024)
-                .inflight_cap(2),
-        )
-        .with_max_delay(SimDuration::from_millis(5));
-
-    let (_, solo_lat, _, _) = drive(QosConfig::disabled(), false);
-    let (_, flood_lat, _, _) = drive(QosConfig::disabled(), true);
-    let (guarded, fair_lat, victim_shed, hog_shed) = drive(policy, true);
-
-    let solo = exact_p99(&solo_lat);
-    let flood = exact_p99(&flood_lat);
-    let fair = exact_p99(&fair_lat);
-    let flood_x = flood.nanos() as f64 / solo.nanos() as f64;
-    let fair_x = fair.nanos() as f64 / solo.nanos() as f64;
+    let policy = premium_over_scavenger((Victim::TENANT, "victim"), (HOG, "hog"), 5, 256 * 1024, 2);
+    let (_, solo_run, _) = drive(QosConfig::disabled(), false);
+    let (_, flood_run, _) = drive(QosConfig::disabled(), true);
+    let (guarded, fair_run, hog_shed) = drive(policy, true);
+    let victim_shed = fair_run.shed;
+    let (table, [(solo, _), (flood, flood_x), (fair, fair_x)]) = p99_table(
+        "victim p99 read latency (500 cache-resident 64 KiB reads)",
+        [
+            ("solo", &solo_run.latencies),
+            ("flooded, no QoS", &flood_run.latencies),
+            ("flooded, ys-qos", &fair_run.latencies),
+        ],
+    );
 
     let mut reg = MetricsRegistry::new();
     collect_qos(&mut reg, guarded.qos());
@@ -114,13 +167,6 @@ pub fn noisy_neighbor() -> RunReport {
     reg.gauge(MetricKey::aggregate("qos", "victim_slowdown_flood"), flood_x);
     reg.gauge(MetricKey::aggregate("qos", "victim_slowdown_guarded"), fair_x);
 
-    let mut table = Table::new(
-        "victim p99 read latency (500 cache-resident 64 KiB reads)",
-        &["run", "p99 µs", "vs solo"],
-    );
-    table.row(vec!["solo".into(), f2(solo.as_micros_f64()), "1.00".into()]);
-    table.row(vec!["flooded, no QoS".into(), f2(flood.as_micros_f64()), f2(flood_x)]);
-    table.row(vec!["flooded, ys-qos".into(), f2(fair.as_micros_f64()), f2(fair_x)]);
     let mut adm = Table::new(
         "admission ledger (QoS run: 300 x 256 KiB scavenger writes, 5 GB/s demand)",
         &["tenant", "class", "requests", "admitted", "throttled", "shed", "SLO met"],
@@ -171,8 +217,6 @@ pub fn noisy_neighbor() -> RunReport {
 /// 1.5x its solo envelope, and end with the cluster back at `Healthy`.
 pub fn rolling_restart() -> RunReport {
     use ys_heal::{HealConfig, Healer};
-    use ys_qos::{QosClass, QosConfig, TenantSpec};
-    use ys_simcore::time::SimDuration;
 
     const IO: u64 = 64 * 1024; // one cache page per op
     const SET_PAGES: u64 = 48; // 3 MiB working set, written 2-way
@@ -181,22 +225,6 @@ pub fn rolling_restart() -> RunReport {
     const HEALER: u32 = 9;
     const BLADES: usize = 4;
     let gap = SimDuration::from_millis(2);
-
-    let policy = || {
-        QosConfig::new()
-            .with_tenant(
-                TenantSpec::new(FG, "foreground", QosClass::Premium)
-                    .weight(4)
-                    .latency_budget(SimDuration::from_millis(2)),
-            )
-            .with_tenant(
-                TenantSpec::new(HEALER, "healer", QosClass::Scavenger)
-                    .rate_mb_per_sec(50)
-                    .burst_bytes(1 << 20)
-                    .inflight_cap(4),
-            )
-            .with_max_delay(SimDuration::from_millis(5))
-    };
 
     // One experiment: seed the dirty working set, then run BLADES phases of
     // open-loop premium reads. When `rolling`, each phase starts by
@@ -213,7 +241,7 @@ pub fn rolling_restart() -> RunReport {
             .with_blades(BLADES)
             .with_disks(8)
             .with_load_balance(LoadBalance::PageAffinity)
-            .with_qos(policy())
+            .with_qos(premium_over_scavenger((FG, "foreground"), (HEALER, "healer"), 50, 1 << 20, 4))
             .with_health_governor();
         let mut c = BladeCluster::new(cfg);
         let vol = c.create_volume("fg", FG, 1 << 30).expect("volume");
@@ -265,17 +293,12 @@ pub fn rolling_restart() -> RunReport {
         }
         (c, latencies, write_errors + read_errors, phases)
     };
-    let exact_p99 = |lat: &[ys_simcore::time::SimDuration]| {
-        let mut v = lat.to_vec();
-        v.sort();
-        v[((v.len() * 99) / 100).min(v.len() - 1)]
-    };
-
     let (_, solo_lat, solo_errors, _) = drive(false);
     let (c, roll_lat, roll_errors, phases) = drive(true);
-    let solo = exact_p99(&solo_lat);
-    let roll = exact_p99(&roll_lat);
-    let slowdown = roll.nanos() as f64 / solo.nanos() as f64;
+    let (lat_table, [(solo, _), (roll, slowdown)]) = p99_table(
+        "foreground p99 write-ack latency (480 open-loop 64 KiB 2-way writes)",
+        [("solo", &solo_lat), ("rolling restart", &roll_lat)],
+    );
     let lost = c.cache.lost_pages().len();
     let healed: u64 = phases.iter().map(|p| p.healed).sum();
     let evacuated: usize = phases.iter().map(|p| p.evacuated).sum();
@@ -303,12 +326,6 @@ pub fn rolling_restart() -> RunReport {
             format!("{:?}", p.health),
         ]);
     }
-    let mut lat_table = Table::new(
-        "foreground p99 write-ack latency (480 open-loop 64 KiB 2-way writes)",
-        &["run", "p99 µs", "vs solo"],
-    );
-    lat_table.row(vec!["solo".into(), f2(solo.as_micros_f64()), "1.00".into()]);
-    lat_table.row(vec!["rolling restart".into(), f2(roll.as_micros_f64()), f2(slowdown)]);
 
     let checkpoints = vec![
         Checkpoint {
@@ -350,49 +367,23 @@ pub fn rolling_restart() -> RunReport {
 /// pushing the victim's p99 outside its solo envelope. The scrub is the
 /// noisy neighbor here, and QoS admission keeps it polite.
 pub fn bitrot_scrub() -> RunReport {
-    use ys_qos::{QosClass, QosConfig, TenantSpec};
     use ys_scrub::{ScrubConfig, ScrubReport, ScrubTarget, Scrubber};
-    use ys_simcore::time::SimDuration;
 
-    const IO: u64 = 64 * 1024; // victim reads, cache-resident
-    const SET_PAGES: u64 = 64; // 4 MiB victim working set
     const DATA_BYTES: u64 = 16 << 20; // at-rest volume the rot lands in
     const ERRORS: u64 = 24;
     const STRIDE: u64 = 10; // > data members, so every rotten row is unique
     const VICTIM_OPS: u64 = 400;
-    const VICTIM: u32 = 1;
     const SCRUB: u32 = 3;
     let victim_gap = SimDuration::from_millis(2);
-
-    let policy = || {
-        QosConfig::new()
-            .with_tenant(
-                TenantSpec::new(VICTIM, "victim", QosClass::Premium)
-                    .weight(4)
-                    .latency_budget(SimDuration::from_millis(2)),
-            )
-            .with_tenant(
-                TenantSpec::new(SCRUB, "scrubber", QosClass::Scavenger)
-                    .rate_mb_per_sec(50)
-                    .burst_bytes(1 << 20)
-                    .inflight_cap(2),
-            )
-            .with_max_delay(SimDuration::from_millis(5))
-    };
 
     // One run: write the data volume, rot ERRORS of its pages, warm the
     // victim's working set, then replay the victim's open-loop read
     // schedule — optionally with a Scavenger-tenant scrub pass ticking
-    // between foreground ops. Returns the cluster, the victim's exact
-    // latencies, the shed count, and the scrub report (empty when off).
-    let drive = |with_scrub: bool| -> (BladeCluster, Vec<SimDuration>, u64, ScrubReport) {
-        let cfg = ClusterConfig::default()
-            .with_blades(2)
-            .with_disks(8)
-            .with_load_balance(LoadBalance::PageAffinity)
-            .with_qos(policy());
-        let mut c = BladeCluster::new(cfg);
-        let victim = c.create_volume("victim", 0, 1 << 30).expect("volume");
+    // between foreground ops. Returns the cluster, the victim, and the
+    // scrub report (empty when off).
+    let drive = |with_scrub: bool| -> (BladeCluster, Victim, ScrubReport) {
+        let policy = premium_over_scavenger((Victim::TENANT, "victim"), (SCRUB, "scrubber"), 50, 1 << 20, 2);
+        let (mut c, mut victim) = Victim::cluster(policy);
         let data = c.create_volume("data", 0, 1 << 30).expect("volume");
         let mut t = SimTime::ZERO;
         for off in (0..DATA_BYTES).step_by(1 << 20) {
@@ -403,15 +394,11 @@ pub fn bitrot_scrub() -> RunReport {
         for i in 0..ERRORS {
             assert!(c.corrupt_volume_page(data, i * STRIDE).is_some(), "rot lands on mapped page");
         }
-        for i in 0..SET_PAGES {
-            t = c.read(t, 0, victim, i * IO, IO).expect("warm").done;
-        }
+        t = victim.warm(&mut c, t);
         let mut scrubber = Scrubber::new(
             ScrubConfig { tenant: Some(SCRUB) },
             &c,
         );
-        let mut latencies = Vec::new();
-        let mut victim_shed = 0u64;
         let mut scrub_now = t;
         for i in 0..VICTIM_OPS {
             let at = t + victim_gap * i;
@@ -419,31 +406,23 @@ pub fn bitrot_scrub() -> RunReport {
                 let mut target = ScrubTarget::Cluster(&mut c);
                 scrub_now = scrubber.step(&mut target, scrub_now.max(at)).expect("scrub step");
             }
-            let off = (i % SET_PAGES) * IO;
-            match c.read_as(at, VICTIM, 0, victim, off, IO) {
-                Ok(done) => latencies.push(done.latency),
-                Err(_) => victim_shed += 1,
-            }
+            victim.read(&mut c, at, i);
         }
         // The foreground window closes; the pass trickles to completion.
         if with_scrub && !scrubber.is_done() {
             let mut target = ScrubTarget::Cluster(&mut c);
             scrubber.run(&mut target, scrub_now.max(t + victim_gap * VICTIM_OPS)).expect("scrub finish");
         }
-        (c, latencies, victim_shed, scrubber.report().clone())
-    };
-    let exact_p99 = |lat: &[SimDuration]| -> SimDuration {
-        let mut v: Vec<SimDuration> = lat.to_vec();
-        v.sort();
-        v[((v.len() * 99) / 100).min(v.len() - 1)]
+        (c, victim, scrubber.report().clone())
     };
 
-    let (unscrubbed, solo_lat, _, _) = drive(false);
-    let (scrubbed, scrub_lat, victim_shed, report) = drive(true);
-
-    let solo = exact_p99(&solo_lat);
-    let under = exact_p99(&scrub_lat);
-    let under_x = under.nanos() as f64 / solo.nanos() as f64;
+    let (unscrubbed, solo_run, _) = drive(false);
+    let (scrubbed, scrub_run, report) = drive(true);
+    let victim_shed = scrub_run.shed;
+    let (table, [(solo, _), (under, under_x)]) = p99_table(
+        "victim p99 read latency (400 cache-resident 64 KiB reads)",
+        [("no scrub", &solo_run.latencies), ("background scrub", &scrub_run.latencies)],
+    );
     let rot_before = unscrubbed.corrupt_page_count();
     let rot_after = scrubbed.corrupt_page_count();
 
@@ -458,12 +437,6 @@ pub fn bitrot_scrub() -> RunReport {
     reg.gauge(MetricKey::aggregate("scrub", "victim_p99_scrubbed_us"), under.as_micros_f64());
     reg.gauge(MetricKey::aggregate("scrub", "victim_slowdown_scrubbed"), under_x);
 
-    let mut table = Table::new(
-        "victim p99 read latency (400 cache-resident 64 KiB reads)",
-        &["run", "p99 µs", "vs solo"],
-    );
-    table.row(vec!["no scrub".into(), f2(solo.as_micros_f64()), "1.00".into()]);
-    table.row(vec!["background scrub".into(), f2(under.as_micros_f64()), f2(under_x)]);
     let mut pass = Table::new(
         &format!("scrub pass ({ERRORS} latent errors injected into a {} MiB volume)", DATA_BYTES >> 20),
         &["pages", "mismatched", "parity", "replica", "geo", "lost", "ticks", "shed", "forced"],
@@ -738,8 +711,6 @@ pub fn partition_heal() -> RunReport {
 /// to data would continue through remaining portions". The fault schedule
 /// replays through [`run_scenario`].
 pub fn national_lab() -> RunReport {
-    use ys_simcore::time::SimDuration;
-
     const OPS: usize = 5000;
     let cfg = ClusterConfig::default()
         .with_blades(8)

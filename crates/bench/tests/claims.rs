@@ -74,6 +74,18 @@ fn report_rejects_an_unknown_or_partial_id_with_the_id_list() {
 }
 
 #[test]
+fn ys_report_exits_2_on_a_usage_error() {
+    let cases: [&[&str]; 5] =
+        [&["nope"], &["--bogus"], &["stripe4x2", "--bogus"], &["stripe4x2", "--trace-out"], &[]];
+    for args in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_ys-report")).args(args).output().expect("ys-report runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("usage: ys-report"), "{args:?}");
+    }
+}
+
+#[test]
 fn ys_report_list_aligns_every_description() {
     let out = Command::new(env!("CARGO_BIN_EXE_ys-report")).arg("--list").output().expect("ys-report runs");
     let text = String::from_utf8(out.stdout).expect("utf-8");

@@ -81,7 +81,7 @@ impl DistributedAccess {
         match best {
             Some((_, from)) => {
                 // Migration: the referencing site now holds a copy.
-                self.residency.get_mut(&file).expect("checked").insert(site);
+                self.residency.entry(file).or_default().insert(site);
                 AccessKind::RemoteMigration { from }
             }
             None => AccessKind::Unavailable,

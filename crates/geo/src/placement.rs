@@ -96,19 +96,20 @@ pub fn place(topology: &SiteTopology, home: SiteId, policy: &GeoPolicy) -> Resul
         {
             Some(far) => {
                 // Swap the farthest-needed site in for the last choice.
-                *chosen.last_mut().expect("needed ≥ 1") = far;
+                if let Some(last) = chosen.last_mut() {
+                    *last = far;
+                }
             }
             None => return Err(PlacementError::MinDistanceUnsatisfiable { min_km: policy.min_distance_km }),
         }
     }
-    let (sync_sites, async_sites) = match policy.mode {
-        GeoMode::Synchronous => {
-            // Nearest chosen replica is synchronous; the rest follow async.
-            let first = chosen[0];
-            (vec![first], chosen[1..].to_vec())
-        }
-        GeoMode::Asynchronous => (vec![], chosen),
-        GeoMode::None => unreachable!("handled above"),
+    let (sync_sites, async_sites) = if policy.mode == GeoMode::Synchronous {
+        // Nearest chosen replica is synchronous; the rest follow async.
+        // `chosen` holds `needed ≥ 1` sites.
+        let rest = chosen.split_off(1);
+        (chosen, rest)
+    } else {
+        (vec![], chosen)
     };
     Ok(Placement { home, sync_sites, async_sites })
 }

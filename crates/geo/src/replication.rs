@@ -149,7 +149,7 @@ impl ReplicationEngine {
             }
             // Always ship at least one record even if it exceeds the budget,
             // so giant writes cannot wedge the journal.
-            let rec = j.queue.pop_front().expect("non-empty");
+            let Some(rec) = j.queue.pop_front() else { break };
             budget = budget.saturating_sub(rec.len);
             j.pending_bytes -= rec.len;
             j.inflight.push_back(rec);
@@ -177,7 +177,7 @@ impl ReplicationEngine {
             if front.seq > through_seq {
                 break;
             }
-            let rec = j.inflight.pop_front().expect("non-empty");
+            let Some(rec) = j.inflight.pop_front() else { break };
             if let Some(last) = j.last_shipped_seq {
                 debug_assert!(rec.seq > last, "journal order violated");
             }

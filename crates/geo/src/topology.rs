@@ -129,10 +129,7 @@ impl SiteTopology {
             .map(|s| s.id)
             .collect();
         v.sort_by(|&a, &b| {
-            self.distance_km(from, a)
-                .partial_cmp(&self.distance_km(from, b))
-                .expect("finite distances")
-                .then(a.0.cmp(&b.0))
+            self.distance_km(from, a).total_cmp(&self.distance_km(from, b)).then(a.0.cmp(&b.0))
         });
         v
     }

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// Crates whose library code must fail with typed errors, never panics.
 pub const PANIC_CRATES: &[&str] = &[
     "cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "core", "simnet", "simdisk", "proto",
-    "raid",
+    "raid", "geo",
 ];
 
 /// Crates whose state feeds seeded replay: iterating a hashed container

@@ -11,7 +11,7 @@
 use ys_simcore::time::SimDuration;
 
 /// Service class, ordered by privilege. Class determines the *coarse*
-/// bandwidth share (class weights in the WFQ hierarchy) and how the
+/// bandwidth share (the class factor of its fair-share weight) and how the
 /// tenant is treated under backpressure: `Premium` is never penalized,
 /// `Standard` is delayed, `Scavenger` is shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -22,7 +22,7 @@ pub enum QosClass {
 }
 
 impl QosClass {
-    /// Class-level WFQ weight (the outer level of the hierarchy).
+    /// Class factor of a tenant's fair-share weight.
     pub fn base_weight(self) -> u64 {
         match self {
             QosClass::Premium => 8,
@@ -65,7 +65,7 @@ pub struct TenantSpec {
     pub id: u32,
     pub name: String,
     pub class: QosClass,
-    /// Scheduling weight *within* the class (inner WFQ level).
+    /// Scheduling weight *within* the class (the tenant factor).
     pub weight: u64,
     /// Token-bucket sustained rate in bytes/second; 0 = unthrottled.
     pub rate_bytes_per_sec: u64,
@@ -125,8 +125,7 @@ impl TenantSpec {
         self
     }
 
-    /// Effective weight after collapsing the class/tenant hierarchy:
-    /// class base weight × tenant weight.
+    /// Fair-share weight: class base weight × tenant weight.
     pub fn effective_weight(&self) -> u64 {
         self.class.base_weight() * self.weight
     }
@@ -189,7 +188,8 @@ impl QosConfig {
         self.tenants.iter().find(|t| t.id == id)
     }
 
-    /// Collapsed per-tenant WFQ weight (class × tenant), 1 for unknowns.
+    /// Per-tenant fair-share weight (class × tenant) for
+    /// `ys_simnet::FairPort`, 1 for unknowns.
     pub fn effective_weight(&self, id: u32) -> u64 {
         self.tenant(id).map(TenantSpec::effective_weight).unwrap_or(1)
     }

@@ -10,9 +10,6 @@
 //!   in-flight caps, SLO targets ([`QosConfig`], [`TenantSpec`]);
 //! * [`bucket`] — deterministic integer [`TokenBucket`] throttles
 //!   (exact nanosecond-granularity refill, no floats);
-//! * [`wfq`] — [`HierarchicalWfq`]: class-level then tenant-level
-//!   weighted-fair queueing, collapsible to per-tenant effective weights
-//!   for `ys_simnet::FairPort` at the blade/FC-port level;
 //! * [`admission`] — the [`AdmissionController`] state machine:
 //!   admit / delay / shed per request, with backpressure keyed off the
 //!   cache dirty ratio and RAID-rebuild activity;
@@ -28,10 +25,8 @@ pub mod admission;
 pub mod bucket;
 pub mod config;
 pub mod slo;
-pub mod wfq;
 
 pub use admission::{AdmissionController, Decision, Pressure, ShedReason, TenantQosStats};
 pub use bucket::TokenBucket;
 pub use config::{QosClass, QosConfig, TenantSpec};
 pub use slo::SloStatus;
-pub use wfq::HierarchicalWfq;

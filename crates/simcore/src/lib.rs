@@ -30,4 +30,4 @@ pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series, TimeWeighted};
 pub use time::{Bandwidth, SimDuration, SimTime};
-pub use trace::{SpanEvent, SpanRecorder, TraceEvent, TraceRing};
+pub use trace::{SpanEvent, SpanRecorder};

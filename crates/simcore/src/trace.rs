@@ -1,101 +1,14 @@
 //! Bounded event tracing for simulation debugging and observability.
 //!
-//! Two recorders live here:
-//!
-//! * [`TraceRing`] — free-form `String` messages for ad-hoc debugging;
-//!   experiments and tests can dump the tail when something looks wrong
-//!   without paying unbounded memory for long runs.
-//! * [`SpanRecorder`] — the structured recorder behind the `ys-obs`
-//!   observability layer. Events are fixed-size [`SpanEvent`] values
-//!   (`&'static str` names, integer args), so the hot path never allocates
-//!   and a *disabled* recorder costs a single branch. Data-path crates
-//!   (cache, virt, raid, geo, simnet) emit through it; `ys-obs` drains the
-//!   rings and serializes Chrome `trace_event` JSON.
+//! [`SpanRecorder`] is the one recorder, behind the `ys-obs`
+//! observability layer and the chaos crash points. Events are fixed-size [`SpanEvent`] values
+//! (`&'static str` names, integer args), so the hot path never allocates
+//! and a *disabled* recorder costs a single branch. Data-path crates
+//! (cache, virt, raid, geo, simnet) emit through it; `ys-obs` drains the
+//! rings and serializes Chrome `trace_event` JSON.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
-
-/// One trace record.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TraceEvent {
-    pub at: SimTime,
-    /// Subsystem tag ("cache", "raid", "geo", ...).
-    pub tag: &'static str,
-    pub message: String,
-}
-
-/// Fixed-capacity ring of trace events.
-#[derive(Clone, Debug)]
-pub struct TraceRing {
-    capacity: usize,
-    events: VecDeque<TraceEvent>,
-    dropped: u64,
-    enabled: bool,
-}
-
-impl TraceRing {
-    pub fn new(capacity: usize) -> TraceRing {
-        assert!(capacity > 0);
-        TraceRing { capacity, events: VecDeque::with_capacity(capacity), dropped: 0, enabled: true }
-    }
-
-    /// A disabled ring records nothing (zero-cost fast path for benches).
-    pub fn disabled() -> TraceRing {
-        TraceRing { capacity: 1, events: VecDeque::new(), dropped: 0, enabled: false }
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn record(&mut self, at: SimTime, tag: &'static str, message: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
-        if self.events.len() == self.capacity {
-            self.events.pop_front();
-            self.dropped += 1;
-        }
-        self.events.push_back(TraceEvent { at, tag, message: message.into() });
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Events evicted to make room (how much history was lost).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Oldest→newest iteration.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter()
-    }
-
-    /// Events matching a tag.
-    pub fn by_tag<'a>(&'a self, tag: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
-        self.events.iter().filter(move |e| e.tag == tag)
-    }
-
-    /// Render the tail (up to `n` newest events) for a failure report.
-    pub fn dump_tail(&self, n: usize) -> String {
-        let start = self.events.len().saturating_sub(n);
-        let mut out = String::new();
-        for e in self.events.iter().skip(start) {
-            out.push_str(&format!("[{}] {:>8}: {}\n", e.at, e.tag, e.message));
-        }
-        out
-    }
-}
 
 /// One structured trace record: an instant (`dur == 0`) or a span.
 ///
@@ -305,28 +218,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_in_order_and_bounds_memory() {
-        let mut r = TraceRing::new(4);
-        for i in 0..10u64 {
-            r.record(SimTime(i), "t", format!("e{i}"));
-        }
-        assert_eq!(r.len(), 4);
-        assert_eq!(r.dropped(), 6);
-        let msgs: Vec<&str> = r.iter().map(|e| e.message.as_str()).collect();
-        assert_eq!(msgs, vec!["e6", "e7", "e8", "e9"]);
-    }
-
-    #[test]
-    fn disabled_ring_records_nothing() {
-        let mut r = TraceRing::disabled();
-        r.record(SimTime(1), "t", "x");
-        assert!(r.is_empty());
-        r.set_enabled(true);
-        r.record(SimTime(2), "t", "y");
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
     fn span_recorder_disabled_is_noop_and_default() {
         let mut r = SpanRecorder::default();
         assert!(!r.is_enabled());
@@ -419,17 +310,5 @@ mod tests {
         assert_eq!(buf.len(), 2, "drained events append after existing contents");
         assert_eq!(buf[1].name, "enqueue");
         assert!(r.is_empty() && r.is_enabled());
-    }
-
-    #[test]
-    fn tag_filter_and_dump() {
-        let mut r = TraceRing::new(8);
-        r.record(SimTime(1), "cache", "miss");
-        r.record(SimTime(2), "raid", "rmw");
-        r.record(SimTime(3), "cache", "evict");
-        assert_eq!(r.by_tag("cache").count(), 2);
-        let dump = r.dump_tail(2);
-        assert!(dump.contains("rmw") && dump.contains("evict"));
-        assert!(!dump.contains("miss"), "tail of 2 excludes the oldest");
     }
 }

@@ -72,8 +72,8 @@ pub fn check_sweep(models: &[String], depth: usize, max_states: usize, jobs: usi
 }
 
 /// Fan the benchmark confidence sweep (one Zipf workload per seed) across
-/// `jobs` workers, then merge through the same aggregation code path the
-/// serial `ys_bench::experiments::seed_sweep` uses.
+/// `jobs` workers, then merge through
+/// `ys_bench::experiments::summarize_seed_sweep`.
 pub fn bench_sweep(seeds: &[u64], jobs: usize) -> SweepOutcome {
     let results = run_sweep(seeds.to_vec(), jobs, |&seed| ys_bench::experiments::seed_run(seed));
     let series = ys_bench::experiments::summarize_seed_sweep(seeds, &results);
@@ -82,16 +82,6 @@ pub fn bench_sweep(seeds: &[u64], jobs: usize) -> SweepOutcome {
     report.push_str(&series[1].render("stat", "MB/s"));
     let ok = results.iter().all(|&mbps| mbps > 0.0);
     SweepOutcome { report, ok }
-}
-
-/// Headline numbers from the benchmark sweep, for the snapshot: mean, min,
-/// and max MB/s over the seed set.
-pub fn bench_sweep_stats(seeds: &[u64], jobs: usize) -> (f64, f64, f64) {
-    let results = run_sweep(seeds.to_vec(), jobs, |&seed| ys_bench::experiments::seed_run(seed));
-    let mean = results.iter().sum::<f64>() / results.len().max(1) as f64;
-    let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = results.iter().cloned().fold(0.0, f64::max);
-    (mean, min, max)
 }
 
 #[cfg(test)]

@@ -9,9 +9,10 @@
 //! measures it.
 
 use crate::pool::run_sweep;
-use crate::shard::{bench_sweep_stats, campaign_sweep, SweepOutcome};
+use crate::shard::{campaign_sweep, SweepOutcome};
 use std::fmt::Write as _;
 use ys_bench::claims::CLAIMS;
+use ys_bench::experiments::{seed_run, summarize_seed_sweep};
 use ys_bench::report::section;
 use ys_check::{run_standard, STANDARD_MODELS};
 use ys_obs::chrome_trace_json;
@@ -94,14 +95,16 @@ pub fn collect(jobs: usize) -> Vec<Scenario> {
 
     out.extend(claims(jobs));
 
-    let (mean, min, max) = bench_sweep_stats(&BENCH_SEEDS, jobs);
+    let results = run_sweep(BENCH_SEEDS.to_vec(), jobs, |&seed| seed_run(seed));
+    let series = summarize_seed_sweep(&BENCH_SEEDS, &results);
+    let stat = |i: usize| series[1].points[i].1; // 0 = mean, 1 = min, 2 = max
     out.push(Scenario {
         name: "bench_seed_sweep".into(),
         sim: vec![
             ("seeds".into(), BENCH_SEEDS.len() as f64),
-            ("mean_mb_s".into(), mean),
-            ("min_mb_s".into(), min),
-            ("max_mb_s".into(), max),
+            ("mean_mb_s".into(), stat(0)),
+            ("min_mb_s".into(), stat(1)),
+            ("max_mb_s".into(), stat(2)),
         ],
     });
 

@@ -112,13 +112,14 @@ cargo run --release -q -p ys-chaos -- --seed 4 --steps 64 --fatal --quiet
 # hardware-assist crypt falls more than 5% off wire speed — and the model
 # checker exhausts the mask/zone/cipher state space (saturates at depth 7).
 echo "==> ys-report secure-tenants + wire-speed-crypt (E2/E11 checkpoints)"
-cargo run -q -p ys-bench --bin ys-report -- secure-tenants --trace-out "$tmpdir/e2.trace.json" > "$tmpdir/e2.txt"
-cargo run -q -p ys-bench --bin ys-report -- wire-speed-crypt --trace-out "$tmpdir/e11.trace.json" > "$tmpdir/e11.txt"
-if grep -q "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt"; then
-    echo "FAIL: a security scenario checkpoint failed" >&2
-    grep "FAIL" "$tmpdir/e2.txt" "$tmpdir/e11.txt" >&2
-    exit 1
-fi
+for scenario in secure-tenants wire-speed-crypt; do
+    cargo run -q -p ys-bench --bin ys-report -- "$scenario" --trace-out "$tmpdir/$scenario.trace.json" \
+        > "$tmpdir/$scenario.txt" || {
+        echo "FAIL: a $scenario checkpoint failed" >&2
+        grep FAIL "$tmpdir/$scenario.txt" >&2 || true
+        exit 1
+    }
+done
 echo "    all E2/E11 checkpoints passed"
 
 echo "==> ys-check --security --depth 7 (exhaustive §5 enforcement model)"
