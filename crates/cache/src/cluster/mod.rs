@@ -134,7 +134,7 @@ pub(crate) struct BladeSlot {
     /// clean pages in recency order by retention band, and the held list —
     /// exactly the pages whose residency is [`Residency::held`]. Sweeps
     /// whose order reaches a report (blade failure, drain, the audit,
-    /// `resident_pages`) walk it in key order through [`LruList::iter`].
+    /// `resident_pages_iter`) walk it in key order through [`LruList::iter`].
     pub(crate) lru: LruList<PageKey, PageMeta>,
     pub(crate) state: BladeState,
 }
@@ -231,7 +231,7 @@ impl DrainReport {
 }
 
 /// Read-only snapshot of one resident page (see
-/// [`CacheCluster::resident_pages`]).
+/// [`CacheCluster::resident_pages_iter`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResidentPage {
     pub key: PageKey,
@@ -408,10 +408,6 @@ impl CacheCluster {
     /// Lifecycle state of blade `b` (out-of-range reads as `Down`).
     pub fn blade_state(&self, b: usize) -> BladeState {
         self.blades.get(b).map(|s| s.state).unwrap_or(BladeState::Down)
-    }
-
-    pub fn occupancy(&self, b: usize) -> usize {
-        self.blades[b].occupancy()
     }
 
     /// Pooled capacity across up blades, in pages (§2.2: "adding additional

@@ -91,11 +91,11 @@ fn destage_unpins_replicas_and_cleans_owner() {
     let mut c = CacheCluster::new(4, 16);
     let out = c.write(0, key(3), 3, Retention::Normal).unwrap();
     for &r in &out.replicas {
-        assert_eq!(c.occupancy(r), 1);
+        assert_eq!(c.resident_pages_iter(r).count(), 1);
     }
     c.destage(key(3)).unwrap();
     for &r in &out.replicas {
-        assert_eq!(c.occupancy(r), 0, "replica freed after destage");
+        assert_eq!(c.resident_pages_iter(r).count(), 0, "replica freed after destage");
     }
     assert!(c.dirty_pages(0).is_empty());
     assert_eq!(c.read(0, key(3)).unwrap(), ReadOutcome::LocalHit);
@@ -236,7 +236,7 @@ fn drain_evacuates_dirty_pages_with_zero_loss() {
     assert_eq!(report.clean_dropped, 1);
     assert!(c.lost_pages().is_empty(), "drain must never lose an acked write");
     assert_eq!(c.blade_state(0), BladeState::Down);
-    assert_eq!(c.occupancy(0), 0);
+    assert_eq!(c.resident_pages_iter(0).count(), 0);
     // Both dirty pages still readable from their new homes.
     assert!(c.read(1, key(7)).is_ok());
     assert!(c.read(1, key(8)).is_ok());

@@ -60,12 +60,6 @@ impl<K: Ord + Clone> HeatTracker<K> {
         out.sort_unstable();
         out
     }
-
-    /// Is `key` hot (above threshold) at two or more accessors — the
-    /// paper's trigger for automatic multi-site replication?
-    pub fn is_multi_hot(&self, key: &K, threshold: f64, now: SimTime) -> bool {
-        self.hot_accessors(key, threshold, now).len() >= 2
-    }
 }
 
 #[cfg(test)]
@@ -103,11 +97,10 @@ mod tests {
         for _ in 0..10 {
             h.record(7, 0, t);
         }
-        assert!(!h.is_multi_hot(&7, 3.0, t), "only one site is hot");
+        assert_eq!(h.hot_accessors(&7, 3.0, t), vec![0], "only one site is hot");
         for _ in 0..10 {
             h.record(7, 2, t);
         }
-        assert!(h.is_multi_hot(&7, 3.0, t));
         assert_eq!(h.hot_accessors(&7, 3.0, t), vec![0, 2]);
     }
 
@@ -118,8 +111,8 @@ mod tests {
             h.record(3, 0, SimTime::ZERO);
             h.record(3, 1, SimTime::ZERO);
         }
-        assert!(h.is_multi_hot(&3, 4.0, SimTime::ZERO));
+        assert_eq!(h.hot_accessors(&3, 4.0, SimTime::ZERO), vec![0, 1]);
         let later = SimTime::ZERO + SimDuration::from_secs(30);
-        assert!(!h.is_multi_hot(&3, 4.0, later));
+        assert!(h.hot_accessors(&3, 4.0, later).is_empty());
     }
 }

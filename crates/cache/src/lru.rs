@@ -289,15 +289,10 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
         None
     }
 
-    /// Iterate keys from most- to least-recent within a band.
-    pub fn band_keys(&self, retention: Retention) -> Vec<K> {
-        self.band_iter(retention).cloned().collect()
-    }
-
-    /// Allocation-free variant of [`LruList::band_keys`]: borrow keys from
-    /// most- to least-recent within a band. Hot callers (the model
-    /// checker's canonical hash) walk recency order once per explored
-    /// transition and must not pay a `Vec` per walk.
+    /// Borrow keys from most- to least-recent within a band, without
+    /// allocating: hot callers (the model checker's canonical hash) walk
+    /// recency order once per explored transition and must not pay a `Vec`
+    /// per walk.
     pub fn band_iter(&self, retention: Retention) -> impl Iterator<Item = &K> + '_ {
         self.list_iter(retention as u8).map(|n| &n.key)
     }
@@ -399,6 +394,11 @@ impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
 mod tests {
     use super::*;
 
+    /// One band's keys, most recent first.
+    fn band_keys(l: &LruList<u32>, retention: Retention) -> Vec<u32> {
+        l.band_iter(retention).copied().collect()
+    }
+
     #[test]
     fn insert_and_evict_lru_order() {
         let mut l: LruList<u32> = LruList::new();
@@ -461,11 +461,11 @@ mod tests {
         assert_eq!((l.held_len(), l.len()), (2, 4));
         assert_eq!(l.held_iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![9, 1]);
         assert_eq!((l.is_held(&1), l.is_held(&9), l.is_held(&2), l.is_held(&7)), (Some(true), Some(true), Some(false), None));
-        assert_eq!(l.band_keys(Retention::Normal), vec![3, 2], "held keys are in no band");
+        assert_eq!(band_keys(&l, Retention::Normal), vec![3, 2], "held keys are in no band");
         assert_eq!(l.evict(), Some(2));
         // Released, the key is the most recent of its band.
         assert!(l.release(&1, Retention::Normal));
-        assert_eq!((l.held_len(), l.band_keys(Retention::Normal)), (1, vec![1, 3]));
+        assert_eq!((l.held_len(), band_keys(&l, Retention::Normal)), (1, vec![1, 3]));
         assert_eq!(l.evict(), Some(3));
         assert_eq!(l.evict(), Some(1));
         assert_eq!(l.evict(), None, "only the held key is left");
@@ -506,7 +506,7 @@ mod tests {
         l.insert(1, Retention::Normal);
         l.insert(2, Retention::Normal);
         l.insert(3, Retention::Normal);
-        assert_eq!(l.band_keys(Retention::Normal), vec![3, 2, 1]);
-        assert!(l.band_keys(Retention::High).is_empty());
+        assert_eq!(band_keys(&l, Retention::Normal), vec![3, 2, 1]);
+        assert!(band_keys(&l, Retention::High).is_empty());
     }
 }

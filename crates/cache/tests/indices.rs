@@ -66,7 +66,7 @@ fn pick_op(rng: &mut Rng, c: &CacheCluster) -> Op {
 
 /// Keys held at `blade` by the old definition: a residency scan.
 fn held_scan(c: &CacheCluster, blade: usize) -> BTreeSet<PageKey> {
-    c.resident_pages(blade).iter().filter(|p| p.dirty || p.replica).map(|p| p.key).collect()
+    c.resident_pages_iter(blade).filter(|p| p.dirty || p.replica).map(|p| p.key).collect()
 }
 
 /// The order the veto walk would evict `blade`'s pages in: per band from
@@ -75,7 +75,7 @@ fn victims(c: &CacheCluster, blade: usize) -> Vec<PageKey> {
     let held = held_scan(c, blade);
     [Retention::Low, Retention::Normal, Retention::High]
         .iter()
-        .flat_map(|&band| c.lru_order(blade, band).into_iter().rev())
+        .flat_map(|&band| c.lru_order_iter(blade, band).copied().collect::<Vec<_>>().into_iter().rev())
         .filter(|k| !held.contains(k))
         .collect()
 }
@@ -112,11 +112,11 @@ fn check_indices(c: &CacheCluster) -> Result<(), String> {
     let mut undestaged = 0;
     let mut capacity = 0;
     for b in 0..c.blade_count() {
-        let resident: BTreeSet<PageKey> = c.resident_pages(b).iter().map(|p| p.key).collect();
+        let resident: BTreeSet<PageKey> = c.resident_pages_iter(b).map(|p| p.key).collect();
         let held = held_scan(c, b);
         // The bands list exactly the clean pages, so the held list is
         // exactly the scan's complement: per-blade held count ≡ scan.
-        let banded: Vec<PageKey> = RETENTIONS.iter().flat_map(|&r| c.lru_order(b, r)).collect();
+        let banded: Vec<PageKey> = RETENTIONS.iter().flat_map(|&r| c.lru_order_iter(b, r).copied()).collect();
         let banded_set: BTreeSet<PageKey> = banded.iter().copied().collect();
         let clean: BTreeSet<PageKey> = resident.difference(&held).copied().collect();
         if banded.len() != banded_set.len() || banded_set != clean {
@@ -219,7 +219,7 @@ struct Before {
 fn snapshot(c: &CacheCluster) -> Before {
     let blades = 0..c.blade_count();
     Before {
-        resident: blades.clone().map(|b| c.resident_pages(b).iter().map(|p| p.key).collect()).collect(),
+        resident: blades.clone().map(|b| c.resident_pages_iter(b).map(|p| p.key).collect()).collect(),
         victims: blades.clone().map(|b| victims(c, b)).collect(),
         evictions: blades.map(|b| c.stats().per_blade[b].evictions).collect(),
     }
@@ -231,7 +231,7 @@ fn snapshot(c: &CacheCluster) -> Before {
 /// or drained.
 fn check_evictions(c: &CacheCluster, before: &Before, key: Option<PageKey>, emptied: Option<usize>) -> Result<(), String> {
     for b in (0..before.resident.len()).filter(|&b| Some(b) != emptied) {
-        let now: BTreeSet<PageKey> = c.resident_pages(b).iter().map(|p| p.key).collect();
+        let now: BTreeSet<PageKey> = c.resident_pages_iter(b).map(|p| p.key).collect();
         let held = held_scan(c, b);
         let evicted: BTreeSet<PageKey> =
             before.resident[b].difference(&now).copied().filter(|&k| Some(k) != key).collect();
@@ -369,12 +369,13 @@ proptest! {
 fn destaged_page_rejoins_its_band_at_the_front() {
     let key = |p| PageKey::new(0, p);
     let mut c = CacheCluster::new(2, 3);
+    let order = |c: &CacheCluster| c.lru_order_iter(0, Retention::Normal).copied().collect::<Vec<_>>();
     c.write(0, key(1), 1, Retention::Normal).unwrap();
     c.fill(0, key(2), Retention::Normal).unwrap();
     c.fill(0, key(3), Retention::Normal).unwrap();
-    assert_eq!(c.lru_order(0, Retention::Normal), vec![key(3), key(2)], "the dirty page is in no band");
+    assert_eq!(order(&c), vec![key(3), key(2)], "the dirty page is in no band");
     c.destage(key(1)).unwrap();
-    assert_eq!(c.lru_order(0, Retention::Normal), vec![key(1), key(3), key(2)]);
+    assert_eq!(order(&c), vec![key(1), key(3), key(2)]);
     assert_eq!(c.fill(0, key(4), Retention::Normal).unwrap(), Some(key(2)));
     assert_eq!(c.audit_invariants(), vec![]);
 }

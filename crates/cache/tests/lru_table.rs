@@ -141,8 +141,9 @@ fn check(t: &LruList<u32, u32>, r: &Reference) -> Result<(), String> {
         return Err(format!("len/held_len {:?}, the reference says {:?}", (t.len(), t.held_len()), (r.values.len(), r.held.len())));
     }
     for (band, &retention) in RETENTIONS.iter().enumerate() {
-        if t.band_keys(retention) != r.bands[band] {
-            return Err(format!("{retention:?} band {:?}, the reference says {:?}", t.band_keys(retention), r.bands[band]));
+        let keys: Vec<_> = t.band_iter(retention).copied().collect();
+        if keys != r.bands[band] {
+            return Err(format!("{retention:?} band {keys:?}, the reference says {:?}", r.bands[band]));
         }
     }
     let held: Vec<u32> = t.held_iter().map(|(&k, _)| k).collect();

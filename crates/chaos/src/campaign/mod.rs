@@ -148,12 +148,12 @@ impl CampaignReport {
     }
 
     /// Ops/sec while any fault was active.
-    pub fn degraded_throughput(&self) -> f64 {
+    fn degraded_throughput(&self) -> f64 {
         per_sec(self.degraded_ops, self.degraded_time)
     }
 
     /// Ops/sec while the system was clean.
-    pub fn healthy_throughput(&self) -> f64 {
+    fn healthy_throughput(&self) -> f64 {
         per_sec(self.healthy_ops, self.healthy_time)
     }
 

@@ -37,6 +37,6 @@ pub mod shrink;
 
 pub use campaign::{run_campaign, run_with_schedule, CampaignConfig, CampaignReport};
 pub use oracle::{OracleViolation, SiteShadow};
-pub use run::{run_rendered, CampaignRun, RunOptions};
+pub use run::{CampaignRun, RunOptions};
 pub use schedule::{CampaignSchedule, CrashEvent, Injection, ScheduledFault, Trigger};
 pub use shrink::minimize;

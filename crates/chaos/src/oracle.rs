@@ -161,11 +161,6 @@ impl SiteShadow {
         }
         (legal, benign)
     }
-
-    /// Pages currently under a durability promise.
-    pub fn protected(&self) -> usize {
-        self.budgets.len()
-    }
 }
 
 /// Structural audit of one site: invariants, unacknowledged tombstones.
@@ -254,7 +249,7 @@ mod tests {
         c.write(SimTime::ZERO, 0, vol, 0, 64 * 1024, 2, Retention::Normal).unwrap();
         let mut shadow = SiteShadow::default();
         shadow.refresh(&c);
-        assert!(shadow.protected() > 0);
+        assert!(!shadow.budgets.is_empty());
         // Forge a loss the budget says cannot happen yet: one failure
         // against a 2-way page.
         let key = *c.cache.directory().iter().next().unwrap().0;
@@ -308,9 +303,9 @@ mod tests {
         c.write(SimTime::ZERO, 0, vol, 0, 64 * 1024, 2, Retention::Normal).unwrap();
         let mut shadow = SiteShadow::default();
         shadow.refresh(&c);
-        assert!(shadow.protected() > 0);
+        assert!(!shadow.budgets.is_empty());
         c.drain();
         shadow.refresh(&c);
-        assert_eq!(shadow.protected(), 0, "clean pages carry no promise");
+        assert_eq!(shadow.budgets.len(), 0, "clean pages carry no promise");
     }
 }

@@ -68,7 +68,7 @@ impl Campaign for RunOptions {
 }
 
 /// The exact replay command line for a (possibly shrunk) schedule.
-pub fn replay_command(opts: &RunOptions, schedule: &CampaignSchedule) -> String {
+fn replay_command(opts: &RunOptions, schedule: &CampaignSchedule) -> String {
     let kept: Vec<String> = schedule.entries.iter().map(|e| e.index.to_string()).collect();
     let mut cmd = format!("ys-chaos --seed {} --steps {}", schedule.seed, opts.steps);
     if opts.fatal {
@@ -80,7 +80,7 @@ pub fn replay_command(opts: &RunOptions, schedule: &CampaignSchedule) -> String 
 /// One full campaign from scratch. Every call regenerates schedule and
 /// state, so two calls share nothing but the seed — exactly what a
 /// cross-process replay (or a `ys-sweep` shard on another thread) sees.
-pub fn run_rendered(opts: &RunOptions) -> CampaignRun {
+fn run_rendered(opts: &RunOptions) -> CampaignRun {
     let cfg = CampaignConfig {
         seed: opts.seed,
         steps: opts.steps,

@@ -366,7 +366,7 @@ impl StandardModel for CacheModel {
 }
 
 /// Render a counterexample trace as a ready-to-paste regression test body.
-pub fn render_trace(trace: &[Op], scope: Scope, violations: &[String]) -> String {
+pub(crate) fn render_trace(trace: &[Op], scope: Scope, violations: &[String]) -> String {
     render_cluster_trace(trace, scope, violations, |op| match op {
         Op::Read { blade, page } => format!(
             "if let Ok(ReadOutcome::Miss) = c.read({blade}, PageKey::new(0, {page})) {{ \

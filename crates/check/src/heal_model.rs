@@ -246,7 +246,7 @@ impl StandardModel for HealModel {
 }
 
 /// Render a heal counterexample as a ready-to-paste regression test.
-pub fn render_heal_trace(trace: &[HealOp], scope: Scope, violations: &[String]) -> String {
+fn render_heal_trace(trace: &[HealOp], scope: Scope, violations: &[String]) -> String {
     render_cluster_trace(trace, scope, violations, |op| match op {
         HealOp::Write { blade, page } => format!(
             "let _ = c.governed_write({blade}, PageKey::new(0, {page}), {}, Retention::Normal);",

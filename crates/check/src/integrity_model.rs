@@ -277,7 +277,7 @@ impl StandardModel for IntegrityModel {
 
 /// Render an integrity counterexample trace as a ready-to-paste
 /// regression test.
-pub fn render_integrity_trace(
+fn render_integrity_trace(
     trace: &[IntegrityOp],
     scope: IntegrityScope,
     violations: &[String],

@@ -48,14 +48,14 @@ pub mod security_model;
 pub mod summary;
 pub mod virt_model;
 
-pub use cache_model::{render_trace, CacheModel, Op, Scope};
+pub use cache_model::{CacheModel, Op, Scope};
 pub use explore::{explore, explore_timed, Counterexample, Exploration, Limits, Model, SearchOrder};
 pub use hash::StateHasher;
-pub use heal_model::{render_heal_trace, HealModel, HealOp};
-pub use integrity_model::{render_integrity_trace, IntegrityModel, IntegrityOp, IntegrityScope};
-pub use qos_model::{render_qos_trace, QosModel, QosOp, QosScope};
-pub use security_model::{render_security_trace, SecurityModel, SecurityOp, SecurityScope};
+pub use heal_model::{HealModel, HealOp};
+pub use integrity_model::{IntegrityModel, IntegrityOp, IntegrityScope};
+pub use qos_model::{QosModel, QosOp, QosScope};
+pub use security_model::{SecurityModel, SecurityOp, SecurityScope};
 pub use summary::{
     parse_args, run, run_named, run_standard, Invocation, StandardModel, StandardRun, STANDARD_MODELS,
 };
-pub use virt_model::{render_virt_trace, VirtModel, VirtOp, VirtScope};
+pub use virt_model::{VirtModel, VirtOp, VirtScope};

@@ -89,10 +89,6 @@ impl QosModel {
         }
     }
 
-    pub fn controller(&self) -> &AdmissionController {
-        &self.ctl
-    }
-
     fn queue_mut(&mut self, tenant: u32) -> &mut VecDeque<(SimTime, u64)> {
         &mut self.pending.iter_mut().find(|(t, _)| *t == tenant).expect("tenant in scope").1
     }
@@ -218,7 +214,7 @@ impl StandardModel for QosModel {
 }
 
 /// Render a QoS counterexample trace as a ready-to-paste regression test.
-pub fn render_qos_trace(trace: &[QosOp], scope: QosScope, violations: &[String]) -> String {
+fn render_qos_trace(trace: &[QosOp], scope: QosScope, violations: &[String]) -> String {
     let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = QosModel::new(QosScope {{ quantum_ns: {}, service_ns: {}, req_bytes: {} }});\n",
@@ -257,7 +253,7 @@ mod tests {
         for _ in 0..8 {
             assert!(m.apply(QosOp::Request { tenant: SCAVENGER, large: true }).is_empty());
         }
-        let s = m.controller().stats(SCAVENGER).expect("stats");
+        let s = m.ctl.stats(SCAVENGER).expect("stats");
         assert!(s.shed > 0, "overdriven scavenger must shed: {s:?}");
     }
 
@@ -267,8 +263,8 @@ mod tests {
         assert!(m.apply(QosOp::Pressure { on: true }).is_empty());
         assert!(m.apply(QosOp::Request { tenant: SCAVENGER, large: true }).is_empty());
         assert!(m.apply(QosOp::Request { tenant: PREMIUM, large: false }).is_empty());
-        let scav = m.controller().stats(SCAVENGER).expect("stats");
-        let prem = m.controller().stats(PREMIUM).expect("stats");
+        let scav = m.ctl.stats(SCAVENGER).expect("stats");
+        let prem = m.ctl.stats(PREMIUM).expect("stats");
         assert_eq!(scav.shed_pressure, 1);
         assert_eq!(prem.admitted, 1);
     }

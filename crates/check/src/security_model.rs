@@ -296,7 +296,7 @@ impl StandardModel for SecurityModel {
 
 /// Render a security counterexample trace as a ready-to-paste
 /// regression test.
-pub fn render_security_trace(
+fn render_security_trace(
     trace: &[SecurityOp],
     scope: SecurityScope,
     violations: &[String],

@@ -235,7 +235,7 @@ impl StandardModel for VirtModel {
 }
 
 /// Render a DMSD counterexample trace as a ready-to-paste regression test.
-pub fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) -> String {
+fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) -> String {
     let mut out = violations_header(violations);
     out.push_str(&format!(
         "let mut m = VolumeManager::new(PhysicalPool::new({}, 1 << 20));\n",

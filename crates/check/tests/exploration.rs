@@ -7,8 +7,8 @@
 //! copy it into `tests/replays.rs` before fixing the bug.
 
 use ys_check::{
-    explore, render_qos_trace, render_trace, render_virt_trace, CacheModel, Limits, QosModel,
-    QosScope, Scope, SearchOrder, VirtModel, VirtScope,
+    explore, CacheModel, Limits, QosModel, QosScope, Scope, SearchOrder, StandardModel, VirtModel,
+    VirtScope,
 };
 
 #[test]
@@ -23,7 +23,7 @@ fn cache_acceptance_scope_is_violation_free() {
         panic!(
             "coherence violation after {} ops:\n{}",
             cx.trace.len(),
-            render_trace(&cx.trace, scope, &cx.violations)
+            CacheModel::new(scope).render_counterexample(cx)
         );
     }
     assert!(!result.truncated, "depth-5 scope must be explored exhaustively");
@@ -50,7 +50,7 @@ fn cache_under_eviction_pressure_is_violation_free() {
         panic!(
             "coherence violation after {} ops:\n{}",
             cx.trace.len(),
-            render_trace(&cx.trace, scope, &cx.violations)
+            CacheModel::new(scope).render_counterexample(cx)
         );
     }
     assert!(!result.truncated);
@@ -70,7 +70,7 @@ fn cache_three_way_writes_are_violation_free() {
         panic!(
             "coherence violation after {} ops:\n{}",
             cx.trace.len(),
-            render_trace(&cx.trace, scope, &cx.violations)
+            CacheModel::new(scope).render_counterexample(cx)
         );
     }
     assert!(!result.truncated);
@@ -99,7 +99,7 @@ fn dmsd_conservation_holds_through_depth_6() {
         panic!(
             "conservation violation after {} ops:\n{}",
             cx.trace.len(),
-            render_virt_trace(&cx.trace, scope, &cx.violations)
+            VirtModel::new(scope).render_counterexample(cx)
         );
     }
     assert!(!result.truncated);
@@ -122,7 +122,7 @@ fn qos_admission_machine_holds_through_depth_7() {
         panic!(
             "admission violation after {} ops:\n{}",
             cx.trace.len(),
-            render_qos_trace(&cx.trace, scope, &cx.violations)
+            QosModel::new(scope).render_counterexample(cx)
         );
     }
     assert!(!result.truncated, "depth-7 QoS scope must be explored exhaustively");

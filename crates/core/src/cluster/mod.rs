@@ -310,10 +310,6 @@ impl BladeCluster {
         &self.groups[g]
     }
 
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
     pub fn config(&self) -> &ClusterConfig {
         &self.cfg
     }

@@ -227,7 +227,7 @@ fn volume_keys_are_separated_by_the_master_hierarchy() {
     assert_ne!(c.volume_key(v1), c.volume_key(v2), "per-volume keys must differ");
     // A different master seed re-keys every volume.
     let other = BladeCluster::new(
-        ClusterConfig::default().with_blades(4).with_disks(8).with_master_seed(777),
+        ClusterConfig { master_key_seed: 777, ..ClusterConfig::default().with_blades(4).with_disks(8) },
     );
     assert_ne!(c.volume_key(v1), other.volume_key(v1));
 }
@@ -250,15 +250,15 @@ fn stamp_and_decipher(c: &mut BladeCluster, now: SimTime, vol: VolumeId) -> SimT
 #[test]
 fn the_page_cipher_key_is_the_published_volume_key() {
     let cluster = |seed: u64| {
-        BladeCluster::new(
-            ClusterConfig::default()
+        BladeCluster::new(ClusterConfig {
+            master_key_seed: seed,
+            ..ClusterConfig::default()
                 .with_blades(4)
                 .with_disks(8)
                 .with_clients(4)
                 .with_extra_group(ys_raid::RaidLevel::Raid1 { copies: 2 }, 4, 64 * 1024)
                 .with_encryption(EncryptionConfig::full_hw())
-                .with_master_seed(seed),
-        )
+        })
     };
     // Volumes in two groups.
     let mut c = cluster(ClusterConfig::default().master_key_seed);

@@ -32,11 +32,6 @@ impl BladeCluster {
         Ok(Self::encode_vol(group, local))
     }
 
-    /// The group whose RAID level matches `level`, if any.
-    pub fn group_for_level(&self, level: ys_raid::RaidLevel) -> Option<usize> {
-        self.groups.iter().position(|g| g.geo.level == level)
-    }
-
     /// Total physical extents in use across every group's pool.
     pub fn pool_used_extents(&self) -> u64 {
         self.groups.iter().map(|g| g.volumes.pool().used_extents()).sum()
@@ -79,6 +74,7 @@ impl BladeCluster {
     /// group (§3's "performance optimization ... failure recovery" moves),
     /// charging the data copies to disks via `blade`. Returns (extents
     /// moved, completion time).
+    // lint: allow(dead-pub) — (c) §3 live migration, driven by tests/full_stack.rs
     pub fn migrate_volume_data(
         &mut self,
         now: SimTime,

@@ -200,12 +200,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the cluster master key seed (per-volume keys derive from it).
-    pub fn with_master_seed(mut self, seed: u64) -> ClusterConfig {
-        self.master_key_seed = seed;
-        self
-    }
-
     /// Enable the degraded-mode governor (write refusal at `ReadOnly`
     /// health, downgrade auditing — see `ys-heal`).
     pub fn with_health_governor(mut self) -> ClusterConfig {

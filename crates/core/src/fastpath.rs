@@ -10,10 +10,9 @@
 //! neighbourhood at k = 4, exactly the paper's claim.
 
 use ys_proto::plan_stream;
-use ys_qos::QosConfig;
 use ys_simcore::time::{throughput_gbit_per_sec, SimDuration, SimTime};
 use ys_simcore::SpanEvent;
-use ys_simnet::{catalog, FairPort, Link, LinkSpec, SharedBus};
+use ys_simnet::{catalog, Link, LinkSpec, SharedBus};
 
 /// Result of one striped stream delivery.
 #[derive(Clone, Copy, Debug)]
@@ -127,94 +126,6 @@ pub fn deliver_stream_traced(
     (result, events, dropped)
 }
 
-/// One tenant's striped-stream demand on the shared fast path.
-#[derive(Clone, Copy, Debug)]
-pub struct StreamDemand {
-    pub tenant: u32,
-    pub object_bytes: u64,
-}
-
-/// Per-tenant outcome of a contended multi-stream delivery.
-#[derive(Clone, Copy, Debug)]
-pub struct TenantStream {
-    pub tenant: u32,
-    pub bytes: u64,
-    /// When the tenant's last segment cleared the output port.
-    pub done: SimTime,
-    pub elapsed: SimDuration,
-    pub gbit_per_sec: f64,
-}
-
-/// Deliver several tenants' striped streams through ONE shared fast path
-/// (same FC links, same PCI-X bus, same output port), scheduling the
-/// contended output port per the QoS policy: with `qos.enabled` the port
-/// runs weighted-fair queueing over the collapsed class × tenant weights
-/// ([`ys_qos::QosConfig::effective_weight`]); disabled, every stream
-/// weighs 1 and the port degrades to plain per-flow fair sharing, so a
-/// premium tenant gets no protection from a scavenger flood.
-pub fn deliver_streams_fair(
-    cfg: &FastPathConfig,
-    qos: &QosConfig,
-    demands: &[StreamDemand],
-) -> Vec<TenantStream> {
-    assert!(cfg.blades > 0 && cfg.fc_ports_per_blade > 0);
-    let fc = catalog::fibre_channel_2g_payload();
-    let mut fc_links: Vec<Vec<Link>> = (0..cfg.blades)
-        .map(|_| (0..cfg.fc_ports_per_blade).map(|_| Link::new(fc)).collect())
-        .collect();
-    let mut bus = SharedBus::new(catalog::pci_x_266_bus());
-    let mut port = FairPort::new(cfg.port);
-    for d in demands {
-        let w = if qos.enabled { qos.effective_weight(d.tenant) } else { 1 };
-        port.set_weight(d.tenant, w);
-    }
-
-    // Upstream stages are shared and tenant-blind: interleave one segment
-    // per tenant per round so FC/bus arrival order is round-robin. The
-    // port is the contended stage the scheduler arbitrates.
-    let plans: Vec<_> =
-        demands.iter().map(|d| plan_stream(d.object_bytes, None, cfg.segment_bytes, cfg.blades)).collect();
-    let mut per_blade_seg = vec![0usize; cfg.blades];
-    let mut cursor = vec![0usize; plans.len()];
-    loop {
-        let mut progressed = false;
-        for (t, plan) in plans.iter().enumerate() {
-            let Some(seg) = plan.segments.get(cursor[t]) else { continue };
-            cursor[t] += 1;
-            progressed = true;
-            let fc_idx = per_blade_seg[seg.blade] % cfg.fc_ports_per_blade;
-            per_blade_seg[seg.blade] += 1;
-            let fetched = fc_links[seg.blade][fc_idx].transfer(SimTime::ZERO, seg.len).arrival;
-            let crossed = bus.transfer(fetched, seg.len).arrival;
-            port.enqueue(demands[t].tenant, crossed, seg.len);
-        }
-        if !progressed {
-            break;
-        }
-    }
-
-    let mut done = vec![SimTime::ZERO; demands.len()];
-    for s in port.service() {
-        if let Some(i) = demands.iter().position(|d| d.tenant == s.flow) {
-            done[i] = done[i].max(s.transfer.arrival);
-        }
-    }
-    demands
-        .iter()
-        .zip(plans.iter().zip(done))
-        .map(|(d, (plan, done))| {
-            let elapsed = done.since(SimTime::ZERO);
-            TenantStream {
-                tenant: d.tenant,
-                bytes: plan.total_bytes,
-                done,
-                elapsed,
-                gbit_per_sec: throughput_gbit_per_sec(plan.total_bytes, elapsed),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,57 +174,5 @@ mod tests {
         let cfg = FastPathConfig::default();
         let r = deliver_stream(&cfg, 10_000_001);
         assert_eq!(r.bytes, 10_000_001, "every byte delivered");
-    }
-
-    use ys_qos::{QosClass, TenantSpec};
-
-    fn contended(qos: &QosConfig) -> Vec<TenantStream> {
-        // 8 blades: the FC feed (~27 Gb/s) comfortably outruns the 10 GbE
-        // port, so the port queue is where scheduling policy decides.
-        let cfg = FastPathConfig { blades: 8, ..FastPathConfig::default() };
-        let demands = [
-            StreamDemand { tenant: 1, object_bytes: 1 << 30 }, // scavenger hog
-            StreamDemand { tenant: 2, object_bytes: 64 << 20 }, // premium victim
-        ];
-        deliver_streams_fair(&cfg, qos, &demands)
-    }
-
-    fn weighted_qos() -> QosConfig {
-        QosConfig::new()
-            .with_tenant(TenantSpec::new(1, "hog", QosClass::Scavenger))
-            .with_tenant(TenantSpec::new(2, "victim", QosClass::Premium).weight(4))
-    }
-
-    #[test]
-    fn fair_port_protects_the_premium_stream() {
-        let flat = contended(&QosConfig::disabled());
-        let fair = contended(&weighted_qos());
-        // Bytes delivered are identical either way.
-        assert_eq!(flat[0].bytes, fair[0].bytes);
-        assert_eq!(flat[1].bytes, fair[1].bytes);
-        // Weighted scheduling pulls the premium victim's finish time well
-        // below the flat equal share (weight 32 vs 1 ≈ full port rate).
-        let speedup = flat[1].elapsed.nanos() as f64 / fair[1].elapsed.nanos() as f64;
-        assert!(speedup > 1.5, "victim speedup under QoS: {speedup}");
-        // The hog pays at most the bytes the victim reclaimed.
-        assert!(fair[0].done >= flat[0].done);
-    }
-
-    #[test]
-    fn fair_streams_are_deterministic_and_work_conserving() {
-        let a = contended(&weighted_qos());
-        let b = contended(&weighted_qos());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.done, y.done, "deterministic replay");
-        }
-        // Work conservation: total delivery no slower than a single merged
-        // stream of the same bytes (the port never idles while backlogged).
-        let merged = deliver_stream(
-            &FastPathConfig { blades: 8, ..FastPathConfig::default() },
-            (1 << 30) + (64 << 20),
-        );
-        let last = a.iter().map(|t| t.done).max().unwrap();
-        let slack = last.since(SimTime::ZERO).nanos() as f64 / merged.elapsed.nanos() as f64;
-        assert!(slack < 1.1, "contended finish within 10% of merged stream: {slack}");
     }
 }

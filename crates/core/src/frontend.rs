@@ -15,7 +15,7 @@ use ys_cache::Retention;
 use ys_geo::SiteId;
 use ys_pfs::FilePolicy;
 use ys_proto::{block, file, BlockCmd, BlockStatus, FileOp};
-use ys_security::{AuditEvent, AuditLog, ControlCommand, InitiatorId, LunMask, PortZone};
+use ys_security::{AuditEvent, AuditLog, InitiatorId, LunMask, PortZone};
 use ys_simcore::time::SimTime;
 use ys_virt::VolumeId;
 
@@ -94,41 +94,6 @@ impl BlockTarget {
                 Err(BlockReply { status: BlockStatus::AccessDenied, done: now })
             }
         }
-    }
-
-    /// Apply an in-band mask update arriving on `port` — §5.2's
-    /// "command-by-command, port-by-port" filter decides whether a data
-    /// port may rewrite the authorization table at all.
-    pub fn inband_mask_update(
-        &mut self,
-        port: usize,
-        now: SimTime,
-        grant: bool,
-        initiator: InitiatorId,
-        volume: VolumeId,
-    ) -> BlockReply {
-        self.stats.commands += 1;
-        if let Err(v) = self.mask.check_inband(port, ControlCommand::MaskUpdate) {
-            self.stats.denied += 1;
-            self.audit.record(now, AuditEvent::Violation(v));
-            return BlockReply { status: BlockStatus::AccessDenied, done: now };
-        }
-        if grant {
-            self.mask.grant(initiator, volume);
-        } else {
-            self.mask.revoke(initiator, volume);
-        }
-        self.audit.record(
-            now,
-            AuditEvent::PolicyChange {
-                actor: initiator.0,
-                description: format!(
-                    "inband {} {initiator:?} -> {volume:?} via port {port}",
-                    if grant { "grant" } else { "revoke" }
-                ),
-            },
-        );
-        BlockReply { status: BlockStatus::Good, done: now }
     }
 
     /// Handle one wire frame from `initiator`, arriving on fabric port
@@ -502,29 +467,6 @@ mod tests {
         }
         assert_eq!(target.stats.denied, 2);
         assert_eq!(target.audit.violations().count(), 2, "every post-revoke attempt is audited");
-    }
-
-    #[test]
-    fn inband_mask_update_is_filtered_per_port() {
-        let mut target = zoned_target(1);
-        let (host, vol) = (InitiatorId(7), ys_virt::VolumeId(3));
-        // Data port 0: in-band mask updates disabled by the operator.
-        target.mask.disable_inband(0, ControlCommand::MaskUpdate);
-        let r = target.inband_mask_update(0, SimTime::ZERO, true, host, vol);
-        assert_eq!(r.status, BlockStatus::AccessDenied);
-        assert!(target.report_luns(host).is_empty(), "denied update must not take effect");
-        assert_eq!(target.stats.denied, 1);
-        assert_eq!(target.audit.violations().count(), 1);
-        // The management port is always allowed (out-of-band path).
-        let r = target.inband_mask_update(9, SimTime::ZERO, true, host, vol);
-        assert_eq!(r.status, BlockStatus::Good);
-        assert_eq!(target.report_luns(host), vec![vol]);
-        // The policy change itself is audited, beyond the violations.
-        assert!(target
-            .audit
-            .entries()
-            .iter()
-            .any(|(_, e)| matches!(e, AuditEvent::PolicyChange { .. })));
     }
 
     #[test]

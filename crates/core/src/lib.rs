@@ -43,10 +43,7 @@ pub use cluster::{
     BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch,
 };
 pub use config::{ClusterConfig, CostModel, EncryptionConfig, LoadBalance};
-pub use fastpath::{
-    deliver_stream, deliver_stream_traced, deliver_streams_fair, FastPathConfig, StreamDemand,
-    StreamResult, TenantStream,
-};
+pub use fastpath::{deliver_stream, deliver_stream_traced, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
 pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};
 pub use netstorage::{DisasterReport, GeoStats, NetError, NetStorage, NetStorageConfig, SiteReport, SystemReport};

@@ -54,10 +54,6 @@ impl DistributedAccess {
         self.residency.get(&file).map(|s| s.iter().copied().collect()).unwrap_or_default()
     }
 
-    pub fn is_resident(&self, file: u64, site: SiteId) -> bool {
-        self.residency.get(&file).map(|s| s.contains(&site)).unwrap_or(false)
-    }
-
     /// Serve a read at `site`, migrating on first reference.
     pub fn read(&mut self, topology: &SiteTopology, file: u64, site: SiteId, now: SimTime) -> AccessKind {
         self.heat.record(file, site.0, now);
@@ -154,7 +150,7 @@ mod tests {
             AccessKind::RemoteMigration { from: SiteId(0) }
         );
         assert_eq!(d.read(&t, 1, SiteId(1), SimTime(1)), AccessKind::Local, "second read is local");
-        assert!(d.is_resident(1, SiteId(1)));
+        assert!(d.sites_of(1).contains(&SiteId(1)));
     }
 
     #[test]

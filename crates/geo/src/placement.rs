@@ -18,13 +18,6 @@ pub struct Placement {
 }
 
 impl Placement {
-    pub fn all_sites(&self) -> Vec<SiteId> {
-        let mut v = vec![self.home];
-        v.extend(&self.sync_sites);
-        v.extend(&self.async_sites);
-        v
-    }
-
     pub fn copies(&self) -> usize {
         1 + self.sync_sites.len() + self.async_sites.len()
     }
@@ -124,7 +117,7 @@ mod tests {
         let mut t = SiteTopology::new(&["home", "metro", "regional", "continental"]);
         t.connect(SiteId(0), SiteId(1), catalog::oc768(), 20.0);
         t.connect(SiteId(0), SiteId(2), catalog::oc192(), 800.0);
-        t.connect(SiteId(0), SiteId(3), catalog::oc48(), 6000.0);
+        t.connect(SiteId(0), SiteId(3), catalog::oc192(), 6000.0);
         t
     }
 

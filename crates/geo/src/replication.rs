@@ -52,9 +52,6 @@ pub struct ReplicationEngine {
     /// accounting must visit site pairs in the same order on every replay.
     journals: BTreeMap<(SiteId, SiteId), Journal>,
     next_seq: u64,
-    /// Sync replication counters (latency is charged by the orchestrator).
-    sync_writes: u64,
-    sync_bytes: u64,
     trace: SpanRecorder,
 }
 
@@ -69,8 +66,6 @@ impl ReplicationEngine {
         ReplicationEngine {
             journals: BTreeMap::new(),
             next_seq: 0,
-            sync_writes: 0,
-            sync_bytes: 0,
             trace: SpanRecorder::disabled(),
         }
     }
@@ -90,17 +85,6 @@ impl ReplicationEngine {
         let s = self.next_seq;
         self.next_seq += 1;
         s
-    }
-
-    /// Record a synchronous replica write (already persisted remotely by
-    /// the time the host is acked; the orchestrator charged the RTT).
-    pub fn record_sync(&mut self, bytes: u64) {
-        self.sync_writes += 1;
-        self.sync_bytes += bytes;
-    }
-
-    pub fn sync_totals(&self) -> (u64, u64) {
-        (self.sync_writes, self.sync_bytes)
     }
 
     /// Enqueue an asynchronous replica write from `src` toward `dst`.
@@ -207,12 +191,6 @@ impl ReplicationEngine {
         n
     }
 
-    /// Highest sequence confirmed applied at `dst` (the acknowledged
-    /// prefix boundary), if anything has been confirmed.
-    pub fn acked_through(&self, src: SiteId, dst: SiteId) -> Option<u64> {
-        self.journals.get(&(src, dst)).and_then(|j| j.last_shipped_seq)
-    }
-
     /// Records currently inflight (begun, neither confirmed nor aborted).
     pub fn inflight(&self, src: SiteId, dst: SiteId) -> u64 {
         match self.journals.get(&(src, dst)) {
@@ -255,15 +233,6 @@ impl ReplicationEngine {
             self.trace.instant("geo", "source_cut", src.0 as u32, lost.len() as u64, bytes);
         }
         lost
-    }
-
-    /// Oldest unshipped write age (the recovery-point objective actually
-    /// achieved) at `now`.
-    pub fn rpo(&self, src: SiteId, dst: SiteId, now: SimTime) -> Option<ys_simcore::time::SimDuration> {
-        self.journals
-            .get(&(src, dst))
-            .and_then(|j| j.queue.front())
-            .map(|r| now.since(r.created))
     }
 }
 
@@ -332,9 +301,6 @@ mod tests {
         let lost = e.source_cut(A);
         assert_eq!(lost.len(), 3, "unshipped tail is the loss window");
         assert!(lost.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Sync writes have no window by construction.
-        e.record_sync(100);
-        assert_eq!(e.sync_totals(), (1, 100));
     }
 
     #[test]
@@ -356,7 +322,7 @@ mod tests {
         let seqs: Vec<u64> = resent.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..6).collect::<Vec<u64>>());
         assert_eq!(e.shipped(A, B), (6, 600));
-        assert_eq!(e.acked_through(A, B), Some(5));
+        assert_eq!(e.journals[&(A, B)].last_shipped_seq, Some(5));
     }
 
     #[test]
@@ -370,7 +336,7 @@ mod tests {
         // Only the first two landed before the partition.
         e.ship_confirm(A, B, batch[1].seq);
         assert_eq!(e.shipped(A, B), (2, 100));
-        assert_eq!(e.acked_through(A, B), Some(batch[1].seq));
+        assert_eq!(e.journals[&(A, B)].last_shipped_seq, Some(batch[1].seq));
         assert_eq!(e.inflight(A, B), 2);
         // Second begin while a batch is outstanding returns nothing.
         assert!(e.ship_begin(A, B, u64::MAX).is_empty());
@@ -392,18 +358,5 @@ mod tests {
         let lost = e.source_cut(A);
         assert_eq!(lost.len(), 5, "inflight-but-unconfirmed writes are lost too");
         assert!(lost.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn rpo_reports_oldest_unshipped_age() {
-        let mut e = ReplicationEngine::new();
-        assert!(e.rpo(A, B, SimTime(100)).is_none());
-        e.enqueue(A, B, 1, 0, 1, SimTime(100));
-        e.enqueue(A, B, 1, 1, 1, SimTime(200));
-        let rpo = e.rpo(A, B, SimTime(500)).unwrap();
-        assert_eq!(rpo.nanos(), 400, "oldest entry dominates");
-        e.ship(A, B, 1);
-        let rpo = e.rpo(A, B, SimTime(500)).unwrap();
-        assert_eq!(rpo.nanos(), 300);
     }
 }

@@ -1,7 +1,6 @@
 //! Multi-site topology (§7, Figure 3): sites joined by WAN links of
 //! configurable distance and trunk rate.
 
-use ys_simcore::time::SimDuration;
 use ys_simnet::catalog;
 use ys_simnet::LinkSpec;
 
@@ -94,23 +93,6 @@ impl SiteTopology {
         self.link_down[b.0][a.0] = false;
     }
 
-    /// True when the trunk between two sites is administratively cut
-    /// (independent of site up/down state).
-    pub fn link_cut(&self, a: SiteId, b: SiteId) -> bool {
-        self.link_down[a.0][b.0]
-    }
-
-    /// One-way latency for a message of `bytes` between connected sites
-    /// (unloaded; queueing is charged by the orchestrator's Link objects).
-    pub fn one_way(&self, a: SiteId, b: SiteId, bytes: u64) -> Option<SimDuration> {
-        self.link(a, b).map(|l| l.unloaded_latency(bytes))
-    }
-
-    /// Round-trip time for a small control message.
-    pub fn rtt(&self, a: SiteId, b: SiteId) -> Option<SimDuration> {
-        self.one_way(a, b, 64).map(|d| d * 2)
-    }
-
     pub fn fail_site(&mut self, s: SiteId) {
         self.sites[s.0].up = false;
     }
@@ -166,17 +148,17 @@ mod tests {
         let mut t = SiteTopology::new(&["a", "b", "c"]);
         t.connect(SiteId(0), SiteId(1), catalog::oc192(), 10.0);
         t.connect(SiteId(0), SiteId(2), catalog::oc192(), 5000.0);
-        let near = t.rtt(SiteId(0), SiteId(1)).unwrap();
-        let far = t.rtt(SiteId(0), SiteId(2)).unwrap();
+        let near = t.link(SiteId(0), SiteId(1)).unwrap().propagation;
+        let far = t.link(SiteId(0), SiteId(2)).unwrap().propagation;
         assert!(far > near * 10);
-        // 5000 km ≈ 25 ms one-way → RTT ≥ 50 ms.
-        assert!(far.as_millis_f64() >= 50.0);
+        // 5000 km ≈ 25 ms one-way.
+        assert!(far.as_millis_f64() >= 25.0);
     }
 
     #[test]
     fn failed_site_has_no_links() {
         let mut t = SiteTopology::new(&["a", "b"]);
-        t.connect(SiteId(0), SiteId(1), catalog::oc48(), 100.0);
+        t.connect(SiteId(0), SiteId(1), catalog::oc192(), 100.0);
         t.fail_site(SiteId(1));
         assert!(t.link(SiteId(0), SiteId(1)).is_none());
         t.repair_site(SiteId(1));
@@ -189,7 +171,6 @@ mod tests {
         t.connect(SiteId(0), SiteId(1), catalog::oc192(), 100.0);
         t.connect(SiteId(0), SiteId(2), catalog::oc192(), 100.0);
         t.fail_link(SiteId(1), SiteId(0));
-        assert!(t.link_cut(SiteId(0), SiteId(1)));
         assert!(t.link(SiteId(0), SiteId(1)).is_none());
         assert!(t.link(SiteId(1), SiteId(0)).is_none());
         // Other trunks and the sites themselves stay up.
@@ -214,9 +195,9 @@ mod tests {
     fn national_lab_shape() {
         let t = SiteTopology::national_lab();
         assert_eq!(t.len(), 3);
-        let metro_rtt = t.rtt(SiteId(0), SiteId(1)).unwrap();
-        let long_rtt = t.rtt(SiteId(0), SiteId(2)).unwrap();
-        assert!(metro_rtt.as_millis_f64() < 1.0, "metro {metro_rtt}");
-        assert!(long_rtt.as_millis_f64() > 9.0, "continental {long_rtt}");
+        let metro = t.link(SiteId(0), SiteId(1)).unwrap().propagation;
+        let long = t.link(SiteId(0), SiteId(2)).unwrap().propagation;
+        assert!(metro.as_millis_f64() < 0.5, "metro one-way {metro}");
+        assert!(long.as_millis_f64() > 4.5, "continental one-way {long}");
     }
 }

@@ -115,7 +115,9 @@ proptest! {
                 prop_assert_eq!(p.copies(), copies.max(1));
                 prop_assert!(!p.sync_sites.contains(&SiteId(home)));
                 prop_assert!(!p.async_sites.contains(&SiteId(home)));
-                let mut all = p.all_sites();
+                let mut all = vec![p.home];
+                all.extend(&p.sync_sites);
+                all.extend(&p.async_sites);
                 all.sort();
                 all.dedup();
                 prop_assert_eq!(all.len(), p.copies(), "no duplicate sites");

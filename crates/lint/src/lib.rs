@@ -6,7 +6,8 @@
 //! ambient randomness, or unordered `HashMap` iteration — and a panic in
 //! fallible library code turns a one-request failure into a lost controller
 //! blade. ys-lint makes those contracts statically enforced instead of
-//! tribal knowledge.
+//! tribal knowledge, and its `dead-pub` rule keeps the public surface to
+//! what some non-test code calls.
 //!
 //! Unlike the substring matcher it replaces, ys-lint lexes Rust for real
 //! ([`lexer`]), so `unwrap` inside a doc comment or string literal is never
@@ -14,14 +15,15 @@
 //! than by "tests are at the bottom of the file" convention.
 //!
 //! Entry points: [`lint_workspace`] walks `crates/` under a repo root;
-//! [`analyze_source`] checks one file's text (used by fixtures and xtask);
-//! [`render_text`] / [`render_json`] format a [`Report`], the JSON form
-//! deterministically (sorted findings, stable key order).
+//! [`analyze_files`] checks a set of `(path, text)` pairs, purely, so
+//! fixtures can feed it text under any path; [`render_text`] /
+//! [`render_json`] format a [`Report`], the JSON form deterministically
+//! (sorted findings, stable key order).
 
 pub mod lexer;
 pub mod rules;
 
-pub use rules::{analyze_source, Finding, ALLOW_SYNTAX, RULES};
+pub use rules::{analyze_files, Finding, ALLOW_SYNTAX, RULES};
 
 use std::fs;
 use std::io;
@@ -46,25 +48,32 @@ impl Report {
 /// (unit-test *modules* inside library files are handled token-wise).
 const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
 
-/// Lint every `.rs` file under `<root>/crates`. The walk is sorted so the
-/// report (and its JSON) is deterministic regardless of directory order.
+/// Lint every `.rs` file under `<root>/crates`, reading root `examples/`
+/// and `benchmark/src` too, as `dead-pub` callers only. The walk is sorted
+/// so the report (and its JSON) is deterministic regardless of directory
+/// order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
+    let mut paths = Vec::new();
+    collect_rs(&root.join("crates"), &mut paths)?;
+    let files_scanned = paths.len();
+    for dir in ["examples", "benchmark/src"] {
+        let dir = root.join(dir);
+        if dir.is_dir() {
+            collect_rs(&dir, &mut paths)?;
+        }
+    }
+    paths.sort();
     let mut files = Vec::new();
-    collect_rs(&root.join("crates"), &mut files)?;
-    files.sort();
-    let mut report = Report::default();
-    for path in files {
-        let src = fs::read_to_string(&path)?;
+    for path in &paths {
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(&path)
+            .unwrap_or(path)
             .to_string_lossy()
             .replace(std::path::MAIN_SEPARATOR, "/");
-        report.findings.extend(analyze_source(&rel, &src));
-        report.files_scanned += 1;
+        files.push((rel, fs::read_to_string(path)?));
     }
-    report.findings.sort();
-    Ok(report)
+    let pairs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
+    Ok(Report { findings: analyze_files(&pairs), files_scanned })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {
@@ -192,5 +201,6 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"finding_count\": 1"));
         assert!(a.contains("\"rule\": \"panic-path\""));
+        assert!(a.contains("\"unordered-iteration\", \"dead-pub\", \"allow-syntax\"]"));
     }
 }

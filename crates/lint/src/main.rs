@@ -17,7 +17,7 @@ OPTIONS:
                   current directory containing a `crates/` directory).
     -h, --help    This help.
 
-Rules: panic-path, wall-clock, ambient-entropy, unordered-iteration,
+Rules: panic-path, wall-clock, ambient-entropy, unordered-iteration, dead-pub,
 allow-syntax. Suppress per line with `// lint: allow(<rule>) — <reason>`.
 See docs/lint.md for the catalog and JSON schema.";
 

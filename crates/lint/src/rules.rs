@@ -1,10 +1,12 @@
 //! Rule passes over the token stream.
 //!
-//! Every rule is a determinism or panic-safety contract from ROADMAP /
+//! Every per-file rule is a determinism or panic-safety contract from ROADMAP /
 //! docs/chaos.md: seeded fault campaigns replay only while nothing in a
 //! replay-affecting path consults wall-clock time, ambient randomness, or
 //! unordered map iteration, and a panic in fallible library code takes out
 //! a whole simulated controller blade instead of failing one request.
+//! `dead-pub` is the one cross-file rule: a `pub fn` nothing but tests
+//! calls is surface to delete, not to maintain.
 //!
 //! | rule                  | scope                                   |
 //! |-----------------------|-----------------------------------------|
@@ -12,6 +14,7 @@
 //! | `wall-clock`          | everywhere except designated binaries   |
 //! | `ambient-entropy`     | all simulation crates                   |
 //! | `unordered-iteration` | replay-affecting crates                 |
+//! | `dead-pub`            | library code of every crate             |
 //! | `allow-syntax`        | everywhere (marker hygiene)             |
 //!
 //! Suppression is per line: `// lint: allow(rule)` next to the finding (or
@@ -19,13 +22,13 @@
 //! unknown-rule markers are themselves findings, so stale suppressions
 //! cannot accumulate silently.
 
-use crate::lexer::{lex, Tok, TokKind};
+use crate::lexer::{lex, LexOutput, Tok, TokKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Crates whose library code must fail with typed errors, never panics.
 pub const PANIC_CRATES: &[&str] = &[
     "cache", "virt", "simcore", "qos", "chaos", "scrub", "security", "heal", "core", "simnet", "simdisk", "proto",
-    "raid", "geo",
+    "raid", "geo", "pfs",
 ];
 
 /// Crates whose state feeds seeded replay: iterating a hashed container
@@ -42,7 +45,7 @@ pub const WALL_CLOCK_EXEMPT: &[&str] = &["crates/bench/src/bin/report.rs", "crat
 
 /// All suppressible rule names, in catalog order.
 pub const RULES: &[&str] =
-    &["panic-path", "wall-clock", "ambient-entropy", "unordered-iteration"];
+    &["panic-path", "wall-clock", "ambient-entropy", "unordered-iteration", "dead-pub"];
 
 /// Marker hygiene diagnostics; not suppressible by design.
 pub const ALLOW_SYNTAX: &str = "allow-syntax";
@@ -69,12 +72,17 @@ fn in_scope(rel: &str, crates: &[&str]) -> bool {
     crates.contains(&crate_of(rel))
 }
 
-/// Analyze one file's source. `rel` decides which rule scopes apply; the
-/// analysis itself is pure, so tests can feed fixture text under any path.
-pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
-    let out = lex(src);
+/// Run the per-file rules over one lexed file, add the cross-file findings
+/// `extra` (line, rule, message), and filter all of them through the
+/// file's allow markers.
+fn check_file(
+    rel: &str,
+    src: &str,
+    out: &LexOutput,
+    skip: &[bool],
+    extra: Vec<(u32, &'static str, String)>,
+) -> Vec<Finding> {
     let toks = &out.tokens;
-    let skip = test_regions(toks);
     // Indices of tokens outside #[cfg(test)] / #[test] items.
     let live: Vec<usize> = (0..toks.len()).filter(|&i| !skip[i]).collect();
     let lines: Vec<&str> = src.lines().collect();
@@ -136,6 +144,9 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
     if in_scope(rel, REPLAY_CRATES) {
         unordered_iteration(toks, &live, &mut push);
     }
+    for (line, rule, message) in extra {
+        push(line, rule, message);
+    }
 
     findings.retain(|f| {
         f.rule == ALLOW_SYNTAX
@@ -144,6 +155,91 @@ pub fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
     findings.sort();
     findings.dedup();
     findings
+}
+
+/// Analyze a set of files: every per-file rule on each `crates/` file, and
+/// `dead-pub` across the set. Files outside `crates/` (root `examples/`,
+/// `benchmark/src`) are read as callers only; no rule reports in them.
+pub fn analyze_files(files: &[(&str, &str)]) -> Vec<Finding> {
+    let lexed: Vec<(LexOutput, Vec<bool>)> = files
+        .iter()
+        .map(|&(_, src)| {
+            let out = lex(src);
+            let skip = test_regions(&out.tokens);
+            (out, skip)
+        })
+        .collect();
+    let defs: Vec<Vec<(u32, &str)>> = files
+        .iter()
+        .zip(&lexed)
+        .map(|(&(rel, _), (out, skip))| if is_library(rel) { pub_fns(out, skip) } else { Vec::new() })
+        .collect();
+    let named = callers(&lexed, defs.iter().flatten().map(|&(_, name)| name).collect());
+    let mut findings = Vec::new();
+    for (fi, (&(rel, src), (out, skip))) in files.iter().zip(&lexed).enumerate() {
+        if !rel.starts_with("crates/") {
+            continue;
+        }
+        // `dead-pub`: a bare `pub fn` that no file but its own names.
+        let dead = defs[fi]
+            .iter()
+            .filter(|&&(_, name)| named.get(name).is_none_or(|by| by.iter().all(|&g| g == fi)))
+            .map(|&(line, name)| {
+                let msg = format!("pub fn {name} is named by no other file outside test code: delete it, or narrow it");
+                (line, "dead-pub", msg)
+            })
+            .collect();
+        findings.extend(check_file(rel, src, out, skip, dead));
+    }
+    findings.sort();
+    findings
+}
+
+/// Library code, whose bare `pub fn`s need a caller: `crates/*/src`
+/// without binaries.
+fn is_library(rel: &str) -> bool {
+    rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/") && !rel.ends_with("/main.rs")
+}
+
+/// Line and name of each bare `pub fn` outside test code: `pub fn`,
+/// `pub const fn`, `pub unsafe fn`, … but not `pub(crate) fn`.
+fn pub_fns<'a>(out: &'a LexOutput, skip: &[bool]) -> Vec<(u32, &'a str)> {
+    let live: Vec<&Tok> = out.tokens.iter().zip(skip).filter(|(_, &s)| !s).map(|(t, _)| t).collect();
+    let qualifier = |q: &&&Tok| ["const", "async", "unsafe"].iter().any(|&w| q.is_ident(w));
+    let mut defs = Vec::new();
+    for (k, t) in live.iter().enumerate().filter(|(_, t)| t.is_ident("pub")) {
+        let mut rest = live[k + 1..].iter().skip_while(qualifier);
+        if let (Some(f), Some(name)) = (rest.next(), rest.next()) {
+            if f.is_ident("fn") && name.kind == TokKind::Ident {
+                defs.push((t.line, name.text.as_str()));
+            }
+        }
+    }
+    defs
+}
+
+/// For each name in `wanted`, the files that name it outside test code and
+/// outside `use` items (a re-export is not a call). Comments and strings
+/// are not tokens, so doc prose never counts. Matching is by name, so a
+/// dead `tick` hidden by a live `tick` elsewhere is missed; in exchange
+/// `dead-pub` has no false positives.
+fn callers<'a>(lexed: &[(LexOutput, Vec<bool>)], wanted: BTreeSet<&'a str>) -> BTreeMap<&'a str, BTreeSet<usize>> {
+    let mut named: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
+    for (fi, (out, skip)) in lexed.iter().enumerate() {
+        let mut in_use = false;
+        for (t, _) in out.tokens.iter().zip(skip).filter(|(_, &s)| !s) {
+            if t.is_ident("use") {
+                in_use = true;
+            } else if in_use {
+                in_use = !t.is_punct(';');
+            } else if t.kind == TokKind::Ident {
+                if let Some(&name) = wanted.get(t.text.as_str()) {
+                    named.entry(name).or_default().insert(fi);
+                }
+            }
+        }
+    }
+    named
 }
 
 /// Mark tokens belonging to `#[cfg(test)]` / `#[test]` items (the attribute

@@ -1,5 +1,5 @@
 //! Fixture: every panic-path form, each paired with a suppressed or
-//! out-of-scope twin. Fed to `analyze_source` under a panic-scoped path.
+//! out-of-scope twin. Fed to `analyze_files` under a panic-scoped path.
 
 pub fn unwrap_fires(v: Option<u32>) -> u32 {
     v.unwrap()

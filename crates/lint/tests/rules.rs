@@ -1,10 +1,10 @@
 //! Fixture-driven proof that every rule fires where it should, respects
 //! its scoped allow marker, and stays silent out of scope. Fixtures live in
 //! `tests/fixtures/` (never compiled, and skipped by the workspace walker);
-//! each is fed to `analyze_source` under hand-picked fake paths so one
+//! each is fed to `analyze_files` under hand-picked fake paths so one
 //! snippet exercises both the in-scope and out-of-scope behavior.
 
-use ys_lint::{analyze_source, Finding};
+use ys_lint::{analyze_files, Finding};
 
 const PANIC: &str = include_str!("fixtures/panic_path.rs");
 const WALL: &str = include_str!("fixtures/wall_clock.rs");
@@ -12,6 +12,18 @@ const ENTROPY: &str = include_str!("fixtures/ambient_entropy.rs");
 const UNORDERED: &str = include_str!("fixtures/unordered_iteration.rs");
 const SYNTAX: &str = include_str!("fixtures/allow_syntax.rs");
 const SOUP: &str = include_str!("fixtures/token_soup.rs");
+const DEAD: &str = include_str!("fixtures/dead_pub.rs");
+const DEAD_CALLER: &str = include_str!("fixtures/dead_pub_caller.rs");
+const DEAD_FROZEN: &str = include_str!("fixtures/dead_pub_frozen.rs");
+
+/// The per-file rules over one file alone. Alone, every fixture `pub fn`
+/// is uncalled, so its `dead-pub` findings are dropped here; the
+/// `dead-pub` tests below feed whole file sets instead.
+fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
+    let mut f = analyze_files(&[(rel, src)]);
+    f.retain(|f| f.rule != "dead-pub");
+    f
+}
 
 /// 1-based line of the first fixture line containing `needle`.
 fn line_of(src: &str, needle: &str) -> u32 {
@@ -57,8 +69,10 @@ fn inner_cfg_test_exempts_the_rest_of_its_block() {
 
 #[test]
 fn panic_path_is_scoped_to_typed_error_crates() {
+    let f = analyze_source("crates/obs/src/fixture.rs", PANIC);
+    assert!(f.is_empty(), "obs is not a panic-scoped crate: {f:#?}");
     let f = analyze_source("crates/pfs/src/fixture.rs", PANIC);
-    assert!(f.is_empty(), "pfs is not a panic-scoped crate: {f:#?}");
+    assert!(!f.is_empty(), "pfs is a panic-scoped crate");
     let f = analyze_source("crates/simnet/src/fixture.rs", PANIC);
     assert!(!f.is_empty(), "simnet is a panic-scoped crate");
 }
@@ -147,4 +161,69 @@ fn marker_suppresses_only_its_own_rule() {
     let src = "pub fn f(v: Option<u32>) -> u32 {\n    v.unwrap() // lint: allow(wall-clock)\n}\n";
     let f = analyze_source("crates/cache/src/fixture.rs", src);
     assert_eq!(lines_for(&f, "panic-path"), vec![2], "findings: {f:#?}");
+}
+
+/// The `dead-pub` fixture set: a library file, a library caller, and the
+/// caller-only file under `frozen`, a `benchmark/src` or `examples` path.
+fn dead_pub_set(frozen: Option<&str>) -> Vec<Finding> {
+    let mut files = vec![("crates/raid/src/dead.rs", DEAD), ("crates/core/src/caller.rs", DEAD_CALLER)];
+    files.extend(frozen.map(|path| (path, DEAD_FROZEN)));
+    analyze_files(&files)
+}
+
+const BENCH: Option<&str> = Some("benchmark/src/ledger.rs");
+
+#[test]
+fn dead_pub_flags_each_pub_fn_no_other_file_calls() {
+    let f = dead_pub_set(BENCH);
+    let want = vec![
+        line_of(DEAD, "pub fn never_called"),
+        line_of(DEAD, "pub const fn const_and_never_called"),
+        line_of(DEAD, "pub fn called_only_by_a_test_module"),
+        line_of(DEAD, "pub fn named_only_in_a_pub_use"),
+        line_of(DEAD, "pub fn named_only_in_prose"),
+        line_of(DEAD, "pub fn the_line_after_a_marker"),
+        line_of(DEAD, "pub fn under_another_rules_marker"),
+    ];
+    assert_eq!(lines_for(&f, "dead-pub"), want, "findings: {f:#?}");
+    assert!(f.iter().all(|f| f.file == "crates/raid/src/dead.rs"), "findings: {f:#?}");
+    assert_eq!(f.len(), want.len(), "only dead-pub fires: {f:#?}");
+}
+
+#[test]
+fn dead_pub_counts_benchmark_and_examples_as_callers() {
+    let frozen = [line_of(DEAD, "pub fn called_by_benchmark"), line_of(DEAD, "pub fn called_by_an_example")];
+    let without = lines_for(&dead_pub_set(None), "dead-pub");
+    assert!(frozen.iter().all(|l| without.contains(l)), "{without:?}");
+    for tree in ["benchmark/src/ledger.rs", "examples/quickstart.rs"] {
+        let f = dead_pub_set(Some(tree));
+        assert!(f.iter().all(|f| f.file != tree), "{tree} is read as a caller only: {f:#?}");
+        let with = lines_for(&f, "dead-pub");
+        assert!(frozen.iter().all(|l| !with.contains(l)), "{tree}: {with:?}");
+    }
+}
+
+#[test]
+fn dead_pub_ignores_narrow_visibility_test_code_and_binaries() {
+    let f = lines_for(&dead_pub_set(BENCH), "dead-pub");
+    let ignored = [
+        "pub(crate) fn crate_visible",
+        "pub fn gated_by_cfg_test",
+        "pub fn inside_a_test_module",
+        "pub fn called_from_a_library_file",
+    ];
+    for needle in ignored {
+        assert!(!f.contains(&line_of(DEAD, needle)), "{needle} flagged: {f:?}");
+    }
+    // A binary's `pub fn` is not library surface.
+    let bin = analyze_files(&[("crates/raid/src/main.rs", DEAD), ("crates/raid/src/bin/tool.rs", DEAD)]);
+    assert!(lines_for(&bin, "dead-pub").is_empty(), "findings: {bin:#?}");
+}
+
+#[test]
+fn dead_pub_marker_suppresses_only_its_own_line() {
+    let f = lines_for(&dead_pub_set(BENCH), "dead-pub");
+    assert!(!f.contains(&line_of(DEAD, "pub fn kept_under_a_marker")));
+    assert!(f.contains(&line_of(DEAD, "pub fn the_line_after_a_marker")));
+    assert!(f.contains(&line_of(DEAD, "pub fn under_another_rules_marker")));
 }

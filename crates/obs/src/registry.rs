@@ -297,12 +297,12 @@ mod tests {
     #[test]
     fn merge_is_additive_and_gauges_take_max() {
         let mut a = MetricsRegistry::new();
-        a.counter(MetricKey::scoped("cache", 0, "local_hits")).incr();
+        a.counter(MetricKey::scoped("cache", 0, "local_hits")).record(0);
         a.gauge(MetricKey::scoped("core", 0, "cpu_util"), 0.4);
         a.rate(MetricKey::aggregate("core", "read_rate")).record(SimTime(1_000_000), 1000);
         let mut b = MetricsRegistry::new();
-        b.counter(MetricKey::scoped("cache", 0, "local_hits")).incr();
-        b.counter(MetricKey::scoped("cache", 1, "local_hits")).incr();
+        b.counter(MetricKey::scoped("cache", 0, "local_hits")).record(0);
+        b.counter(MetricKey::scoped("cache", 1, "local_hits")).record(0);
         b.gauge(MetricKey::scoped("core", 0, "cpu_util"), 0.9);
         b.rate(MetricKey::aggregate("core", "read_rate")).record(SimTime(2_000_000), 3000);
         a.merge(&b);
@@ -328,7 +328,7 @@ mod tests {
     fn json_export_is_sorted_and_parses() {
         let mut reg = MetricsRegistry::new();
         reg.gauge(MetricKey::scoped("core", 2, "cpu_util"), 0.5);
-        reg.counter(MetricKey::aggregate("cache", "misses")).incr();
+        reg.counter(MetricKey::aggregate("cache", "misses")).record(0);
         reg.latency(MetricKey::aggregate("core", "read_latency"))
             .record(SimDuration::from_micros(100));
         let text = reg.to_json();

@@ -143,18 +143,13 @@ impl FileSystem {
         self.stripe_unit
     }
 
-    pub fn backing_volumes(&self) -> &[VolumeId] {
-        &self.classes[0].volumes
-    }
-
-    pub fn storage_class_count(&self) -> usize {
-        self.classes.len()
-    }
-
-    fn alloc_ino(&mut self) -> Ino {
-        let ino = Ino(self.next_ino);
-        self.next_ino += 1;
-        ino
+    /// The child table of directory `dir`; `None` when `dir` is a file or
+    /// gone.
+    fn children_mut(&mut self, dir: Ino) -> Option<&mut HashMap<String, Ino>> {
+        match &mut self.nodes.get_mut(&dir)?.kind {
+            NodeKind::Dir { children } => Some(children),
+            NodeKind::File { .. } => None,
+        }
     }
 
     fn components(path: &str) -> Result<Vec<&str>, FsError> {
@@ -181,13 +176,8 @@ impl FileSystem {
 
     fn split_parent(path: &str) -> Result<(String, String), FsError> {
         let comps = Self::components(path)?;
-        let name = comps.last().ok_or_else(|| FsError::InvalidPath(path.into()))?.to_string();
-        let parent = if comps.len() == 1 {
-            "/".to_string()
-        } else {
-            format!("/{}", comps[..comps.len() - 1].join("/"))
-        };
-        Ok((parent, name))
+        let (name, dirs) = comps.split_last().ok_or_else(|| FsError::InvalidPath(path.into()))?;
+        Ok((format!("/{}", dirs.join("/")), name.to_string()))
     }
 
     fn create_node(&mut self, path: &str, kind: NodeKind, policy: Option<FilePolicy>) -> Result<Ino, FsError> {
@@ -195,25 +185,16 @@ impl FileSystem {
         let parent = self.lookup(&parent_path)?;
         // Children inherit the parent directory's policy unless overridden.
         let inherited = self.nodes[&parent].policy.clone();
-        {
-            let pnode = self.nodes.get_mut(&parent).expect("parent exists");
-            match &mut pnode.kind {
-                NodeKind::Dir { children } => {
-                    if children.contains_key(&name) {
-                        return Err(FsError::AlreadyExists(path.into()));
-                    }
-                }
-                NodeKind::File { .. } => return Err(FsError::NotADirectory(parent_path)),
+        let ino = Ino(self.next_ino);
+        match self.children_mut(parent) {
+            None => return Err(FsError::NotADirectory(parent_path)),
+            Some(children) if children.contains_key(&name) => {
+                return Err(FsError::AlreadyExists(path.into()))
             }
-        }
-        let ino = self.alloc_ino();
+            Some(children) => children.insert(name, ino),
+        };
+        self.next_ino += 1;
         self.nodes.insert(ino, Node { kind, policy: policy.unwrap_or(inherited), parent });
-        match &mut self.nodes.get_mut(&parent).expect("parent exists").kind {
-            NodeKind::Dir { children } => {
-                children.insert(name, ino);
-            }
-            _ => unreachable!(),
-        }
         Ok(ino)
     }
 
@@ -244,7 +225,7 @@ impl FileSystem {
     /// be changed at any time" (§7.2).
     pub fn set_policy(&mut self, path: &str, policy: FilePolicy) -> Result<(), FsError> {
         let ino = self.lookup(path)?;
-        self.nodes.get_mut(&ino).expect("looked up").policy = policy;
+        self.nodes.get_mut(&ino).ok_or_else(|| FsError::NotFound(path.into()))?.policy = policy;
         Ok(())
     }
 
@@ -348,10 +329,10 @@ impl FileSystem {
         }
         let parent = self.nodes[&ino].parent;
         let (_, name) = Self::split_parent(path)?;
-        if let NodeKind::Dir { children } = &mut self.nodes.get_mut(&parent).expect("parent").kind {
+        if let Some(children) = self.children_mut(parent) {
             children.remove(&name);
         }
-        let node = self.nodes.remove(&ino).expect("exists");
+        let node = self.nodes.remove(&ino).ok_or_else(|| FsError::NotFound(path.into()))?;
         Ok(match node.kind {
             NodeKind::File { extents, .. } => extents.into_values().collect(),
             NodeKind::Dir { .. } => vec![],
@@ -371,19 +352,14 @@ impl FileSystem {
         }
         let (_, from_name) = Self::split_parent(from)?;
         let from_parent = self.nodes[&ino].parent;
-        if let NodeKind::Dir { children } = &mut self.nodes.get_mut(&from_parent).expect("parent").kind {
+        if let Some(children) = self.children_mut(from_parent) {
             children.remove(&from_name);
         }
-        if let NodeKind::Dir { children } = &mut self.nodes.get_mut(&to_parent).expect("parent").kind {
+        if let Some(children) = self.children_mut(to_parent) {
             children.insert(to_name, ino);
         }
-        self.nodes.get_mut(&ino).expect("exists").parent = to_parent;
+        self.nodes.get_mut(&ino).ok_or_else(|| FsError::NotFound(from.into()))?.parent = to_parent;
         Ok(())
-    }
-
-    /// Number of live inodes (including the root).
-    pub fn inode_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Current size of a file by inode; `None` for directories or unknown

@@ -118,25 +118,6 @@ pub fn decode(mut frame: Bytes) -> Result<BlockCmd, DecodeError> {
     }
 }
 
-impl BlockCmd {
-    /// Payload bytes moved by this command (0 for control commands).
-    pub fn payload_bytes(&self) -> u64 {
-        match self {
-            BlockCmd::Read { sectors, .. } | BlockCmd::Write { sectors, .. } => *sectors as u64 * SECTOR,
-            _ => 0,
-        }
-    }
-
-    pub fn byte_offset(&self) -> Option<u64> {
-        match self {
-            BlockCmd::Read { lba, .. } | BlockCmd::Write { lba, .. } | BlockCmd::Unmap { lba, .. } => {
-                Some(lba * SECTOR)
-            }
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,15 +134,6 @@ mod tests {
         for cmd in cmds {
             assert_eq!(decode(encode(&cmd)).unwrap(), cmd);
         }
-    }
-
-    #[test]
-    fn payload_math() {
-        let r = BlockCmd::Read { lun: 0, lba: 100, sectors: 8 };
-        assert_eq!(r.payload_bytes(), 4096);
-        assert_eq!(r.byte_offset(), Some(51200));
-        assert_eq!(BlockCmd::Inquiry.payload_bytes(), 0);
-        assert_eq!(BlockCmd::ReportLuns.byte_offset(), None);
     }
 
     #[test]

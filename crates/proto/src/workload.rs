@@ -44,10 +44,6 @@ pub struct Workload {
 }
 
 impl Workload {
-    pub fn sequential(extent: u64, io_bytes: u64, seed: u64) -> Workload {
-        Workload::new(Pattern::Sequential { start: 0 }, extent, io_bytes, 0.0, SimDuration::ZERO, seed)
-    }
-
     pub fn random(extent: u64, io_bytes: u64, write_fraction: f64, seed: u64) -> Workload {
         Workload::new(Pattern::Random, extent, io_bytes, write_fraction, SimDuration::ZERO, seed)
     }
@@ -80,12 +76,6 @@ impl Workload {
             _ => 0,
         };
         Workload { pattern, extent, io_bytes, write_fraction, mean_think, rng: Rng::new(seed), cursor }
-    }
-
-    /// Open-loop arrivals with exponential think time.
-    pub fn with_think(mut self, mean: SimDuration) -> Workload {
-        self.mean_think = mean;
-        self
     }
 
     /// Generate the next op.
@@ -121,7 +111,7 @@ mod tests {
 
     #[test]
     fn sequential_walks_contiguously_and_wraps() {
-        let mut w = Workload::sequential(4 * 4096, 4096, 1);
+        let mut w = Workload::new(Pattern::Sequential { start: 0 }, 4 * 4096, 4096, 0.0, SimDuration::ZERO, 1);
         let ops = w.take(6);
         let offsets: Vec<u64> = ops.iter().map(|o| o.offset).collect();
         assert_eq!(offsets, vec![0, 4096, 8192, 12288, 0, 4096]);
@@ -165,7 +155,7 @@ mod tests {
 
     #[test]
     fn think_time_has_requested_mean() {
-        let mut w = Workload::random(1 << 20, 4096, 0.0, 17).with_think(SimDuration::from_millis(10));
+        let mut w = Workload::new(Pattern::Random, 1 << 20, 4096, 0.0, SimDuration::from_millis(10), 17);
         let ops = w.take(50_000);
         let mean_ns: f64 = ops.iter().map(|o| o.think.nanos() as f64).sum::<f64>() / ops.len() as f64;
         assert!((mean_ns / 1e7 - 1.0).abs() < 0.05, "mean think {mean_ns} ns");

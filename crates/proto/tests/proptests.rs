@@ -3,7 +3,8 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ys_proto::{block, file, plan_stream, stream, BlockCmd, FileOp, StreamProtocol, StreamRequest, Workload};
+use ys_proto::{block, file, plan_stream, stream, BlockCmd, FileOp, Pattern, StreamProtocol, StreamRequest, Workload};
+use ys_simcore::time::SimDuration;
 
 fn arb_block_cmd() -> impl Strategy<Value = BlockCmd> {
     prop_oneof![
@@ -101,7 +102,7 @@ proptest! {
         let extent = 1u64 << 26;
         let io = 4096u64;
         for mut wl in [
-            Workload::sequential(extent, io, seed),
+            Workload::new(Pattern::Sequential { start: 0 }, extent, io, 0.0, SimDuration::ZERO, seed),
             Workload::random(extent, io, wf, seed),
             Workload::zipf(extent, io, theta, wf, seed),
         ] {

@@ -145,10 +145,6 @@ impl AdmissionController {
         self.pressure = p;
     }
 
-    pub fn pressure(&self) -> Pressure {
-        self.pressure
-    }
-
     /// True while either backpressure signal is asserted.
     pub fn under_pressure(&self) -> bool {
         self.pressure.rebuild_active || self.pressure.dirty_ratio > self.cfg.dirty_shed_ratio
@@ -249,12 +245,6 @@ impl AdmissionController {
         self.state_mut(tenant).map(|t| t.inflight(now)).unwrap_or(0)
     }
 
-    /// Per-tenant SLO snapshot (p99 vs budget, achieved vs floor).
-    pub fn slo_status(&self, tenant: u32) -> Option<SloStatus> {
-        let st = self.state(tenant)?;
-        Some(SloStatus::evaluate(&st.spec, &st.latency, &st.meter, st.stats))
-    }
-
     /// SLO snapshots for every configured tenant, in id order.
     pub fn slo_report(&self) -> Vec<SloStatus> {
         self.tenants
@@ -295,19 +285,14 @@ mod tests {
     use super::*;
 
     fn cfg() -> QosConfig {
-        QosConfig::new()
-            .with_max_delay(SimDuration::from_millis(10))
-            .with_dirty_shed_ratio(0.5)
-            .with_pressure_delay(SimDuration::from_millis(1))
-            .with_tenant(
-                TenantSpec::new(1, "prem", QosClass::Premium).inflight_cap(2),
-            )
-            .with_tenant(
-                TenantSpec::new(2, "std", QosClass::Standard)
-                    .rate_mb_per_sec(1)
-                    .burst_bytes(64 * 1024),
-            )
-            .with_tenant(TenantSpec::new(3, "scav", QosClass::Scavenger))
+        QosConfig {
+            dirty_shed_ratio: 0.5,
+            pressure_delay: SimDuration::from_millis(1),
+            ..QosConfig::new().with_max_delay(SimDuration::from_millis(10))
+        }
+        .with_tenant(TenantSpec::new(1, "prem", QosClass::Premium).inflight_cap(2))
+        .with_tenant(TenantSpec::new(2, "std", QosClass::Standard).rate_mb_per_sec(1).burst_bytes(64 * 1024))
+        .with_tenant(TenantSpec::new(3, "scav", QosClass::Scavenger))
     }
 
     #[test]
@@ -391,11 +376,11 @@ mod tests {
                 ac.complete(1, now, start + SimDuration::from_micros(200), 64 * 1024);
             }
         }
-        let slo = ac.slo_status(1).unwrap();
+        let report = ac.slo_report();
+        let slo = &report[0];
         assert_eq!(slo.ops, 10);
         assert!(slo.p99 >= SimDuration::from_micros(100), "log-bucketed p99 {:?}", slo.p99);
         assert!(slo.latency_met, "no budget configured means met");
-        let report = ac.slo_report();
         assert_eq!(report.len(), 3);
         assert_eq!(report[0].tenant, 1);
     }

@@ -46,7 +46,7 @@ impl TokenBucket {
     }
 
     /// Advance the refill clock to `now`. Idempotent; ignores rewinds.
-    pub fn refill(&mut self, now: SimTime) {
+    fn refill(&mut self, now: SimTime) {
         if now <= self.last || self.rate_bytes_per_sec == 0 {
             self.last = self.last.max(now);
             return;

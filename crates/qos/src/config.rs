@@ -22,15 +22,6 @@ pub enum QosClass {
 }
 
 impl QosClass {
-    /// Class factor of a tenant's fair-share weight.
-    pub fn base_weight(self) -> u64 {
-        match self {
-            QosClass::Premium => 8,
-            QosClass::Standard => 4,
-            QosClass::Scavenger => 1,
-        }
-    }
-
     /// Stable wire id for charge-back records (0 = unclassified).
     pub fn id(self) -> u8 {
         match self {
@@ -124,11 +115,6 @@ impl TenantSpec {
         self.floor_mb_per_sec = mb;
         self
     }
-
-    /// Fair-share weight: class base weight × tenant weight.
-    pub fn effective_weight(&self) -> u64 {
-        self.class.base_weight() * self.weight
-    }
 }
 
 /// Cluster-wide QoS policy: the tenant table plus backpressure knobs.
@@ -174,24 +160,8 @@ impl QosConfig {
         self
     }
 
-    pub fn with_dirty_shed_ratio(mut self, r: f64) -> QosConfig {
-        self.dirty_shed_ratio = r.clamp(0.0, 1.0);
-        self
-    }
-
-    pub fn with_pressure_delay(mut self, d: SimDuration) -> QosConfig {
-        self.pressure_delay = d;
-        self
-    }
-
     pub fn tenant(&self, id: u32) -> Option<&TenantSpec> {
         self.tenants.iter().find(|t| t.id == id)
-    }
-
-    /// Per-tenant fair-share weight (class × tenant) for
-    /// `ys_simnet::FairPort`, 1 for unknowns.
-    pub fn effective_weight(&self, id: u32) -> u64 {
-        self.tenant(id).map(TenantSpec::effective_weight).unwrap_or(1)
     }
 
     /// Charge-back class id for a tenant (0 = unclassified).
@@ -229,8 +199,6 @@ mod tests {
         assert_eq!(cfg.tenants.len(), 2);
         assert_eq!(cfg.tenants[0].id, 3);
         assert_eq!(cfg.tenant(7).map(|t| t.class), Some(QosClass::Scavenger));
-        assert_eq!(cfg.effective_weight(3), 8 * 2);
-        assert_eq!(cfg.effective_weight(99), 1);
         assert_eq!(cfg.class_id(7), QosClass::Scavenger.id());
         assert_eq!(cfg.class_id(99), 0);
     }

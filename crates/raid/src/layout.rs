@@ -28,7 +28,7 @@ impl RaidLevel {
         }
     }
 
-    pub fn min_members(self) -> usize {
+    fn min_members(self) -> usize {
         match self {
             RaidLevel::Raid0 => 1,
             RaidLevel::Raid1 { copies } => copies,
@@ -80,7 +80,7 @@ impl Geometry {
     }
 
     /// Parity chunks per stripe row.
-    pub fn parity_chunks(&self) -> usize {
+    fn parity_chunks(&self) -> usize {
         match self.level {
             RaidLevel::Raid0 | RaidLevel::Raid1 { .. } => 0,
             RaidLevel::Raid5 => 1,
@@ -106,16 +106,11 @@ impl Geometry {
         }
     }
 
-    /// Members holding parity for stripe row `stripe` (left-symmetric
-    /// rotation: parity walks backwards one member per row).
-    pub fn parity_members(&self, stripe: u64) -> Vec<usize> {
-        let (pq, n) = self.parity_pq(stripe);
-        pq[..n].to_vec()
-    }
-
-    /// [`Self::parity_members`] without the allocation: `[P, Q]` and how
-    /// many of them the level has (Q follows P, wrapping to member 0).
-    pub(crate) fn parity_pq(&self, stripe: u64) -> ([usize; 2], usize) {
+    /// Members holding parity for stripe row `stripe`, without allocating:
+    /// `[P, Q]` and how many of them the level has. Left-symmetric
+    /// rotation: P walks backwards one member per row, and Q follows P,
+    /// wrapping to member 0.
+    pub fn parity_pq(&self, stripe: u64) -> ([usize; 2], usize) {
         let m = self.members as u64;
         let p = (m - 1 - (stripe % m)) as usize;
         ([p, (p + 1) % self.members], self.parity_chunks())
@@ -218,11 +213,8 @@ mod tests {
     #[test]
     fn raid5_parity_rotates_left_symmetric() {
         let g = Geometry::new(RaidLevel::Raid5, 4, 64 * 1024);
-        assert_eq!(g.parity_members(0), vec![3]);
-        assert_eq!(g.parity_members(1), vec![2]);
-        assert_eq!(g.parity_members(2), vec![1]);
-        assert_eq!(g.parity_members(3), vec![0]);
-        assert_eq!(g.parity_members(4), vec![3]);
+        let p = |row| g.parity_pq(row).0[0];
+        assert_eq!([p(0), p(1), p(2), p(3), p(4)], [3, 2, 1, 0, 3]);
     }
 
     #[test]
@@ -238,8 +230,8 @@ mod tests {
     fn raid6_has_two_rotating_parities() {
         let g = Geometry::new(RaidLevel::Raid6, 6, 64 * 1024);
         for row in 0..12 {
-            let pq = g.parity_members(row);
-            assert_eq!(pq.len(), 2);
+            let (pq, n) = g.parity_pq(row);
+            assert_eq!(n, 2);
             assert_ne!(pq[0], pq[1]);
             // Data members + parity members cover a subset of 0..6 with no overlap.
             for c in 0..g.data_chunks() {
@@ -254,7 +246,7 @@ mod tests {
         let g = Geometry::new(RaidLevel::Raid5, 5, 4096);
         let mut counts = vec![0u32; 5];
         for row in 0..100 {
-            counts[g.parity_members(row)[0]] += 1;
+            counts[g.parity_pq(row).0[0]] += 1;
         }
         assert!(counts.iter().all(|&c| c == 20), "{counts:?}");
     }

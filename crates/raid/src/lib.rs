@@ -24,4 +24,4 @@ pub mod rebuild;
 
 pub use layout::{Geometry, Placement, RaidLevel};
 pub use plan::{read_plan, read_plan_into, repair_plan, write_plan, write_plan_into, DataLoss, IoPlan, MemberIo};
-pub use rebuild::{rebuild_batch_plan, rebuild_row_plan, RebuildCoordinator, RowBatch};
+pub use rebuild::{rebuild_batch_plan, RebuildCoordinator, RowBatch};

@@ -33,6 +33,7 @@ pub fn compute_q(chunks: &[&[u8]]) -> Vec<u8> {
 ///
 /// `present` holds every data chunk except index `missing`, in data order
 /// (with the missing one skipped).
+// lint: allow(dead-pub) — (a) GF(256) reference the parity tests check compute_p/compute_q against
 pub fn recover_one_with_p(present: &[&[u8]], p: &[u8]) -> Vec<u8> {
     let mut out = p.to_vec();
     for c in present {
@@ -45,6 +46,7 @@ pub fn recover_one_with_p(present: &[&[u8]], p: &[u8]) -> Vec<u8> {
 
 /// Recover a single missing data chunk (at data index `missing`) from the
 /// surviving data and Q.
+// lint: allow(dead-pub) — (a) GF(256) reference the parity tests check compute_p/compute_q against
 pub fn recover_one_with_q(present: &[(usize, &[u8])], missing: usize, q: &[u8]) -> Vec<u8> {
     // Q = Σ g^i D_i  ⇒  D_m = (Q ⊕ Σ_{i≠m} g^i D_i) / g^m
     let mut acc = q.to_vec();
@@ -61,6 +63,7 @@ pub fn recover_one_with_q(present: &[(usize, &[u8])], missing: usize, q: &[u8]) 
 
 /// Recover two missing data chunks (data indices `x < y`) from surviving
 /// data plus both P and Q.
+// lint: allow(dead-pub) — (a) GF(256) reference the parity tests check compute_p/compute_q against
 pub fn recover_two_data(
     present: &[(usize, &[u8])],
     x: usize,
@@ -97,6 +100,7 @@ pub fn recover_two_data(
 }
 
 /// Incremental parity update for a small write: `P' = P ⊕ old ⊕ new`.
+// lint: allow(dead-pub) — (a) GF(256) reference the parity tests check compute_p/compute_q against
 pub fn update_p(p: &mut [u8], old: &[u8], new: &[u8]) {
     for ((pi, &o), &n) in p.iter_mut().zip(old).zip(new) {
         *pi ^= o ^ n;
@@ -104,6 +108,7 @@ pub fn update_p(p: &mut [u8], old: &[u8], new: &[u8]) {
 }
 
 /// Incremental Q update: `Q' = Q ⊕ g^i·(old ⊕ new)`.
+// lint: allow(dead-pub) — (a) GF(256) reference the parity tests check compute_p/compute_q against
 pub fn update_q(q: &mut [u8], data_index: usize, old: &[u8], new: &[u8]) {
     let delta: Vec<u8> = old.iter().zip(new).map(|(&o, &n)| o ^ n).collect();
     gf256::mul_acc(q, &delta, gf256::exp2(data_index));

@@ -25,18 +25,6 @@ pub struct IoPlan {
 }
 
 impl IoPlan {
-    pub fn total_read_bytes(&self) -> u64 {
-        self.reads.iter().map(|io| io.bytes).sum()
-    }
-
-    pub fn total_write_bytes(&self) -> u64 {
-        self.writes.iter().map(|io| io.bytes).sum()
-    }
-
-    pub fn touches_member(&self, m: usize) -> bool {
-        self.reads.iter().chain(&self.writes).any(|io| io.member == m)
-    }
-
     /// Empty both lists, keeping their capacity.
     fn clear(&mut self) {
         self.reads.clear();
@@ -304,13 +292,17 @@ mod tests {
         vec![false; n]
     }
 
+    fn total_bytes(ios: &[MemberIo]) -> u64 {
+        ios.iter().map(|io| io.bytes).sum()
+    }
+
     #[test]
     fn raid0_read_is_one_io_per_piece() {
         let g = Geometry::new(RaidLevel::Raid0, 4, CHUNK);
         let plan = read_plan(&g, 0, 3 * CHUNK, &no_failures(4)).unwrap();
         assert_eq!(plan.reads.len(), 3);
         assert!(plan.writes.is_empty());
-        assert_eq!(plan.total_read_bytes(), 3 * CHUNK);
+        assert_eq!(total_bytes(&plan.reads), 3 * CHUNK);
     }
 
     #[test]
@@ -337,7 +329,7 @@ mod tests {
         // read old data + old parity, write new data + new parity
         assert_eq!(plan.reads.len(), 2);
         assert_eq!(plan.writes.len(), 2);
-        assert_eq!(plan.total_write_bytes(), 2 * 4096);
+        assert_eq!(total_bytes(&plan.writes), 2 * 4096);
     }
 
     #[test]
@@ -356,8 +348,8 @@ mod tests {
         failed[target.member] = true;
         let plan = read_plan(&g, 0, 4096, &failed).unwrap();
         assert_eq!(plan.reads.len(), 3, "reads the 3 surviving members");
-        assert!(!plan.touches_member(target.member));
-        assert_eq!(plan.total_read_bytes(), 3 * CHUNK);
+        assert!(plan.reads.iter().chain(&plan.writes).all(|io| io.member != target.member));
+        assert_eq!(total_bytes(&plan.reads), 3 * CHUNK);
     }
 
     #[test]

@@ -21,10 +21,12 @@ const LEVELS: [RaidLevel; 4] = [RaidLevel::Raid0, RaidLevel::Raid1 { copies: 2 }
 fn data_member_matches_the_skip_the_parity_walk() {
     // RAID1's data member is its mirror set's primary, not a parity skip.
     for level in [RaidLevel::Raid0, RaidLevel::Raid5, RaidLevel::Raid6] {
-        for members in level.min_members().max(3)..=16 {
+        let fewest = if level == RaidLevel::Raid6 { 4 } else { 3 };
+        for members in fewest..=16 {
             let g = Geometry::new(level, members, 4096);
             for stripe in 0..4 * members as u64 {
-                let parity = g.parity_members(stripe);
+                let (pq, n) = g.parity_pq(stripe);
+                let parity = &pq[..n];
                 let walk: Vec<usize> = (0..members).filter(|m| !parity.contains(m)).collect();
                 assert_eq!(walk.len(), g.data_chunks());
                 for (chunk, &member) in walk.iter().enumerate() {
@@ -116,7 +118,8 @@ proptest! {
             let p = g.locate(logical);
             prop_assert!(p.member < members);
             prop_assert!(seen.insert((p.member, p.offset)) || addrs.iter().filter(|&&x| x == a).count() > 1);
-            prop_assert!(!g.parity_members(p.stripe).contains(&p.member));
+            let (pq, n) = g.parity_pq(p.stripe);
+            prop_assert!(!pq[..n].contains(&p.member));
         }
     }
 

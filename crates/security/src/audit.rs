@@ -46,11 +46,6 @@ impl AuditLog {
             _ => None,
         })
     }
-
-    /// Entries within a time window, for incident review.
-    pub fn window(&self, from: SimTime, to: SimTime) -> Vec<&(SimTime, AuditEvent)> {
-        self.entries.iter().filter(|(t, _)| *t >= from && *t <= to).collect()
-    }
 }
 
 #[cfg(test)]
@@ -73,14 +68,5 @@ mod tests {
         log.record(SimTime(3), AuditEvent::LoginFailed { principal: 2 });
         assert_eq!(log.len(), 3);
         assert_eq!(log.violations().count(), 1);
-    }
-
-    #[test]
-    fn window_selects_by_time() {
-        let mut log = AuditLog::new();
-        for t in 0..10u64 {
-            log.record(SimTime(t), AuditEvent::LoginOk { principal: t as u32 });
-        }
-        assert_eq!(log.window(SimTime(3), SimTime(6)).len(), 4);
     }
 }

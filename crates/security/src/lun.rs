@@ -132,10 +132,6 @@ impl LunMask {
         self.inband_disabled.insert((port, command));
     }
 
-    pub fn enable_inband(&mut self, port: usize, command: ControlCommand) {
-        self.inband_disabled.remove(&(port, command));
-    }
-
     /// Check an in-band control command. Management-zone ports are always
     /// allowed (out-of-band path).
     pub fn check_inband(&self, port: usize, command: ControlCommand) -> Result<(), SecurityViolation> {
@@ -217,8 +213,5 @@ mod tests {
         assert!(m.check_inband(0, ControlCommand::DeleteVolume).is_err());
         // Out-of-band management port always allowed.
         assert!(m.check_inband(9, ControlCommand::DeleteVolume).is_ok());
-        // Re-enable restores.
-        m.enable_inband(0, ControlCommand::DeleteVolume);
-        assert!(m.check_inband(0, ControlCommand::DeleteVolume).is_ok());
     }
 }

@@ -6,13 +6,9 @@
 //! Determinism is the property every experiment in EXPERIMENTS.md leans on —
 //! `(config, seed)` fully determines a run.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Opaque handle to a scheduled event, used for cancellation.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventId(pub(crate) u64);
 
 #[derive(PartialEq, Eq)]
 struct Entry<E> {
@@ -42,10 +38,10 @@ impl<E: Eq> PartialOrd for Entry<E> {
 /// engine.schedule_at(SimTime(100), "second");
 /// engine.schedule_at(SimTime(50), "first");
 /// let mut seen = Vec::new();
-/// engine.run(|eng, _t, ev| {
+/// engine.run(|eng, t, ev| {
 ///     seen.push(ev);
 ///     if ev == "first" {
-///         eng.schedule_in(SimDuration::from_nanos(200), "third");
+///         eng.schedule_at(t + SimDuration::from_nanos(200), "third");
 ///     }
 ///     Control::Continue
 /// });
@@ -56,12 +52,6 @@ pub struct Engine<E> {
     now: SimTime,
     seq: u64,
     heap: BinaryHeap<Reverse<Entry<E>>>,
-    /// Cancelled-but-not-yet-popped seqs. Almost always empty: nothing on
-    /// the simulation data path cancels events, so the schedule/pop hot
-    /// path performs zero set operations and pays for tombstones only
-    /// while at least one cancellation is actually outstanding.
-    cancelled: std::collections::BTreeSet<u64>,
-    dispatched: u64,
 }
 
 impl<E: Eq> Default for Engine<E> {
@@ -82,8 +72,6 @@ impl<E: Eq> Engine<E> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::with_capacity(capacity),
-            cancelled: std::collections::BTreeSet::new(),
-            dispatched: 0,
         }
     }
 
@@ -93,83 +81,32 @@ impl<E: Eq> Engine<E> {
         self.now
     }
 
-    /// Number of events dispatched so far.
-    pub fn dispatched(&self) -> u64 {
-        self.dispatched
-    }
-
-    /// Number of events still pending (upper bound: includes cancelled
-    /// entries not yet popped).
+    /// Number of events still pending.
     pub fn pending(&self) -> usize {
         self.heap.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.len() == self.cancelled.len()
+        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
     ///
     /// `at` may not precede the engine's current time: the simulation cannot
     /// rewrite its past.
-    pub fn schedule_at(&mut self, at: SimTime, payload: E) -> EventId {
+    pub fn schedule_at(&mut self, at: SimTime, payload: E) {
         assert!(at >= self.now, "cannot schedule into the past ({at:?} < {:?})", self.now);
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Entry { time: at, seq, payload }));
-        EventId(seq)
     }
 
-    /// Schedule `payload` to fire `delay` after the current time.
-    pub fn schedule_in(&mut self, delay: SimDuration, payload: E) -> EventId {
-        self.schedule_at(self.now + delay, payload)
-    }
-
-    /// Cancel a previously scheduled event. Returns `true` iff the event
-    /// was still pending (an already-dispatched or already-cancelled event
-    /// cannot be cancelled). Cancellation is lazy: the heap entry is
-    /// skipped at pop time via a tombstone.
-    ///
-    /// Pending-ness is established by scanning the heap (O(n)): cancels
-    /// are administrative and rare, so the cost lives here instead of as
-    /// per-event set maintenance on the schedule/pop hot path.
-    pub fn cancel(&mut self, id: EventId) -> bool {
-        if id.0 >= self.seq || self.cancelled.contains(&id.0) {
-            return false;
-        }
-        if !self.heap.iter().any(|Reverse(e)| e.seq == id.0) {
-            return false;
-        }
-        self.cancelled.insert(id.0);
-        true
-    }
-
-    /// Pop the next live event, advancing `now` to its timestamp.
+    /// Pop the next event, advancing `now` to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&entry.seq) {
-                continue;
-            }
-            debug_assert!(entry.time >= self.now, "event queue time went backwards");
-            self.now = entry.time;
-            self.dispatched += 1;
-            return Some((entry.time, entry.payload));
-        }
-        None
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            if !self.cancelled.is_empty() && self.cancelled.contains(&entry.seq) {
-                let seq = entry.seq;
-                self.heap.pop();
-                self.cancelled.remove(&seq);
-                continue;
-            }
-            return Some(entry.time);
-        }
-        None
+        let Reverse(entry) = self.heap.pop()?;
+        debug_assert!(entry.time >= self.now, "event queue time went backwards");
+        self.now = entry.time;
+        Some((entry.time, entry.payload))
     }
 
     /// Drive the simulation to completion (or until `handler` returns
@@ -183,23 +120,6 @@ impl<E: Eq> Engine<E> {
             if handler(self, t, ev) == Control::Stop {
                 break;
             }
-        }
-    }
-
-    /// Like [`Engine::run`] but stops once simulated time exceeds `deadline`
-    /// (the event at the deadline itself still fires).
-    pub fn run_until<F>(&mut self, deadline: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E) -> Control,
-    {
-        while self.peek_time().is_some_and(|t| t <= deadline) {
-            let Some((t, ev)) = self.pop() else { break };
-            if handler(self, t, ev) == Control::Stop {
-                break;
-            }
-        }
-        if self.now < deadline {
-            self.now = deadline;
         }
     }
 }
@@ -238,62 +158,14 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative_to_now() {
-        let mut e: Engine<&'static str> = Engine::new();
-        e.schedule_at(SimTime(100), "first");
-        e.pop();
-        e.schedule_in(SimDuration::from_nanos(50), "second");
-        let (t, v) = e.pop().unwrap();
-        assert_eq!((t, v), (SimTime(150), "second"));
-    }
-
-    #[test]
-    fn cancellation_skips_events() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(SimTime(10), 1);
-        e.schedule_at(SimTime(20), 2);
-        assert!(e.cancel(a));
-        assert!(!e.cancel(a), "double-cancel reports false");
-        let (_, v) = e.pop().unwrap();
-        assert_eq!(v, 2);
-        assert!(e.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_skips_cancelled() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(SimTime(10), 1);
-        e.schedule_at(SimTime(25), 2);
-        e.cancel(a);
-        assert_eq!(e.peek_time(), Some(SimTime(25)));
-    }
-
-    #[test]
-    fn run_until_respects_deadline_and_advances_clock() {
-        let mut e: Engine<u32> = Engine::new();
-        for i in 1..=10u64 {
-            e.schedule_at(SimTime(i * 10), i as u32);
-        }
-        let mut seen = vec![];
-        e.run_until(SimTime(55), |_, _, v| {
-            seen.push(v);
-            Control::Continue
-        });
-        assert_eq!(seen, vec![1, 2, 3, 4, 5]);
-        assert_eq!(e.now(), SimTime(55));
-        // remaining events still pending
-        assert_eq!(e.peek_time(), Some(SimTime(60)));
-    }
-
-    #[test]
     fn run_handler_can_schedule_followups() {
         let mut e: Engine<u32> = Engine::new();
         e.schedule_at(SimTime(1), 0);
         let mut count = 0u32;
-        e.run(|eng, _, v| {
+        e.run(|eng, t, v| {
             count += 1;
             if v < 9 {
-                eng.schedule_in(SimDuration::from_nanos(1), v + 1);
+                eng.schedule_at(t + SimDuration::from_nanos(1), v + 1);
             }
             Control::Continue
         });
@@ -324,30 +196,6 @@ mod tests {
         e.pop();
         e.schedule_at(SimTime(50), 2);
     }
-}
-
-#[cfg(test)]
-mod cancel_tests {
-    use super::*;
-
-    #[test]
-    fn cancelling_a_dispatched_event_fails_and_leaks_nothing() {
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(SimTime(10), 1);
-        e.schedule_at(SimTime(20), 2);
-        assert_eq!(e.pop().map(|(_, v)| v), Some(1));
-        // Event `a` already fired: cancel must refuse.
-        assert!(!e.cancel(a), "cannot cancel the past");
-        // The remaining event is unaffected.
-        assert_eq!(e.pop().map(|(_, v)| v), Some(2));
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn cancel_of_unknown_id_is_false() {
-        let mut e: Engine<u32> = Engine::new();
-        assert!(!e.cancel(EventId(99)));
-    }
 
     #[test]
     fn with_capacity_behaves_identically() {
@@ -361,25 +209,5 @@ mod cancel_tests {
             assert_eq!(Some(x), b.pop());
         }
         assert!(b.pop().is_none());
-    }
-
-    #[test]
-    fn cancel_still_valid_after_interleaved_pops() {
-        // The tombstone set is consulted only while non-empty; interleaving
-        // pops, cancels, and fresh schedules must not confuse it.
-        let mut e: Engine<u32> = Engine::new();
-        let a = e.schedule_at(SimTime(10), 1);
-        let b = e.schedule_at(SimTime(20), 2);
-        let c = e.schedule_at(SimTime(30), 3);
-        assert_eq!(e.pop().map(|(_, v)| v), Some(1));
-        assert!(!e.cancel(a), "already dispatched");
-        assert!(e.cancel(b), "still pending");
-        assert!(!e.cancel(b), "double cancel");
-        let d = e.schedule_at(SimTime(40), 4);
-        assert_eq!(e.pop().map(|(_, v)| v), Some(3));
-        assert!(e.cancel(d));
-        assert!(!e.cancel(c), "c was dispatched while b's tombstone was live");
-        assert!(e.pop().is_none());
-        assert!(e.is_empty());
     }
 }

@@ -8,8 +8,8 @@
 //! * [`engine`] — the [`Engine`] event queue with total (time, seq) ordering;
 //! * [`rng`] — seedable xoshiro256++ [`Rng`] plus the workload distributions
 //!   (uniform, exponential, log-normal, [`Zipf`] hot-spot skew);
-//! * [`stats`] — counters, latency histograms, rate meters, time-weighted
-//!   gauges, and the [`Series`] text tables benches print;
+//! * [`stats`] — counters, latency histograms, rate meters, and the
+//!   [`Series`] text tables benches print;
 //! * [`fault`] — deterministic failure-injection [`FaultPlan`]s;
 //! * [`trace`] — the [`SpanRecorder`] event spine replay and chaos testing
 //!   hang off.
@@ -25,9 +25,9 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Control, Engine, EventId};
+pub use engine::{Control, Engine};
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
-pub use stats::{Counter, LatencyHisto, RateMeter, Series, TimeWeighted};
+pub use stats::{Counter, LatencyHisto, RateMeter, Series};
 pub use time::{Bandwidth, SimDuration, SimTime};
 pub use trace::{SpanEvent, SpanRecorder};

@@ -29,13 +29,6 @@ impl Rng {
         Rng { s }
     }
 
-    /// Derive an independent child generator; used to give each simulated
-    /// component its own stream so adding a component never perturbs others.
-    pub fn fork(&mut self, label: u64) -> Rng {
-        let a = self.next_u64();
-        Rng::new(a ^ label.wrapping_mul(0xA24B_AED4_963E_E407))
-    }
-
     #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
@@ -99,18 +92,10 @@ impl Rng {
 
     /// Standard normal via Box–Muller (single value; we discard the pair's
     /// sibling for simplicity and statelessness).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = self.f64().max(f64::MIN_POSITIVE);
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 
     /// Pick a uniformly random element.
@@ -151,10 +136,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    pub fn support(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draw a rank in `0..n`; rank 0 is the hottest item.
     pub fn sample(&self, rng: &mut Rng) -> usize {
         let u = rng.f64();
@@ -181,20 +162,6 @@ mod tests {
         let mut b = Rng::new(2);
         let same = (0..100).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2);
-    }
-
-    #[test]
-    fn fork_streams_are_independent_of_sibling_count() {
-        // Component streams must not shift when other components are added
-        // AFTER them: fork order determines identity.
-        let mut root1 = Rng::new(7);
-        let mut c1 = root1.fork(0);
-        let mut root2 = Rng::new(7);
-        let mut c2 = root2.fork(0);
-        let _extra = root2.fork(1); // adding later siblings
-        for _ in 0..100 {
-            assert_eq!(c1.next_u64(), c2.next_u64());
-        }
     }
 
     #[test]
@@ -276,16 +243,5 @@ mod tests {
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[40]);
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = Rng::new(29);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "astronomically unlikely identity");
     }
 }

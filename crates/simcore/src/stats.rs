@@ -1,6 +1,6 @@
 //! Measurement instruments: counters, latency histograms, rate meters, and
-//! time-weighted gauges. Every experiment reports through these so that the
-//! bench harness and the tests read identical numbers.
+//! series tables. Every experiment reports through these so that the bench
+//! harness and the tests read identical numbers.
 
 use crate::time::{SimDuration, SimTime};
 
@@ -25,10 +25,6 @@ impl Counter {
     pub fn record(&mut self, bytes: u64) {
         self.count += 1;
         self.sum_bytes += bytes;
-    }
-
-    pub fn incr(&mut self) {
-        self.count += 1;
     }
 
     pub fn count(&self) -> u64 {
@@ -138,7 +134,7 @@ impl LatencyHisto {
 
     /// Quantile in `[0, 1]`; returns the lower bound of the containing
     /// bucket, so reported quantiles never overstate latency.
-    pub fn quantile(&self, q: f64) -> SimDuration {
+    fn quantile(&self, q: f64) -> SimDuration {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.count == 0 {
             return SimDuration::ZERO;
@@ -274,60 +270,6 @@ impl RateMeter {
     }
 }
 
-/// Tracks a level (queue depth, utilization) weighted by how long it held
-/// each value; yields the time-average.
-#[derive(Clone, Debug)]
-pub struct TimeWeighted {
-    level: f64,
-    last_change: SimTime,
-    weighted_sum: f64,
-    start: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    pub fn new(start: SimTime, initial: f64) -> TimeWeighted {
-        TimeWeighted {
-            level: initial,
-            last_change: start,
-            weighted_sum: 0.0,
-            start,
-            peak: initial,
-        }
-    }
-
-    pub fn set(&mut self, at: SimTime, level: f64) {
-        debug_assert!(at >= self.last_change);
-        self.weighted_sum += self.level * at.since(self.last_change).as_secs_f64();
-        self.level = level;
-        self.last_change = at;
-        self.peak = self.peak.max(level);
-    }
-
-    pub fn add(&mut self, at: SimTime, delta: f64) {
-        let next = self.level + delta;
-        self.set(at, next);
-    }
-
-    pub fn current(&self) -> f64 {
-        self.level
-    }
-
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// Time-average of the level over `[start, until]`.
-    pub fn average(&self, until: SimTime) -> f64 {
-        let total = until.since(self.start).as_secs_f64();
-        if total == 0.0 {
-            return self.level;
-        }
-        let pending = self.level * until.since(self.last_change).as_secs_f64();
-        (self.weighted_sum + pending) / total
-    }
-}
-
 /// A labelled series of (x, y) points — the exact shape every bench prints.
 #[derive(Clone, Debug, Default)]
 pub struct Series {
@@ -363,7 +305,7 @@ mod tests {
         let mut a = Counter::new();
         a.record(100);
         a.record(50);
-        a.incr();
+        a.record(0);
         let mut b = Counter::new();
         b.record(25);
         a.merge(&b);
@@ -441,7 +383,7 @@ mod tests {
         c.record(100);
         let snap = c.clone();
         c.record(50);
-        c.incr();
+        c.record(0);
         let d = c.diff(&snap);
         assert_eq!(d.count(), 2);
         assert_eq!(d.bytes(), 50);
@@ -494,17 +436,6 @@ mod tests {
         r.record(SimTime(1_000_000_000), 100_000_000);
         assert!((r.mb_per_sec() - 100.0).abs() < 1e-9);
         assert!((r.iops() - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn time_weighted_average() {
-        let mut g = TimeWeighted::new(SimTime(0), 0.0);
-        g.set(SimTime(1_000_000_000), 10.0); // level 0 for 1s
-        g.set(SimTime(3_000_000_000), 0.0); // level 10 for 2s
-        // average over 4s = (0*1 + 10*2 + 0*1)/4 = 5
-        let avg = g.average(SimTime(4_000_000_000));
-        assert!((avg - 5.0).abs() < 1e-9, "avg {avg}");
-        assert_eq!(g.peak(), 10.0);
     }
 
     #[test]

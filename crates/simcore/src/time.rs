@@ -219,10 +219,6 @@ pub struct Bandwidth {
 }
 
 impl Bandwidth {
-    pub const fn from_bits_per_sec(bps: u64) -> Bandwidth {
-        Bandwidth { bits_per_sec: bps }
-    }
-
     pub const fn from_gbit_per_sec(gbps: u64) -> Bandwidth {
         Bandwidth { bits_per_sec: gbps * 1_000_000_000 }
     }
@@ -233,14 +229,6 @@ impl Bandwidth {
 
     pub fn from_mbyte_per_sec(mbs: u64) -> Bandwidth {
         Bandwidth { bits_per_sec: mbs * 8_000_000 }
-    }
-
-    pub fn bits_per_sec(self) -> u64 {
-        self.bits_per_sec
-    }
-
-    pub fn bytes_per_sec(self) -> f64 {
-        self.bits_per_sec as f64 / 8.0
     }
 
     pub fn gbit_per_sec(self) -> f64 {
@@ -255,11 +243,6 @@ impl Bandwidth {
         assert!(self.bits_per_sec > 0, "zero bandwidth");
         let num = (bytes as u128) * 8 * 1_000_000_000;
         SimDuration(num.div_ceil(self.bits_per_sec as u128) as u64)
-    }
-
-    /// Bytes deliverable in `d` at this bandwidth (floor).
-    pub fn bytes_in(self, d: SimDuration) -> u64 {
-        ((d.0 as u128) * (self.bits_per_sec as u128) / (8 * 1_000_000_000)) as u64
     }
 }
 
@@ -329,15 +312,6 @@ mod tests {
         // 1 byte at 3 Gb/s = 8/3 ns -> rounds up to 3.
         let g3 = Bandwidth::from_gbit_per_sec(3);
         assert_eq!(g3.transfer_time(1).nanos(), 3);
-    }
-
-    #[test]
-    fn bytes_in_inverts_transfer_time() {
-        let bw = Bandwidth::from_gbit_per_sec(10);
-        let d = bw.transfer_time(123_456_789);
-        let back = bw.bytes_in(d);
-        assert!(back >= 123_456_789);
-        assert!(back - 123_456_789 < 16);
     }
 
     #[test]

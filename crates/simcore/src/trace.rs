@@ -69,21 +69,8 @@ impl SpanRecorder {
     /// Enable recording with a fixed ring capacity. `capacity == 0` leaves
     /// the recorder disabled (convenient for "trace capacity" knobs).
     pub fn enable(&mut self, capacity: usize) {
-        if capacity == 0 {
-            self.disable();
-            return;
-        }
-        self.enabled = true;
+        self.enabled = capacity > 0;
         self.capacity = capacity;
-    }
-
-    /// Stop recording; already-captured events are retained.
-    pub fn disable(&mut self) {
-        self.enabled = false;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Supply the simulated clock for subsequent [`SpanRecorder::instant`]
@@ -165,11 +152,6 @@ impl SpanRecorder {
         std::mem::take(&mut self.tripped)
     }
 
-    /// Crash points armed and not yet tripped.
-    pub fn crash_points_armed(&self) -> usize {
-        self.armed.len()
-    }
-
     /// Clear every armed (and any already-tripped) crash point — used when
     /// a fault harness gives up on an event (deadline) so a stale tripwire
     /// cannot fire into a later injection.
@@ -220,7 +202,6 @@ mod tests {
     #[test]
     fn span_recorder_disabled_is_noop_and_default() {
         let mut r = SpanRecorder::default();
-        assert!(!r.is_enabled());
         r.instant_at(SimTime(1), "cache", "miss", 0, 1, 2);
         r.span_at(SimTime(1), SimDuration::from_nanos(5), "simnet", "xfer", 0, 1, 2);
         assert!(r.is_empty());
@@ -245,16 +226,16 @@ mod tests {
         let mut r = SpanRecorder::disabled();
         r.arm_crash_point("destage", 2);
         r.arm_crash_point("promote", 1);
-        assert_eq!(r.crash_points_armed(), 2);
         r.instant_at(SimTime(1), "cache", "destage", 0, 1, 0);
         assert!(r.take_crash_trips().is_empty(), "first destage passes");
         r.instant_at(SimTime(2), "cache", "miss", 0, 2, 0);
         r.instant_at(SimTime(3), "cache", "destage", 0, 3, 0);
         assert_eq!(r.take_crash_trips(), vec!["destage"]);
-        assert_eq!(r.crash_points_armed(), 1, "promote still armed");
         r.instant_at(SimTime(4), "cache", "promote", 1, 4, 0);
-        assert_eq!(r.take_crash_trips(), vec!["promote"]);
-        assert_eq!(r.crash_points_armed(), 0);
+        assert_eq!(r.take_crash_trips(), vec!["promote"], "promote still armed");
+        r.instant_at(SimTime(5), "cache", "promote", 1, 5, 0);
+        r.instant_at(SimTime(6), "cache", "destage", 0, 6, 0);
+        assert!(r.take_crash_trips().is_empty(), "each point trips once");
         assert!(r.is_empty(), "disabled ring recorded nothing");
     }
 
@@ -275,7 +256,6 @@ mod tests {
     fn span_recorder_enable_zero_capacity_stays_disabled() {
         let mut r = SpanRecorder::disabled();
         r.enable(0);
-        assert!(!r.is_enabled());
         r.instant_at(SimTime(1), "cache", "miss", 0, 0, 0);
         assert!(r.is_empty());
     }
@@ -287,7 +267,7 @@ mod tests {
         r.instant_at(SimTime(1), "geo", "enqueue", 0, 1, 10);
         let drained = r.take();
         assert_eq!(drained.len(), 1);
-        assert!(r.is_empty() && r.is_enabled());
+        assert!(r.is_empty());
         r.instant_at(SimTime(2), "geo", "ship", 0, 1, 10);
         assert_eq!(r.len(), 1);
     }
@@ -309,6 +289,8 @@ mod tests {
         r.take_into(&mut buf);
         assert_eq!(buf.len(), 2, "drained events append after existing contents");
         assert_eq!(buf[1].name, "enqueue");
-        assert!(r.is_empty() && r.is_enabled());
+        assert!(r.is_empty());
+        r.instant_at(SimTime(2), "geo", "ship", 0, 1, 10);
+        assert_eq!(r.len(), 1);
     }
 }

@@ -36,17 +36,8 @@ impl DiskFarm {
         &self.spec
     }
 
-    /// Total raw capacity of healthy drives.
-    pub fn raw_capacity(&self) -> u64 {
-        self.disks.iter().filter(|d| !d.is_failed()).count() as u64 * self.spec.capacity_bytes
-    }
-
     pub fn disk(&self, id: DiskId) -> &Disk {
         &self.disks[id.0]
-    }
-
-    pub fn disk_mut(&mut self, id: DiskId) -> &mut Disk {
-        &mut self.disks[id.0]
     }
 
     pub fn submit(&mut self, id: DiskId, now: SimTime, op: DiskOp) -> Result<SimTime, DiskError> {
@@ -159,13 +150,11 @@ mod tests {
     #[test]
     fn capacity_excludes_failed_drives() {
         let mut f = farm(3);
-        let full = f.raw_capacity();
         f.fail(DiskId(1));
-        assert_eq!(f.raw_capacity(), full / 3 * 2);
         assert_eq!(f.failed_disks().collect::<Vec<_>>(), vec![DiskId(1)]);
         assert_eq!(f.healthy_disks().count(), 2);
         f.replace(DiskId(1));
-        assert_eq!(f.raw_capacity(), full);
+        assert_eq!(f.healthy_disks().count(), 3);
     }
 
     #[test]

@@ -65,7 +65,7 @@ impl DiskSpec {
 
     /// Seek time for a head movement spanning `distance` bytes of LBA space.
     /// The classic concave model: `min + (max - min) * sqrt(d / capacity)`.
-    pub fn seek_time(&self, distance: u64) -> SimDuration {
+    fn seek_time(&self, distance: u64) -> SimDuration {
         if distance == 0 {
             return SimDuration::ZERO;
         }
@@ -76,7 +76,7 @@ impl DiskSpec {
 
     /// Average rotational latency: half a revolution. Deterministic by
     /// design — experiments must not depend on hidden randomness.
-    pub fn avg_rotation(&self) -> SimDuration {
+    fn avg_rotation(&self) -> SimDuration {
         self.rotation / 2
     }
 }
@@ -105,7 +105,7 @@ impl DiskOp {
         self.offset() + self.bytes()
     }
 
-    pub fn is_write(&self) -> bool {
+    fn is_write(&self) -> bool {
         matches!(self, DiskOp::Write { .. })
     }
 }
@@ -232,11 +232,6 @@ impl Disk {
         self.content.remove(&(offset / CHECKSUM_PAGE_BYTES)).is_some()
     }
 
-    /// Number of pages holding data-plane bytes.
-    pub fn page_tag_count(&self) -> usize {
-        self.content.len()
-    }
-
     /// Inject a latent media error on the page containing `offset`. The
     /// rot is silent — nothing notices until a verified read or a scrub
     /// covers the page. Returns false (no-op) past the end of the medium.
@@ -298,7 +293,7 @@ impl Disk {
 
     /// Pure service-time estimate (no queueing) for `op` given the current
     /// head position.
-    pub fn service_time(&self, op: &DiskOp) -> SimDuration {
+    fn service_time(&self, op: &DiskOp) -> SimDuration {
         let positioning = if op.offset() == self.head {
             // Sequential continuation: no seek, no rotational loss.
             SimDuration::ZERO
@@ -527,13 +522,13 @@ mod tests {
         assert_eq!(d.read_page_tag(2 * CHECKSUM_PAGE_BYTES), Some(tag));
         assert_eq!(d.read_page_tag(3 * CHECKSUM_PAGE_BYTES - 1), Some(tag));
         assert_eq!(d.read_page_tag(0), None, "never-written page has no bytes");
-        assert_eq!(d.page_tag_count(), 1);
+        assert_eq!(d.content.len(), 1);
         // Failed drives serve nothing; fresh media is empty.
         d.fail();
         assert!(!d.write_page_tag(0, tag));
         assert_eq!(d.read_page_tag(2 * CHECKSUM_PAGE_BYTES), None);
         d.replace();
-        assert_eq!(d.page_tag_count(), 0);
+        assert_eq!(d.content.len(), 0);
         assert_eq!(d.read_page_tag(2 * CHECKSUM_PAGE_BYTES), None);
     }
 
@@ -547,7 +542,7 @@ mod tests {
         assert!(d.clear_page_tag(CHECKSUM_PAGE_BYTES + 512));
         assert_eq!(d.read_page_tag(CHECKSUM_PAGE_BYTES), None);
         assert_eq!(d.read_page_tag(2 * CHECKSUM_PAGE_BYTES), Some(tag));
-        assert_eq!(d.page_tag_count(), 1);
+        assert_eq!(d.content.len(), 1);
         // Empty pages, the void past the medium, and failed drives all
         // report nothing-to-discard.
         assert!(!d.clear_page_tag(CHECKSUM_PAGE_BYTES));
@@ -560,7 +555,7 @@ mod tests {
     fn page_tags_past_the_medium_are_a_noop() {
         let mut d = disk();
         assert!(!d.write_page_tag(d.spec.capacity_bytes + 1, [0u8; PAGE_TAG_BYTES]));
-        assert_eq!(d.page_tag_count(), 0);
+        assert_eq!(d.content.len(), 0);
     }
 
     #[test]

@@ -3,12 +3,10 @@
 //!
 //! | Technology | Rate | Where the paper uses it |
 //! |---|---|---|
-//! | Fibre Channel 1 Gb/s | 1 Gb/s | legacy disk-side fabric (§2.3) |
 //! | Fibre Channel 2 Gb/s | 2 Gb/s | blade disk/host ports (§2.3, §8) |
-//! | Gigabit Ethernet | 1 Gb/s | management / NAS access |
 //! | 10 Gigabit Ethernet | 10 Gb/s | the high-speed stream port (Fig. 1) |
-//! | PCI-X bus | 8.5 Gb/s | blades sharing the high-speed port (§2.3) |
-//! | OC-48 / OC-192 / OC-768 | 2.5 / 10 / 40 Gb/s | WAN backbones (§2) |
+//! | PCI-X 266 bus | 17 Gb/s | blades sharing the high-speed port (§2.3) |
+//! | OC-192 / OC-768 | 10 / 40 Gb/s | WAN backbones (§2) |
 
 use crate::link::LinkSpec;
 use ys_simcore::time::{Bandwidth, SimDuration};
@@ -20,32 +18,19 @@ const ETH_PER_MSG: SimDuration = SimDuration::from_nanos(1200);
 /// Intra-datacenter propagation: a few tens of metres of fibre + switch.
 const LOCAL_PROP: SimDuration = SimDuration::from_nanos(800);
 
-pub fn fibre_channel_1g() -> LinkSpec {
-    LinkSpec::new(Bandwidth::from_gbit_per_sec(1), LOCAL_PROP, FC_PER_MSG)
-}
-
 pub fn fibre_channel_2g() -> LinkSpec {
     LinkSpec::new(Bandwidth::from_gbit_per_sec(2), LOCAL_PROP, FC_PER_MSG)
-}
-
-pub fn gigabit_ethernet() -> LinkSpec {
-    LinkSpec::new(Bandwidth::from_gbit_per_sec(1), LOCAL_PROP, ETH_PER_MSG)
 }
 
 pub fn ten_gigabit_ethernet() -> LinkSpec {
     LinkSpec::new(Bandwidth::from_gbit_per_sec(10), LOCAL_PROP, ETH_PER_MSG)
 }
 
-/// PCI-X 133 MHz / 64-bit: 1064 MB/s ≈ 8.5 Gb/s. Shared bus — model as one
-/// Link contended by everything on the blade shelf (§2.3's "common PCI-X
-/// bus" feeding the 10 Gb/s port).
-pub fn pci_x_bus() -> LinkSpec {
-    LinkSpec::new(Bandwidth::from_mbit_per_sec(8512), SimDuration::from_nanos(120), SimDuration::from_nanos(250))
-}
-
-/// PCI-X 266 (DDR): ~17 Gb/s. A 10 GbE port cannot be driven through the
-/// 8.5 Gb/s PCI-X 133 variant, so the high-speed port card the paper
-/// sketches implies this faster bus.
+/// PCI-X 266 (DDR): ~17 Gb/s. Shared bus — model as one Link contended by
+/// everything on the blade shelf (§2.3's "common PCI-X bus" feeding the
+/// 10 Gb/s port). A 10 GbE port cannot be driven through the 8.5 Gb/s
+/// PCI-X 133 variant, so the high-speed port card the paper sketches
+/// implies this faster bus.
 pub fn pci_x_266_bus() -> LinkSpec {
     LinkSpec::new(Bandwidth::from_mbit_per_sec(17024), SimDuration::from_nanos(120), SimDuration::from_nanos(250))
 }
@@ -58,10 +43,6 @@ pub fn fibre_channel_2g_payload() -> LinkSpec {
     LinkSpec::new(Bandwidth::from_mbit_per_sec(1700), LOCAL_PROP, FC_PER_MSG)
 }
 
-pub fn oc48() -> LinkSpec {
-    LinkSpec::new(Bandwidth::from_mbit_per_sec(2488), SimDuration::ZERO, ETH_PER_MSG)
-}
-
 pub fn oc192() -> LinkSpec {
     LinkSpec::new(Bandwidth::from_mbit_per_sec(9953), SimDuration::ZERO, ETH_PER_MSG)
 }
@@ -71,7 +52,7 @@ pub fn oc768() -> LinkSpec {
 }
 
 /// Speed of light in fibre: ~5 microseconds per kilometre, one-way.
-pub fn wan_propagation(km: f64) -> SimDuration {
+fn wan_propagation(km: f64) -> SimDuration {
     SimDuration::from_secs_f64(km * 5e-6 / 1e0 * 1e-0 * 1e-0 * 1e-0)
 }
 
@@ -80,22 +61,16 @@ pub fn wan(trunk: LinkSpec, km: f64) -> LinkSpec {
     LinkSpec::new(trunk.bandwidth, trunk.propagation + wan_propagation(km), trunk.per_message)
 }
 
-/// Dark-fibre metro link (paper §7): full trunk rate, short distance.
-pub fn dark_fibre(km: f64) -> LinkSpec {
-    wan(oc768(), km)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn rates_match_the_paper() {
-        assert_eq!(fibre_channel_2g().bandwidth.bits_per_sec(), 2_000_000_000);
-        assert_eq!(ten_gigabit_ethernet().bandwidth.bits_per_sec(), 10_000_000_000);
-        assert_eq!(oc768().bandwidth.bits_per_sec(), 40_000_000_000);
-        assert!(pci_x_bus().bandwidth.gbit_per_sec() > 8.0);
-        assert!(pci_x_bus().bandwidth.gbit_per_sec() < 9.0);
+        assert_eq!(fibre_channel_2g().bandwidth, Bandwidth::from_gbit_per_sec(2));
+        assert_eq!(ten_gigabit_ethernet().bandwidth, Bandwidth::from_gbit_per_sec(10));
+        assert_eq!(oc768().bandwidth, Bandwidth::from_gbit_per_sec(40));
+        assert!(pci_x_266_bus().bandwidth.gbit_per_sec() > 10.0, "the bus can drive the 10 GbE port");
     }
 
     #[test]

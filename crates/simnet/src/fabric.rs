@@ -7,7 +7,7 @@
 //! A [`SharedBus`] models the opposite extreme: one serialization resource
 //! shared by all parties (the blades' common PCI-X bus of §2.3).
 
-use crate::link::{frames, Link, LinkSpec, Transfer};
+use crate::link::{Link, LinkSpec, Transfer};
 use ys_simcore::time::{SimDuration, SimTime};
 
 /// Endpoint index within a fabric.
@@ -44,30 +44,12 @@ impl Fabric {
         Transfer { start: out.start, serialized: inn.serialized, arrival: inn.arrival }
     }
 
-    /// Send a large payload as pipelined frames; returns last-byte arrival.
-    pub fn send_framed(&mut self, now: SimTime, from: PortId, to: PortId, bytes: u64, frame: u64) -> Transfer {
-        let mut first: Option<SimTime> = None;
-        let mut last = Transfer { start: now, serialized: now, arrival: now };
-        for fr in frames(bytes.max(1), frame) {
-            let t = self.send(now, from, to, fr);
-            first.get_or_insert(t.start);
-            last = t;
-        }
-        Transfer { start: first.unwrap_or(now), serialized: last.serialized, arrival: last.arrival }
-    }
-
-    pub fn egress_utilization(&self, port: PortId, until: SimTime) -> f64 {
-        self.egress[port].utilization(until)
-    }
-
-    pub fn ingress_utilization(&self, port: PortId, until: SimTime) -> f64 {
-        self.ingress[port].utilization(until)
-    }
-
+    // lint: allow(dead-pub) — (b) byte-conservation oracle of the fabric proptest
     pub fn egress_bytes(&self, port: PortId) -> u64 {
         self.egress[port].bytes()
     }
 
+    // lint: allow(dead-pub) — (b) byte-conservation oracle of the fabric proptest
     pub fn ingress_bytes(&self, port: PortId) -> u64 {
         self.ingress[port].bytes()
     }
@@ -184,20 +166,8 @@ mod tests {
     }
 
     #[test]
-    fn framed_send_tracks_totals() {
-        let mut f = Fabric::new(2, catalog::ten_gigabit_ethernet());
-        let t = f.send_framed(SimTime::ZERO, 0, 1, 10_000_000, 64 * 1024);
-        assert!(t.arrival > SimTime::ZERO);
-        assert_eq!(f.egress_bytes(0), 10_000_000);
-        assert_eq!(f.ingress_bytes(1), 10_000_000);
-        // ~8 ms serialization at 10 Gb/s
-        let ms = t.total(SimTime::ZERO).as_millis_f64();
-        assert!(ms > 7.9 && ms < 9.5, "{ms} ms");
-    }
-
-    #[test]
     fn bus_contention_halves_per_party_rate() {
-        let mut bus = SharedBus::new(catalog::pci_x_bus());
+        let mut bus = SharedBus::new(catalog::pci_x_266_bus());
         let a = bus.transfer(SimTime::ZERO, 1_000_000);
         let b = bus.transfer(SimTime::ZERO, 1_000_000);
         assert_eq!(b.start, a.serialized);

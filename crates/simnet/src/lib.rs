@@ -9,9 +9,9 @@
 //! * [`link::Link`] — FIFO serialization + propagation;
 //! * [`fabric::Fabric`] — non-blocking crossbar, contention at ports;
 //! * [`fabric::SharedBus`] — a single shared serialization point (PCI-X);
-//! * [`sched::FairPort`] — weighted-fair queueing in front of a shared
-//!   port, the building block for multi-tenant QoS (`ys-qos`);
-//! * [`catalog`] — FC 1/2 Gb/s, GbE, 10 GbE, PCI-X, OC-48/192/768, WAN.
+//! * [`sched::FairPort`] — fair queueing in front of a shared port, the
+//!   noisy-neighbor defence at the blade/FC-port level;
+//! * [`catalog`] — FC 2 Gb/s, 10 GbE, PCI-X, OC-192/768, WAN.
 //!
 //! Orchestration (who sends what when) lives in `ys-core`; these models just
 //! answer "when does it arrive".
@@ -22,5 +22,5 @@ pub mod link;
 pub mod sched;
 
 pub use fabric::{Fabric, PortId, SharedBus};
-pub use link::{frames, path_transfer, DuplexLink, Link, LinkSpec, Transfer};
+pub use link::{DuplexLink, Link, LinkSpec, Transfer};
 pub use sched::{FairPort, Served};

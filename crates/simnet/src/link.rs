@@ -5,11 +5,6 @@
 //! processing). `transfer` answers the only question the simulation asks:
 //! *given the link's queue, when does this message start, finish
 //! serializing, and arrive at the far end?*
-//!
-//! Large streams are pipelined by chunking them into frames (see
-//! [`frames`]); per-frame store-and-forward then reproduces cut-through
-//! behaviour at frame granularity, which is how the real fabrics the paper
-//! cites (Fibre Channel, Ethernet) behave.
 
 use ys_simcore::time::{Bandwidth, SimDuration, SimTime};
 use ys_simcore::SpanRecorder;
@@ -28,11 +23,6 @@ impl LinkSpec {
     pub const fn new(bandwidth: Bandwidth, propagation: SimDuration, per_message: SimDuration) -> LinkSpec {
         LinkSpec { bandwidth, propagation, per_message }
     }
-
-    /// Unloaded one-way latency for a message of `bytes`.
-    pub fn unloaded_latency(&self, bytes: u64) -> SimDuration {
-        self.per_message + self.bandwidth.transfer_time(bytes) + self.propagation
-    }
 }
 
 /// Completed reservation on a link.
@@ -47,10 +37,6 @@ pub struct Transfer {
 }
 
 impl Transfer {
-    pub fn queue_delay(&self, submitted: SimTime) -> SimDuration {
-        self.start.since(submitted)
-    }
-
     pub fn total(&self, submitted: SimTime) -> SimDuration {
         self.arrival.since(submitted)
     }
@@ -159,38 +145,6 @@ impl DuplexLink {
     }
 }
 
-/// Split a transfer of `total` bytes into frames of at most `frame` bytes.
-/// The final frame carries the remainder.
-pub fn frames(total: u64, frame: u64) -> impl Iterator<Item = u64> {
-    assert!(frame > 0, "frame size must be positive");
-    let full = total / frame;
-    let rem = total % frame;
-    (0..full).map(move |_| frame).chain((rem > 0).then_some(rem))
-}
-
-/// A multi-hop path: per-frame store-and-forward over each hop in order.
-///
-/// Returns the arrival of the last frame at the final hop. Because frames
-/// pipeline (frame *k+1* serializes on hop 0 while frame *k* serializes on
-/// hop 1), a long transfer's rate converges to the bottleneck link rate.
-pub fn path_transfer(links: &mut [&mut Link], now: SimTime, bytes: u64, frame: u64) -> Transfer {
-    assert!(!links.is_empty(), "path needs at least one hop");
-    let mut first_start: Option<SimTime> = None;
-    let mut last = Transfer { start: now, serialized: now, arrival: now };
-    for fr in frames(bytes.max(1), frame) {
-        let mut ready = now;
-        for link in links.iter_mut() {
-            let t = link.transfer(ready, fr);
-            ready = t.arrival;
-            if first_start.is_none() {
-                first_start = Some(t.start);
-            }
-            last = t;
-        }
-    }
-    Transfer { start: first_start.unwrap_or(now), serialized: last.serialized, arrival: last.arrival }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,7 +174,7 @@ mod tests {
         let b = l.transfer(SimTime::ZERO, 1 << 20);
         assert_eq!(b.start, a.serialized, "second message waits for the first");
         let c = l.transfer(b.serialized + SimDuration::from_secs(1), 1024);
-        assert_eq!(c.queue_delay(b.serialized + SimDuration::from_secs(1)), SimDuration::ZERO);
+        assert_eq!(c.start, b.serialized + SimDuration::from_secs(1), "an idle link does not queue");
     }
 
     #[test]
@@ -233,37 +187,6 @@ mod tests {
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
         assert_eq!(l.messages(), 1);
         assert_eq!(l.bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn frames_cover_total_exactly() {
-        let total: u64 = frames(1_000_001, 64 * 1024).sum();
-        assert_eq!(total, 1_000_001);
-        assert_eq!(frames(0, 1024).count(), 0);
-        assert_eq!(frames(1024, 1024).count(), 1);
-        assert_eq!(frames(1025, 1024).count(), 2);
-    }
-
-    #[test]
-    fn path_pipelines_to_bottleneck_rate() {
-        // 10 MB over two hops: 10 Gb/s then 2 Gb/s. Pipelined time should be
-        // close to the 2 Gb/s serialization time (40 ms), far below the
-        // store-and-forward-whole-message sum (48 ms).
-        let mut a = Link::new(LinkSpec::new(Bandwidth::from_gbit_per_sec(10), SimDuration::ZERO, SimDuration::ZERO));
-        let mut b = Link::new(LinkSpec::new(Bandwidth::from_gbit_per_sec(2), SimDuration::ZERO, SimDuration::ZERO));
-        let t = path_transfer(&mut [&mut a, &mut b], SimTime::ZERO, 10_000_000, 64 * 1024);
-        let ms = t.total(SimTime::ZERO).as_millis_f64();
-        assert!(ms < 41.0, "took {ms} ms");
-        assert!(ms > 39.9, "took {ms} ms");
-    }
-
-    #[test]
-    fn path_single_hop_equals_link_transfer() {
-        let mut a = Link::new(fc2());
-        let mut b = Link::new(fc2());
-        let direct = a.transfer(SimTime::ZERO, 4096);
-        let via_path = path_transfer(&mut [&mut b], SimTime::ZERO, 4096, 1 << 20);
-        assert_eq!(direct.arrival, via_path.arrival);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Port-level weighted-fair scheduling.
+//! Port-level fair scheduling.
 //!
 //! A [`Link`] is strictly FIFO: whoever reserves first serializes first,
 //! so one flow that floods a shared FC port starves everyone behind it.
-//! [`FairPort`] puts a weighted-fair queue in front of a link: pending
-//! messages carry start/finish *virtual-time tags* (start-time fair
-//! queueing, integer fixed-point — no floats, fully deterministic) and the
-//! port always serves the eligible message with the smallest finish tag.
-//! Backlogged flows then share the port's bandwidth in proportion to their
-//! weights instead of in arrival order, which is the §6.3 noisy-neighbor
-//! defence at the blade/FC-port level.
+//! [`FairPort`] puts a fair queue in front of a link: pending messages
+//! carry start/finish *virtual-time tags* (start-time fair queueing,
+//! integer fixed-point — no floats, fully deterministic) and the port
+//! always serves the eligible message with the smallest finish tag.
+//! Backlogged flows then share the port's bandwidth equally instead of in
+//! arrival order, which is the §6.3 noisy-neighbor defence at the
+//! blade/FC-port level.
 //!
 //! Usage is batch-oriented to fit the simulation style: `enqueue` the
 //! messages (each with the instant it becomes ready at the port), then
@@ -21,7 +21,7 @@ use ys_simcore::time::SimTime;
 
 use crate::link::{Link, LinkSpec, Transfer};
 
-/// Fixed-point scale for virtual-time tags (bytes × SCALE / weight).
+/// Fixed-point scale for virtual-time tags (bytes × SCALE).
 const TAG_SCALE: u128 = 1 << 16;
 
 #[derive(Clone, Debug)]
@@ -43,11 +43,10 @@ pub struct Served {
     pub transfer: Transfer,
 }
 
-/// A shared output port with weighted-fair queueing in front of its link.
+/// A shared output port with fair queueing in front of its link.
 #[derive(Clone, Debug)]
 pub struct FairPort {
     link: Link,
-    weights: BTreeMap<u32, u64>,
     flow_finish: BTreeMap<u32, u128>,
     virtual_time: u128,
     queue: Vec<Pending>,
@@ -58,22 +57,11 @@ impl FairPort {
     pub fn new(spec: LinkSpec) -> FairPort {
         FairPort {
             link: Link::new(spec),
-            weights: BTreeMap::new(),
             flow_finish: BTreeMap::new(),
             virtual_time: 0,
             queue: Vec::new(),
             next_seq: 0,
         }
-    }
-
-    /// Set a flow's scheduling weight (default 1). Bandwidth among
-    /// backlogged flows divides in proportion to these.
-    pub fn set_weight(&mut self, flow: u32, weight: u64) {
-        self.weights.insert(flow, weight.max(1));
-    }
-
-    pub fn weight(&self, flow: u32) -> u64 {
-        self.weights.get(&flow).copied().unwrap_or(1)
     }
 
     /// The underlying link (stats, utilization).
@@ -90,7 +78,7 @@ impl FairPort {
         self.next_seq += 1;
         let last = self.flow_finish.get(&flow).copied().unwrap_or(0);
         let start_tag = self.virtual_time.max(last);
-        let cost = u128::from(bytes.max(1)) * TAG_SCALE / u128::from(self.weight(flow));
+        let cost = u128::from(bytes.max(1)) * TAG_SCALE;
         let finish_tag = start_tag + cost;
         self.flow_finish.insert(flow, finish_tag);
         self.queue.push(Pending { seq, flow, bytes, ready, finish_tag, start_tag });
@@ -102,7 +90,7 @@ impl FairPort {
         self.queue.len()
     }
 
-    /// Drain the queue through the link in weighted-fair order.
+    /// Drain the queue through the link in fair order.
     ///
     /// The port is work-conserving: at each step it advances to the
     /// earliest instant at which both the link and at least one message
@@ -159,25 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn weights_divide_bandwidth_among_backlogged_flows() {
-        let mut port = FairPort::new(spec());
-        port.set_weight(1, 3);
-        port.set_weight(2, 1);
-        for _ in 0..40 {
-            port.enqueue(1, SimTime::ZERO, 64 * 1024);
-            port.enqueue(2, SimTime::ZERO, 64 * 1024);
-        }
-        let served = port.service();
-        // In the first 20 services, flow 1 (weight 3) should get ~3× the
-        // slots of flow 2 (weight 1).
-        let head = &served[..20];
-        let f1 = head.iter().filter(|s| s.flow == 1).count();
-        let f2 = head.iter().filter(|s| s.flow == 2).count();
-        assert!(f1 >= 2 * f2, "weighted share violated: {f1} vs {f2}");
-        assert!(f2 >= 1, "low-weight flow must not starve");
-    }
-
-    #[test]
     fn light_flow_is_isolated_from_a_flood() {
         // A hog queues 64 MiB before a light flow's single 64 KiB message
         // becomes ready. FIFO would make the light message wait for the
@@ -208,7 +177,6 @@ mod tests {
     fn service_is_work_conserving_and_deterministic() {
         let build = || {
             let mut p = FairPort::new(spec());
-            p.set_weight(0, 2);
             for i in 0..32u64 {
                 p.enqueue((i % 3) as u32, SimTime(i * 500), 4096 + i * 13);
             }

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use ys_simcore::time::{Bandwidth, SimDuration, SimTime};
-use ys_simnet::{frames, Fabric, Link, LinkSpec};
+use ys_simnet::{Fabric, Link, LinkSpec};
 
 fn spec(gbps: u64, prop_us: u64, per_msg_ns: u64) -> LinkSpec {
     LinkSpec::new(
@@ -58,20 +58,6 @@ proptest! {
         prop_assert!((u - 1.0).abs() < 1e-9, "back-to-back link must be 100% busy, got {u}");
     }
 
-    /// frames() tiles any total exactly, with every frame ≤ frame size.
-    #[test]
-    fn frames_tile_exactly(total in 0u64..100_000_000, frame in 1u64..10_000_000) {
-        let mut sum = 0u64;
-        let mut count = 0u64;
-        for f in frames(total, frame) {
-            prop_assert!(f > 0 && f <= frame);
-            sum += f;
-            count += 1;
-        }
-        prop_assert_eq!(sum, total);
-        prop_assert_eq!(count, total.div_ceil(frame));
-    }
-
     /// Fabric conservation: bytes leaving egress ports equal bytes entering
     /// ingress ports, for any traffic matrix.
     #[test]
@@ -94,9 +80,11 @@ proptest! {
     #[test]
     fn unloaded_latency_monotone(bytes_a in 0u64..10_000_000, extra in 1u64..10_000_000, km in 0u64..10_000) {
         use ys_simnet::catalog;
+        // On an idle link a message arrives after exactly its unloaded latency.
+        let latency = |spec, bytes| Link::new(spec).transfer(SimTime::ZERO, bytes).arrival;
         let near = catalog::wan(catalog::oc192(), km as f64);
         let far = catalog::wan(catalog::oc192(), (km + 100) as f64);
-        prop_assert!(near.unloaded_latency(bytes_a) <= near.unloaded_latency(bytes_a + extra));
-        prop_assert!(near.unloaded_latency(bytes_a) < far.unloaded_latency(bytes_a));
+        prop_assert!(latency(near, bytes_a) <= latency(near, bytes_a + extra));
+        prop_assert!(latency(near, bytes_a) < latency(far, bytes_a));
     }
 }

@@ -42,7 +42,7 @@ impl Segment {
         self.len() == 0
     }
 
-    pub fn is_mapped(&self) -> bool {
+    pub(crate) fn is_mapped(&self) -> bool {
         matches!(self, Segment::Mapped { .. })
     }
 }
@@ -63,10 +63,6 @@ impl ExtentMap {
     /// Total mapped extents.
     pub fn mapped_extents(&self) -> u64 {
         self.mapped
-    }
-
-    pub fn run_count(&self) -> usize {
-        self.runs.len()
     }
 
     /// The run containing virtual extent `v`, if any.
@@ -241,11 +237,11 @@ mod tests {
         let mut m = ExtentMap::new();
         m.map(0, 50, 4);
         m.map(4, 54, 4);
-        assert_eq!(m.run_count(), 1, "runs coalesced");
+        assert_eq!(m.runs.len(), 1, "runs coalesced");
         assert_eq!(m.translate(7), Some(57));
         // Non-contiguous physical does not coalesce.
         m.map(8, 100, 2);
-        assert_eq!(m.run_count(), 2);
+        assert_eq!(m.runs.len(), 2);
         m.check().unwrap();
     }
 
@@ -255,7 +251,7 @@ mod tests {
         m.map(0, 10, 2);
         m.map(4, 14, 2);
         m.map(2, 12, 2); // exactly bridges
-        assert_eq!(m.run_count(), 1);
+        assert_eq!(m.runs.len(), 1);
         assert_eq!(m.translate(5), Some(15));
         m.check().unwrap();
     }
@@ -286,7 +282,7 @@ mod tests {
         m.map(0, 100, 10);
         let released = m.unmap(3, 4);
         assert_eq!(released, vec![(103, 4)]);
-        assert_eq!(m.run_count(), 2);
+        assert_eq!(m.runs.len(), 2);
         assert_eq!(m.translate(2), Some(102));
         assert_eq!(m.translate(3), None);
         assert_eq!(m.translate(6), None);
@@ -325,7 +321,7 @@ mod tests {
         m.map(5, 500, 3);
         let rel = m.unmap(5, 3);
         assert_eq!(rel, vec![(500, 3)]);
-        assert_eq!(m.run_count(), 0);
+        assert_eq!(m.runs.len(), 0);
         assert_eq!(m.mapped_extents(), 0);
         m.check().unwrap();
     }

@@ -392,13 +392,6 @@ impl VolumeManager {
         Ok(freed)
     }
 
-    /// Read through a snapshot's frozen image.
-    pub fn read_snapshot(&self, id: VolumeId, sid: SnapshotId, offset: u64, len: u64) -> Result<Vec<Segment>, VirtError> {
-        let vol = self.volumes.get(&id).ok_or(VirtError::NoSuchVolume(id))?;
-        let snap = vol.snapshot(sid).ok_or(VirtError::NoSuchSnapshot(id, sid))?;
-        Ok(snap.map.segments(offset, len))
-    }
-
     /// Charge-back: per tenant, provisioned vs. actually consumed bytes.
     pub fn chargeback(&self) -> Vec<ChargebackLine> {
         let eb = self.pool.extent_bytes();
@@ -505,7 +498,7 @@ mod tests {
         assert_eq!(eff.redirected, 4);
         assert_eq!(m.pool().used_extents(), used_before + 4);
         // Snapshot still sees its frozen mapping.
-        let segs = m.read_snapshot(id, sid, 0, 10).unwrap();
+        let segs = m.volumes[&id].snapshot(sid).unwrap().map.segments(0, 10);
         assert!(segs.iter().all(|s| s.is_mapped()));
         m.check().unwrap();
     }
@@ -626,7 +619,7 @@ mod relocate_tests {
         assert_eq!(moved, 8);
         // Live + snapshot now diverge: 16 extents total.
         assert_eq!(m.pool().used_extents(), 16);
-        let segs = m.read_snapshot(id, snap, 0, 8).unwrap();
+        let segs = m.volumes[&id].snapshot(snap).unwrap().map.segments(0, 8);
         assert!(segs.iter().all(|s| s.is_mapped()), "snapshot image untouched");
         m.delete_snapshot(id, snap).unwrap();
         assert_eq!(m.pool().used_extents(), 8);

@@ -37,7 +37,7 @@ proptest! {
             let holes: Vec<(u64, u64)> = m
                 .segments(start, len)
                 .iter()
-                .filter(|s| !s.is_mapped())
+                .filter(|s| !matches!(s, Segment::Mapped { .. }))
                 .map(|s| match *s {
                     ys_virt::Segment::Hole { vstart, len } => (vstart, len),
                     _ => unreachable!(),
@@ -99,7 +99,7 @@ proptest! {
         let mut next_phys = 1000u64;
         for (start, len) in ops {
             let holes: Vec<(u64, u64)> = m.segments(start, len).iter()
-                .filter(|s| !s.is_mapped())
+                .filter(|s| !matches!(s, Segment::Mapped { .. }))
                 .map(|s| match *s { ys_virt::Segment::Hole { vstart, len } => (vstart, len), _ => unreachable!() })
                 .collect();
             for (hs, hl) in holes {
@@ -145,7 +145,7 @@ proptest! {
             } else {
                 // Map only the holes, like real callers do.
                 let holes: Vec<(u64, u64)> = m.segments(start, len).iter()
-                    .filter(|s| !s.is_mapped())
+                    .filter(|s| !matches!(s, Segment::Mapped { .. }))
                     .map(|s| match *s { ys_virt::Segment::Hole { vstart, len } => (vstart, len), _ => unreachable!() })
                     .collect();
                 for (hs, hl) in holes {

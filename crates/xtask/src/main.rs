@@ -4,8 +4,8 @@
 //! * `lint` — run the [`ys_lint`] token-aware static analyzer over the
 //!   whole workspace: panic paths in fallible library code, wall-clock
 //!   reads outside the exempt binaries, ambient entropy in simulation
-//!   crates, and unordered (hash-based) iteration in replay-affecting
-//!   crates. Suppressions are scoped inline markers only —
+//!   crates, unordered (hash-based) iteration in replay-affecting crates,
+//!   and `pub fn`s no other file calls outside test code. Suppressions are scoped inline markers only —
 //!   `// lint: allow(rule) — justification` on the offending line; see
 //!   `docs/lint.md` for the rule catalog and policy.
 //! * `doc` — build the workspace rustdoc with warnings denied

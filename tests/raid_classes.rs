@@ -28,7 +28,6 @@ fn tiered_cluster_cfg() -> ClusterConfig {
 #[test]
 fn groups_partition_the_farm() {
     let c = BladeCluster::new(tiered_cluster_cfg());
-    assert_eq!(c.group_count(), 3);
     assert_eq!(c.farm.len(), 16, "8 + 4 + 4 disks");
     assert_eq!(c.group(0).geo.level, RaidLevel::Raid5);
     assert_eq!(c.group(1).geo.level, RaidLevel::Raid1 { copies: 2 });
@@ -36,8 +35,6 @@ fn groups_partition_the_farm() {
     assert_eq!(c.group_of_disk(DiskId(3)), (0, 3));
     assert_eq!(c.group_of_disk(DiskId(9)), (1, 1));
     assert_eq!(c.group_of_disk(DiskId(14)), (2, 2));
-    assert_eq!(c.group_for_level(RaidLevel::Raid0), Some(2));
-    assert_eq!(c.group_for_level(RaidLevel::Raid6), None);
 }
 
 #[test]
