@@ -86,9 +86,9 @@ pub fn breakdown() -> String {
 /// plus how often the policy throttled or shed each tenant.
 fn qos_chargeback() -> String {
     use ys_qos::{QosClass, QosConfig, TenantSpec};
-    const PAGE: u64 = 64 * 1024;
+    const PAGE: u64 = ys_core::PAGE_BYTES;
     let policy = QosConfig::new()
-        .with_tenant(TenantSpec::new(1, "prod", QosClass::Premium).weight(2))
+        .with_tenant(TenantSpec::new(1, "prod", QosClass::Premium))
         .with_tenant(
             TenantSpec::new(2, "batch", QosClass::Scavenger)
                 .rate_mb_per_sec(8)

@@ -20,7 +20,7 @@ fn exact_p99(lat: &[SimDuration]) -> SimDuration {
     v[((v.len() * 99) / 100).min(v.len() - 1)]
 }
 
-/// A Premium tenant (weight 4, 2 ms latency budget) beside a Scavenger
+/// A Premium tenant (2 ms latency budget) beside a Scavenger
 /// tenant held to `mb_per_sec`, a `burst`-byte bucket and `inflight`
 /// requests in flight; nothing waits more than 5 ms for admission.
 fn premium_over_scavenger(
@@ -32,9 +32,7 @@ fn premium_over_scavenger(
 ) -> QosConfig {
     QosConfig::new()
         .with_tenant(
-            TenantSpec::new(premium.0, premium.1, QosClass::Premium)
-                .weight(4)
-                .latency_budget(SimDuration::from_millis(2)),
+            TenantSpec::new(premium.0, premium.1, QosClass::Premium).latency_budget(SimDuration::from_millis(2)),
         )
         .with_tenant(
             TenantSpec::new(scavenger.0, scavenger.1, QosClass::Scavenger)

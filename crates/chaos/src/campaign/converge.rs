@@ -2,7 +2,7 @@
 //! check the promises that only hold after recovery, and finish the
 //! report.
 
-use super::{audit_counts, Campaign, CampaignReport};
+use super::{audit_counts, Campaign, CampaignReport, BLADES_PER_SITE, SITES};
 use crate::oracle;
 use ys_geo::SiteId;
 use ys_pfs::Ino;
@@ -29,8 +29,8 @@ impl Campaign {
         // Bring every down blade back, then let destage finish everywhere.
         // Administrative recovery, not scheduled injections: only `apply`
         // counts those.
-        for site in 0..self.sites() {
-            for blade in 0..self.cfg.blades_per_site {
+        for site in 0..SITES {
+            for blade in 0..BLADES_PER_SITE {
                 self.repair_blade(site, blade);
             }
             self.stabilize(site);
@@ -58,7 +58,7 @@ impl Campaign {
                 break;
             }
         }
-        for (src, dst) in site_pairs(self.sites()) {
+        for (src, dst) in site_pairs(SITES) {
             let (pending, bytes) = self.ns.async_backlog(src, dst);
             if pending > 0 {
                 let detail = format!("{pending} records ({bytes} B) still queued to site {} after heal", dst.0);
@@ -76,7 +76,7 @@ impl Campaign {
             self.violate("geo-prefix-gap", 0, detail);
         }
         // Destage whatever the geo applies dirtied, then the final audits.
-        for site in 0..self.sites() {
+        for site in 0..SITES {
             self.ns.clusters[site].drain();
             self.audit(site);
             oracle::audit_qos(site, self.step, &self.ns.clusters[site], &mut self.report.violations);
@@ -107,18 +107,14 @@ impl Campaign {
         }
     }
 
-    /// Converge-time scrub of every site, as the Scavenger tenant when
-    /// QoS is on (administratively otherwise), plus the integrity oracle:
+    /// Converge-time scrub of every site, as the Scavenger tenant, plus
+    /// the integrity oracle:
     /// every fired [`crate::Injection::CorruptPage`] must be repaired or carry
     /// an explicit [`ys_scrub::ScrubLoss`] — silent residue is a
     /// violation.
     fn scrub_sites(&mut self) {
-        let tenant = if self.cfg.enable_qos { Some(3) } else { None };
-        for site in 0..self.sites() {
-            let mut scrubber = Scrubber::new(
-                ScrubConfig { tenant },
-                &self.ns.clusters[site],
-            );
+        for site in 0..SITES {
+            let mut scrubber = Scrubber::new(ScrubConfig { tenant: Some(3) }, &self.ns.clusters[site]);
             let run = {
                 let mut target = ScrubTarget::Site(&mut self.ns, SiteId(site));
                 scrubber.run(&mut target, self.t)
@@ -161,7 +157,7 @@ impl Campaign {
     }
 
     fn geo_drained(&self) -> bool {
-        site_pairs(self.sites()).all(|(src, dst)| {
+        site_pairs(SITES).all(|(src, dst)| {
             self.ns.async_backlog(src, dst).0 == 0 && self.ns.replication().inflight(src, dst) == 0
         })
     }

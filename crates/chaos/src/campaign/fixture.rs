@@ -1,9 +1,7 @@
-//! What every campaign of one shape starts from: [`Fixture::build`] makes
-//! it from the [`FixtureShape`] alone, and [`Fixture::for_shape`] hands
-//! out clones of the one this thread built last.
+//! What every campaign starts from: [`Fixture::build`] makes it, once per
+//! thread, and [`Fixture::cloned`] hands out clones of it.
 
-use super::{integ_target_pages, CampaignConfig, PAGE};
-use std::cell::RefCell;
+use super::{integ_target_pages, BLADES_PER_SITE, DISKS_PER_SITE, PAGE, SITES, WRITE_BACK_COPIES};
 use ys_core::{BladeCluster, NetStorage, NetStorageConfig};
 use ys_geo::SiteId;
 use ys_pfs::{FilePolicy, GeoPolicy, Ino};
@@ -11,36 +9,12 @@ use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::time::SimTime;
 use ys_virt::VolumeId;
 
-/// The [`CampaignConfig`] fields that reach cluster construction. Two
-/// campaigns of one shape start from identical clusters whatever their
-/// seed, length or schedule — [`Fixture::build`] takes the shape and
-/// nothing else, so it *cannot* read the rest of the config, and the key
-/// the built fixture is reused under is complete by construction.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(super) struct FixtureShape {
-    sites: usize,
-    blades_per_site: usize,
-    disks_per_site: usize,
-    write_back_copies: usize,
-    enable_qos: bool,
-}
-
-impl FixtureShape {
-    pub(super) fn of(cfg: &CampaignConfig) -> FixtureShape {
-        FixtureShape {
-            sites: cfg.sites,
-            blades_per_site: cfg.blades_per_site,
-            disks_per_site: cfg.disks_per_site,
-            write_back_copies: cfg.write_back_copies,
-            enable_qos: cfg.enable_qos,
-        }
-    }
-}
-
-/// What every campaign of one shape starts from: the multi-site cluster
-/// with its workload files, probe volumes and integrity volumes written,
-/// destaged and audited. Plain owned data all the way down, so a clone
-/// shares nothing with its original.
+/// What every campaign starts from: the multi-site cluster with its
+/// workload files, probe volumes and integrity volumes written, destaged
+/// and audited. Two campaigns start from identical clusters whatever their
+/// seed, length or schedule — [`Fixture::build`] reads no config at all.
+/// Plain owned data all the way down, so a clone shares nothing with its
+/// original.
 #[derive(Clone)]
 pub(super) struct Fixture {
     // Each becomes the [`Campaign`] field of the same name.
@@ -51,47 +25,33 @@ pub(super) struct Fixture {
 }
 
 thread_local! {
-    /// The fixture this thread built last, and the shape it was built for.
-    /// One slot: the callers that matter — a sweep worker, the shrinker,
-    /// the benchmark — replay a single shape hundreds of times.
-    static LAST_FIXTURE: RefCell<Option<(FixtureShape, Fixture)>> = const { RefCell::new(None) };
+    /// This thread's fixture, built on first use: the callers that matter
+    /// — a sweep worker, the shrinker, the benchmark — run hundreds of
+    /// campaigns each. It keeps a clone, not the build itself, because a
+    /// clone's buffers are sized to their contents while the build's keep
+    /// the slack they grew into, and this copy lives as long as the thread.
+    static FIXTURE: Fixture = Fixture::build().clone();
 }
 
 impl Fixture {
-    /// A fixture of `shape` for one campaign to consume: a clone of the
-    /// one this thread built last if that had the same shape, else built
-    /// now and kept for the next caller.
-    pub(super) fn for_shape(shape: FixtureShape) -> Fixture {
-        LAST_FIXTURE.with(|slot| match &mut *slot.borrow_mut() {
-            Some((built, fixture)) if *built == shape => fixture.clone(),
-            stale => {
-                let fixture = Fixture::build(&shape);
-                *stale = Some((shape, fixture.clone()));
-                fixture
-            }
-        })
+    /// A fixture for one campaign to consume: a clone of this thread's.
+    pub(super) fn cloned() -> Fixture {
+        FIXTURE.with(Fixture::clone)
     }
 
     /// Build the clusters and everything a campaign expects to find on
     /// them before its first step.
-    pub(super) fn build(shape: &FixtureShape) -> Fixture {
-        let mut site_cluster = ys_core::ClusterConfig::default()
-            .with_blades(shape.blades_per_site)
-            .with_disks(shape.disks_per_site)
-            .with_write_copies(shape.write_back_copies);
-        if shape.enable_qos {
-            site_cluster = site_cluster.with_qos(
-                QosConfig::new()
-                    .with_tenant(TenantSpec::new(1, "premium", QosClass::Premium))
-                    .with_tenant(TenantSpec::new(2, "standard", QosClass::Standard))
-                    .with_tenant(TenantSpec::new(3, "scavenger", QosClass::Scavenger)),
-            );
-        }
+    pub(super) fn build() -> Fixture {
+        let qos = QosConfig::new()
+            .with_tenant(TenantSpec::new(1, "premium", QosClass::Premium))
+            .with_tenant(TenantSpec::new(2, "standard", QosClass::Standard))
+            .with_tenant(TenantSpec::new(3, "scavenger", QosClass::Scavenger));
+        let site_cluster =
+            ys_core::ClusterConfig::default().with_blades(BLADES_PER_SITE).with_disks(DISKS_PER_SITE).with_qos(qos);
         let mut ns = NetStorage::new(NetStorageConfig {
             site_cluster,
             ..NetStorageConfig::default()
         });
-        let sites = ns.topology.len().min(shape.sites.max(1));
 
         // Workload files: two per site; site-0 files replicate async so the
         // geo path is always in play.
@@ -99,12 +59,12 @@ impl Fixture {
             panic!("campaign setup: mkdir /camp: {e}"); // lint: allow(panic-path) — harness setup, not simulated fault path
         }
         let mut files = Vec::new();
-        for site in 0..sites {
+        for site in 0..SITES {
             for f in 0..2usize {
                 let geo = if site == 0 { GeoPolicy::async_(2) } else { GeoPolicy::none() };
                 let policy = FilePolicy {
                     geo,
-                    write_back_copies: shape.write_back_copies,
+                    write_back_copies: WRITE_BACK_COPIES,
                     ..FilePolicy::default()
                 };
                 let path = format!("/camp/s{site}f{f}.dat");
@@ -118,15 +78,13 @@ impl Fixture {
         // QoS probe volumes, pre-populated then destaged so probes read
         // clean pages and measure admission, not cold misses.
         let mut probes = Vec::new();
-        for site in 0..sites {
+        for site in 0..SITES {
             let mut row = Vec::new();
-            if shape.enable_qos {
-                for tenant in 1..=3u32 {
-                    let name = format!("probe-t{tenant}");
-                    row.push((tenant, written_volume(&mut ns.clusters[site], &name, tenant, 64 << 20, 1 << 20)));
-                }
-                ns.clusters[site].drain();
+            for tenant in 1..=3u32 {
+                let name = format!("probe-t{tenant}");
+                row.push((tenant, written_volume(&mut ns.clusters[site], &name, tenant, 64 << 20, 1 << 20)));
             }
+            ns.clusters[site].drain();
             probes.push(row);
         }
 
@@ -136,8 +94,8 @@ impl Fixture {
         // written with one cache copy so the scrubber's replica source
         // stays plausible, then destaged so the data is at rest.
         let mut integ_vols = Vec::new();
-        let integ_bytes = integ_target_pages(shape.disks_per_site).end * PAGE;
-        for site in 0..sites {
+        let integ_bytes = integ_target_pages().end * PAGE;
+        for site in 0..SITES {
             let c = &mut ns.clusters[site];
             integ_vols.push(written_volume(c, "integrity", 0, integ_bytes, integ_bytes));
             c.drain();

@@ -1,7 +1,7 @@
 //! The injections a schedule entry applies. Each checks its guard, acts,
 //! and says whether it fired; [`Campaign::apply`] counts the entry once.
 
-use super::{Campaign, RebuildState, PAGE, REBUILD_REGION};
+use super::{Campaign, RebuildState, BLADES_PER_SITE, DISKS_PER_SITE, PAGE, REBUILD_REGION, SITES, WRITE_BACK_COPIES};
 use crate::oracle;
 use crate::schedule::{Injection, ScheduledFault};
 use ys_core::Rebuilder;
@@ -117,7 +117,7 @@ impl Campaign {
     }
 
     fn corrupt_page(&mut self, site: usize, page: u64) -> bool {
-        if site >= self.sites() {
+        if site >= SITES {
             return false;
         }
         let vol = self.integ_vols[site];
@@ -154,7 +154,7 @@ impl Campaign {
             site,
             self.step,
             &failure.lost,
-            self.cfg.write_back_copies,
+            WRITE_BACK_COPIES,
             &mut self.report.violations,
         );
         self.report.expected_losses += legal;
@@ -183,7 +183,7 @@ impl Campaign {
 
     /// Destage drain + budget reset + audit.
     pub(super) fn stabilize(&mut self, site: usize) -> bool {
-        if site >= self.sites() {
+        if site >= SITES {
             return false;
         }
         let fin = self.ns.clusters[site].drain();
@@ -201,8 +201,7 @@ impl Campaign {
             .rebuild
             .as_ref()
             .is_some_and(|rs| (rs.site, rs.target) == (site, disk));
-        if site >= self.sites() || disk >= self.cfg.disks_per_site || already_flapped || rebuild_target
-        {
+        if site >= SITES || disk >= DISKS_PER_SITE || already_flapped || rebuild_target {
             return false;
         }
         if self.ns.clusters[site].failed_disks().get(disk).copied().unwrap_or(true) {
@@ -224,8 +223,8 @@ impl Campaign {
     }
 
     fn fail_disk(&mut self, site: usize, disk: usize) -> bool {
-        if site >= self.sites()
-            || disk >= self.cfg.disks_per_site
+        if site >= SITES
+            || disk >= DISKS_PER_SITE
             || self.rebuild.is_some()
             || self.ns.clusters[site].failed_disks().get(disk).copied().unwrap_or(true)
         {
@@ -233,8 +232,7 @@ impl Campaign {
         }
         // A disk failed with nobody to rebuild it would stay failed: skip
         // before touching it.
-        let workers: Vec<usize> =
-            (0..self.cfg.blades_per_site).filter(|&b| !self.down[site][b]).collect();
+        let workers: Vec<usize> = (0..BLADES_PER_SITE).filter(|&b| !self.down[site][b]).collect();
         if workers.is_empty() {
             return false;
         }
@@ -256,7 +254,7 @@ impl Campaign {
     /// Fired once a victim is chosen; skipped, and nothing more, when no
     /// replicated dirty page exists.
     fn kill_dirty_page(&mut self, site: usize) -> bool {
-        if site >= self.sites() {
+        if site >= SITES {
             return false;
         }
         // Make sure there is a protected dirty page to kill.
@@ -282,7 +280,7 @@ impl Campaign {
             .find(|(_, e)| e.owner.is_some() && !e.replicas.is_empty())
             .map(|(k, _)| *k);
         let Some(key) = victim else { return false };
-        for _ in 0..self.cfg.blades_per_site {
+        for _ in 0..BLADES_PER_SITE {
             let holder = self.ns.clusters[site]
                 .cache
                 .directory()

@@ -12,8 +12,8 @@
 //! * this one: the config and the report, the step loop, the schedule's
 //!   firing with its crash-point tripwires, the workload and the
 //!   rebuild's progress;
-//! * `fixture`: what every campaign of one shape starts from, built once
-//!   per shape and thread and cloned per campaign;
+//! * `fixture`: what every campaign starts from, built once per thread
+//!   and cloned per campaign;
 //! * `inject`: each injection's guard and effect, and the one place an
 //!   entry is counted, fired or skipped;
 //! * `converge`: the drive back to a healed state, the promises that hold
@@ -22,10 +22,10 @@
 
 use crate::oracle::{self, OracleViolation, SiteShadow};
 use crate::schedule::{CampaignSchedule, CrashEvent, Trigger};
-use fixture::{Fixture, FixtureShape};
+use fixture::Fixture;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
-use ys_core::{NetStorage, Rebuilder};
+use ys_core::{NetStorage, Rebuilder, PAGE_BYTES as PAGE};
 use ys_geo::SiteId;
 use ys_pfs::Ino;
 use ys_simcore::time::{SimDuration, SimTime};
@@ -39,19 +39,29 @@ mod inject;
 #[cfg(test)]
 mod tests;
 
-const PAGE: u64 = 64 * 1024;
+/// Sites of the national-lab topology every campaign runs on.
+pub(crate) const SITES: usize = 3;
+
+/// Controller blades per site.
+pub(crate) const BLADES_PER_SITE: usize = 4;
+
+/// Disks of each site's primary RAID group.
+pub(crate) const DISKS_PER_SITE: usize = 8;
+
+/// The paper's N: dirty copies held before a host write is acked.
+pub(crate) const WRITE_BACK_COPIES: usize = 2;
 
 /// Member-capacity span a campaign disk rebuild covers (see
 /// [`Campaign::fail_disk`]).
 const REBUILD_REGION: u64 = 8 << 20;
 
 /// Volume pages the schedule may rot. The per-site integrity volume is
-/// written through `integ_target_pages(disks).end * PAGE` bytes at setup;
+/// written through `integ_target_pages().end * PAGE` bytes at setup;
 /// the final 128 pages land beyond [`REBUILD_REGION`] on every member, so
 /// latent errors and rebuild survivor reads never meet — the scrubber,
 /// not the rebuilder, owns rot repair.
-pub(crate) fn integ_target_pages(disks_per_site: usize) -> Range<u64> {
-    let data_members = disks_per_site.saturating_sub(1).max(1) as u64;
+pub(crate) fn integ_target_pages() -> Range<u64> {
+    let data_members = DISKS_PER_SITE as u64 - 1;
     let total = (REBUILD_REGION * data_members + (16 << 20)) / PAGE;
     total - 128..total
 }
@@ -62,18 +72,11 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Workload steps before convergence.
     pub steps: u64,
-    pub sites: usize,
-    pub blades_per_site: usize,
-    pub disks_per_site: usize,
-    /// The paper's N: dirty copies held before a host write is acked.
-    pub write_back_copies: usize,
     /// Upper bound on generated schedule entries.
     pub max_injections: usize,
     /// Append a deliberate N-failure episode (the loss the oracle must
     /// surface and the shrinker must minimize).
     pub fatal: bool,
-    /// Run with the multi-tenant QoS policy enabled and probed.
-    pub enable_qos: bool,
 }
 
 impl Default for CampaignConfig {
@@ -81,13 +84,8 @@ impl Default for CampaignConfig {
         CampaignConfig {
             seed: 1,
             steps: 96,
-            sites: 3,
-            blades_per_site: 4,
-            disks_per_site: 8,
-            write_back_copies: 2,
             max_injections: 12,
             fatal: false,
-            enable_qos: true,
         }
     }
 }
@@ -217,8 +215,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
 /// Run an explicit (possibly shrunk) schedule under `cfg`'s cluster and
 /// workload. This is the entry the shrinker bisects through.
 pub fn run_with_schedule(cfg: &CampaignConfig, schedule: CampaignSchedule) -> CampaignReport {
-    let fixture = Fixture::for_shape(FixtureShape::of(cfg));
-    Campaign::from_fixture(cfg, schedule, fixture).run_to_end()
+    Campaign::from_fixture(cfg, schedule, Fixture::cloned()).run_to_end()
 }
 
 /// An in-flight distributed rebuild and when it started.
@@ -284,18 +281,17 @@ fn audit_counts(ns: &NetStorage) -> [u64; 3] {
 impl Campaign {
     fn from_fixture(cfg: &CampaignConfig, schedule: CampaignSchedule, fixture: Fixture) -> Campaign {
         let Fixture { ns, files, probes, integ_vols } = fixture;
-        let sites = integ_vols.len();
         Campaign {
             rng: Rng::new(cfg.seed ^ 0x0c4a_0517),
-            shadows: vec![SiteShadow::default(); sites],
+            shadows: vec![SiteShadow::default(); SITES],
             files,
             probes,
             integ_vols,
             rotten_rows: BTreeSet::new(),
             corruptions: Vec::new(),
             acked: BTreeMap::new(),
-            down: vec![vec![false; cfg.blades_per_site]; sites],
-            crash_since: vec![None; sites],
+            down: vec![vec![false; BLADES_PER_SITE]; SITES],
+            crash_since: vec![None; SITES],
             flaps: Vec::new(),
             partitions: Vec::new(),
             rebuild: None,
@@ -334,10 +330,6 @@ impl Campaign {
             ns,
             cfg: cfg.clone(),
         }
-    }
-
-    fn sites(&self) -> usize {
-        self.shadows.len()
     }
 
     fn fault_active(&self) -> bool {
@@ -470,7 +462,7 @@ impl Campaign {
             // Mostly local reads; sometimes from a neighbor site, which
             // exercises first-reference migration over the WAN.
             let site = if self.rng.next_below(10) < 3 {
-                (home + 1) % self.sites()
+                (home + 1) % SITES
             } else {
                 home
             };
@@ -504,7 +496,7 @@ impl Campaign {
     }
 
     fn qos_probes(&mut self) {
-        for site in 0..self.sites() {
+        for site in 0..SITES {
             for probe in 0..self.probes[site].len() {
                 let (tenant, vol) = self.probes[site][probe];
                 let off = self.rng.next_below(16) * PAGE;
@@ -564,7 +556,7 @@ impl Campaign {
         } else if stalled && !self.flaps.iter().any(|&(s, _, _)| s == site) {
             // Every worker died and the fabric is back: conscript one up
             // blade so the rebuild can finish.
-            if let Some(b) = (0..self.cfg.blades_per_site).find(|&b| !self.down[site][b]) {
+            if let Some(b) = (0..BLADES_PER_SITE).find(|&b| !self.down[site][b]) {
                 let t = self.t;
                 if let Some(rs) = self.rebuild.as_mut() {
                     rs.r.add_worker(b, t);
@@ -582,7 +574,7 @@ impl Campaign {
             self.fire_due(false);
             self.arm_head();
             self.workload_op();
-            if self.cfg.enable_qos && self.step.is_multiple_of(2) {
+            if self.step.is_multiple_of(2) {
                 self.qos_probes();
             }
             if self.step % 4 == 3 {
@@ -597,7 +589,7 @@ impl Campaign {
             if tripped {
                 self.fire_due(true);
             }
-            for site in 0..self.sites() {
+            for site in 0..SITES {
                 self.audit(site);
             }
             self.step += 1;

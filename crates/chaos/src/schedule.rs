@@ -7,7 +7,7 @@
 //! campaign is replayable from its seed alone, and a shrunk schedule is
 //! replayable as `seed + kept entry indices` (`ys-chaos --keep`).
 
-use crate::campaign::CampaignConfig;
+use crate::campaign::{CampaignConfig, BLADES_PER_SITE, DISKS_PER_SITE, SITES, WRITE_BACK_COPIES};
 use std::fmt;
 use ys_simcore::Rng;
 
@@ -137,21 +137,19 @@ impl CampaignSchedule {
     pub fn generate(cfg: &CampaignConfig) -> CampaignSchedule {
         let mut rng = Rng::new(cfg.seed ^ 0xc4a0_5eed);
         let mut entries: Vec<ScheduledFault> = Vec::new();
-        let sites = cfg.sites;
-        let blades = cfg.blades_per_site;
         let step_span = cfg.steps.max(8);
         // Crashes a site can still absorb before its next stabilize.
-        let mut credit = vec![cfg.write_back_copies.saturating_sub(1); sites];
+        let mut credit = [WRITE_BACK_COPIES - 1; SITES];
         let mut step = 2 + rng.next_below(4);
         let mut partitions: Vec<(usize, usize)> = Vec::new();
         while step + 8 < step_span && entries.len() + 4 < cfg.max_injections {
-            let site = rng.next_below(sites as u64) as usize;
+            let site = rng.next_below(SITES as u64) as usize;
             match rng.next_below(5) {
                 0 if credit[site] > 0 => {
                     // Blade-crash episode: crash at an adversarial instant,
                     // repair, then stabilize before the budget resets.
                     credit[site] -= 1;
-                    let blade = rng.next_below(blades as u64) as usize;
+                    let blade = rng.next_below(BLADES_PER_SITE as u64) as usize;
                     let event =
                         *rng.choose(&[CrashEvent::Destage, CrashEvent::Promote, CrashEvent::RebuildClaim]);
                     entries.push(ScheduledFault {
@@ -170,12 +168,12 @@ impl CampaignSchedule {
                         trigger: Trigger::AtStep(repair_at + 2),
                         injection: Injection::Stabilize { site },
                     });
-                    credit[site] = cfg.write_back_copies.saturating_sub(1);
+                    credit[site] = WRITE_BACK_COPIES - 1;
                 }
                 1 => {
                     // Disk episode: fail a disk (starts a rebuild), flap a
                     // sibling port mid-rebuild to force the requeue path.
-                    let disk = rng.next_below(cfg.disks_per_site as u64) as usize;
+                    let disk = rng.next_below(DISKS_PER_SITE as u64) as usize;
                     entries.push(ScheduledFault {
                         index: 0,
                         trigger: Trigger::AtStep(step),
@@ -190,15 +188,15 @@ impl CampaignSchedule {
                         },
                         injection: Injection::FlapFcPort {
                             site,
-                            disk: (disk + 1) % cfg.disks_per_site,
+                            disk: (disk + 1) % DISKS_PER_SITE,
                         },
                     });
                 }
-                2 if sites > 1 => {
+                2 => {
                     // Partition episode: cut a trunk mid-geo-batch, heal it
                     // later; backlog must drain gapless after heal.
-                    let a = rng.next_below(sites as u64) as usize;
-                    let b = (a + 1 + rng.next_below(sites as u64 - 1) as usize) % sites;
+                    let a = rng.next_below(SITES as u64) as usize;
+                    let b = (a + 1 + rng.next_below(SITES as u64 - 1) as usize) % SITES;
                     entries.push(ScheduledFault {
                         index: 0,
                         trigger: Trigger::OnEvent {
@@ -220,7 +218,7 @@ impl CampaignSchedule {
                     // Lifecycle episode: planned online drain, then rejoin
                     // a few steps later. Zero-loss evacuation and healed
                     // redundancy are both oracle promises.
-                    let blade = rng.next_below(blades as u64) as usize;
+                    let blade = rng.next_below(BLADES_PER_SITE as u64) as usize;
                     entries.push(ScheduledFault {
                         index: 0,
                         trigger: Trigger::AtStep(step),
@@ -233,7 +231,7 @@ impl CampaignSchedule {
                     });
                 }
                 _ => {
-                    let disk = rng.next_below(cfg.disks_per_site as u64) as usize;
+                    let disk = rng.next_below(DISKS_PER_SITE as u64) as usize;
                     entries.push(ScheduledFault {
                         index: 0,
                         trigger: Trigger::AtStep(step),
@@ -252,9 +250,9 @@ impl CampaignSchedule {
         let reserve = usize::from(cfg.fatal);
         let wanted = 2 + rng.next_below(3) as usize;
         let room = cfg.max_injections.saturating_sub(entries.len() + reserve);
-        let targets = crate::campaign::integ_target_pages(cfg.disks_per_site);
+        let targets = crate::campaign::integ_target_pages();
         for _ in 0..wanted.min(room) {
-            let site = rng.next_below(sites as u64) as usize;
+            let site = rng.next_below(SITES as u64) as usize;
             let page = targets.start + rng.next_below(targets.end - targets.start);
             entries.push(ScheduledFault {
                 index: 0,
@@ -264,7 +262,7 @@ impl CampaignSchedule {
             step += 1 + rng.next_below(3);
         }
         if cfg.fatal {
-            let site = rng.next_below(sites as u64) as usize;
+            let site = rng.next_below(SITES as u64) as usize;
             entries.push(ScheduledFault {
                 index: 0,
                 trigger: Trigger::AtStep(step.min(step_span.saturating_sub(2))),
@@ -327,13 +325,13 @@ mod tests {
         for seed in 0..32 {
             let cfg = CampaignConfig { seed, ..CampaignConfig::default() };
             let s = CampaignSchedule::generate(&cfg);
-            let mut un_stabilized = vec![0usize; cfg.sites];
+            let mut un_stabilized = [0usize; SITES];
             for e in &s.entries {
                 match e.injection {
                     Injection::CrashBlade { site, .. } => {
                         un_stabilized[site] += 1;
                         assert!(
-                            un_stabilized[site] < cfg.write_back_copies,
+                            un_stabilized[site] < WRITE_BACK_COPIES,
                             "seed {seed}: site {site} over budget"
                         );
                     }

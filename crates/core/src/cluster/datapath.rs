@@ -4,7 +4,7 @@
 //! planes) share.
 
 use super::{refuse_rot, BladeCluster, ClusterError, Completion, PageIo, ReadMismatch};
-use crate::config::LoadBalance;
+use crate::config::{LoadBalance, EXTENT_BYTES, PAGE_BYTES};
 use std::cmp::Reverse;
 use ys_cache::{CacheError, PageKey, ReadOutcome, Retention};
 use ys_raid::{DataLoss, Geometry, IoPlan};
@@ -42,14 +42,14 @@ impl BladeCluster {
     }
 
     /// Encryption time for `bytes` (zero when disabled).
-    fn crypt_time(&self, bytes: u64, enabled: bool) -> SimDuration {
+    pub(crate) fn crypt_time(&self, bytes: u64, enabled: bool) -> SimDuration {
         if !enabled {
             return SimDuration::ZERO;
         }
         let per_byte = if self.cfg.encryption.hardware_assist {
-            self.cfg.cost.hw_crypt_ns_per_byte
+            ys_security::HW_NS_PER_BYTE
         } else {
-            self.cfg.cost.sw_crypt_ns_per_byte
+            ys_security::SW_NS_PER_BYTE
         };
         SimDuration::from_nanos((bytes as f64 * per_byte) as u64)
     }
@@ -66,7 +66,7 @@ impl BladeCluster {
         assert!(len > 0);
         self.advance(now);
         self.cache.trace_mut().set_now(now);
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let blade = self.pick_blade(vol, offset / pb)?;
         // Request command to the blade.
         let t0 = self
@@ -153,7 +153,7 @@ impl BladeCluster {
         let io = self.read_page_media(t0, blade, vol, page, &mut mismatches)?;
         refuse_rot(&mismatches)?;
         self.check_page_tag(vol, page, &io)?;
-        Ok(io.done + self.crypt_time(self.cfg.page_bytes, self.cfg.encryption.at_rest))
+        Ok(io.done + self.crypt_time(PAGE_BYTES, self.cfg.encryption.at_rest))
     }
 
     /// Issue background disk reads for the next `prefetch_pages` pages of
@@ -222,7 +222,7 @@ impl BladeCluster {
         self.cache.trace_mut().set_now(now);
         let (tgi, _) = Self::decode_vol(vol);
         self.groups[tgi].volumes.trace_mut().set_now(now);
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let blade = self.pick_blade(vol, offset / pb)?;
         // Degraded-mode governor: refuse writes outright when no replica
         // protection is possible, instead of accepting data one more
@@ -349,9 +349,8 @@ impl BladeCluster {
 
     /// The extents a volume byte range touches: (first, how many).
     fn extent_span(&self, offset: u64, len: u64) -> (u64, u64) {
-        let eb = self.cfg.extent_bytes;
-        let first_ext = offset / eb;
-        (first_ext, (offset + len - 1) / eb - first_ext + 1)
+        let first_ext = offset / EXTENT_BYTES;
+        (first_ext, (offset + len - 1) / EXTENT_BYTES - first_ext + 1)
     }
 
     /// Back a volume byte range about to be written with DMSD extents.
@@ -370,7 +369,7 @@ impl BladeCluster {
     /// pieces of its group that back it; holes contribute nothing.
     pub(super) fn mapped_pieces(&self, vol: VolumeId, offset: u64, len: u64) -> Result<impl Iterator<Item = (u64, u64)> + '_, ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
-        let eb = self.cfg.extent_bytes;
+        let eb = EXTENT_BYTES;
         let (first_ext, extents) = self.extent_span(offset, len);
         let segs = self.groups[gi].volumes.read_iter(local, first_ext, extents)?;
         Ok(segs.filter_map(move |seg| {
@@ -421,7 +420,7 @@ impl BladeCluster {
         plan_into: impl Fn(&Geometry, u64, u64, &[bool], &mut IoPlan) -> Result<(), DataLoss>,
         mut mismatches: Option<&mut Vec<ReadMismatch>>,
     ) -> Result<PageIo, ClusterError> {
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let (gi, _) = Self::decode_vol(vol);
         let geo = self.groups[gi].geo;
         // `charge` borrows the whole cluster, so the buffers step outside

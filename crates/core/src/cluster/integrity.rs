@@ -3,6 +3,7 @@
 //! repair paths.
 
 use super::{refuse_rot, BladeCluster, ClusterError, PageIo, PageVerify, ReadMismatch};
+use crate::config::{EXTENT_BYTES, PAGE_BYTES};
 use ys_cache::PageKey;
 use ys_simcore::time::SimTime;
 use ys_simdisk::{DiskId, PAGE_TAG_BYTES};
@@ -106,8 +107,8 @@ impl BladeCluster {
         if freed.is_empty() {
             return;
         }
-        let eb = self.cfg.extent_bytes;
-        let pb = self.cfg.page_bytes;
+        let eb = EXTENT_BYTES;
+        let pb = PAGE_BYTES;
         for e in freed {
             let mut off = 0;
             while off < eb {
@@ -132,7 +133,7 @@ impl BladeCluster {
     /// lives: the (disk, member offset) a fault injector would hit.
     /// `None` for unmapped pages. Does not alter any state.
     pub fn locate_volume_page(&mut self, vol: VolumeId, page: u64) -> Option<(DiskId, u64)> {
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let (gi, _) = Self::decode_vol(vol);
         let (phys, _) = self.mapped_pieces(vol, page * pb, pb).ok()?.next()?;
         Some(self.tag_slot(gi, phys))

@@ -3,6 +3,7 @@
 //! replaced.
 
 use super::{BladeCluster, ClusterError};
+use crate::config::PAGE_BYTES;
 use std::cmp::Reverse;
 use ys_cache::{CacheError, DrainReport, Health, PageKey};
 use ys_simcore::time::SimTime;
@@ -71,7 +72,7 @@ impl BladeCluster {
         }
         // Charge the evacuation traffic: every moved owner copy and every
         // re-placed replica is one page over the blade-to-blade fabric.
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let mut done = t;
         for &key in &report.moved {
             if let Some(owner) = self.cache.directory().get(&key).and_then(|e| e.owner) {
@@ -122,7 +123,7 @@ impl BladeCluster {
         };
         let target = self.cache.add_replica(key).map_err(ClusterError::Cache)?;
         self.stats.heal_replicas_placed += 1;
-        let done = self.cluster_fabric.send(now, owner, target, self.cfg.page_bytes).arrival;
+        let done = self.cluster_fabric.send(now, owner, target, PAGE_BYTES).arrival;
         Ok((target, done))
     }
 

@@ -23,7 +23,7 @@ mod prefetch_tests;
 #[cfg(test)]
 mod tests;
 
-use crate::config::ClusterConfig;
+use crate::config::{blade_cpu, ClusterConfig, EXTENT_BYTES};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use ys_cache::{CacheCluster, CacheError};
@@ -31,7 +31,7 @@ use ys_qos::{AdmissionController, ShedReason};
 use ys_raid::Geometry;
 use ys_simcore::stats::{LatencyHisto, RateMeter};
 use ys_simcore::time::{SimDuration, SimTime};
-use ys_simdisk::{DiskFarm, DiskId};
+use ys_simdisk::{DiskFarm, DiskId, DiskSpec};
 use ys_simnet::{catalog, Fabric, Link, LinkSpec};
 use ys_virt::{PhysicalPool, VirtError, VolumeManager};
 
@@ -258,8 +258,8 @@ impl BladeCluster {
         let mut disk_base = 0usize;
         for spec in cfg.group_specs() {
             let geo = Geometry::new(spec.level, spec.disks, spec.chunk);
-            let usable = geo.usable_capacity(cfg.disk_spec.capacity_bytes);
-            let pool = PhysicalPool::new(usable / cfg.extent_bytes, cfg.extent_bytes);
+            let usable = geo.usable_capacity(DiskSpec::cheetah_73().capacity_bytes);
+            let pool = PhysicalPool::new(usable / EXTENT_BYTES, EXTENT_BYTES);
             groups.push(RaidGroup { geo, disk_base, volumes: VolumeManager::new(pool) });
             disk_base += spec.disks;
         }
@@ -271,17 +271,16 @@ impl BladeCluster {
             catalog::fibre_channel_2g().propagation,
             catalog::fibre_channel_2g().per_message,
         );
-        let cpu_spec = LinkSpec::new(cfg.cost.cache_copy, SimDuration::ZERO, cfg.cost.per_io);
         let blades = cfg.blades;
         let cache_pages = cfg.cache_pages_per_blade;
         BladeCluster {
             cache: CacheCluster::new(blades, cache_pages),
             groups,
-            farm: DiskFarm::new(total_disks, cfg.disk_spec),
+            farm: DiskFarm::new(total_disks, DiskSpec::cheetah_73()),
             host_fabric: Fabric::new(blade_ports, catalog::fibre_channel_2g()),
             cluster_fabric: Fabric::new(cfg.blades, catalog::fibre_channel_2g()),
             disk_links: (0..cfg.blades).map(|_| Link::new(disk_link_spec)).collect(),
-            cpus: (0..cfg.blades).map(|_| Link::new(cpu_spec)).collect(),
+            cpus: (0..cfg.blades).map(|_| Link::new(blade_cpu())).collect(),
             rr_next: 0,
             pending: BinaryHeap::new(),
             inflight_fills: std::collections::BTreeMap::new(),

@@ -3,6 +3,7 @@
 //! tenant admission in front of the data path.
 
 use super::{BladeCluster, ClusterError, Completion};
+use crate::config::{EXTENT_BYTES, PAGE_BYTES};
 use ys_cache::{PageKey, Retention};
 use ys_qos::{AdmissionController, Decision, Pressure};
 use ys_simcore::time::SimTime;
@@ -27,7 +28,7 @@ impl BladeCluster {
     /// Create a demand-mapped volume in a specific RAID group (§4's
     /// per-class placement).
     pub fn create_volume_in(&mut self, group: usize, name: &str, tenant: u32, bytes: u64) -> Result<VolumeId, ClusterError> {
-        let extents = bytes.div_ceil(self.cfg.extent_bytes);
+        let extents = bytes.div_ceil(EXTENT_BYTES);
         let local = self.groups[group].volumes.create(name, tenant, VolumeKind::DemandMapped, extents)?;
         Ok(Self::encode_vol(group, local))
     }
@@ -66,7 +67,7 @@ impl BladeCluster {
     /// Grow a volume's virtual size (free for DMSDs, §3).
     pub fn expand_volume(&mut self, vol: VolumeId, new_bytes: u64) -> Result<(), ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
-        let extents = new_bytes.div_ceil(self.cfg.extent_bytes);
+        let extents = new_bytes.div_ceil(EXTENT_BYTES);
         Ok(self.groups[gi].volumes.expand(local, extents)?)
     }
 
@@ -85,7 +86,7 @@ impl BladeCluster {
     ) -> Result<(u64, SimTime), ClusterError> {
         let (gi, local) = Self::decode_vol(vol);
         let geo = self.groups[gi].geo;
-        let eb = self.cfg.extent_bytes;
+        let eb = EXTENT_BYTES;
         let (moved, copies) = self.groups[gi].volumes.relocate(local, extent_off, extents)?;
         let mut done = now;
         for &(old_phys, new_phys, len) in &copies {
@@ -97,7 +98,7 @@ impl BladeCluster {
         // Data plane: the media bytes travel with the copy, page by page,
         // before the vacated extents are trimmed below. The cipher nonce is
         // the *logical* page index, so relocated ciphertext stays valid.
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         for &(old_phys, new_phys, len) in &copies {
             let mut off = 0;
             while off < len * eb {
@@ -168,12 +169,6 @@ impl BladeCluster {
             out.extend(run.vstart..run.vend());
         }
         out
-    }
-
-    /// Bytes per virtualization extent (the scrub walk granularity above
-    /// the page).
-    pub fn extent_bytes(&self) -> u64 {
-        self.cfg.extent_bytes
     }
 
     /// Charge-back lines aggregated across every group, annotated with

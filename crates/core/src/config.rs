@@ -1,7 +1,8 @@
-//! Cluster configuration: the knobs every experiment sweeps.
+//! Cluster configuration: the knobs experiments sweep, and the era
+//! machine's fixed sizes and costs.
 
 use ys_simcore::time::{Bandwidth, SimDuration};
-use ys_simdisk::DiskSpec;
+use ys_simnet::LinkSpec;
 use ys_raid::RaidLevel;
 
 /// How incoming requests are spread over controller blades.
@@ -17,29 +18,25 @@ pub enum LoadBalance {
     PinnedByVolume,
 }
 
-/// Per-blade compute/copy cost model (era-calibrated).
-#[derive(Clone, Copy, Debug)]
-pub struct CostModel {
-    /// Fixed software-path cost per I/O command on a blade.
-    pub per_io: SimDuration,
-    /// Cache-memory copy bandwidth per blade.
-    pub cache_copy: Bandwidth,
-    /// Encryption cost per byte when done in software.
-    pub sw_crypt_ns_per_byte: f64,
-    /// Encryption cost per byte with the optional hardware engine (§5.1).
-    pub hw_crypt_ns_per_byte: f64,
-}
+/// Cache page size in bytes: the unit of caching, replication, destage
+/// and media tagging.
+pub const PAGE_BYTES: u64 = 64 * 1024;
 
-impl Default for CostModel {
-    fn default() -> CostModel {
-        CostModel {
-            per_io: SimDuration::from_micros(30),
-            // ~1.6 GB/s era memory copy
-            cache_copy: Bandwidth::from_mbyte_per_sec(1600),
-            sw_crypt_ns_per_byte: ys_security::SW_NS_PER_BYTE,
-            hw_crypt_ns_per_byte: ys_security::HW_NS_PER_BYTE,
-        }
-    }
+/// Stripe chunk of the primary RAID group.
+pub(crate) const RAID_CHUNK: u64 = 64 * 1024;
+
+/// Physical-pool extent size for virtualization.
+pub const EXTENT_BYTES: u64 = 1 << 20;
+
+/// Fixed software-path cost per I/O command on a blade (era-calibrated).
+const PER_IO: SimDuration = SimDuration::from_micros(30);
+
+/// Cache-memory copy bandwidth per blade: ~1.6 GB/s era memory copy.
+const CACHE_COPY_MB_PER_SEC: u64 = 1600;
+
+/// One blade's CPU as a link: copy bandwidth plus the per-I/O cost.
+pub(crate) fn blade_cpu() -> LinkSpec {
+    LinkSpec::new(Bandwidth::from_mbyte_per_sec(CACHE_COPY_MB_PER_SEC), SimDuration::ZERO, PER_IO)
 }
 
 /// Encryption deployment options (§5.1).
@@ -81,23 +78,14 @@ pub struct ClusterConfig {
     pub blades: usize,
     /// Cache capacity per blade, in pages.
     pub cache_pages_per_blade: usize,
-    /// Cache page size in bytes.
-    pub page_bytes: u64,
     /// Member disks of the *primary* RAID group (group 0).
     pub disks: usize,
-    pub disk_spec: DiskSpec,
     /// Personality of the primary group.
     pub raid: RaidLevel,
-    pub raid_chunk: u64,
     /// Additional RAID groups (their disks extend the farm beyond `disks`).
     pub extra_groups: Vec<RaidGroupSpec>,
-    /// Physical-pool extent size for virtualization.
-    pub extent_bytes: u64,
-    /// Default N-way write replication (overridable per file, §6.1).
-    pub default_write_copies: usize,
     pub load_balance: LoadBalance,
     pub encryption: EncryptionConfig,
-    pub cost: CostModel,
     /// Host clients attached to the host-side fabric.
     pub clients: usize,
     /// Pages to read ahead when sequential access is detected (0 = off) —
@@ -127,17 +115,11 @@ impl Default for ClusterConfig {
         ClusterConfig {
             blades: 4,
             cache_pages_per_blade: 4096, // 256 MiB at 64 KiB pages
-            page_bytes: 64 * 1024,
             disks: 16,
-            disk_spec: DiskSpec::cheetah_73(),
             raid: RaidLevel::Raid5,
-            raid_chunk: 64 * 1024,
             extra_groups: Vec::new(),
-            extent_bytes: 1 << 20,
-            default_write_copies: 2,
             load_balance: LoadBalance::RoundRobin,
             encryption: EncryptionConfig::off(),
-            cost: CostModel::default(),
             clients: 8,
             prefetch_pages: 0,
             remote_cache_supply: true,
@@ -184,11 +166,6 @@ impl ClusterConfig {
         self
     }
 
-    pub fn with_write_copies(mut self, n: usize) -> ClusterConfig {
-        self.default_write_copies = n;
-        self
-    }
-
     pub fn with_prefetch(mut self, pages: usize) -> ClusterConfig {
         self.prefetch_pages = pages;
         self
@@ -221,7 +198,7 @@ impl ClusterConfig {
 
     /// All groups in order (group 0 = the primary fields).
     pub fn group_specs(&self) -> Vec<RaidGroupSpec> {
-        let mut v = vec![RaidGroupSpec { level: self.raid, disks: self.disks, chunk: self.raid_chunk }];
+        let mut v = vec![RaidGroupSpec { level: self.raid, disks: self.disks, chunk: RAID_CHUNK }];
         v.extend(self.extra_groups.iter().copied());
         v
     }
@@ -241,18 +218,16 @@ mod tests {
         let c = ClusterConfig::default()
             .with_blades(8)
             .with_disks(32)
-            .with_write_copies(3)
             .with_load_balance(LoadBalance::PageAffinity);
         assert_eq!(c.blades, 8);
         assert_eq!(c.disks, 32);
-        assert_eq!(c.default_write_copies, 3);
         assert_eq!(c.load_balance, LoadBalance::PageAffinity);
     }
 
     #[test]
     fn default_is_a_plausible_2001_machine() {
         let c = ClusterConfig::default();
-        assert_eq!(c.page_bytes * c.cache_pages_per_blade as u64, 256 << 20, "256 MiB per blade");
+        assert_eq!(PAGE_BYTES * c.cache_pages_per_blade as u64, 256 << 20, "256 MiB per blade");
         assert!(c.disks >= 8);
     }
 }

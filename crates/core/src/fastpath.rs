@@ -12,7 +12,7 @@
 use ys_proto::plan_stream;
 use ys_simcore::time::{throughput_gbit_per_sec, SimDuration, SimTime};
 use ys_simcore::SpanEvent;
-use ys_simnet::{catalog, Link, LinkSpec, SharedBus};
+use ys_simnet::{catalog, Link, SharedBus};
 
 /// Result of one striped stream delivery.
 #[derive(Clone, Copy, Debug)]
@@ -26,27 +26,21 @@ pub struct StreamResult {
     pub port_utilization: f64,
 }
 
-/// Configuration of the high-speed path.
+/// Segment size for round-robin striping.
+const SEGMENT_BYTES: u64 = 1 << 20;
+
+/// Configuration of the high-speed path; its output port is one 10 GbE.
 #[derive(Clone, Copy, Debug)]
 pub struct FastPathConfig {
     /// Number of controller blades striping the stream.
     pub blades: usize,
     /// FC ports per blade (the paper: two).
     pub fc_ports_per_blade: usize,
-    /// Segment size for round-robin striping.
-    pub segment_bytes: u64,
-    /// The high-speed output port.
-    pub port: LinkSpec,
 }
 
 impl Default for FastPathConfig {
     fn default() -> FastPathConfig {
-        FastPathConfig {
-            blades: 4,
-            fc_ports_per_blade: 2,
-            segment_bytes: 1 << 20,
-            port: catalog::ten_gigabit_ethernet(),
-        }
+        FastPathConfig { blades: 4, fc_ports_per_blade: 2 }
     }
 }
 
@@ -76,7 +70,7 @@ pub fn deliver_stream_traced(
         .map(|_| (0..cfg.fc_ports_per_blade).map(|_| Link::new(fc)).collect())
         .collect();
     let mut bus = SharedBus::new(catalog::pci_x_266_bus());
-    let mut port = Link::new(cfg.port);
+    let mut port = Link::new(catalog::ten_gigabit_ethernet());
     if trace_capacity > 0 {
         for (b, links) in fc_links.iter_mut().enumerate() {
             for (p, l) in links.iter_mut().enumerate() {
@@ -87,7 +81,7 @@ pub fn deliver_stream_traced(
         port.enable_trace(1001, trace_capacity);
     }
 
-    let plan = plan_stream(object_bytes, None, cfg.segment_bytes, cfg.blades);
+    let plan = plan_stream(object_bytes, None, SEGMENT_BYTES, cfg.blades);
     let mut last_arrival = SimTime::ZERO;
     let mut per_blade_seg = vec![0usize; cfg.blades];
     for seg in &plan.segments {

@@ -9,6 +9,7 @@
 //! SCSI, NAS, VI ..."
 
 use crate::cluster::BladeCluster;
+use crate::config::EXTENT_BYTES;
 use crate::netstorage::{NetError, NetStorage};
 use bytes::Bytes;
 use ys_cache::Retention;
@@ -183,9 +184,8 @@ impl BlockTarget {
                 if let Err(r) = check(self, vol) {
                     return r;
                 }
-                let eb = cluster.config().extent_bytes;
-                let first = lba * block::SECTOR / eb;
-                let count = (sectors as u64 * block::SECTOR).div_ceil(eb);
+                let first = lba * block::SECTOR / EXTENT_BYTES;
+                let count = (sectors as u64 * block::SECTOR).div_ceil(EXTENT_BYTES);
                 match cluster.unmap_volume(vol, first, count) {
                     Ok(_) => BlockReply { status: BlockStatus::Good, done: now },
                     Err(_) => {

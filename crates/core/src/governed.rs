@@ -25,6 +25,7 @@
 //! repository ever set; they are the policy, so they live here.
 
 use crate::cluster::{BladeCluster, ClusterError};
+use crate::config::PAGE_BYTES;
 use ys_simcore::time::{SimDuration, SimTime};
 
 /// Pages per batch: the in-flight budget one admission covers.
@@ -116,7 +117,7 @@ fn batch<C, W: GovernedWork<C>>(
     remaining: usize,
 ) -> Result<Option<SimTime>, ClusterError> {
     let pages = remaining.min(PAGES_PER_BATCH);
-    let bytes = pages as u64 * W::cluster(ctx).config().page_bytes;
+    let bytes = pages as u64 * PAGE_BYTES;
     let gov = work.governor();
     let forced = gov.tenant.is_some() && gov.consecutive_sheds >= MAX_CONSECUTIVE_SHEDS;
     let admitted = gov.tenant.filter(|_| !forced);

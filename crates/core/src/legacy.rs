@@ -13,13 +13,13 @@
 //! * fixed provisioning (no demand mapping);
 //! * replication only at whole-volume granularity (§7.2).
 
-use crate::config::CostModel;
+use crate::config::{blade_cpu, PAGE_BYTES, RAID_CHUNK};
 use ys_cache::{LruList, PageKey, Retention};
 use ys_raid::{Geometry, RaidLevel};
 use ys_simcore::stats::{LatencyHisto, RateMeter};
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simdisk::{DiskFarm, DiskId, DiskOp, DiskSpec};
-use ys_simnet::{catalog, Link, LinkSpec};
+use ys_simnet::{catalog, Link};
 
 /// Failover mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -28,33 +28,22 @@ pub enum LegacyMode {
     ActiveActive,
 }
 
+/// Private cache per controller, in pages: the same 256 MiB a blade holds.
+const CACHE_PAGES_PER_CONTROLLER: usize = 4096;
+
+/// Member disks behind the controller pair, one RAID-5 group.
+const DISKS: usize = 16;
+
 /// Baseline configuration.
 #[derive(Clone, Debug)]
 pub struct LegacyConfig {
     pub controllers: usize,
     pub mode: LegacyMode,
-    pub cache_pages_per_controller: usize,
-    pub page_bytes: u64,
-    pub disks: usize,
-    pub disk_spec: DiskSpec,
-    pub raid: RaidLevel,
-    pub raid_chunk: u64,
-    pub cost: CostModel,
 }
 
 impl Default for LegacyConfig {
     fn default() -> LegacyConfig {
-        LegacyConfig {
-            controllers: 2,
-            mode: LegacyMode::ActiveActive,
-            cache_pages_per_controller: 4096,
-            page_bytes: 64 * 1024,
-            disks: 16,
-            disk_spec: DiskSpec::cheetah_73(),
-            raid: RaidLevel::Raid5,
-            raid_chunk: 64 * 1024,
-            cost: CostModel::default(),
-        }
+        LegacyConfig { controllers: 2, mode: LegacyMode::ActiveActive }
     }
 }
 
@@ -92,16 +81,15 @@ pub struct LegacyArray {
 impl LegacyArray {
     pub fn new(cfg: LegacyConfig) -> LegacyArray {
         assert!(cfg.controllers >= 1 && cfg.controllers <= 2, "traditional arrays have 1–2 controllers");
-        let raid = Geometry::new(cfg.raid, cfg.disks, cfg.raid_chunk);
-        let cpu_spec = LinkSpec::new(cfg.cost.cache_copy, SimDuration::ZERO, cfg.cost.per_io);
+        let raid = Geometry::new(RaidLevel::Raid5, DISKS, RAID_CHUNK);
         LegacyArray {
             controllers: (0..cfg.controllers)
                 .map(|_| ControllerState { pages: LruList::new(), up: true })
                 .collect(),
-            farm: DiskFarm::new(cfg.disks, cfg.disk_spec),
+            farm: DiskFarm::new(DISKS, DiskSpec::cheetah_73()),
             raid,
             host_links: (0..cfg.controllers).map(|_| Link::new(catalog::fibre_channel_2g())).collect(),
-            cpus: (0..cfg.controllers).map(|_| Link::new(cpu_spec)).collect(),
+            cpus: (0..cfg.controllers).map(|_| Link::new(blade_cpu())).collect(),
             mirror_link: Link::new(catalog::fibre_channel_2g()),
             version: 0,
             cfg,
@@ -137,7 +125,7 @@ impl LegacyArray {
 
     fn evict_for(&mut self, c: usize) {
         let pages = &mut self.controllers[c].pages;
-        while pages.len() >= self.cfg.cache_pages_per_controller {
+        while pages.len() >= CACHE_PAGES_PER_CONTROLLER {
             // Dirty pages veto their own eviction.
             if pages.evict_where(|_, &(dirty, _)| dirty).is_none() {
                 // Cache saturated with dirty pages: drop the oldest dirty
@@ -150,8 +138,8 @@ impl LegacyArray {
 
     /// `None` when a member disk cannot serve the read (failed through the
     /// public `farm`, or the range lies past its end).
-    fn charge_disk_read(&mut self, _c: usize, t: SimTime, phys: u64, len: u64) -> Option<SimTime> {
-        let plan = ys_raid::read_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]).ok()?;
+    fn charge_disk_read(&mut self, t: SimTime, phys: u64, len: u64) -> Option<SimTime> {
+        let plan = ys_raid::read_plan(&self.raid, phys, len, &[false; DISKS]).ok()?;
         let mut done = t;
         for io in &plan.reads {
             let d = self
@@ -163,9 +151,8 @@ impl LegacyArray {
         Some(done)
     }
 
-    fn charge_disk_write(&mut self, c: usize, t: SimTime, phys: u64, len: u64) {
-        let _ = c;
-        if let Ok(plan) = ys_raid::write_plan(&self.raid, phys, len, &vec![false; self.cfg.disks]) {
+    fn charge_disk_write(&mut self, t: SimTime, phys: u64, len: u64) {
+        if let Ok(plan) = ys_raid::write_plan(&self.raid, phys, len, &[false; DISKS]) {
             let mut start = t;
             for io in &plan.reads {
                 if let Ok(d) = self.farm.submit(DiskId(io.member), t, DiskOp::Read { offset: io.offset, bytes: io.bytes }) {
@@ -182,7 +169,7 @@ impl LegacyArray {
     /// controller is up or the disks cannot serve a missed page.
     pub fn read(&mut self, now: SimTime, vol: u32, offset: u64, len: u64) -> Option<SimDuration> {
         let c = self.owner(vol)?;
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let t0 = self.host_links[c].transfer(now, 64).arrival;
         let mut ready = t0;
         for page in offset / pb..=(offset + len - 1) / pb {
@@ -192,7 +179,7 @@ impl LegacyArray {
                 self.cpus[c].transfer(t0, pb.min(len)).arrival
             } else {
                 self.stats.misses += 1;
-                let disk_done = self.charge_disk_read(c, t0, page * pb, pb)?;
+                let disk_done = self.charge_disk_read(t0, page * pb, pb)?;
                 self.evict_for(c);
                 self.controllers[c].pages.put(key, (false, self.version), Retention::Normal);
                 self.cpus[c].transfer(disk_done, pb.min(len)).arrival
@@ -209,7 +196,7 @@ impl LegacyArray {
     /// Write-back through the owner, mirrored to the single partner.
     pub fn write(&mut self, now: SimTime, vol: u32, offset: u64, len: u64) -> Option<SimDuration> {
         let c = self.owner(vol)?;
-        let pb = self.cfg.page_bytes;
+        let pb = PAGE_BYTES;
         let t0 = self.host_links[c].transfer(now, len).arrival;
         self.version += 1;
         let mut ack = t0;
@@ -230,12 +217,7 @@ impl LegacyArray {
             };
             ack = ack.max(cpu).max(mirrored);
             // Background destage.
-            self.charge_disk_write(c, ack, page * pb, pb.min(len));
-            // Destage completion clears dirty lazily; model: clean at once
-            // since loss accounting below only concerns un-mirrored state.
-            if let Some(e) = self.controllers[c].pages.get_mut(&key) {
-                e.0 = true;
-            }
+            self.charge_disk_write(ack, page * pb, pb.min(len));
         }
         let lat = ack.since(now);
         self.stats.write_latency.record(lat);
@@ -351,12 +333,7 @@ mod hotspot_tests {
 
     #[test]
     fn single_controller_array_loses_on_first_failure() {
-        let cfg = LegacyConfig {
-            controllers: 1,
-            mode: LegacyMode::ActivePassive,
-            ..LegacyConfig::default()
-        };
-        let mut a = LegacyArray::new(cfg);
+        let mut a = LegacyArray::new(LegacyConfig { controllers: 1, mode: LegacyMode::ActivePassive });
         a.write(SimTime::ZERO, 0, 0, 64 * 1024);
         assert!(a.fail_controller(0) > 0, "no mirror, immediate loss");
         assert!(a.read(SimTime(1), 0, 0, 512).is_none(), "array is dead");
@@ -364,10 +341,9 @@ mod hotspot_tests {
 
     #[test]
     fn cache_eviction_under_pressure_keeps_serving() {
-        let cfg = LegacyConfig { cache_pages_per_controller: 8, ..LegacyConfig::default() };
-        let mut a = LegacyArray::new(cfg);
+        let mut a = LegacyArray::new(LegacyConfig::default());
         let mut t = SimTime::ZERO;
-        for i in 0..100u64 {
+        for i in 0..CACHE_PAGES_PER_CONTROLLER as u64 + 100 {
             a.write(t, 0, i * 64 * 1024, 64 * 1024);
             t = SimTime(t.nanos() + 1_000_000);
         }

@@ -2,7 +2,8 @@
 //! machine built as a distributed-memory parallel computer of controller
 //! blades, reproduced over deterministic simulated hardware.
 //!
-//! * [`config`] — cluster configuration and the era cost model;
+//! * [`config`] — cluster configuration and the era machine's fixed sizes
+//!   and costs;
 //! * [`cluster`] — [`BladeCluster`]: the single-site data path — pooled
 //!   coherent cache, N-way write-back replication, DMSD virtualization,
 //!   RAID destage, load balancing, blade/disk failures (§2, §3, §6),
@@ -42,7 +43,7 @@ pub use admin::{AdminError, AdminOp, AdminOutcome, ManagementPlane};
 pub use cluster::{
     BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch,
 };
-pub use config::{ClusterConfig, CostModel, EncryptionConfig, LoadBalance};
+pub use config::{ClusterConfig, EncryptionConfig, LoadBalance, EXTENT_BYTES, PAGE_BYTES};
 pub use fastpath::{deliver_stream, deliver_stream_traced, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
 pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};

@@ -4,7 +4,7 @@
 //! thereafter, and real-time disaster recovery.
 
 use crate::cluster::{BladeCluster, ClusterError, Completion};
-use crate::config::ClusterConfig;
+use crate::config::{ClusterConfig, EXTENT_BYTES, PAGE_BYTES};
 use ys_geo::{place, AccessKind, DistributedAccess, Placement, ReplicationEngine, SiteId, SiteTopology};
 use ys_pfs::{FileExtent, FilePolicy, FileSystem, FsError, Ino};
 use ys_simcore::stats::LatencyHisto;
@@ -12,14 +12,15 @@ use ys_simcore::time::{SimDuration, SimTime};
 use ys_simnet::Link;
 use ys_virt::VolumeId;
 
+/// Stripe unit of the global file system.
+const STRIPE_UNIT: u64 = 1 << 20;
+
 /// Multi-site configuration.
 #[derive(Clone, Debug)]
 pub struct NetStorageConfig {
     /// Per-site cluster hardware (identical sites, as labs deploy).
     pub site_cluster: ClusterConfig,
     pub topology: SiteTopology,
-    /// PFS stripe unit.
-    pub stripe_unit: u64,
     /// Heat half-life for §7.1 auto-replication.
     pub heat_half_life_secs: f64,
     pub hot_threshold: f64,
@@ -30,7 +31,6 @@ impl Default for NetStorageConfig {
         NetStorageConfig {
             site_cluster: ClusterConfig::default(),
             topology: SiteTopology::national_lab(),
-            stripe_unit: 1 << 20,
             heat_half_life_secs: 300.0,
             hot_threshold: 3.0,
         }
@@ -163,7 +163,7 @@ impl NetStorage {
             }
             wan.push(row);
         }
-        let mut fs = FileSystem::new(vec![VolumeId(0)], cfg.stripe_unit);
+        let mut fs = FileSystem::new(vec![VolumeId(0)], STRIPE_UNIT);
         for (spec, &vol) in specs.iter().skip(1).zip(&class_volumes) {
             fs.add_storage_class(spec.level, vec![vol]);
         }
@@ -259,7 +259,7 @@ impl NetStorage {
             let mut frame = plain;
             ys_security::ctr_xor(&key, seq, 0, &mut frame);
             debug_assert_ne!(frame, plain, "ciphertext must differ from plaintext");
-            depart += self.crypt_cost(from, bytes);
+            depart += self.clusters[from.0].crypt_time(bytes, true);
             // The link only ever carries `frame` (ciphertext); the receiver
             // deciphers with the same (key, nonce) and must round-trip.
             let mut received = frame;
@@ -270,18 +270,7 @@ impl NetStorage {
             self.stats.wire_frames_plaintext += 1;
         }
         let arrival = self.wan[from.0][to.0].as_mut().map(|l| l.transfer(depart, bytes).arrival)?;
-        Some(if enc.in_transit { arrival + self.crypt_cost(to, bytes) } else { arrival })
-    }
-
-    /// Virtual-time cost of one cipher pass over `bytes` at `site`.
-    fn crypt_cost(&self, site: SiteId, bytes: u64) -> SimDuration {
-        let cfg = self.clusters[site.0].config();
-        let per_byte = if cfg.encryption.hardware_assist {
-            cfg.cost.hw_crypt_ns_per_byte
-        } else {
-            cfg.cost.sw_crypt_ns_per_byte
-        };
-        SimDuration::from_nanos((bytes as f64 * per_byte) as u64)
+        Some(if enc.in_transit { arrival + self.clusters[to.0].crypt_time(bytes, true) } else { arrival })
     }
 
     /// Create a file homed at `site` with the given policy.
@@ -558,8 +547,8 @@ impl NetStorage {
         if !self.topology.site(site).up {
             return None;
         }
-        let pb = self.clusters[site.0].config().page_bytes;
-        let ext = page * pb / self.clusters[site.0].extent_bytes();
+        let pb = PAGE_BYTES;
+        let ext = page * pb / EXTENT_BYTES;
         let blade = self.clusters[site.0].any_up_blade()?;
         for d in 0..self.clusters.len() {
             let src = SiteId(d);

@@ -25,7 +25,7 @@ use std::collections::BTreeSet;
 use crate::healer::{HealConfig, Healer};
 use ys_cache::{Health, Retention};
 use ys_core::harness::{number, Campaign, CampaignRun};
-use ys_core::{BladeCluster, ClusterConfig, ClusterError};
+use ys_core::{BladeCluster, ClusterConfig, ClusterError, PAGE_BYTES};
 use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::time::{SimDuration, SimTime};
 use ys_simcore::Rng;
@@ -210,7 +210,7 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), ClusterErro
             .with_health_governor(),
     );
     let vol = c.create_volume("heal", TENANT_FG, 1 << 30)?;
-    let pb = c.config().page_bytes;
+    let pb = PAGE_BYTES;
     let mut rng = Rng::new(cfg.seed ^ 0x4ea1_5eed);
     let mut acked: BTreeSet<u64> = BTreeSet::new();
     let mut t = SimTime::ZERO;

@@ -139,10 +139,6 @@ impl FileSystem {
         }
     }
 
-    pub fn stripe_unit(&self) -> u64 {
-        self.stripe_unit
-    }
-
     /// The child table of directory `dir`; `None` when `dir` is a file or
     /// gone.
     fn children_mut(&mut self, dir: Ino) -> Option<&mut HashMap<String, Ino>> {
@@ -377,8 +373,10 @@ mod tests {
     use super::*;
     use ys_cache::Retention;
 
+    const UNIT: u64 = 1 << 20;
+
     fn fs() -> FileSystem {
-        FileSystem::new(vec![VolumeId(0), VolumeId(1), VolumeId(2), VolumeId(3)], 1 << 20)
+        FileSystem::new(vec![VolumeId(0), VolumeId(1), VolumeId(2), VolumeId(3)], UNIT)
     }
 
     #[test]
@@ -397,19 +395,17 @@ mod tests {
     fn writes_grow_size_and_stripe_across_volumes() {
         let mut f = fs();
         let ino = f.create("/big", None).unwrap();
-        let unit = f.stripe_unit();
-        let pieces = f.write(ino, 0, 4 * unit).unwrap();
+        let pieces = f.write(ino, 0, 4 * UNIT).unwrap();
         let vols: std::collections::HashSet<_> = pieces.iter().map(|e| e.vol).collect();
         assert_eq!(vols.len(), 4, "4 stripe units land on 4 volumes");
-        assert_eq!(f.stat("/big").unwrap().size, 4 * unit);
+        assert_eq!(f.stat("/big").unwrap().size, 4 * UNIT);
     }
 
     #[test]
     fn unaligned_write_spans_chunks() {
         let mut f = fs();
         let ino = f.create("/x", None).unwrap();
-        let unit = f.stripe_unit();
-        let pieces = f.write(ino, unit - 100, 200).unwrap();
+        let pieces = f.write(ino, UNIT - 100, 200).unwrap();
         assert_eq!(pieces.len(), 2);
         assert_eq!(pieces[0].len, 100);
         assert_eq!(pieces[1].len, 100);
@@ -468,8 +464,7 @@ mod tests {
     fn unlink_returns_extents_for_unmap() {
         let mut f = fs();
         let ino = f.create("/x", None).unwrap();
-        let unit = f.stripe_unit();
-        f.write(ino, 0, 3 * unit).unwrap();
+        f.write(ino, 0, 3 * UNIT).unwrap();
         let extents = f.unlink("/x").unwrap();
         assert_eq!(extents.len(), 3);
         assert!(f.lookup("/x").is_err());

@@ -6,8 +6,10 @@ use std::collections::HashMap;
 use ys_pfs::{FileSystem, FsError};
 use ys_virt::VolumeId;
 
+const UNIT: u64 = 1 << 20;
+
 fn fs() -> FileSystem {
-    FileSystem::new(vec![VolumeId(0), VolumeId(1), VolumeId(2)], 1 << 20)
+    FileSystem::new(vec![VolumeId(0), VolumeId(1), VolumeId(2)], UNIT)
 }
 
 #[derive(Clone, Debug)]
@@ -80,15 +82,14 @@ proptest! {
         writes in proptest::collection::vec((0u8..6, 0u64..64, 1u64..4), 1..60),
     ) {
         let mut f = fs();
-        let unit = f.stripe_unit();
         let mut inos = HashMap::new();
         let mut owned: HashMap<(u32, u64), (u8, u64)> = HashMap::new(); // (vol, voff-chunk) -> (file, chunk)
         for (file, chunk, nchunks) in writes {
             let ino = *inos.entry(file).or_insert_with(|| f.create(&format!("/file{file}"), None).unwrap());
-            let extents = f.write(ino, chunk * unit, nchunks * unit).unwrap();
+            let extents = f.write(ino, chunk * UNIT, nchunks * UNIT).unwrap();
             for e in extents {
-                prop_assert_eq!(e.voff % unit, 0, "allocation is unit-aligned");
-                let fchunk = e.voff / unit;
+                prop_assert_eq!(e.voff % UNIT, 0, "allocation is unit-aligned");
+                let fchunk = e.voff / UNIT;
                 let key = (e.vol.0, fchunk);
                 let claim = (file, chunk);
                 if let Some(&prev) = owned.get(&key) {

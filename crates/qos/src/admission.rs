@@ -9,11 +9,12 @@
 //! * **Shed** — over the in-flight cap, the token wait exceeds
 //!   `max_delay`, or backpressure is asserted against a scavenger.
 //!
-//! Backpressure ([`Pressure`]) is keyed off the cache dirty ratio and
-//! RAID-rebuild activity: while either is hot, scavenger tenants are
-//! shed outright and standard tenants pay `pressure_delay`; premium
-//! traffic is untouched. Completions feed per-tenant SLO tracking
-//! (latency histogram + throughput meter, see [`crate::slo`]).
+//! Backpressure ([`Pressure`]) is keyed off the cache dirty ratio (above
+//! `DIRTY_SHED_RATIO`) and RAID-rebuild activity: while either is hot,
+//! scavenger tenants are shed outright and standard tenants pay
+//! `PRESSURE_DELAY`; premium traffic is untouched. Completions feed
+//! per-tenant SLO tracking (latency histogram + throughput meter, see
+//! [`crate::slo`]).
 //!
 //! Invariants (model-checked by `ys-check`): token balances stay within
 //! `0..=burst`, every shed/admit counter is monotone, and the number of
@@ -23,13 +24,18 @@ use std::collections::BinaryHeap;
 use std::cmp::Reverse;
 
 use ys_simcore::stats::{LatencyHisto, RateMeter};
-use ys_simcore::time::SimTime;
-#[cfg(test)]
-use ys_simcore::time::SimDuration;
+use ys_simcore::time::{SimDuration, SimTime};
 
 use crate::bucket::TokenBucket;
 use crate::config::{QosClass, QosConfig, TenantSpec};
 use crate::slo::SloStatus;
+
+/// Cache dirty ratio above which backpressure is asserted.
+pub(crate) const DIRTY_SHED_RATIO: f64 = 0.75;
+
+/// Extra delay applied to `Standard` tenants while backpressure (dirty
+/// cache or active rebuild) is asserted.
+pub(crate) const PRESSURE_DELAY: SimDuration = SimDuration::from_millis(2);
 
 /// Why a request was refused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,7 +153,7 @@ impl AdmissionController {
 
     /// True while either backpressure signal is asserted.
     pub fn under_pressure(&self) -> bool {
-        self.pressure.rebuild_active || self.pressure.dirty_ratio > self.cfg.dirty_shed_ratio
+        self.pressure.rebuild_active || self.pressure.dirty_ratio > DIRTY_SHED_RATIO
     }
 
     fn state_mut(&mut self, tenant: u32) -> Option<&mut TenantState> {
@@ -168,7 +174,6 @@ impl AdmissionController {
         }
         let pressure = self.under_pressure();
         let max_delay = self.cfg.max_delay;
-        let pressure_delay = self.cfg.pressure_delay;
         let Some(st) = self.state_mut(tenant) else {
             return Decision::Admit { start: now };
         };
@@ -196,7 +201,7 @@ impl AdmissionController {
         debug_assert!(funded, "ready_at must fund take");
         let mut start = ready;
         if pressure && st.spec.class == QosClass::Standard {
-            start += pressure_delay;
+            start += PRESSURE_DELAY;
         }
         st.open += 1;
         st.stats.admitted += 1;
@@ -285,14 +290,11 @@ mod tests {
     use super::*;
 
     fn cfg() -> QosConfig {
-        QosConfig {
-            dirty_shed_ratio: 0.5,
-            pressure_delay: SimDuration::from_millis(1),
-            ..QosConfig::new().with_max_delay(SimDuration::from_millis(10))
-        }
-        .with_tenant(TenantSpec::new(1, "prem", QosClass::Premium).inflight_cap(2))
-        .with_tenant(TenantSpec::new(2, "std", QosClass::Standard).rate_mb_per_sec(1).burst_bytes(64 * 1024))
-        .with_tenant(TenantSpec::new(3, "scav", QosClass::Scavenger))
+        QosConfig::new()
+            .with_max_delay(SimDuration::from_millis(10))
+            .with_tenant(TenantSpec::new(1, "prem", QosClass::Premium).inflight_cap(2))
+            .with_tenant(TenantSpec::new(2, "std", QosClass::Standard).rate_mb_per_sec(1).burst_bytes(64 * 1024))
+            .with_tenant(TenantSpec::new(3, "scav", QosClass::Scavenger))
     }
 
     #[test]
@@ -354,7 +356,7 @@ mod tests {
         assert_eq!(ac.admit(SimTime::ZERO, 3, 4096), Decision::Shed { reason: ShedReason::Pressure });
         match ac.admit(SimTime::ZERO, 2, 4096) {
             Decision::Admit { start } => {
-                assert_eq!(start, SimTime(1_000_000), "standard pays the pressure delay")
+                assert_eq!(start, SimTime::ZERO + PRESSURE_DELAY, "standard pays the pressure delay")
             }
             d => panic!("{d:?}"),
         }
@@ -364,6 +366,18 @@ mod tests {
         ac.set_pressure(Pressure::default());
         assert!(!ac.under_pressure());
         assert!(matches!(ac.admit(SimTime(1), 3, 4096), Decision::Admit { .. }));
+        assert!(ac.audit().is_empty());
+    }
+
+    #[test]
+    fn the_dirty_threshold_itself_is_not_pressure() {
+        let mut ac = AdmissionController::new(cfg());
+        ac.set_pressure(Pressure { dirty_ratio: DIRTY_SHED_RATIO, rebuild_active: false });
+        assert!(!ac.under_pressure(), "the threshold is strict");
+        assert_eq!(ac.admit(SimTime::ZERO, 3, 4096), Decision::Admit { start: SimTime::ZERO });
+        ac.set_pressure(Pressure { dirty_ratio: DIRTY_SHED_RATIO + f64::EPSILON, rebuild_active: false });
+        assert!(ac.under_pressure());
+        assert_eq!(ac.admit(SimTime::ZERO, 3, 4096), Decision::Shed { reason: ShedReason::Pressure });
         assert!(ac.audit().is_empty());
     }
 
@@ -380,7 +394,7 @@ mod tests {
         let slo = &report[0];
         assert_eq!(slo.ops, 10);
         assert!(slo.p99 >= SimDuration::from_micros(100), "log-bucketed p99 {:?}", slo.p99);
-        assert!(slo.latency_met, "no budget configured means met");
+        assert!(slo.met(), "no budget configured means met");
         assert_eq!(report.len(), 3);
         assert_eq!(report[0].tenant, 1);
     }

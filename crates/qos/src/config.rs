@@ -1,18 +1,16 @@
 //! Tenant and policy configuration for the QoS layer.
 //!
 //! A [`QosConfig`] is a small declarative table: one [`TenantSpec`] per
-//! lab/tenant naming its [`QosClass`], scheduling weight, token-bucket
-//! envelope, in-flight cap, and SLO targets, plus cluster-wide policy
-//! knobs (maximum queueing delay before a request is shed, the cache
-//! dirty-ratio threshold that asserts backpressure). `QosConfig::disabled()`
+//! lab/tenant naming its [`QosClass`], token-bucket envelope, in-flight
+//! cap, and latency SLO, plus the one cluster-wide policy knob: the
+//! maximum queueing delay before a request is shed. `QosConfig::disabled()`
 //! is the default everywhere — with it, the data path is bit-identical to
 //! a build without this crate.
 
 use ys_simcore::time::SimDuration;
 
-/// Service class, ordered by privilege. Class determines the *coarse*
-/// bandwidth share (the class factor of its fair-share weight) and how the
-/// tenant is treated under backpressure: `Premium` is never penalized,
+/// Service class, ordered by privilege. Class determines how the tenant
+/// is treated under backpressure: `Premium` is never penalized,
 /// `Standard` is delayed, `Scavenger` is shed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QosClass {
@@ -56,8 +54,6 @@ pub struct TenantSpec {
     pub id: u32,
     pub name: String,
     pub class: QosClass,
-    /// Scheduling weight *within* the class (the tenant factor).
-    pub weight: u64,
     /// Token-bucket sustained rate in bytes/second; 0 = unthrottled.
     pub rate_bytes_per_sec: u64,
     /// Token-bucket depth: how large a burst may exceed the rate.
@@ -66,8 +62,6 @@ pub struct TenantSpec {
     pub inflight_cap: u32,
     /// SLO: p99 latency budget; `ZERO` = no latency SLO.
     pub latency_budget: SimDuration,
-    /// SLO: sustained throughput floor in MB/s; 0 = no floor.
-    pub floor_mb_per_sec: u64,
 }
 
 impl TenantSpec {
@@ -76,18 +70,11 @@ impl TenantSpec {
             id,
             name: name.into(),
             class,
-            weight: 1,
             rate_bytes_per_sec: 0,
             burst_bytes: 8 << 20,
             inflight_cap: u32::MAX,
             latency_budget: SimDuration::ZERO,
-            floor_mb_per_sec: 0,
         }
-    }
-
-    pub fn weight(mut self, w: u64) -> TenantSpec {
-        self.weight = w.max(1);
-        self
     }
 
     /// Sustained rate limit in MB/s (decimal megabytes, matching link math).
@@ -110,25 +97,15 @@ impl TenantSpec {
         self.latency_budget = d;
         self
     }
-
-    pub fn floor_mb_per_sec(mut self, mb: u64) -> TenantSpec {
-        self.floor_mb_per_sec = mb;
-        self
-    }
 }
 
-/// Cluster-wide QoS policy: the tenant table plus backpressure knobs.
+/// Cluster-wide QoS policy: the tenant table plus the shed deadline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QosConfig {
     pub enabled: bool,
     pub tenants: Vec<TenantSpec>,
     /// Longest a request may be delayed for tokens before being shed.
     pub max_delay: SimDuration,
-    /// Cache dirty ratio above which backpressure is asserted.
-    pub dirty_shed_ratio: f64,
-    /// Extra delay applied to `Standard` tenants while backpressure
-    /// (dirty cache or active rebuild) is asserted.
-    pub pressure_delay: SimDuration,
 }
 
 impl QosConfig {
@@ -138,8 +115,6 @@ impl QosConfig {
             enabled: false,
             tenants: Vec::new(),
             max_delay: SimDuration::from_millis(50),
-            dirty_shed_ratio: 0.75,
-            pressure_delay: SimDuration::from_millis(2),
         }
     }
 
@@ -194,7 +169,7 @@ mod tests {
     fn tenant_table_is_sorted_and_deduped() {
         let cfg = QosConfig::new()
             .with_tenant(TenantSpec::new(7, "b", QosClass::Standard))
-            .with_tenant(TenantSpec::new(3, "a", QosClass::Premium).weight(2))
+            .with_tenant(TenantSpec::new(3, "a", QosClass::Premium))
             .with_tenant(TenantSpec::new(7, "b2", QosClass::Scavenger));
         assert_eq!(cfg.tenants.len(), 2);
         assert_eq!(cfg.tenants[0].id, 3);

@@ -6,15 +6,15 @@
 //! interactive traffic. This crate is the policy layer that makes the
 //! pool shareable:
 //!
-//! * [`config`] — tenant table: QoS class, weights, token-bucket rates,
-//!   in-flight caps, SLO targets ([`QosConfig`], [`TenantSpec`]);
+//! * [`config`] — tenant table: QoS class, token-bucket rates,
+//!   in-flight caps, latency budgets ([`QosConfig`], [`TenantSpec`]);
 //! * [`bucket`] — deterministic integer [`TokenBucket`] throttles
 //!   (exact nanosecond-granularity refill, no floats);
 //! * [`admission`] — the [`AdmissionController`] state machine:
 //!   admit / delay / shed per request, with backpressure keyed off the
 //!   cache dirty ratio and RAID-rebuild activity;
-//! * [`slo`] — per-tenant latency budgets and throughput floors
-//!   ([`SloStatus`]), fed to the `ys-obs` metrics registry.
+//! * [`slo`] — per-tenant latency-budget evaluation ([`SloStatus`]),
+//!   fed to the `ys-obs` metrics registry.
 //!
 //! Everything is deterministic in virtual time: the same `(config, op
 //! sequence)` produces the same admissions, delays, and sheds. The

@@ -1,11 +1,11 @@
 //! Per-tenant SLO evaluation.
 //!
-//! A tenant's contract ([`TenantSpec`]) can carry two service-level
-//! objectives: a p99 latency budget and a sustained throughput floor.
-//! [`SloStatus`] is the point-in-time evaluation of both against the
-//! tenant's observed latency histogram and rate meter, plus the admission
-//! counters that explain *why* an objective was missed (heavy shedding vs
-//! genuine contention). `ys-obs` lifts these into the metrics registry.
+//! A tenant's contract ([`TenantSpec`]) can carry one service-level
+//! objective: a p99 latency budget. [`SloStatus`] is the point-in-time
+//! evaluation of it against the tenant's observed latency histogram, with
+//! the achieved rate and the admission counters that explain *why* the
+//! objective was missed (heavy shedding vs genuine contention). `ys-obs`
+//! lifts these into the metrics registry.
 
 use ys_simcore::stats::{LatencyHisto, RateMeter};
 use ys_simcore::time::SimDuration;
@@ -23,13 +23,7 @@ pub struct SloStatus {
     pub p99: SimDuration,
     /// Configured latency budget (`ZERO` = no latency SLO).
     pub latency_budget: SimDuration,
-    /// p99 ≤ budget (vacuously true with no budget or no traffic).
-    pub latency_met: bool,
     pub achieved_mb_per_sec: f64,
-    /// Configured floor in MB/s (0 = no floor).
-    pub floor_mb_per_sec: u64,
-    /// Achieved ≥ floor (vacuously true with no floor or no traffic).
-    pub floor_met: bool,
     pub stats: TenantQosStats,
 }
 
@@ -40,29 +34,20 @@ impl SloStatus {
         meter: &RateMeter,
         stats: TenantQosStats,
     ) -> SloStatus {
-        let ops = latency.count();
-        let p99 = latency.p99();
-        let latency_met = spec.latency_budget.is_zero() || ops == 0 || p99 <= spec.latency_budget;
-        let achieved = meter.mb_per_sec();
-        let floor_met =
-            spec.floor_mb_per_sec == 0 || ops == 0 || achieved >= spec.floor_mb_per_sec as f64;
         SloStatus {
             tenant: spec.id,
             name: spec.name.clone(),
-            ops,
-            p99,
+            ops: latency.count(),
+            p99: latency.p99(),
             latency_budget: spec.latency_budget,
-            latency_met,
-            achieved_mb_per_sec: achieved,
-            floor_mb_per_sec: spec.floor_mb_per_sec,
-            floor_met,
+            achieved_mb_per_sec: meter.mb_per_sec(),
             stats,
         }
     }
 
-    /// Both objectives satisfied.
+    /// p99 ≤ budget (vacuously true with no budget or no traffic).
     pub fn met(&self) -> bool {
-        self.latency_met && self.floor_met
+        self.latency_budget.is_zero() || self.ops == 0 || self.p99 <= self.latency_budget
     }
 }
 
@@ -70,7 +55,6 @@ impl SloStatus {
 mod tests {
     use super::*;
     use crate::config::QosClass;
-    use ys_simcore::time::SimTime;
 
     #[test]
     fn budget_violation_is_detected() {
@@ -82,28 +66,12 @@ mod tests {
             h.record(SimDuration::from_millis(5));
         }
         let s = SloStatus::evaluate(&spec, &h, &meter, TenantQosStats::default());
-        assert!(!s.latency_met);
         assert!(!s.met());
     }
 
     #[test]
-    fn floor_checks_achieved_rate() {
-        let spec = TenantSpec::new(1, "t", QosClass::Premium).floor_mb_per_sec(10);
-        let mut h = LatencyHisto::new();
-        let mut meter = RateMeter::new();
-        // 100 MB over 1 s = 100 MB/s ≥ 10 MB/s floor.
-        h.record(SimDuration::from_millis(1));
-        meter.record(SimTime::ZERO, 1);
-        meter.record(SimTime(1_000_000_000), 100_000_000);
-        let s = SloStatus::evaluate(&spec, &h, &meter, TenantQosStats::default());
-        assert!(s.floor_met, "achieved {}", s.achieved_mb_per_sec);
-    }
-
-    #[test]
     fn no_traffic_is_vacuously_met() {
-        let spec = TenantSpec::new(1, "t", QosClass::Standard)
-            .latency_budget(SimDuration::from_nanos(1))
-            .floor_mb_per_sec(1_000_000);
+        let spec = TenantSpec::new(1, "t", QosClass::Standard).latency_budget(SimDuration::from_nanos(1));
         let s = SloStatus::evaluate(
             &spec,
             &LatencyHisto::new(),

@@ -11,7 +11,7 @@
 use crate::scrubber::{ScrubConfig, ScrubReport, ScrubTarget, Scrubber};
 use ys_cache::PageKey;
 use ys_core::harness::{number, Campaign, CampaignRun};
-use ys_core::{ClusterConfig, ClusterError, NetError, NetStorage, NetStorageConfig};
+use ys_core::{ClusterConfig, ClusterError, NetError, NetStorage, NetStorageConfig, PAGE_BYTES};
 use ys_geo::SiteId;
 use ys_pfs::{FilePolicy, GeoPolicy};
 use ys_raid::RaidLevel;
@@ -207,7 +207,7 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), CampaignErr
         for off in (0..FILE_MB << 20).step_by(1 << 20) {
             t = ns.write_ino(t, *site, 0, ino, off, 1 << 20)?.done;
         }
-        let pb = ns.clusters[site.0].config().page_bytes;
+        let pb = PAGE_BYTES;
         let extents = ns.fs.read(ino, 0, FILE_MB << 20).map_err(NetError::Fs)?;
         let mut file_pages = Vec::new();
         let mut file_off = 0u64;
@@ -321,7 +321,7 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), CampaignErr
     // Audit 2: foreground reads after the scrub. Repaired data must read
     // clean; declared-lost data must error loudly, never return silently.
     for (ci, (class, path, site, _, _)) in classes.iter().enumerate() {
-        let pb = ns.clusters[site.0].config().page_bytes;
+        let pb = PAGE_BYTES;
         for &(file_off, page) in &pages[ci] {
             if !used_pages[ci].contains(&page) {
                 continue;

@@ -12,7 +12,7 @@
 //! discipline: loss is always declared, never silent.
 
 use ys_core::governed::{self, GovernedWork, Governor, BASE_BACKOFF};
-use ys_core::{BladeCluster, ClusterError, NetStorage};
+use ys_core::{BladeCluster, ClusterError, NetStorage, EXTENT_BYTES, PAGE_BYTES};
 use ys_geo::SiteId;
 use ys_simcore::time::SimTime;
 use ys_virt::VolumeId;
@@ -178,8 +178,7 @@ impl Scrubber {
     /// pure function of the volume maps, so identical clusters scrub in
     /// identical order.
     pub fn new(cfg: ScrubConfig, cluster: &BladeCluster) -> Scrubber {
-        let pb = cluster.config().page_bytes;
-        let ppe = cluster.extent_bytes() / pb;
+        let ppe = EXTENT_BYTES / PAGE_BYTES;
         let mut work = Vec::new();
         for vol in cluster.volume_ids() {
             for ext in cluster.mapped_extents(vol) {

@@ -132,19 +132,6 @@ impl Link {
     }
 }
 
-/// A full-duplex link: independent FIFO resources per direction.
-#[derive(Clone, Debug)]
-pub struct DuplexLink {
-    pub forward: Link,
-    pub reverse: Link,
-}
-
-impl DuplexLink {
-    pub fn new(spec: LinkSpec) -> DuplexLink {
-        DuplexLink { forward: Link::new(spec), reverse: Link::new(spec) }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +174,5 @@ mod tests {
         assert!((u - 0.5).abs() < 1e-9, "utilization {u}");
         assert_eq!(l.messages(), 1);
         assert_eq!(l.bytes(), 1_000_000);
-    }
-
-    #[test]
-    fn duplex_directions_are_independent() {
-        let mut d = DuplexLink::new(fc2());
-        let f = d.forward.transfer(SimTime::ZERO, 1 << 20);
-        let r = d.reverse.transfer(SimTime::ZERO, 1 << 20);
-        assert_eq!(f.start, SimTime::ZERO);
-        assert_eq!(r.start, SimTime::ZERO, "reverse direction does not queue behind forward");
     }
 }

@@ -41,6 +41,17 @@ cargo run -q -p ys-scrub -- --seed 4 --errors 64 --double-run --quiet
 echo "==> ys-heal lifecycle campaign + in-process double-run (seed 4)"
 cargo run -q -p ys-heal -- --seed 4 --double-run --quiet
 
+# The root examples count as callers under ys-lint's dead-pub rule, so
+# they must also keep running: each must exit 0 (debug build, well under a
+# second each).
+echo "==> cargo run --example (the five root examples exit 0)"
+for example in quickstart lab_campaign content_streaming storage_admin protocol_gateway; do
+    cargo run -q -p ys-core --example "$example" > /dev/null || {
+        echo "FAIL: example $example exited non-zero" >&2
+        exit 1
+    }
+done
+
 # Cross-process byte-identity: two separate invocations of the same seed
 # must print identical transcripts. The in-process double-run above already
 # catches per-instance hasher drift; this one also covers anything that

@@ -44,7 +44,7 @@ fn dispatch_block(
         BlockCmd::Unmap { lun, lba, sectors } => {
             let vol = VolumeId(lun);
             mask.check_access(initiator, vol).map_err(|v| v.to_string())?;
-            let eb = cluster.config().extent_bytes;
+            let eb = ys_core::EXTENT_BYTES;
             let first = lba * block::SECTOR / eb;
             let count = (sectors as u64 * block::SECTOR).div_ceil(eb);
             cluster.unmap_volume(vol, first, count).map_err(|e| e.to_string())?;
