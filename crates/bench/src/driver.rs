@@ -26,14 +26,6 @@ impl RunResult {
     pub fn mb_per_sec(&self) -> f64 {
         ys_simcore::time::throughput_mb_per_sec(self.bytes, self.makespan)
     }
-
-    pub fn iops(&self) -> f64 {
-        if self.makespan.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / self.makespan.as_secs_f64()
-        }
-    }
 }
 
 /// Run `clients` closed-loop clients from `start`, each issuing

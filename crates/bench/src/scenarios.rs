@@ -779,10 +779,10 @@ mod tests {
         for claim in CLAIMS {
             let report = (claim.run)();
             for c in &report.checkpoints {
-                assert!(c.pass, "{}: {}", claim.what, c.render());
+                assert!(c.pass, "{}: {c:?}", claim.what);
             }
             if let Some(name) = claim.name {
-                assert!(!report.registry.is_empty(), "{name} collected no metrics");
+                assert!(report.registry.iter().next().is_some(), "{name} collected no metrics");
             }
         }
     }

@@ -5,7 +5,7 @@
 //! every page's audit verdict.
 
 use super::{
-    BladeCacheStats, BladeSlot, BladeState, CacheCluster, CacheError, DrainReport, FailureReport, PageMeta,
+    BladeSlot, BladeState, CacheCluster, CacheError, DrainReport, FailureReport, PageMeta,
     Residency,
 };
 use crate::directory::{DirEntry, PageKey};
@@ -109,19 +109,6 @@ impl CacheCluster {
             }
             _ => false,
         }
-    }
-
-    /// Grow the cluster by one brand-new blade (§2.1's scale-by-adding-
-    /// blades): it joins in `Rejoining` state, folds into directory home
-    /// placement, and starts taking fills and replicas immediately.
-    /// Returns the new blade's id.
-    pub fn add_blade(&mut self, capacity_pages: usize) -> usize {
-        self.close_journal();
-        self.blades.push(BladeSlot::new(capacity_pages, BladeState::Rejoining));
-        let id = self.directory.add_blade();
-        self.stats.per_blade.push(BladeCacheStats::default());
-        self.trace.instant("cache", "add_blade", id as u32, 0, 0);
-        id
     }
 
     /// Planned shutdown: evacuate every copy `blade` holds, with zero loss

@@ -21,7 +21,7 @@
 //!   transitions (read, fill, write with its peer placement, destage,
 //!   invalidate, `add_replica`);
 //! * `lifecycle`: blades come and go (fail with its replica promotion,
-//!   repair, revive, `finish_rejoin`, `add_blade`, drain);
+//!   repair, revive, `finish_rejoin`, drain);
 //! * `books`: what the transitions keep besides the directory (the
 //!   change journal, the heal queue, the held-list views, the loss
 //!   tombstones) and the audits that check them;
@@ -727,10 +727,5 @@ impl CacheCluster {
             return Err(CacheError::ReadOnly);
         }
         self.write(blade, key, n_way, retention)
-    }
-
-    /// Configured page capacity of one blade.
-    pub fn capacity_pages(&self, blade: usize) -> usize {
-        self.blades[blade].capacity_pages
     }
 }

@@ -295,25 +295,6 @@ fn revive_and_finish_rejoin_lifecycle() {
 }
 
 #[test]
-fn add_blade_grows_pool_and_takes_heal_replicas() {
-    let mut c = CacheCluster::new(2, 8);
-    c.write(0, key(5), 2, Retention::Normal).unwrap();
-    // Kill the replica holder: page under target, nowhere to heal to.
-    c.fail_blade(1);
-    assert_eq!(c.under_target_pages(), vec![(key(5), 1)]);
-    assert_eq!(c.add_replica(key(5)), Err(CacheError::NoEligiblePeer));
-    // A new blade joins and takes the healed replica.
-    let b = c.add_blade(8);
-    assert_eq!(b, 2);
-    assert_eq!(c.blade_count(), 3);
-    assert_eq!(c.blade_state(b), BladeState::Rejoining);
-    assert_eq!(c.add_replica(key(5)), Ok(b));
-    assert!(c.under_target_pages().is_empty());
-    assert_eq!(c.stats().heal_placements, 1);
-    c.check_invariants().unwrap();
-}
-
-#[test]
 fn health_transitions_and_heal_restores_margin() {
     let mut c = CacheCluster::new(4, 16);
     assert_eq!(c.health(), Health::Healthy);

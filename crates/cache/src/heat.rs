@@ -40,14 +40,6 @@ impl<K: Ord + Clone> HeatTracker<K> {
         *e = (current + 1.0, now);
     }
 
-    /// Current heat of `key` at `accessor`.
-    pub fn heat(&self, key: &K, accessor: usize, now: SimTime) -> f64 {
-        match self.entries.get(&(key.clone(), accessor)) {
-            Some(&(v, t)) => self.decayed(v, t, now),
-            None => 0.0,
-        }
-    }
-
     /// Accessors whose heat for `key` exceeds `threshold`.
     pub fn hot_accessors(&self, key: &K, threshold: f64, now: SimTime) -> Vec<usize> {
         let mut out: Vec<usize> = self
@@ -75,19 +67,23 @@ mod tests {
             h.record(1, 0, t);
         }
         h.record(1, 1, t);
-        assert!((h.heat(&1, 0, t) - 5.0).abs() < 1e-9);
-        assert!((h.heat(&1, 1, t) - 1.0).abs() < 1e-9);
-        assert_eq!(h.heat(&2, 0, t), 0.0);
+        // Accessor 0 holds heat 5, accessor 1 heat 1, key 2 none.
+        assert_eq!(h.hot_accessors(&1, 4.999, t), vec![0]);
+        assert!(h.hot_accessors(&1, 5.0, t).is_empty());
+        assert_eq!(h.hot_accessors(&1, 0.999, t), vec![0, 1]);
+        assert!(h.hot_accessors(&2, 0.0, t).is_empty());
     }
 
     #[test]
     fn heat_decays_with_half_life() {
         let mut h: HeatTracker<u64> = HeatTracker::new(10.0);
         h.record(1, 0, SimTime::ZERO);
+        // One half-life later the heat is 0.5.
         let later = SimTime::ZERO + SimDuration::from_secs(10);
-        assert!((h.heat(&1, 0, later) - 0.5).abs() < 1e-9);
+        assert_eq!(h.hot_accessors(&1, 0.499, later), vec![0]);
+        assert!(h.hot_accessors(&1, 0.501, later).is_empty());
         let much_later = SimTime::ZERO + SimDuration::from_secs(100);
-        assert!(h.heat(&1, 0, much_later) < 0.01);
+        assert!(h.hot_accessors(&1, 0.01, much_later).is_empty());
     }
 
     #[test]

@@ -19,7 +19,6 @@ use ys_simcore::Rng;
 
 const CAP: usize = 4;
 const PAGES: u64 = 12;
-const MAX_BLADES: usize = 6;
 const RETENTIONS: [Retention; 4] = [Retention::Low, Retention::Normal, Retention::High, Retention::Pinned];
 
 #[derive(Clone, Copy, Debug)]
@@ -33,7 +32,6 @@ enum Op {
     Revive { blade: usize },
     FinishRejoin { blade: usize },
     Drain { blade: usize },
-    AddBlade,
 }
 
 fn pick_op(rng: &mut Rng, c: &CacheCluster) -> Op {
@@ -59,7 +57,6 @@ fn pick_op(rng: &mut Rng, c: &CacheCluster) -> Op {
             _ => Op::FinishRejoin { blade },
         },
         18 => Op::Drain { blade },
-        _ if c.blade_count() < MAX_BLADES => Op::AddBlade,
         _ => Op::Revive { blade },
     }
 }
@@ -130,7 +127,7 @@ fn check_indices(c: &CacheCluster) -> Result<(), String> {
         }
         if c.blade_up(b) {
             undestaged += held.len();
-            capacity += c.capacity_pages(b);
+            capacity += CAP;
         }
     }
     let ratio = if capacity == 0 { 0.0 } else { undestaged as f64 / capacity as f64 };
@@ -257,13 +254,12 @@ fn check_evictions(c: &CacheCluster, before: &Before, key: Option<PageKey>, empt
 /// `EvictionStall(blade)` iff the requesting blade is full of pages that are
 /// dirty, replicas or pinned, and does not already hold `key`.
 fn check_stall<T>(
-    c: &CacheCluster,
     before: &Before,
     blade: usize,
     key: PageKey,
     result: &Result<T, CacheError>,
 ) -> Result<(), String> {
-    let must_stall = before.resident[blade].len() >= c.capacity_pages(blade)
+    let must_stall = before.resident[blade].len() >= CAP
         && !before.resident[blade].contains(&key)
         && before.victims[blade].is_empty();
     let stalled = matches!(result, Err(CacheError::EvictionStall(b)) if *b == blade);
@@ -295,14 +291,14 @@ fn apply(c: &mut CacheCluster, op: Op) -> Result<(), String> {
                     Ok(ReadOutcome::Miss) => c.fill(blade, key, retention).map(|_| ()),
                     other => other.map(|_| ()),
                 };
-                check_stall(c, &before, blade, key, &result)?;
+                check_stall(&before, blade, key, &result)?;
             }
             (Some(key), None)
         }
         Op::Write { blade, key, n_way, retention } => {
             if c.blade_up(blade) {
                 let result = c.write(blade, key, n_way, retention);
-                check_stall(c, &before, blade, key, &result)?;
+                check_stall(&before, blade, key, &result)?;
             }
             (Some(key), None)
         }
@@ -337,10 +333,6 @@ fn apply(c: &mut CacheCluster, op: Op) -> Result<(), String> {
         Op::Drain { blade } => {
             let _ = c.drain_blade(blade);
             (None, Some(blade))
-        }
-        Op::AddBlade => {
-            c.add_blade(CAP);
-            (None, None)
         }
     };
     check_evictions(c, &before, key, emptied)?;

@@ -77,7 +77,7 @@ struct Budget {
 #[derive(Clone)]
 pub struct CacheModel {
     scope: Scope,
-    cluster: CacheCluster,
+    pub(crate) cluster: CacheCluster,
     /// Last version each live page was written at.
     last_written: HashMap<PageKey, u64>,
     /// Outstanding protection promises for dirty pages.
@@ -99,12 +99,9 @@ impl CacheModel {
         }
     }
 
-    pub fn cluster(&self) -> &CacheCluster {
-        &self.cluster
-    }
-
-    /// For harnesses that audit the cluster through its `&mut` checkpoint
-    /// (`tests/checkpoint_audit.rs`); the model itself never does.
+    /// For harnesses that audit the cluster through its `&mut` checkpoint;
+    /// the model itself never does.
+    // lint: allow(dead-pub) — (b) the checkpoint-vs-full-audit differential of tests/checkpoint_audit.rs
     pub fn cluster_mut(&mut self) -> &mut CacheCluster {
         &mut self.cluster
     }
@@ -417,7 +414,7 @@ pub(crate) fn fail_line(blade: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn initial_state_is_healthy() {
@@ -452,10 +449,10 @@ mod tests {
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
-        let result = explore(
+        let result = explore_timed(
             CacheModel::new(scope),
             Limits { max_depth: 4, max_states: 50_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_trace(&cx.trace, scope, &cx.violations));

@@ -6,14 +6,11 @@
 //! deduplicating states by 128-bit canonical hash, and reconstructs the
 //! operation trace when a step produces a violation or panics.
 //!
-//! Search order is breadth-first by default, so the first counterexample
-//! found is a *shortest* one. Depth-first is available for memory-starved
-//! scopes; it re-expands a seen state only when revisited with a larger
-//! remaining depth budget, which keeps bounded-depth coverage exact in both
-//! orders.
+//! Search is breadth-first, so the first counterexample found is a
+//! *shortest* one, and a state's first visit is at its shallowest depth:
+//! seeing it again can never open more of the depth budget.
 
-use crate::hash::SeenMap;
-use std::collections::hash_map::Entry;
+use crate::hash::SeenSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -35,16 +32,6 @@ pub trait Model: Clone {
     /// that equivalent states (e.g. differing only in absolute version
     /// counters) collide intentionally.
     fn canonical_hash(&self) -> u128;
-}
-
-/// Search order for the frontier.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SearchOrder {
-    /// Breadth-first: shortest counterexamples, larger frontier.
-    Bfs,
-    /// Depth-first with budget memoization: smaller frontier, traces may
-    /// be longer than minimal.
-    Dfs,
 }
 
 /// Exploration bounds.
@@ -88,7 +75,7 @@ pub struct Exploration<Op> {
     pub deepest: usize,
     /// True when `max_states` stopped the search before the depth bound.
     pub truncated: bool,
-    /// First violation found, if any (shortest under BFS).
+    /// First violation found, if any: a shortest one.
     pub counterexample: Option<Counterexample<Op>>,
     /// Wall-clock seconds spent.
     pub elapsed_secs: f64,
@@ -109,33 +96,22 @@ fn trace_to<Op: Copy>(nodes: &[Node<Op>], mut idx: usize, last: Op) -> Vec<Op> {
     trace
 }
 
-/// Run a bounded exploration from `initial`.
+/// Run a bounded breadth-first exploration from `initial`.
 ///
-/// Library code reads no clock: `elapsed_secs` is 0.0 here. Binaries that
-/// want wall-clock reporting inject a timer via [`explore_timed`], keeping
-/// the wall-clock exemption confined to the CLI entry point.
-pub fn explore<M: Model>(initial: M, limits: Limits, order: SearchOrder) -> Exploration<M::Op> {
-    explore_timed(initial, limits, order, || 0.0)
-}
-
-/// [`explore`] with an injected elapsed-seconds reader, sampled once at
-/// whichever exit path ends the exploration.
-pub fn explore_timed<M: Model>(
-    initial: M,
-    limits: Limits,
-    order: SearchOrder,
-    elapsed: impl Fn() -> f64,
-) -> Exploration<M::Op> {
+/// Library code reads no clock: `elapsed` is an injected elapsed-seconds
+/// reader, sampled once at whichever exit path ends the exploration, so
+/// the wall-clock exemption stays confined to the CLI entry point.
+pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() -> f64) -> Exploration<M::Op> {
     let ops = initial.enumerate_ops();
 
     // node index → (parent, op) for trace reconstruction; states themselves
     // live only in the frontier, so memory scales with the frontier, not
     // with everything ever visited.
     let mut nodes: Vec<Node<M::Op>> = vec![Node { parent: 0, op: None }];
-    // canonical hash → largest remaining depth budget already expanded.
-    // Keys are pre-mixed digests, so the map skips SipHash (see SeenMap).
-    let mut seen: SeenMap<usize> = SeenMap::default();
-    seen.insert(initial.canonical_hash(), limits.max_depth);
+    // Canonical hashes of every state reached. Keys are pre-mixed digests,
+    // so the set skips SipHash (see SeenSet).
+    let mut seen = SeenSet::default();
+    seen.insert(initial.canonical_hash());
 
     let mut frontier: VecDeque<(usize, usize, M)> = VecDeque::new();
     frontier.push_back((0, 0, initial));
@@ -150,10 +126,7 @@ pub fn explore_timed<M: Model>(
         elapsed_secs: 0.0,
     };
 
-    while let Some((node_idx, depth, state)) = match order {
-        SearchOrder::Bfs => frontier.pop_front(),
-        SearchOrder::Dfs => frontier.pop_back(),
-    } {
+    while let Some((node_idx, depth, state)) = frontier.pop_front() {
         if depth >= limits.max_depth {
             continue;
         }
@@ -189,37 +162,20 @@ pub fn explore_timed<M: Model>(
                 return out;
             }
 
-            let budget = limits.max_depth - depth - 1;
-            let hash = next.canonical_hash();
-            let expand = match seen.entry(hash) {
-                Entry::Vacant(slot) => {
-                    slot.insert(budget);
-                    out.states_visited += 1;
-                    true
-                }
-                Entry::Occupied(mut slot) => {
-                    // Under BFS the first visit always carries the maximal
-                    // budget; this re-expansion path only fires under DFS.
-                    if budget > *slot.get() {
-                        slot.insert(budget);
-                        true
-                    } else {
-                        out.deduplicated += 1;
-                        false
-                    }
-                }
-            };
-            if expand {
-                out.deepest = out.deepest.max(depth + 1);
-                if out.states_visited >= limits.max_states {
-                    out.truncated = true;
-                    out.elapsed_secs = elapsed();
-                    return out;
-                }
-                if budget > 0 {
-                    nodes.push(Node { parent: node_idx, op: Some(op) });
-                    frontier.push_back((nodes.len() - 1, depth + 1, next));
-                }
+            if !seen.insert(next.canonical_hash()) {
+                out.deduplicated += 1;
+                continue;
+            }
+            out.states_visited += 1;
+            out.deepest = out.deepest.max(depth + 1);
+            if out.states_visited >= limits.max_states {
+                out.truncated = true;
+                out.elapsed_secs = elapsed();
+                return out;
+            }
+            if depth + 1 < limits.max_depth {
+                nodes.push(Node { parent: node_idx, op: Some(op) });
+                frontier.push_back((nodes.len() - 1, depth + 1, next));
             }
         }
     }
@@ -231,6 +187,10 @@ pub fn explore_timed<M: Model>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn explore<M: Model>(initial: M, limits: Limits) -> Exploration<M::Op> {
+        explore_timed(initial, limits, || 0.0)
+    }
 
     /// Toy model: a counter with inc/dec ops, violation at 3, modeled
     /// states wrap at 8.
@@ -266,7 +226,6 @@ mod tests {
         let result = explore(
             Counter { value: 0, forbidden: 3 },
             Limits { max_depth: 10, max_states: 1000 },
-            SearchOrder::Bfs,
         );
         let cx = result.counterexample.expect("3 is reachable");
         assert_eq!(cx.trace.len(), 3, "shortest path is +1 +1 +1");
@@ -277,7 +236,6 @@ mod tests {
         let result = explore(
             Counter { value: 0, forbidden: -1 },
             Limits { max_depth: 10, max_states: 1000 },
-            SearchOrder::Bfs,
         );
         assert!(result.counterexample.is_none());
         assert_eq!(result.states_visited, 8, "all residues mod 8");
@@ -285,26 +243,10 @@ mod tests {
     }
 
     #[test]
-    fn dfs_reaches_the_same_states() {
-        let bfs = explore(
-            Counter { value: 0, forbidden: -1 },
-            Limits { max_depth: 10, max_states: 1000 },
-            SearchOrder::Bfs,
-        );
-        let dfs = explore(
-            Counter { value: 0, forbidden: -1 },
-            Limits { max_depth: 10, max_states: 1000 },
-            SearchOrder::Dfs,
-        );
-        assert_eq!(bfs.states_visited, dfs.states_visited);
-    }
-
-    #[test]
     fn state_cap_truncates() {
         let result = explore(
             Counter { value: 0, forbidden: -1 },
             Limits { max_depth: 10, max_states: 4 },
-            SearchOrder::Bfs,
         );
         assert!(result.truncated);
         assert_eq!(result.states_visited, 4);
@@ -332,8 +274,7 @@ mod tests {
 
     #[test]
     fn panics_are_reported_as_counterexamples() {
-        let result =
-            explore(Bomb, Limits { max_depth: 3, max_states: 10 }, SearchOrder::Bfs);
+        let result = explore(Bomb, Limits { max_depth: 3, max_states: 10 });
         let cx = result.counterexample.expect("panic must surface");
         assert!(cx.violations[0].contains("panic: boom"));
         assert_eq!(cx.trace.len(), 1);

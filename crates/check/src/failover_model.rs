@@ -65,7 +65,7 @@ pub(crate) fn check_loss_is_loud(cluster: &mut CacheCluster, failed: usize, key:
 #[cfg(test)]
 mod tests {
     use crate::cache_model::{key_of, render_trace, CacheModel, Op, Scope};
-    use crate::explore::{explore, Limits, Model, SearchOrder};
+    use crate::explore::{explore_timed, Limits, Model};
 
     /// The failover scope: 3 blades × 2 pages, 2-way writes — every
     /// crash/promote/destage interleaving to the exploration depth.
@@ -75,9 +75,9 @@ mod tests {
     fn crash_promotes_to_a_prior_replica() {
         let mut m = CacheModel::new(SCOPE);
         assert!(m.apply(Op::Write { blade: 0, page: 0 }).is_empty());
-        let owner = m.cluster().directory().get(&key_of(0)).and_then(|e| e.owner).unwrap();
+        let owner = m.cluster.directory().get(&key_of(0)).and_then(|e| e.owner).unwrap();
         assert!(m.apply(Op::Fail { blade: owner }).is_empty());
-        assert!(m.cluster().directory().get(&key_of(0)).and_then(|e| e.owner).is_some());
+        assert!(m.cluster.directory().get(&key_of(0)).and_then(|e| e.owner).is_some());
     }
 
     #[test]
@@ -88,12 +88,12 @@ mod tests {
         // model itself asserts the read-before-acknowledge returns
         // DataLost; no violations means the loss was loud and legal.
         for _ in 0..2 {
-            let owner = m.cluster().directory().get(&key_of(0)).and_then(|e| e.owner);
+            let owner = m.cluster.directory().get(&key_of(0)).and_then(|e| e.owner);
             let Some(b) = owner else { break };
             assert!(m.apply(Op::Fail { blade: b }).is_empty());
         }
-        assert!(m.cluster().directory().get(&key_of(0)).is_none(), "page gone after N failures");
-        assert!(m.cluster().lost_pages().is_empty(), "loss acknowledged");
+        assert!(m.cluster.directory().get(&key_of(0)).is_none(), "page gone after N failures");
+        assert!(m.cluster.lost_pages().is_empty(), "loss acknowledged");
     }
 
     #[test]
@@ -110,10 +110,10 @@ mod tests {
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
-        let result = explore(
+        let result = explore_timed(
             CacheModel::new(scope),
             Limits { max_depth: 5, max_states: 50_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_trace(&cx.trace, scope, &cx.violations));

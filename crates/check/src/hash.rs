@@ -53,18 +53,18 @@ impl StateHasher {
     }
 }
 
-/// The explorer's seen-set: canonical digest → deepest remaining budget.
+/// The explorer's seen-set of canonical digests.
 ///
 /// Keys are already uniformly mixed 128-bit digests from [`StateHasher`],
 /// so the map skips the default SipHash pass entirely — re-hashing a hash
 /// buys no distribution and costs a measurable slice of exploration time
 /// (the seen-set is probed once per transition).
-pub type SeenMap<V> = std::collections::HashMap<u128, V, DigestHashBuilder>;
+pub type SeenSet = std::collections::HashSet<u128, DigestHashBuilder>;
 
-/// `BuildHasher` for [`SeenMap`]: folds the two digest halves together and
+/// `BuildHasher` for [`SeenSet`]: folds the two digest halves together and
 /// uses the result directly. Deterministic by construction (no
 /// `RandomState`), which also keeps iteration-order entropy out of the
-/// checker even though nothing iterates the map.
+/// checker even though nothing iterates the set.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DigestHashBuilder;
 
@@ -145,13 +145,13 @@ mod tests {
 
     #[test]
     fn seen_map_roundtrips_u128_keys() {
-        let mut m: SeenMap<usize> = SeenMap::default();
+        let mut m = SeenSet::default();
         let keys = [0u128, 1, u128::MAX, digest(&[1, 2, 3]), digest(&[3, 2, 1])];
-        for (i, &k) in keys.iter().enumerate() {
-            m.insert(k, i);
+        for &k in &keys {
+            assert!(m.insert(k), "{k} is new");
         }
-        for (i, &k) in keys.iter().enumerate() {
-            assert_eq!(m.get(&k), Some(&i));
+        for &k in &keys {
+            assert!(m.contains(&k) && !m.insert(k), "{k} is seen");
         }
         assert_eq!(m.len(), keys.len());
     }

@@ -60,12 +60,9 @@ impl HealModel {
         }
     }
 
-    pub fn cluster(&self) -> &CacheCluster {
-        &self.cluster
-    }
-
-    /// For harnesses that audit the cluster through its `&mut` checkpoint
-    /// (`tests/checkpoint_audit.rs`); the model itself never does.
+    /// For harnesses that audit the cluster through its `&mut` checkpoint;
+    /// the model itself never does.
+    // lint: allow(dead-pub) — (b) the checkpoint-vs-full-audit differential of tests/checkpoint_audit.rs
     pub fn cluster_mut(&mut self) -> &mut CacheCluster {
         &mut self.cluster
     }
@@ -265,17 +262,17 @@ fn render_heal_trace(trace: &[HealOp], scope: Scope, violations: &[String]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn heal_step_restores_target_after_crash() {
         let mut m = HealModel::new(Scope::small());
         assert!(m.apply(HealOp::Write { blade: 0, page: 0 }).is_empty());
-        let owner = m.cluster().directory().get(&key_of(0)).and_then(|e| e.owner).unwrap();
+        let owner = m.cluster.directory().get(&key_of(0)).and_then(|e| e.owner).unwrap();
         assert!(m.apply(HealOp::Fail { blade: owner }).is_empty());
-        assert!(!m.cluster().under_target_pages().is_empty(), "promotion spent the margin");
+        assert!(!m.cluster.under_target_pages().is_empty(), "promotion spent the margin");
         assert!(m.apply(HealOp::HealStep).is_empty());
-        assert!(m.cluster().under_target_pages().is_empty(), "heal restored the margin");
+        assert!(m.cluster.under_target_pages().is_empty(), "heal restored the margin");
     }
 
     #[test]
@@ -284,11 +281,11 @@ mod tests {
         assert!(m.apply(HealOp::Write { blade: 0, page: 0 }).is_empty());
         assert!(m.apply(HealOp::Write { blade: 1, page: 1 }).is_empty());
         assert!(m.apply(HealOp::Drain { blade: 0 }).is_empty());
-        assert!(m.cluster().lost_pages().is_empty());
+        assert!(m.cluster.lost_pages().is_empty());
         // Drain a second blade: one accepting blade left → ReadOnly; the
         // model itself asserts the governor's refusal consistency.
         assert!(m.apply(HealOp::Drain { blade: 1 }).is_empty());
-        assert_eq!(m.cluster().health(), Health::ReadOnly);
+        assert_eq!(m.cluster.health(), Health::ReadOnly);
         assert!(m.apply(HealOp::Write { blade: 2, page: 0 }).is_empty());
     }
 
@@ -301,16 +298,16 @@ mod tests {
         assert!(m.apply(HealOp::HealStep).is_empty());
         // Rejoining still shows Degraded until promotion; the real promote
         // is the healer's job (finish_rejoin), modeled outside this scope.
-        assert!(m.cluster().health() <= Health::Degraded);
+        assert!(m.cluster.health() <= Health::Degraded);
     }
 
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
-        let result = explore(
+        let result = explore_timed(
             HealModel::new(scope),
             Limits { max_depth: 5, max_states: 50_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_heal_trace(&cx.trace, scope, &cx.violations));

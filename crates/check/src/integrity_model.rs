@@ -296,7 +296,7 @@ fn render_integrity_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn initial_state_is_clean() {
@@ -342,10 +342,10 @@ mod tests {
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = IntegrityScope::small();
-        let result = explore(
+        let result = explore_timed(
             IntegrityModel::new(scope),
             Limits { max_depth: 5, max_states: 200_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_integrity_trace(&cx.trace, scope, &cx.violations));

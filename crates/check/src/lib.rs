@@ -49,13 +49,13 @@ pub mod summary;
 pub mod virt_model;
 
 pub use cache_model::{CacheModel, Op, Scope};
-pub use explore::{explore, explore_timed, Counterexample, Exploration, Limits, Model, SearchOrder};
+pub use explore::{explore_timed, Counterexample, Exploration, Limits, Model};
 pub use hash::StateHasher;
 pub use heal_model::{HealModel, HealOp};
 pub use integrity_model::{IntegrityModel, IntegrityOp, IntegrityScope};
 pub use qos_model::{QosModel, QosOp, QosScope};
 pub use security_model::{SecurityModel, SecurityOp, SecurityScope};
 pub use summary::{
-    parse_args, run, run_named, run_standard, Invocation, StandardModel, StandardRun, STANDARD_MODELS,
+    parse_args, run_named, run_standard, Invocation, StandardModel, StandardRun, STANDARD_MODELS,
 };
 pub use virt_model::{VirtModel, VirtOp, VirtScope};

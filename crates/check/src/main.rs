@@ -28,7 +28,6 @@ OPTIONS:
   --capacity N     per-blade capacity in pages       (default 8)
   --depth N        max ops along any path            (default 5)
   --max-states N   stop after N distinct states      (default 2000000)
-  --dfs            depth-first order (default: breadth-first)
   --virt           check the DMSD volume manager instead of the cache
   --qos            check the ys-qos admission controller instead
   --integrity      check the checksum / scrub repair-or-declare protocol
@@ -53,7 +52,7 @@ fn main() -> ExitCode {
     // to touch real time.
     let started = std::time::Instant::now();
     let elapsed = move || started.elapsed().as_secs_f64();
-    let run = run_named(inv.model, inv.scope, inv.limits, inv.order, elapsed)
+    let run = run_named(inv.model, inv.scope, inv.limits, elapsed)
         .expect("parse_args only selects standard models");
     print!("{}", run.rendered);
     ExitCode::from(u8::from(run.found_counterexample))

@@ -229,7 +229,7 @@ fn render_qos_trace(trace: &[QosOp], scope: QosScope, violations: &[String]) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn initial_state_is_clean() {
@@ -272,10 +272,10 @@ mod tests {
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = QosScope::small();
-        let result = explore(
+        let result = explore_timed(
             QosModel::new(scope),
             Limits { max_depth: 5, max_states: 100_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_qos_trace(&cx.trace, scope, &cx.violations));

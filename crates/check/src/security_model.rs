@@ -315,7 +315,7 @@ fn render_security_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn initial_state_is_clean() {
@@ -356,10 +356,10 @@ mod tests {
     #[test]
     fn tiny_exploration_is_clean() {
         let scope = SecurityScope::small();
-        let result = explore(
+        let result = explore_timed(
             SecurityModel::new(scope),
             Limits { max_depth: 4, max_states: 200_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_security_trace(&cx.trace, scope, &cx.violations));

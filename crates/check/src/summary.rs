@@ -3,13 +3,13 @@
 //! `ys-sweep` parallel harness.
 //!
 //! Each model describes itself and renders its own counterexamples
-//! ([`StandardModel`]); [`run`] explores one, monomorphised, and renders
+//! ([`StandardModel`]); `run` explores one, monomorphised, and renders
 //! the block the CLI prints; [`run_named`] is the single dispatch from a
 //! name to a model type. Library callers get `elapsed 0.00s` (the library
 //! reads no clock); only the CLI injects a wall timer.
 
 use crate::cache_model::{CacheModel, Scope};
-use crate::explore::{explore_timed, Counterexample, Limits, Model, SearchOrder};
+use crate::explore::{explore_timed, Counterexample, Limits, Model};
 use crate::heal_model::HealModel;
 use crate::integrity_model::{IntegrityModel, IntegrityScope};
 use crate::qos_model::{QosModel, QosScope};
@@ -45,14 +45,9 @@ pub struct StandardRun {
 
 /// Explore one standard model and render exactly what `ys-check` prints
 /// for it. `elapsed` is sampled once, when the exploration ends.
-pub fn run<M: StandardModel>(
-    model: M,
-    limits: Limits,
-    order: SearchOrder,
-    elapsed: impl Fn() -> f64,
-) -> StandardRun {
+fn run<M: StandardModel>(model: M, limits: Limits, elapsed: impl Fn() -> f64) -> StandardRun {
     let what = model.describe(limits.max_depth);
-    let r = explore_timed(model.clone(), limits, order, elapsed);
+    let r = explore_timed(model.clone(), limits, elapsed);
     let mut rendered = String::new();
     let _ = writeln!(rendered, "ys-check: {what}");
     let _ = writeln!(rendered, "  states visited   {}", r.states_visited);
@@ -78,25 +73,19 @@ pub fn run<M: StandardModel>(
     }
 }
 
-/// [`run`] the model called `model`: the one dispatch over
+/// `run` the model called `model`: the one dispatch over
 /// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--nway/
 /// --capacity` and resizes the two models on a `CacheCluster`, cache and
 /// heal (which clamps pages to 2); the others keep their own `small()`
 /// scope.
-pub fn run_named(
-    model: &str,
-    scope: Scope,
-    limits: Limits,
-    order: SearchOrder,
-    elapsed: impl Fn() -> f64,
-) -> Result<StandardRun, String> {
+pub fn run_named(model: &str, scope: Scope, limits: Limits, elapsed: impl Fn() -> f64) -> Result<StandardRun, String> {
     Ok(match model {
-        "cache" => run(CacheModel::new(scope), limits, order, elapsed),
-        "virt" => run(VirtModel::new(VirtScope::small()), limits, order, elapsed),
-        "qos" => run(QosModel::new(QosScope::small()), limits, order, elapsed),
-        "integrity" => run(IntegrityModel::new(IntegrityScope::small()), limits, order, elapsed),
-        "security" => run(SecurityModel::new(SecurityScope::small()), limits, order, elapsed),
-        "heal" => run(HealModel::new(scope), limits, order, elapsed),
+        "cache" => run(CacheModel::new(scope), limits, elapsed),
+        "virt" => run(VirtModel::new(VirtScope::small()), limits, elapsed),
+        "qos" => run(QosModel::new(QosScope::small()), limits, elapsed),
+        "integrity" => run(IntegrityModel::new(IntegrityScope::small()), limits, elapsed),
+        "security" => run(SecurityModel::new(SecurityScope::small()), limits, elapsed),
+        "heal" => run(HealModel::new(scope), limits, elapsed),
         other => return Err(format!("unknown standard model `{other}` (try {STANDARD_MODELS:?})")),
     })
 }
@@ -106,7 +95,7 @@ pub fn run_named(
 /// --max-states M` runs, so a `ys-sweep` shard renders the same bytes.
 pub fn run_standard(model: &str, depth: usize, max_states: usize) -> Result<StandardRun, String> {
     let limits = Limits { max_depth: depth, max_states };
-    run_named(model, Scope::small(), limits, SearchOrder::Bfs, || 0.0)
+    run_named(model, Scope::small(), limits, || 0.0)
 }
 
 /// A parsed `ys-check` command line.
@@ -118,8 +107,6 @@ pub struct Invocation {
     pub scope: Scope,
     /// `--depth/--max-states`.
     pub limits: Limits,
-    /// `--dfs`.
-    pub order: SearchOrder,
 }
 
 /// Parse `ys-check`'s arguments (without the program name). `Err` carries
@@ -129,7 +116,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         model: STANDARD_MODELS[0],
         scope: Scope::small(),
         limits: Limits { max_depth: 5, max_states: 2_000_000 },
-        order: SearchOrder::Bfs,
     };
     let mut chosen: Option<&'static str> = None;
     let mut it = args.into_iter();
@@ -147,7 +133,6 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             "--capacity" => inv.scope.capacity_pages = num("--capacity")? as usize,
             "--depth" => inv.limits.max_depth = num("--depth")? as usize,
             "--max-states" => inv.limits.max_states = num("--max-states")? as usize,
-            "--dfs" => inv.order = SearchOrder::Dfs,
             "-h" | "--help" => return Err(String::new()),
             other => {
                 // The default model, `STANDARD_MODELS[0]`, has no flag.

@@ -69,10 +69,6 @@ impl VirtModel {
         VirtModel { scope, mgr }
     }
 
-    pub fn manager(&self) -> &VolumeManager {
-        &self.mgr
-    }
-
     /// Conservation audit: refcounts ⇔ references from live + frozen maps.
     fn audit_conservation(&self) -> Vec<String> {
         let mut violations = Vec::new();
@@ -281,7 +277,7 @@ fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explore::{explore, Limits, SearchOrder};
+    use crate::explore::{explore_timed, Limits};
 
     #[test]
     fn initial_state_conserves() {
@@ -302,10 +298,10 @@ mod tests {
     fn tiny_exploration_is_clean() {
         let scope =
             VirtScope { volumes: 1, volume_extents: 4, pool_extents: 6, max_snapshots: 1, run_len: 2 };
-        let result = explore(
+        let result = explore_timed(
             VirtModel::new(scope),
             Limits { max_depth: 5, max_states: 50_000 },
-            SearchOrder::Bfs,
+            || 0.0,
         );
         if let Some(cx) = &result.counterexample {
             panic!("violation:\n{}", render_virt_trace(&cx.trace, scope, &cx.violations));

@@ -30,10 +30,10 @@ fn the_model_is_a_single_selection() {
 #[test]
 fn scope_flags_resize_only_the_models_that_have_those_dimensions() {
     let inv = args(&["--heal", "--blades", "4", "--pages", "3", "--depth", "2"]).unwrap();
-    let run = run_named(inv.model, inv.scope, inv.limits, inv.order, || 0.0).unwrap();
+    let run = run_named(inv.model, inv.scope, inv.limits, || 0.0).unwrap();
     assert!(run.rendered.starts_with("ys-check: heal model, 4 blades × 2 pages, 2-way writes, depth 2\n"));
     let inv = args(&["--virt", "--blades", "4", "--depth", "2"]).unwrap();
-    let run = run_named(inv.model, inv.scope, inv.limits, inv.order, || 0.0).unwrap();
+    let run = run_named(inv.model, inv.scope, inv.limits, || 0.0).unwrap();
     assert_eq!(run.rendered, run_standard("virt", 2, 2_000_000).unwrap().rendered);
 }
 

@@ -7,17 +7,16 @@
 //! copy it into `tests/replays.rs` before fixing the bug.
 
 use ys_check::{
-    explore, CacheModel, Limits, QosModel, QosScope, Scope, SearchOrder, StandardModel, VirtModel,
-    VirtScope,
+    explore_timed, CacheModel, Limits, QosModel, QosScope, Scope, StandardModel, VirtModel, VirtScope,
 };
 
 #[test]
 fn cache_acceptance_scope_is_violation_free() {
     let scope = Scope { blades: 3, pages: 4, n_way: 2, capacity_pages: 8 };
-    let result = explore(
+    let result = explore_timed(
         CacheModel::new(scope),
         Limits { max_depth: 5, max_states: 2_000_000 },
-        SearchOrder::Bfs,
+        || 0.0,
     );
     if let Some(cx) = &result.counterexample {
         panic!(
@@ -41,10 +40,10 @@ fn cache_acceptance_scope_is_violation_free() {
 #[test]
 fn cache_under_eviction_pressure_is_violation_free() {
     let scope = Scope { blades: 2, pages: 4, n_way: 2, capacity_pages: 2 };
-    let result = explore(
+    let result = explore_timed(
         CacheModel::new(scope),
         Limits { max_depth: 5, max_states: 2_000_000 },
-        SearchOrder::Bfs,
+        || 0.0,
     );
     if let Some(cx) = &result.counterexample {
         panic!(
@@ -61,10 +60,10 @@ fn cache_under_eviction_pressure_is_violation_free() {
 #[test]
 fn cache_three_way_writes_are_violation_free() {
     let scope = Scope { blades: 4, pages: 2, n_way: 3, capacity_pages: 8 };
-    let result = explore(
+    let result = explore_timed(
         CacheModel::new(scope),
         Limits { max_depth: 4, max_states: 2_000_000 },
-        SearchOrder::Bfs,
+        || 0.0,
     );
     if let Some(cx) = &result.counterexample {
         panic!(
@@ -76,24 +75,13 @@ fn cache_three_way_writes_are_violation_free() {
     assert!(!result.truncated);
 }
 
-/// DFS with budget memoization must cover exactly the BFS state set.
-#[test]
-fn dfs_order_covers_the_same_space() {
-    let scope = Scope { blades: 2, pages: 2, n_way: 2, capacity_pages: 4 };
-    let limits = Limits { max_depth: 4, max_states: 2_000_000 };
-    let bfs = explore(CacheModel::new(scope), limits, SearchOrder::Bfs);
-    let dfs = explore(CacheModel::new(scope), limits, SearchOrder::Dfs);
-    assert!(bfs.counterexample.is_none() && dfs.counterexample.is_none());
-    assert_eq!(bfs.states_visited, dfs.states_visited);
-}
-
 #[test]
 fn dmsd_conservation_holds_through_depth_6() {
     let scope = VirtScope::small();
-    let result = explore(
+    let result = explore_timed(
         VirtModel::new(scope),
         Limits { max_depth: 6, max_states: 2_000_000 },
-        SearchOrder::Bfs,
+        || 0.0,
     );
     if let Some(cx) = &result.counterexample {
         panic!(
@@ -113,10 +101,10 @@ fn dmsd_conservation_holds_through_depth_6() {
 #[test]
 fn qos_admission_machine_holds_through_depth_7() {
     let scope = QosScope::small();
-    let result = explore(
+    let result = explore_timed(
         QosModel::new(scope),
         Limits { max_depth: 7, max_states: 2_000_000 },
-        SearchOrder::Bfs,
+        || 0.0,
     );
     if let Some(cx) = &result.counterexample {
         panic!(

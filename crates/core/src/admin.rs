@@ -33,7 +33,7 @@ pub enum AdminOp {
 
 impl AdminOp {
     /// The in-band command class this op belongs to.
-    pub fn command(&self) -> ControlCommand {
+    fn command(&self) -> ControlCommand {
         match self {
             AdminOp::CreateVolume { .. } => ControlCommand::CreateVolume,
             AdminOp::DeleteVolume { .. } => ControlCommand::DeleteVolume,

@@ -202,11 +202,6 @@ impl ClusterConfig {
         v.extend(self.extra_groups.iter().copied());
         v
     }
-
-    /// Total disks across every group.
-    pub fn total_disks(&self) -> usize {
-        self.group_specs().iter().map(|g| g.disks).sum()
-    }
 }
 
 #[cfg(test)]

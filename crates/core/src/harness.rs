@@ -62,6 +62,7 @@ pub struct Exit {
 
 /// Parse `args` (without the program name) over `cfg`, run the campaign —
 /// twice under `--double-run` — and render output and exit code.
+// lint: allow(dead-pub) — (b) the in-process door tests/harness.rs checks exit codes, --quiet and --double-run through
 pub fn drive<C: Campaign>(usage: &str, mut cfg: C, args: impl IntoIterator<Item = String>) -> Exit {
     let bin = C::BIN;
     let (mut quiet, mut double_run) = (false, false);

@@ -97,10 +97,6 @@ impl LegacyArray {
         }
     }
 
-    pub fn config(&self) -> &LegacyConfig {
-        &self.cfg
-    }
-
     /// Which controller owns I/O for `vol`.
     fn owner(&self, vol: u32) -> Option<usize> {
         match self.cfg.mode {

@@ -65,8 +65,6 @@ pub fn run_scenario(
                     cluster.replace_disk(ys_simdisk::DiskId(d));
                     cluster.mark_disk_rebuilt(ys_simdisk::DiskId(d));
                 }
-                // Site faults are a NetStorage concern; ignored here.
-                (FaultTarget::Site(_) | FaultTarget::Link(..), _) => {}
             }
             result.faults_applied += 1;
         }

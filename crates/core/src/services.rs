@@ -3,7 +3,6 @@
 //! "go faster and not impede active I/O rates being delivered to servers".
 
 use crate::cluster::{BladeCluster, ClusterError};
-use ys_raid::{IoPlan, MemberIo};
 use ys_simcore::time::SimTime;
 
 /// A bulk-copy service job (PIT copy, backup stream, mirror creation).
@@ -53,11 +52,6 @@ pub fn run_service(
         if let Some(dst) = job.dst_offset {
             let write = ys_raid::write_plan(&geo, dst + pos, take, &failed)?;
             t = cluster.charge(0, blade, t, &write, None)?;
-        } else {
-            // Backup stream: ship the chunk out of the blade (charged as a
-            // pure read; the network egress shares the host fabric, which
-            // foreground I/O also uses — captured by the read plan reads).
-            let _ = IoPlan { reads: vec![], writes: Vec::<MemberIo>::new() };
         }
         worker_time[w] = t;
         pos += take;

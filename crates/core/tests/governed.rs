@@ -8,7 +8,7 @@ use ys_core::governed::{
 };
 use ys_core::{BladeCluster, ClusterConfig, ClusterError};
 use ys_simcore::time::{SimDuration, SimTime};
-use ys_qos::{QosClass, QosConfig, TenantSpec};
+use ys_qos::{Decision, QosClass, QosConfig, ShedReason, TenantSpec};
 
 const SCAVENGER: u32 = 9;
 const BATCH_TIME: SimDuration = SimDuration::from_millis(1);
@@ -25,8 +25,11 @@ fn hold_slot(c: &mut BladeCluster) {
     c.qos_admit_as(SimTime::ZERO, SCAVENGER, 1).expect("first admission takes the only slot");
 }
 
+/// Scavenger requests in flight at `at`: with one slot, a probe admission
+/// on a copy of the controller sheds for the cap exactly when it is held.
 fn inflight(c: &BladeCluster, at: SimTime) -> u32 {
-    c.qos().clone().inflight(at, SCAVENGER)
+    let probe = c.qos().clone().admit(at, SCAVENGER, 1);
+    u32::from(probe == Decision::Shed { reason: ShedReason::InflightCap })
 }
 
 /// `left` pages of pretend work, one millisecond per batch.

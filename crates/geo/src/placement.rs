@@ -17,12 +17,6 @@ pub struct Placement {
     pub async_sites: Vec<SiteId>,
 }
 
-impl Placement {
-    pub fn copies(&self) -> usize {
-        1 + self.sync_sites.len() + self.async_sites.len()
-    }
-}
-
 /// Placement failures.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum PlacementError {
@@ -113,6 +107,10 @@ mod tests {
     use ys_pfs::GeoPolicy;
     use ys_simnet::catalog;
 
+    fn copies(p: &Placement) -> usize {
+        1 + p.sync_sites.len() + p.async_sites.len()
+    }
+
     fn topo() -> SiteTopology {
         let mut t = SiteTopology::new(&["home", "metro", "regional", "continental"]);
         t.connect(SiteId(0), SiteId(1), catalog::oc768(), 20.0);
@@ -125,7 +123,7 @@ mod tests {
     fn no_replication_stays_home() {
         let t = topo();
         let p = place(&t, SiteId(0), &GeoPolicy::none()).unwrap();
-        assert_eq!(p.copies(), 1);
+        assert_eq!(copies(&p), 1);
         assert!(p.sync_sites.is_empty() && p.async_sites.is_empty());
     }
 
@@ -135,7 +133,7 @@ mod tests {
         let p = place(&t, SiteId(0), &GeoPolicy::sync(3)).unwrap();
         assert_eq!(p.sync_sites, vec![SiteId(1)], "nearest is synchronous");
         assert_eq!(p.async_sites, vec![SiteId(2)], "farther copy is async");
-        assert_eq!(p.copies(), 3);
+        assert_eq!(copies(&p), 3);
     }
 
     #[test]

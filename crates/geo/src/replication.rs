@@ -28,8 +28,8 @@ pub struct WriteRecord {
 ///
 /// Shipping is two-phase. [`ReplicationEngine::ship_begin`] moves records
 /// from `queue` to `inflight`; once the orchestrator has confirmed delivery
-/// it calls [`ReplicationEngine::ship_confirm`], which is the only place the
-/// shipped counters and `last_shipped_seq` advance. A transfer that dies
+/// it calls [`ReplicationEngine::ship_confirm`], which is the only place
+/// `last_shipped_seq` advances. A transfer that dies
 /// mid-batch calls [`ReplicationEngine::ship_abort`], which requeues the
 /// inflight records at the *front* of the queue so the acknowledged prefix
 /// stays gapless: nothing is counted shipped that was not applied, and
@@ -41,8 +41,6 @@ struct Journal {
     inflight: VecDeque<WriteRecord>,
     pending_bytes: u64,
     last_shipped_seq: Option<u64>,
-    shipped_writes: u64,
-    shipped_bytes: u64,
 }
 
 /// The engine: one journal per (source, destination) site pair.
@@ -150,8 +148,8 @@ impl ReplicationEngine {
     }
 
     /// Phase two (success): the destination has durably applied every
-    /// inflight record with `seq <= through_seq`. Advances the shipped
-    /// counters and the acknowledged prefix. Records beyond `through_seq`
+    /// inflight record with `seq <= through_seq`. Advances the acknowledged
+    /// prefix. Records beyond `through_seq`
     /// stay inflight for a later confirm or abort.
     pub fn ship_confirm(&mut self, src: SiteId, dst: SiteId, through_seq: u64) {
         let Some(j) = self.journals.get_mut(&(src, dst)) else {
@@ -166,8 +164,6 @@ impl ReplicationEngine {
                 debug_assert!(rec.seq > last, "journal order violated");
             }
             j.last_shipped_seq = Some(rec.seq);
-            j.shipped_writes += 1;
-            j.shipped_bytes += rec.len;
         }
     }
 
@@ -203,13 +199,6 @@ impl ReplicationEngine {
     pub fn pending(&self, src: SiteId, dst: SiteId) -> (u64, u64) {
         match self.journals.get(&(src, dst)) {
             Some(j) => (j.queue.len() as u64, j.pending_bytes),
-            None => (0, 0),
-        }
-    }
-
-    pub fn shipped(&self, src: SiteId, dst: SiteId) -> (u64, u64) {
-        match self.journals.get(&(src, dst)) {
-            Some(j) => (j.shipped_writes, j.shipped_bytes),
             None => (0, 0),
         }
     }
@@ -313,7 +302,7 @@ mod tests {
         let batch = e.ship_begin(A, B, 300);
         assert_eq!(batch.len(), 3);
         assert_eq!(e.inflight(A, B), 3);
-        assert_eq!(e.shipped(A, B), (0, 0), "nothing confirmed yet");
+        assert_eq!(e.journals[&(A, B)].last_shipped_seq, None, "nothing confirmed yet");
         assert_eq!(e.ship_abort(A, B), 3);
         assert_eq!(e.inflight(A, B), 0);
         assert_eq!(e.pending(A, B), (6, 600), "aborted records are pending again");
@@ -321,7 +310,6 @@ mod tests {
         let resent = e.ship(A, B, u64::MAX);
         let seqs: Vec<u64> = resent.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, (0..6).collect::<Vec<u64>>());
-        assert_eq!(e.shipped(A, B), (6, 600));
         assert_eq!(e.journals[&(A, B)].last_shipped_seq, Some(5));
     }
 
@@ -335,7 +323,6 @@ mod tests {
         assert_eq!(batch.len(), 4);
         // Only the first two landed before the partition.
         e.ship_confirm(A, B, batch[1].seq);
-        assert_eq!(e.shipped(A, B), (2, 100));
         assert_eq!(e.journals[&(A, B)].last_shipped_seq, Some(batch[1].seq));
         assert_eq!(e.inflight(A, B), 2);
         // Second begin while a batch is outstanding returns nothing.
@@ -344,7 +331,7 @@ mod tests {
         let resent = e.ship(A, B, u64::MAX);
         let seqs: Vec<u64> = resent.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![batch[2].seq, batch[3].seq], "exactly the unacked suffix");
-        assert_eq!(e.shipped(A, B), (4, 200), "no double count");
+        assert_eq!(e.journals[&(A, B)].last_shipped_seq, Some(batch[3].seq), "no record skipped");
     }
 
     #[test]

@@ -112,7 +112,8 @@ proptest! {
         let pol = if sync { GeoPolicy::sync(copies) } else { GeoPolicy::async_(copies) };
         match ys_geo::place(&topo, SiteId(home), &pol) {
             Ok(p) => {
-                prop_assert_eq!(p.copies(), copies.max(1));
+                let placed = 1 + p.sync_sites.len() + p.async_sites.len();
+                prop_assert_eq!(placed, copies.max(1));
                 prop_assert!(!p.sync_sites.contains(&SiteId(home)));
                 prop_assert!(!p.async_sites.contains(&SiteId(home)));
                 let mut all = vec![p.home];
@@ -120,7 +121,7 @@ proptest! {
                 all.extend(&p.async_sites);
                 all.sort();
                 all.dedup();
-                prop_assert_eq!(all.len(), p.copies(), "no duplicate sites");
+                prop_assert_eq!(all.len(), placed, "no duplicate sites");
             }
             Err(_) => prop_assert!(copies > 4, "4 reachable sites satisfy ≤4 copies"),
         }

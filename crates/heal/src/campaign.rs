@@ -105,7 +105,7 @@ impl std::fmt::Display for CampaignReport {
 }
 
 /// Run the seeded campaign to completion.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut r = CampaignReport { ok: true, ..CampaignReport::default() };
     if let Err(e) = drive(cfg, &mut r) {
         r.lines.push(format!("campaign error: {e}"));

@@ -29,5 +29,5 @@
 pub mod campaign;
 pub mod healer;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
+pub use campaign::{CampaignConfig, CampaignReport};
 pub use healer::{HealConfig, HealReport, Healer};

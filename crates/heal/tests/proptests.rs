@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use ys_cache::{CacheCluster, Health, PageKey, Retention};
-use ys_heal::{run_campaign, CampaignConfig};
+use ys_core::harness::Campaign;
+use ys_heal::CampaignConfig;
 use ys_simcore::Rng;
 
 const BLADES: usize = 4;
@@ -125,9 +126,9 @@ proptest! {
     #[test]
     fn campaign_replays_byte_identical(seed in 0u64..1000) {
         let cfg = CampaignConfig { seed, writes: 24 };
-        let a = run_campaign(&cfg);
-        let b = run_campaign(&cfg);
-        prop_assert_eq!(&a.lines, &b.lines, "seed {} transcripts diverge", seed);
-        prop_assert!(a.ok, "seed {} failed:\n{}", seed, a);
+        let a = cfg.run();
+        let b = cfg.run();
+        prop_assert_eq!(&a.transcript, &b.transcript, "seed {} transcripts diverge", seed);
+        prop_assert!(a.ok, "seed {} failed:\n{}", seed, a.transcript);
     }
 }

@@ -34,12 +34,14 @@ pub enum TokKind {
     Punct,
 }
 
-/// One lexed token with its 1-based source line.
+/// One lexed token with its 1-based source line and the 1-based column (in
+/// chars, as rustc counts them) where it starts.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Tok {
     pub kind: TokKind,
     pub text: String,
     pub line: u32,
+    pub col: u32,
 }
 
 impl Tok {
@@ -81,6 +83,11 @@ struct Lexer {
     chars: Vec<char>,
     pos: usize,
     line: u32,
+    /// `pos` of the current line's first char.
+    line_start: usize,
+    /// Column of the token being lexed: each dispatch in `run` pushes at
+    /// most one token.
+    col: u32,
     out: LexOutput,
 }
 
@@ -94,7 +101,7 @@ fn is_ident_continue(c: char) -> bool {
 
 impl Lexer {
     fn new(src: &str) -> Lexer {
-        Lexer { chars: src.chars().collect(), pos: 0, line: 1, out: LexOutput::default() }
+        Lexer { chars: src.chars().collect(), pos: 0, line: 1, line_start: 0, col: 1, out: LexOutput::default() }
     }
 
     fn peek(&self, ahead: usize) -> Option<char> {
@@ -107,18 +114,20 @@ impl Lexer {
             self.pos += 1;
             if c == '\n' {
                 self.line += 1;
+                self.line_start = self.pos;
             }
         }
         c
     }
 
     fn push(&mut self, kind: TokKind, text: String, line: u32) {
-        self.out.tokens.push(Tok { kind, text, line });
+        self.out.tokens.push(Tok { kind, text, line, col: self.col });
     }
 
     fn run(mut self) -> LexOutput {
         while let Some(c) = self.peek(0) {
             let line = self.line;
+            self.col = (self.pos - self.line_start + 1) as u32;
             match c {
                 _ if c.is_whitespace() => {
                     self.bump();
@@ -472,7 +481,7 @@ mod tests {
         let src = "let a = 1;\nlet s = \"two\nlines\";\nlet b = 2;";
         let out = lex(src);
         let b = out.tokens.iter().find(|t| t.is_ident("b")).unwrap();
-        assert_eq!(b.line, 4);
+        assert_eq!((b.line, b.col), (4, 5));
     }
 
     #[test]

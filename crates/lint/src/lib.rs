@@ -14,16 +14,19 @@
 //! a finding, and `#[cfg(test)]` items are recognized structurally rather
 //! than by "tests are at the bottom of the file" convention.
 //!
-//! Entry points: [`lint_workspace`] walks `crates/` under a repo root;
-//! [`analyze_files`] checks a set of `(path, text)` pairs, purely, so
-//! fixtures can feed it text under any path; [`render_text`] /
+//! Entry points: [`lint_workspace`] walks `crates/` under a repo root and
+//! asks the compiler for `dead-pub`'s callers ([`resolve`]);
+//! [`analyze_files`] checks a set of `(path, text)` pairs against those
+//! warnings, purely, so fixtures can feed it text under any path and
+//! warnings in rustc's format; [`render_text`] /
 //! [`render_json`] format a [`Report`], the JSON form deterministically
 //! (sorted findings, stable key order).
 
 pub mod lexer;
+pub mod resolve;
 pub mod rules;
 
-pub use rules::{analyze_files, Finding, ALLOW_SYNTAX, RULES};
+pub use rules::{analyze_files, mark_pub_fns, Finding, ALLOW_SYNTAX, RULES};
 
 use std::fs;
 use std::io;
@@ -49,9 +52,10 @@ impl Report {
 const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
 
 /// Lint every `.rs` file under `<root>/crates`, reading root `examples/`
-/// and `benchmark/src` too, as `dead-pub` callers only. The walk is sorted
-/// so the report (and its JSON) is deterministic regardless of directory
-/// order.
+/// and `benchmark/src` too, as `dead-pub` callers only, with the callers
+/// the compiler finds in a marked copy under `<root>/target/dead-pub`. The
+/// walk is sorted so the report (and its JSON) is deterministic regardless
+/// of directory order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();
     collect_rs(&root.join("crates"), &mut paths)?;
@@ -72,8 +76,9 @@ pub fn lint_workspace(root: &Path) -> io::Result<Report> {
             .replace(std::path::MAIN_SEPARATOR, "/");
         files.push((rel, fs::read_to_string(path)?));
     }
+    let warnings = resolve::deprecation_warnings(root)?;
     let pairs: Vec<(&str, &str)> = files.iter().map(|(r, s)| (r.as_str(), s.as_str())).collect();
-    Ok(Report { findings: analyze_files(&pairs), files_scanned })
+    Ok(Report { findings: analyze_files(&pairs, &warnings), files_scanned })
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> io::Result<()> {

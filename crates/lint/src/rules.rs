@@ -6,7 +6,10 @@
 //! unordered map iteration, and a panic in fallible library code takes out
 //! a whole simulated controller blade instead of failing one request.
 //! `dead-pub` is the one cross-file rule: a `pub fn` nothing but tests
-//! calls is surface to delete, not to maintain.
+//! calls is surface to delete, not to maintain. Its callers come from the
+//! compiler, which resolves every path and method call: [`mark_pub_fns`]
+//! deprecates each definition in a copy of the tree, and the warnings a
+//! non-test build of that copy prints name each call site.
 //!
 //! | rule                  | scope                                   |
 //! |-----------------------|-----------------------------------------|
@@ -72,6 +75,44 @@ fn in_scope(rel: &str, crates: &[&str]) -> bool {
     crates.contains(&crate_of(rel))
 }
 
+/// Resolve a file's allow markers to the lines they guard (a marker on a
+/// comment-only line guards the next code line), reporting malformed ones
+/// through `push`.
+fn allowed_lines(
+    out: &LexOutput,
+    push: &mut impl FnMut(u32, &'static str, String),
+) -> BTreeMap<u32, BTreeSet<String>> {
+    let code_lines: BTreeSet<u32> = out.tokens.iter().map(|t| t.line).collect();
+    let mut allowed: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
+    for marker in &out.allows {
+        if marker.rules.is_empty() {
+            push(
+                marker.line,
+                ALLOW_SYNTAX,
+                "unscoped `lint: allow` marker: name the rule, e.g. \
+                 `// lint: allow(panic-path) — why it is safe`"
+                    .to_string(),
+            );
+            continue;
+        }
+        for r in &marker.rules {
+            if !RULES.contains(&r.as_str()) {
+                push(marker.line, ALLOW_SYNTAX, format!("unknown rule `{r}` in allow marker"));
+            }
+        }
+        let effective = if code_lines.contains(&marker.line) {
+            marker.line
+        } else {
+            match code_lines.range(marker.line + 1..).next() {
+                Some(&l) => l,
+                None => continue,
+            }
+        };
+        allowed.entry(effective).or_default().extend(marker.rules.iter().cloned());
+    }
+    allowed
+}
+
 /// Run the per-file rules over one lexed file, add the cross-file findings
 /// `extra` (line, rule, message), and filter all of them through the
 /// file's allow markers.
@@ -101,37 +142,7 @@ fn check_file(
         });
     };
 
-    // Resolve allow markers to the line they guard and validate them.
-    let code_lines: BTreeSet<u32> = toks.iter().map(|t| t.line).collect();
-    let mut allowed: BTreeMap<u32, BTreeSet<String>> = BTreeMap::new();
-    for marker in &out.allows {
-        if marker.rules.is_empty() {
-            push(
-                marker.line,
-                ALLOW_SYNTAX,
-                "unscoped `lint: allow` marker: name the rule, e.g. \
-                 `// lint: allow(panic-path) — why it is safe`"
-                    .to_string(),
-            );
-            continue;
-        }
-        for r in &marker.rules {
-            if !RULES.contains(&r.as_str()) {
-                push(marker.line, ALLOW_SYNTAX, format!("unknown rule `{r}` in allow marker"));
-            }
-        }
-        // A marker on a comment-only line guards the next code line.
-        let effective = if code_lines.contains(&marker.line) {
-            marker.line
-        } else {
-            match code_lines.range(marker.line + 1..).next() {
-                Some(&l) => l,
-                None => continue,
-            }
-        };
-        allowed.entry(effective).or_default().extend(marker.rules.iter().cloned());
-    }
-
+    let allowed = allowed_lines(out, &mut push);
     if in_scope(rel, PANIC_CRATES) {
         panic_path(toks, &live, &mut push);
     }
@@ -158,9 +169,10 @@ fn check_file(
 }
 
 /// Analyze a set of files: every per-file rule on each `crates/` file, and
-/// `dead-pub` across the set. Files outside `crates/` (root `examples/`,
+/// `dead-pub` from `warnings`, the compiler's output for the tree
+/// [`mark_pub_fns`] marked. Files outside `crates/` (root `examples/`,
 /// `benchmark/src`) are read as callers only; no rule reports in them.
-pub fn analyze_files(files: &[(&str, &str)]) -> Vec<Finding> {
+pub fn analyze_files(files: &[(&str, &str)], warnings: &str) -> Vec<Finding> {
     let lexed: Vec<(LexOutput, Vec<bool>)> = files
         .iter()
         .map(|&(_, src)| {
@@ -169,24 +181,19 @@ pub fn analyze_files(files: &[(&str, &str)]) -> Vec<Finding> {
             (out, skip)
         })
         .collect();
-    let defs: Vec<Vec<(u32, &str)>> = files
-        .iter()
-        .zip(&lexed)
-        .map(|(&(rel, _), (out, skip))| if is_library(rel) { pub_fns(out, skip) } else { Vec::new() })
-        .collect();
-    let named = callers(&lexed, defs.iter().flatten().map(|&(_, name)| name).collect());
+    let called = cross_file_calls(files, &lexed, warnings);
     let mut findings = Vec::new();
-    for (fi, (&(rel, src), (out, skip))) in files.iter().zip(&lexed).enumerate() {
+    for (&(rel, src), (out, skip)) in files.iter().zip(&lexed) {
         if !rel.starts_with("crates/") {
             continue;
         }
-        // `dead-pub`: a bare `pub fn` that no file but its own names.
-        let dead = defs[fi]
-            .iter()
-            .filter(|&&(_, name)| named.get(name).is_none_or(|by| by.iter().all(|&g| g == fi)))
-            .map(|&(line, name)| {
+        // `dead-pub`: a bare `pub fn` that no file but its own calls.
+        let dead = if is_library(rel) { pub_fns(out, skip) } else { Vec::new() }
+            .into_iter()
+            .filter(|&(tok, _)| !called.contains(&(rel, tok.line)))
+            .map(|(tok, name)| {
                 let msg = format!("pub fn {name} is named by no other file outside test code: delete it, or narrow it");
-                (line, "dead-pub", msg)
+                (tok.line, "dead-pub", msg)
             })
             .collect();
         findings.extend(check_file(rel, src, out, skip, dead));
@@ -201,45 +208,107 @@ fn is_library(rel: &str) -> bool {
     rel.starts_with("crates/") && rel.contains("/src/") && !rel.contains("/src/bin/") && !rel.ends_with("/main.rs")
 }
 
-/// Line and name of each bare `pub fn` outside test code: `pub fn`,
-/// `pub const fn`, `pub unsafe fn`, … but not `pub(crate) fn`.
-fn pub_fns<'a>(out: &'a LexOutput, skip: &[bool]) -> Vec<(u32, &'a str)> {
+/// The `pub` token and name of each bare `pub fn` outside test code: `pub
+/// fn`, `pub const fn`, `pub unsafe fn`, … but not `pub(crate) fn`.
+fn pub_fns<'a>(out: &'a LexOutput, skip: &[bool]) -> Vec<(&'a Tok, &'a str)> {
     let live: Vec<&Tok> = out.tokens.iter().zip(skip).filter(|(_, &s)| !s).map(|(t, _)| t).collect();
     let qualifier = |q: &&&Tok| ["const", "async", "unsafe"].iter().any(|&w| q.is_ident(w));
     let mut defs = Vec::new();
-    for (k, t) in live.iter().enumerate().filter(|(_, t)| t.is_ident("pub")) {
+    for (k, &t) in live.iter().enumerate().filter(|(_, t)| t.is_ident("pub")) {
         let mut rest = live[k + 1..].iter().skip_while(qualifier);
         if let (Some(f), Some(name)) = (rest.next(), rest.next()) {
             if f.is_ident("fn") && name.kind == TokKind::Ident {
-                defs.push((t.line, name.text.as_str()));
+                defs.push((t, name.text.as_str()));
             }
         }
     }
     defs
 }
 
-/// For each name in `wanted`, the files that name it outside test code and
-/// outside `use` items (a re-export is not a call). Comments and strings
-/// are not tokens, so doc prose never counts. Matching is by name, so a
-/// dead `tick` hidden by a live `tick` elsewhere is missed; in exchange
-/// `dead-pub` has no false positives.
-fn callers<'a>(lexed: &[(LexOutput, Vec<bool>)], wanted: BTreeSet<&'a str>) -> BTreeMap<&'a str, BTreeSet<usize>> {
-    let mut named: BTreeMap<&str, BTreeSet<usize>> = BTreeMap::new();
-    for (fi, (out, skip)) in lexed.iter().enumerate() {
-        let mut in_use = false;
-        for (t, _) in out.tokens.iter().zip(skip).filter(|(_, &s)| !s) {
-            if t.is_ident("use") {
-                in_use = true;
-            } else if in_use {
-                in_use = !t.is_punct(';');
-            } else if t.kind == TokKind::Ident {
-                if let Some(&name) = wanted.get(t.text.as_str()) {
-                    named.entry(name).or_default().insert(fi);
-                }
-            }
+/// What a marked definition's deprecation note starts with; the rest is
+/// its `file:line`, so every warning names the definition it resolved to.
+const DEF_NOTE: &str = "dead-pub ";
+
+/// `src` with `#[deprecated(note = "dead-pub <rel>:<line>")]` inserted
+/// before each bare `pub fn` that `dead-pub` judges and no marker keeps,
+/// on the `pub`'s own line so that no line number moves. `None` when
+/// `rel` is not library code or has nothing to mark.
+pub fn mark_pub_fns(rel: &str, src: &str) -> Option<String> {
+    if !is_library(rel) {
+        return None;
+    }
+    let out = lex(src);
+    let skip = test_regions(&out.tokens);
+    let allowed = allowed_lines(&out, &mut |_, _, _| {});
+    let defs: Vec<&Tok> = pub_fns(&out, &skip)
+        .into_iter()
+        .map(|(tok, _)| tok)
+        .filter(|tok| !allowed.get(&tok.line).is_some_and(|rules| rules.contains("dead-pub")))
+        .collect();
+    if defs.is_empty() {
+        return None;
+    }
+    let mut lines: Vec<String> = src.split('\n').map(str::to_string).collect();
+    // Right to left, so an insertion never shifts a column still to come.
+    for tok in defs.into_iter().rev() {
+        let line = &mut lines[tok.line as usize - 1];
+        let at = line.char_indices().nth(tok.col as usize - 1).map_or(line.len(), |(i, _)| i);
+        line.insert_str(at, &format!("#[deprecated(note = \"{DEF_NOTE}{rel}:{}\")] ", tok.line));
+    }
+    Some(lines.join("\n"))
+}
+
+/// The definitions, as `(file, line)`, that some file other than their
+/// own calls: one deprecation warning in `warnings` per call site, read
+/// from rustc's short format (`<site>:<line>:<col>: warning: use of
+/// deprecated … : dead-pub <def>:<line>`). A site inside a `use` item is
+/// a re-export or an import, not a call. A site in a file outside `files`
+/// counts.
+fn cross_file_calls<'a>(
+    files: &[(&str, &str)],
+    lexed: &[(LexOutput, Vec<bool>)],
+    warnings: &'a str,
+) -> BTreeSet<(&'a str, u32)> {
+    let uses: BTreeMap<&str, Vec<(Pos, Pos)>> =
+        files.iter().zip(lexed).map(|(&(rel, _), (out, skip))| (rel, use_items(out, skip))).collect();
+    let mut called = BTreeSet::new();
+    for w in warnings.lines().filter(|w| w.contains("use of deprecated")) {
+        let Some((site, note)) = w.split_once(": ") else { continue };
+        let Some((_, def)) = note.rsplit_once(DEF_NOTE) else { continue };
+        let mut site = site.rsplitn(3, ':');
+        let (Some(col), Some(line), Some(file)) = (site.next(), site.next(), site.next()) else { continue };
+        let (Some((def_file, def_line)), Ok(line), Ok(col)) = (def.rsplit_once(':'), line.parse(), col.parse())
+        else {
+            continue;
+        };
+        let Ok(def_line) = def_line.trim().parse() else { continue };
+        let in_use = uses.get(file).is_some_and(|spans| spans.iter().any(|&(a, b)| a <= (line, col) && (line, col) <= b));
+        if file != def_file && !in_use {
+            called.insert((def_file, def_line));
         }
     }
-    named
+    called
+}
+
+/// A source position: 1-based line and column.
+type Pos = (u32, u32);
+
+/// The spans of the `use` items outside test code, from the `use` to its
+/// `;`.
+fn use_items(out: &LexOutput, skip: &[bool]) -> Vec<(Pos, Pos)> {
+    let mut spans = Vec::new();
+    let mut start = None;
+    for (t, _) in out.tokens.iter().zip(skip).filter(|(_, &s)| !s) {
+        match start {
+            None if t.is_ident("use") => start = Some((t.line, t.col)),
+            Some(s) if t.is_punct(';') => {
+                spans.push((s, (t.line, t.col)));
+                start = None;
+            }
+            _ => {}
+        }
+    }
+    spans
 }
 
 /// Mark tokens belonging to `#[cfg(test)]` / `#[test]` items (the attribute

@@ -1,6 +1,6 @@
 //! Fixture: a caller-only file, fed as `benchmark/src/…` and as
-//! `examples/…`. Its names count as callers; no rule reports here, not
-//! even on its own uncalled `pub fn`, its `.unwrap()` or its wall clock.
+//! `examples/…`. Its calls count; no rule reports here, not even on its
+//! own uncalled `pub fn`, its `.unwrap()` or its wall clock.
 
 pub fn frozen_entry() -> u32 {
     let _started = std::time::Instant::now();

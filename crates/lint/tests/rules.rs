@@ -4,7 +4,7 @@
 //! each is fed to `analyze_files` under hand-picked fake paths so one
 //! snippet exercises both the in-scope and out-of-scope behavior.
 
-use ys_lint::{analyze_files, Finding};
+use ys_lint::{analyze_files, mark_pub_fns, Finding};
 
 const PANIC: &str = include_str!("fixtures/panic_path.rs");
 const WALL: &str = include_str!("fixtures/wall_clock.rs");
@@ -18,9 +18,9 @@ const DEAD_FROZEN: &str = include_str!("fixtures/dead_pub_frozen.rs");
 
 /// The per-file rules over one file alone. Alone, every fixture `pub fn`
 /// is uncalled, so its `dead-pub` findings are dropped here; the
-/// `dead-pub` tests below feed whole file sets instead.
+/// `dead-pub` tests below feed whole file sets and their warnings instead.
 fn analyze_source(rel: &str, src: &str) -> Vec<Finding> {
-    let mut f = analyze_files(&[(rel, src)]);
+    let mut f = analyze_files(&[(rel, src)], "");
     f.retain(|f| f.rule != "dead-pub");
     f
 }
@@ -163,31 +163,84 @@ fn marker_suppresses_only_its_own_rule() {
     assert_eq!(lines_for(&f, "panic-path"), vec![2], "findings: {f:#?}");
 }
 
+const DEAD_RS: &str = "crates/raid/src/dead.rs";
+const CALLER_RS: &str = "crates/core/src/caller.rs";
+
+/// The warning rustc prints, in its short format, for the marked copy of
+/// the `pub fn` on `def`'s line of `dead_pub.rs`, named at `site` in the
+/// file `rel` holding `src`.
+fn warning(rel: &str, src: &str, site: &str, def: &str) -> String {
+    let line = line_of(src, site);
+    let col = src.lines().nth(line as usize - 1).and_then(|l| l.find(site)).map_or(0, |c| c + 1);
+    format!(
+        "{rel}:{line}:{col}: warning: use of deprecated function `x`: dead-pub {DEAD_RS}:{}\n",
+        line_of(DEAD, def)
+    )
+}
+
 /// The `dead-pub` fixture set: a library file, a library caller, and the
-/// caller-only file under `frozen`, a `benchmark/src` or `examples` path.
+/// caller-only file under `frozen`, a `benchmark/src` or `examples` path,
+/// with the warnings the compiler prints for each call into `dead_pub.rs`.
 fn dead_pub_set(frozen: Option<&str>) -> Vec<Finding> {
-    let mut files = vec![("crates/raid/src/dead.rs", DEAD), ("crates/core/src/caller.rs", DEAD_CALLER)];
-    files.extend(frozen.map(|path| (path, DEAD_FROZEN)));
-    analyze_files(&files)
+    let mut files = vec![(DEAD_RS, DEAD), (CALLER_RS, DEAD_CALLER)];
+    let mut warnings = String::from("warning: unused variable: `x`\n");
+    warnings += &warning(CALLER_RS, DEAD_CALLER, "reached_only_through_a_re_export;", "pub fn reached_only_through");
+    // The first `pub fn tick` in the fixture is `Live`'s.
+    warnings += &warning(CALLER_RS, DEAD_CALLER, "tick() +", "pub fn tick");
+    warnings += &warning(CALLER_RS, DEAD_CALLER, "called_from_a_library_file()", "pub fn called_from_a_library");
+    warnings += &warning(DEAD_RS, DEAD, "called_only_in_its_own_file() +", "pub fn called_only_in_its_own_file");
+    if let Some(path) = frozen {
+        files.push((path, DEAD_FROZEN));
+        warnings += &warning(path, DEAD_FROZEN, "called_by_benchmark()", "pub fn called_by_benchmark");
+        warnings += &warning(path, DEAD_FROZEN, "called_by_an_example()", "pub fn called_by_an_example");
+    }
+    warnings += "warning: `ys-raid` (lib) generated 4 warnings\n";
+    analyze_files(&files, &warnings)
 }
 
 const BENCH: Option<&str> = Some("benchmark/src/ledger.rs");
+
+/// 1-based line of the last fixture line containing `needle`.
+fn last_line_of(src: &str, needle: &str) -> u32 {
+    src.lines().enumerate().filter(|(_, l)| l.contains(needle)).map(|(i, _)| i as u32 + 1).last().unwrap_or(0)
+}
 
 #[test]
 fn dead_pub_flags_each_pub_fn_no_other_file_calls() {
     let f = dead_pub_set(BENCH);
     let want = vec![
+        last_line_of(DEAD, "pub fn tick"),
         line_of(DEAD, "pub fn never_called"),
         line_of(DEAD, "pub const fn const_and_never_called"),
         line_of(DEAD, "pub fn called_only_by_a_test_module"),
-        line_of(DEAD, "pub fn named_only_in_a_pub_use"),
-        line_of(DEAD, "pub fn named_only_in_prose"),
+        line_of(DEAD, "pub fn reached_only_through_a_re_export"),
+        line_of(DEAD, "pub fn called_only_in_its_own_file"),
         line_of(DEAD, "pub fn the_line_after_a_marker"),
         line_of(DEAD, "pub fn under_another_rules_marker"),
     ];
     assert_eq!(lines_for(&f, "dead-pub"), want, "findings: {f:#?}");
-    assert!(f.iter().all(|f| f.file == "crates/raid/src/dead.rs"), "findings: {f:#?}");
+    assert!(f.iter().all(|f| f.file == DEAD_RS), "findings: {f:#?}");
     assert_eq!(f.len(), want.len(), "only dead-pub fires: {f:#?}");
+}
+
+#[test]
+fn dead_pub_tells_a_dead_method_from_a_live_one_of_the_same_name() {
+    let f = lines_for(&dead_pub_set(BENCH), "dead-pub");
+    assert!(!f.contains(&line_of(DEAD, "pub fn tick")), "Live::tick is called: {f:?}");
+    assert!(f.contains(&last_line_of(DEAD, "pub fn tick")), "Dead::tick is not: {f:?}");
+}
+
+#[test]
+fn dead_pub_counts_cross_file_calls_not_re_exports_or_own_file_calls() {
+    let f = dead_pub_set(BENCH);
+    let lines = lines_for(&f, "dead-pub");
+    assert!(!lines.contains(&line_of(DEAD, "pub fn called_from_a_library_file")), "{lines:?}");
+    // Its one other-file site is the `pub use`: a re-export is not a call.
+    assert!(lines.contains(&line_of(DEAD, "pub fn reached_only_through_a_re_export")), "{lines:?}");
+    // Called from its own file only: the finding says to narrow it.
+    let own = line_of(DEAD, "pub fn called_only_in_its_own_file");
+    let own = f.iter().find(|f| f.line == own).expect("own-file caller flagged");
+    assert!(own.message.ends_with("delete it, or narrow it"), "{own:?}");
 }
 
 #[test]
@@ -206,17 +259,12 @@ fn dead_pub_counts_benchmark_and_examples_as_callers() {
 #[test]
 fn dead_pub_ignores_narrow_visibility_test_code_and_binaries() {
     let f = lines_for(&dead_pub_set(BENCH), "dead-pub");
-    let ignored = [
-        "pub(crate) fn crate_visible",
-        "pub fn gated_by_cfg_test",
-        "pub fn inside_a_test_module",
-        "pub fn called_from_a_library_file",
-    ];
+    let ignored = ["pub(crate) fn crate_visible", "pub fn gated_by_cfg_test", "pub fn inside_a_test_module"];
     for needle in ignored {
         assert!(!f.contains(&line_of(DEAD, needle)), "{needle} flagged: {f:?}");
     }
     // A binary's `pub fn` is not library surface.
-    let bin = analyze_files(&[("crates/raid/src/main.rs", DEAD), ("crates/raid/src/bin/tool.rs", DEAD)]);
+    let bin = analyze_files(&[("crates/raid/src/main.rs", DEAD), ("crates/raid/src/bin/tool.rs", DEAD)], "");
     assert!(lines_for(&bin, "dead-pub").is_empty(), "findings: {bin:#?}");
 }
 
@@ -226,4 +274,40 @@ fn dead_pub_marker_suppresses_only_its_own_line() {
     assert!(!f.contains(&line_of(DEAD, "pub fn kept_under_a_marker")));
     assert!(f.contains(&line_of(DEAD, "pub fn the_line_after_a_marker")));
     assert!(f.contains(&line_of(DEAD, "pub fn under_another_rules_marker")));
+}
+
+#[test]
+fn marking_deprecates_each_judged_pub_fn_in_place() {
+    let marked = mark_pub_fns(DEAD_RS, DEAD).expect("the fixture has pub fns to mark");
+    assert_eq!(marked.lines().count(), DEAD.lines().count(), "no line moves");
+    let tagged: Vec<u32> = marked
+        .lines()
+        .enumerate()
+        .filter(|(_, l)| l.contains("#[deprecated(note = \"dead-pub "))
+        .map(|(i, l)| {
+            let line = i as u32 + 1;
+            assert!(l.trim_start().starts_with(&format!("#[deprecated(note = \"dead-pub {DEAD_RS}:{line}\")] pub ")));
+            line
+        })
+        .collect();
+    let judged = [
+        "pub fn tick",
+        "pub fn never_called",
+        "pub const fn const_and_never_called",
+        "pub fn called_from_a_library_file",
+        "pub fn called_only_by_a_test_module",
+        "pub fn reached_only_through_a_re_export",
+        "pub fn called_only_in_its_own_file",
+        "pub fn called_by_benchmark",
+        "pub fn called_by_an_example",
+        "pub fn the_line_after_a_marker",
+        "pub fn under_another_rules_marker",
+    ];
+    let mut want: Vec<u32> = judged.iter().map(|n| line_of(DEAD, n)).collect();
+    want.push(last_line_of(DEAD, "pub fn tick"));
+    want.sort();
+    assert_eq!(tagged, want, "{marked}");
+    // Binaries and callers-only trees are not marked.
+    assert!(mark_pub_fns("crates/raid/src/main.rs", DEAD).is_none());
+    assert!(mark_pub_fns("benchmark/src/ledger.rs", DEAD_FROZEN).is_none());
 }

@@ -4,11 +4,10 @@
 //! `(subsystem, blade, name)` — `blade` is `None` for cluster-wide
 //! aggregates and `Some(i)` for per-blade (or per-site, per-worker,
 //! per-port; any lane-like index) scopes. The value types wrap the
-//! `ys_simcore::stats` primitives so registries compose the same way the
-//! primitives do: [`MetricsRegistry::merge`] is additive,
-//! [`MetricsRegistry::diff`] recovers interval activity between two
-//! snapshots, and [`MetricsRegistry::to_json`] renders a deterministic
-//! (BTreeMap-ordered) export for tooling.
+//! `ys_simcore::stats` primitives so registries diff the same way the
+//! primitives do: [`MetricsRegistry::diff`] recovers interval activity
+//! between two snapshots, and [`MetricsRegistry::to_json`] renders a
+//! deterministic (BTreeMap-ordered) export for tooling.
 
 use std::collections::BTreeMap;
 use ys_simcore::stats::{Counter, LatencyHisto, RateMeter};
@@ -75,14 +74,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    pub fn len(&self) -> usize {
-        self.metrics.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.metrics.is_empty()
-    }
-
     /// Counter at `key`, created zeroed on first touch.
     ///
     /// # Panics
@@ -116,10 +107,6 @@ impl MetricsRegistry {
         self.metrics.insert(key, Metric::Gauge(value));
     }
 
-    pub fn get(&self, key: &MetricKey) -> Option<&Metric> {
-        self.metrics.get(key)
-    }
-
     /// Gauge value at `key`, if present and a gauge.
     pub fn gauge_value(&self, key: &MetricKey) -> Option<f64> {
         match self.metrics.get(key) {
@@ -141,38 +128,15 @@ impl MetricsRegistry {
     }
 
     /// A point-in-time copy, for later [`MetricsRegistry::diff`].
+    // lint: allow(dead-pub) — (d) ROADMAP item 13's flight recorder diffs the registry at each checkpoint
     pub fn snapshot(&self) -> MetricsRegistry {
         self.clone()
-    }
-
-    /// Fold `other` into `self`: counters/rates/histograms add (rates
-    /// stretch their window), gauges keep the maximum level. Keys unique to
-    /// `other` are copied in.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (key, theirs) in &other.metrics {
-            match self.metrics.get_mut(key) {
-                None => {
-                    self.metrics.insert(key.clone(), theirs.clone());
-                }
-                Some(mine) => match (mine, theirs) {
-                    (Metric::Counter(a), Metric::Counter(b)) => a.merge(b),
-                    (Metric::Rate(a), Metric::Rate(b)) => a.merge(b),
-                    (Metric::Latency(a), Metric::Latency(b)) => a.merge(b),
-                    (Metric::Gauge(a), Metric::Gauge(b)) => *a = a.max(*b),
-                    (mine, theirs) => panic!(
-                        "metric kind mismatch merging {}: {} vs {}",
-                        key.dotted(),
-                        mine.kind(),
-                        theirs.kind()
-                    ),
-                },
-            }
-        }
     }
 
     /// Activity between `earlier` and `self` (both snapshots of the same
     /// registry): counters/rates/histograms subtract saturating; gauges
     /// keep the later level. Keys unique to `self` pass through whole.
+    // lint: allow(dead-pub) — (d) ROADMAP item 13's flight recorder diffs the registry at each checkpoint
     pub fn diff(&self, earlier: &MetricsRegistry) -> MetricsRegistry {
         let mut out = MetricsRegistry::new();
         for (key, now) in &self.metrics {
@@ -264,28 +228,38 @@ pub(crate) fn escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ys_simcore::time::{SimDuration, SimTime};
+    use ys_simcore::time::SimDuration;
+
+    /// One more event of `bytes` on the counter at `key`.
+    fn record(reg: &mut MetricsRegistry, key: MetricKey, bytes: u64) {
+        let c = reg.counter(key);
+        *c = Counter::of(c.count() + 1, c.bytes() + bytes);
+    }
+
+    fn get<'a>(reg: &'a MetricsRegistry, key: &MetricKey) -> Option<&'a Metric> {
+        reg.iter().find(|(k, _)| *k == key).map(|(_, m)| m)
+    }
 
     #[test]
     fn snapshot_then_diff_recovers_interval() {
         let mut reg = MetricsRegistry::new();
-        reg.counter(MetricKey::aggregate("cache", "misses")).record(100);
+        record(&mut reg, MetricKey::aggregate("cache", "misses"), 100);
         reg.latency(MetricKey::aggregate("core", "read_latency"))
             .record(SimDuration::from_micros(50));
         let before = reg.snapshot();
-        reg.counter(MetricKey::aggregate("cache", "misses")).record(40);
-        reg.counter(MetricKey::aggregate("cache", "misses")).record(60);
+        record(&mut reg, MetricKey::aggregate("cache", "misses"), 40);
+        record(&mut reg, MetricKey::aggregate("cache", "misses"), 60);
         reg.latency(MetricKey::aggregate("core", "read_latency"))
             .record(SimDuration::from_micros(500));
         let delta = reg.diff(&before);
-        match delta.get(&MetricKey::aggregate("cache", "misses")) {
+        match get(&delta, &MetricKey::aggregate("cache", "misses")) {
             Some(Metric::Counter(c)) => {
                 assert_eq!(c.count(), 2, "two new events in the interval");
                 assert_eq!(c.bytes(), 100);
             }
             other => panic!("wrong kind: {other:?}"),
         }
-        match delta.get(&MetricKey::aggregate("core", "read_latency")) {
+        match get(&delta, &MetricKey::aggregate("core", "read_latency")) {
             Some(Metric::Latency(h)) => {
                 assert_eq!(h.count(), 1);
                 assert!(h.mean() >= SimDuration::from_micros(400), "interval mean excludes the old sample");
@@ -295,31 +269,10 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_additive_and_gauges_take_max() {
-        let mut a = MetricsRegistry::new();
-        a.counter(MetricKey::scoped("cache", 0, "local_hits")).record(0);
-        a.gauge(MetricKey::scoped("core", 0, "cpu_util"), 0.4);
-        a.rate(MetricKey::aggregate("core", "read_rate")).record(SimTime(1_000_000), 1000);
-        let mut b = MetricsRegistry::new();
-        b.counter(MetricKey::scoped("cache", 0, "local_hits")).record(0);
-        b.counter(MetricKey::scoped("cache", 1, "local_hits")).record(0);
-        b.gauge(MetricKey::scoped("core", 0, "cpu_util"), 0.9);
-        b.rate(MetricKey::aggregate("core", "read_rate")).record(SimTime(2_000_000), 3000);
-        a.merge(&b);
-        assert_eq!(a.counter_value(&MetricKey::scoped("cache", 0, "local_hits")), 2);
-        assert_eq!(a.counter_value(&MetricKey::scoped("cache", 1, "local_hits")), 1, "new key copied in");
-        assert_eq!(a.gauge_value(&MetricKey::scoped("core", 0, "cpu_util")), Some(0.9));
-        match a.get(&MetricKey::aggregate("core", "read_rate")) {
-            Some(Metric::Rate(r)) => assert_eq!(r.bytes(), 4000),
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
     fn diff_passes_through_new_keys() {
         let empty = MetricsRegistry::new();
         let mut reg = MetricsRegistry::new();
-        reg.counter(MetricKey::aggregate("geo", "shipped")).record(10);
+        record(&mut reg, MetricKey::aggregate("geo", "shipped"), 10);
         let delta = reg.diff(&empty);
         assert_eq!(delta.counter_value(&MetricKey::aggregate("geo", "shipped")), 1);
     }
@@ -328,7 +281,7 @@ mod tests {
     fn json_export_is_sorted_and_parses() {
         let mut reg = MetricsRegistry::new();
         reg.gauge(MetricKey::scoped("core", 2, "cpu_util"), 0.5);
-        reg.counter(MetricKey::aggregate("cache", "misses")).record(0);
+        record(&mut reg, MetricKey::aggregate("cache", "misses"), 0);
         reg.latency(MetricKey::aggregate("core", "read_latency"))
             .record(SimDuration::from_micros(100));
         let text = reg.to_json();

@@ -20,7 +20,7 @@ pub struct Checkpoint {
 }
 
 impl Checkpoint {
-    pub fn render(&self) -> String {
+    fn render(&self) -> String {
         format!(
             "[{}] {} — {} = {} (target {})",
             if self.pass { "PASS" } else { "FAIL" },

@@ -61,7 +61,7 @@ impl Workload {
         )
     }
 
-    pub fn new(
+    fn new(
         pattern: Pattern,
         extent: u64,
         io_bytes: u64,
@@ -98,21 +98,20 @@ impl Workload {
         };
         IoOp { think, write, offset, len: self.io_bytes }
     }
-
-    /// Generate a batch.
-    pub fn take(&mut self, n: usize) -> Vec<IoOp> {
-        (0..n).map(|_| self.next_op()).collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn take(w: &mut Workload, n: usize) -> Vec<IoOp> {
+        (0..n).map(|_| w.next_op()).collect()
+    }
+
     #[test]
     fn sequential_walks_contiguously_and_wraps() {
         let mut w = Workload::new(Pattern::Sequential { start: 0 }, 4 * 4096, 4096, 0.0, SimDuration::ZERO, 1);
-        let ops = w.take(6);
+        let ops = take(&mut w, 6);
         let offsets: Vec<u64> = ops.iter().map(|o| o.offset).collect();
         assert_eq!(offsets, vec![0, 4096, 8192, 12288, 0, 4096]);
         assert!(ops.iter().all(|o| !o.write));
@@ -121,7 +120,7 @@ mod tests {
     #[test]
     fn random_stays_in_extent_and_aligned() {
         let mut w = Workload::random(1 << 30, 64 * 1024, 0.3, 7);
-        for op in w.take(10_000) {
+        for op in take(&mut w, 10_000) {
             assert!(op.offset + op.len <= 1 << 30);
             assert_eq!(op.offset % (64 * 1024), 0);
         }
@@ -130,7 +129,7 @@ mod tests {
     #[test]
     fn write_fraction_is_respected() {
         let mut w = Workload::random(1 << 30, 4096, 0.25, 11);
-        let writes = w.take(100_000).iter().filter(|o| o.write).count();
+        let writes = take(&mut w, 100_000).iter().filter(|o| o.write).count();
         let frac = writes as f64 / 100_000.0;
         assert!((frac - 0.25).abs() < 0.01, "write fraction {frac}");
     }
@@ -139,7 +138,7 @@ mod tests {
     fn zipf_workload_is_skewed() {
         let mut w = Workload::zipf(1000 * 4096, 4096, 0.99, 0.0, 13);
         let mut counts = std::collections::HashMap::new();
-        for op in w.take(50_000) {
+        for op in take(&mut w, 50_000) {
             *counts.entry(op.offset).or_insert(0u32) += 1;
         }
         let top: u32 = counts.values().copied().max().unwrap();
@@ -150,13 +149,13 @@ mod tests {
     fn same_seed_reproduces_identical_traces() {
         let mut a = Workload::zipf(1 << 24, 4096, 0.9, 0.5, 42);
         let mut b = Workload::zipf(1 << 24, 4096, 0.9, 0.5, 42);
-        assert_eq!(a.take(1000), b.take(1000));
+        assert_eq!(take(&mut a, 1000), take(&mut b, 1000));
     }
 
     #[test]
     fn think_time_has_requested_mean() {
         let mut w = Workload::new(Pattern::Random, 1 << 20, 4096, 0.0, SimDuration::from_millis(10), 17);
-        let ops = w.take(50_000);
+        let ops = take(&mut w, 50_000);
         let mean_ns: f64 = ops.iter().map(|o| o.think.nanos() as f64).sum::<f64>() / ops.len() as f64;
         assert!((mean_ns / 1e7 - 1.0).abs() < 0.05, "mean think {mean_ns} ns");
     }

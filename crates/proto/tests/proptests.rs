@@ -3,8 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ys_proto::{block, file, plan_stream, stream, BlockCmd, FileOp, Pattern, StreamProtocol, StreamRequest, Workload};
-use ys_simcore::time::SimDuration;
+use ys_proto::{block, file, plan_stream, stream, BlockCmd, FileOp, StreamProtocol, StreamRequest, Workload};
 
 fn arb_block_cmd() -> impl Strategy<Value = BlockCmd> {
     prop_oneof![
@@ -101,12 +100,8 @@ proptest! {
     fn workloads_stay_in_bounds(seed in any::<u64>(), theta in 0.0f64..1.5, wf in 0.0f64..1.0) {
         let extent = 1u64 << 26;
         let io = 4096u64;
-        for mut wl in [
-            Workload::new(Pattern::Sequential { start: 0 }, extent, io, 0.0, SimDuration::ZERO, seed),
-            Workload::random(extent, io, wf, seed),
-            Workload::zipf(extent, io, theta, wf, seed),
-        ] {
-            for op in wl.take(200) {
+        for mut wl in [Workload::random(extent, io, wf, seed), Workload::zipf(extent, io, theta, wf, seed)] {
+            for op in (0..200).map(|_| wl.next_op()) {
                 prop_assert!(op.offset + op.len <= extent);
                 prop_assert_eq!(op.offset % io, 0);
             }

@@ -245,11 +245,6 @@ impl AdmissionController {
         self.state(tenant).map(|t| t.bucket.tokens())
     }
 
-    /// In-flight admitted requests for `tenant` as of `now`.
-    pub fn inflight(&mut self, now: SimTime, tenant: u32) -> u32 {
-        self.state_mut(tenant).map(|t| t.inflight(now)).unwrap_or(0)
-    }
-
     /// SLO snapshots for every configured tenant, in id order.
     pub fn slo_report(&self) -> Vec<SloStatus> {
         self.tenants
@@ -343,7 +338,7 @@ mod tests {
         // Both complete at t=1ms; a request at 2ms is admitted again.
         ac.complete(1, t0, SimTime(1_000_000), 4096);
         ac.complete(1, t0, SimTime(1_000_000), 4096);
-        assert_eq!(ac.inflight(SimTime(2_000_000), 1), 0);
+        assert_eq!(ac.state_mut(1).map(|t| t.inflight(SimTime(2_000_000))), Some(0));
         assert!(matches!(ac.admit(SimTime(2_000_000), 1, 4096), Decision::Admit { .. }));
         assert!(ac.audit().is_empty());
     }

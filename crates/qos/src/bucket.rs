@@ -32,10 +32,6 @@ impl TokenBucket {
         TokenBucket { rate_bytes_per_sec, burst, tokens: burst, frac: 0, last: SimTime::ZERO }
     }
 
-    pub fn rate_bytes_per_sec(&self) -> u64 {
-        self.rate_bytes_per_sec
-    }
-
     pub fn burst(&self) -> u64 {
         self.burst
     }

@@ -21,7 +21,7 @@ pub enum QosClass {
 
 impl QosClass {
     /// Stable wire id for charge-back records (0 = unclassified).
-    pub fn id(self) -> u8 {
+    fn id(self) -> u8 {
         match self {
             QosClass::Scavenger => 1,
             QosClass::Standard => 2,

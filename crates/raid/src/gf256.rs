@@ -61,6 +61,7 @@ pub fn inv(a: u8) -> u8 {
 
 /// Field division. Panics if `b == 0`.
 #[inline]
+// lint: allow(dead-pub) — (a) GF(256) reference the field test checks mul and inv against
 pub fn div(a: u8, b: u8) -> u8 {
     mul(a, inv(b))
 }

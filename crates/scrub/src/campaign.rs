@@ -136,7 +136,7 @@ const FILE_MB: u64 = 8;
 
 /// Run one seeded campaign end to end. Deterministic: the transcript and
 /// verdict are pure functions of the config.
-pub fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
+fn run_campaign(cfg: &CampaignConfig) -> CampaignReport {
     let mut r = CampaignReport::default();
     match drive(cfg, &mut r) {
         Ok(()) => {}

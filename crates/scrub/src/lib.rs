@@ -28,5 +28,5 @@
 pub mod campaign;
 pub mod scrubber;
 
-pub use campaign::{run_campaign, CampaignConfig, CampaignReport};
+pub use campaign::{CampaignConfig, CampaignReport};
 pub use scrubber::{ScrubConfig, ScrubLoss, ScrubReport, ScrubTarget, Scrubber};

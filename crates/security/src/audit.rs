@@ -32,12 +32,9 @@ impl AuditLog {
         self.entries.len()
     }
 
+    // lint: allow(dead-pub) — (e) clippy's len_without_is_empty pairs it with the live pub len
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    pub fn entries(&self) -> &[(SimTime, AuditEvent)] {
-        &self.entries
     }
 
     pub fn violations(&self) -> impl Iterator<Item = (&SimTime, &SecurityViolation)> {

@@ -87,10 +87,6 @@ impl AuthService {
         id
     }
 
-    pub fn principal(&self, id: PrincipalId) -> Option<&Principal> {
-        self.principals.get(&id)
-    }
-
     fn token_mac(&self, principal: PrincipalId, expires: SimTime) -> u64 {
         let mut buf = [0u8; 12];
         buf[..4].copy_from_slice(&principal.0.to_be_bytes());
@@ -124,7 +120,7 @@ impl AuthService {
     }
 
     /// Verify a token and return the principal.
-    pub fn verify(&self, token: &SessionToken, now: SimTime) -> Result<&Principal, AuthError> {
+    fn verify(&self, token: &SessionToken, now: SimTime) -> Result<&Principal, AuthError> {
         let p = self.principals.get(&token.principal).ok_or(AuthError::UnknownPrincipal)?;
         if !digest_eq(self.token_mac(token.principal, token.expires), token.mac) {
             return Err(AuthError::TokenForged);

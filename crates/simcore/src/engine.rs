@@ -32,21 +32,19 @@ impl<E: Eq> PartialOrd for Entry<E> {
 /// A deterministic discrete-event scheduler over event payloads `E`.
 ///
 /// ```
-/// use ys_simcore::{Engine, Control, SimTime, SimDuration};
+/// use ys_simcore::{Engine, SimTime, SimDuration};
 ///
 /// let mut engine: Engine<&str> = Engine::new();
 /// engine.schedule_at(SimTime(100), "second");
 /// engine.schedule_at(SimTime(50), "first");
 /// let mut seen = Vec::new();
-/// engine.run(|eng, t, ev| {
-///     seen.push(ev);
+/// while let Some((t, ev)) = engine.pop() {
+///     seen.push((t, ev));
 ///     if ev == "first" {
-///         eng.schedule_at(t + SimDuration::from_nanos(200), "third");
+///         engine.schedule_at(t + SimDuration::from_nanos(200), "third");
 ///     }
-///     Control::Continue
-/// });
-/// assert_eq!(seen, vec!["first", "second", "third"]);
-/// assert_eq!(engine.now(), SimTime(250));
+/// }
+/// assert_eq!(seen, vec![(SimTime(50), "first"), (SimTime(100), "second"), (SimTime(250), "third")]);
 /// ```
 pub struct Engine<E> {
     now: SimTime,
@@ -67,27 +65,12 @@ impl<E: Eq> Engine<E> {
 
     /// An engine whose event queue is pre-sized for `capacity` pending
     /// events, so steady-state scheduling never reallocates the heap.
-    pub fn with_capacity(capacity: usize) -> Engine<E> {
+    fn with_capacity(capacity: usize) -> Engine<E> {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::with_capacity(capacity),
         }
-    }
-
-    /// Current simulated time: the timestamp of the most recently popped
-    /// event (or zero before any event fires).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Number of events still pending.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Schedule `payload` to fire at absolute time `at`.
@@ -108,33 +91,11 @@ impl<E: Eq> Engine<E> {
         self.now = entry.time;
         Some((entry.time, entry.payload))
     }
-
-    /// Drive the simulation to completion (or until `handler` returns
-    /// [`Control::Stop`]), feeding each event to `handler` together with a
-    /// mutable reference to the engine so the handler can schedule follow-ups.
-    pub fn run<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut Engine<E>, SimTime, E) -> Control,
-    {
-        while let Some((t, ev)) = self.pop() {
-            if handler(self, t, ev) == Control::Stop {
-                break;
-            }
-        }
-    }
-}
-
-/// Handler verdict for [`Engine::run`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Control {
-    Continue,
-    Stop,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
 
     #[test]
     fn events_fire_in_time_order() {
@@ -142,9 +103,8 @@ mod tests {
         e.schedule_at(SimTime(30), 3);
         e.schedule_at(SimTime(10), 1);
         e.schedule_at(SimTime(20), 2);
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
-        assert_eq!(e.now(), SimTime(30));
+        let popped: Vec<(SimTime, u32)> = std::iter::from_fn(|| e.pop()).collect();
+        assert_eq!(popped, vec![(SimTime(10), 1), (SimTime(20), 2), (SimTime(30), 3)]);
     }
 
     #[test]
@@ -155,37 +115,6 @@ mod tests {
         }
         let order: Vec<u32> = std::iter::from_fn(|| e.pop().map(|(_, v)| v)).collect();
         assert_eq!(order, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn run_handler_can_schedule_followups() {
-        let mut e: Engine<u32> = Engine::new();
-        e.schedule_at(SimTime(1), 0);
-        let mut count = 0u32;
-        e.run(|eng, t, v| {
-            count += 1;
-            if v < 9 {
-                eng.schedule_at(t + SimDuration::from_nanos(1), v + 1);
-            }
-            Control::Continue
-        });
-        assert_eq!(count, 10);
-        assert_eq!(e.now(), SimTime(10));
-    }
-
-    #[test]
-    fn run_stops_on_control_stop() {
-        let mut e: Engine<u32> = Engine::new();
-        for i in 0..10 {
-            e.schedule_at(SimTime(i), i as u32);
-        }
-        let mut seen = 0;
-        e.run(|_, _, v| {
-            seen += 1;
-            if v == 4 { Control::Stop } else { Control::Continue }
-        });
-        assert_eq!(seen, 5);
-        assert_eq!(e.pending(), 5);
     }
 
     #[test]

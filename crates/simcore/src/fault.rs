@@ -13,10 +13,6 @@ pub enum FaultTarget {
     Blade(usize),
     /// A physical disk, by farm-wide index.
     Disk(usize),
-    /// An entire site, by site index.
-    Site(usize),
-    /// An inter-site link, by (from, to) site indices.
-    Link(usize, usize),
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -61,14 +57,6 @@ impl FaultPlan {
         evs.sort_by_key(|e| e.at);
         evs
     }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
 }
 
 #[cfg(test)]
@@ -85,6 +73,6 @@ mod tests {
         assert_eq!(evs[0].at, SimTime(100));
         assert_eq!(evs[1].at, SimTime(200));
         assert_eq!(evs[2].at, SimTime(300));
-        assert_eq!(p.len(), 3);
+        assert_eq!(evs.len(), 3);
     }
 }

@@ -25,7 +25,7 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use engine::{Control, Engine};
+pub use engine::Engine;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series};

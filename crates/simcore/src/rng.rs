@@ -59,15 +59,9 @@ impl Rng {
         }
     }
 
-    /// Uniform in `[lo, hi)`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range");
-        lo + self.next_below(hi - lo)
-    }
-
     /// Uniform float in `[0, 1)` with 53-bit resolution.
     #[inline]
-    pub fn f64(&mut self) -> f64 {
+    fn f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 

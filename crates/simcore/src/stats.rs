@@ -22,22 +22,12 @@ impl Counter {
         Counter { count, sum_bytes: bytes }
     }
 
-    pub fn record(&mut self, bytes: u64) {
-        self.count += 1;
-        self.sum_bytes += bytes;
-    }
-
     pub fn count(&self) -> u64 {
         self.count
     }
 
     pub fn bytes(&self) -> u64 {
         self.sum_bytes
-    }
-
-    pub fn merge(&mut self, other: &Counter) {
-        self.count += other.count;
-        self.sum_bytes += other.sum_bytes;
     }
 
     /// Activity since `earlier` (a previous snapshot of this counter).
@@ -61,7 +51,6 @@ pub struct LatencyHisto {
     count: u64,
     sum_ns: u128,
     max_ns: u64,
-    min_ns: u64,
 }
 
 const SUB: usize = 16;
@@ -80,7 +69,6 @@ impl LatencyHisto {
             count: 0,
             sum_ns: 0,
             max_ns: 0,
-            min_ns: u64::MAX,
         }
     }
 
@@ -110,7 +98,6 @@ impl LatencyHisto {
         self.count += 1;
         self.sum_ns += ns as u128;
         self.max_ns = self.max_ns.max(ns);
-        self.min_ns = self.min_ns.min(ns);
     }
 
     pub fn count(&self) -> u64 {
@@ -126,10 +113,6 @@ impl LatencyHisto {
 
     pub fn max(&self) -> SimDuration {
         SimDuration(if self.count == 0 { 0 } else { self.max_ns })
-    }
-
-    pub fn min(&self) -> SimDuration {
-        SimDuration(if self.count == 0 { 0 } else { self.min_ns })
     }
 
     /// Quantile in `[0, 1]`; returns the lower bound of the containing
@@ -158,20 +141,10 @@ impl LatencyHisto {
         self.quantile(0.99)
     }
 
-    pub fn merge(&mut self, other: &LatencyHisto) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum_ns += other.sum_ns;
-        self.max_ns = self.max_ns.max(other.max_ns);
-        self.min_ns = self.min_ns.min(other.min_ns);
-    }
-
     /// Samples recorded since `earlier` (a previous snapshot of this histo).
-    /// Because `merge` is bucket-additive, the diff is exact bucket-wise
-    /// subtraction; `min`/`max` keep the later snapshot's whole-run extremes
-    /// (per-interval extremes are not recoverable from log buckets).
+    /// Buckets only ever add, so the diff is exact bucket-wise subtraction;
+    /// `max` keeps the later snapshot's whole-run extreme (per-interval
+    /// extremes are not recoverable from log buckets).
     pub fn diff(&self, earlier: &LatencyHisto) -> LatencyHisto {
         let mut out = LatencyHisto::new();
         for (idx, (a, b)) in self.buckets.iter().zip(&earlier.buckets).enumerate() {
@@ -181,7 +154,6 @@ impl LatencyHisto {
         out.sum_ns = self.sum_ns.saturating_sub(earlier.sum_ns);
         if out.count > 0 {
             out.max_ns = self.max_ns;
-            out.min_ns = self.min_ns;
         }
         out
     }
@@ -218,7 +190,7 @@ impl RateMeter {
         self.ops
     }
 
-    pub fn elapsed(&self) -> SimDuration {
+    fn elapsed(&self) -> SimDuration {
         match self.start {
             Some(s) => self.end.since(s),
             None => SimDuration::ZERO,
@@ -231,30 +203,6 @@ impl RateMeter {
 
     pub fn gbit_per_sec(&self) -> f64 {
         crate::time::throughput_gbit_per_sec(self.bytes, self.elapsed())
-    }
-
-    pub fn iops(&self) -> f64 {
-        let e = self.elapsed();
-        if e.is_zero() {
-            0.0
-        } else {
-            self.ops as f64 / e.as_secs_f64()
-        }
-    }
-
-    /// Combine two meters (e.g. per-blade meters into an aggregate): traffic
-    /// adds, and the window stretches to cover both.
-    pub fn merge(&mut self, other: &RateMeter) {
-        if other.ops == 0 && other.bytes == 0 {
-            return;
-        }
-        self.bytes += other.bytes;
-        self.ops += other.ops;
-        self.start = match (self.start, other.start) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        self.end = self.end.max(other.end);
     }
 
     /// Traffic since `earlier` (a previous snapshot of this meter): bytes and
@@ -301,19 +249,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates_and_merges() {
-        let mut a = Counter::new();
-        a.record(100);
-        a.record(50);
-        a.record(0);
-        let mut b = Counter::new();
-        b.record(25);
-        a.merge(&b);
-        assert_eq!(a.count(), 4);
-        assert_eq!(a.bytes(), 175);
-    }
-
-    #[test]
     fn histo_index_value_are_consistent() {
         for ns in [0u64, 1, 15, 16, 17, 100, 1000, 123_456, u32::MAX as u64, 1 << 40] {
             let idx = LatencyHisto::index(ns);
@@ -338,7 +273,6 @@ mod tests {
         assert!((p50 - 500_000.0).abs() / 500_000.0 < 0.08, "p50 {p50}");
         assert!((p99 - 990_000.0).abs() / 990_000.0 < 0.08, "p99 {p99}");
         assert_eq!(h.max(), SimDuration::from_nanos(1_000_000));
-        assert_eq!(h.min(), SimDuration::from_nanos(100));
     }
 
     #[test]
@@ -347,26 +281,6 @@ mod tests {
         h.record(SimDuration::from_nanos(10));
         h.record(SimDuration::from_nanos(30));
         assert_eq!(h.mean(), SimDuration::from_nanos(20));
-    }
-
-    #[test]
-    fn histo_merge_matches_combined_recording() {
-        let mut a = LatencyHisto::new();
-        let mut b = LatencyHisto::new();
-        let mut both = LatencyHisto::new();
-        for i in 0..1000u64 {
-            let d = SimDuration::from_nanos(i * i + 1);
-            if i % 2 == 0 {
-                a.record(d);
-            } else {
-                b.record(d);
-            }
-            both.record(d);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), both.count());
-        assert_eq!(a.p99(), both.p99());
-        assert_eq!(a.mean(), both.mean());
     }
 
     #[test]
@@ -379,11 +293,8 @@ mod tests {
 
     #[test]
     fn counter_diff_is_interval_activity() {
-        let mut c = Counter::new();
-        c.record(100);
-        let snap = c.clone();
-        c.record(50);
-        c.record(0);
+        let snap = Counter::of(1, 100);
+        let c = Counter::of(3, 150);
         let d = c.diff(&snap);
         assert_eq!(d.count(), 2);
         assert_eq!(d.bytes(), 50);
@@ -409,7 +320,7 @@ mod tests {
     }
 
     #[test]
-    fn rate_meter_merge_and_diff() {
+    fn rate_meter_diff_is_interval_traffic() {
         let mut a = RateMeter::new();
         a.record(SimTime(0), 10);
         a.record(SimTime(1_000_000_000), 10);
@@ -418,15 +329,9 @@ mod tests {
         let d = a.diff(&snap);
         assert_eq!(d.bytes(), 80);
         assert_eq!(d.elapsed(), SimDuration::from_nanos(1_000_000_000));
-        let mut m = RateMeter::new();
-        m.merge(&snap);
-        m.merge(&d);
-        assert_eq!(m.bytes(), 100);
-        assert_eq!(m.ops(), 3);
-        assert_eq!(m.elapsed(), SimDuration::from_nanos(2_000_000_000));
-        // merging an empty meter changes nothing
-        m.merge(&RateMeter::new());
-        assert_eq!(m.bytes(), 100);
+        assert_eq!(d.ops(), 1);
+        // no traffic since the snapshot: an empty meter
+        assert_eq!(a.diff(&a).elapsed(), SimDuration::ZERO);
     }
 
     #[test]
@@ -435,7 +340,7 @@ mod tests {
         r.record(SimTime(0), 0);
         r.record(SimTime(1_000_000_000), 100_000_000);
         assert!((r.mb_per_sec() - 100.0).abs() < 1e-9);
-        assert!((r.iops() - 2.0).abs() < 1e-9);
+        assert_eq!(r.ops(), 2);
     }
 
     #[test]

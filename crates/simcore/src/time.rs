@@ -30,14 +30,6 @@ impl SimTime {
         self.0 as f64 / 1e9
     }
 
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
     /// Duration elapsed since `earlier`, saturating at zero.
     pub fn since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
@@ -45,10 +37,6 @@ impl SimTime {
 
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
-    }
-
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 
@@ -90,10 +78,6 @@ impl SimDuration {
 
     pub fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1e3
-    }
-
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 
     pub fn max(self, other: SimDuration) -> SimDuration {
@@ -229,10 +213,6 @@ impl Bandwidth {
 
     pub fn from_mbyte_per_sec(mbs: u64) -> Bandwidth {
         Bandwidth { bits_per_sec: mbs * 8_000_000 }
-    }
-
-    pub fn gbit_per_sec(self) -> f64 {
-        self.bits_per_sec as f64 / 1e9
     }
 
     /// Time to serialize `bytes` onto a medium of this bandwidth.

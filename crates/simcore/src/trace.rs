@@ -80,10 +80,6 @@ impl SpanRecorder {
         self.now = now;
     }
 
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Record an instant at the clock set by [`SpanRecorder::set_now`].
     pub fn instant(&mut self, subsystem: &'static str, name: &'static str, lane: u32, a: u64, b: u64) {
         let at = self.now;
@@ -160,22 +156,9 @@ impl SpanRecorder {
         self.tripped.clear();
     }
 
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Events evicted to make room (how much history was lost).
     pub fn dropped(&self) -> u64 {
         self.dropped
-    }
-
-    /// Oldest→newest iteration over retained events.
-    pub fn events(&self) -> impl Iterator<Item = &SpanEvent> {
-        self.events.iter()
     }
 
     /// Drain retained events (oldest→newest), keeping the recorder enabled.
@@ -204,7 +187,7 @@ mod tests {
         let mut r = SpanRecorder::default();
         r.instant_at(SimTime(1), "cache", "miss", 0, 1, 2);
         r.span_at(SimTime(1), SimDuration::from_nanos(5), "simnet", "xfer", 0, 1, 2);
-        assert!(r.is_empty());
+        assert!(r.events.is_empty());
         assert_eq!(r.dropped(), 0);
     }
 
@@ -215,9 +198,9 @@ mod tests {
         for i in 0..8u64 {
             r.instant_at(SimTime(i), "raid", "claim", i as u32, i, 0);
         }
-        assert_eq!(r.len(), 3, "ring holds exactly its capacity");
+        assert_eq!(r.events.len(), 3, "ring holds exactly its capacity");
         assert_eq!(r.dropped(), 5, "every eviction is counted");
-        let lanes: Vec<u32> = r.events().map(|e| e.lane).collect();
+        let lanes: Vec<u32> = r.events.iter().map(|e| e.lane).collect();
         assert_eq!(lanes, vec![5, 6, 7], "oldest events dropped first");
     }
 
@@ -236,7 +219,7 @@ mod tests {
         r.instant_at(SimTime(5), "cache", "promote", 1, 5, 0);
         r.instant_at(SimTime(6), "cache", "destage", 0, 6, 0);
         assert!(r.take_crash_trips().is_empty(), "each point trips once");
-        assert!(r.is_empty(), "disabled ring recorded nothing");
+        assert!(r.events.is_empty(), "disabled ring recorded nothing");
     }
 
     #[test]
@@ -245,11 +228,11 @@ mod tests {
         r.enable(8);
         r.set_now(SimTime(42));
         r.instant("virt", "dmsd_alloc", 1, 16, 0);
-        let e = r.events().next().copied().expect("one event");
+        let e = r.events.iter().next().copied().expect("one event");
         assert_eq!(e.at, SimTime(42));
         assert!(e.is_instant());
         r.span_at(SimTime(50), SimDuration::from_nanos(7), "simnet", "xfer", 2, 4096, 1);
-        assert!(!r.events().nth(1).expect("span").is_instant());
+        assert!(!r.events.get(1).expect("span").is_instant());
     }
 
     #[test]
@@ -257,7 +240,7 @@ mod tests {
         let mut r = SpanRecorder::disabled();
         r.enable(0);
         r.instant_at(SimTime(1), "cache", "miss", 0, 0, 0);
-        assert!(r.is_empty());
+        assert!(r.events.is_empty());
     }
 
     #[test]
@@ -267,9 +250,9 @@ mod tests {
         r.instant_at(SimTime(1), "geo", "enqueue", 0, 1, 10);
         let drained = r.take();
         assert_eq!(drained.len(), 1);
-        assert!(r.is_empty());
+        assert!(r.events.is_empty());
         r.instant_at(SimTime(2), "geo", "ship", 0, 1, 10);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.events.len(), 1);
     }
 
     #[test]
@@ -289,8 +272,8 @@ mod tests {
         r.take_into(&mut buf);
         assert_eq!(buf.len(), 2, "drained events append after existing contents");
         assert_eq!(buf[1].name, "enqueue");
-        assert!(r.is_empty());
+        assert!(r.events.is_empty());
         r.instant_at(SimTime(2), "geo", "ship", 0, 1, 10);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.events.len(), 1);
     }
 }

@@ -89,19 +89,19 @@ pub enum DiskOp {
 }
 
 impl DiskOp {
-    pub fn offset(&self) -> u64 {
+    fn offset(&self) -> u64 {
         match *self {
             DiskOp::Read { offset, .. } | DiskOp::Write { offset, .. } => offset,
         }
     }
 
-    pub fn bytes(&self) -> u64 {
+    fn bytes(&self) -> u64 {
         match *self {
             DiskOp::Read { bytes, .. } | DiskOp::Write { bytes, .. } => bytes,
         }
     }
 
-    pub fn end(&self) -> u64 {
+    fn end(&self) -> u64 {
         self.offset() + self.bytes()
     }
 
@@ -170,10 +170,6 @@ impl Disk {
             mismatches: 0,
             content: BTreeMap::new(),
         }
-    }
-
-    pub fn spec(&self) -> &DiskSpec {
-        &self.spec
     }
 
     pub fn is_failed(&self) -> bool {
@@ -287,10 +283,6 @@ impl Disk {
         }
     }
 
-    pub fn next_free(&self) -> SimTime {
-        self.busy_until
-    }
-
     /// Pure service-time estimate (no queueing) for `op` given the current
     /// head position.
     fn service_time(&self, op: &DiskOp) -> SimDuration {
@@ -386,7 +378,7 @@ mod tests {
     fn sequential_io_skips_positioning() {
         let mut d = disk();
         let t1 = d.submit(SimTime::ZERO, DiskOp::Read { offset: 0, bytes: 64 * 1024 }).unwrap();
-        let before = d.next_free();
+        let before = d.busy_until;
         let t2 = d.submit(t1, DiskOp::Read { offset: 64 * 1024, bytes: 64 * 1024 }).unwrap();
         // Second op: overhead + transfer only.
         let expect = before + d.spec.command_overhead + d.spec.media_rate.transfer_time(64 * 1024);

@@ -14,7 +14,7 @@ proptest! {
         ops in proptest::collection::vec((0u64..50_000_000_000, 512u64..10_000_000, any::<bool>(), 0u64..1_000_000), 1..60),
     ) {
         let mut d = Disk::new(DiskSpec::cheetah_73());
-        let cap = d.spec().capacity_bytes;
+        let cap = DiskSpec::cheetah_73().capacity_bytes;
         let mut clock = 0u64;
         let mut last_done = SimTime::ZERO;
         for (offset, bytes, write, gap) in ops {
@@ -37,14 +37,14 @@ proptest! {
         let mut rnd = Disk::new(spec);
         // Position the sequential disk's head exactly at the offset.
         let pre = offset.saturating_sub(4096);
-        if offset >= 4096 {
-            seq.submit(SimTime::ZERO, DiskOp::Read { offset: pre, bytes: 4096 }).unwrap();
-        }
-        let t0 = seq.next_free();
+        let t0 = if offset >= 4096 {
+            seq.submit(SimTime::ZERO, DiskOp::Read { offset: pre, bytes: 4096 }).unwrap()
+        } else {
+            SimTime::ZERO
+        };
         let s = seq.submit(t0, DiskOp::Read { offset, bytes }).unwrap().since(t0);
         // The random disk's head is at the far end.
-        rnd.submit(SimTime::ZERO, DiskOp::Read { offset: spec.capacity_bytes - 512, bytes: 512 }).unwrap();
-        let t1 = rnd.next_free();
+        let t1 = rnd.submit(SimTime::ZERO, DiskOp::Read { offset: spec.capacity_bytes - 512, bytes: 512 }).unwrap();
         let r = rnd.submit(t1, DiskOp::Read { offset, bytes }).unwrap().since(t1);
         prop_assert!(s <= r, "sequential {s} must not exceed post-seek {r}");
         let floor = spec.command_overhead + spec.media_rate.transfer_time(bytes);

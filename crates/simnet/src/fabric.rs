@@ -31,10 +31,6 @@ impl Fabric {
         }
     }
 
-    pub fn ports(&self) -> usize {
-        self.egress.len()
-    }
-
     /// Send one message. Reserves `from`'s egress, transits the core, then
     /// reserves `to`'s ingress.
     pub fn send(&mut self, now: SimTime, from: PortId, to: PortId, bytes: u64) -> Transfer {
@@ -52,34 +48,6 @@ impl Fabric {
     // lint: allow(dead-pub) — (b) byte-conservation oracle of the fabric proptest
     pub fn ingress_bytes(&self, port: PortId) -> u64 {
         self.ingress[port].bytes()
-    }
-
-    /// Earliest time `from` could begin a new send.
-    pub fn next_free(&self, from: PortId) -> SimTime {
-        self.egress[from].next_free()
-    }
-
-    /// Enable transfer tracing on every port. Egress port *p* gets lane
-    /// `lane_base + 2p`, its ingress twin `lane_base + 2p + 1`.
-    pub fn enable_trace(&mut self, lane_base: u32, capacity_per_port: usize) {
-        for (p, l) in self.egress.iter_mut().enumerate() {
-            l.enable_trace(lane_base + 2 * p as u32, capacity_per_port);
-        }
-        for (p, l) in self.ingress.iter_mut().enumerate() {
-            l.enable_trace(lane_base + 2 * p as u32 + 1, capacity_per_port);
-        }
-    }
-
-    /// Drain trace spans from every port (oldest→newest per port), plus the
-    /// total number of events the port rings dropped.
-    pub fn take_trace(&mut self) -> (Vec<ys_simcore::SpanEvent>, u64) {
-        let mut events = Vec::new();
-        let mut dropped = 0;
-        for l in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
-            dropped += l.trace().dropped();
-            events.extend(l.trace_mut().take());
-        }
-        (events, dropped)
     }
 }
 
@@ -102,22 +70,9 @@ impl SharedBus {
         self.link.utilization(until)
     }
 
-    pub fn bytes(&self) -> u64 {
-        self.link.bytes()
-    }
-
-    pub fn next_free(&self) -> SimTime {
-        self.link.next_free()
-    }
-
     /// Enable transfer tracing on the shared serialization resource.
     pub fn enable_trace(&mut self, lane: u32, capacity: usize) {
         self.link.enable_trace(lane, capacity);
-    }
-
-    /// The underlying link, for trace collection.
-    pub fn link(&self) -> &Link {
-        &self.link
     }
 
     pub fn link_mut(&mut self) -> &mut Link {

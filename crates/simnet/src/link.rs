@@ -36,12 +36,6 @@ pub struct Transfer {
     pub arrival: SimTime,
 }
 
-impl Transfer {
-    pub fn total(&self, submitted: SimTime) -> SimDuration {
-        self.arrival.since(submitted)
-    }
-}
-
 /// A unidirectional FIFO link.
 #[derive(Clone, Debug)]
 pub struct Link {
@@ -67,10 +61,6 @@ impl Link {
             trace: SpanRecorder::disabled(),
             lane: 0,
         }
-    }
-
-    pub fn spec(&self) -> LinkSpec {
-        self.spec
     }
 
     /// Enable structured tracing of transfers on this link, labelling its

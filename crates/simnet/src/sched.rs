@@ -64,11 +64,6 @@ impl FairPort {
         }
     }
 
-    /// The underlying link (stats, utilization).
-    pub fn link(&self) -> &Link {
-        &self.link
-    }
-
     /// Queue a message of `bytes` for `flow`, becoming eligible for
     /// service at `ready` (e.g. when its last bit arrives from the
     /// upstream hop). Returns the message's sequence id, echoed back in
@@ -83,11 +78,6 @@ impl FairPort {
         self.flow_finish.insert(flow, finish_tag);
         self.queue.push(Pending { seq, flow, bytes, ready, finish_tag, start_tag });
         seq
-    }
-
-    /// Number of messages awaiting service.
-    pub fn backlog(&self) -> usize {
-        self.queue.len()
     }
 
     /// Drain the queue through the link in fair order.

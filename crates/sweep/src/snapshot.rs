@@ -120,6 +120,7 @@ pub fn collect(jobs: usize) -> Vec<Scenario> {
 /// `claims` — one artifact per `report` section, the `--obs` appendix, and
 /// per ys-report rendering and its Chrome trace, so a change names the
 /// claim it moved, not just the suite.
+// lint: allow(dead-pub) — (b) the claims block tests/claims.rs in ys-bench checks against report and ys-report
 pub fn claims(jobs: usize) -> Vec<Scenario> {
     let reports = run_sweep(CLAIMS.to_vec(), jobs, |claim| (claim.run)());
     let mut pinned = Vec::new();

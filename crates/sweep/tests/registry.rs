@@ -18,7 +18,7 @@ fn every_standard_model_renders_the_same_bytes_by_name_by_flag_and_by_sweep() {
         }
         let inv = parse_args(args.into_iter().map(String::from)).expect("valid invocation");
         assert_eq!(inv.model, model);
-        let by_flag = run_named(inv.model, inv.scope, inv.limits, inv.order, || 0.0).expect("parsed model runs");
+        let by_flag = run_named(inv.model, inv.scope, inv.limits, || 0.0).expect("parsed model runs");
         assert_eq!(by_flag.rendered, by_name, "{model}: CLI flag");
 
         let by_sweep = check_sweep(&[model.to_string()], 3, 200_000, 2);

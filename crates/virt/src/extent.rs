@@ -32,14 +32,10 @@ pub enum Segment {
 }
 
 impl Segment {
-    pub fn len(&self) -> u64 {
+    fn len(&self) -> u64 {
         match *self {
             Segment::Mapped { len, .. } | Segment::Hole { len, .. } => len,
         }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     pub(crate) fn is_mapped(&self) -> bool {
@@ -66,18 +62,13 @@ impl ExtentMap {
     }
 
     /// The run containing virtual extent `v`, if any.
-    pub fn lookup(&self, v: u64) -> Option<Run> {
+    fn lookup(&self, v: u64) -> Option<Run> {
         let (&vstart, &(pstart, len)) = self.runs.range(..=v).next_back()?;
         if v < vstart + len {
             Some(Run { vstart, pstart, len })
         } else {
             None
         }
-    }
-
-    /// Physical extent backing virtual extent `v`, if mapped.
-    pub fn translate(&self, v: u64) -> Option<u64> {
-        self.lookup(v).map(|r| r.pstart + (v - r.vstart))
     }
 
     /// Decompose `[vstart, vstart+len)` into mapped segments and holes, in
@@ -220,14 +211,22 @@ impl ExtentMap {
 mod tests {
     use super::*;
 
+    /// Physical extent backing virtual extent `v`, if mapped.
+    fn translate(m: &ExtentMap, v: u64) -> Option<u64> {
+        match m.segments_iter(v, 1).next() {
+            Some(Segment::Mapped { pstart, .. }) => Some(pstart),
+            _ => None,
+        }
+    }
+
     #[test]
     fn map_and_translate() {
         let mut m = ExtentMap::new();
         m.map(10, 100, 5);
-        assert_eq!(m.translate(10), Some(100));
-        assert_eq!(m.translate(14), Some(104));
-        assert_eq!(m.translate(15), None);
-        assert_eq!(m.translate(9), None);
+        assert_eq!(translate(&m, 10), Some(100));
+        assert_eq!(translate(&m, 14), Some(104));
+        assert_eq!(translate(&m, 15), None);
+        assert_eq!(translate(&m, 9), None);
         assert_eq!(m.mapped_extents(), 5);
         m.check().unwrap();
     }
@@ -238,7 +237,7 @@ mod tests {
         m.map(0, 50, 4);
         m.map(4, 54, 4);
         assert_eq!(m.runs.len(), 1, "runs coalesced");
-        assert_eq!(m.translate(7), Some(57));
+        assert_eq!(translate(&m, 7), Some(57));
         // Non-contiguous physical does not coalesce.
         m.map(8, 100, 2);
         assert_eq!(m.runs.len(), 2);
@@ -252,7 +251,7 @@ mod tests {
         m.map(4, 14, 2);
         m.map(2, 12, 2); // exactly bridges
         assert_eq!(m.runs.len(), 1);
-        assert_eq!(m.translate(5), Some(15));
+        assert_eq!(translate(&m, 5), Some(15));
         m.check().unwrap();
     }
 
@@ -283,10 +282,10 @@ mod tests {
         let released = m.unmap(3, 4);
         assert_eq!(released, vec![(103, 4)]);
         assert_eq!(m.runs.len(), 2);
-        assert_eq!(m.translate(2), Some(102));
-        assert_eq!(m.translate(3), None);
-        assert_eq!(m.translate(6), None);
-        assert_eq!(m.translate(7), Some(107));
+        assert_eq!(translate(&m, 2), Some(102));
+        assert_eq!(translate(&m, 3), None);
+        assert_eq!(translate(&m, 6), None);
+        assert_eq!(translate(&m, 7), Some(107));
         assert_eq!(m.mapped_extents(), 6);
         m.check().unwrap();
     }
@@ -300,9 +299,9 @@ mod tests {
         let released = m.unmap(2, 12); // clips run1 tail, all of run2, run3 head
         assert_eq!(released, vec![(102, 2), (200, 4), (300, 2)]);
         assert_eq!(m.mapped_extents(), 4);
-        assert_eq!(m.translate(0), Some(100));
-        assert_eq!(m.translate(1), Some(101));
-        assert_eq!(m.translate(14), Some(302));
+        assert_eq!(translate(&m, 0), Some(100));
+        assert_eq!(translate(&m, 1), Some(101));
+        assert_eq!(translate(&m, 14), Some(302));
         m.check().unwrap();
     }
 

@@ -498,7 +498,7 @@ mod tests {
         assert_eq!(eff.redirected, 4);
         assert_eq!(m.pool().used_extents(), used_before + 4);
         // Snapshot still sees its frozen mapping.
-        let segs = m.volumes[&id].snapshot(sid).unwrap().map.segments(0, 10);
+        let segs = m.volumes[&id].snapshots.iter().find(|s| s.id == sid).unwrap().map.segments(0, 10);
         assert!(segs.iter().all(|s| s.is_mapped()));
         m.check().unwrap();
     }
@@ -619,7 +619,7 @@ mod relocate_tests {
         assert_eq!(moved, 8);
         // Live + snapshot now diverge: 16 extents total.
         assert_eq!(m.pool().used_extents(), 16);
-        let segs = m.volumes[&id].snapshot(snap).unwrap().map.segments(0, 8);
+        let segs = m.volumes[&id].snapshots.iter().find(|s| s.id == snap).unwrap().map.segments(0, 8);
         assert!(segs.iter().all(|s| s.is_mapped()), "snapshot image untouched");
         m.delete_snapshot(id, snap).unwrap();
         assert_eq!(m.pool().used_extents(), 8);

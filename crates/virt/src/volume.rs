@@ -63,23 +63,10 @@ impl VirtualVolume {
         self.map.mapped_extents()
     }
 
-    /// Fraction of the provisioned size actually backed.
-    pub fn utilization(&self) -> f64 {
-        if self.size_extents == 0 {
-            0.0
-        } else {
-            self.mapped_extents() as f64 / self.size_extents as f64
-        }
-    }
-
     pub(crate) fn next_snapshot_id(&mut self) -> SnapshotId {
         let id = SnapshotId(self.next_snapshot);
         self.next_snapshot += 1;
         id
-    }
-
-    pub fn snapshot(&self, id: SnapshotId) -> Option<&Snapshot> {
-        self.snapshots.iter().find(|s| s.id == id)
     }
 }
 
@@ -91,15 +78,7 @@ mod tests {
     fn new_volume_is_empty() {
         let v = VirtualVolume::new(VolumeId(1), "scratch", 7, VolumeKind::DemandMapped, 1000);
         assert_eq!(v.mapped_extents(), 0);
-        assert_eq!(v.utilization(), 0.0);
         assert_eq!(v.tenant, 7);
         assert!(v.snapshots.is_empty());
-    }
-
-    #[test]
-    fn utilization_tracks_mapping() {
-        let mut v = VirtualVolume::new(VolumeId(1), "x", 0, VolumeKind::DemandMapped, 100);
-        v.map.map(0, 50, 25);
-        assert!((v.utilization() - 0.25).abs() < 1e-12);
     }
 }

@@ -2,23 +2,31 @@
 //! pool accounting under arbitrary operation sequences.
 
 use proptest::prelude::*;
-use ys_virt::{ExtentMap, PhysicalPool, Segment, VolumeKind, VolumeManager};
+use ys_virt::{ExtentMap, PhysicalPool, Run, Segment, VolumeKind, VolumeManager};
+
+/// The run of `m` holding virtual extent `v`, found by a scan.
+fn run_at(m: &ExtentMap, v: u64) -> Option<Run> {
+    m.runs().find(|r| r.vstart <= v && v < r.vend())
+}
 
 /// `ExtentMap::segments` as the loop that pushes onto a `Vec`, written
-/// against the map's public lookups — the borrowing form's reference.
+/// against a scan of the map's runs — the borrowing form's reference.
 fn segments_by_lookup(m: &ExtentMap, vstart: u64, len: u64) -> Vec<Segment> {
     let mut out = Vec::new();
     let mut pos = vstart;
     let end = vstart + len;
     while pos < end {
-        let seg = match m.lookup(pos) {
-            Some(run) => Segment::Mapped { vstart: pos, pstart: run.pstart + (pos - run.vstart), len: (run.vend() - pos).min(end - pos) },
+        let (seg, len) = match run_at(m, pos) {
+            Some(run) => {
+                let len = (run.vend() - pos).min(end - pos);
+                (Segment::Mapped { vstart: pos, pstart: run.pstart + (pos - run.vstart), len }, len)
+            }
             None => {
                 let next = m.runs().map(|r| r.vstart).find(|&v| v >= pos).unwrap_or(end).min(end);
-                Segment::Hole { vstart: pos, len: next - pos }
+                (Segment::Hole { vstart: pos, len: next - pos }, next - pos)
             }
         };
-        pos += seg.len();
+        pos += len;
         out.push(seg);
     }
     out
@@ -92,33 +100,9 @@ proptest! {
         }
     }
 
-    /// translate agrees with segments for every mapped address.
-    #[test]
-    fn translate_agrees_with_segments(ops in proptest::collection::vec((0u64..200, 1u64..20), 1..20)) {
-        let mut m = ExtentMap::new();
-        let mut next_phys = 1000u64;
-        for (start, len) in ops {
-            let holes: Vec<(u64, u64)> = m.segments(start, len).iter()
-                .filter(|s| !matches!(s, Segment::Mapped { .. }))
-                .map(|s| match *s { ys_virt::Segment::Hole { vstart, len } => (vstart, len), _ => unreachable!() })
-                .collect();
-            for (hs, hl) in holes {
-                m.map(hs, next_phys, hl);
-                next_phys += hl;
-            }
-        }
-        for seg in m.segments(0, 300) {
-            if let ys_virt::Segment::Mapped { vstart, pstart, len } = seg {
-                for i in 0..len {
-                    prop_assert_eq!(m.translate(vstart + i), Some(pstart + i));
-                }
-            }
-        }
-    }
-
     /// Interleaved random map/unmap against a shadow model: after every
-    /// operation the map stays internally consistent (`check()`), and
-    /// `translate` agrees extent-for-extent with a naive per-extent map —
+    /// operation the map stays internally consistent (`check()`), and its
+    /// runs agree extent-for-extent with a naive per-extent map —
     /// mapped addresses round-trip to the exact physical extent they were
     /// given, unmapped addresses stay `None`.
     #[test]
@@ -159,7 +143,8 @@ proptest! {
             m.check().map_err(TestCaseError::fail)?;
             prop_assert_eq!(m.mapped_extents(), shadow.len() as u64);
             for v in 0..300u64 {
-                prop_assert_eq!(m.translate(v), shadow.get(&v).copied(), "extent {}", v);
+                let translated = run_at(&m, v).map(|r| r.pstart + (v - r.vstart));
+                prop_assert_eq!(translated, shadow.get(&v).copied(), "extent {}", v);
             }
         }
     }

@@ -5,7 +5,11 @@
 //!   whole workspace: panic paths in fallible library code, wall-clock
 //!   reads outside the exempt binaries, ambient entropy in simulation
 //!   crates, unordered (hash-based) iteration in replay-affecting crates,
-//!   and `pub fn`s no other file calls outside test code. Suppressions are scoped inline markers only —
+//!   and `pub fn`s no other file calls outside test code. Those callers
+//!   come from the compiler: a copy of the sources under
+//!   `target/dead-pub` deprecates every library `pub fn`, and a non-test
+//!   `cargo check` of that copy names each call site. The working tree is
+//!   never written. Suppressions are scoped inline markers only —
 //!   `// lint: allow(rule) — justification` on the offending line; see
 //!   `docs/lint.md` for the rule catalog and policy.
 //! * `doc` — build the workspace rustdoc with warnings denied

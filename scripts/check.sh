@@ -7,8 +7,16 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-echo "==> cargo xtask lint (ys-lint: panic/wall-clock/entropy/iteration rules)"
+# The lint's dead-pub rule builds a marked copy of the sources under
+# target/; it must never write to the working tree.
+echo "==> cargo xtask lint (ys-lint: panic/wall-clock/entropy/iteration/dead-pub rules)"
+status_before=$(git status --porcelain)
 cargo xtask lint
+if [ "$(git status --porcelain)" != "$status_before" ]; then
+    echo "FAIL: cargo xtask lint changed the working tree" >&2
+    git status --porcelain >&2
+    exit 1
+fi
 
 echo "==> cargo xtask doc (rustdoc, -D warnings)"
 cargo xtask doc

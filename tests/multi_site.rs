@@ -126,9 +126,6 @@ fn reads_at_failed_site_are_rejected_cleanly() {
     ns.write_file(SimTime::ZERO, S0, 0, "/f", 0, MB).unwrap();
     ns.fail_site(S1);
     assert!(matches!(ns.read_file(SimTime(1), S1, 0, "/f", 0, MB), Err(NetError::SiteDown(_))));
-    // Repair restores service.
-    ns.repair_site(S1);
-    assert!(ns.read_file(SimTime(2), S1, 0, "/f", 0, MB).is_ok());
 }
 
 #[test]
