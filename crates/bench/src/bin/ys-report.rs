@@ -3,7 +3,7 @@
 //! registry as JSON, and a Chrome `trace_event` file for chrome://tracing.
 //!
 //! ```text
-//! ys-report <scenario> [--trace-out PATH] [--metrics] [--trace-stdout]
+//! ys-report <scenario> [--trace-out PATH] [--metrics]
 //! ys-report --list
 //! ```
 //!
@@ -16,7 +16,7 @@ use ys_obs::chrome_trace_json;
 
 fn usage() -> String {
     let mut out = String::from(
-        "usage: ys-report <scenario> [--trace-out PATH] [--metrics] [--trace-stdout]\n\
+        "usage: ys-report <scenario> [--trace-out PATH] [--metrics]\n\
          \n\
          scenarios:\n",
     );
@@ -33,7 +33,6 @@ fn main() -> ExitCode {
     let mut scenario: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut metrics = false;
-    let mut trace_stdout = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -42,7 +41,6 @@ fn main() -> ExitCode {
                 return ExitCode::SUCCESS;
             }
             "--metrics" => metrics = true,
-            "--trace-stdout" => trace_stdout = true,
             "--trace-out" => {
                 i += 1;
                 match args.get(i) {
@@ -89,9 +87,6 @@ fn main() -> ExitCode {
             eprintln!("cannot write {path}: {e}");
             return ExitCode::FAILURE;
         }
-    }
-    if trace_stdout {
-        println!("{trace_json}");
     }
     if metrics {
         println!("{}", report.registry.to_json());

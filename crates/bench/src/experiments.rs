@@ -1024,22 +1024,14 @@ pub fn seed_run(seed: u64) -> f64 {
     read_loop(&mut c, vol, &mut wl, base, 8, 150).mb_per_sec()
 }
 
-/// Fold per-seed [`seed_run`] results into the confidence sweep's two
-/// series: MB/s per seed, then mean/min/max — the error bars for E5-style
-/// numbers. `ys-sweep bench` prints them and the snapshot pins the summary.
-pub fn summarize_seed_sweep(seeds: &[u64], results: &[f64]) -> Vec<Series> {
-    let mut per_seed = Series::new("seed sweep: MB/s per seed (parallel harness)");
-    for (s, &mbps) in seeds.iter().zip(results) {
-        per_seed.push(*s as f64, mbps);
-    }
+/// Fold per-seed [`seed_run`] results into the confidence sweep's summary,
+/// `[mean, min, max]` MB/s — the error bars for E5-style numbers, which
+/// the snapshot pins.
+pub fn summarize_seed_sweep(results: &[f64]) -> [f64; 3] {
     let mean = results.iter().sum::<f64>() / results.len().max(1) as f64;
     let min = results.iter().cloned().fold(f64::INFINITY, f64::min);
     let max = results.iter().cloned().fold(0.0, f64::max);
-    let mut summary = Series::new("seed sweep summary: 0=mean 1=min 2=max");
-    summary.push(0.0, mean);
-    summary.push(1.0, min);
-    summary.push(2.0, max);
-    vec![per_seed, summary]
+    [mean, min, max]
 }
 
 #[cfg(test)]
@@ -1054,12 +1046,8 @@ mod sweep_tests {
 
     #[test]
     fn seed_variance_is_modest() {
-        let seeds = [10u64, 20, 30, 40];
-        let results: Vec<f64> = seeds.iter().map(|&s| seed_run(s)).collect();
-        let out = summarize_seed_sweep(&seeds, &results);
-        let mean = out[1].points[0].1;
-        let min = out[1].points[1].1;
-        let max = out[1].points[2].1;
+        let results: Vec<f64> = [10u64, 20, 30, 40].iter().map(|&s| seed_run(s)).collect();
+        let [mean, min, max] = summarize_seed_sweep(&results);
         assert!(min > 0.0);
         assert!(max / min < 1.5, "seed-to-seed spread should be modest: {min}..{max} (mean {mean})");
     }

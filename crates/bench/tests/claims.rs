@@ -75,8 +75,15 @@ fn report_rejects_an_unknown_or_partial_id_with_the_id_list() {
 
 #[test]
 fn ys_report_exits_2_on_a_usage_error() {
-    let cases: [&[&str]; 5] =
-        [&["nope"], &["--bogus"], &["stripe4x2", "--bogus"], &["stripe4x2", "--trace-out"], &[]];
+    let cases: [&[&str]; 6] = [
+        &["nope"],
+        &["--bogus"],
+        &["stripe4x2", "--bogus"],
+        &["stripe4x2", "--trace-out"],
+        &[],
+        // Retired: the trace is the --trace-out file.
+        &["stripe4x2", "--trace-stdout"],
+    ];
     for args in cases {
         let out = Command::new(env!("CARGO_BIN_EXE_ys-report")).args(args).output().expect("ys-report runs");
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -24,10 +24,8 @@ USAGE: ys-check [OPTIONS]
 OPTIONS:
   --blades N       controller blades in scope        (default 3)
   --pages N        distinct pages in scope           (default 4)
-  --nway N         dirty copies per write            (default 2)
   --capacity N     per-blade capacity in pages       (default 8)
   --depth N        max ops along any path            (default 5)
-  --max-states N   stop after N distinct states      (default 2000000)
   --virt           check the DMSD volume manager instead of the cache
   --qos            check the ys-qos admission controller instead
   --integrity      check the checksum / scrub repair-or-declare protocol

@@ -1,6 +1,6 @@
 //! The standard-model registry: the one place that knows the six model
-//! names, shared by the `ys-check` CLI, [`run_standard`] and the
-//! `ys-sweep` parallel harness.
+//! names, with two doors — the `ys-check` CLI and [`run_standard`], which
+//! the `ys-sweep` snapshot and the benchmark call.
 //!
 //! Each model describes itself and renders its own counterexamples
 //! ([`StandardModel`]); `run` explores one, monomorphised, and renders
@@ -74,8 +74,8 @@ fn run<M: StandardModel>(model: M, limits: Limits, elapsed: impl Fn() -> f64) ->
 }
 
 /// `run` the model called `model`: the one dispatch over
-/// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--nway/
-/// --capacity` and resizes the two models on a `CacheCluster`, cache and
+/// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--capacity`
+/// and resizes the two models on a `CacheCluster`, cache and
 /// heal (which clamps pages to 2); the others keep their own `small()`
 /// scope.
 pub fn run_named(model: &str, scope: Scope, limits: Limits, elapsed: impl Fn() -> f64) -> Result<StandardRun, String> {
@@ -91,8 +91,8 @@ pub fn run_named(model: &str, scope: Scope, limits: Limits, elapsed: impl Fn() -
 }
 
 /// Run one named standard model breadth-first at `depth` in its acceptance
-/// scope, bounded by `max_states` — what `ys-check --<model> --depth N
-/// --max-states M` runs, so a `ys-sweep` shard renders the same bytes.
+/// scope, bounded by `max_states` — at 2 000 000 states, what `ys-check
+/// --<model> --depth N` runs.
 pub fn run_standard(model: &str, depth: usize, max_states: usize) -> Result<StandardRun, String> {
     let limits = Limits { max_depth: depth, max_states };
     run_named(model, Scope::small(), limits, || 0.0)
@@ -103,11 +103,15 @@ pub fn run_standard(model: &str, depth: usize, max_states: usize) -> Result<Stan
 pub struct Invocation {
     /// One of [`STANDARD_MODELS`].
     pub model: &'static str,
-    /// `--blades/--pages/--nway/--capacity`.
+    /// `--blades/--pages/--capacity`.
     pub scope: Scope,
-    /// `--depth/--max-states`.
+    /// `--depth`, capped at 2 000 000 states.
     pub limits: Limits,
 }
+
+/// The CLI's state cap: far above every standard scope's reachable space,
+/// so it only bounds a runaway resize.
+const MAX_STATES: usize = 2_000_000;
 
 /// Parse `ys-check`'s arguments (without the program name). `Err` carries
 /// the usage error; an empty one asks for the help text.
@@ -115,24 +119,30 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
     let mut inv = Invocation {
         model: STANDARD_MODELS[0],
         scope: Scope::small(),
-        limits: Limits { max_depth: 5, max_states: 2_000_000 },
+        limits: Limits { max_depth: 5, max_states: MAX_STATES },
     };
     let mut chosen: Option<&'static str> = None;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
-        let mut num = |name: &str| -> Result<u64, String> {
-            it.next()
+        // Every scope value counts something the model needs at least one
+        // of: a cluster without blades cannot be built, and no pages or no
+        // depth explore an empty space.
+        let mut num = |name: &str| -> Result<usize, String> {
+            let n = it
+                .next()
                 .ok_or_else(|| format!("{name} needs a value"))?
-                .parse::<u64>()
-                .map_err(|e| format!("{name}: {e}"))
+                .parse::<usize>()
+                .map_err(|e| format!("{name}: {e}"))?;
+            if n == 0 {
+                return Err(format!("{name} must be at least 1"));
+            }
+            Ok(n)
         };
         match flag.as_str() {
-            "--blades" => inv.scope.blades = num("--blades")? as usize,
-            "--pages" => inv.scope.pages = num("--pages")?,
-            "--nway" => inv.scope.n_way = num("--nway")? as usize,
-            "--capacity" => inv.scope.capacity_pages = num("--capacity")? as usize,
-            "--depth" => inv.limits.max_depth = num("--depth")? as usize,
-            "--max-states" => inv.limits.max_states = num("--max-states")? as usize,
+            "--blades" => inv.scope.blades = num("--blades")?,
+            "--pages" => inv.scope.pages = num("--pages")? as u64,
+            "--capacity" => inv.scope.capacity_pages = num("--capacity")?,
+            "--depth" => inv.limits.max_depth = num("--depth")?,
             "-h" | "--help" => return Err(String::new()),
             other => {
                 // The default model, `STANDARD_MODELS[0]`, has no flag.

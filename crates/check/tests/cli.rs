@@ -1,6 +1,7 @@
 //! The `ys-check` command line: the model is a single selection, scope
-//! flags resize only the models that have those dimensions, and usage
-//! errors and `-h` leave through `main` with the documented exit codes.
+//! flags resize only the models that have those dimensions (and never to
+//! zero), and usage errors and `-h` leave through `main` with the
+//! documented exit codes.
 
 use std::process::{Command, Output};
 use ys_check::{parse_args, run_named, run_standard, Invocation};
@@ -25,6 +26,11 @@ fn the_model_is_a_single_selection() {
     assert_eq!(args(&["--failover"]).unwrap_err(), "unknown flag --failover");
     assert_eq!(args(&["--help"]).unwrap_err(), "");
     assert_eq!(args(&["--depth"]).unwrap_err(), "--depth needs a value");
+    // Retired: writes are 2-way, and the state cap is fixed.
+    assert_eq!(args(&["--nway", "3"]).unwrap_err(), "unknown flag --nway");
+    assert_eq!(args(&["--max-states", "10"]).unwrap_err(), "unknown flag --max-states");
+    assert_eq!(args(&["--blades", "0"]).unwrap_err(), "--blades must be at least 1");
+    assert_eq!(args(&["--capacity", "0"]).unwrap_err(), "--capacity must be at least 1");
 }
 
 #[test]
@@ -45,6 +51,25 @@ fn conflicting_model_flags_exit_2_with_usage_and_help_exits_0() {
     let err = String::from_utf8_lossy(&clash.stderr);
     assert!(err.starts_with("ys-check: --virt and --qos"), "{err}");
     assert!(err.contains("USAGE: ys-check [OPTIONS]"), "{err}");
+
+    // Retired flags, and scopes the models cannot run (no blades to build
+    // a cluster from; no pages or no depth: an empty space), leave through
+    // the same door, before any model runs.
+    let refused: [&[&str]; 7] = [
+        &["--nway", "2"],
+        &["--max-states", "10"],
+        &["--blades", "0"],
+        &["--heal", "--blades", "0"],
+        &["--pages", "0"],
+        &["--heal", "--pages", "0"],
+        &["--depth", "0"],
+    ];
+    for list in refused {
+        let out = ys_check(list);
+        assert_eq!(out.status.code(), Some(2), "{list:?}");
+        assert!(out.stdout.is_empty(), "{list:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE: ys-check [OPTIONS]"), "{list:?}");
+    }
 
     let help = ys_check(&["-h"]);
     assert_eq!(help.status.code(), Some(0));

@@ -35,8 +35,11 @@ pub trait Campaign {
     fn seed(&mut self) -> &mut u64;
 
     /// Apply one of the campaign's own flags; `value` pulls the flag's
-    /// argument (see [`number`]). `Ok(false)`: not a flag of this campaign.
-    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String>;
+    /// argument (see [`number`]). `Ok(false)`: not a flag of this campaign
+    /// — the answer for a campaign without flags of its own.
+    fn flag(&mut self, _flag: &str, _value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
+        Ok(false)
+    }
 
     /// Run the campaign from scratch. Two calls share nothing but the
     /// configuration — exactly what a cross-process replay sees.

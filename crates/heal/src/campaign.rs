@@ -24,7 +24,7 @@ use std::collections::BTreeSet;
 
 use crate::healer::{HealConfig, Healer};
 use ys_cache::{Health, Retention};
-use ys_core::harness::{number, Campaign, CampaignRun};
+use ys_core::harness::{Campaign, CampaignRun};
 use ys_core::{BladeCluster, ClusterConfig, ClusterError, PAGE_BYTES};
 use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::time::{SimDuration, SimTime};
@@ -38,19 +38,14 @@ const TENANT_HEALER: u32 = 9;
 /// Blades in the campaign machine.
 const BLADES: usize = 5;
 
+/// Foreground pages written before the first failure.
+const WRITES: usize = 48;
+
 /// Campaign knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignConfig {
     /// Seed for victim selection and the write working set.
     pub seed: u64,
-    /// Foreground pages written before the first failure.
-    pub writes: usize,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig { seed: 0, writes: 48 }
-    }
 }
 
 impl Campaign for CampaignConfig {
@@ -58,14 +53,6 @@ impl Campaign for CampaignConfig {
 
     fn seed(&mut self) -> &mut u64 {
         &mut self.seed
-    }
-
-    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
-        if flag != "--writes" {
-            return Ok(false);
-        }
-        self.writes = number("--writes", value)?;
-        Ok(true)
     }
 
     fn run(&self) -> CampaignRun {
@@ -216,7 +203,7 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), ClusterErro
     let mut t = SimTime::ZERO;
 
     // Phase 1: seeded foreground working set, written 2-way.
-    for i in 0..cfg.writes {
+    for i in 0..WRITES {
         let off = rng.next_below(256) * pb;
         write_page(&mut c, &mut t, i % 4, vol, off, pb)?;
         acked.insert(off);
@@ -367,8 +354,8 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_per_seed() {
         for seed in [0u64, 7, 42] {
-            let a = run_campaign(&CampaignConfig { seed, ..CampaignConfig::default() });
-            let b = run_campaign(&CampaignConfig { seed, ..CampaignConfig::default() });
+            let a = run_campaign(&CampaignConfig { seed });
+            let b = run_campaign(&CampaignConfig { seed });
             assert_eq!(a.lines, b.lines, "seed {seed} transcripts diverge");
             assert!(a.ok, "seed {seed} failed:\n{a}");
         }

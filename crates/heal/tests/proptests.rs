@@ -125,7 +125,7 @@ proptest! {
     /// arbitrary seeds.
     #[test]
     fn campaign_replays_byte_identical(seed in 0u64..1000) {
-        let cfg = CampaignConfig { seed, writes: 24 };
+        let cfg = CampaignConfig { seed };
         let a = cfg.run();
         let b = cfg.run();
         prop_assert_eq!(&a.transcript, &b.transcript, "seed {} transcripts diverge", seed);

@@ -18,15 +18,14 @@
 //! asks the compiler for `dead-pub`'s callers ([`resolve`]);
 //! [`analyze_files`] checks a set of `(path, text)` pairs against those
 //! warnings, purely, so fixtures can feed it text under any path and
-//! warnings in rustc's format; [`render_text`] /
-//! [`render_json`] format a [`Report`], the JSON form deterministically
-//! (sorted findings, stable key order).
+//! warnings in rustc's format; [`render_text`] formats a [`Report`].
+//! `cargo xtask lint` is the one command line.
 
 pub mod lexer;
 pub mod resolve;
 pub mod rules;
 
-pub use rules::{analyze_files, mark_pub_fns, Finding, ALLOW_SYNTAX, RULES};
+pub use rules::{analyze_files, mark_pub_fns, Finding, RULES};
 
 use std::fs;
 use std::io;
@@ -41,12 +40,6 @@ pub struct Report {
     pub files_scanned: usize,
 }
 
-impl Report {
-    pub fn clean(&self) -> bool {
-        self.findings.is_empty()
-    }
-}
-
 /// Directories whose files are test or fixture code, exempt from all rules
 /// (unit-test *modules* inside library files are handled token-wise).
 const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
@@ -54,8 +47,8 @@ const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
 /// Lint every `.rs` file under `<root>/crates`, reading root `examples/`
 /// and `benchmark/src` too, as `dead-pub` callers only, with the callers
 /// the compiler finds in a marked copy under `<root>/target/dead-pub`. The
-/// walk is sorted so the report (and its JSON) is deterministic regardless
-/// of directory order.
+/// walk is sorted so the report is deterministic regardless of directory
+/// order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();
     collect_rs(&root.join("crates"), &mut paths)?;
@@ -107,7 +100,7 @@ pub fn render_text(report: &Report) -> String {
             f.file, f.line, f.rule, f.message, f.snippet
         ));
     }
-    if report.clean() {
+    if report.findings.is_empty() {
         out.push_str(&format!(
             "ys-lint: {} files clean ({} rules)\n",
             report.files_scanned,
@@ -123,89 +116,4 @@ pub fn render_text(report: &Report) -> String {
         ));
     }
     out
-}
-
-/// Deterministic JSON: findings pre-sorted, object keys in fixed order,
-/// no floats, LF-free strings escaped. Schema documented in docs/lint.md.
-pub fn render_json(report: &Report) -> String {
-    let mut out = String::from("{\n  \"version\": 1,\n  \"rules\": [");
-    for (i, r) in RULES.iter().chain([&ALLOW_SYNTAX]).enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(r);
-        out.push('"');
-    }
-    out.push_str("],\n");
-    out.push_str(&format!("  \"files_scanned\": {},\n", report.files_scanned));
-    out.push_str(&format!("  \"finding_count\": {},\n", report.findings.len()));
-    out.push_str("  \"findings\": [");
-    for (i, f) in report.findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \"snippet\": {}}}",
-            json_str(&f.file),
-            f.line,
-            json_str(f.rule),
-            json_str(&f.message),
-            json_str(&f.snippet)
-        ));
-    }
-    if !report.findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escapes_quotes_and_controls() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
-
-    #[test]
-    fn json_report_is_stable_and_parseable_shape() {
-        let report = Report {
-            findings: vec![Finding {
-                file: "crates/cache/src/x.rs".into(),
-                line: 3,
-                rule: "panic-path",
-                message: "m".into(),
-                snippet: "s".into(),
-            }],
-            files_scanned: 1,
-        };
-        let a = render_json(&report);
-        let b = render_json(&report);
-        assert_eq!(a, b);
-        assert!(a.contains("\"finding_count\": 1"));
-        assert!(a.contains("\"rule\": \"panic-path\""));
-        assert!(a.contains("\"unordered-iteration\", \"dead-pub\", \"allow-syntax\"]"));
-    }
 }

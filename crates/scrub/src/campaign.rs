@@ -10,7 +10,7 @@
 
 use crate::scrubber::{ScrubConfig, ScrubReport, ScrubTarget, Scrubber};
 use ys_cache::PageKey;
-use ys_core::harness::{number, Campaign, CampaignRun};
+use ys_core::harness::{Campaign, CampaignRun};
 use ys_core::{ClusterConfig, ClusterError, NetError, NetStorage, NetStorageConfig, PAGE_BYTES};
 use ys_geo::SiteId;
 use ys_pfs::{FilePolicy, GeoPolicy};
@@ -54,19 +54,15 @@ struct Injected {
     offset: u64,
 }
 
+/// Latent errors one campaign injects, spread round-robin over the four
+/// classes.
+const ERRORS: usize = 64;
+
 /// Campaign parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct CampaignConfig {
     /// Seed for the injection schedule.
     pub seed: u64,
-    /// Latent errors to inject, spread round-robin over the four classes.
-    pub errors: usize,
-}
-
-impl Default for CampaignConfig {
-    fn default() -> CampaignConfig {
-        CampaignConfig { seed: 0, errors: 64 }
-    }
 }
 
 impl Campaign for CampaignConfig {
@@ -74,14 +70,6 @@ impl Campaign for CampaignConfig {
 
     fn seed(&mut self) -> &mut u64 {
         &mut self.seed
-    }
-
-    fn flag(&mut self, flag: &str, value: &mut dyn FnMut() -> Result<String, String>) -> Result<bool, String> {
-        if flag != "--errors" {
-            return Ok(false);
-        }
-        self.errors = number("--errors", value)?;
-        Ok(true)
     }
 
     fn run(&self) -> CampaignRun {
@@ -185,8 +173,8 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), CampaignErr
         .with_extra_group(RaidLevel::Raid0, 4, 64 << 10);
     let mut ns = NetStorage::new(NetStorageConfig { site_cluster, ..NetStorageConfig::default() });
     r.lines.push(format!(
-        "ys-scrub campaign: seed {} errors {} over 3 sites (RAID5 pool + RAID0 class)",
-        cfg.seed, cfg.errors
+        "ys-scrub campaign: seed {} errors {ERRORS} over 3 sites (RAID5 pool + RAID0 class)",
+        cfg.seed
     ));
 
     // Four files, one protection posture each.
@@ -243,7 +231,7 @@ fn drive(cfg: &CampaignConfig, r: &mut CampaignReport) -> Result<(), CampaignErr
     let mut used_rows: std::collections::BTreeSet<u64> = Default::default();
     let chunk = ns.clusters[0].raid_geometry().chunk_size;
     let mut injected: Vec<Injected> = Vec::new();
-    for i in 0..cfg.errors {
+    for i in 0..ERRORS {
         let ci = i % classes.len();
         let class = classes[ci].0;
         let site = classes[ci].2;
@@ -385,10 +373,10 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_per_seed() {
-        let a = run_campaign(&CampaignConfig { seed: 7, errors: 52 });
-        let b = run_campaign(&CampaignConfig { seed: 7, errors: 52 });
+        let a = run_campaign(&CampaignConfig { seed: 7 });
+        let b = run_campaign(&CampaignConfig { seed: 7 });
         assert_eq!(a.lines, b.lines);
-        let c = run_campaign(&CampaignConfig { seed: 8, errors: 52 });
+        let c = run_campaign(&CampaignConfig { seed: 8 });
         assert!(c.ok, "every seed must converge:\n{c}");
     }
 }

@@ -10,21 +10,18 @@ const USAGE: &str = "\
 ys-scrub: end-to-end data-integrity campaign
 
 USAGE:
-    ys-scrub [--seed N] [--errors N] [--quiet] [--double-run]
+    ys-scrub [--seed N] [--quiet] [--double-run]
 
 OPTIONS:
     --seed N      Injection-schedule seed (default 0).
-    --errors N    Latent errors to inject, round-robin over the four
-                  protection classes: RAID parity, cached replica,
-                  geo replica, and unprotected (default 64).
     --quiet       Only the verdict line.
     --double-run  Run the identical campaign twice in one process and
                   fail unless the transcripts are byte-identical.
     -h, --help    This help.
 
-The campaign builds a three-site NetStorage system, injects the errors
-across RAID-protected, cache-resident, geo-replicated, and unprotected
-data, scrubs every site, and audits that each corruption is repaired
+The campaign builds a three-site NetStorage system, injects 64 latent
+errors round-robin across RAID-protected, cache-resident, geo-replicated,
+and unprotected data, scrubs every site, and audits that each corruption is repaired
 (with the source attributed) or explicitly declared lost — never silent.";
 
 fn main() -> ExitCode {

@@ -22,15 +22,15 @@ proptest! {
         // silent residue or silent read, within-budget classes repaired
         // from their expected source, the beyond-budget class declared
         // and surfaced on every read.
-        let r = CampaignConfig { seed, errors: 56 }.run();
+        let r = CampaignConfig { seed }.run();
         prop_assert!(r.ok, "seed {} broke the integrity promise:\n{}", seed, r.transcript);
     }
 
     /// Same seed, same transcript — the campaign replays byte-identically.
     #[test]
     fn campaign_transcript_is_seed_deterministic(seed in 0u64..10_000) {
-        let a = CampaignConfig { seed, errors: 52 }.run();
-        let b = CampaignConfig { seed, errors: 52 }.run();
+        let a = CampaignConfig { seed }.run();
+        let b = CampaignConfig { seed }.run();
         prop_assert_eq!(a.transcript, b.transcript);
     }
 }

@@ -1,14 +1,13 @@
-//! Security audit log: every authentication outcome and violation is
-//! recorded with its simulated timestamp, for the management plane (§5.2's
-//! "redundant storage management servers ... for a central management
-//! staff").
+//! Security audit log: failed logins, enforcement violations and policy
+//! changes are recorded with their simulated timestamps, for the
+//! management plane (§5.2's "redundant storage management servers ... for
+//! a central management staff").
 
 use crate::lun::SecurityViolation;
 use ys_simcore::time::SimTime;
 
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum AuditEvent {
-    LoginOk { principal: u32 },
     LoginFailed { principal: u32 },
     Violation(SecurityViolation),
     PolicyChange { actor: u32, description: String },
@@ -54,7 +53,7 @@ mod tests {
     #[test]
     fn records_and_filters_violations() {
         let mut log = AuditLog::new();
-        log.record(SimTime(1), AuditEvent::LoginOk { principal: 1 });
+        log.record(SimTime(1), AuditEvent::PolicyChange { actor: 1, description: "mask grant".into() });
         log.record(
             SimTime(2),
             AuditEvent::Violation(SecurityViolation::MaskDenied {

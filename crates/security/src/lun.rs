@@ -29,7 +29,6 @@ pub enum ControlCommand {
     CreateVolume,
     DeleteVolume,
     ExpandVolume,
-    SetPolicy,
     Snapshot,
     MaskUpdate,
 }

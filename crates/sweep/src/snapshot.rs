@@ -28,8 +28,7 @@ const CHECK_MAX_STATES: usize = 2_000_000;
 const CHAOS_SEEDS: [u64; 6] = [1, 2, 3, 4, 5, 6];
 /// Workload steps per chaos campaign.
 const CHAOS_STEPS: u64 = 32;
-/// Seeds for the heal- and scrub-campaign scenarios (at the CLIs' default
-/// sizes).
+/// Seeds for the heal- and scrub-campaign scenarios.
 const CAMPAIGN_SEEDS: [u64; 4] = [0, 1, 2, 3];
 /// Seeds for the benchmark confidence-sweep scenario.
 const BENCH_SEEDS: [u64; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
@@ -86,26 +85,25 @@ pub fn collect(jobs: usize) -> Vec<Scenario> {
     sim.push(("steps_per_campaign".into(), CHAOS_STEPS as f64));
     out.push(Scenario { name: "chaos_sweep".into(), sim });
 
-    let heal = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_heal::CampaignConfig { seed, ..Default::default() });
+    let heal = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_heal::CampaignConfig { seed });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &heal);
     out.push(Scenario { name: "heal_sweep".into(), sim });
 
-    let scrub = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_scrub::CampaignConfig { seed, ..Default::default() });
+    let scrub = campaign_sweep(&CAMPAIGN_SEEDS, jobs, |seed| ys_scrub::CampaignConfig { seed });
     let sim = sweep_sim("campaigns", CAMPAIGN_SEEDS.len(), &scrub);
     out.push(Scenario { name: "scrub_sweep".into(), sim });
 
     out.extend(claims(jobs));
 
     let results = run_sweep(BENCH_SEEDS.to_vec(), jobs, |&seed| seed_run(seed));
-    let series = summarize_seed_sweep(&BENCH_SEEDS, &results);
-    let stat = |i: usize| series[1].points[i].1; // 0 = mean, 1 = min, 2 = max
+    let [mean, min, max] = summarize_seed_sweep(&results);
     out.push(Scenario {
         name: "bench_seed_sweep".into(),
         sim: vec![
             ("seeds".into(), BENCH_SEEDS.len() as f64),
-            ("mean_mb_s".into(), stat(0)),
-            ("min_mb_s".into(), stat(1)),
-            ("max_mb_s".into(), stat(2)),
+            ("mean_mb_s".into(), mean),
+            ("min_mb_s".into(), min),
+            ("max_mb_s".into(), max),
         ],
     });
 

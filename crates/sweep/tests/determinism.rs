@@ -25,20 +25,30 @@ fn chaos_jobs4_is_byte_identical_to_jobs1() {
 }
 
 #[test]
-fn bench_jobs4_is_byte_identical_to_jobs1() {
-    let serial = sweep(&["bench", "--seeds", "1,2,3,4,5", "--jobs", "1"]);
-    let parallel = sweep(&["bench", "--seeds", "1,2,3,4,5", "--jobs", "4"]);
-    assert!(serial.status.success());
-    assert!(parallel.status.success());
-    assert_eq!(serial.stdout, parallel.stdout, "--jobs changed the bench sweep");
-}
-
-#[test]
 fn usage_errors_exit_2() {
-    let bad = sweep(&["chaos", "--seeds", "9..1"]);
-    assert_eq!(bad.status.code(), Some(2));
-    let unknown = sweep(&["frobnicate"]);
-    assert_eq!(unknown.status.code(), Some(2));
+    let cases: [&[&str]; 12] = [
+        &["chaos", "--seeds", "9..1"],
+        &["frobnicate"],
+        // An empty seed list would run nothing and pass.
+        &["chaos", "--seeds", ","],
+        &["chaos", "--seeds", ""],
+        // Retired modes and flags: `ys-check` and `ys-chaos --fatal` are
+        // the doors for those runs, and the campaign sizes are constants.
+        &["check"],
+        &["bench"],
+        &["chaos", "--fatal"],
+        &["scrub", "--errors", "64"],
+        &["heal", "--writes", "48"],
+        &["chaos", "--models", "cache"],
+        &["chaos", "--depth", "3"],
+        &["chaos", "--max-states", "10"],
+    ];
+    for args in cases {
+        let out = sweep(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE:"), "{args:?}");
+    }
 }
 
 #[test]

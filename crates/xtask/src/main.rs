@@ -30,18 +30,19 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    match args.next().as_deref() {
-        Some("lint") => lint(args.any(|a| a == "--json")),
-        Some("doc") => doc(),
-        Some("bench-snapshot") => bench_snapshot(args.any(|a| a == "--check")),
-        Some("experiments") => experiments(args.any(|a| a == "--check")),
-        Some(other) => {
-            eprintln!("xtask: unknown command {other}\nusage: cargo xtask <lint|doc|bench-snapshot|experiments>");
-            ExitCode::from(2)
-        }
-        None => {
-            eprintln!("usage: cargo xtask <lint|doc|bench-snapshot|experiments>");
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
+        ["lint"] => lint(),
+        ["doc"] => doc(),
+        ["bench-snapshot"] => bench_snapshot(false),
+        ["bench-snapshot", "--check"] => bench_snapshot(true),
+        ["experiments"] => experiments(false),
+        ["experiments", "--check"] => experiments(true),
+        _ => {
+            eprintln!(
+                "xtask: unknown arguments {args:?}\n\
+                 usage: cargo xtask <lint|doc|bench-snapshot [--check]|experiments [--check]>"
+            );
             ExitCode::from(2)
         }
     }
@@ -182,7 +183,7 @@ fn repo_root() -> PathBuf {
     manifest.parent().and_then(Path::parent).map(Path::to_path_buf).unwrap_or(manifest)
 }
 
-fn lint(json: bool) -> ExitCode {
+fn lint() -> ExitCode {
     let root = repo_root();
     let report = match ys_lint::lint_workspace(&root) {
         Ok(r) => r,
@@ -191,11 +192,7 @@ fn lint(json: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if json {
-        println!("{}", ys_lint::render_json(&report));
-    } else {
-        print!("{}", ys_lint::render_text(&report));
-    }
+    print!("{}", ys_lint::render_text(&report));
     if report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {

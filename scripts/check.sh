@@ -41,7 +41,7 @@ cargo run -q -p ys-chaos -- --seed 4 --steps 64 --double-run --quiet
 # injected corruption and repair it (with the source attributed) or
 # declare it lost explicitly — plus the in-process byte-identity replay.
 echo "==> ys-scrub latent-error campaign + in-process double-run (seed 4, 64 errors)"
-cargo run -q -p ys-scrub -- --seed 4 --errors 64 --double-run --quiet
+cargo run -q -p ys-scrub -- --seed 4 --double-run --quiet
 
 # Blade lifecycle: the seeded drain/fail/heal/rejoin campaign must lose
 # zero acknowledged writes through planned and unplanned membership churn,
