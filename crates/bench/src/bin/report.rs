@@ -9,7 +9,8 @@
 //!
 //! `--obs` appends the per-subsystem observability breakdown from an
 //! instrumented reference run; without it the output is byte-identical to
-//! the uninstrumented suite. An unknown id prints the known ids and exits 2.
+//! the uninstrumented suite. An unknown id or flag prints the known ids and
+//! exits 2.
 //!
 //! The suite body lives in [`ys_bench::report`]; this shim only wires up
 //! stdout and the wall clock (this file is the bench crate's one

@@ -10,7 +10,7 @@
 use crate::driver::{closed_loop, fill, read_loop};
 use ys_cache::Retention;
 use ys_core::{
-    deliver_stream, deliver_stream_traced, run_service, BladeCluster, BlockTarget, ClusterConfig,
+    deliver_stream, run_service, BladeCluster, BlockTarget, ClusterConfig,
     EncryptionConfig, FastPathConfig, LegacyArray, LegacyConfig, LoadBalance, NetStorage, NetStorageConfig,
     Rebuilder, ServiceJob,
 };
@@ -30,9 +30,6 @@ const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
 
-/// Ring capacity of every traced run (per subsystem ring).
-const TRACE_CAPACITY: usize = 8192;
-
 /// E1 / Figure 1 — single-stream rate vs striping blade count, with the
 /// 4-blade headline run traced per FC port.
 ///
@@ -47,13 +44,13 @@ pub fn e1_striping() -> RunReport {
     let mut rates = Vec::new();
     for blades in 1..=8usize {
         let cfg = FastPathConfig { blades, ..FastPathConfig::default() };
-        let r = deliver_stream(&cfg, GB);
+        let (r, _, _) = deliver_stream(&cfg, GB);
         sweep.row(vec![blades.to_string(), f2(r.gbit_per_sec), f3(r.bus_utilization), f3(r.port_utilization)]);
         reg.gauge(MetricKey::aggregate("fastpath", &format!("gbps_{blades}_blades")), r.gbit_per_sec);
         rates.push(r.gbit_per_sec);
     }
     // The headline configuration, traced.
-    let (r4, events, dropped) = deliver_stream_traced(&FastPathConfig::default(), GB, TRACE_CAPACITY);
+    let (r4, events, dropped) = deliver_stream(&FastPathConfig::default(), GB);
     reg.gauge(MetricKey::aggregate("fastpath", "bus_util"), r4.bus_utilization);
     reg.gauge(MetricKey::aggregate("fastpath", "port_util"), r4.port_utilization);
     record_trace_drops(&mut reg, "fastpath", dropped);
@@ -409,7 +406,7 @@ pub fn e5_hotspot() -> RunReport {
         let t_warm = c.drain().max(t);
         let traced = lb == LoadBalance::RoundRobin;
         if traced {
-            c.enable_tracing(TRACE_CAPACITY);
+            c.enable_tracing();
         }
         // Zipf volume popularity: volume 0 is scorching.
         let zipf = ys_simcore::Zipf::new(volumes, 1.1);
@@ -543,7 +540,7 @@ pub fn e7_nway() -> RunReport {
     for n in 1..=4usize {
         let mut c = BladeCluster::new(ClusterConfig::default().with_blades(6).with_disks(12));
         if n == 3 {
-            c.enable_tracing(TRACE_CAPACITY);
+            c.enable_tracing();
         }
         let vol = c.create_volume("t", 0, 4 * GB).unwrap();
         let mut t = SimTime::ZERO;
@@ -627,7 +624,7 @@ pub fn e8_rebuild() -> RunReport {
         let blades: Vec<usize> = (0..workers).collect();
         let mut r = Rebuilder::new(&mut c, SimTime::ZERO, DiskId(3), region, &blades, 64);
         if workers == 4 {
-            r.enable_tracing(TRACE_CAPACITY);
+            r.enable_tracing();
         }
         let done = r.run(&mut c).unwrap().as_secs_f64();
         table.row(vec![workers.to_string(), f2(done)]);
@@ -738,7 +735,7 @@ pub fn e9_georep() -> RunReport {
         let is_async = geo.mode == GeoMode::Asynchronous;
         let mut ns = NetStorage::new(NetStorageConfig { site_cluster: site_cluster(), ..NetStorageConfig::default() });
         if is_async {
-            ns.enable_tracing(TRACE_CAPACITY);
+            ns.enable_tracing();
         }
         ns.create_file(path, FilePolicy { geo, ..FilePolicy::default() }, SiteId(0)).unwrap();
         let mut t = SimTime::ZERO;

@@ -17,7 +17,7 @@ use ys_simcore::time::SimTime;
 pub fn breakdown() -> String {
     const OPS: usize = 1200;
     let mut c = BladeCluster::new(ClusterConfig::default().with_blades(4).with_disks(8));
-    c.enable_tracing(8192);
+    c.enable_tracing();
     let vol = c.create_volume("obs", 0, 4 << 30).expect("volume");
     let mut wl = Workload::zipf(1 << 30, 64 * 1024, 1.0, 0.3, 7);
     let mut t = SimTime::ZERO;

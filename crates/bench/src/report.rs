@@ -17,15 +17,18 @@ pub fn section(id: &str, what: &str, report: &RunReport) -> String {
 /// Run the claims whose ids `args` names (every claim with an id when it
 /// names none; `--obs` appends the ys-obs breakdown) and write their
 /// sections to `out` in registry order. Ids match exactly, ignoring case;
-/// an unknown one is an error that lists the known ids. `elapsed` is
-/// sampled once for the trailing footer; pass `|| 0.0` for byte-stable
-/// output.
+/// an unknown one, or any flag but `--obs`, is an error that lists the
+/// known ids. `elapsed` is sampled once for the trailing footer; pass
+/// `|| 0.0` for byte-stable output.
 pub fn run_report(out: &mut impl Write, args: &[String], elapsed: impl Fn() -> f64) -> Result<(), String> {
     let obs = args.iter().any(|a| a == "--obs");
+    let known = || CLAIMS.iter().filter_map(|c| c.id).collect::<Vec<_>>().join(" ");
+    if let Some(flag) = args.iter().find(|a| a.starts_with('-') && a.as_str() != "--obs") {
+        return Err(format!("unknown flag {flag}; ids: {}", known()));
+    }
     let ids: Vec<String> = args.iter().filter(|a| a.as_str() != "--obs").map(|a| a.to_uppercase()).collect();
     if let Some(bad) = ids.iter().find(|id| by_id(id).is_none()) {
-        let known: Vec<&str> = CLAIMS.iter().filter_map(|c| c.id).collect();
-        return Err(format!("unknown id {bad}; ids: {}", known.join(" ")));
+        return Err(format!("unknown id {bad}; ids: {}", known()));
     }
     let io = |e: std::io::Error| e.to_string();
     for claim in CLAIMS {

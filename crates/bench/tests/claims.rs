@@ -64,12 +64,14 @@ fn the_snapshot_pins_what_report_and_ys_report_print() {
 
 #[test]
 fn report_rejects_an_unknown_or_partial_id_with_the_id_list() {
-    for bad in ["E13", "A", "E"] {
+    for bad in ["E13", "A", "E", "--bogus"] {
         let out = Command::new(env!("CARGO_BIN_EXE_report")).arg(bad).output().expect("report runs");
         assert_eq!(out.status.code(), Some(2), "{bad}");
         assert!(out.stdout.is_empty(), "{bad} printed a report");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains("E1 E2") && err.contains("A3"), "{bad}: {err}");
+        let what = if bad.starts_with('-') { "flag" } else { "id" };
+        assert!(err.starts_with(&format!("report: unknown {what} {bad}")), "{bad}: {err}");
     }
 }
 

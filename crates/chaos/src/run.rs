@@ -88,8 +88,12 @@ fn run_rendered(opts: &RunOptions) -> CampaignRun {
         ..CampaignConfig::default()
     };
     let full = CampaignSchedule::generate(&cfg);
-    let schedule = match &opts.keep {
-        Some(keep) => full.keep(keep),
+    let schedule = match opts.keep.as_deref().map(|keep| full.keep(keep)) {
+        Some(Ok(kept)) => kept,
+        Some(Err(e)) => {
+            let line = format!("{e}\n");
+            return CampaignRun { transcript: line.clone(), reproducer: line, ok: false };
+        }
         None => full,
     };
     let mut transcript = String::new();

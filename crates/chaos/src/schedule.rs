@@ -276,17 +276,20 @@ impl CampaignSchedule {
     }
 
     /// Keep only the entries whose *original* index is listed (replay of a
-    /// shrunk schedule: `--seed S --keep i,j,k`).
-    pub fn keep(&self, indices: &[usize]) -> CampaignSchedule {
-        CampaignSchedule {
-            seed: self.seed,
-            entries: self
-                .entries
-                .iter()
-                .filter(|e| indices.contains(&e.index))
-                .copied()
-                .collect(),
+    /// shrunk schedule: `--seed S --keep i,j,k`). An index with no entry
+    /// is an error naming it, so a mistyped replay cannot run clean.
+    pub fn keep(&self, indices: &[usize]) -> Result<CampaignSchedule, String> {
+        if let Some(missing) = indices.iter().find(|&&i| !self.entries.iter().any(|e| e.index == i)) {
+            return Err(format!(
+                "--keep index {missing} is not in the schedule (seed {} has {} entries)",
+                self.seed,
+                self.entries.len()
+            ));
         }
+        Ok(CampaignSchedule {
+            seed: self.seed,
+            entries: self.entries.iter().filter(|e| indices.contains(&e.index)).copied().collect(),
+        })
     }
 
     /// The replay command line reproducing exactly this schedule.
@@ -347,11 +350,14 @@ mod tests {
         let cfg = CampaignConfig { seed: 3, ..CampaignConfig::default() };
         let s = CampaignSchedule::generate(&cfg);
         assert!(s.entries.len() >= 3);
-        let sub = s.keep(&[0, 2]);
+        let sub = s.keep(&[0, 2]).unwrap();
         assert_eq!(sub.entries.len(), 2);
         assert_eq!(sub.entries[0].index, 0);
         assert_eq!(sub.entries[1].index, 2);
         assert!(sub.replay_line().contains("--keep 0,2"));
+        let past_the_end = s.entries.len();
+        let err = s.keep(&[0, past_the_end]).unwrap_err();
+        assert!(err.contains(&format!("--keep index {past_the_end} ")), "{err}");
     }
 
     #[test]

@@ -53,18 +53,8 @@ pub enum IntegrityOp {
     Rewrite { page: u64 },
 }
 
-/// Exploration bounds for the integrity model.
-#[derive(Clone, Copy, Debug)]
-pub struct IntegrityScope {
-    /// Distinct pages in scope.
-    pub pages: u64,
-}
-
-impl IntegrityScope {
-    pub fn small() -> IntegrityScope {
-        IntegrityScope { pages: 2 }
-    }
-}
+/// Distinct pages in scope.
+const PAGES: u64 = 2;
 
 /// Shadow protection state of one page.
 #[derive(Clone, Copy, Debug)]
@@ -92,7 +82,6 @@ impl PageShadow {
 /// checked against.
 #[derive(Clone)]
 pub struct IntegrityModel {
-    scope: IntegrityScope,
     farm: DiskFarm,
     shadow: Vec<PageShadow>,
     clock: SimTime,
@@ -100,17 +89,18 @@ pub struct IntegrityModel {
     prev_mismatches: u64,
 }
 
-impl IntegrityModel {
-    pub fn new(scope: IntegrityScope) -> IntegrityModel {
+impl Default for IntegrityModel {
+    fn default() -> IntegrityModel {
         IntegrityModel {
-            scope,
             farm: DiskFarm::new(1, DiskSpec::cheetah_73()),
-            shadow: vec![PageShadow::fresh(); scope.pages as usize],
+            shadow: vec![PageShadow::fresh(); PAGES as usize],
             clock: SimTime::ZERO,
             prev_mismatches: 0,
         }
     }
+}
 
+impl IntegrityModel {
     fn offset(page: u64) -> u64 {
         page * CHECKSUM_PAGE_BYTES
     }
@@ -150,7 +140,7 @@ impl IntegrityModel {
     /// Cross-check the checksum plane against the shadow.
     fn audit(&mut self) -> Vec<String> {
         let mut violations = Vec::new();
-        for page in 0..self.scope.pages {
+        for page in 0..PAGES {
             let s = self.shadow[page as usize];
             let plane = self.farm.is_page_corrupt(DiskId(0), Self::offset(page));
             if plane != s.rotten {
@@ -182,7 +172,7 @@ impl Model for IntegrityModel {
 
     fn enumerate_ops(&self) -> Vec<IntegrityOp> {
         let mut ops = Vec::new();
-        for page in 0..self.scope.pages {
+        for page in 0..PAGES {
             let s = self.shadow[page as usize];
             if !s.rotten {
                 ops.push(IntegrityOp::Corrupt { page });
@@ -251,7 +241,7 @@ impl Model for IntegrityModel {
         // verdicts depend only on the checksum plane and the shadow, so
         // states equal modulo timing explore identically.
         let mut h = StateHasher::new();
-        for page in 0..self.scope.pages {
+        for page in 0..PAGES {
             let s = self.shadow[page as usize];
             h.write_bool(self.farm.is_page_corrupt(DiskId(0), Self::offset(page)));
             h.write_bool(s.rotten);
@@ -267,26 +257,19 @@ impl Model for IntegrityModel {
 
 impl StandardModel for IntegrityModel {
     fn describe(&self, depth: usize) -> String {
-        format!("integrity model, {} pages × 3 repair sources, depth {depth}", self.scope.pages)
+        format!("integrity model, {PAGES} pages × 3 repair sources, depth {depth}")
     }
 
     fn render_counterexample(&self, cx: &Counterexample<IntegrityOp>) -> String {
-        render_integrity_trace(&cx.trace, self.scope, &cx.violations)
+        render_integrity_trace(&cx.trace, &cx.violations)
     }
 }
 
 /// Render an integrity counterexample trace as a ready-to-paste
 /// regression test.
-fn render_integrity_trace(
-    trace: &[IntegrityOp],
-    scope: IntegrityScope,
-    violations: &[String],
-) -> String {
+fn render_integrity_trace(trace: &[IntegrityOp], violations: &[String]) -> String {
     let mut out = violations_header(violations);
-    out.push_str(&format!(
-        "let mut m = IntegrityModel::new(IntegrityScope {{ pages: {} }});\n",
-        scope.pages
-    ));
+    out.push_str("let mut m = IntegrityModel::default();\n");
     for op in trace {
         out.push_str(&format!("assert!(m.apply(IntegrityOp::{op:?}).is_empty());\n"));
     }
@@ -300,13 +283,13 @@ mod tests {
 
     #[test]
     fn initial_state_is_clean() {
-        let mut m = IntegrityModel::new(IntegrityScope::small());
+        let mut m = IntegrityModel::default();
         assert_eq!(m.audit(), Vec::<String>::new());
     }
 
     #[test]
     fn corrupt_is_silent_until_read_then_never_silent() {
-        let mut m = IntegrityModel::new(IntegrityScope::small());
+        let mut m = IntegrityModel::default();
         assert!(m.apply(IntegrityOp::Corrupt { page: 0 }).is_empty());
         // The read observes the mismatch (explicitly), which is correct
         // behavior — no violation.
@@ -316,7 +299,7 @@ mod tests {
 
     #[test]
     fn scrub_with_a_source_repairs() {
-        let mut m = IntegrityModel::new(IntegrityScope::small());
+        let mut m = IntegrityModel::default();
         assert!(m.apply(IntegrityOp::Corrupt { page: 1 }).is_empty());
         assert!(m.apply(IntegrityOp::DropSource { page: 1, source: Source::Parity }).is_empty());
         assert!(m.apply(IntegrityOp::Scrub { page: 1 }).is_empty());
@@ -326,7 +309,7 @@ mod tests {
 
     #[test]
     fn scrub_without_sources_declares_and_stays_explicit() {
-        let mut m = IntegrityModel::new(IntegrityScope::small());
+        let mut m = IntegrityModel::default();
         for source in SOURCES {
             assert!(m.apply(IntegrityOp::DropSource { page: 0, source }).is_empty());
         }
@@ -341,14 +324,13 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
-        let scope = IntegrityScope::small();
         let result = explore_timed(
-            IntegrityModel::new(scope),
+            IntegrityModel::default(),
             Limits { max_depth: 5, max_states: 200_000 },
             || 0.0,
         );
         if let Some(cx) = &result.counterexample {
-            panic!("violation:\n{}", render_integrity_trace(&cx.trace, scope, &cx.violations));
+            panic!("violation:\n{}", render_integrity_trace(&cx.trace, &cx.violations));
         }
         assert!(result.states_visited > 50);
     }

@@ -52,10 +52,10 @@ pub use cache_model::{CacheModel, Op, Scope};
 pub use explore::{explore_timed, Counterexample, Exploration, Limits, Model};
 pub use hash::StateHasher;
 pub use heal_model::{HealModel, HealOp};
-pub use integrity_model::{IntegrityModel, IntegrityOp, IntegrityScope};
-pub use qos_model::{QosModel, QosOp, QosScope};
-pub use security_model::{SecurityModel, SecurityOp, SecurityScope};
+pub use integrity_model::{IntegrityModel, IntegrityOp};
+pub use qos_model::{QosModel, QosOp};
+pub use security_model::{SecurityModel, SecurityOp};
 pub use summary::{
     parse_args, run_named, run_standard, Invocation, StandardModel, StandardRun, STANDARD_MODELS,
 };
-pub use virt_model::{VirtModel, VirtOp, VirtScope};
+pub use virt_model::{VirtModel, VirtOp};

@@ -25,6 +25,7 @@ OPTIONS:
   --blades N       controller blades in scope        (default 3)
   --pages N        distinct pages in scope           (default 4)
   --capacity N     per-blade capacity in pages       (default 8)
+                   (these three resize the cache and heal models only)
   --depth N        max ops along any path            (default 5)
   --virt           check the DMSD volume manager instead of the cache
   --qos            check the ys-qos admission controller instead

@@ -34,33 +34,23 @@ pub enum QosOp {
     Pressure { on: bool },
 }
 
-/// Exploration bounds for the QoS model.
-#[derive(Clone, Copy, Debug)]
-pub struct QosScope {
-    /// Clock quantum per `Advance`, nanoseconds.
-    pub quantum_ns: u64,
-    /// Service time of an admitted request, nanoseconds.
-    pub service_ns: u64,
-    /// Bytes per request.
-    pub req_bytes: u64,
-}
-
-impl QosScope {
-    pub fn small() -> QosScope {
-        QosScope { quantum_ns: 1_000_000, service_ns: 400_000, req_bytes: 64 * 1024 }
-    }
-}
+/// Clock quantum per `Advance`, nanoseconds.
+const QUANTUM_NS: u64 = 1_000_000;
+/// Service time of an admitted request, nanoseconds.
+const SERVICE_NS: u64 = 400_000;
+/// Bytes per request.
+const REQ_BYTES: u64 = 64 * 1024;
 
 const PREMIUM: u32 = 1;
 const SCAVENGER: u32 = 2;
 
-fn policy(scope: QosScope) -> QosConfig {
+fn policy() -> QosConfig {
     QosConfig::new()
         .with_tenant(TenantSpec::new(PREMIUM, "premium", QosClass::Premium).inflight_cap(2))
         .with_tenant(
             TenantSpec::new(SCAVENGER, "scavenger", QosClass::Scavenger)
                 .rate_mb_per_sec(32)
-                .burst_bytes(scope.req_bytes * 2)
+                .burst_bytes(REQ_BYTES * 2)
                 .inflight_cap(2),
         )
         .with_max_delay(SimDuration::from_millis(2))
@@ -69,7 +59,6 @@ fn policy(scope: QosScope) -> QosConfig {
 /// The real controller plus the shadow the invariants are checked against.
 #[derive(Clone)]
 pub struct QosModel {
-    scope: QosScope,
     ctl: AdmissionController,
     clock: SimTime,
     /// Outstanding admitted requests per tenant: (start, bytes), FIFO.
@@ -78,17 +67,18 @@ pub struct QosModel {
     prev: Vec<(u32, TenantQosStats)>,
 }
 
-impl QosModel {
-    pub fn new(scope: QosScope) -> QosModel {
+impl Default for QosModel {
+    fn default() -> QosModel {
         QosModel {
-            scope,
-            ctl: AdmissionController::new(policy(scope)),
+            ctl: AdmissionController::new(policy()),
             clock: SimTime::ZERO,
             pending: vec![(PREMIUM, VecDeque::new()), (SCAVENGER, VecDeque::new())],
             prev: vec![(PREMIUM, TenantQosStats::default()), (SCAVENGER, TenantQosStats::default())],
         }
     }
+}
 
+impl QosModel {
     fn queue_mut(&mut self, tenant: u32) -> &mut VecDeque<(SimTime, u64)> {
         &mut self.pending.iter_mut().find(|(t, _)| *t == tenant).expect("tenant in scope").1
     }
@@ -140,14 +130,14 @@ impl Model for QosModel {
     fn apply(&mut self, op: QosOp) -> Vec<String> {
         let mut violations = Vec::new();
         match op {
-            QosOp::Advance => self.clock += SimDuration::from_nanos(self.scope.quantum_ns),
+            QosOp::Advance => self.clock += SimDuration::from_nanos(QUANTUM_NS),
             QosOp::Pressure { on } => self.ctl.set_pressure(if on {
                 Pressure { dirty_ratio: 0.9, rebuild_active: true }
             } else {
                 Pressure::default()
             }),
             QosOp::Request { tenant, large } => {
-                let bytes = if large { self.scope.req_bytes * 2 } else { self.scope.req_bytes };
+                let bytes = if large { REQ_BYTES * 2 } else { REQ_BYTES };
                 match self.ctl.admit(self.clock, tenant, bytes) {
                     Decision::Admit { start } => {
                         if start < self.clock {
@@ -163,7 +153,7 @@ impl Model for QosModel {
             }
             QosOp::Complete { tenant } => {
                 if let Some((start, bytes)) = self.queue_mut(tenant).pop_front() {
-                    let done = start.max(self.clock) + SimDuration::from_nanos(self.scope.service_ns);
+                    let done = start.max(self.clock) + SimDuration::from_nanos(SERVICE_NS);
                     self.ctl.complete(tenant, start, done, bytes);
                 }
             }
@@ -205,21 +195,18 @@ impl Model for QosModel {
 
 impl StandardModel for QosModel {
     fn describe(&self, depth: usize) -> String {
-        format!("QoS admission model, 2 tenants, quantum {} us, depth {depth}", self.scope.quantum_ns / 1000)
+        format!("QoS admission model, 2 tenants, quantum {} us, depth {depth}", QUANTUM_NS / 1000)
     }
 
     fn render_counterexample(&self, cx: &Counterexample<QosOp>) -> String {
-        render_qos_trace(&cx.trace, self.scope, &cx.violations)
+        render_qos_trace(&cx.trace, &cx.violations)
     }
 }
 
 /// Render a QoS counterexample trace as a ready-to-paste regression test.
-fn render_qos_trace(trace: &[QosOp], scope: QosScope, violations: &[String]) -> String {
+fn render_qos_trace(trace: &[QosOp], violations: &[String]) -> String {
     let mut out = violations_header(violations);
-    out.push_str(&format!(
-        "let mut m = QosModel::new(QosScope {{ quantum_ns: {}, service_ns: {}, req_bytes: {} }});\n",
-        scope.quantum_ns, scope.service_ns, scope.req_bytes
-    ));
+    out.push_str("let mut m = QosModel::default();\n");
     for op in trace {
         out.push_str(&format!("assert!(m.apply({op:?}).is_empty());\n"));
     }
@@ -233,13 +220,13 @@ mod tests {
 
     #[test]
     fn initial_state_is_clean() {
-        let mut m = QosModel::new(QosScope::small());
+        let mut m = QosModel::default();
         assert_eq!(m.audit(), Vec::<String>::new());
     }
 
     #[test]
     fn request_complete_cycle_keeps_the_ledger() {
-        let mut m = QosModel::new(QosScope::small());
+        let mut m = QosModel::default();
         assert!(m.apply(QosOp::Request { tenant: PREMIUM, large: false }).is_empty());
         assert!(m.apply(QosOp::Request { tenant: SCAVENGER, large: true }).is_empty());
         assert!(m.apply(QosOp::Advance).is_empty());
@@ -249,7 +236,7 @@ mod tests {
 
     #[test]
     fn overdrive_sheds_but_never_breaks_invariants() {
-        let mut m = QosModel::new(QosScope::small());
+        let mut m = QosModel::default();
         for _ in 0..8 {
             assert!(m.apply(QosOp::Request { tenant: SCAVENGER, large: true }).is_empty());
         }
@@ -259,7 +246,7 @@ mod tests {
 
     #[test]
     fn pressure_sheds_scavenger_not_premium() {
-        let mut m = QosModel::new(QosScope::small());
+        let mut m = QosModel::default();
         assert!(m.apply(QosOp::Pressure { on: true }).is_empty());
         assert!(m.apply(QosOp::Request { tenant: SCAVENGER, large: true }).is_empty());
         assert!(m.apply(QosOp::Request { tenant: PREMIUM, large: false }).is_empty());
@@ -271,14 +258,13 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
-        let scope = QosScope::small();
         let result = explore_timed(
-            QosModel::new(scope),
+            QosModel::default(),
             Limits { max_depth: 5, max_states: 100_000 },
             || 0.0,
         );
         if let Some(cx) = &result.counterexample {
-            panic!("violation:\n{}", render_qos_trace(&cx.trace, scope, &cx.violations));
+            panic!("violation:\n{}", render_qos_trace(&cx.trace, &cx.violations));
         }
         assert!(result.states_visited > 50);
     }

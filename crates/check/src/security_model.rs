@@ -39,26 +39,15 @@ pub enum SecurityOp {
     Ship { volume: u32 },
 }
 
-/// Exploration bounds for the security model.
-#[derive(Clone, Copy, Debug)]
-pub struct SecurityScope {
-    pub initiators: u32,
-    pub volumes: u32,
-    pub ports: usize,
-}
-
-impl SecurityScope {
-    pub fn small() -> SecurityScope {
-        SecurityScope { initiators: 2, volumes: 2, ports: 2 }
-    }
-}
+const INITIATORS: u32 = 2;
+const VOLUMES: u32 = 2;
+const PORTS: usize = 2;
 
 const ZONES: [PortZone; 3] = [PortZone::HostSide, PortZone::DiskSide, PortZone::Management];
 
 /// The real mask plus the shadow it is checked against.
 #[derive(Clone)]
 pub struct SecurityModel {
-    scope: SecurityScope,
     mask: LunMask,
     audit: AuditLog,
     /// Shadow ACL: `acl[initiator][volume]`.
@@ -73,20 +62,21 @@ pub struct SecurityModel {
     wire_key: Key,
 }
 
-impl SecurityModel {
-    pub fn new(scope: SecurityScope) -> SecurityModel {
+impl Default for SecurityModel {
+    fn default() -> SecurityModel {
         SecurityModel {
-            scope,
             mask: LunMask::new(),
             audit: AuditLog::new(),
-            acl: vec![vec![false; scope.volumes as usize]; scope.initiators as usize],
-            zones: vec![None; scope.ports],
+            acl: vec![vec![false; VOLUMES as usize]; INITIATORS as usize],
+            zones: vec![None; PORTS],
             expected_denials: 0,
             wire_seq: 0,
             wire_key: Key::from_seed(0x5EC0_DE5E_C0DE_5EC0),
         }
     }
+}
 
+impl SecurityModel {
     /// Whether the shadow authorizes `(initiator, volume)` via `port`:
     /// the ACL bit is set AND the port is explicitly host-zoned (the
     /// management zone is the out-of-band path, also admitted).
@@ -140,8 +130,8 @@ impl SecurityModel {
     /// Cross-check the real mask against the shadow.
     fn audit_state(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        for i in 0..self.scope.initiators {
-            for v in 0..self.scope.volumes {
+        for i in 0..INITIATORS {
+            for v in 0..VOLUMES {
                 let real = self.mask.check_access(InitiatorId(i), VolumeId(v)).is_ok();
                 let shadow = self.acl[i as usize][v as usize];
                 if real != shadow {
@@ -179,27 +169,27 @@ impl Model for SecurityModel {
 
     fn enumerate_ops(&self) -> Vec<SecurityOp> {
         let mut ops = Vec::new();
-        for i in 0..self.scope.initiators {
-            for v in 0..self.scope.volumes {
+        for i in 0..INITIATORS {
+            for v in 0..VOLUMES {
                 if self.acl[i as usize][v as usize] {
                     ops.push(SecurityOp::Revoke { initiator: i, volume: v });
                 } else {
                     ops.push(SecurityOp::Grant { initiator: i, volume: v });
                 }
-                for p in 0..self.scope.ports {
+                for p in 0..PORTS {
                     ops.push(SecurityOp::Read { initiator: i, volume: v, port: p });
                     ops.push(SecurityOp::Write { initiator: i, volume: v, port: p });
                 }
             }
         }
-        for p in 0..self.scope.ports {
+        for p in 0..PORTS {
             for z in ZONES {
                 if self.zones[p] != Some(z) {
                     ops.push(SecurityOp::Zone { port: p, zone: z });
                 }
             }
         }
-        for v in 0..self.scope.volumes {
+        for v in 0..VOLUMES {
             ops.push(SecurityOp::Ship { volume: v });
         }
         ops
@@ -282,30 +272,19 @@ impl Model for SecurityModel {
 
 impl StandardModel for SecurityModel {
     fn describe(&self, depth: usize) -> String {
-        let s = self.scope;
-        format!(
-            "security model, {} initiators × {} volumes × {} ports, depth {depth}",
-            s.initiators, s.volumes, s.ports
-        )
+        format!("security model, {INITIATORS} initiators × {VOLUMES} volumes × {PORTS} ports, depth {depth}")
     }
 
     fn render_counterexample(&self, cx: &Counterexample<SecurityOp>) -> String {
-        render_security_trace(&cx.trace, self.scope, &cx.violations)
+        render_security_trace(&cx.trace, &cx.violations)
     }
 }
 
 /// Render a security counterexample trace as a ready-to-paste
 /// regression test.
-fn render_security_trace(
-    trace: &[SecurityOp],
-    scope: SecurityScope,
-    violations: &[String],
-) -> String {
+fn render_security_trace(trace: &[SecurityOp], violations: &[String]) -> String {
     let mut out = violations_header(violations);
-    out.push_str(&format!(
-        "let mut m = SecurityModel::new(SecurityScope {{ initiators: {}, volumes: {}, ports: {} }});\n",
-        scope.initiators, scope.volumes, scope.ports
-    ));
+    out.push_str("let mut m = SecurityModel::default();\n");
     for op in trace {
         out.push_str(&format!("assert!(m.apply(SecurityOp::{op:?}).is_empty());\n"));
     }
@@ -319,13 +298,13 @@ mod tests {
 
     #[test]
     fn initial_state_is_clean() {
-        let m = SecurityModel::new(SecurityScope::small());
+        let m = SecurityModel::default();
         assert_eq!(m.audit_state(), Vec::<String>::new());
     }
 
     #[test]
     fn post_revoke_access_is_denied_and_audited() {
-        let mut m = SecurityModel::new(SecurityScope::small());
+        let mut m = SecurityModel::default();
         assert!(m.apply(SecurityOp::Zone { port: 0, zone: PortZone::HostSide }).is_empty());
         assert!(m.apply(SecurityOp::Grant { initiator: 0, volume: 0 }).is_empty());
         assert!(m.apply(SecurityOp::Read { initiator: 0, volume: 0, port: 0 }).is_empty());
@@ -338,7 +317,7 @@ mod tests {
 
     #[test]
     fn unzoned_port_access_is_a_breach_even_when_granted() {
-        let mut m = SecurityModel::new(SecurityScope::small());
+        let mut m = SecurityModel::default();
         assert!(m.apply(SecurityOp::Grant { initiator: 1, volume: 1 }).is_empty());
         // Port 1 was never zoned: fail closed, audited.
         assert!(m.apply(SecurityOp::Write { initiator: 1, volume: 1, port: 1 }).is_empty());
@@ -347,7 +326,7 @@ mod tests {
 
     #[test]
     fn shipped_frames_are_never_plaintext() {
-        let mut m = SecurityModel::new(SecurityScope::small());
+        let mut m = SecurityModel::default();
         for _ in 0..8 {
             assert!(m.apply(SecurityOp::Ship { volume: 0 }).is_empty());
         }
@@ -355,14 +334,13 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
-        let scope = SecurityScope::small();
         let result = explore_timed(
-            SecurityModel::new(scope),
+            SecurityModel::default(),
             Limits { max_depth: 4, max_states: 200_000 },
             || 0.0,
         );
         if let Some(cx) = &result.counterexample {
-            panic!("violation:\n{}", render_security_trace(&cx.trace, scope, &cx.violations));
+            panic!("violation:\n{}", render_security_trace(&cx.trace, &cx.violations));
         }
         assert!(result.states_visited > 50);
     }

@@ -11,10 +11,10 @@
 use crate::cache_model::{CacheModel, Scope};
 use crate::explore::{explore_timed, Counterexample, Limits, Model};
 use crate::heal_model::HealModel;
-use crate::integrity_model::{IntegrityModel, IntegrityScope};
-use crate::qos_model::{QosModel, QosScope};
-use crate::security_model::{SecurityModel, SecurityScope};
-use crate::virt_model::{VirtModel, VirtScope};
+use crate::integrity_model::IntegrityModel;
+use crate::qos_model::QosModel;
+use crate::security_model::SecurityModel;
+use crate::virt_model::VirtModel;
 use std::fmt::Write as _;
 
 /// The six standard model names, in canonical report order. The first is
@@ -76,15 +76,14 @@ fn run<M: StandardModel>(model: M, limits: Limits, elapsed: impl Fn() -> f64) ->
 /// `run` the model called `model`: the one dispatch over
 /// [`STANDARD_MODELS`]. `scope` is the CLI's `--blades/--pages/--capacity`
 /// and resizes the two models on a `CacheCluster`, cache and
-/// heal (which clamps pages to 2); the others keep their own `small()`
-/// scope.
+/// heal (which clamps pages to 2); the other four have a fixed scope.
 pub fn run_named(model: &str, scope: Scope, limits: Limits, elapsed: impl Fn() -> f64) -> Result<StandardRun, String> {
     Ok(match model {
         "cache" => run(CacheModel::new(scope), limits, elapsed),
-        "virt" => run(VirtModel::new(VirtScope::small()), limits, elapsed),
-        "qos" => run(QosModel::new(QosScope::small()), limits, elapsed),
-        "integrity" => run(IntegrityModel::new(IntegrityScope::small()), limits, elapsed),
-        "security" => run(SecurityModel::new(SecurityScope::small()), limits, elapsed),
+        "virt" => run(VirtModel::default(), limits, elapsed),
+        "qos" => run(QosModel::default(), limits, elapsed),
+        "integrity" => run(IntegrityModel::default(), limits, elapsed),
+        "security" => run(SecurityModel::default(), limits, elapsed),
         "heal" => run(HealModel::new(scope), limits, elapsed),
         other => return Err(format!("unknown standard model `{other}` (try {STANDARD_MODELS:?})")),
     })
@@ -114,7 +113,8 @@ pub struct Invocation {
 const MAX_STATES: usize = 2_000_000;
 
 /// Parse `ys-check`'s arguments (without the program name). `Err` carries
-/// the usage error; an empty one asks for the help text.
+/// the usage error; an empty one asks for the help text. The scope flags
+/// are an error for the four models with a fixed scope.
 pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
     let mut inv = Invocation {
         model: STANDARD_MODELS[0],
@@ -122,6 +122,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         limits: Limits { max_depth: 5, max_states: MAX_STATES },
     };
     let mut chosen: Option<&'static str> = None;
+    let mut resized: Option<String> = None;
     let mut it = args.into_iter();
     while let Some(flag) = it.next() {
         // Every scope value counts something the model needs at least one
@@ -138,6 +139,9 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             }
             Ok(n)
         };
+        if resized.is_none() && matches!(flag.as_str(), "--blades" | "--pages" | "--capacity") {
+            resized = Some(flag.clone());
+        }
         match flag.as_str() {
             "--blades" => inv.scope.blades = num("--blades")?,
             "--pages" => inv.scope.pages = num("--pages")? as u64,
@@ -158,7 +162,12 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
         }
     }
     inv.model = chosen.unwrap_or(inv.model);
-    Ok(inv)
+    match resized {
+        Some(flag) if !matches!(inv.model, "cache" | "heal") => {
+            Err(format!("{flag} resizes the cache and heal models only; --{} has a fixed scope", inv.model))
+        }
+        _ => Ok(inv),
+    }
 }
 
 #[cfg(test)]

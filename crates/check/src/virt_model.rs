@@ -31,44 +31,35 @@ pub enum VirtOp {
     Relocate { volume: u32, offset: u64 },
 }
 
-/// Exploration bounds for the DMSD model.
-#[derive(Clone, Copy, Debug)]
-pub struct VirtScope {
-    pub volumes: u32,
-    /// Virtual size of each volume, in extents.
-    pub volume_extents: u64,
-    /// Physical pool size, in extents (smaller than the sum of volume
-    /// sizes, so overcommit/out-of-space paths are reachable).
-    pub pool_extents: u64,
-    /// Snapshots per volume are capped to keep the space bounded.
-    pub max_snapshots: usize,
-    /// Write/unmap granularity.
-    pub run_len: u64,
-}
+const VOLUMES: u32 = 2;
+/// Virtual size of each volume, in extents.
+const VOLUME_EXTENTS: u64 = 4;
+/// Physical pool size, in extents: snapshots' redirects overcommit it, so
+/// the out-of-space paths are reachable.
+const POOL_EXTENTS: u64 = 10;
+/// Snapshots per volume are capped to keep the space bounded.
+const MAX_SNAPSHOTS: usize = 2;
+/// Write/unmap granularity.
+const RUN_LEN: u64 = 2;
 
-impl VirtScope {
-    pub fn small() -> VirtScope {
-        VirtScope { volumes: 2, volume_extents: 4, pool_extents: 10, max_snapshots: 2, run_len: 2 }
-    }
-}
-
-/// The real volume manager plus scope bookkeeping.
+/// The real volume manager the model drives.
 #[derive(Clone)]
 pub struct VirtModel {
-    scope: VirtScope,
     mgr: VolumeManager,
 }
 
-impl VirtModel {
-    pub fn new(scope: VirtScope) -> VirtModel {
-        let mut mgr = VolumeManager::new(PhysicalPool::new(scope.pool_extents, 1 << 20));
-        for v in 0..scope.volumes {
-            mgr.create(format!("vol{v}"), v, VolumeKind::DemandMapped, scope.volume_extents)
+impl Default for VirtModel {
+    fn default() -> VirtModel {
+        let mut mgr = VolumeManager::new(PhysicalPool::new(POOL_EXTENTS, 1 << 20));
+        for v in 0..VOLUMES {
+            mgr.create(format!("vol{v}"), v, VolumeKind::DemandMapped, VOLUME_EXTENTS)
                 .expect("DMSD creation allocates nothing");
         }
-        VirtModel { scope, mgr }
+        VirtModel { mgr }
     }
+}
 
+impl VirtModel {
     /// Conservation audit: refcounts ⇔ references from live + frozen maps.
     fn audit_conservation(&self) -> Vec<String> {
         let mut violations = Vec::new();
@@ -123,9 +114,8 @@ impl Model for VirtModel {
 
     fn enumerate_ops(&self) -> Vec<VirtOp> {
         let mut ops = Vec::new();
-        let offsets: Vec<u64> =
-            (0..self.scope.volume_extents).step_by(self.scope.run_len as usize).collect();
-        for volume in 0..self.scope.volumes {
+        let offsets: Vec<u64> = (0..VOLUME_EXTENTS).step_by(RUN_LEN as usize).collect();
+        for volume in 0..VOLUMES {
             for &offset in &offsets {
                 ops.push(VirtOp::Write { volume, offset });
                 ops.push(VirtOp::Unmap { volume, offset });
@@ -139,19 +129,18 @@ impl Model for VirtModel {
     }
 
     fn apply(&mut self, op: VirtOp) -> Vec<String> {
-        let run = self.scope.run_len;
         match op {
             VirtOp::Write { volume, offset } => {
-                let _ = self.mgr.write(VolumeId(volume), offset, run);
+                let _ = self.mgr.write(VolumeId(volume), offset, RUN_LEN);
             }
             VirtOp::Unmap { volume, offset } => {
-                let _ = self.mgr.unmap(VolumeId(volume), offset, run);
+                let _ = self.mgr.unmap(VolumeId(volume), offset, RUN_LEN);
             }
             VirtOp::Snapshot { volume } => {
                 let at_cap = self
                     .mgr
                     .volume(VolumeId(volume))
-                    .map(|v| v.snapshots.len() >= self.scope.max_snapshots)
+                    .map(|v| v.snapshots.len() >= MAX_SNAPSHOTS)
                     .unwrap_or(true);
                 if !at_cap {
                     let _ = self.mgr.snapshot(VolumeId(volume));
@@ -176,7 +165,7 @@ impl Model for VirtModel {
                 }
             }
             VirtOp::Relocate { volume, offset } => {
-                let _ = self.mgr.relocate(VolumeId(volume), offset, self.scope.volume_extents);
+                let _ = self.mgr.relocate(VolumeId(volume), offset, VOLUME_EXTENTS);
                 let _ = offset;
             }
         }
@@ -218,38 +207,30 @@ impl Model for VirtModel {
 
 impl StandardModel for VirtModel {
     fn describe(&self, depth: usize) -> String {
-        let s = self.scope;
         format!(
-            "DMSD model, {} volumes × {} extents over a {}-extent pool, depth {depth}",
-            s.volumes, s.volume_extents, s.pool_extents
+            "DMSD model, {VOLUMES} volumes × {VOLUME_EXTENTS} extents over a {POOL_EXTENTS}-extent pool, depth {depth}"
         )
     }
 
     fn render_counterexample(&self, cx: &Counterexample<VirtOp>) -> String {
-        render_virt_trace(&cx.trace, self.scope, &cx.violations)
+        render_virt_trace(&cx.trace, &cx.violations)
     }
 }
 
 /// Render a DMSD counterexample trace as a ready-to-paste regression test.
-fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) -> String {
+fn render_virt_trace(trace: &[VirtOp], violations: &[String]) -> String {
     let mut out = violations_header(violations);
-    out.push_str(&format!(
-        "let mut m = VolumeManager::new(PhysicalPool::new({}, 1 << 20));\n",
-        scope.pool_extents
-    ));
-    for v in 0..scope.volumes {
-        out.push_str(&format!(
-            "m.create(\"vol{v}\", {v}, VolumeKind::DemandMapped, {}).unwrap();\n",
-            scope.volume_extents
-        ));
+    out.push_str(&format!("let mut m = VolumeManager::new(PhysicalPool::new({POOL_EXTENTS}, 1 << 20));\n"));
+    for v in 0..VOLUMES {
+        out.push_str(&format!("m.create(\"vol{v}\", {v}, VolumeKind::DemandMapped, {VOLUME_EXTENTS}).unwrap();\n"));
     }
     for op in trace {
         let line = match *op {
             VirtOp::Write { volume, offset } => {
-                format!("let _ = m.write(VolumeId({volume}), {offset}, {});", scope.run_len)
+                format!("let _ = m.write(VolumeId({volume}), {offset}, {RUN_LEN});")
             }
             VirtOp::Unmap { volume, offset } => {
-                format!("let _ = m.unmap(VolumeId({volume}), {offset}, {});", scope.run_len)
+                format!("let _ = m.unmap(VolumeId({volume}), {offset}, {RUN_LEN});")
             }
             VirtOp::Snapshot { volume } => format!("let _ = m.snapshot(VolumeId({volume}));"),
             VirtOp::DeleteOldestSnapshot { volume } => format!(
@@ -262,10 +243,9 @@ fn render_virt_trace(trace: &[VirtOp], scope: VirtScope, violations: &[String]) 
                  v.snapshots.last().map(|s| s.id)) {{ let _ = m.rollback(VolumeId({volume}), s); \
                  }}"
             ),
-            VirtOp::Relocate { volume, offset } => format!(
-                "let _ = m.relocate(VolumeId({volume}), {offset}, {});",
-                scope.volume_extents
-            ),
+            VirtOp::Relocate { volume, offset } => {
+                format!("let _ = m.relocate(VolumeId({volume}), {offset}, {VOLUME_EXTENTS});")
+            }
         };
         out.push_str(&line);
         out.push('\n');
@@ -281,13 +261,13 @@ mod tests {
 
     #[test]
     fn initial_state_conserves() {
-        let m = VirtModel::new(VirtScope::small());
+        let m = VirtModel::default();
         assert_eq!(m.audit_conservation(), Vec::<String>::new());
     }
 
     #[test]
     fn snapshot_and_redirect_keep_conservation() {
-        let mut m = VirtModel::new(VirtScope::small());
+        let mut m = VirtModel::default();
         assert!(m.apply(VirtOp::Write { volume: 0, offset: 0 }).is_empty());
         assert!(m.apply(VirtOp::Snapshot { volume: 0 }).is_empty());
         assert!(m.apply(VirtOp::Write { volume: 0, offset: 0 }).is_empty());
@@ -296,15 +276,13 @@ mod tests {
 
     #[test]
     fn tiny_exploration_is_clean() {
-        let scope =
-            VirtScope { volumes: 1, volume_extents: 4, pool_extents: 6, max_snapshots: 1, run_len: 2 };
         let result = explore_timed(
-            VirtModel::new(scope),
+            VirtModel::default(),
             Limits { max_depth: 5, max_states: 50_000 },
             || 0.0,
         );
         if let Some(cx) = &result.counterexample {
-            panic!("violation:\n{}", render_virt_trace(&cx.trace, scope, &cx.violations));
+            panic!("violation:\n{}", render_virt_trace(&cx.trace, &cx.violations));
         }
         assert!(result.states_visited > 50);
     }

@@ -4,7 +4,7 @@
 //! documented exit codes.
 
 use std::process::{Command, Output};
-use ys_check::{parse_args, run_named, run_standard, Invocation};
+use ys_check::{parse_args, run_named, Invocation};
 
 fn args(list: &[&str]) -> Result<Invocation, String> {
     parse_args(list.iter().map(|s| s.to_string()))
@@ -38,9 +38,8 @@ fn scope_flags_resize_only_the_models_that_have_those_dimensions() {
     let inv = args(&["--heal", "--blades", "4", "--pages", "3", "--depth", "2"]).unwrap();
     let run = run_named(inv.model, inv.scope, inv.limits, || 0.0).unwrap();
     assert!(run.rendered.starts_with("ys-check: heal model, 4 blades × 2 pages, 2-way writes, depth 2\n"));
-    let inv = args(&["--virt", "--blades", "4", "--depth", "2"]).unwrap();
-    let run = run_named(inv.model, inv.scope, inv.limits, || 0.0).unwrap();
-    assert_eq!(run.rendered, run_standard("virt", 2, 2_000_000).unwrap().rendered);
+    let fixed = args(&["--blades", "4", "--virt"]).unwrap_err();
+    assert_eq!(fixed, "--blades resizes the cache and heal models only; --virt has a fixed scope");
 }
 
 #[test]
@@ -52,10 +51,11 @@ fn conflicting_model_flags_exit_2_with_usage_and_help_exits_0() {
     assert!(err.starts_with("ys-check: --virt and --qos"), "{err}");
     assert!(err.contains("USAGE: ys-check [OPTIONS]"), "{err}");
 
-    // Retired flags, and scopes the models cannot run (no blades to build
-    // a cluster from; no pages or no depth: an empty space), leave through
-    // the same door, before any model runs.
-    let refused: [&[&str]; 7] = [
+    // Retired flags, scopes the models cannot run (no blades to build a
+    // cluster from; no pages or no depth: an empty space), and scope flags
+    // a fixed-scope model would ignore leave through the same door, before
+    // any model runs.
+    let refused: [&[&str]; 10] = [
         &["--nway", "2"],
         &["--max-states", "10"],
         &["--blades", "0"],
@@ -63,6 +63,9 @@ fn conflicting_model_flags_exit_2_with_usage_and_help_exits_0() {
         &["--pages", "0"],
         &["--heal", "--pages", "0"],
         &["--depth", "0"],
+        &["--virt", "--blades", "4", "--depth", "2"],
+        &["--qos", "--pages", "9"],
+        &["--capacity", "2", "--security"],
     ];
     for list in refused {
         let out = ys_check(list);

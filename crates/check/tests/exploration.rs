@@ -6,9 +6,7 @@
 //! prints the shortest violating trace as a ready-to-paste regression test —
 //! copy it into `tests/replays.rs` before fixing the bug.
 
-use ys_check::{
-    explore_timed, CacheModel, Limits, QosModel, QosScope, Scope, StandardModel, VirtModel, VirtScope,
-};
+use ys_check::{explore_timed, CacheModel, Limits, QosModel, Scope, StandardModel, VirtModel};
 
 #[test]
 fn cache_acceptance_scope_is_violation_free() {
@@ -77,9 +75,8 @@ fn cache_three_way_writes_are_violation_free() {
 
 #[test]
 fn dmsd_conservation_holds_through_depth_6() {
-    let scope = VirtScope::small();
     let result = explore_timed(
-        VirtModel::new(scope),
+        VirtModel::default(),
         Limits { max_depth: 6, max_states: 2_000_000 },
         || 0.0,
     );
@@ -87,7 +84,7 @@ fn dmsd_conservation_holds_through_depth_6() {
         panic!(
             "conservation violation after {} ops:\n{}",
             cx.trace.len(),
-            VirtModel::new(scope).render_counterexample(cx)
+            VirtModel::default().render_counterexample(cx)
         );
     }
     assert!(!result.truncated);
@@ -100,9 +97,8 @@ fn dmsd_conservation_holds_through_depth_6() {
 
 #[test]
 fn qos_admission_machine_holds_through_depth_7() {
-    let scope = QosScope::small();
     let result = explore_timed(
-        QosModel::new(scope),
+        QosModel::default(),
         Limits { max_depth: 7, max_states: 2_000_000 },
         || 0.0,
     );
@@ -110,7 +106,7 @@ fn qos_admission_machine_holds_through_depth_7() {
         panic!(
             "admission violation after {} ops:\n{}",
             cx.trace.len(),
-            QosModel::new(scope).render_counterexample(cx)
+            QosModel::default().render_counterexample(cx)
         );
     }
     assert!(!result.truncated, "depth-7 QoS scope must be explored exhaustively");

@@ -10,7 +10,7 @@
 
 use ys_check::cache_model::{CacheModel, Op, Scope};
 use ys_check::explore::Model;
-use ys_check::virt_model::{VirtModel, VirtOp, VirtScope};
+use ys_check::virt_model::{VirtModel, VirtOp};
 
 fn replay_cache(scope: Scope, trace: &[Op]) {
     let mut m = CacheModel::new(scope);
@@ -20,8 +20,8 @@ fn replay_cache(scope: Scope, trace: &[Op]) {
     }
 }
 
-fn replay_virt(scope: VirtScope, trace: &[VirtOp]) {
-    let mut m = VirtModel::new(scope);
+fn replay_virt(trace: &[VirtOp]) {
+    let mut m = VirtModel::default();
     for (i, &op) in trace.iter().enumerate() {
         let violations = m.apply(op);
         assert!(violations.is_empty(), "step {i} ({op:?}): {}", violations.join("; "));
@@ -90,36 +90,32 @@ fn dirty_pages_survive_eviction_pressure() {
 /// and TRIM back to empty.
 #[test]
 fn dmsd_snapshot_lifecycle_conserves_blocks() {
-    replay_virt(
-        VirtScope { volumes: 1, volume_extents: 4, pool_extents: 8, max_snapshots: 2, run_len: 2 },
-        &[
-            VirtOp::Write { volume: 0, offset: 0 },
-            VirtOp::Write { volume: 0, offset: 2 },
-            VirtOp::Snapshot { volume: 0 },
-            VirtOp::Write { volume: 0, offset: 0 }, // redirect-on-write
-            VirtOp::RollbackNewest { volume: 0 },
-            VirtOp::DeleteOldestSnapshot { volume: 0 },
-            VirtOp::Unmap { volume: 0, offset: 0 },
-            VirtOp::Unmap { volume: 0, offset: 2 },
-        ],
-    );
+    replay_virt(&[
+        VirtOp::Write { volume: 0, offset: 0 },
+        VirtOp::Write { volume: 0, offset: 2 },
+        VirtOp::Snapshot { volume: 0 },
+        VirtOp::Write { volume: 0, offset: 0 }, // redirect-on-write
+        VirtOp::RollbackNewest { volume: 0 },
+        VirtOp::DeleteOldestSnapshot { volume: 0 },
+        VirtOp::Unmap { volume: 0, offset: 0 },
+        VirtOp::Unmap { volume: 0, offset: 2 },
+    ]);
 }
 
-/// Overcommitted pool: two 4-extent volumes over 6 physical extents hit
-/// out-of-space on the later writes; failed allocations must not leak.
+/// Overcommitted pool: two full 4-extent volumes and a snapshot's
+/// redirects over 10 physical extents hit out-of-space; failed
+/// allocations must not leak.
 #[test]
 fn dmsd_out_of_space_leaks_nothing() {
-    replay_virt(
-        VirtScope { volumes: 2, volume_extents: 4, pool_extents: 6, max_snapshots: 1, run_len: 2 },
-        &[
-            VirtOp::Write { volume: 0, offset: 0 },
-            VirtOp::Write { volume: 0, offset: 2 },
-            VirtOp::Write { volume: 1, offset: 0 },
-            VirtOp::Write { volume: 1, offset: 2 }, // pool exhausted
-            VirtOp::Snapshot { volume: 0 },
-            VirtOp::Write { volume: 0, offset: 0 }, // redirect also exhausted
-            VirtOp::Unmap { volume: 0, offset: 2 },
-            VirtOp::Write { volume: 1, offset: 2 }, // freed space reusable
-        ],
-    );
+    replay_virt(&[
+        VirtOp::Write { volume: 0, offset: 0 },
+        VirtOp::Write { volume: 0, offset: 2 },
+        VirtOp::Write { volume: 1, offset: 0 },
+        VirtOp::Write { volume: 1, offset: 2 },
+        VirtOp::Snapshot { volume: 0 },
+        VirtOp::Write { volume: 0, offset: 0 }, // redirect takes the last 2 extents
+        VirtOp::Write { volume: 0, offset: 2 }, // pool exhausted
+        VirtOp::Unmap { volume: 1, offset: 2 },
+        VirtOp::Write { volume: 0, offset: 2 }, // freed space reusable
+    ]);
 }

@@ -31,6 +31,7 @@ use ys_qos::{AdmissionController, ShedReason};
 use ys_raid::Geometry;
 use ys_simcore::stats::{LatencyHisto, RateMeter};
 use ys_simcore::time::{SimDuration, SimTime};
+use ys_simcore::TRACE_CAPACITY;
 use ys_simdisk::{DiskFarm, DiskId, DiskSpec};
 use ys_simnet::{catalog, Fabric, Link, LinkSpec};
 use ys_virt::{PhysicalPool, VirtError, VolumeManager};
@@ -335,15 +336,15 @@ impl BladeCluster {
 
     /// Enable structured tracing across the cluster's subsystems: cache
     /// directory transitions, DMSD allocations, and disk-side FC transfers.
-    /// `capacity` bounds each subsystem's ring. Purely observational — no
-    /// simulated time or random draws change.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.cache.trace_mut().enable(capacity);
+    /// Each subsystem's ring holds [`TRACE_CAPACITY`] events. Purely
+    /// observational — no simulated time or random draws change.
+    pub fn enable_tracing(&mut self) {
+        self.cache.trace_mut().enable(TRACE_CAPACITY);
         for g in &mut self.groups {
-            g.volumes.trace_mut().enable(capacity);
+            g.volumes.trace_mut().enable(TRACE_CAPACITY);
         }
         for (b, l) in self.disk_links.iter_mut().enumerate() {
-            l.enable_trace(b as u32, capacity);
+            l.enable_trace(b as u32);
         }
     }
 

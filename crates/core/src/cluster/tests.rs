@@ -339,6 +339,18 @@ fn no_blades_up_errors() {
 }
 
 #[test]
+fn total_blade_loss_refuses_service_until_repair() {
+    let (mut c, vol) = small();
+    for b in 0..4 {
+        c.fail_blade(SimTime::ZERO, b);
+    }
+    assert!(matches!(c.write(SimTime::ZERO, 0, vol, 0, 4096, 1, Retention::Normal), Err(ClusterError::NoBladesUp)));
+    c.repair_blade(0);
+    let w = c.write(SimTime::ZERO, 0, vol, 0, 4096, 1, Retention::Normal).expect("service resumes after repair");
+    c.read(w.done, 1, vol, 0, 4096).expect("the repaired blade serves reads");
+}
+
+#[test]
 fn dmsd_allocation_happens_on_write() {
     let (mut c, vol) = small();
     assert_eq!(c.pool_used_extents(), 0);

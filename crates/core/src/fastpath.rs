@@ -45,22 +45,12 @@ impl Default for FastPathConfig {
 }
 
 /// Deliver a large object of `object_bytes` through the striped fast path;
-/// returns the achieved stream rate.
-pub fn deliver_stream(cfg: &FastPathConfig, object_bytes: u64) -> StreamResult {
-    deliver_stream_traced(cfg, object_bytes, 0).0
-}
-
-/// [`deliver_stream`] with per-link tracing for the observability layer:
-/// with `trace_capacity > 0` every FC link, the PCI-X bus, and the output
-/// port record their transfer spans. Lanes: blade *b*'s FC port *p* is
-/// `b * ports + p`, the bus is `1000`, the output port `1001`. Also returns
-/// how many events overflowed the rings. Tracing never changes the
-/// simulated timings — `deliver_stream` is this with capacity 0.
-pub fn deliver_stream_traced(
-    cfg: &FastPathConfig,
-    object_bytes: u64,
-    trace_capacity: usize,
-) -> (StreamResult, Vec<SpanEvent>, u64) {
+/// returns the achieved stream rate, the transfer spans every FC link, the
+/// PCI-X bus and the output port recorded, and how many events overflowed
+/// the rings. Lanes: blade *b*'s FC port *p* is `b * ports + p`, the bus is
+/// `1000`, the output port `1001`. Tracing never changes the simulated
+/// timings.
+pub fn deliver_stream(cfg: &FastPathConfig, object_bytes: u64) -> (StreamResult, Vec<SpanEvent>, u64) {
     assert!(cfg.blades > 0 && cfg.fc_ports_per_blade > 0);
     // Per-blade FC feed: each blade owns `fc_ports_per_blade` FC links and
     // alternates segments across them. Payload rate (1.7 Gb/s after 8b/10b)
@@ -71,15 +61,13 @@ pub fn deliver_stream_traced(
         .collect();
     let mut bus = SharedBus::new(catalog::pci_x_266_bus());
     let mut port = Link::new(catalog::ten_gigabit_ethernet());
-    if trace_capacity > 0 {
-        for (b, links) in fc_links.iter_mut().enumerate() {
-            for (p, l) in links.iter_mut().enumerate() {
-                l.enable_trace((b * cfg.fc_ports_per_blade + p) as u32, trace_capacity);
-            }
+    for (b, links) in fc_links.iter_mut().enumerate() {
+        for (p, l) in links.iter_mut().enumerate() {
+            l.enable_trace((b * cfg.fc_ports_per_blade + p) as u32);
         }
-        bus.enable_trace(1000, trace_capacity);
-        port.enable_trace(1001, trace_capacity);
     }
+    bus.enable_trace(1000);
+    port.enable_trace(1001);
 
     let plan = plan_stream(object_bytes, None, SEGMENT_BYTES, cfg.blades);
     let mut last_arrival = SimTime::ZERO;
@@ -126,7 +114,7 @@ mod tests {
 
     fn run(blades: usize) -> StreamResult {
         let cfg = FastPathConfig { blades, ..FastPathConfig::default() };
-        deliver_stream(&cfg, 1 << 30) // 1 GiB stream
+        deliver_stream(&cfg, 1 << 30).0 // 1 GiB stream
     }
 
     #[test]
@@ -166,7 +154,7 @@ mod tests {
     #[test]
     fn stream_is_complete_and_in_order() {
         let cfg = FastPathConfig::default();
-        let r = deliver_stream(&cfg, 10_000_001);
+        let r = deliver_stream(&cfg, 10_000_001).0;
         assert_eq!(r.bytes, 10_000_001, "every byte delivered");
     }
 }

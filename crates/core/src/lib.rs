@@ -36,7 +36,6 @@ pub mod harness;
 pub mod legacy;
 pub mod netstorage;
 pub mod rebuild;
-pub mod scenario;
 pub mod services;
 
 pub use admin::{AdminError, AdminOp, AdminOutcome, ManagementPlane};
@@ -44,10 +43,9 @@ pub use cluster::{
     BladeCluster, ClusterError, ClusterStats, Completion, PageVerify, RaidGroup, ReadMismatch,
 };
 pub use config::{ClusterConfig, EncryptionConfig, LoadBalance, EXTENT_BYTES, PAGE_BYTES};
-pub use fastpath::{deliver_stream, deliver_stream_traced, FastPathConfig, StreamResult};
+pub use fastpath::{deliver_stream, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
 pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};
 pub use netstorage::{DisasterReport, GeoStats, NetError, NetStorage, NetStorageConfig, SiteReport, SystemReport};
 pub use rebuild::Rebuilder;
-pub use scenario::{run_scenario, ScenarioResult};
 pub use services::{run_service, ServiceJob, ServiceResult};

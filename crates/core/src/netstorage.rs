@@ -9,6 +9,7 @@ use ys_geo::{place, AccessKind, DistributedAccess, Placement, ReplicationEngine,
 use ys_pfs::{FileExtent, FilePolicy, FileSystem, FsError, Ino};
 use ys_simcore::stats::LatencyHisto;
 use ys_simcore::time::{SimDuration, SimTime};
+use ys_simcore::TRACE_CAPACITY;
 use ys_simnet::Link;
 use ys_virt::VolumeId;
 
@@ -183,19 +184,19 @@ impl NetStorage {
     /// Enable structured tracing across the whole multi-site system: the
     /// replication engine's batch instants, every WAN link's transfer spans
     /// (lane = `src * nsites + dst`), and each site cluster's internal
-    /// tracing. `capacity` bounds every ring individually.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.repl.trace_mut().enable(capacity);
+    /// tracing. Every ring holds [`TRACE_CAPACITY`] events.
+    pub fn enable_tracing(&mut self) {
+        self.repl.trace_mut().enable(TRACE_CAPACITY);
         let nsites = self.clusters.len();
         for (s, row) in self.wan.iter_mut().enumerate() {
             for (d, l) in row.iter_mut().enumerate() {
                 if let Some(l) = l {
-                    l.enable_trace((s * nsites + d) as u32, capacity);
+                    l.enable_trace((s * nsites + d) as u32);
                 }
             }
         }
         for c in &mut self.clusters {
-            c.enable_tracing(capacity);
+            c.enable_tracing();
         }
     }
 

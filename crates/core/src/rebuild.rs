@@ -4,6 +4,7 @@
 use crate::cluster::{BladeCluster, ClusterError};
 use ys_raid::{rebuild_batch_plan, RebuildCoordinator};
 use ys_simcore::time::SimTime;
+use ys_simcore::TRACE_CAPACITY;
 use ys_simdisk::DiskId;
 
 /// A running distributed rebuild.
@@ -41,9 +42,9 @@ impl Rebuilder {
     }
 
     /// Enable structured tracing of rebuild phases (claim / complete /
-    /// requeue instants on the coordinator).
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.coord.trace_mut().enable(capacity);
+    /// requeue instants on the coordinator), [`TRACE_CAPACITY`] events deep.
+    pub fn enable_tracing(&mut self) {
+        self.coord.trace_mut().enable(TRACE_CAPACITY);
     }
 
     /// Drain the rebuild trace ring: (events, dropped count).

@@ -10,7 +10,6 @@
 //!   (uniform, exponential, log-normal, [`Zipf`] hot-spot skew);
 //! * [`stats`] — counters, latency histograms, rate meters, and the
 //!   [`Series`] text tables benches print;
-//! * [`fault`] — deterministic failure-injection [`FaultPlan`]s;
 //! * [`trace`] — the [`SpanRecorder`] event spine replay and chaos testing
 //!   hang off.
 //!
@@ -19,15 +18,13 @@
 //! simulation substrate.
 
 pub mod engine;
-pub mod fault;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use engine::Engine;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, FaultTarget};
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series};
 pub use time::{Bandwidth, SimDuration, SimTime};
-pub use trace::{SpanEvent, SpanRecorder};
+pub use trace::{SpanEvent, SpanRecorder, TRACE_CAPACITY};

@@ -60,14 +60,19 @@ pub struct SpanRecorder {
     tripped: Vec<&'static str>,
 }
 
+/// Ring capacity of every traced component: each link, cache directory,
+/// volume manager, rebuild coordinator and replication engine that turns
+/// tracing on keeps at most this many events before dropping the oldest.
+pub const TRACE_CAPACITY: usize = 8192;
+
 impl SpanRecorder {
     /// A disabled recorder: every emit is a single branch, no allocation.
     pub fn disabled() -> SpanRecorder {
         SpanRecorder::default()
     }
 
-    /// Enable recording with a fixed ring capacity. `capacity == 0` leaves
-    /// the recorder disabled (convenient for "trace capacity" knobs).
+    /// Enable recording with a fixed ring capacity (components use
+    /// [`TRACE_CAPACITY`]). `capacity == 0` leaves the recorder disabled.
     pub fn enable(&mut self, capacity: usize) {
         self.enabled = capacity > 0;
         self.capacity = capacity;

@@ -71,8 +71,8 @@ impl SharedBus {
     }
 
     /// Enable transfer tracing on the shared serialization resource.
-    pub fn enable_trace(&mut self, lane: u32, capacity: usize) {
-        self.link.enable_trace(lane, capacity);
+    pub fn enable_trace(&mut self, lane: u32) {
+        self.link.enable_trace(lane);
     }
 
     pub fn link_mut(&mut self) -> &mut Link {

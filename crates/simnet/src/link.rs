@@ -7,7 +7,7 @@
 //! serializing, and arrive at the far end?*
 
 use ys_simcore::time::{Bandwidth, SimDuration, SimTime};
-use ys_simcore::SpanRecorder;
+use ys_simcore::{SpanRecorder, TRACE_CAPACITY};
 
 /// Immutable description of a link's performance envelope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,9 +65,9 @@ impl Link {
 
     /// Enable structured tracing of transfers on this link, labelling its
     /// events with `lane` (a port / blade / hop index for chrome://tracing).
-    pub fn enable_trace(&mut self, lane: u32, capacity: usize) {
+    pub fn enable_trace(&mut self, lane: u32) {
         self.lane = lane;
-        self.trace.enable(capacity);
+        self.trace.enable(TRACE_CAPACITY);
     }
 
     /// Structured trace of transfer spans (disabled by default).

@@ -18,7 +18,7 @@ fn main() {
     println!("{:>8} {:>12} {:>14} {:>14}", "blades", "Gb/s", "bus util", "port util");
     for blades in 1..=6 {
         let cfg = FastPathConfig { blades, ..FastPathConfig::default() };
-        let r = deliver_stream(&cfg, 2 * GB);
+        let (r, _, _) = deliver_stream(&cfg, 2 * GB);
         println!(
             "{:>8} {:>12.2} {:>14.2} {:>14.2}",
             blades, r.gbit_per_sec, r.bus_utilization, r.port_utilization
