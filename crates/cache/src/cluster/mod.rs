@@ -133,8 +133,9 @@ pub(crate) struct BladeSlot {
     /// The blade's page table: every resident page's [`PageMeta`], the
     /// clean pages in recency order by retention band, and the held list —
     /// exactly the pages whose residency is [`Residency::held`]. Sweeps
-    /// whose order reaches a report (blade failure, drain, the audit,
-    /// `resident_pages_iter`) walk it in key order through [`LruList::iter`].
+    /// whose order reaches a report (blade failure, drain,
+    /// `resident_pages_iter`) walk it in key order through [`LruList::iter`];
+    /// the audit walks it in slab order and sorts what it finds.
     pub(crate) lru: LruList<PageKey, PageMeta>,
     pub(crate) state: BladeState,
 }

@@ -6,8 +6,14 @@
 //! §2.2), and the home's directory entry records the set of sharers, the
 //! dirty owner (if modified), the write version, and where dirty replicas
 //! live (§6.1).
+//!
+//! The entries sit in a dense slab behind one fixed-hasher index, so a
+//! lookup, an insert and a removal are one probe each; the walks whose
+//! order can reach behaviour or output go through [`Directory::iter`], in
+//! key order.
 
-use std::collections::BTreeMap;
+use crate::slab::{FixedHash, KeyOrder, Slot};
+use std::collections::HashMap; // lint: allow(unordered-iteration) — fixed hasher, never iterated: key order comes from the slab walk
 
 /// Global cache-page key: (volume, page index within volume).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -75,38 +81,58 @@ impl DirEntry {
 #[derive(Clone, Debug)]
 pub struct Directory {
     blades: usize,
-    /// Ordered: [`Directory::iter`] feeds the ys-chaos recovery oracle and
-    /// destage scans, so its order must not depend on a hasher seed.
-    entries: BTreeMap<PageKey, DirEntry>,
+    /// Every entry, packed in no particular order: a removal moves the last
+    /// one into the hole. [`Directory::iter`] walks it in key order, since
+    /// that walk feeds ys-check's canonical hash and the ys-chaos oracle,
+    /// whose output must not depend on the history of the table.
+    slab: Vec<(PageKey, DirEntry)>,
+    /// Key → slab position; lookup-only.
+    index: HashMap<PageKey, u32, FixedHash>, // lint: allow(unordered-iteration) — never iterated: key order comes from the slab walk
     shard_lookups: Vec<u64>,
 }
 
 impl Directory {
     pub fn new(blades: usize) -> Directory {
         assert!(blades > 0);
-        Directory { blades, entries: BTreeMap::new(), shard_lookups: vec![0; blades] }
+        Directory {
+            blades,
+            slab: Vec::new(),
+            index: HashMap::default(), // lint: allow(unordered-iteration) — fixed hasher, never iterated
+            shard_lookups: vec![0; blades],
+        }
     }
 
     pub fn entry(&mut self, key: PageKey) -> &mut DirEntry {
         self.shard_lookups[key.home(self.blades)] += 1;
-        self.entries.entry(key).or_default()
+        let slab = &mut self.slab;
+        let idx = *self.index.entry(key).or_insert_with(|| {
+            slab.push((key, DirEntry::default()));
+            (slab.len() - 1) as u32
+        });
+        &mut self.slab[idx as usize].1
     }
 
     pub fn get(&self, key: &PageKey) -> Option<&DirEntry> {
-        self.entries.get(key)
+        self.index.get(key).map(|&idx| &self.slab[idx as usize].1)
     }
 
     pub fn remove(&mut self, key: &PageKey) {
-        self.entries.remove(key);
+        let Some(idx) = self.index.remove(key) else { return };
+        self.slab.swap_remove(idx as usize);
+        if let Some((moved, _)) = self.slab.get(idx as usize) {
+            if let Some(at) = self.index.get_mut(moved) {
+                *at = idx;
+            }
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slab.len()
     }
 
     // lint: allow(dead-pub) — (e) clippy's len_without_is_empty pairs it with the live pub len
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slab.is_empty()
     }
 
     /// Directory lookups served per home shard — E5's evidence that
@@ -115,9 +141,25 @@ impl Directory {
         &self.shard_lookups
     }
 
-    /// Iterate entries in page-key order (deterministic across runs).
+    /// Every entry in no particular order, for a caller whose result does
+    /// not depend on it.
+    pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
+        self.slab.iter().map(|(key, e)| (key, e))
+    }
+
+    /// Iterate entries in page-key order (deterministic across runs; see
+    /// `slab::KeyOrder`: directories of at most 16 entries are walked without
+    /// allocating).
     pub fn iter(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
-        self.entries.iter()
+        KeyOrder::new(&self.slab, self.slab.len()).map(|(key, e)| (key, e))
+    }
+}
+
+impl Slot for (PageKey, DirEntry) {
+    type Key = PageKey;
+
+    fn key(&self) -> Option<&PageKey> {
+        Some(&self.0)
     }
 }
 

@@ -8,10 +8,12 @@
 //!
 //! Each rule has one body, reached two ways. [`audit`] — the full scan —
 //! walks every directory entry, every resident page and every blade; it is
-//! the specification and the only reporter. `audit_touched` runs the same
-//! bodies over just the pages a cluster's change journal names, plus the
-//! O(blades) structural rules: what [`CacheCluster::audit_checkpoint`] asks
-//! first, so a caller that audits after every step pays for what changed.
+//! the specification and the only reporter. It walks each table in slab
+//! order and sorts what it finds into page-key order, so a clean scan pays
+//! for no sort. `audit_touched` runs the same bodies over just the pages a
+//! cluster's change journal names, plus the O(blades) structural rules:
+//! what [`CacheCluster::audit_checkpoint`] asks first, so a caller that
+//! audits after every step pays for what changed.
 //! Anything it finds — or a journal that is closed — sends the checkpoint
 //! back to the full scan, whose answer is returned verbatim.
 
@@ -146,20 +148,31 @@ fn stale_queue_entry(key: PageKey, missing: usize) -> Violation {
     }
 }
 
-/// Directory-side rules: each entry's holder sets against blade contents.
+/// Run the per-page rules `check` pushes, over a table walked in slab
+/// order (which costs no sort), and report what they found in page-key
+/// order. Each violation names its page, and one page's violations come
+/// from one visit, so a stable sort by page is the order a key-order walk
+/// would have reported them in.
+fn in_key_order(out: &mut Vec<Violation>, check: impl FnOnce(&mut Vec<Violation>)) {
+    let start = out.len();
+    check(out);
+    out[start..].sort_by_key(|v| v.key);
+}
+
+/// Directory-side rules: each entry's holder sets against blade contents,
+/// and the heal queue against the entries.
 fn audit_directory(cluster: &CacheCluster, out: &mut Vec<Violation>) {
-    // Both maps are key-ordered: the heal queue is checked by walking it
-    // alongside the directory.
-    let mut queue = cluster.deficit.iter().peekable();
-    for (key, e) in cluster.directory.iter() {
-        let key = *key;
-        while let Some((&k, &missing)) = queue.next_if(|(&k, _)| k < key) {
-            out.push(stale_queue_entry(k, missing));
+    in_key_order(out, |out| {
+        for (key, e) in cluster.directory.iter_unordered() {
+            let queued = cluster.deficit.get(key).copied().unwrap_or(0);
+            audit_entry(cluster, *key, e, queued, out);
         }
-        let queued = queue.next_if(|(&k, _)| k == key).map_or(0, |(_, &missing)| missing);
-        audit_entry(cluster, key, e, queued, out);
-    }
-    out.extend(queue.map(|(&k, &missing)| stale_queue_entry(k, missing)));
+        for (&key, &missing) in &cluster.deficit {
+            if cluster.directory.get(&key).is_none() {
+                out.push(stale_queue_entry(key, missing));
+            }
+        }
+    });
 }
 
 /// One directory entry: its heal-queue count (`queued`, 0 when absent)
@@ -313,9 +326,11 @@ fn audit_entry(cluster: &CacheCluster, key: PageKey, e: &DirEntry, queued: usize
 /// that justifies its residency.
 fn audit_residency(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
-        for (key, meta) in slot.lru.iter() {
-            audit_resident(cluster, b, *key, meta, out);
-        }
+        in_key_order(out, |out| {
+            for (key, meta) in slot.lru.iter_unordered() {
+                audit_resident(cluster, b, *key, meta, out);
+            }
+        });
     }
 }
 
@@ -342,9 +357,11 @@ fn audit_resident(cluster: &CacheCluster, b: usize, key: PageKey, meta: &PageMet
 fn audit_blades(cluster: &CacheCluster, out: &mut Vec<Violation>) {
     for (b, slot) in cluster.blades.iter().enumerate() {
         let mut held = 0;
-        for (key, meta) in slot.lru.iter() {
-            held += usize::from(audit_held(slot, b, *key, meta, out));
-        }
+        in_key_order(out, |out| {
+            for (key, meta) in slot.lru.iter_unordered() {
+                held += usize::from(audit_held(slot, b, *key, meta, out));
+            }
+        });
         audit_blade_totals(slot, b, held, out);
     }
 }
@@ -605,6 +622,76 @@ mod tests {
         // The checkpoint's held-list walk finds the clean page without a note.
         let walked = audit_touched(&c, &[]);
         assert!(walked.iter().any(|v| v.invariant == Invariant::HeldAgreement && v.blade == Some(0)), "{walked:?}");
+    }
+
+    /// The slow definition `audit`'s slab-order walks replace: every table
+    /// walked in key order, the heal queue merged alongside the directory.
+    fn audit_by_key_order(cluster: &CacheCluster) -> Vec<Violation> {
+        let mut out = Vec::new();
+        let mut queue = cluster.deficit.iter().peekable();
+        for (&key, e) in cluster.directory.iter() {
+            while let Some((&k, &missing)) = queue.next_if(|(&k, _)| k < key) {
+                out.push(stale_queue_entry(k, missing));
+            }
+            let queued = queue.next_if(|(&k, _)| k == key).map_or(0, |(_, &missing)| missing);
+            audit_entry(cluster, key, e, queued, &mut out);
+        }
+        out.extend(queue.map(|(&k, &missing)| stale_queue_entry(k, missing)));
+        for (b, slot) in cluster.blades.iter().enumerate() {
+            for (key, meta) in slot.lru.iter() {
+                audit_resident(cluster, b, *key, meta, &mut out);
+            }
+        }
+        for (b, slot) in cluster.blades.iter().enumerate() {
+            let held = slot.lru.iter().filter(|&(key, meta)| audit_held(slot, b, *key, meta, &mut out)).count();
+            audit_blade_totals(slot, b, held, &mut out);
+        }
+        audit_losses(cluster, &mut out);
+        out
+    }
+
+    /// `audit` reports what the key-order scan reports, in its order, on
+    /// clusters broken in many places at once: directory entries, page
+    /// metadata, held lists and the heal queue, on tables large enough
+    /// (up to 40 pages a blade) that slab order is far from key order.
+    #[test]
+    fn the_slab_order_audit_reports_in_key_order() {
+        let mut several = 0;
+        for seed in 0..64u64 {
+            let mut rng = ys_simcore::Rng::new(seed);
+            let mut c = CacheCluster::new(3, 40);
+            for _ in 0..120 {
+                let (blade, page) = (rng.next_below(3) as usize, rng.next_below(60));
+                let _ = match rng.next_below(3) {
+                    0 => c.write(blade, key(page), 2, Retention::Normal).map(drop),
+                    1 => c.fill(blade, key(page), Retention::Normal).map(drop),
+                    _ => c.destage(key(page)),
+                };
+            }
+            assert_eq!(audit(&c), vec![], "seed {seed}: the protocol alone breaks nothing");
+            for _ in 0..1 + rng.next_below(12) {
+                let (blade, page) = (rng.next_below(3) as usize, rng.next_below(60));
+                match rng.next_below(5) {
+                    0 => c.directory.entry(key(page)).sharers.push(blade),
+                    1 => c.directory.entry(key(page)).version += 1,
+                    2 => {
+                        if let Some(meta) = c.blades[blade].lru.get_mut(&key(page)) {
+                            meta.version += 1;
+                        }
+                    }
+                    3 => {
+                        c.blades[blade].lru.release(&key(page), Retention::Low);
+                    }
+                    _ => {
+                        c.deficit.insert(key(page), 1);
+                    }
+                }
+            }
+            let (fast, slow) = (audit(&c), audit_by_key_order(&c));
+            assert_eq!(fast, slow, "seed {seed}");
+            several += usize::from(fast.len() > 1);
+        }
+        assert!(several >= 48, "only {several} of 64 clusters broke in more than one place");
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub mod directory;
 pub mod heat;
 pub mod invariants;
 pub mod lru;
+mod slab;
 
 pub use cluster::{
     BladeCacheStats, BladeState, CacheCluster, CacheError, CacheStats, DrainReport, FailureReport,

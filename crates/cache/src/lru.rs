@@ -12,8 +12,9 @@
 //! table is the one index over what it holds: a lookup, a touch and an
 //! update are one probe of one hashed index.
 
+use crate::slab::{FixedHash, KeyOrder, Slot};
 use std::collections::HashMap; // lint: allow(unordered-iteration) — fixed hasher, walked only in key order (see `index`)
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::Hash;
 
 /// Cache retention priority (§4 extended metadata). Order matters:
 /// `Low` evicts first, `Pinned` never auto-evicts.
@@ -32,40 +33,6 @@ const HELD: u8 = BANDS as u8;
 const FREE: u8 = u8::MAX;
 /// The null link.
 const NIL: u32 = u32::MAX;
-/// Tables of at most this many keys are walked in key order in place;
-/// larger ones sort their slab positions once per walk.
-const WALK_IN_PLACE: usize = 16;
-
-/// A fixed, seedless multiplicative hasher (the Fx mixing step): the same
-/// key lands in the same bucket in every process and every run, and costs
-/// one multiply per word to hash.
-#[derive(Clone, Copy, Debug, Default)]
-struct MulHasher(u64);
-
-impl Hasher for MulHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.write_u64(n.into());
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-
-    /// The product's high bits are its best mixed; rotate them down to the
-    /// bucket-index end.
-    fn finish(&self) -> u64 {
-        self.0.rotate_left(26)
-    }
-}
-
 #[derive(Clone, Debug)]
 struct Node<K, V> {
     key: K,
@@ -98,7 +65,7 @@ pub struct LruList<K: Eq + Hash + Clone, V = ()> {
     /// Key → slab position. Lookup-only with a fixed hasher: recency order
     /// lives in the slab links and key order comes from [`LruList::iter`],
     /// so nothing ever walks this map.
-    index: HashMap<K, u32, BuildHasherDefault<MulHasher>>, // lint: allow(unordered-iteration) — never iterated
+    index: HashMap<K, u32, FixedHash>, // lint: allow(unordered-iteration) — never iterated
     /// The retention bands, then the held list.
     bands: [BandList; BANDS + 1],
 }
@@ -310,23 +277,20 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
         })
         .map(move |idx| &self.slab[idx as usize])
     }
+
+    /// Every entry in no particular order, for a caller whose result does
+    /// not depend on it.
+    pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        self.slab.iter().filter(|n| n.band != FREE).map(|n| (&n.key, &n.value))
+    }
 }
 
 impl<K: Eq + Hash + Clone + Ord, V> LruList<K, V> {
     /// Every entry in key order: the one walk whose order may reach
-    /// behaviour or output. A table of at most 16 keys is walked in place
-    /// (each step scans the slab for the next key), so the model checker's
-    /// tiny tables never allocate; a larger one sorts its slab positions.
-    pub fn iter(&self) -> Iter<'_, K, V> {
-        let walk = if self.len() <= WALK_IN_PLACE {
-            Walk::InPlace { last: None, left: self.len() }
-        } else {
-            let mut order: Vec<u32> =
-                (0..self.slab.len() as u32).filter(|&i| self.slab[i as usize].band != FREE).collect();
-            order.sort_unstable_by(|&a, &b| self.slab[a as usize].key.cmp(&self.slab[b as usize].key));
-            Walk::Sorted(order.into_iter())
-        };
-        Iter { slab: &self.slab, walk }
+    /// behaviour or output (`slab::KeyOrder`: tables of at most 16 keys are
+    /// walked without allocating).
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> + '_ {
+        KeyOrder::new(&self.slab, self.len()).map(|n| (&n.key, &n.value))
     }
 }
 
@@ -338,55 +302,11 @@ impl<K: Eq + Hash + Clone> LruList<K> {
     }
 }
 
-/// [`LruList::iter`]'s key-order walk.
-pub struct Iter<'a, K, V> {
-    slab: &'a [Node<K, V>],
-    walk: Walk,
-}
+impl<K: Ord, V> Slot for Node<K, V> {
+    type Key = K;
 
-enum Walk {
-    /// Each step yields the least live key above the last one yielded.
-    InPlace { last: Option<usize>, left: usize },
-    /// Slab positions of the live nodes, sorted by key.
-    Sorted(std::vec::IntoIter<u32>),
-}
-
-impl<'a, K: Ord, V> Iterator for Iter<'a, K, V> {
-    type Item = (&'a K, &'a V);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let slab = self.slab;
-        let idx = match &mut self.walk {
-            Walk::InPlace { last, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let floor = last.map(|i| &slab[i].key);
-                let mut best: Option<usize> = None;
-                for (idx, n) in slab.iter().enumerate() {
-                    if n.band == FREE || floor.is_some_and(|f| n.key <= *f) {
-                        continue;
-                    }
-                    if best.is_none_or(|b| n.key < slab[b].key) {
-                        best = Some(idx);
-                    }
-                }
-                *left -= 1;
-                *last = best;
-                best?
-            }
-            Walk::Sorted(order) => order.next()? as usize,
-        };
-        let n = &slab[idx];
-        Some((&n.key, &n.value))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        let left = match &self.walk {
-            Walk::InPlace { left, .. } => *left,
-            Walk::Sorted(order) => order.len(),
-        };
-        (left, Some(left))
+    fn key(&self) -> Option<&K> {
+        (self.band != FREE).then_some(&self.key)
     }
 }
 

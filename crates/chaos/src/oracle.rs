@@ -20,7 +20,7 @@
 //!   absorb them; `Premium` is never shed.
 
 use std::collections::BTreeMap;
-use ys_cache::PageKey;
+use ys_cache::{CacheCluster, PageKey, Retention};
 use ys_core::BladeCluster;
 
 /// One broken promise, attributed to the step and site where it surfaced.
@@ -73,13 +73,8 @@ impl SiteShadow {
         let dir = cache.directory();
         self.budgets.retain(|key, _| dir.get(key).map(|e| e.owner.is_some()).unwrap_or(false));
         let owned = || (0..cache.blade_count()).flat_map(|b| cache.dirty_pages(b));
-        debug_assert_eq!(
-            {
-                let mut held: Vec<PageKey> = owned().collect();
-                held.sort_unstable();
-                held
-            },
-            dir.iter().filter(|(_, e)| e.owner.is_some()).map(|(k, _)| *k).collect::<Vec<_>>(),
+        debug_assert!(
+            held_lists_name_the_owned_pages(cache),
             "the held lists name exactly the pages the directory gives an owner"
         );
         for key in owned() {
@@ -161,6 +156,40 @@ impl SiteShadow {
         }
         (legal, benign)
     }
+}
+
+/// Whether the blades' held lists name exactly the pages the directory
+/// gives an owner, each on its owner's list: the shortcut
+/// [`SiteShadow::refresh`] takes, against its definition. Debug builds ask
+/// it on every refresh, so it counts the owned entries without a key-order
+/// walk of the directory: each entry is found from the blade lists that
+/// hold it and counted once, at its first holder (the owner, else the
+/// first sharer). Only when that misses an entry, because no list of its
+/// first holder names it, are the owners counted by the key-order walk.
+fn held_lists_name_the_owned_pages(cache: &CacheCluster) -> bool {
+    const BANDS: [Retention; 4] = [Retention::Low, Retention::Normal, Retention::High, Retention::Pinned];
+    let dir = cache.directory();
+    let mut held = 0;
+    let (mut seen, mut owned) = (0, 0);
+    for b in 0..cache.blade_count() {
+        let dirty = cache.dirty_pages(b);
+        if !dirty.iter().all(|key| dir.get(key).is_some_and(|e| e.owner == Some(b))) {
+            return false;
+        }
+        held += dirty.len();
+        // A blade keeps each key on one list at most: a band or the held list.
+        let clean = BANDS.iter().flat_map(|&r| cache.lru_order_iter(b, r));
+        for e in clean.chain(&dirty).filter_map(|key| dir.get(key)) {
+            if e.owner.or(e.sharers.first().copied()) == Some(b) {
+                seen += 1;
+                owned += usize::from(e.owner.is_some());
+            }
+        }
+    }
+    if seen < dir.len() {
+        owned = dir.iter().filter(|(_, e)| e.owner.is_some()).count();
+    }
+    held == owned
 }
 
 /// Structural audit of one site: invariants, unacknowledged tombstones.

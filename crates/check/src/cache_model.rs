@@ -319,9 +319,10 @@ pub(crate) fn hash_cluster(
             }
         }
 
-        // Directory: the underlying map is key-ordered, so iteration is
-        // already canonical. Sharer and replica lists keep their stored
-        // order: replica order decides promotion on failure.
+        // Directory: `iter` walks the entries in key order (in place for
+        // the model's tiny directories), so iteration is canonical. Sharer
+        // and replica lists keep their stored order: replica order decides
+        // promotion on failure.
         for (key, e) in cluster.directory().iter() {
             h.write_u64(key.page);
             match e.owner {

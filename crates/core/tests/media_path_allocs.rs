@@ -1,7 +1,7 @@
 //! The gate that keeps a page's trip to the media off the heap: under a
 //! counting allocator, the scrub probe and the scrub rewrite of a warm
 //! cluster allocate nothing, and a cold read and a write allocate only
-//! what `ys-cache`'s directory does for its entries and B-tree nodes. The
+//! the sharer and replica lists of `ys-cache`'s directory entries. The
 //! cache's own hits stay off it too: a warm local hit allocates nothing,
 //! and a remote hit that evicts almost never does.
 //!
@@ -133,7 +133,7 @@ fn a_warm_page_trip_allocates_nothing() {
     });
     assert!(c.stats.reads_from_disk - from_disk > OPS * 9 / 10, "the reads were cold");
     assert_eq!(c.stats.pages_deciphered, c.stats.reads_from_disk, "every disk-sourced page is deciphered and compared");
-    assert!(reads * 10 <= OPS * 11, "{reads} allocations in {OPS} cold reads (budget 1.1 each)");
+    assert!(reads <= OPS, "{reads} allocations in {OPS} cold reads (budget 1.0 each)");
 
     // Write: single-copy pages into caches already saturated with dirty
     // ones, so every write evicts, and most map a fresh extent or stamp a
@@ -148,7 +148,7 @@ fn a_warm_page_trip_allocates_nothing() {
     };
     (0..2048).for_each(|i| write(&mut c, i));
     let writes = allocations(|| (2048..2048 + OPS).for_each(|i| write(&mut c, i)));
-    assert!(writes * 10 <= OPS * 25, "{writes} allocations in {OPS} writes (budget 2.5 each)");
+    assert!(writes * 10 <= OPS * 24, "{writes} allocations in {OPS} writes (budget 2.4 each)");
 
     // Warm local hit: reads go round-robin over the four blades, so four
     // reads in a row put a page on every blade; after that every read is
