@@ -9,7 +9,7 @@
 
 use crate::driver::{fill, read_loop};
 use ys_core::{BladeCluster, ClusterConfig, Rebuilder};
-use ys_obs::RunReport;
+use crate::report::RunReport;
 use ys_simcore::stats::Series;
 use ys_simcore::time::SimTime;
 use ys_simdisk::DiskId;

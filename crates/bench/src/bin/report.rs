@@ -4,7 +4,7 @@
 //! ```text
 //! cargo run --release -p ys-bench --bin report            # every claim with an id
 //! cargo run --release -p ys-bench --bin report -- E1 E7   # a subset
-//! cargo run --release -p ys-bench --bin report -- --obs   # + ys-obs breakdown
+//! cargo run --release -p ys-bench --bin report -- --obs   # + observability breakdown
 //! ```
 //!
 //! `--obs` appends the per-subsystem observability breakdown from an

@@ -12,7 +12,7 @@
 
 use std::process::ExitCode;
 use ys_bench::claims::{by_name, CLAIMS};
-use ys_obs::chrome_trace_json;
+use ys_simcore::chrome_trace_json;
 
 fn usage() -> String {
     let mut out = String::from(

@@ -9,7 +9,7 @@
 //! once and rendered twice.
 
 use crate::{ablations, experiments, scenarios};
-use ys_obs::RunReport;
+use crate::report::RunReport;
 
 /// One measured claim.
 #[derive(Clone, Copy, Debug)]

@@ -7,7 +7,10 @@
 //! output. Sizes are chosen so the whole suite runs in seconds of wall
 //! time while exercising thousands-to-millions of simulated operations.
 
+use crate::collect::{collect_cluster, collect_geo, record_trace_drops};
 use crate::driver::{closed_loop, fill, read_loop};
+use crate::registry::{MetricKey, MetricsRegistry};
+use crate::report::{f2, f3, Checkpoint, RunReport, Table};
 use ys_cache::Retention;
 use ys_core::{
     deliver_stream, run_service, BladeCluster, BlockTarget, ClusterConfig,
@@ -15,8 +18,6 @@ use ys_core::{
     Rebuilder, ServiceJob,
 };
 use ys_geo::{SiteId, SiteTopology};
-use ys_obs::report::{f2, f3};
-use ys_obs::{collect_cluster, collect_geo, record_trace_drops, Checkpoint, MetricKey, MetricsRegistry, RunReport, Table};
 use ys_pfs::{FilePolicy, GeoMode, GeoPolicy};
 use ys_proto::{block, BlockCmd, BlockStatus, Workload};
 use ys_security::{InitiatorId, PortZone};

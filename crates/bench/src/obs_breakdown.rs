@@ -1,14 +1,16 @@
 //! The `--obs` appendix of the bench report: one instrumented reference
-//! run with a `ys-obs` metrics registry attached, rendered as
-//! per-subsystem and per-blade breakdowns.
+//! run with a metrics registry attached, rendered as per-subsystem and
+//! per-blade breakdowns.
 //!
 //! Kept separate from the experiment bodies so the default report path is
 //! byte-identical with observability off — tracing and collection happen
 //! only in here.
 
+use crate::collect::{collect_cluster, record_trace_drops};
+use crate::registry::{Metric, MetricsRegistry};
+use crate::report::Table;
 use ys_cache::Retention;
 use ys_core::{BladeCluster, ClusterConfig};
-use ys_obs::{collect_cluster, record_trace_drops, Metric, MetricsRegistry, Table};
 use ys_proto::Workload;
 use ys_simcore::time::SimTime;
 
@@ -64,7 +66,7 @@ pub fn breakdown() -> String {
         &["blade", "local hits", "remote hits", "misses", "evictions", "cpu util"],
     );
     for b in 0..4u32 {
-        use ys_obs::MetricKey;
+        use crate::registry::MetricKey;
         per_blade.row(vec![
             b.to_string(),
             reg.counter_value(&MetricKey::scoped("cache", b, "local_hits")).to_string(),

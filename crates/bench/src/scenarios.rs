@@ -1,12 +1,13 @@
 //! The claims only `ys-report` runs: each drives a subsystem the way the
 //! paper describes it, collects the registry (and, where it has one, the
-//! trace), and checks the paper's claim as [`Checkpoint`]s. The merged
+//! trace), and checks the paper's claim as checkpoints. The merged
 //! claims `report` also prints live in [`crate::experiments`].
 
+use crate::collect::{collect_cache, collect_qos};
+use crate::registry::{MetricKey, MetricsRegistry};
+use crate::report::{f2, Checkpoint, RunReport, Table};
 use ys_cache::Retention;
 use ys_core::{BladeCluster, ClusterConfig, LoadBalance};
-use ys_obs::report::f2;
-use ys_obs::{collect_cache, collect_qos, Checkpoint, MetricKey, MetricsRegistry, RunReport, Table};
 use ys_proto::Workload;
 use ys_qos::{QosClass, QosConfig, TenantSpec};
 use ys_simcore::time::{SimDuration, SimTime};
@@ -828,7 +829,7 @@ mod tests {
     fn stripe4x2_trace_is_valid_chrome_json() {
         let report = (by_name("stripe4x2").expect("scenario").run)();
         assert!(!report.events.is_empty(), "the traced run produced span events");
-        let json = ys_obs::chrome_trace_json(&report.events);
+        let json = ys_simcore::chrome_trace_json(&report.events);
         let v = serde_json::parse_value(&json).expect("valid Chrome trace JSON");
         match v.get("traceEvents") {
             Some(serde_json::Value::Arr(a)) => assert_eq!(a.len(), report.events.len()),

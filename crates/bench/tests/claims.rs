@@ -115,7 +115,7 @@ fn ys_report_list_aligns_every_description() {
 fn national_lab_reproduces_the_scenario_file_outcome() {
     let report = (by_name("national-lab").expect("registered").run)();
     let lab = |name: &str| {
-        report.registry.gauge_value(&ys_obs::MetricKey::aggregate("lab", name)).unwrap_or_else(|| panic!("lab.{name}"))
+        report.registry.gauge_value(&ys_bench::registry::MetricKey::aggregate("lab", name)).unwrap_or_else(|| panic!("lab.{name}"))
     };
     let golden = [
         ("ops_completed", 5000.0),

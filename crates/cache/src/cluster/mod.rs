@@ -244,8 +244,8 @@ pub struct ResidentPage {
     pub version: u64,
 }
 
-/// Aggregate statistics, with a per-blade breakdown for the `ys-obs`
-/// observability layer (§6.3's hot-spot claim needs per-blade numbers).
+/// Aggregate statistics, with a per-blade breakdown for the `ys-bench`
+/// metrics registry (§6.3's hot-spot claim needs per-blade numbers).
 #[derive(Clone, Debug, Default)]
 pub struct CacheStats {
     pub local_hits: u64,

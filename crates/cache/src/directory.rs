@@ -141,9 +141,10 @@ impl Directory {
         &self.shard_lookups
     }
 
-    /// Every entry in no particular order, for a caller whose result does
-    /// not depend on it.
-    pub(crate) fn iter_unordered(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
+    /// Every entry in the slab's order, which is no key order and shifts
+    /// as entries come and go. Only a caller whose result does not depend
+    /// on the order may use it; [`Directory::iter`] walks in key order.
+    pub fn iter_unordered(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
         self.slab.iter().map(|(key, e)| (key, e))
     }
 

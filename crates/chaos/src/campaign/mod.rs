@@ -397,7 +397,7 @@ impl Campaign {
             return;
         }
         if let Some((event, rec)) = self.head_crash_point() {
-            rec.arm_crash_point(event.event_name(), 1);
+            rec.arm_crash_point(event.event_name());
             self.armed = true;
         }
     }
@@ -407,10 +407,7 @@ impl Campaign {
         if !self.armed {
             return false;
         }
-        match self.head_crash_point() {
-            Some((event, rec)) => rec.take_crash_trips().iter().any(|&n| n == event.event_name()),
-            None => false,
-        }
+        self.head_crash_point().is_some_and(|(_, rec)| rec.take_crash_trip())
     }
 
     /// Disarm whatever tripwire the head entry left behind.
@@ -420,7 +417,7 @@ impl Campaign {
         }
         self.armed = false;
         if let Some((_, rec)) = self.head_crash_point() {
-            rec.disarm_crash_points();
+            rec.disarm_crash_point();
         }
     }
 

@@ -276,7 +276,8 @@ pub(crate) fn hash_cluster(
         // currently observable, then hash each occurrence as its rank.
         // Absolute counter values can grow without bound, but no operation
         // can distinguish two states that order their versions identically.
-        for (_, e) in cluster.directory().iter() {
+        // The sort below makes the collection order irrelevant.
+        for (_, e) in cluster.directory().iter_unordered() {
             versions.push(e.version);
         }
         for b in 0..scope.blades {

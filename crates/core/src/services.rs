@@ -23,7 +23,6 @@ pub struct ServiceJob {
 pub struct ServiceResult {
     pub finished: SimTime,
     pub chunks: u64,
-    pub blades_used: usize,
 }
 
 /// Execute `job` spread over `blades` (round-robin chunk assignment, each
@@ -58,7 +57,7 @@ pub fn run_service(
         chunks += 1;
     }
     let finished = worker_time.into_iter().max().unwrap_or(now);
-    Ok(ServiceResult { finished, chunks, blades_used: blades.len() })
+    Ok(ServiceResult { finished, chunks })
 }
 
 #[cfg(test)]

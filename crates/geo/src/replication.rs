@@ -20,8 +20,6 @@ pub struct WriteRecord {
     pub file: u64,
     pub offset: u64,
     pub len: u64,
-    /// When the host write happened.
-    pub created: SimTime,
 }
 
 /// Per-destination journal: FIFO, shipped strictly in order.
@@ -89,7 +87,7 @@ impl ReplicationEngine {
     pub fn enqueue(&mut self, src: SiteId, dst: SiteId, file: u64, offset: u64, len: u64, now: SimTime) -> u64 {
         let seq = self.stamp();
         let j = self.journals.entry((src, dst)).or_default();
-        j.queue.push_back(WriteRecord { seq, file, offset, len, created: now });
+        j.queue.push_back(WriteRecord { seq, file, offset, len });
         j.pending_bytes += len;
         self.trace.instant_at(now, "geo", "enqueue", dst.0 as u32, seq, len);
         seq

@@ -69,8 +69,8 @@ fn inner_cfg_test_exempts_the_rest_of_its_block() {
 
 #[test]
 fn panic_path_is_scoped_to_typed_error_crates() {
-    let f = analyze_source("crates/obs/src/fixture.rs", PANIC);
-    assert!(f.is_empty(), "obs is not a panic-scoped crate: {f:#?}");
+    let f = analyze_source("crates/bench/src/fixture.rs", PANIC);
+    assert!(f.is_empty(), "bench is not a panic-scoped crate: {f:#?}");
     let f = analyze_source("crates/pfs/src/fixture.rs", PANIC);
     assert!(!f.is_empty(), "pfs is a panic-scoped crate");
     let f = analyze_source("crates/simnet/src/fixture.rs", PANIC);

@@ -14,7 +14,7 @@
 //!   admit / delay / shed per request, with backpressure keyed off the
 //!   cache dirty ratio and RAID-rebuild activity;
 //! * [`slo`] — per-tenant latency-budget evaluation ([`SloStatus`]),
-//!   fed to the `ys-obs` metrics registry.
+//!   fed to the `ys-bench` metrics registry.
 //!
 //! Everything is deterministic in virtual time: the same `(config, op
 //! sequence)` produces the same admissions, delays, and sheds. The

@@ -4,7 +4,7 @@
 //! objective: a p99 latency budget. [`SloStatus`] is the point-in-time
 //! evaluation of it against the tenant's observed latency histogram, with
 //! the achieved rate and the admission counters that explain *why* the
-//! objective was missed (heavy shedding vs genuine contention). `ys-obs`
+//! objective was missed (heavy shedding vs genuine contention). `ys-bench`
 //! lifts these into the metrics registry.
 
 use ys_simcore::stats::{LatencyHisto, RateMeter};

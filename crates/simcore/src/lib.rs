@@ -27,4 +27,4 @@ pub use engine::Engine;
 pub use rng::{Rng, Zipf};
 pub use stats::{Counter, LatencyHisto, RateMeter, Series};
 pub use time::{Bandwidth, SimDuration, SimTime};
-pub use trace::{SpanEvent, SpanRecorder, TRACE_CAPACITY};
+pub use trace::{chrome_trace_json, SpanEvent, SpanRecorder, TRACE_CAPACITY};

@@ -1,11 +1,12 @@
 //! Bounded event tracing for simulation debugging and observability.
 //!
-//! [`SpanRecorder`] is the one recorder, behind the `ys-obs`
-//! observability layer and the chaos crash points. Events are fixed-size [`SpanEvent`] values
+//! [`SpanRecorder`] is the one recorder, behind the claim reports and the
+//! chaos crash points. Events are fixed-size [`SpanEvent`] values
 //! (`&'static str` names, integer args), so the hot path never allocates
 //! and a *disabled* recorder costs a single branch. Data-path crates
-//! (cache, virt, raid, geo, simnet) emit through it; `ys-obs` drains the
-//! rings and serializes Chrome `trace_event` JSON.
+//! (cache, virt, raid, geo, simnet) emit through it; `ys-bench` drains the
+//! rings, and [`chrome_trace_json`] serializes what it drained as Chrome
+//! `trace_event` JSON.
 
 use crate::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
@@ -30,7 +31,7 @@ pub struct SpanEvent {
 
 impl SpanEvent {
     /// Instants are zero-duration events (`ph: "i"` in Chrome traces).
-    pub fn is_instant(&self) -> bool {
+    fn is_instant(&self) -> bool {
         self.dur.is_zero()
     }
 }
@@ -45,7 +46,7 @@ impl SpanEvent {
 /// [`SpanRecorder::set_now`].
 ///
 /// When the ring is full the *oldest* event is dropped and the drop is
-/// counted; `ys-obs` surfaces the drop count as its own metric so truncated
+/// counted; `ys-bench` surfaces the drop count as its own metric so truncated
 /// traces are never mistaken for complete ones.
 #[derive(Clone, Debug, Default)]
 pub struct SpanRecorder {
@@ -54,10 +55,10 @@ pub struct SpanRecorder {
     capacity: usize,
     events: VecDeque<SpanEvent>,
     dropped: u64,
-    /// Armed crash points: `(event name, matches left before trip)`.
-    armed: Vec<(&'static str, u64)>,
-    /// Names whose counters reached zero, in trip order.
-    tripped: Vec<&'static str>,
+    /// The armed crash point: the event name that trips it.
+    crash_point: Option<&'static str>,
+    /// Whether a crash point tripped since the last take.
+    crash_tripped: bool,
 }
 
 /// Ring capacity of every traced component: each link, cache directory,
@@ -110,20 +111,9 @@ impl SpanRecorder {
     ) {
         // Crash points fire regardless of whether the ring records: a
         // fault campaign may want precise injection without trace memory.
-        if !self.armed.is_empty() {
-            let mut hit = false;
-            for (armed_name, left) in self.armed.iter_mut() {
-                if *armed_name == name && *left > 0 {
-                    *left -= 1;
-                    if *left == 0 {
-                        self.tripped.push(armed_name);
-                        hit = true;
-                    }
-                }
-            }
-            if hit {
-                self.armed.retain(|&(_, left)| left > 0);
-            }
+        if self.crash_point == Some(name) {
+            self.crash_point = None;
+            self.crash_tripped = true;
         }
         if !self.enabled {
             return;
@@ -135,30 +125,27 @@ impl SpanRecorder {
         self.events.push_back(SpanEvent { at, dur, subsystem, name, lane, a, b });
     }
 
-    /// Arm a crash point: the `nth` future event named `name` (1-based)
-    /// trips it. A fault-injection harness polls
-    /// [`SpanRecorder::take_crash_trips`] between operations and applies
+    /// Arm a crash point, replacing any armed one: the next event named
+    /// `name` trips it, once. A fault-injection harness polls
+    /// [`SpanRecorder::take_crash_trip`] between operations and applies
     /// its scheduled fault at the tripped instant — mid-destage,
     /// mid-promotion, mid-rebuild-batch — rather than at a coarse step
     /// boundary. Tripwires fire even while the ring itself is disabled.
-    pub fn arm_crash_point(&mut self, name: &'static str, nth: u64) {
-        if nth > 0 {
-            self.armed.push((name, nth));
-        }
+    pub fn arm_crash_point(&mut self, name: &'static str) {
+        self.crash_point = Some(name);
     }
 
-    /// Drain the names of crash points that have tripped since the last
-    /// call, in trip order.
-    pub fn take_crash_trips(&mut self) -> Vec<&'static str> {
-        std::mem::take(&mut self.tripped)
+    /// Whether a crash point tripped since the last call (draining).
+    pub fn take_crash_trip(&mut self) -> bool {
+        std::mem::take(&mut self.crash_tripped)
     }
 
-    /// Clear every armed (and any already-tripped) crash point — used when
-    /// a fault harness gives up on an event (deadline) so a stale tripwire
+    /// Clear the armed (or already-tripped) crash point — used when a
+    /// fault harness gives up on an event (deadline) so a stale tripwire
     /// cannot fire into a later injection.
-    pub fn disarm_crash_points(&mut self) {
-        self.armed.clear();
-        self.tripped.clear();
+    pub fn disarm_crash_point(&mut self) {
+        self.crash_point = None;
+        self.crash_tripped = false;
     }
 
     /// Events evicted to make room (how much history was lost).
@@ -176,11 +163,61 @@ impl SpanRecorder {
     /// Drain retained events (oldest→newest) into a caller-owned buffer,
     /// appending after its current contents. Collectors that flush many
     /// rings per step reuse one buffer across flushes instead of allocating
-    /// a fresh `Vec` per ring — the batched-flush fast path `ys-obs` and
-    /// the bench breakdown use.
+    /// a fresh `Vec` per ring — the batched-flush fast path the claim
+    /// reports and the bench breakdown use.
     pub fn take_into(&mut self, out: &mut Vec<SpanEvent>) {
         out.extend(self.events.drain(..));
     }
+}
+
+// ---- Chrome `trace_event` serialization --------------------------------
+//
+// Converts the `SpanEvent` streams drained from subsystem rings into the
+// JSON Array Format understood by `chrome://tracing` / Perfetto: complete
+// events (`"ph":"X"`, microsecond `ts` + `dur`) for spans and thread-scoped
+// instants (`"ph":"i"`) for zero-duration marks. The process id is always
+// 0 (one simulated machine); the thread id is the event's lane (blade,
+// port, worker, or site index), so chrome's per-track view becomes a
+// per-blade timeline.
+
+/// Render events as a Chrome trace_event JSON document
+/// (`{"traceEvents":[...]}`). Deterministic: the caller supplies the order
+/// (collectors sort by time).
+pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
+    let mut out = String::from("{\"traceEvents\":[");
+    for (i, e) in events.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"name\":\"");
+        out.push_str(e.name);
+        out.push_str("\",\"cat\":\"");
+        out.push_str(e.subsystem);
+        out.push_str("\",\"ph\":\"");
+        if e.is_instant() {
+            out.push_str("i\",\"s\":\"t");
+        } else {
+            out.push('X');
+        }
+        out.push_str("\",\"ts\":");
+        out.push_str(&micros(e.at.nanos()));
+        if !e.is_instant() {
+            out.push_str(",\"dur\":");
+            out.push_str(&micros(e.dur.nanos()));
+        }
+        out.push_str(&format!(
+            ",\"pid\":0,\"tid\":{},\"args\":{{\"a\":{},\"b\":{}}}}}",
+            e.lane, e.a, e.b
+        ));
+    }
+    out.push_str("]}");
+    out
+}
+
+/// Nanoseconds → microseconds with exact 3-decimal rendering (chrome's `ts`
+/// unit is µs; floats would lose determinism).
+fn micros(ns: u64) -> String {
+    format!("{}.{:03}", ns / 1_000, ns % 1_000)
 }
 
 #[cfg(test)]
@@ -210,21 +247,55 @@ mod tests {
     }
 
     #[test]
-    fn crash_points_trip_on_the_nth_event_even_when_disabled() {
+    fn a_crash_point_trips_once_on_its_first_event_even_when_disabled() {
         let mut r = SpanRecorder::disabled();
-        r.arm_crash_point("destage", 2);
-        r.arm_crash_point("promote", 1);
-        r.instant_at(SimTime(1), "cache", "destage", 0, 1, 0);
-        assert!(r.take_crash_trips().is_empty(), "first destage passes");
-        r.instant_at(SimTime(2), "cache", "miss", 0, 2, 0);
+        r.arm_crash_point("destage");
+        r.instant_at(SimTime(1), "cache", "miss", 0, 1, 0);
+        assert!(!r.take_crash_trip(), "another event passes");
+        r.instant_at(SimTime(2), "cache", "destage", 0, 2, 0);
+        assert!(r.take_crash_trip(), "the first destage trips it");
+        assert!(!r.take_crash_trip(), "taking the trip drains it");
         r.instant_at(SimTime(3), "cache", "destage", 0, 3, 0);
-        assert_eq!(r.take_crash_trips(), vec!["destage"]);
-        r.instant_at(SimTime(4), "cache", "promote", 1, 4, 0);
-        assert_eq!(r.take_crash_trips(), vec!["promote"], "promote still armed");
+        assert!(!r.take_crash_trip(), "a point trips once");
+        r.arm_crash_point("destage");
+        r.arm_crash_point("promote");
+        r.instant_at(SimTime(4), "cache", "destage", 0, 4, 0);
+        assert!(!r.take_crash_trip(), "re-arming replaced destage");
         r.instant_at(SimTime(5), "cache", "promote", 1, 5, 0);
-        r.instant_at(SimTime(6), "cache", "destage", 0, 6, 0);
-        assert!(r.take_crash_trips().is_empty(), "each point trips once");
+        assert!(r.take_crash_trip(), "promote is armed");
+        r.arm_crash_point("promote");
+        r.disarm_crash_point();
+        r.instant_at(SimTime(6), "cache", "promote", 1, 6, 0);
+        assert!(!r.take_crash_trip(), "disarm clears the point");
+        r.arm_crash_point("promote");
+        r.instant_at(SimTime(7), "cache", "promote", 1, 7, 0);
+        r.disarm_crash_point();
+        assert!(!r.take_crash_trip(), "disarm clears a trip not yet taken");
         assert!(r.events.is_empty(), "disabled ring recorded nothing");
+    }
+
+    #[test]
+    fn chrome_trace_json_renders_spans_instants_and_the_empty_trace() {
+        let span = SpanEvent {
+            at: SimTime(1_500),
+            dur: SimDuration::from_nanos(2_000),
+            subsystem: "simnet",
+            name: "xfer",
+            lane: 0,
+            a: 4096,
+            b: 1,
+        };
+        let instant = SpanEvent { at: SimTime(10_000), dur: SimDuration::ZERO, lane: 3, ..span };
+        assert_eq!(
+            chrome_trace_json(&[span, instant]),
+            concat!(
+                r#"{"traceEvents":["#,
+                r#"{"name":"xfer","cat":"simnet","ph":"X","ts":1.500,"dur":2.000,"pid":0,"tid":0,"args":{"a":4096,"b":1}},"#,
+                r#"{"name":"xfer","cat":"simnet","ph":"i","s":"t","ts":10.000,"pid":0,"tid":3,"args":{"a":4096,"b":1}}"#,
+                "]}"
+            )
+        );
+        assert_eq!(chrome_trace_json(&[]), r#"{"traceEvents":[]}"#);
     }
 
     #[test]

@@ -15,7 +15,7 @@ use ys_bench::claims::CLAIMS;
 use ys_bench::experiments::{seed_run, summarize_seed_sweep};
 use ys_bench::report::section;
 use ys_check::{run_standard, STANDARD_MODELS};
-use ys_obs::chrome_trace_json;
+use ys_simcore::chrome_trace_json;
 
 /// Schema tag embedded in every snapshot; bump on layout changes.
 pub const SCHEMA: &str = "ys-bench-snapshot/v1";
