@@ -14,7 +14,7 @@ use crate::report::{f2, f3, Checkpoint, RunReport, Table};
 use ys_cache::Retention;
 use ys_core::{
     deliver_stream, run_service, BladeCluster, BlockTarget, ClusterConfig,
-    EncryptionConfig, FastPathConfig, LegacyArray, LegacyConfig, LoadBalance, NetStorage, NetStorageConfig,
+    EncryptionConfig, FastPathConfig, LoadBalance, NetStorage, NetStorageConfig,
     Rebuilder, ServiceJob,
 };
 use ys_geo::{SiteId, SiteTopology};
@@ -333,41 +333,31 @@ pub fn e3_geo_deploy() -> RunReport {
 }
 
 /// E4 — aggregate throughput vs blade count on a shared, unpartitioned
-/// volume (§2.1), with the dual-controller legacy array as the baseline.
+/// volume (§2.1), against the traditional array: the same machine at
+/// [`ClusterConfig::dual_controller`], with one controller and with two.
 pub fn e4_scaling() -> RunReport {
     let clients = 32usize;
     let working_set = 128 * MB; // hot set: fits even one blade's cache
     let io = 64 * KB;
-    let mut tput = Series::new("E4 aggregate read MB/s vs blades (shared volume, no partitioning)");
-    for blades in [1usize, 2, 4, 8, 12, 16] {
-        let mut c = BladeCluster::new(
-            ClusterConfig::default().with_blades(blades).with_disks(16).with_clients(clients),
-        );
+    let mb_per_sec = |cfg: ClusterConfig| {
+        let mut c = BladeCluster::new(cfg.with_disks(16).with_clients(clients));
         let vol = c.create_volume("shared", 0, 4 * GB).unwrap();
         // Warm the working set.
         let t = fill(&mut c, vol, working_set, io, SimTime::ZERO);
         let t_warm = c.drain().max(t);
         let mut wl = Workload::random(working_set, io, 0.0, 7);
-        let r = read_loop(&mut c, vol, &mut wl, t_warm, clients, 300);
-        tput.push(blades as f64, r.mb_per_sec());
+        read_loop(&mut c, vol, &mut wl, t_warm, clients, 300).mb_per_sec()
+    };
+    let mut tput = Series::new("E4 aggregate read MB/s vs blades (shared volume, no partitioning)");
+    for blades in [1usize, 2, 4, 8, 12, 16] {
+        tput.push(blades as f64, mb_per_sec(ClusterConfig::default().with_blades(blades)));
     }
-    // Legacy baseline: the best a traditional array offers is 2 controllers.
-    let mut legacy = Series::new("E4 baseline: legacy dual-controller MB/s (flat)");
+    // The best a traditional array offers is 2 controllers.
+    let mut baseline = Series::new("E4 baseline: legacy dual-controller MB/s (flat)");
     for controllers in [1usize, 2] {
-        let mut a = LegacyArray::new(LegacyConfig { controllers, ..LegacyConfig::default() });
-        let mut t = SimTime::ZERO;
-        for off in (0..working_set).step_by(io as usize) {
-            a.write(t, 0, off, io);
-            t = SimTime(t.nanos() + 1_000_000);
-        }
-        let mut wl = Workload::random(working_set, io, 0.0, 7);
-        let r = closed_loop(t, clients, 300, |_client, now| {
-            let op = wl.next_op();
-            (now + a.read(now, 0, op.offset, op.len).unwrap(), op.len)
-        });
-        legacy.push(controllers as f64, r.mb_per_sec());
+        baseline.push(controllers as f64, mb_per_sec(ClusterConfig::dual_controller().with_blades(controllers)));
     }
-    vec![tput, legacy].into()
+    vec![tput, baseline].into()
 }
 
 /// E5 — hot-spot behaviour under Zipf skew: the pooled coherent cache with

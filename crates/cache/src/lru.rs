@@ -231,29 +231,13 @@ impl<K: Eq + Hash + Clone, V> LruList<K, V> {
     /// Evict the least-recently-used key from the lowest non-empty,
     /// non-pinned band: O(1), since nothing un-evictable sits in a band.
     pub fn evict(&mut self) -> Option<K> {
-        self.evict_where(|_, _| false)
-    }
-
-    /// Evict the least-recently-used key from the lowest non-empty,
-    /// non-pinned band, skipping entries `veto` rejects — for callers that
-    /// keep un-evictable keys in the bands, at one step per key skipped.
-    pub fn evict_where<F: Fn(&K, &V) -> bool>(&mut self, veto: F) -> Option<K> {
-        for band in 0..BANDS - 1 {
-            // never auto-evict Pinned or held
-            let mut cursor = self.bands[band].tail;
-            while cursor != NIL {
-                let n = &self.slab[cursor as usize];
-                if veto(&n.key, &n.value) {
-                    cursor = n.prev;
-                    continue;
-                }
-                let key = n.key.clone();
-                self.index.remove(&key);
-                self.free_node(cursor);
-                return Some(key);
-            }
-        }
-        None
+        // never auto-evict Pinned or held
+        let band = self.bands[..BANDS - 1].iter().position(|b| b.tail != NIL)?;
+        let tail = self.bands[band].tail;
+        let key = self.slab[tail as usize].key.clone();
+        self.index.remove(&key);
+        self.free_node(tail);
+        Some(key)
     }
 
     /// Borrow keys from most- to least-recent within a band, without
@@ -325,10 +309,10 @@ mod tests {
         l.insert(1, Retention::Normal);
         l.insert(2, Retention::Normal);
         l.insert(3, Retention::Normal);
-        assert_eq!(l.evict_where(|_, _| false), Some(1));
-        assert_eq!(l.evict_where(|_, _| false), Some(2));
-        assert_eq!(l.evict_where(|_, _| false), Some(3));
-        assert_eq!(l.evict_where(|_, _| false), None);
+        assert_eq!(l.evict(), Some(1));
+        assert_eq!(l.evict(), Some(2));
+        assert_eq!(l.evict(), Some(3));
+        assert_eq!(l.evict(), None);
         assert!(l.is_empty());
     }
 
@@ -338,7 +322,7 @@ mod tests {
         l.insert(1, Retention::Normal);
         l.insert(2, Retention::Normal);
         assert!(l.touch(&1));
-        assert_eq!(l.evict_where(|_, _| false), Some(2), "1 was refreshed");
+        assert_eq!(l.evict(), Some(2), "1 was refreshed");
     }
 
     #[test]
@@ -347,27 +331,17 @@ mod tests {
         l.insert(10, Retention::High);
         l.insert(20, Retention::Low);
         l.insert(30, Retention::Normal);
-        assert_eq!(l.evict_where(|_, _| false), Some(20));
-        assert_eq!(l.evict_where(|_, _| false), Some(30));
-        assert_eq!(l.evict_where(|_, _| false), Some(10));
+        assert_eq!(l.evict(), Some(20));
+        assert_eq!(l.evict(), Some(30));
+        assert_eq!(l.evict(), Some(10));
     }
 
     #[test]
     fn pinned_is_never_auto_evicted() {
         let mut l: LruList<u32> = LruList::new();
         l.insert(1, Retention::Pinned);
-        assert_eq!(l.evict_where(|_, _| false), None);
+        assert_eq!(l.evict(), None);
         assert!(l.remove(&1), "explicit removal still works");
-    }
-
-    #[test]
-    fn veto_skips_but_does_not_block_others() {
-        let mut l: LruList<u32, bool> = LruList::new();
-        l.put(1, true, Retention::Normal);
-        l.put(2, false, Retention::Normal);
-        // 1 is least recent but its value vetoes it: 2 goes instead.
-        assert_eq!(l.evict_where(|_, &dirty| dirty), Some(2));
-        assert!(l.contains(&1));
     }
 
     #[test]
@@ -400,7 +374,7 @@ mod tests {
         l.insert(1, Retention::High);
         assert_eq!(l.len(), 1);
         l.insert(2, Retention::Normal);
-        assert_eq!(l.evict_where(|_, _| false), Some(2), "1 now lives in the High band");
+        assert_eq!(l.evict(), Some(2), "1 now lives in the High band");
     }
 
     #[test]
@@ -417,7 +391,7 @@ mod tests {
         }
         assert_eq!(l.len(), 100);
         // Eviction order: 50..99 then 100..149.
-        assert_eq!(l.evict_where(|_, _| false), Some(50));
+        assert_eq!(l.evict(), Some(50));
     }
 
     #[test]

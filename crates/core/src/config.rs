@@ -131,6 +131,23 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
+    /// The traditional dual-controller array the paper argues against
+    /// (§2, §6.1), as this machine with its choices turned off:
+    /// * two controllers (`with_blades(2)`);
+    /// * every volume pinned to one controller, the "islands of storage"
+    ///   (`LoadBalance::PinnedByVolume`);
+    /// * private caches: a miss never comes from the partner's cache
+    ///   (`without_remote_supply`).
+    ///
+    /// Callers write with 2 copies to model write-back mirrored to the
+    /// one partner, which survives at most a single failure.
+    pub fn dual_controller() -> ClusterConfig {
+        ClusterConfig::default()
+            .with_blades(2)
+            .with_load_balance(LoadBalance::PinnedByVolume)
+            .without_remote_supply()
+    }
+
     pub fn with_blades(mut self, n: usize) -> ClusterConfig {
         self.blades = n;
         self

@@ -3,7 +3,8 @@
 //! blades, reproduced over deterministic simulated hardware.
 //!
 //! * [`config`] — cluster configuration and the era machine's fixed sizes
-//!   and costs;
+//!   and costs, including [`ClusterConfig::dual_controller`], the
+//!   traditional dual-controller baseline the paper argues against;
 //! * [`cluster`] — [`BladeCluster`]: the single-site data path — pooled
 //!   coherent cache, N-way write-back replication, DMSD virtualization,
 //!   RAID destage, load balancing, blade/disk failures (§2, §3, §6),
@@ -21,8 +22,6 @@
 //! * [`fastpath`] — the Figure 1 high-speed striped stream engine (§2.3, §8);
 //! * [`rebuild`] — distributed, fault-tolerant RAID rebuild (§2.4, §6.3);
 //! * [`services`] — load-balanced PIT-copy/backup services (§2.4);
-//! * [`legacy`] — the traditional dual-controller baseline array the paper
-//!   argues against;
 //! * [`netstorage`] — [`NetStorage`]: multiple sites as one data image,
 //!   policy-driven geographic replication, migration, disaster recovery (§7).
 
@@ -33,7 +32,6 @@ pub mod fastpath;
 pub mod frontend;
 pub mod governed;
 pub mod harness;
-pub mod legacy;
 pub mod netstorage;
 pub mod rebuild;
 pub mod services;
@@ -45,7 +43,6 @@ pub use cluster::{
 pub use config::{ClusterConfig, EncryptionConfig, LoadBalance, EXTENT_BYTES, PAGE_BYTES};
 pub use fastpath::{deliver_stream, FastPathConfig, StreamResult};
 pub use frontend::{BlockReply, BlockTarget, FileReply, FileServer, TargetStats};
-pub use legacy::{LegacyArray, LegacyConfig, LegacyMode, LegacyStats};
 pub use netstorage::{DisasterReport, GeoStats, NetError, NetStorage, NetStorageConfig, SiteReport, SystemReport};
 pub use rebuild::Rebuilder;
 pub use services::{run_service, ServiceJob, ServiceResult};

@@ -1,8 +1,9 @@
 //! The paper's central comparisons, verified end-to-end: the blade-cluster
-//! pool vs the traditional dual-controller array.
+//! pool vs the traditional dual-controller array
+//! (`ClusterConfig::dual_controller`).
 
 use ys_cache::Retention;
-use ys_core::{BladeCluster, ClusterConfig, LegacyArray, LegacyConfig, LoadBalance};
+use ys_core::{BladeCluster, ClusterConfig, LoadBalance};
 use ys_proto::Workload;
 use ys_simcore::time::SimTime;
 
@@ -110,26 +111,33 @@ fn pooled_cache_beats_partitioned_under_skew() {
 
 #[test]
 fn nway_cluster_survives_where_dual_controller_loses() {
+    // Write 30 pages `copies`-way, then fail the first blade and the
+    // second (if any), returning the pages each failure lost.
+    let fail_in_turn = |cfg: ClusterConfig, copies: usize| {
+        let blades = cfg.blades.min(2);
+        let mut c = BladeCluster::new(cfg);
+        let vol = c.create_volume("v", 0, GB).unwrap();
+        let mut t = SimTime::ZERO;
+        for i in 0..30u64 {
+            t = c.write(t, 0, vol, i * 64 * KB, 64 * KB, copies, Retention::Normal).unwrap().done;
+        }
+        let lost: Vec<usize> = (0..blades).map(|b| c.fail_blade(t, b).lost.len()).collect();
+        (lost, c.read(t, 0, vol, 0, 512).is_ok())
+    };
     // Cluster with 3-way replication: two blade failures, zero loss.
-    let mut c = BladeCluster::new(ClusterConfig::default().with_blades(6).with_disks(12));
-    let vol = c.create_volume("v", 0, GB).unwrap();
-    let mut t = SimTime::ZERO;
-    for i in 0..30u64 {
-        t = c.write(t, 0, vol, i * 64 * KB, 64 * KB, 3, Retention::Normal).unwrap().done;
-    }
-    let r1 = c.fail_blade(t, 0);
-    let r2 = c.fail_blade(t, 1);
-    assert!(r1.lost.is_empty() && r2.lost.is_empty(), "3-way survives 2 failures");
+    let (lost, _) = fail_in_turn(ClusterConfig::default().with_blades(6).with_disks(12), 3);
+    assert_eq!(lost, [0, 0], "3-way survives 2 failures");
 
-    // Legacy array: the second controller failure loses dirty data.
-    let mut a = LegacyArray::new(LegacyConfig::default());
-    let mut t = SimTime::ZERO;
-    for i in 0..30u64 {
-        a.write(t, 0, i * 64 * KB, 64 * KB);
-        t = SimTime(t.nanos() + 1_000_000);
-    }
-    assert_eq!(a.fail_controller(0), 0, "first failure covered by the mirror");
-    assert!(a.fail_controller(1) > 0, "second failure loses data — the paper's §6.1 limit");
+    // The traditional array mirrors write-back to its one partner.
+    let (lost, _) = fail_in_turn(ClusterConfig::dual_controller(), 2);
+    assert_eq!(lost[0], 0, "first failure covered by the mirror");
+    assert!(lost[1] > 0, "second failure loses data — the paper's §6.1 limit");
+
+    // A single controller has no partner: the first failure loses the
+    // dirty pages, and the array then refuses reads.
+    let (lost, reads) = fail_in_turn(ClusterConfig::dual_controller().with_blades(1), 1);
+    assert!(lost[0] > 0, "no mirror, immediate loss");
+    assert!(!reads, "array is dead");
 }
 
 #[test]
