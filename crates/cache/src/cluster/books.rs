@@ -4,7 +4,7 @@
 //! feeds, the held-list views, the loss tombstones, and the read-only
 //! views external auditors canonicalize state from.
 
-use super::{BladeState, CacheCluster, Health, Residency, ResidentPage};
+use super::{BladeState, CacheCluster, Health, PageMeta, Residency, ResidentPage};
 use crate::directory::PageKey;
 use crate::lru::Retention;
 
@@ -157,13 +157,15 @@ impl CacheCluster {
     /// External auditors (the `ys-check` model checker) canonicalize
     /// cluster state from this once per explored transition.
     pub fn resident_pages_iter(&self, blade: usize) -> impl Iterator<Item = ResidentPage> + '_ {
-        self.blades[blade].lru.iter().map(|(key, m)| ResidentPage {
-            key: *key,
-            replica: matches!(m.residency, Residency::Replica),
-            dirty: matches!(m.residency, Residency::Cached { dirty: true, .. }),
-            retention: m.retention,
-            version: m.version,
-        })
+        self.blades[blade].lru.iter().map(|(&key, m)| resident_page(key, m))
+    }
+
+    /// [`CacheCluster::resident_pages_iter`] in the blade table's slab
+    /// order, which is no key order and shifts as pages come and go: for
+    /// order-insensitive callers only (ys-check's version-rank pass, which
+    /// sorts what it collects).
+    pub fn resident_pages_unordered(&self, blade: usize) -> impl Iterator<Item = ResidentPage> + '_ {
+        self.blades[blade].lru.iter_unordered().map(|(&key, m)| resident_page(key, m))
     }
 
     /// Recency order (most- to least-recent) of one retention band at
@@ -222,5 +224,15 @@ impl CacheCluster {
             None => Ok(()),
             Some(v) => Err(v.to_string()),
         }
+    }
+}
+
+fn resident_page(key: PageKey, m: &PageMeta) -> ResidentPage {
+    ResidentPage {
+        key,
+        replica: matches!(m.residency, Residency::Replica),
+        dirty: matches!(m.residency, Residency::Cached { dirty: true, .. }),
+        retention: m.retention,
+        version: m.version,
     }
 }

@@ -127,7 +127,7 @@ impl PageMeta {
     }
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct BladeSlot {
     pub(crate) capacity_pages: usize,
     /// The blade's page table: every resident page's [`PageMeta`], the
@@ -138,6 +138,20 @@ pub(crate) struct BladeSlot {
     /// the audit walks it in slab order and sorts what it finds.
     pub(crate) lru: LruList<PageKey, PageMeta>,
     pub(crate) state: BladeState,
+}
+
+impl Clone for BladeSlot {
+    fn clone(&self) -> Self {
+        let BladeSlot { capacity_pages, lru, state } = self;
+        BladeSlot { capacity_pages: *capacity_pages, lru: lru.clone(), state: *state }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let BladeSlot { capacity_pages, lru, state } = self;
+        *capacity_pages = source.capacity_pages;
+        lru.clone_from(&source.lru);
+        *state = source.state;
+    }
 }
 
 impl BladeSlot {
@@ -246,7 +260,7 @@ pub struct ResidentPage {
 
 /// Aggregate statistics, with a per-blade breakdown for the `ys-bench`
 /// metrics registry (§6.3's hot-spot claim needs per-blade numbers).
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct CacheStats {
     pub local_hits: u64,
     pub remote_hits: u64,
@@ -265,6 +279,44 @@ pub struct CacheStats {
     pub audit_keys_checked: u64,
     /// Indexed by blade id; sized by [`CacheCluster::new`].
     pub per_blade: Vec<BladeCacheStats>,
+}
+
+impl Clone for CacheStats {
+    fn clone(&self) -> Self {
+        let mut stats = CacheStats::default();
+        stats.clone_from(self);
+        stats
+    }
+
+    /// Refills `per_blade` in its own buffer.
+    fn clone_from(&mut self, source: &Self) {
+        let CacheStats {
+            local_hits,
+            remote_hits,
+            misses,
+            invalidations,
+            evictions,
+            destages,
+            replica_placements,
+            heal_placements,
+            audits_full,
+            audits_incremental,
+            audit_keys_checked,
+            per_blade,
+        } = self;
+        *local_hits = source.local_hits;
+        *remote_hits = source.remote_hits;
+        *misses = source.misses;
+        *invalidations = source.invalidations;
+        *evictions = source.evictions;
+        *destages = source.destages;
+        *replica_placements = source.replica_placements;
+        *heal_placements = source.heal_placements;
+        *audits_full = source.audits_full;
+        *audits_incremental = source.audits_incremental;
+        *audit_keys_checked = source.audit_keys_checked;
+        per_blade.clone_from(&source.per_blade);
+    }
 }
 
 /// One blade's share of the cache activity. Hits and misses are attributed
@@ -332,7 +384,7 @@ impl std::error::Error for CacheError {}
 /// let report = pool.fail_blade(0);
 /// assert!(report.lost.is_empty());
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct CacheCluster {
     pub(crate) blades: Vec<BladeSlot>,
     pub(crate) directory: Directory,
@@ -360,6 +412,62 @@ pub struct CacheCluster {
     pub(crate) skip_change_notes: bool,
     stats: CacheStats,
     trace: SpanRecorder,
+}
+
+/// `clone_from` refills every table, list and map in its own buffers (the
+/// directory's per-entry holder lists included): the model checker refills
+/// one scratch cluster per explored transition instead of allocating a
+/// fresh clone and dropping it.
+impl Clone for CacheCluster {
+    fn clone(&self) -> Self {
+        let CacheCluster {
+            blades,
+            directory,
+            lost,
+            deficit,
+            journal,
+            #[cfg(test)]
+            skip_change_notes,
+            stats,
+            trace,
+        } = self;
+        CacheCluster {
+            blades: blades.clone(),
+            directory: directory.clone(),
+            lost: lost.clone(),
+            deficit: deficit.clone(),
+            journal: journal.clone(),
+            #[cfg(test)]
+            skip_change_notes: *skip_change_notes,
+            stats: stats.clone(),
+            trace: trace.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let CacheCluster {
+            blades,
+            directory,
+            lost,
+            deficit,
+            journal,
+            #[cfg(test)]
+            skip_change_notes,
+            stats,
+            trace,
+        } = self;
+        blades.clone_from(&source.blades);
+        directory.clone_from(&source.directory);
+        lost.clone_from(&source.lost);
+        deficit.clone_from(&source.deficit);
+        journal.clone_from(&source.journal);
+        #[cfg(test)]
+        {
+            *skip_change_notes = source.skip_change_notes;
+        }
+        stats.clone_from(&source.stats);
+        trace.clone_from(&source.trace);
+    }
 }
 
 impl CacheCluster {

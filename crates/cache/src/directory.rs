@@ -44,7 +44,7 @@ pub enum PageState {
 }
 
 /// Directory entry for one page.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 pub struct DirEntry {
     /// Blades holding a Shared copy.
     pub sharers: Vec<usize>,
@@ -60,6 +60,24 @@ pub struct DirEntry {
     /// (after a promote, drain, or join). Cleared on destage — a page on
     /// disk no longer needs in-cache protection.
     pub protect: usize,
+}
+
+/// `clone_from` refills the holder lists in their own buffers: the model
+/// checker refills one scratch cluster per explored transition.
+impl Clone for DirEntry {
+    fn clone(&self) -> Self {
+        let DirEntry { sharers, owner, replicas, version, protect } = self;
+        DirEntry { sharers: sharers.clone(), owner: *owner, replicas: replicas.clone(), version: *version, protect: *protect }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let DirEntry { sharers, owner, replicas, version, protect } = self;
+        sharers.clone_from(&source.sharers);
+        *owner = source.owner;
+        replicas.clone_from(&source.replicas);
+        *version = source.version;
+        *protect = source.protect;
+    }
 }
 
 impl DirEntry {
@@ -78,17 +96,54 @@ impl DirEntry {
 
 /// The directory: sharded by page home; this struct holds all shards and
 /// exposes per-shard accounting so tests can verify load spreading.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Directory {
     blades: usize,
     /// Every entry, packed in no particular order: a removal moves the last
     /// one into the hole. [`Directory::iter`] walks it in key order, since
     /// that walk feeds ys-check's canonical hash and the ys-chaos oracle,
     /// whose output must not depend on the history of the table.
-    slab: Vec<(PageKey, DirEntry)>,
+    slab: Vec<DirSlot>,
     /// Key → slab position; lookup-only.
     index: HashMap<PageKey, u32, FixedHash>, // lint: allow(unordered-iteration) — never iterated: key order comes from the slab walk
     shard_lookups: Vec<u64>,
+}
+
+/// One slab slot: a page and its entry. A struct, not a tuple, because
+/// tuples clone field by field but do not forward `clone_from`: refilling
+/// a directory must reach each entry's [`DirEntry::clone_from`].
+#[derive(Debug)]
+struct DirSlot {
+    key: PageKey,
+    entry: DirEntry,
+}
+
+impl Clone for DirSlot {
+    fn clone(&self) -> Self {
+        DirSlot { key: self.key, entry: self.entry.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let DirSlot { key, entry } = self;
+        *key = source.key;
+        entry.clone_from(&source.entry);
+    }
+}
+
+impl Clone for Directory {
+    fn clone(&self) -> Self {
+        let Directory { blades, slab, index, shard_lookups } = self;
+        Directory { blades: *blades, slab: slab.clone(), index: index.clone(), shard_lookups: shard_lookups.clone() }
+    }
+
+    /// Refills every buffer in place, the entries' holder lists included.
+    fn clone_from(&mut self, source: &Self) {
+        let Directory { blades, slab, index, shard_lookups } = self;
+        *blades = source.blades;
+        slab.clone_from(&source.slab);
+        index.clone_from(&source.index);
+        shard_lookups.clone_from(&source.shard_lookups);
+    }
 }
 
 impl Directory {
@@ -106,21 +161,21 @@ impl Directory {
         self.shard_lookups[key.home(self.blades)] += 1;
         let slab = &mut self.slab;
         let idx = *self.index.entry(key).or_insert_with(|| {
-            slab.push((key, DirEntry::default()));
+            slab.push(DirSlot { key, entry: DirEntry::default() });
             (slab.len() - 1) as u32
         });
-        &mut self.slab[idx as usize].1
+        &mut self.slab[idx as usize].entry
     }
 
     pub fn get(&self, key: &PageKey) -> Option<&DirEntry> {
-        self.index.get(key).map(|&idx| &self.slab[idx as usize].1)
+        self.index.get(key).map(|&idx| &self.slab[idx as usize].entry)
     }
 
     pub fn remove(&mut self, key: &PageKey) {
         let Some(idx) = self.index.remove(key) else { return };
         self.slab.swap_remove(idx as usize);
-        if let Some((moved, _)) = self.slab.get(idx as usize) {
-            if let Some(at) = self.index.get_mut(moved) {
+        if let Some(moved) = self.slab.get(idx as usize) {
+            if let Some(at) = self.index.get_mut(&moved.key) {
                 *at = idx;
             }
         }
@@ -145,22 +200,22 @@ impl Directory {
     /// as entries come and go. Only a caller whose result does not depend
     /// on the order may use it; [`Directory::iter`] walks in key order.
     pub fn iter_unordered(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
-        self.slab.iter().map(|(key, e)| (key, e))
+        self.slab.iter().map(|s| (&s.key, &s.entry))
     }
 
     /// Iterate entries in page-key order (deterministic across runs; see
     /// `slab::KeyOrder`: directories of at most 16 entries are walked without
     /// allocating).
     pub fn iter(&self) -> impl Iterator<Item = (&PageKey, &DirEntry)> {
-        KeyOrder::new(&self.slab, self.slab.len()).map(|(key, e)| (key, e))
+        KeyOrder::new(&self.slab, self.slab.len()).map(|s| (&s.key, &s.entry))
     }
 }
 
-impl Slot for (PageKey, DirEntry) {
+impl Slot for DirSlot {
     type Key = PageKey;
 
     fn key(&self) -> Option<&PageKey> {
-        Some(&self.0)
+        Some(&self.key)
     }
 }
 

@@ -29,3 +29,4 @@ pub use directory::{DirEntry, Directory, PageKey, PageState};
 pub use heat::HeatTracker;
 pub use invariants::{Invariant, Violation};
 pub use lru::{LruList, Retention};
+pub use slab::FixedHash;

@@ -58,7 +58,7 @@ impl Default for BandList {
 
 /// LRU table with priority bands: each key maps to one value, and sits in
 /// one recency list. Touching a key moves it to the front of its list.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct LruList<K: Eq + Hash + Clone, V = ()> {
     slab: Vec<Node<K, V>>,
     free: Vec<u32>,
@@ -68,6 +68,24 @@ pub struct LruList<K: Eq + Hash + Clone, V = ()> {
     index: HashMap<K, u32, FixedHash>, // lint: allow(unordered-iteration) — never iterated
     /// The retention bands, then the held list.
     bands: [BandList; BANDS + 1],
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> Clone for LruList<K, V> {
+    fn clone(&self) -> Self {
+        let LruList { slab, free, index, bands } = self;
+        LruList { slab: slab.clone(), free: free.clone(), index: index.clone(), bands: *bands }
+    }
+
+    /// Refills the slab, the free list and the index in their own buffers:
+    /// the model checker refills one scratch cluster per explored
+    /// transition.
+    fn clone_from(&mut self, source: &Self) {
+        let LruList { slab, free, index, bands } = self;
+        slab.clone_from(&source.slab);
+        free.clone_from(&source.free);
+        index.clone_from(&source.index);
+        *bands = source.bands;
+    }
 }
 
 impl<K: Eq + Hash + Clone, V> Default for LruList<K, V> {

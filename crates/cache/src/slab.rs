@@ -8,18 +8,18 @@
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-/// Tables of at most this many keys are walked in key order in place;
-/// larger ones sort their slab positions once per walk.
-const WALK_IN_PLACE: usize = 16;
+/// Tables of at most this many keys sort their slab positions on the
+/// stack; larger ones sort them in a `Vec`.
+const SMALL_WALK: usize = 16;
 
 /// A fixed, seedless multiplicative hasher (the Fx mixing step): the same
 /// key lands in the same bucket in every process and every run, and costs
 /// one multiply per word to hash.
 #[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct MulHasher(u64);
+pub struct MulHasher(u64);
 
-/// The index hasher of both slab tables.
-pub(crate) type FixedHash = BuildHasherDefault<MulHasher>;
+/// The index hasher of both slab tables, and of ys-check's shadow maps.
+pub type FixedHash = BuildHasherDefault<MulHasher>;
 
 impl Hasher for MulHasher {
     fn write(&mut self, bytes: &[u8]) {
@@ -52,27 +52,40 @@ pub(crate) trait Slot {
     fn key(&self) -> Option<&Self::Key>;
 }
 
-/// Every live slot of a slab in key order. A table of at most 16 keys is
-/// walked in place (each step scans the slab for the next key), so the
-/// model checker's tiny tables never allocate; a larger one sorts its slab
-/// positions once.
+/// Every live slot of a slab in key order. The live slab positions are
+/// sorted by key once per walk: a table of at most 16 keys sorts them in
+/// an array on the stack, so the model checker's tiny tables never
+/// allocate; a larger one sorts a `Vec`.
 pub(crate) struct KeyOrder<'a, S> {
     slab: &'a [S],
     walk: Walk,
 }
 
 enum Walk {
-    /// Each step yields the least live key above the last one yielded.
-    InPlace { last: Option<usize>, left: usize },
-    /// Slab positions of the live slots, sorted by key.
+    /// `order[next..len]`: the slab positions still to yield.
+    Small { order: [u32; SMALL_WALK], next: usize, len: usize },
     Sorted(std::vec::IntoIter<u32>),
 }
 
 impl<'a, S: Slot> KeyOrder<'a, S> {
     /// Walk `slab`, of which exactly `live` slots hold a key.
     pub(crate) fn new(slab: &'a [S], live: usize) -> KeyOrder<'a, S> {
-        let walk = if live <= WALK_IN_PLACE {
-            Walk::InPlace { last: None, left: live }
+        let walk = if live <= SMALL_WALK {
+            // Insertion sort: each live position moves down past the
+            // positions already placed whose keys are greater.
+            let mut order = [0u32; SMALL_WALK];
+            let mut len = 0;
+            for (idx, slot) in slab.iter().enumerate() {
+                let Some(key) = slot.key() else { continue };
+                let mut at = len;
+                while at > 0 && slab[order[at - 1] as usize].key() > Some(key) {
+                    order[at] = order[at - 1];
+                    at -= 1;
+                }
+                order[at] = idx as u32;
+                len += 1;
+            }
+            Walk::Small { order, next: 0, len }
         } else {
             let mut order: Vec<u32> =
                 (0..slab.len() as u32).filter(|&i| slab[i as usize].key().is_some()).collect();
@@ -87,35 +100,20 @@ impl<'a, S: Slot> Iterator for KeyOrder<'a, S> {
     type Item = &'a S;
 
     fn next(&mut self) -> Option<&'a S> {
-        let slab = self.slab;
         let idx = match &mut self.walk {
-            Walk::InPlace { last, left } => {
-                if *left == 0 {
-                    return None;
-                }
-                let floor = last.and_then(|i| slab[i].key());
-                let mut best: Option<(usize, &S::Key)> = None;
-                for (idx, slot) in slab.iter().enumerate() {
-                    let Some(key) = slot.key() else { continue };
-                    if floor.is_some_and(|f| key <= f) {
-                        continue;
-                    }
-                    if best.is_none_or(|(_, b)| key < b) {
-                        best = Some((idx, key));
-                    }
-                }
-                *left -= 1;
-                *last = best.map(|(idx, _)| idx);
-                (*last)?
+            Walk::Small { order, next, len } => {
+                let idx = order[..*len].get(*next)?;
+                *next += 1;
+                *idx
             }
-            Walk::Sorted(order) => order.next()? as usize,
+            Walk::Sorted(order) => order.next()?,
         };
-        Some(&slab[idx])
+        Some(&self.slab[idx as usize])
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         let left = match &self.walk {
-            Walk::InPlace { left, .. } => *left,
+            Walk::Small { next, len, .. } => len - next,
             Walk::Sorted(order) => order.len(),
         };
         (left, Some(left))

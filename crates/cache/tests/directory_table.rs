@@ -4,14 +4,22 @@
 //! of `entry` calls.
 //!
 //! Each sequence alternates growing and shrinking phases, so most tables
-//! cross the 16 entries up to which `Directory::iter` walks in place
-//! instead of sorting, in both directions, and both walks are held to the
-//! map's key order. Removals take random keys, which mostly sit in the
+//! cross the 16 entries up to which `Directory::iter` sorts on the stack
+//! instead of in a `Vec`, in both directions, and both walks are held to
+//! the map's key order. Removals take random keys, which mostly sit in the
 //! middle of the slab, and the entry created last, which sits in the last
-//! slot unless a removal has moved it since. Two hand mutations this
-//! catches: dropping the re-index of the entry `remove` moves into the hole
-//! `swap_remove` left (a later `get` answers from the wrong slot), and `<=`
-//! → `<` in the in-place walk's floor test (a key is walked twice).
+//! slot unless a removal has moved it since.
+//!
+//! One long-lived scratch directory is refilled from the table under test
+//! with `clone_from` after every operation, so it always held an earlier,
+//! different state; refilled, it must answer as the reference does too.
+//!
+//! Hand mutations this catches: dropping the re-index of the entry
+//! `remove` moves into the hole `swap_remove` left (a later `get` answers
+//! from the wrong slot); `at > 0` → `at > 1` in the stack walk's insertion
+//! sort (a key smaller than the first one placed stays behind it); and a
+//! slab slot's `clone_from` that copies the key but not the entry (the
+//! scratch walks stale holder lists).
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -99,10 +107,11 @@ proptest! {
     #[test]
     fn the_directory_answers_as_its_reference_does(seed in 0u64..512) {
         let mut rng = Rng::new(seed ^ 0xd1ec_7041);
-        // Key spaces from 8 to 47: some tables never leave the in-place
-        // walk, most cross the 16-entry boundary in both directions.
+        // Key spaces from 8 to 47: some tables never leave the stack walk,
+        // most cross the 16-entry boundary in both directions.
         let keys = 8 + seed % 40;
         let mut dir = Directory::new(BLADES);
+        let mut scratch = Directory::new(BLADES);
         let mut reference = Reference { lookups: vec![0; BLADES], ..Reference::default() };
         let mut newest: Option<PageKey> = None;
         let (mut grew, mut shrank_back) = (false, false);
@@ -134,6 +143,9 @@ proptest! {
             }
             let checked = check(&dir, &reference, keys);
             prop_assert!(checked.is_ok(), "seed {seed} step {step} {op:?}: {}", checked.unwrap_err());
+            scratch.clone_from(&dir);
+            let refilled = check(&scratch, &reference, keys);
+            prop_assert!(refilled.is_ok(), "seed {seed} step {step} {op:?}, refilled: {}", refilled.unwrap_err());
             grew |= dir.len() > 16;
             shrank_back |= grew && dir.len() <= 16;
         }

@@ -4,11 +4,18 @@
 //! retention band and one for the held list, each most recent first.
 //!
 //! Tables grow past and shrink back under the 16 keys up to which
-//! `LruList::iter` walks in place instead of sorting, so both walks are
-//! held to the map's key order. Two hand mutations this catches: `<=` →
-//! `<` in the in-place walk's floor test (a key is yielded twice), and a
-//! `release` that relinks at its band's tail instead of the front (the
-//! band lists the released key last).
+//! `LruList::iter` sorts on the stack instead of in a `Vec`, so both walks
+//! are held to the map's key order.
+//!
+//! One long-lived scratch table is refilled from the table under test with
+//! `clone_from` after every operation, so it always held an earlier,
+//! different state; refilled, it must answer as the reference does too.
+//!
+//! Hand mutations this catches: `at > 0` → `at > 1` in the stack walk's
+//! insertion sort (a key smaller than the first one placed stays behind
+//! it); a `release` that relinks at its band's tail instead of the front
+//! (the band lists the released key last); and a `clone_from` that leaves
+//! the index as it was (the refilled table's `len` is stale).
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -159,10 +166,11 @@ proptest! {
     #[test]
     fn the_table_answers_as_its_reference_does(seed in 0u64..512) {
         let mut rng = Rng::new(seed ^ 0x7ab1_e5ee);
-        // Key spaces from 8 to 47: some tables never leave the in-place
-        // walk, most cross the 16-key boundary in both directions.
+        // Key spaces from 8 to 47: some tables never leave the stack walk,
+        // most cross the 16-key boundary in both directions.
         let keys = 8 + seed % 40;
         let mut table: LruList<u32, u32> = LruList::new();
+        let mut scratch: LruList<u32, u32> = LruList::new();
         let mut reference = Reference::default();
         for step in 0..300 {
             let op = pick_op(&mut rng, keys);
@@ -170,6 +178,9 @@ proptest! {
             prop_assert!(got == want, "seed {seed} step {step} {op:?}: the table answered {got:?}, the reference {want:?}");
             let checked = check(&table, &reference);
             prop_assert!(checked.is_ok(), "seed {seed} step {step} {op:?}: {}", checked.unwrap_err());
+            scratch.clone_from(&table);
+            let refilled = check(&scratch, &reference);
+            prop_assert!(refilled.is_ok(), "seed {seed} step {step} {op:?}, refilled: {}", refilled.unwrap_err());
         }
     }
 }

@@ -27,7 +27,7 @@ use crate::failover_model::{self, Prior};
 use crate::hash::StateHasher;
 use crate::summary::StandardModel;
 use std::collections::HashMap;
-use ys_cache::{CacheCluster, PageKey, ReadOutcome, Retention};
+use ys_cache::{CacheCluster, FixedHash, PageKey, ReadOutcome, Retention};
 
 /// One operation in the bounded scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,14 +74,35 @@ struct Budget {
 }
 
 /// The real cluster plus the shadow observer.
-#[derive(Clone)]
 pub struct CacheModel {
     scope: Scope,
     pub(crate) cluster: CacheCluster,
     /// Last version each live page was written at.
-    last_written: HashMap<PageKey, u64>,
+    last_written: ShadowMap<u64>,
     /// Outstanding protection promises for dirty pages.
-    budgets: HashMap<PageKey, Budget>,
+    budgets: ShadowMap<Budget>,
+}
+
+/// A shadow map of a model on a `CacheCluster`. The hasher is fixed and
+/// seedless, because SipHash would cost every explored transition and no
+/// state depends on iteration order: the canonical hash sorts the rows it
+/// takes from these maps.
+pub(crate) type ShadowMap<V> = HashMap<PageKey, V, FixedHash>;
+
+/// `clone_from` refills the cluster and both maps in their own buffers.
+impl Clone for CacheModel {
+    fn clone(&self) -> Self {
+        let CacheModel { scope, cluster, last_written, budgets } = self;
+        CacheModel { scope: *scope, cluster: cluster.clone(), last_written: last_written.clone(), budgets: budgets.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let CacheModel { scope, cluster, last_written, budgets } = self;
+        *scope = source.scope;
+        cluster.clone_from(&source.cluster);
+        last_written.clone_from(&source.last_written);
+        budgets.clone_from(&source.budgets);
+    }
 }
 
 /// The key of page `page` in the one volume the cluster models use.
@@ -94,8 +115,8 @@ impl CacheModel {
         CacheModel {
             scope,
             cluster: CacheCluster::new(scope.blades, scope.capacity_pages),
-            last_written: HashMap::new(),
-            budgets: HashMap::new(),
+            last_written: ShadowMap::default(),
+            budgets: ShadowMap::default(),
         }
     }
 
@@ -248,8 +269,8 @@ type HashScratch = (Vec<u64>, Vec<[u64; 4]>);
 thread_local! {
     /// Scratch for [`hash_cluster`], which runs once per explored
     /// transition — the single hottest function in a `ys-check` run — so
-    /// its buffers are recycled rather than allocated per call. Each
-    /// `ys-sweep` shard thread owns an independent one.
+    /// its buffers are recycled rather than allocated per call. One per
+    /// thread, so explorations on different threads never share it.
     static HASH_SCRATCH: std::cell::RefCell<HashScratch> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }
@@ -281,17 +302,15 @@ pub(crate) fn hash_cluster(
             versions.push(e.version);
         }
         for b in 0..scope.blades {
-            for p in cluster.resident_pages_iter(b) {
-                versions.push(p.version);
-            }
+            versions.extend(cluster.resident_pages_unordered(b).map(|p| p.version));
         }
         versions.extend(shadow_versions);
         versions.sort_unstable();
         versions.dedup();
         let rank = |v: u64| versions.binary_search(&v).unwrap_or(usize::MAX) as u64;
 
-        // Blade contents, index order; the blade page table is ordered, so
-        // pages stream out key-sorted without materializing.
+        // Blade contents, index order; each blade table streams its pages
+        // out key-sorted without allocating.
         let include_lru = scope.capacity_pages < scope.pages as usize;
         for b in 0..scope.blades {
             h.write_u64(cluster.blade_state(b) as u64);
@@ -320,10 +339,10 @@ pub(crate) fn hash_cluster(
             }
         }
 
-        // Directory: `iter` walks the entries in key order (in place for
-        // the model's tiny directories), so iteration is canonical. Sharer
-        // and replica lists keep their stored order: replica order decides
-        // promotion on failure.
+        // Directory: `iter` walks the entries in key order (sorted on the
+        // stack for the model's tiny directories), so iteration is
+        // canonical. Sharer and replica lists keep their stored order:
+        // replica order decides promotion on failure.
         for (key, e) in cluster.directory().iter() {
             h.write_u64(key.page);
             match e.owner {

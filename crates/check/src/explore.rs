@@ -9,12 +9,23 @@
 //! Search is breadth-first, so the first counterexample found is a
 //! *shortest* one, and a state's first visit is at its shallowest depth:
 //! seeing it again can never open more of the depth budget.
+//!
+//! States live in the frontier, plus one scratch state: every transition
+//! refills the scratch from its parent with `clone_from`, applies the op
+//! there, and the state is cloned out into the frontier only when it is
+//! fresh and still below the depth bound. Most transitions land on a state
+//! already seen, so most steps reuse the scratch's buffers and allocate
+//! nothing.
 
 use crate::hash::SeenSet;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A checkable system: apply ops, audit state, canonicalize for dedup.
+///
+/// The explorer refills one scratch state per transition with
+/// `Clone::clone_from`. A model that owns buffers (vectors, maps) should
+/// override `clone_from` to refill them in place; the default is `clone`.
 pub trait Model: Clone {
     type Op: Copy + std::fmt::Debug;
 
@@ -105,8 +116,8 @@ pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() ->
     let ops = initial.enumerate_ops();
 
     // node index → (parent, op) for trace reconstruction; states themselves
-    // live only in the frontier, so memory scales with the frontier, not
-    // with everything ever visited.
+    // live only in the frontier and the scratch, so memory scales with the
+    // frontier, not with everything ever visited.
     let mut nodes: Vec<Node<M::Op>> = vec![Node { parent: 0, op: None }];
     // Canonical hashes of every state reached. Keys are pre-mixed digests,
     // so the set skips SipHash (see SeenSet).
@@ -115,6 +126,9 @@ pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() ->
 
     let mut frontier: VecDeque<(usize, usize, M)> = VecDeque::new();
     frontier.push_back((0, 0, initial));
+    // Each transition's state, refilled from its parent. A panicking step
+    // ends the exploration, so a half-applied scratch is never reused.
+    let mut scratch: Option<M> = None;
 
     let mut out = Exploration {
         states_visited: 1,
@@ -131,25 +145,22 @@ pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() ->
             continue;
         }
         for &op in &ops {
-            let mut next = state.clone();
+            let next = match &mut scratch {
+                Some(next) => {
+                    next.clone_from(&state);
+                    next
+                }
+                None => scratch.insert(state.clone()),
+            };
             out.transitions += 1;
             // A panic inside the system under test (e.g. a tripped
             // debug_assert) is itself a counterexample, not a checker crash.
-            let step = catch_unwind(AssertUnwindSafe(|| {
-                let violations = next.apply(op);
-                (violations, next)
-            }));
-            let (violations, next) = match step {
-                Ok(pair) => pair,
+            let violations = match catch_unwind(AssertUnwindSafe(|| next.apply(op))) {
+                Ok(violations) => violations,
                 Err(payload) => {
-                    let msg = payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
                     out.counterexample = Some(Counterexample {
                         trace: trace_to(&nodes, node_idx, op),
-                        violations: vec![format!("panic: {msg}")],
+                        violations: vec![format!("panic: {}", panic_message(&*payload))],
                     });
                     out.elapsed_secs = elapsed();
                     return out;
@@ -175,7 +186,7 @@ pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() ->
             }
             if depth + 1 < limits.max_depth {
                 nodes.push(Node { parent: node_idx, op: Some(op) });
-                frontier.push_back((nodes.len() - 1, depth + 1, next));
+                frontier.push_back((nodes.len() - 1, depth + 1, next.clone()));
             }
         }
     }
@@ -184,12 +195,119 @@ pub fn explore_timed<M: Model>(initial: M, limits: Limits, elapsed: impl Fn() ->
     out
 }
 
+/// The text of a caught panic's payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn explore<M: Model>(initial: M, limits: Limits) -> Exploration<M::Op> {
         explore_timed(initial, limits, || 0.0)
+    }
+
+    /// The reference [`explore_timed`] must agree with: the same search
+    /// with a fresh clone of the parent per transition, dropped unless it
+    /// is kept, and no scratch state.
+    fn explore_by_fresh_clones<M: Model>(initial: M, limits: Limits) -> Exploration<M::Op> {
+        let ops = initial.enumerate_ops();
+        let mut nodes: Vec<Node<M::Op>> = vec![Node { parent: 0, op: None }];
+        let mut seen = SeenSet::default();
+        seen.insert(initial.canonical_hash());
+        let mut frontier: VecDeque<(usize, usize, M)> = VecDeque::from([(0, 0, initial)]);
+        let mut out = Exploration {
+            states_visited: 1,
+            transitions: 0,
+            deduplicated: 0,
+            deepest: 0,
+            truncated: false,
+            counterexample: None,
+            elapsed_secs: 0.0,
+        };
+        while let Some((node_idx, depth, state)) = frontier.pop_front() {
+            if depth >= limits.max_depth {
+                continue;
+            }
+            for &op in &ops {
+                let mut next = state.clone();
+                out.transitions += 1;
+                let step = catch_unwind(AssertUnwindSafe(|| {
+                    let violations = next.apply(op);
+                    (violations, next)
+                }));
+                let (violations, next) = match step {
+                    Ok(pair) => pair,
+                    Err(payload) => {
+                        let violations = vec![format!("panic: {}", panic_message(&*payload))];
+                        out.counterexample = Some(Counterexample { trace: trace_to(&nodes, node_idx, op), violations });
+                        return out;
+                    }
+                };
+                if !violations.is_empty() {
+                    out.counterexample = Some(Counterexample { trace: trace_to(&nodes, node_idx, op), violations });
+                    return out;
+                }
+                if !seen.insert(next.canonical_hash()) {
+                    out.deduplicated += 1;
+                    continue;
+                }
+                out.states_visited += 1;
+                out.deepest = out.deepest.max(depth + 1);
+                if out.states_visited >= limits.max_states {
+                    out.truncated = true;
+                    return out;
+                }
+                if depth + 1 < limits.max_depth {
+                    nodes.push(Node { parent: node_idx, op: Some(op) });
+                    frontier.push_back((nodes.len() - 1, depth + 1, next));
+                }
+            }
+        }
+        out
+    }
+
+    type Outcome<Op> = (usize, usize, usize, usize, bool, Option<(Vec<Op>, Vec<String>)>);
+
+    fn outcome<Op>(e: Exploration<Op>) -> Outcome<Op> {
+        let cx = e.counterexample.map(|cx| (cx.trace, cx.violations));
+        (e.states_visited, e.transitions, e.deduplicated, e.deepest, e.truncated, cx)
+    }
+
+    /// `explore_timed` and the fresh-clone reference explore `initial`
+    /// identically under each of `limits`: the same counters, the same
+    /// counterexample.
+    fn assert_matches_reference<M: Model>(initial: M, limits: &[Limits])
+    where
+        M::Op: PartialEq,
+    {
+        for &l in limits {
+            let (got, want) = (outcome(explore(initial.clone(), l)), outcome(explore_by_fresh_clones(initial.clone(), l)));
+            assert!(got == want, "{l:?}: the explorer found {got:?}, the fresh-clone reference {want:?}");
+        }
+    }
+
+    #[test]
+    fn the_scratch_state_explores_as_fresh_clones_do() {
+        let wide = Limits { max_depth: 10, max_states: 1000 };
+        assert_matches_reference(Counter { value: 0, forbidden: 3 }, &[wide]);
+        assert_matches_reference(
+            Counter { value: 0, forbidden: -1 },
+            &[wide, Limits { max_depth: 10, max_states: 4 }, Limits { max_depth: 2, max_states: 1000 }],
+        );
+        assert_matches_reference(Bomb, &[Limits { max_depth: 3, max_states: 10 }]);
+        // The real cluster, whose `clone_from` refills its tables in place:
+        // the whole depth-4 space, then a run cut short by the state cap.
+        let cache = crate::cache_model::CacheModel::new(crate::cache_model::Scope::small());
+        assert_matches_reference(
+            cache,
+            &[Limits { max_depth: 4, max_states: usize::MAX }, Limits { max_depth: 4, max_states: 500 }],
+        );
     }
 
     /// Toy model: a counter with inc/dec ops, violation at 3, modeled

@@ -16,11 +16,10 @@
 //! * **drain implies zero loss** — a planned drain never mints a
 //!   `DataLost` tombstone, no matter what the other ops left in flight.
 
-use crate::cache_model::{destage_line, fail_line, hash_cluster, key_of, render_cluster_trace, Scope};
+use crate::cache_model::{destage_line, fail_line, hash_cluster, key_of, render_cluster_trace, Scope, ShadowMap};
 use crate::explore::{Counterexample, Model};
 use crate::summary::StandardModel;
-use std::collections::HashMap;
-use ys_cache::{BladeState, CacheCluster, CacheError, Health, PageKey, Retention};
+use ys_cache::{BladeState, CacheCluster, CacheError, Health, Retention};
 
 /// One operation in the bounded heal scope.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -41,12 +40,26 @@ pub enum HealOp {
 }
 
 /// The real cluster plus the protection-target shadow.
-#[derive(Clone)]
 pub struct HealModel {
     scope: Scope,
     cluster: CacheCluster,
     /// Page → protection target, maintained independently from op results.
-    shadow: HashMap<PageKey, usize>,
+    shadow: ShadowMap<usize>,
+}
+
+/// `clone_from` refills the cluster and the shadow in their own buffers.
+impl Clone for HealModel {
+    fn clone(&self) -> Self {
+        let HealModel { scope, cluster, shadow } = self;
+        HealModel { scope: *scope, cluster: cluster.clone(), shadow: shadow.clone() }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let HealModel { scope, cluster, shadow } = self;
+        *scope = source.scope;
+        cluster.clone_from(&source.cluster);
+        shadow.clone_from(&source.shadow);
+    }
 }
 
 impl HealModel {
@@ -56,7 +69,7 @@ impl HealModel {
         HealModel {
             scope,
             cluster: CacheCluster::new(scope.blades, scope.capacity_pages),
-            shadow: HashMap::new(),
+            shadow: ShadowMap::default(),
         }
     }
 

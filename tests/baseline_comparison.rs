@@ -2,6 +2,8 @@
 //! pool vs the traditional dual-controller array
 //! (`ClusterConfig::dual_controller`).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use ys_cache::Retention;
 use ys_core::{BladeCluster, ClusterConfig, LoadBalance};
 use ys_proto::Workload;
@@ -11,7 +13,23 @@ const KB: u64 = 1 << 10;
 const MB: u64 = 1 << 20;
 const GB: u64 = 1 << 30;
 
-/// Closed-loop helper: issue `ops` cache-warm reads and return MB/s.
+/// Closed loop from `base`: each of `clients` clients issues its next
+/// request when its last one completes, earliest client first, until `ops`
+/// requests were issued in all. `issue(client, at)` issues one request and
+/// returns when it completes; the loop returns when the last one did.
+fn closed_loop(base: SimTime, clients: usize, ops: usize, mut issue: impl FnMut(usize, SimTime) -> SimTime) -> SimTime {
+    let mut ready: BinaryHeap<Reverse<(u64, usize)>> = (0..clients).map(|cl| Reverse((base.nanos(), cl))).collect();
+    let mut end = base;
+    for _ in 0..ops {
+        let Some(Reverse((at, cl))) = ready.pop() else { break };
+        let done = issue(cl, SimTime(at));
+        end = end.max(done);
+        ready.push(Reverse((done.nanos(), cl)));
+    }
+    end
+}
+
+/// Issue `ops` cache-warm reads from 16 closed-loop clients and return MB/s.
 fn cluster_throughput(blades: usize, ops: usize) -> f64 {
     let clients = 16;
     let mut c = BladeCluster::new(ClusterConfig::default().with_blades(blades).with_disks(16).with_clients(clients));
@@ -24,22 +42,12 @@ fn cluster_throughput(blades: usize, ops: usize) -> f64 {
     }
     let base = c.drain().max(t);
     let mut wl = Workload::random(set, io, 0.0, 5);
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-        (0..clients).map(|cl| std::cmp::Reverse((base.nanos(), cl))).collect();
-    let mut remaining = ops;
     let mut bytes = 0u64;
-    let mut end = base;
-    while let Some(std::cmp::Reverse((tn, cl))) = heap.pop() {
-        if remaining == 0 {
-            break;
-        }
-        remaining -= 1;
+    let end = closed_loop(base, clients, ops, |cl, at| {
         let op = wl.next_op();
-        let done = c.read(SimTime(tn), cl, vol, op.offset, op.len).unwrap().done;
         bytes += op.len;
-        end = end.max(done);
-        heap.push(std::cmp::Reverse((done.nanos(), cl)));
-    }
+        c.read(at, cl, vol, op.offset, op.len).unwrap().done
+    });
     bytes as f64 / 1e6 / end.since(base).as_secs_f64()
 }
 
@@ -74,23 +82,13 @@ fn pooled_cache_beats_partitioned_under_skew() {
         let zipf = ys_simcore::Zipf::new(8, 1.2);
         let mut rng = ys_simcore::Rng::new(31);
         let mut wl = Workload::random(16 * MB, 64 * KB, 0.0, 17);
-        // Closed loop with 8 concurrent clients: hot-spot queueing only
+        // Closed loop with 16 concurrent clients: hot-spot queueing only
         // shows up when requests actually overlap in time.
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<(u64, usize)>> =
-            (0..clients).map(|cl| std::cmp::Reverse((base.nanos(), cl))).collect();
-        let mut remaining = 2000usize;
-        let mut end = base;
-        while let Some(std::cmp::Reverse((tn, cl))) = heap.pop() {
-            if remaining == 0 {
-                break;
-            }
-            remaining -= 1;
+        let end = closed_loop(base, clients, 2000, |cl, at| {
             let v = vols[zipf.sample(&mut rng)];
             let op = wl.next_op();
-            let done = c.read(SimTime(tn), cl, v, op.offset, op.len).unwrap().done;
-            end = end.max(done);
-            heap.push(std::cmp::Reverse((done.nanos(), cl)));
-        }
+            c.read(at, cl, v, op.offset, op.len).unwrap().done
+        });
         (end.since(base), c.blade_utilizations(end))
     };
     let (pooled_time, pooled_utils) = run(LoadBalance::PageAffinity);
