@@ -492,6 +492,7 @@ pub fn bitrot_scrub() -> RunReport {
 /// *explicit* `acked-write-lost` — never a silent stale read — and shrink
 /// to a minimal replayable `--seed S --keep i,j` schedule.
 pub fn crash_nway() -> RunReport {
+    use ys_cache::durability::{ACKED_WRITE_LOST, LOSS_WITHIN_BUDGET};
     use ys_chaos::{
         minimize, run_campaign, run_with_schedule, CampaignConfig, CampaignSchedule, Injection,
     };
@@ -554,8 +555,8 @@ pub fn crash_nway() -> RunReport {
     shrink.row(vec!["campaign runs spent".into(), shrink_runs.to_string()]);
     shrink.row(vec!["replay".into(), minimal.replay_line()]);
 
-    let fatal_loud = fatal.violations.iter().any(|v| v.rule == "acked-write-lost");
-    let fatal_clean = fatal.violations.iter().all(|v| v.rule != "loss-within-budget");
+    let fatal_loud = fatal.violations.iter().any(|v| v.rule == ACKED_WRITE_LOST);
+    let fatal_clean = fatal.violations.iter().all(|v| v.rule != LOSS_WITHIN_BUDGET);
     let minimal_subset = minimal.entries.iter().all(|e| schedule.entries.contains(e));
     let checkpoints = vec![
         Checkpoint {
@@ -587,13 +588,13 @@ pub fn crash_nway() -> RunReport {
         Checkpoint {
             claim: "the deliberate N-failure surfaces as an explicit acked-write-lost",
             metric: "fatal.violations".into(),
-            observed: if fatal_loud { "acked-write-lost".into() } else { "missing".into() },
+            observed: if fatal_loud { ACKED_WRITE_LOST.into() } else { "missing".into() },
             target: "present".into(),
             pass: fatal_loud,
         },
         Checkpoint {
             claim: "no loss ever hides inside the §6.1 budget (that would be a bug)",
-            metric: "fatal.loss-within-budget".into(),
+            metric: format!("fatal.{LOSS_WITHIN_BUDGET}"),
             observed: if fatal_clean { "absent".into() } else { "PRESENT".into() },
             target: "absent".into(),
             pass: fatal_clean,

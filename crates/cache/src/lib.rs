@@ -11,11 +11,14 @@
 //! * [`cluster`] — [`CacheCluster`]: local/remote hits, invalidation on
 //!   write, **N-way dirty replication** with replica promotion on blade
 //!   failure (§6.1's N−1-failure guarantee), destage, and eviction;
+//! * [`durability`] — the loss ledger: the §6.1 `(copies, failures)`
+//!   budget every crash is judged against, by ys-check and ys-chaos alike;
 //! * [`heat`] — decayed access-heat tracking feeding §7.1's automatic
 //!   hot-file replication.
 
 pub mod cluster;
 pub mod directory;
+pub mod durability;
 pub mod heat;
 pub mod invariants;
 pub mod lru;

@@ -4,6 +4,7 @@
 use super::{Campaign, RebuildState, BLADES_PER_SITE, DISKS_PER_SITE, PAGE, REBUILD_REGION, SITES, WRITE_BACK_COPIES};
 use crate::oracle;
 use crate::schedule::{Injection, ScheduledFault};
+use ys_cache::durability::{self, Verdict};
 use ys_core::Rebuilder;
 use ys_geo::SiteId;
 use ys_heal::{HealConfig, Healer};
@@ -60,7 +61,7 @@ impl Campaign {
         if self.down[site].iter().filter(|&&d| !d).count() <= 2 {
             return false;
         }
-        self.shadows[site].refresh(&self.ns.clusters[site]);
+        oracle::refresh(&mut self.ledgers[site], &self.ns.clusters[site]);
         let lost_before = self.ns.clusters[site].cache.lost_pages().len();
         let drained = match self.ns.clusters[site].drain_blade(self.t, blade) {
             Ok((_report, done)) => {
@@ -147,21 +148,24 @@ impl Campaign {
         if self.down[site].iter().filter(|&&d| !d).count() <= 1 {
             return false;
         }
-        self.shadows[site].refresh(&self.ns.clusters[site]);
-        self.shadows[site].pre_crash(&self.ns.clusters[site], blade);
+        oracle::refresh(&mut self.ledgers[site], &self.ns.clusters[site]);
+        self.ledgers[site].pre_crash(self.ns.clusters[site].cache.directory(), blade);
         let failure = self.ns.clusters[site].fail_blade(self.t, blade);
-        let (legal, benign) = self.shadows[site].judge_losses(
-            site,
-            self.step,
-            &failure.lost,
-            WRITE_BACK_COPIES,
-            &mut self.report.violations,
-        );
-        self.report.expected_losses += legal;
-        self.report.benign_losses += benign;
-        // The oracle has recorded the verdict on every loss; acknowledge
-        // the tombstones so the structural audit sees a clean directory.
         for &key in &failure.lost {
+            let verdict = self.ledgers[site].judge(key, WRITE_BACK_COPIES);
+            match verdict {
+                Verdict::Benign => self.report.benign_losses += 1,
+                Verdict::AtLimit(_) => self.report.expected_losses += 1,
+                _ => {}
+            }
+            if let Some(rule) = verdict.rule() {
+                self.violate(rule, site, verdict.detail(key));
+            }
+            if let Err(detail) = durability::check_loss_is_loud(&mut self.ns.clusters[site].cache, blade, key) {
+                self.violate(durability::SILENT_LOSS, site, detail);
+            }
+            // Judged: acknowledge the tombstone so the structural audit
+            // sees a clean directory.
             self.ns.clusters[site].cache.acknowledge_loss(key);
         }
         self.set_down(site, blade, true);
@@ -268,7 +272,11 @@ impl Campaign {
                 Err(_) => self.report.ops_failed += 1,
             }
         }
-        self.shadows[site].refresh(&self.ns.clusters[site]);
+        // Apply the destages that fell due by `self.t` before picking the
+        // victim: left to the first crash's own advance, they would rescue
+        // it and leave the kill nothing to lose.
+        self.ns.clusters[site].advance(self.t);
+        oracle::refresh(&mut self.ledgers[site], &self.ns.clusters[site]);
         // The adversary: pick the smallest fully-replicated dirty page (the
         // directory iterates in key order) and crash every holder, owner
         // first, before any destage can rescue it. Each crash goes through

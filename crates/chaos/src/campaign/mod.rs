@@ -20,11 +20,12 @@
 //!   only after it, and the finished report;
 //! * `tests`: the unit tests, under their long-standing module path.
 
-use crate::oracle::{self, OracleViolation, SiteShadow};
+use crate::oracle::{self, OracleViolation};
 use crate::schedule::{CampaignSchedule, CrashEvent, Trigger};
 use fixture::Fixture;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
+use ys_cache::durability::LossLedger;
 use ys_core::{NetStorage, Rebuilder, PAGE_BYTES as PAGE};
 use ys_geo::SiteId;
 use ys_pfs::Ino;
@@ -230,7 +231,8 @@ struct Campaign {
     cfg: CampaignConfig,
     ns: NetStorage,
     rng: Rng,
-    shadows: Vec<SiteShadow>,
+    /// Per site: the durability budgets of its protected dirty pages.
+    ledgers: Vec<LossLedger>,
     /// (ino, home site) for workload files.
     files: Vec<(Ino, usize)>,
     /// Per-site QoS probe volume per tenant id (1..=3); empty if QoS off.
@@ -283,7 +285,7 @@ impl Campaign {
         let Fixture { ns, files, probes, integ_vols } = fixture;
         Campaign {
             rng: Rng::new(cfg.seed ^ 0x0c4a_0517),
-            shadows: vec![SiteShadow::default(); SITES],
+            ledgers: vec![LossLedger::default(); SITES],
             files,
             probes,
             integ_vols,
@@ -365,9 +367,9 @@ impl Campaign {
         self.report.violations.push(OracleViolation { rule, step: self.step, site, detail });
     }
 
-    /// The oracle's check of one site: refresh its shadow, then audit.
+    /// The oracle's check of one site: refresh its ledger, then audit.
     fn audit(&mut self, site: usize) {
-        self.shadows[site].refresh(&self.ns.clusters[site]);
+        oracle::refresh(&mut self.ledgers[site], &self.ns.clusters[site]);
         oracle::audit_site(site, self.step, &mut self.ns.clusters[site], &mut self.report.violations);
     }
 

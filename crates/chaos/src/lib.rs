@@ -15,8 +15,9 @@
 //! [`ys_simcore::SpanRecorder`] crash-point tripwires.
 //!
 //! After every injection and again at convergence, the
-//! [`oracle`] compares the cluster against a shadow model
-//! of the durability budgets. A campaign is a pure function of
+//! [`oracle`] checks the cluster against the durability budgets of
+//! [`ys_cache::durability`]'s loss ledger — the one statement of the
+//! promise, which ys-check's cache model judges by too. A campaign is a pure function of
 //! `(config, schedule)`, so a failure replays bit-identically from its
 //! seed — and [`minimize`] ddmin-bisects the injection list down to a
 //! minimal reproducing schedule, printed as `ys-chaos --seed S --keep
@@ -36,7 +37,7 @@ pub mod schedule;
 pub mod shrink;
 
 pub use campaign::{run_campaign, run_with_schedule, CampaignConfig, CampaignReport};
-pub use oracle::{OracleViolation, SiteShadow};
+pub use oracle::OracleViolation;
 pub use run::{CampaignRun, RunOptions};
 pub use schedule::{CampaignSchedule, CrashEvent, Injection, ScheduledFault, Trigger};
 pub use shrink::minimize;

@@ -13,6 +13,7 @@ use crate::campaign::{run_with_schedule, CampaignConfig};
 use crate::schedule::CampaignSchedule;
 use crate::shrink::minimize;
 use std::fmt::Write as _;
+use ys_cache::durability::{ACKED_WRITE_LOST, LOSS_WITHIN_BUDGET};
 pub use ys_core::harness::CampaignRun;
 use ys_core::harness::{number, Campaign};
 
@@ -122,8 +123,8 @@ fn run_rendered(opts: &RunOptions) -> CampaignRun {
 
     let ok = if opts.fatal {
         // Fatal mode: the harness passes by FINDING the loss.
-        report.violations.iter().any(|v| v.rule == "acked-write-lost")
-            && report.violations.iter().all(|v| v.rule != "loss-within-budget")
+        report.violations.iter().any(|v| v.rule == ACKED_WRITE_LOST)
+            && report.violations.iter().all(|v| v.rule != LOSS_WITHIN_BUDGET)
     } else {
         !failed
     };

@@ -5,11 +5,10 @@
 //!
 //! * **write-version monotonicity** — re-writes of a live page always bump
 //!   its version (§6.3's coherent single image: readers can order writes);
-//! * **loss-within-budget** — a page written with N total dirty copies
-//!   survives any N−1 blade failures (§6.1); losing it earlier is a bug,
-//!   losing it at the Nth failure is the accepted limit;
-//! * the §6.1 failover checks on every `Fail` — promotion legality and
-//!   loud loss (`failover_model.rs`);
+//! * **durability** (§6.1) — every `Fail`'s losses are judged by
+//!   [`ys_cache::durability`]'s [`LossLedger`], as the chaos oracle's are:
+//!   a loss within budget, untracked or silent is a violation;
+//! * promotion legality on every `Fail` (`failover_model.rs`);
 //! * plus the full structural audit in [`ys_cache::invariants`] after every
 //!   step.
 //!
@@ -27,6 +26,7 @@ use crate::failover_model::{self, Prior};
 use crate::hash::StateHasher;
 use crate::summary::StandardModel;
 use std::collections::HashMap;
+use ys_cache::durability::{self, LossLedger, Verdict};
 use ys_cache::{CacheCluster, FixedHash, PageKey, ReadOutcome, Retention};
 
 /// One operation in the bounded scope.
@@ -64,15 +64,6 @@ impl Scope {
     }
 }
 
-/// Protection promised to a dirty page at its last write.
-#[derive(Clone, Copy, Debug)]
-struct Budget {
-    /// Dirty copies that existed when the write was acked (owner+replicas).
-    copies: usize,
-    /// Blade failures since then that removed one of those copies.
-    failures: usize,
-}
-
 /// The real cluster plus the shadow observer.
 pub struct CacheModel {
     scope: Scope,
@@ -80,7 +71,7 @@ pub struct CacheModel {
     /// Last version each live page was written at.
     last_written: ShadowMap<u64>,
     /// Outstanding protection promises for dirty pages.
-    budgets: ShadowMap<Budget>,
+    ledger: LossLedger,
 }
 
 /// A shadow map of a model on a `CacheCluster`. The hasher is fixed and
@@ -89,19 +80,20 @@ pub struct CacheModel {
 /// takes from these maps.
 pub(crate) type ShadowMap<V> = HashMap<PageKey, V, FixedHash>;
 
-/// `clone_from` refills the cluster and both maps in their own buffers.
+/// `clone_from` refills the cluster, the version map and the ledger in
+/// their own buffers.
 impl Clone for CacheModel {
     fn clone(&self) -> Self {
-        let CacheModel { scope, cluster, last_written, budgets } = self;
-        CacheModel { scope: *scope, cluster: cluster.clone(), last_written: last_written.clone(), budgets: budgets.clone() }
+        let CacheModel { scope, cluster, last_written, ledger } = self;
+        CacheModel { scope: *scope, cluster: cluster.clone(), last_written: last_written.clone(), ledger: ledger.clone() }
     }
 
     fn clone_from(&mut self, source: &Self) {
-        let CacheModel { scope, cluster, last_written, budgets } = self;
+        let CacheModel { scope, cluster, last_written, ledger } = self;
         *scope = source.scope;
         cluster.clone_from(&source.cluster);
         last_written.clone_from(&source.last_written);
-        budgets.clone_from(&source.budgets);
+        ledger.clone_from(&source.ledger);
     }
 }
 
@@ -116,7 +108,7 @@ impl CacheModel {
             scope,
             cluster: CacheCluster::new(scope.blades, scope.capacity_pages),
             last_written: ShadowMap::default(),
-            budgets: ShadowMap::default(),
+            ledger: LossLedger::default(),
         }
     }
 
@@ -151,58 +143,51 @@ impl CacheModel {
                         }
                     }
                     self.last_written.insert(key, out.version);
-                    self.budgets
-                        .insert(key, Budget { copies: 1 + out.replicas.len(), failures: 0 });
+                    self.ledger.open(key, out.version, 1 + out.replicas.len());
                 }
             }
             Op::Destage { page } => {
                 let key = key_of(page);
                 if self.cluster.destage(key).is_ok() {
                     // Data is on disk: the in-cache protection promise ends.
-                    self.budgets.remove(&key);
+                    self.ledger.close(key);
                 }
             }
             Op::Invalidate { page } => {
                 let key = key_of(page);
                 self.cluster.invalidate_page(key);
                 // Deliberate drop (rollback): both shadow entries reset.
-                self.budgets.remove(&key);
+                self.ledger.close(key);
                 self.last_written.remove(&key);
             }
             Op::Fail { blade } => {
-                // Which protected pages lose a copy if this blade dies, and
-                // who owned and replicated them before it did?
+                // Who owned and replicated the pages this blade holds
+                // before it dies, for the promotion check.
                 let mut prior: Vec<Prior> = Vec::new();
                 for (key, e) in self.cluster.directory().iter() {
                     if e.owner == Some(blade) || e.replicas.contains(&blade) {
                         prior.push(Prior { key: *key, owner: e.owner, replicas: e.replicas.clone() });
                     }
                 }
+                self.ledger.pre_crash(self.cluster.directory(), blade);
                 let report = self.cluster.fail_blade(blade);
-                for p in &prior {
-                    if let Some(b) = self.budgets.get_mut(&p.key) {
-                        b.failures += 1;
-                    }
-                }
                 failover_model::check_promotions(&self.cluster, blade, &report.promoted, &prior, &mut violations);
-                for key in &report.lost {
-                    match self.budgets.get(key) {
-                        Some(b) if b.failures < b.copies => {
-                            violations.push(format!(
-                                "loss-within-budget: {key:?} written {}-way lost after only {} \
-                                 failures",
-                                b.copies, b.failures
-                            ));
-                        }
-                        _ => {}
+                for &key in &report.lost {
+                    // Every write here is a client write: no loss is benign.
+                    let verdict = self.ledger.judge(key, 1);
+                    match (verdict, verdict.rule()) {
+                        // The Nth-failure loss is the accepted limit.
+                        (Verdict::AtLimit(_), _) | (_, None) => {}
+                        (_, Some(rule)) => violations.push(format!("{rule}: {}", verdict.detail(key))),
                     }
-                    failover_model::check_loss_is_loud(&mut self.cluster, blade, *key, &mut violations);
-                    self.budgets.remove(key);
-                    self.last_written.remove(key);
-                    // The budget shadow above is the judge of whether this
-                    // loss was legal; either way the tombstone is now
-                    // accounted for, so clear it before the structural audit.
-                    self.cluster.acknowledge_loss(*key);
+                    if let Err(detail) = durability::check_loss_is_loud(&mut self.cluster, blade, key) {
+                        violations.push(format!("{}: {detail}", durability::SILENT_LOSS));
+                    }
+                    self.last_written.remove(&key);
+                    // The ledger has judged this loss; either way the
+                    // tombstone is now accounted for, so clear it before the
+                    // structural audit.
+                    self.cluster.acknowledge_loss(key);
                 }
             }
             Op::Repair { blade } => {
@@ -253,8 +238,8 @@ impl Model for CacheModel {
         // Shadow state distinguishes paths the structural state alone may
         // not (protection promises judge *future* failures).
         hash_cluster(&self.cluster, self.scope, self.last_written.values().copied(), |_, rank, rows| {
-            for (k, b) in &self.budgets {
-                rows.push([k.page, b.copies as u64, b.failures as u64, u64::MAX]);
+            for (k, b) in self.ledger.iter() {
+                rows.push([k.page, u64::from(b.copies), u64::from(b.failures), u64::MAX]);
             }
             for (k, &v) in &self.last_written {
                 rows.push([k.page, u64::MAX, u64::MAX, rank(v)]);

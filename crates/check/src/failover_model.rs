@@ -1,20 +1,12 @@
-//! The §6.1 failover checks the cache model runs on every `Fail`, beyond
-//! its loss-within-budget shadow:
-//!
-//! * **promotion legality** — when a crash promotes a dirty page, the
-//!   crashed blade was its owner and the new owner one of the replicas the
-//!   page was pinned to *before* the crash (re-homing may not invent
-//!   copies);
-//! * **loud loss** — when the budget is exhausted and a page is lost,
-//!   reading it from any surviving blade must return
-//!   [`CacheError::DataLost`] until the loss is acknowledged: the paper's
-//!   promise is *no silent loss*, not no loss.
-//!
-//! That no surviving directory entry references the crashed blade is the
-//! structural audit's `down-blade-consistency` rule, which runs on the same
-//! transition.
+//! The §6.1 failover check the cache model runs on every `Fail`, beside
+//! the loss ledger's judgement of what the crash lost
+//! ([`ys_cache::durability`]): **promotion legality** — a crash promotes a
+//! dirty page only if the crashed blade owned it, and only to one of the
+//! replicas it was pinned to *before* the crash (re-homing may not invent
+//! copies). That no surviving directory entry references the crashed blade
+//! is the structural audit's `down-blade-consistency` rule.
 
-use ys_cache::{CacheCluster, CacheError, PageKey};
+use ys_cache::{CacheCluster, PageKey};
 
 /// A page the failing blade owned or replicated, as the directory held it
 /// before the crash.
@@ -50,18 +42,6 @@ pub(crate) fn check_promotions(
     }
 }
 
-/// Loud loss: `key`, lost when `failed` crashed and not yet acknowledged,
-/// reads as [`CacheError::DataLost`] from a surviving blade.
-pub(crate) fn check_loss_is_loud(cluster: &mut CacheCluster, failed: usize, key: PageKey, violations: &mut Vec<String>) {
-    let Some(reader) = (0..cluster.blade_count()).find(|&b| b != failed && cluster.blade_up(b)) else {
-        return;
-    };
-    match cluster.read(reader, key) {
-        Err(CacheError::DataLost(_)) => {}
-        other => violations.push(format!("silent loss: read of lost {key:?} returned {other:?}, not DataLost")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use crate::cache_model::{key_of, render_trace, CacheModel, Op, Scope};
@@ -85,8 +65,9 @@ mod tests {
         let mut m = CacheModel::new(SCOPE);
         assert!(m.apply(Op::Write { blade: 0, page: 0 }).is_empty());
         // Crash the owner, then the promoted owner: budget exhausted. The
-        // model itself asserts the read-before-acknowledge returns
-        // DataLost; no violations means the loss was loud and legal.
+        // model reads the page back before acknowledging it, through the
+        // loss ledger's loud-loss check; no violations means the loss was
+        // loud and legal.
         for _ in 0..2 {
             let owner = m.cluster.directory().get(&key_of(0)).and_then(|e| e.owner);
             let Some(b) = owner else { break };
@@ -126,9 +107,9 @@ mod tests {
         let text = render_trace(
             &[Op::Write { blade: 0, page: 1 }, Op::Fail { blade: 0 }],
             SCOPE,
-            &["silent loss: example".into()],
+            &["silent-loss: example".into()],
         );
-        assert!(text.starts_with("// Violations:\n//   silent loss: example\n"));
+        assert!(text.starts_with("// Violations:\n//   silent-loss: example\n"));
         assert!(text.contains("c.write(0, PageKey::new(0, 1)"));
         assert!(text.contains("for key in c.fail_blade(0).lost { c.acknowledge_loss(key); }"));
     }

@@ -10,7 +10,8 @@
 //!   blades failed than copies held (§6.1's N−1 guarantee), a crash
 //!   promoting only to a replica held before it, and a loss beyond the
 //!   budget read back as `DataLost`, never silently (the cache model's
-//!   `Fail` step);
+//!   `Fail` step, judged by `ys_cache::durability`'s loss ledger, as the
+//!   chaos oracle's crashes are);
 //! * directory-vs-LRU residency agreement and per-blade capacity (§2.2);
 //! * DMSD allocated-block conservation across snapshot/rollback (§3);
 //! * QoS admission-ledger balance, token/burst bounds, in-flight caps, and

@@ -121,9 +121,13 @@ echo "    seed 580's failure report unchanged"
 # The fatal path: no gate above generates a KillDirtyPage. With --fatal the
 # schedule ends in a deliberate N-failure, and the run exits 0 only when
 # the oracle surfaces it as an explicit acked-write loss (never one within
-# budget) and ddmin shrinks it to a replayable schedule.
-echo "==> ys-chaos --seed 4 --steps 64 --fatal (the N-failure is found and shrunk)"
-cargo run --release -q -p ys-chaos -- --seed 4 --steps 64 --fatal --quiet
+# budget) and ddmin shrinks it to a replayable schedule. Seeds 16, 46 and
+# 155 are the ones where a destage falls due during the kill's own write:
+# the kill must apply it before picking its victim, or it loses nothing.
+for seed in 4 16 46 155; do
+    echo "==> ys-chaos --seed $seed --steps 64 --fatal (the N-failure is found and shrunk)"
+    cargo run --release -q -p ys-chaos -- --seed "$seed" --steps 64 --fatal --quiet
+done
 
 # Security pillar: the §5 enforcement stack must hold end to end. The two
 # checkpointed scenarios fail loudly (non-zero exit) if any cross-tenant
