@@ -113,6 +113,12 @@ pub const CLAIMS: &[Claim] = &[
         what: "the national-lab deployment serves every request through a blade failure, its repair and a disk failure (§6.3)",
         run: scenarios::national_lab,
     },
+    Claim {
+        id: None,
+        name: Some("fortified-ring"),
+        what: "the fortified ring: authentication, zoning, in-band disabling and LUN masking gate the management plane, the block target and the NAS head; every refusal audited once (§5, §5.2, §8)",
+        run: scenarios::fortified_ring,
+    },
 ];
 
 /// The claim `report` prints under `id`.

@@ -803,6 +803,210 @@ pub fn national_lab() -> RunReport {
     RunReport { tables: vec![table], checkpoints, registry: reg, ..RunReport::default() }
 }
 
+/// §5 and §5.2 end to end: the fortified ring. An administrator logs in and
+/// drives the management plane; two hosts reach the pool, one through the
+/// block target and one through the NAS head. Every request meets the real
+/// gates — token and role, the fail-closed ingress zone, the in-band
+/// command filter, the LUN mask, the export — and every refusal must land
+/// in its audit log exactly once. The mask the plane administers is the
+/// one both data heads enforce.
+pub fn fortified_ring() -> RunReport {
+    use ys_core::{AdminError, AdminOp, AdminOutcome, BlockTarget, FileReply, FileServer, ManagementPlane};
+    use ys_core::{NetStorage, NetStorageConfig};
+    use ys_proto::{block, file, BlockCmd, BlockStatus, FileOp};
+    use ys_security::{AuditEvent, AuditLog, AuthService, ControlCommand, InitiatorId, PortZone, Role};
+    use ys_security::SecurityViolation::{InBandDenied, MaskDenied, ZoneBreach};
+    type Step = (Result<AdminOutcome, AdminError>, Vec<AuditEvent>);
+
+    const HOST: usize = 0;
+    const UNZONED: usize = 5;
+    const BRIDGE: usize = 8;
+    const MGMT: usize = 9;
+    const TTL_NS: u64 = 3_600_000_000_000;
+    const MB: u64 = 1 << 20;
+    let t0 = SimTime::ZERO;
+    let entries = |log: &AuditLog| log.events().iter().map(|(_, e)| e.clone()).collect::<Vec<_>>();
+
+    let mut auth = AuthService::new(2002);
+    let ops = auth.register("ops", 0, Role::Admin, 1);
+    let pi = auth.register("physics-pi", 1, Role::User, 2);
+    let login = |who| {
+        let response = auth.client_response(who, 7).expect("registered principal");
+        auth.login(who, 7, response, t0, TTL_NS).expect("its own secret")
+    };
+    let (admin, user) = (login(ops), login(pi));
+    let mut plane = ManagementPlane::new(auth);
+    plane.mask.set_zone(HOST, PortZone::HostSide);
+    plane.mask.set_zone(BRIDGE, PortZone::DiskSide);
+    plane.mask.set_zone(MGMT, PortZone::Management);
+    plane.mask.disable_inband(HOST, ControlCommand::DeleteVolume);
+    let mut ns = NetStorage::new(NetStorageConfig {
+        site_cluster: ClusterConfig::default().with_blades(4).with_disks(12).with_clients(4),
+        ..NetStorageConfig::default()
+    });
+
+    // One control op: what the plane answered, and the entries it audited.
+    let mut control_table = Table::new("control ops through the management plane", &["op", "port", "outcome", "audited"]);
+    let mut control = |plane: &mut ManagementPlane, what: &str, token, port, op, now| -> Step {
+        let before = plane.audit.events().len();
+        let r = plane.execute(&mut ns.clusters[0], token, port, op, now);
+        let audited = entries(&plane.audit).split_off(before);
+        let outcome = r.as_ref().map_or_else(|e| e.to_string(), |o| format!("{o:?}"));
+        let labels: Vec<String> = audited
+            .iter()
+            .map(|e| match e {
+                AuditEvent::LoginFailed { .. } => "LoginFailed".into(),
+                AuditEvent::PolicyChange { .. } => "PolicyChange".into(),
+                AuditEvent::Violation(v) => v.to_string(),
+            })
+            .collect();
+        control_table.row(vec![what.into(), port.to_string(), outcome, labels.join(", ")]);
+        (r, audited)
+    };
+    let performed = |(r, a): &Step| r.is_ok() && matches!(a[..], [AuditEvent::PolicyChange { .. }]);
+    let created = |(r, _): &Step| match r {
+        Ok(AdminOutcome::VolumeCreated(v)) => *v,
+        _ => VolumeId(0),
+    };
+    let create = |name: &str| AdminOp::CreateVolume { group: 0, name: name.into(), tenant: 1, bytes: 10 << 30 };
+
+    let by_user = control(&mut plane, "create (User token)", &user, MGMT, create("by-user"), t0);
+    let late = SimTime(TTL_NS + 1);
+    let expired = control(&mut plane, "create (expired Admin token)", &admin, MGMT, create("late"), late);
+    let by_admin = control(&mut plane, "create (Admin token)", &admin, MGMT, create("san-lun"), t0);
+    let vol = created(&by_admin);
+    let auth_refused = [by_user, expired]
+        .iter()
+        .filter(|(r, a)| matches!(r, Err(AdminError::Auth(_))) && matches!(a[..], [AuditEvent::LoginFailed { .. }]))
+        .count();
+
+    let delete = AdminOp::DeleteVolume { vol: created(&control(&mut plane, "create", &admin, MGMT, create("tmp"), t0)) };
+    let (r, a) = control(&mut plane, "delete in-band", &admin, HOST, delete.clone(), t0);
+    let refusal = InBandDenied { port: HOST, command: ControlCommand::DeleteVolume };
+    let inband_refused = matches!(&r, Err(AdminError::PathDenied(v)) if *v == refusal)
+        && a == [AuditEvent::Violation(refusal)];
+    let out_of_band = performed(&control(&mut plane, "delete out-of-band", &admin, MGMT, delete, t0));
+
+    let mut zone_refused = 0;
+    for port in [UNZONED, BRIDGE] {
+        let (r, a) = control(&mut plane, "create on a non-host port", &admin, port, create("smuggled"), t0);
+        zone_refused += usize::from(
+            matches!(&r, Err(AdminError::PathDenied(v)) if *v == ZoneBreach { port })
+                && a == [AuditEvent::Violation(ZoneBreach { port })],
+        );
+    }
+
+    // The plane grants each host its export; both heads enforce its mask.
+    let (san_host, nas_host, spy) = (InitiatorId(1), InitiatorId(2), InitiatorId(66));
+    let mut grants = 0;
+    for (initiator, vol) in [(san_host.0, vol), (nas_host.0, FileServer::NAMESPACE_VOL)] {
+        let grant = AdminOp::MaskGrant { initiator, vol };
+        grants += usize::from(performed(&control(&mut plane, "mask grant", &admin, MGMT, grant, t0)));
+    }
+
+    let mut data_table = Table::new("data frames through the block target and the NAS head", &["frame", "port", "reply"]);
+    let mut target = BlockTarget::new(2, BRIDGE);
+    target.mask = plane.mask.clone();
+    let mut t = t0;
+    let mut block_good = 0;
+    for lba in (0..8192u64).step_by(2048) {
+        for cmd in [BlockCmd::Write { lun: vol.0, lba, sectors: 2048 }, BlockCmd::Read { lun: vol.0, lba, sectors: 2048 }] {
+            let r = target.handle(&mut ns.clusters[0], san_host, 0, HOST, t, block::encode(&cmd));
+            block_good += usize::from(r.status == BlockStatus::Good);
+            t = r.done;
+        }
+    }
+    data_table.row(vec!["SAN host: 4 x (1 MiB write + read)".into(), HOST.to_string(), format!("{block_good} of 8 Good")]);
+    let mut block_denied = 0;
+    for (who, port, label) in [(spy, HOST, "unmasked initiator"), (san_host, UNZONED, "SAN host, unzoned port")] {
+        let read = block::encode(&BlockCmd::Read { lun: vol.0, lba: 0, sectors: 8 });
+        let r = target.handle(&mut ns.clusters[0], who, 0, port, t, read);
+        block_denied += usize::from(r.status == BlockStatus::AccessDenied);
+        data_table.row(vec![format!("block read: {label}"), port.to_string(), format!("{:?}", r.status)]);
+    }
+    let block_audited = entries(&target.audit)
+        == [AuditEvent::Violation(MaskDenied { initiator: spy, volume: vol }), AuditEvent::Violation(ZoneBreach { port: UNZONED })];
+    let block_ok = block_good == 8 && target.stats.bytes == 8 * MB && block_denied == 2 && block_audited;
+
+    let mut nas = FileServer::new(ys_geo::SiteId(0));
+    nas.mask = plane.mask.clone();
+    let mut send = |who, port, op: FileOp| nas.handle(&mut ns, who, 0, port, t, file::encode(&op));
+    send(nas_host, HOST, FileOp::Mkdir { path: "/shared".into() });
+    let ino = match send(nas_host, HOST, FileOp::Create { path: "/shared/results.csv".into() }) {
+        FileReply::Ino { ino, .. } => ino,
+        _ => u64::MAX,
+    };
+    let mut nas_good = 0;
+    for op in [FileOp::Write { ino, offset: 0, len: 4 * MB }, FileOp::Read { ino, offset: 0, len: 4 * MB }] {
+        nas_good += usize::from(matches!(send(nas_host, HOST, op), FileReply::Ok { .. }));
+    }
+    data_table.row(vec!["NAS host: 4 MiB write + read".into(), HOST.to_string(), format!("{nas_good} of 2 Ok")]);
+    let mut nas_denied = 0;
+    for (who, port, label) in [(spy, HOST, "unexported initiator"), (nas_host, UNZONED, "NAS host, unzoned port")] {
+        let r = send(who, port, FileOp::Lookup { path: "/shared/results.csv".into() });
+        nas_denied += usize::from(matches!(r, FileReply::Error(_)));
+        data_table.row(vec![format!("file lookup: {label}"), port.to_string(), format!("{r:?}")]);
+    }
+    let namespace = FileServer::NAMESPACE_VOL;
+    let nas_audited = entries(&nas.audit)
+        == [AuditEvent::Violation(MaskDenied { initiator: spy, volume: namespace }), AuditEvent::Violation(ZoneBreach { port: UNZONED })];
+    let nas_ok = nas_good == 2 && nas.stats.bytes == 8 * MB && nas_denied == 2 && nas_audited;
+
+    let mut reg = MetricsRegistry::new();
+    for (name, v) in [
+        ("auth_refused", auth_refused),
+        ("inband_refused", usize::from(inband_refused)),
+        ("zone_refused", zone_refused),
+        ("mask_grants", grants),
+        ("audit_entries", plane.audit.events().len()),
+        ("block_denied", block_denied),
+        ("nas_denied", nas_denied),
+    ] {
+        reg.gauge(MetricKey::aggregate("ring", name), v as f64);
+    }
+    reg.gauge(MetricKey::aggregate("ring", "block_mb"), target.stats.bytes as f64 / MB as f64);
+    reg.gauge(MetricKey::aggregate("ring", "nas_mb"), nas.stats.bytes as f64 / MB as f64);
+    let admin_performed = performed(&by_admin);
+    let checkpoints = vec![
+        Checkpoint {
+            claim: "§5 authentication: a User or expired token is refused and audited; an Admin op is performed and audited",
+            metric: "ring.auth_refused".into(),
+            observed: format!("{auth_refused} refused, admin op performed: {admin_performed}"),
+            target: "== 2, each LoginFailed once; admin op audited as PolicyChange".into(),
+            pass: auth_refused == 2 && admin_performed,
+        },
+        Checkpoint {
+            claim: "§5.2 in-band disabling: DeleteVolume is refused on the host port, performed on the management port",
+            metric: "ring.inband_refused".into(),
+            observed: format!("refused: {inband_refused}, then performed out-of-band: {out_of_band}"),
+            target: "InBandDenied audited once; then PolicyChange".into(),
+            pass: inband_refused && out_of_band,
+        },
+        Checkpoint {
+            claim: "§5 fabric separation: a control op on an unzoned or disk-side port is a zone breach",
+            metric: "ring.zone_refused".into(),
+            observed: zone_refused.to_string(),
+            target: "== 2, each ZoneBreach audited once".into(),
+            pass: zone_refused == 2,
+        },
+        Checkpoint {
+            claim: "§5 LUN masking at the block target: the admitted host moves bytes; a stranger and an unzoned port are denied",
+            metric: "ring.block_denied".into(),
+            observed: format!("{block_denied} denied, {} audited; host {block_good} of 8 Good", target.audit.events().len()),
+            target: "== 2, MaskDenied + ZoneBreach audited once each".into(),
+            pass: block_ok && grants == 2,
+        },
+        Checkpoint {
+            claim: "§8 NAS head: the exported host moves bytes; an unexported initiator and an unzoned port are denied",
+            metric: "ring.nas_denied".into(),
+            observed: format!("{nas_denied} denied, {} audited; host {nas_good} of 2 Ok", nas.audit.events().len()),
+            target: "== 2, MaskDenied + ZoneBreach audited once each".into(),
+            pass: nas_ok && grants == 2,
+        },
+    ];
+    RunReport { tables: vec![control_table, data_table], checkpoints, registry: reg, ..RunReport::default() }
+}
+
 #[cfg(test)]
 mod tests {
     use crate::claims::{by_name, CLAIMS};

@@ -86,21 +86,15 @@ impl SecurityModel {
         acl && zoned
     }
 
-    /// The real enforcement pipeline, exactly as the block target runs it:
-    /// ingress zone gate first, then the LUN mask; denials audited.
+    /// The real enforcement pipeline the block target runs: the mask's
+    /// ingress gate ([`LunMask::check_ingress`]) first, then the LUN mask;
+    /// denials audited.
     fn real_access(&mut self, initiator: u32, volume: u32, port: usize) -> bool {
-        let zone_ok = matches!(
-            self.mask.zone(port),
-            Some(PortZone::HostSide) | Some(PortZone::Management)
-        );
-        if !zone_ok {
-            self.audit.record(
-                SimTime(self.wire_seq),
-                AuditEvent::Violation(ys_security::SecurityViolation::ZoneBreach { port }),
-            );
-            return false;
-        }
-        match self.mask.check_access(InitiatorId(initiator), VolumeId(volume)) {
+        let gate = self
+            .mask
+            .check_ingress(port)
+            .and_then(|()| self.mask.check_access(InitiatorId(initiator), VolumeId(volume)));
+        match gate {
             Ok(()) => true,
             Err(v) => {
                 self.audit.record(SimTime(self.wire_seq), AuditEvent::Violation(v));

@@ -2,11 +2,13 @@
 //! encloses and protects controller management, security and policy
 //! administration, virtualization, and the file system".
 //!
-//! Every control operation passes three gates before touching the cluster:
+//! Every control operation passes its gates before touching the cluster:
 //! 1. **authentication** — a valid, unexpired, correctly-MAC'd session
 //!    token with the Admin role;
-//! 2. **path policy** — the in-band command filter (control commands can be
-//!    disabled per port; the out-of-band management network always works);
+//! 2. **path policy** — the mask's fail-closed ingress gate (only host-side
+//!    or management ports may carry a request), then the in-band command
+//!    filter (control commands can be disabled per port; the out-of-band
+//!    management network always works);
 //! 3. **audit** — success or refusal, everything lands in the audit log.
 
 use crate::cluster::{BladeCluster, ClusterError};
@@ -107,8 +109,9 @@ impl ManagementPlane {
                 return Err(AdminError::Auth(e));
             }
         };
-        // Gate 2: in-band command filter.
-        if let Err(v) = self.mask.check_inband(port, op.command()) {
+        // Gate 2: ingress zone, then the in-band command filter.
+        let path = self.mask.check_ingress(port).and_then(|()| self.mask.check_inband(port, op.command()));
+        if let Err(v) = path {
             self.audit.record(now, AuditEvent::Violation(v.clone()));
             return Err(AdminError::PathDenied(v));
         }
@@ -212,7 +215,7 @@ mod tests {
             .unwrap();
         plane.execute(&mut cluster, &admin, 9, AdminOp::DeleteVolume { vol }, now).unwrap();
         // Every success was audited.
-        assert_eq!(plane.audit.len(), 6);
+        assert_eq!(plane.audit.events().len(), 6);
         assert_eq!(plane.audit.violations().count(), 0);
     }
 
@@ -229,7 +232,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, AdminError::Auth(AuthError::Forbidden)));
-        assert_eq!(plane.audit.len(), 1, "refusal is audited");
+        assert_eq!(plane.audit.events().len(), 1, "refusal is audited");
     }
 
     #[test]
@@ -257,6 +260,20 @@ mod tests {
         assert_eq!(plane.audit.violations().count(), 1);
         // Out-of-band on the management port: accepted.
         plane.execute(&mut cluster, &admin, 9, AdminOp::DeleteVolume { vol }, SimTime(2)).unwrap();
+    }
+
+    #[test]
+    fn unzoned_and_disk_side_ports_are_refused_as_zone_breaches() {
+        let (mut cluster, mut plane, admin, _) = setup();
+        plane.mask.set_zone(8, PortZone::DiskSide);
+        for port in [5, 8] {
+            let op = AdminOp::CreateVolume { group: 0, name: "v".into(), tenant: 0, bytes: 1 << 30 };
+            let err = plane.execute(&mut cluster, &admin, port, op, SimTime::ZERO).unwrap_err();
+            assert!(matches!(err, AdminError::PathDenied(SecurityViolation::ZoneBreach { port: p }) if p == port));
+        }
+        let breaches: Vec<_> = plane.audit.violations().map(|(_, v)| v.clone()).collect();
+        assert_eq!(breaches, [SecurityViolation::ZoneBreach { port: 5 }, SecurityViolation::ZoneBreach { port: 8 }]);
+        assert!(cluster.volume_ids().is_empty(), "nothing was created");
     }
 
     #[test]

@@ -71,17 +71,11 @@ impl BlockTarget {
     /// the trusted disk-side fabric — or on a port nobody ever zoned —
     /// is a breach, audited and denied.
     fn ingress(&mut self, port: usize, now: SimTime) -> Result<(), BlockReply> {
-        match self.mask.zone(port) {
-            Some(PortZone::HostSide) | Some(PortZone::Management) => Ok(()),
-            Some(PortZone::DiskSide) | None => {
-                self.stats.denied += 1;
-                self.audit.record(
-                    now,
-                    AuditEvent::Violation(ys_security::SecurityViolation::ZoneBreach { port }),
-                );
-                Err(BlockReply { status: BlockStatus::AccessDenied, done: now })
-            }
-        }
+        self.mask.check_ingress(port).map_err(|v| {
+            self.stats.denied += 1;
+            self.audit.record(now, AuditEvent::Violation(v));
+            BlockReply { status: BlockStatus::AccessDenied, done: now }
+        })
     }
 
     /// Gate the target's bridge hop onto the disk-side fabric (data
@@ -240,25 +234,16 @@ impl FileServer {
         }
     }
 
-    /// Zone + export gate, shared by every frame: same fail-closed
-    /// semantics as the block target's ingress check.
+    /// Zone + export gate, shared by every frame: the ingress gate the
+    /// block target runs, then the export check.
     fn admit(&mut self, initiator: InitiatorId, port: usize, now: SimTime) -> Result<(), FileReply> {
-        let breach = !matches!(
-            self.mask.zone(port),
-            Some(PortZone::HostSide) | Some(PortZone::Management)
-        );
-        if breach {
+        let gate = self.mask.check_ingress(port);
+        gate.and_then(|()| self.mask.check_access(initiator, Self::NAMESPACE_VOL)).map_err(|v| {
             self.stats.denied += 1;
-            let v = ys_security::SecurityViolation::ZoneBreach { port };
-            self.audit.record(now, AuditEvent::Violation(v.clone()));
-            return Err(FileReply::Error(v.to_string()));
-        }
-        if let Err(v) = self.mask.check_access(initiator, Self::NAMESPACE_VOL) {
-            self.stats.denied += 1;
-            self.audit.record(now, AuditEvent::Violation(v.clone()));
-            return Err(FileReply::Error(v.to_string()));
-        }
-        Ok(())
+            let reply = FileReply::Error(v.to_string());
+            self.audit.record(now, AuditEvent::Violation(v));
+            reply
+        })
     }
 
     /// Handle one wire frame from `initiator` (host `client`), arriving on

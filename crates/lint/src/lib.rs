@@ -42,22 +42,19 @@ pub struct Report {
 
 /// Directories whose files are test or fixture code, exempt from all rules
 /// (unit-test *modules* inside library files are handled token-wise).
-const SKIP_DIRS: &[&str] = &["tests", "examples", "fixtures", "target"];
+const SKIP_DIRS: &[&str] = &["tests", "fixtures", "target"];
 
-/// Lint every `.rs` file under `<root>/crates`, reading root `examples/`
-/// and `benchmark/src` too, as `dead-pub` callers only, with the callers
-/// the compiler finds in a marked copy under `<root>/target/dead-pub`. The
-/// walk is sorted so the report is deterministic regardless of directory
-/// order.
+/// Lint every `.rs` file under `<root>/crates`, reading `benchmark/src`
+/// too, as `dead-pub` callers only, with the callers the compiler finds in
+/// a marked copy under `<root>/target/dead-pub`. The walk is sorted so the
+/// report is deterministic regardless of directory order.
 pub fn lint_workspace(root: &Path) -> io::Result<Report> {
     let mut paths = Vec::new();
     collect_rs(&root.join("crates"), &mut paths)?;
     let files_scanned = paths.len();
-    for dir in ["examples", "benchmark/src"] {
-        let dir = root.join(dir);
-        if dir.is_dir() {
-            collect_rs(&dir, &mut paths)?;
-        }
+    let bench = root.join("benchmark/src");
+    if bench.is_dir() {
+        collect_rs(&bench, &mut paths)?;
     }
     paths.sort();
     let mut files = Vec::new();

@@ -4,11 +4,12 @@
 //! on another type; the compiler can. [`deprecation_warnings`]
 //! mirrors the sources into `target/dead-pub/tree`, deprecates each library
 //! `pub fn` there ([`mark_pub_fns`]), and runs `cargo check` over the
-//! targets that count as callers: the workspace's libraries, binaries and
-//! examples, and `benchmark/`'s library and binary. Test targets are not
-//! built, so a call from a test is not a caller. Every use of a marked
-//! function is then one warning naming its site and its definition, which
-//! [`analyze_files`](crate::analyze_files) maps back, purely.
+//! targets that count as callers: the workspace's libraries and binaries,
+//! and `benchmark/`'s library and binary. Test and example targets are not
+//! built, so a call from a test or an example is not a caller. Every use
+//! of a marked function is then one warning naming its site and its
+//! definition, which [`analyze_files`](crate::analyze_files) maps back,
+//! purely.
 //!
 //! Nothing is written outside `target/dead-pub`. A file is rewritten only
 //! when its marked text changed, so a warm run re-checks only what moved.
@@ -21,7 +22,7 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// What the marked tree mirrors: every file under these, minus `target/`.
-const TREES: &[&str] = &["crates", "shims", "examples", "benchmark/src"];
+const TREES: &[&str] = &["crates", "shims", "benchmark/src"];
 /// Single files the builds need besides the trees.
 const MANIFESTS: &[&str] = &["Cargo.toml", "Cargo.lock", "benchmark/Cargo.toml", "benchmark/Cargo.lock"];
 
@@ -33,7 +34,7 @@ pub fn deprecation_warnings(root: &Path) -> io::Result<String> {
     mirror(root, &tree)?;
     let mut warnings = String::new();
     for (dir, args) in [
-        ("", &["--workspace", "--lib", "--bins", "--examples"][..]),
+        ("", &["--workspace", "--lib", "--bins"][..]),
         ("benchmark", &["--lib", "--bins"][..]),
     ] {
         let cwd = tree.join(dir);

@@ -170,8 +170,9 @@ fn check_file(
 
 /// Analyze a set of files: every per-file rule on each `crates/` file, and
 /// `dead-pub` from `warnings`, the compiler's output for the tree
-/// [`mark_pub_fns`] marked. Files outside `crates/` (root `examples/`,
-/// `benchmark/src`) are read as callers only; no rule reports in them.
+/// [`mark_pub_fns`] marked. `benchmark/src` files are read as callers only;
+/// no rule reports in them. A call from outside `crates/` and
+/// `benchmark/src` (a root example, say) keeps nothing alive.
 pub fn analyze_files(files: &[(&str, &str)], warnings: &str) -> Vec<Finding> {
     let lexed: Vec<(LexOutput, Vec<bool>)> = files
         .iter()
@@ -229,6 +230,10 @@ fn pub_fns<'a>(out: &'a LexOutput, skip: &[bool]) -> Vec<(&'a Tok, &'a str)> {
 /// its `file:line`, so every warning names the definition it resolved to.
 const DEF_NOTE: &str = "dead-pub ";
 
+/// Where a call site counts for `dead-pub`: the crates, and the benchmark
+/// that builds against their public surface.
+const CALLER_TREES: &[&str] = &["crates/", "benchmark/src/"];
+
 /// `src` with `#[deprecated(note = "dead-pub <rel>:<line>")]` inserted
 /// before each bare `pub fn` that `dead-pub` judges and no marker keeps,
 /// on the `pub`'s own line so that no line number moves. `None` when
@@ -277,6 +282,9 @@ fn cross_file_calls<'a>(
         let Some((_, def)) = note.rsplit_once(DEF_NOTE) else { continue };
         let mut site = site.rsplitn(3, ':');
         let (Some(col), Some(line), Some(file)) = (site.next(), site.next(), site.next()) else { continue };
+        if !CALLER_TREES.iter().any(|tree| file.starts_with(tree)) {
+            continue;
+        }
         let (Some((def_file, def_line)), Ok(line), Ok(col)) = (def.rsplit_once(':'), line.parse(), col.parse())
         else {
             continue;

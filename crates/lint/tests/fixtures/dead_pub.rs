@@ -1,6 +1,7 @@
 //! Fixture: `dead-pub` over a small file set. Fed to `analyze_files` as a
 //! library file beside `dead_pub_caller.rs` (another library file) and
-//! `dead_pub_frozen.rs` (the caller-only `benchmark/` and `examples/`),
+//! `dead_pub_frozen.rs` (the caller-only `benchmark/`, or an `examples/`
+//! file that calls nothing as far as the rule is concerned),
 //! with the warnings the compiler prints for the marked copy of the three.
 
 pub struct Live;

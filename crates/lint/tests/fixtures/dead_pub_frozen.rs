@@ -1,6 +1,6 @@
-//! Fixture: a caller-only file, fed as `benchmark/src/…` and as
-//! `examples/…`. Its calls count; no rule reports here, not even on its
-//! own uncalled `pub fn`, its `.unwrap()` or its wall clock.
+//! Fixture: a caller-only file, fed as `benchmark/src/…` (its calls count)
+//! and as `examples/…` (they do not). No rule reports here, not even on
+//! its own uncalled `pub fn`, its `.unwrap()` or its wall clock.
 
 pub fn frozen_entry() -> u32 {
     let _started = std::time::Instant::now();

@@ -3,8 +3,6 @@
 //! storage system would be capable of streaming data directly from the
 //! storage devices to the network".
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 /// Which layer-7 personality serves the stream.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StreamProtocol {
@@ -66,66 +64,6 @@ pub fn plan_stream(object_len: u64, range: Option<(u64, u64)>, segment_bytes: u6
     StreamPlan { total_bytes: len, segment_bytes, segments }
 }
 
-const PROTO_HTTP: u8 = 1;
-const PROTO_FTP: u8 = 2;
-const PROTO_RTSP: u8 = 3;
-const PROTO_DICOM: u8 = 4;
-
-/// Frame a stream request.
-pub fn encode(req: &StreamRequest) -> Bytes {
-    let mut b = BytesMut::with_capacity(32);
-    b.put_u8(match req.protocol {
-        StreamProtocol::Http => PROTO_HTTP,
-        StreamProtocol::Ftp => PROTO_FTP,
-        StreamProtocol::Rtsp => PROTO_RTSP,
-        StreamProtocol::Dicom => PROTO_DICOM,
-    });
-    match req.range {
-        Some((s, l)) => {
-            b.put_u8(1);
-            b.put_u64(s);
-            b.put_u64(l);
-        }
-        None => b.put_u8(0),
-    }
-    b.put_u16(req.path.len() as u16);
-    b.put_slice(req.path.as_bytes());
-    b.freeze()
-}
-
-/// Parse a stream request.
-pub fn decode(mut frame: Bytes) -> Option<StreamRequest> {
-    if frame.remaining() < 2 {
-        return None;
-    }
-    let protocol = match frame.get_u8() {
-        PROTO_HTTP => StreamProtocol::Http,
-        PROTO_FTP => StreamProtocol::Ftp,
-        PROTO_RTSP => StreamProtocol::Rtsp,
-        PROTO_DICOM => StreamProtocol::Dicom,
-        _ => return None,
-    };
-    let range = match frame.get_u8() {
-        0 => None,
-        1 => {
-            if frame.remaining() < 16 {
-                return None;
-            }
-            Some((frame.get_u64(), frame.get_u64()))
-        }
-        _ => return None,
-    };
-    if frame.remaining() < 2 {
-        return None;
-    }
-    let n = frame.get_u16() as usize;
-    if frame.remaining() < n {
-        return None;
-    }
-    let path = String::from_utf8(frame.split_to(n).to_vec()).ok()?;
-    Some(StreamRequest { protocol, path, range })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,24 +94,5 @@ mod tests {
         // Range fully past the end → empty plan.
         let empty = plan_stream(1000, Some((2000, 10)), 256, 2);
         assert!(empty.segments.is_empty());
-    }
-
-    #[test]
-    fn request_round_trip() {
-        for req in [
-            StreamRequest { protocol: StreamProtocol::Http, path: "/pub/genome.tar".into(), range: None },
-            StreamRequest { protocol: StreamProtocol::Rtsp, path: "/video/launch.mov".into(), range: Some((1 << 20, 1 << 24)) },
-            StreamRequest { protocol: StreamProtocol::Dicom, path: "/scan/patient-7".into(), range: Some((0, 1)) },
-            StreamRequest { protocol: StreamProtocol::Ftp, path: "/".into(), range: None },
-        ] {
-            assert_eq!(decode(encode(&req)).unwrap(), req);
-        }
-    }
-
-    #[test]
-    fn garbage_requests_rejected() {
-        assert!(decode(Bytes::new()).is_none());
-        assert!(decode(Bytes::from_static(&[9, 0, 0, 1])).is_none());
-        assert!(decode(Bytes::from_static(&[1, 1, 0])).is_none(), "truncated range");
     }
 }

@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use ys_proto::{block, file, plan_stream, stream, BlockCmd, FileOp, StreamProtocol, StreamRequest, Workload};
+use ys_proto::{block, file, plan_stream, BlockCmd, FileOp, Workload};
 
 fn arb_block_cmd() -> impl Strategy<Value = BlockCmd> {
     prop_oneof![
@@ -47,20 +47,11 @@ proptest! {
         prop_assert_eq!(file::decode(file::encode(&op)).unwrap(), op);
     }
 
-    /// Stream requests round-trip.
-    #[test]
-    fn stream_roundtrip(proto_pick in 0usize..4, path in "[a-z/]{0,40}", range in proptest::option::of((any::<u64>(), any::<u64>()))) {
-        let protocol = [StreamProtocol::Http, StreamProtocol::Ftp, StreamProtocol::Rtsp, StreamProtocol::Dicom][proto_pick];
-        let req = StreamRequest { protocol, path, range };
-        prop_assert_eq!(stream::decode(stream::encode(&req)).unwrap(), req);
-    }
-
     /// The decoders never panic on arbitrary bytes — they return errors.
     #[test]
     fn decoders_never_panic_on_garbage(data in proptest::collection::vec(any::<u8>(), 0..128)) {
         let _ = block::decode(Bytes::from(data.clone()));
-        let _ = file::decode(Bytes::from(data.clone()));
-        let _ = stream::decode(Bytes::from(data));
+        let _ = file::decode(Bytes::from(data));
     }
 
     /// Every truncation of a valid block frame fails to parse as the same

@@ -27,13 +27,9 @@ impl AuditLog {
         self.entries.push((at, event));
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    // lint: allow(dead-pub) — (e) clippy's len_without_is_empty pairs it with the live pub len
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+    /// Every entry, in the order recorded.
+    pub fn events(&self) -> &[(SimTime, AuditEvent)] {
+        &self.entries
     }
 
     pub fn violations(&self) -> impl Iterator<Item = (&SimTime, &SecurityViolation)> {
@@ -62,7 +58,7 @@ mod tests {
             }),
         );
         log.record(SimTime(3), AuditEvent::LoginFailed { principal: 2 });
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.events().len(), 3);
         assert_eq!(log.violations().count(), 1);
     }
 }

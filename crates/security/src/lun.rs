@@ -126,6 +126,17 @@ impl LunMask {
         }
     }
 
+    /// The ingress gate every front end runs first: a request may enter
+    /// only on a port explicitly zoned `HostSide` or `Management`. One
+    /// arriving on the trusted disk-side fabric, or on a port nobody ever
+    /// zoned, is a [`SecurityViolation::ZoneBreach`] (fail closed).
+    pub fn check_ingress(&self, port: usize) -> Result<(), SecurityViolation> {
+        match self.zones.get(&port) {
+            Some(PortZone::HostSide) | Some(PortZone::Management) => Ok(()),
+            Some(PortZone::DiskSide) | None => Err(SecurityViolation::ZoneBreach { port }),
+        }
+    }
+
     /// Disable an in-band control command on a port.
     pub fn disable_inband(&mut self, port: usize, command: ControlCommand) {
         self.inband_disabled.insert((port, command));
@@ -200,6 +211,19 @@ mod tests {
         // Non-disk targets stay permissive even for unzoned ports.
         assert!(m.check_zone_path(7, PortZone::HostSide).is_ok());
         assert!(m.check_zone_path(7, PortZone::Management).is_ok());
+    }
+
+    #[test]
+    fn ingress_admits_only_host_and_management_ports() {
+        let mut m = LunMask::new();
+        m.set_zone(0, PortZone::HostSide);
+        m.set_zone(8, PortZone::DiskSide);
+        m.set_zone(9, PortZone::Management);
+        assert_eq!(m.check_ingress(0), Ok(()));
+        assert_eq!(m.check_ingress(9), Ok(()));
+        assert_eq!(m.check_ingress(8), Err(SecurityViolation::ZoneBreach { port: 8 }));
+        // Port 5 was never zoned: fail closed.
+        assert_eq!(m.check_ingress(5), Err(SecurityViolation::ZoneBreach { port: 5 }));
     }
 
     #[test]

@@ -103,18 +103,6 @@ impl DiskFarm {
             .filter(|(_, d)| !d.is_failed())
             .map(|(i, _)| DiskId(i))
     }
-
-    /// Max and mean utilization across drives — the farm-level hot-spot
-    /// indicator used by E5.
-    pub fn utilization_spread(&self, until: SimTime) -> (f64, f64) {
-        if self.disks.is_empty() {
-            return (0.0, 0.0);
-        }
-        let utils: Vec<f64> = self.disks.iter().map(|d| d.utilization(until)).collect();
-        let max = utils.iter().cloned().fold(0.0, f64::max);
-        let mean = utils.iter().sum::<f64>() / utils.len() as f64;
-        (max, mean)
-    }
 }
 
 #[cfg(test)]
@@ -159,17 +147,5 @@ mod tests {
         assert_eq!(f.checksum_mismatches(), 1);
         f.replace(DiskId(1));
         assert_eq!(f.corrupt_page_count(), 0);
-    }
-
-    #[test]
-    fn utilization_spread_flags_hot_disk() {
-        let mut f = farm(4);
-        let mut t = SimTime::ZERO;
-        for i in 0..50u64 {
-            t = f.submit(DiskId(0), t, DiskOp::Read { offset: i * (1 << 20), bytes: 1 << 20 }).unwrap();
-        }
-        let (max, mean) = f.utilization_spread(t);
-        assert!(max > 0.9, "hot disk near saturation: {max}");
-        assert!(mean < 0.3, "others idle: {mean}");
     }
 }

@@ -136,7 +136,6 @@ pub struct Disk {
     /// Byte position where the head will rest after the queued commands.
     head: u64,
     busy_until: SimTime,
-    busy_time: SimDuration,
     failed: bool,
     reads: u64,
     writes: u64,
@@ -160,7 +159,6 @@ impl Disk {
             spec,
             head: 0,
             busy_until: SimTime::ZERO,
-            busy_time: SimDuration::ZERO,
             failed: false,
             reads: 0,
             writes: 0,
@@ -308,7 +306,6 @@ impl Disk {
         let service = self.service_time(&op);
         let done = start + service;
         self.busy_until = done;
-        self.busy_time += service;
         self.head = op.end();
         if op.is_write() {
             self.writes += 1;
@@ -338,15 +335,6 @@ impl Disk {
             Verification::Verified
         };
         Ok((done, verdict))
-    }
-
-    pub fn utilization(&self, until: SimTime) -> f64 {
-        let span = until.since(SimTime::ZERO);
-        if span.is_zero() {
-            0.0
-        } else {
-            (self.busy_time.as_secs_f64() / span.as_secs_f64()).min(1.0)
-        }
     }
 
     pub fn reads(&self) -> u64 {

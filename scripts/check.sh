@@ -49,17 +49,6 @@ cargo run -q -p ys-scrub -- --seed 4 --double-run --quiet
 echo "==> ys-heal lifecycle campaign + in-process double-run (seed 4)"
 cargo run -q -p ys-heal -- --seed 4 --double-run --quiet
 
-# The root examples count as callers under ys-lint's dead-pub rule, so
-# they must also keep running: each must exit 0 (debug build, well under a
-# second each).
-echo "==> cargo run --example (the five root examples exit 0)"
-for example in quickstart lab_campaign content_streaming storage_admin protocol_gateway; do
-    cargo run -q -p ys-core --example "$example" > /dev/null || {
-        echo "FAIL: example $example exited non-zero" >&2
-        exit 1
-    }
-done
-
 # Cross-process byte-identity: two separate invocations of the same seed
 # must print identical transcripts. The in-process double-run above already
 # catches per-instance hasher drift; this one also covers anything that
@@ -129,13 +118,15 @@ for seed in 4 16 46 155; do
     cargo run --release -q -p ys-chaos -- --seed "$seed" --steps 64 --fatal --quiet
 done
 
-# Security pillar: the §5 enforcement stack must hold end to end. The two
+# Security pillar: the §5 enforcement stack must hold end to end. The three
 # checkpointed scenarios fail loudly (non-zero exit) if any cross-tenant
-# frame succeeds, a denial goes unaudited, media bytes are plaintext, or
-# hardware-assist crypt falls more than 5% off wire speed — and the model
-# checker exhausts the mask/zone/cipher state space (saturates at depth 7).
-echo "==> ys-report secure-tenants + wire-speed-crypt (E2/E11 checkpoints)"
-for scenario in secure-tenants wire-speed-crypt; do
+# frame succeeds, a denial goes unaudited, media bytes are plaintext,
+# hardware-assist crypt falls more than 5% off wire speed, or the fortified
+# ring lets a control op past its authentication, zone or in-band gate —
+# and the model checker exhausts the mask/zone/cipher state space
+# (saturates at depth 7).
+echo "==> ys-report secure-tenants + wire-speed-crypt + fortified-ring (E2/E11/§5.2 checkpoints)"
+for scenario in secure-tenants wire-speed-crypt fortified-ring; do
     cargo run -q -p ys-bench --bin ys-report -- "$scenario" --trace-out "$tmpdir/$scenario.trace.json" \
         > "$tmpdir/$scenario.txt" || {
         echo "FAIL: a $scenario checkpoint failed" >&2
@@ -143,7 +134,7 @@ for scenario in secure-tenants wire-speed-crypt; do
         exit 1
     }
 done
-echo "    all E2/E11 checkpoints passed"
+echo "    all E2/E11/fortified-ring checkpoints passed"
 
 echo "==> ys-check --security --depth 7 (exhaustive §5 enforcement model)"
 cargo run -q -p ys-check --release -- --security --depth 7

@@ -144,8 +144,6 @@ fn stream_plans_cover_every_protocol_and_range() {
         ys_proto::StreamProtocol::Dicom,
     ] {
         let req = ys_proto::StreamRequest { protocol: proto, path: "/x".into(), range: Some((100 * KB, 500 * KB)) };
-        let rt = ys_proto::stream::decode(ys_proto::stream::encode(&req)).unwrap();
-        assert_eq!(rt, req);
         let plan = plan_stream(GB, req.range, 64 * KB, 4);
         let total: u64 = plan.segments.iter().map(|s| s.len).sum();
         assert_eq!(total, 500 * KB);
